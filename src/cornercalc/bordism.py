@@ -14,18 +14,18 @@ of odd-order symmetries.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from ._linalg import (Mat, Vec, change_of_basis_det, frac, independent_subset,
-                      invariant_factors, mat, matvec, rank, solve, vec)
+from ._linalg import (Mat, Vec, change_of_basis_det, frac, invariant_factors,
+                      mat, matvec, rank, vec)
 from .cells import (Cell, CellMap, Coorientation, canonical_cell_map,
-                    cell_boundary, fibre_product_cells, validate_coorientation)
+                    canonical_form, cell_boundary, fibre_product_cells,
+                    maps_agree, validate_coorientation)
 from .chains import (Chain, Generator, Tag, boundary, cylinder,
                      transport_generator)
-from .geometry import Polytope
+from .geometry import POINT_POLYTOPE, Polytope, affine_isomorphisms
 from .maps import CheckReport
 from .orbifold import (FiniteGroup, GroupAction, VirtualRep, map_is_invariant,
                        orbifold_stratum)
@@ -120,14 +120,9 @@ class BordismComponent:
         return self.cell.dim
 
     def canonical_term(self) -> tuple:
-        cell, cmap, co = canonical_cell_map(self.cell, self.cmap,
-                                            self.coorientation)
-        key = ((cmap.target.kind, cmap.target.dim),
-               cell.polytope.ambient_dim, cell.polytope.vertices,
-               cell.torus_rank, cmap.a, cmap.m_t, cmap.b)
-        if co is not None:
-            return key + (co.frame,), co.sign
-        return key + ((),), cell.sign
+        key, sign, _, _, co = canonical_form(self.cell, self.cmap,
+                                             self.coorientation)
+        return key + (co.frame if co is not None else (),), sign
 
 
 class BordismClass:
@@ -201,32 +196,6 @@ def _boundary_atlas(b: BordismClass) -> dict:
     return atlas
 
 
-def _maps_differ(cmap_i: CellMap, cmap_j: CellMap, point_pairs) -> bool:
-    """Inequality of two maps along matched points, up to torus periods.
-
-    The difference of affine maps is affine, so agreement on a hull needs
-    all matched differences equal and that constant zero, or integral when
-    the target is a torus.
-    """
-    if cmap_i.target != cmap_j.target or cmap_i.m_t != cmap_j.m_t:
-        return True
-    m = cmap_i.target.dim
-    if m == 0:
-        return False
-    diffs = []
-    for v, w in point_pairs:
-        lhs = tuple(sum(cmap_i.a[r][c] * v[c] for c in range(len(v)))
-                    + cmap_i.b[r] for r in range(m))
-        rhs = tuple(sum(cmap_j.a[r][c] * w[c] for c in range(len(w)))
-                    + cmap_j.b[r] for r in range(m))
-        diffs.append(tuple(x - y for x, y in zip(lhs, rhs)))
-    if any(d != diffs[0] for d in diffs):
-        return True
-    if cmap_i.target.is_torus:
-        return any(x.denominator != 1 for x in diffs[0])
-    return any(x != 0 for x in diffs[0])
-
-
 def _witness_fault(b: BordismClass, pw: PairingWitness,
                    atlas: dict) -> Optional[str]:
     (i, fkey), (j, gkey) = pw.left, pw.right
@@ -246,7 +215,7 @@ def _witness_fault(b: BordismClass, pw: PairingWitness,
         return "identification is not injective on the face"
     if sorted(image) != list(gkey):
         return "identification does not carry the face onto its partner"
-    if _maps_differ(ci.cmap, cj.cmap, list(zip(fkey, image))):
+    if not maps_agree(ci.cmap, cj.cmap, list(zip(fkey, image))):
         return "identification does not commute with the maps"
     carried = tuple(tuple(pw.linear(v[:n_i])) + tuple(v[n_i:])
                     for v in bi.cell.frame)
@@ -336,61 +305,14 @@ def oriented_match(cell1: Cell, cmap1: CellMap,
     if (m1.target != m2.target or c1.torus_rank != c2.torus_rank
             or c1.dim != c2.dim or m1.m_t != m2.m_t):
         return None
-    p1, p2 = c1.polytope, c2.polytope
-    if len(p1.vertices) != len(p2.vertices) or p1.dim != p2.dim:
-        return None
-    verts1 = list(p1.vertices)
-    v0 = verts1[0]
-    d = p1.dim
-    diffs = [tuple(a - b for a, b in zip(w, v0)) for w in verts1[1:]]
-    basis = [diffs[i] for i in independent_subset(diffs)]
-    cols = mat(tuple(tuple(bv[r] for bv in basis)
-                     for r in range(p1.ambient_dim)))
-
-    def coords(point):
-        t = tuple(a - b for a, b in zip(point, v0))
-        if d == 0:
-            return () if all(a == 0 for a in t) else None
-        return solve(cols, t)
-
-    vset2 = set(p2.vertices)
-    n2 = p2.ambient_dim
+    n1 = c1.polytope.ambient_dim
     best = None
-    for choice in itertools.product(sorted(vset2), repeat=d + 1):
-        u0 = choice[0]
-        spans = [tuple(a - b for a, b in zip(u, u0)) for u in choice[1:]]
-
-        def push(lam):
-            out = [Fraction(x) for x in u0]
-            for k, l in enumerate(lam):
-                if l:
-                    for r in range(n2):
-                        out[r] += l * spans[k][r]
-            return tuple(out)
-
-        image = []
-        for v in verts1:
-            lam = coords(v)
-            image.append(None if lam is None else push(lam))
-        if None in image or len(set(image)) != len(image) \
-                or set(image) != vset2:
+    for vmap, linear in affine_isomorphisms(c1.polytope, c2.polytope):
+        if not maps_agree(m1, m2, list(vmap.items())):
             continue
-        if _maps_differ(m1, m2, list(zip(verts1, image))):
-            continue
-        carried = []
-        ok = True
-        for fvec in c1.frame:
-            lam = coords(tuple(a + b for a, b in zip(fvec[:p1.ambient_dim],
-                                                     v0)))
-            if lam is None:
-                ok = False
-                break
-            moved = tuple(x - y for x, y in zip(push(lam), u0))
-            carried.append(moved + tuple(fvec[p1.ambient_dim:]))
-        if not ok:
-            continue
+        carried = tuple(linear(f[:n1]) + tuple(f[n1:]) for f in c1.frame)
         try:
-            det_sign = change_of_basis_det(tuple(carried), c2.frame)
+            det_sign = change_of_basis_det(carried, c2.frame)
         except ValueError:
             continue
         eps = (1 if det_sign > 0 else -1) * c1.sign * c2.sign
@@ -659,9 +581,6 @@ def tag_independence_witness(b: BordismClass, atom1="g", atom2="h"):
 # Products
 # ---------------------------------------------------------------------------
 
-_POINT_POLYTOPE = Polytope.from_points(0, [[]])
-
-
 def identity_cobordism(y) -> BordismClass:
     """The unit for the cooriented product: the identity on a compact target."""
     if not y.compact:
@@ -670,7 +589,7 @@ def identity_cobordism(y) -> BordismClass:
     m = y.dim
     cmap = CellMap(y, tuple(() for _ in range(m)),
                    _eye(m) if m else (), (0,) * m)
-    cell = Cell(_POINT_POLYTOPE, m)
+    cell = Cell(POINT_POLYTOPE, m)
     comp = BordismComponent(cell, cmap, Coorientation((), 1))
     return BordismClass((comp,), ())
 

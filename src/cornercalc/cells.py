@@ -45,20 +45,12 @@ from ._linalg import (
     integer_matrix_inverse,
     kernel_basis,
     mat,
-    matvec,
     rref,
     solve,
     transpose,
     vec,
-    vsub,
 )
-from .geometry import (
-    FaceKey,
-    GeometryError,
-    OrientedPolytope,
-    Polytope,
-    face_key,
-)
+from .geometry import FaceKey, GeometryError, Polytope
 
 
 class MapError(ValueError):
@@ -189,16 +181,6 @@ class Cell:
     def reversed(self) -> "Cell":
         return Cell(self.polytope, self.torus_rank, self.frame, -self.sign)
 
-    def oriented_polytope(self) -> OrientedPolytope:
-        if self.torus_rank != 0:
-            raise GeometryError("cell has a torus factor")
-        fr = tuple(v for v in self.frame)
-        return OrientedPolytope(self.polytope, fr, self.sign)
-
-
-def cell_from_oriented_polytope(op: OrientedPolytope) -> Cell:
-    return Cell(op.polytope, 0, op.frame, op.sign)
-
 
 def cell_orientation_equal(a: Cell, b: Cell) -> int:
     if (a.polytope.vertices != b.polytope.vertices
@@ -276,6 +258,29 @@ def constant_map(target: Target, n: int, s: int, value: Iterable = None) -> Cell
     m = target.dim
     b = vec(value) if value is not None else vec([0] * m)
     return CellMap(target, [[0] * n for _ in range(m)], [[0] * s for _ in range(m)], b)
+
+
+def maps_agree(f: CellMap, g: CellMap, point_pairs) -> bool:
+    """Whether f(v) = g(w) for every matched pair (v, w), up to torus periods.
+
+    The torus columns must coincide.  The difference of affine maps is affine,
+    so agreement on a hull needs all matched differences equal and that
+    constant zero, or integral when the target is a torus.
+    """
+    if f.target != g.target or f.m_t != g.m_t:
+        return False
+    m = f.target.dim
+    if m == 0:
+        return True
+    diffs = [tuple(sum(f.a[r][c] * v[c] for c in range(len(v))) + f.b[r]
+                   - sum(g.a[r][c] * w[c] for c in range(len(w))) - g.b[r]
+                   for r in range(m))
+             for v, w in point_pairs]
+    if any(d != diffs[0] for d in diffs):
+        return False
+    if f.target.is_torus:
+        return all(x.denominator == 1 for x in diffs[0])
+    return all(x == 0 for x in diffs[0])
 
 
 # ---------------------------------------------------------------------------
@@ -469,11 +474,6 @@ def cell_boundary(cell: Cell) -> list[CellBoundaryComponent]:
             cell=Cell(fp, s, base, sgn),
             outward=out_vec))
     return out
-
-
-def restrict_map(cmap: CellMap) -> CellMap:
-    """Maps restrict to faces verbatim: same matrix data."""
-    return cmap
 
 
 def restrict_coorientation(cell: Cell, cmap: CellMap, co: Coorientation,
@@ -731,7 +731,6 @@ def fibre_product_cells(cell1: Cell, map1: CellMap, cell2: Cell, map2: CellMap, 
         lam = [Fraction(0)] * m
         for (pr, _, _), val in zip(pivots, piv_choice):
             lam[pr] = Fraction(val)
-        ok = True
         for jj, (pr, d, _) in enumerate(pivots):
             row = [-frac(a_rows[pr][k]) for k in range(n)]
             const = c_vec[pr] + lam[pr]
@@ -742,8 +741,6 @@ def fibre_product_cells(cell1: Cell, map1: CellMap, cell2: Cell, map2: CellMap, 
                     const -= coef * tau_consts[j2]
             tau_rows.append(tuple(x / d for x in row))
             tau_consts.append(const / d)
-        if not ok:
-            continue
 
         # residual constraints on p from the non-pivot rows
         residuals = []
@@ -1192,11 +1189,23 @@ def canonical_cell_map(cell: Cell, cmap: CellMap,
     return ccell, cmap2, cco
 
 
+def canonical_form(cell: Cell, cmap: CellMap, coorient: Optional[Coorientation]):
+    """(key, sign, cell, map, coorientation) of the canonical representative.
+
+    The key is the hashable identity of (cell, map) up to cell isomorphism,
+    orientation aside; the sign is the coorientation's when one is given
+    (coorient not None), else the cell's.
+    """
+    ccell, cmap2, cco = canonical_cell_map(cell, cmap, coorient)
+    key = ((cmap2.target.kind, cmap2.target.dim), ccell.polytope.ambient_dim,
+           ccell.polytope.vertices, ccell.torus_rank, cmap2.a, cmap2.m_t, cmap2.b)
+    sign = cco.sign if cco is not None else ccell.sign
+    return key, sign, ccell, cmap2, cco
+
+
 def canonical_key(cell: Cell, cmap: CellMap):
     """Hashable identity of (cell, map) up to cell isomorphism, orientation aside."""
-    c2, m2, _ = canonical_cell_map(cell, cmap)
-    return (m2.target, c2.polytope.ambient_dim, c2.polytope.vertices,
-            c2.torus_rank, m2.a, m2.m_t, m2.b)
+    return canonical_form(cell, cmap, None)[0]
 
 
 def permute_cell_coords(cell: Cell, cmap: CellMap, perm: Sequence[int],

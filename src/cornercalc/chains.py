@@ -32,7 +32,7 @@ from .cells import (
     CellMap,
     Coorientation,
     Target,
-    canonical_cell_map,
+    canonical_form,
     cell_boundary,
     cell_orientation_equal,
     constant_map,
@@ -40,10 +40,9 @@ from .cells import (
     has_free_circle,
     is_strong_submersion,
     restrict_coorientation,
-    restrict_map,
     validate_coorientation,
 )
-from .geometry import FaceKey, Polytope, standard_simplex
+from .geometry import FaceKey, Polytope, affine_isomorphisms, standard_simplex
 from .maps import CheckReport
 
 
@@ -319,28 +318,19 @@ def _orbit_position(marker: QuotientMarker, face_key) -> tuple:
 # Normal form and chains
 # ---------------------------------------------------------------------------
 
-def _target_key(t: Target):
-    return (t.kind, t.dim)
-
-
 def _normal_form(gen: Generator):
     """(key, sign, normalized generator), or None when the class is zero."""
-    cell, cmapc, coo = canonical_cell_map(gen.cell, gen.cmap, gen.coorientation)
+    key, sign, cell, cmapc, coo = canonical_form(gen.cell, gen.cmap,
+                                                 gen.coorientation)
     if has_free_circle(cell, cmapc):
         return None
+    norm_cell = Cell(cell.polytope, cell.torus_rank, cell.frame, 1)
     if gen.is_cochain:
-        sign = coo.sign
         coo = Coorientation(coo.frame, 1)
-        norm_cell = Cell(cell.polytope, cell.torus_rank, cell.frame, 1)
         cofr = coo.frame
     else:
-        sign = cell.sign
-        coo = None
-        norm_cell = Cell(cell.polytope, cell.torus_rank, cell.frame, 1)
-        cofr = None
-    key = (_target_key(cmapc.target), norm_cell.polytope.ambient_dim,
-           norm_cell.polytope.vertices, norm_cell.torus_rank,
-           cmapc.a, cmapc.m_t, cmapc.b, gen.tag.labels, cofr)
+        coo = cofr = None
+    key += (gen.tag.labels, cofr)
     return key, sign, Generator(norm_cell, cmapc, gen.tag, coo)
 
 
@@ -473,7 +463,7 @@ def generator_boundary(gen: Generator) -> list:
             tag = Tag({tuple(k): merge_labels(gen.tag.label_of(k),
                                               _orbit_position(marker, k))
                        for k in sub_keys})
-        cmap = restrict_map(gen.cmap)
+        cmap = gen.cmap
         if gen.is_cochain:
             parent = Cell(gen.cell.polytope, gen.cell.torus_rank,
                           gen.cell.frame, 1)
@@ -618,43 +608,8 @@ def aut_finite(cell: Cell, cmap: CellMap, tag: Tag, *, cap: int = 12) -> AutRepo
     if has_free_circle(cell, cmap):
         return AutReport([], 0, "infinite")
     p = cell.polytope
-    verts = list(p.vertices)
-    if len(verts) > cap:
+    if len(p.vertices) > cap:
         return AutReport([], 0, "undecided")
-    n, d = p.ambient_dim, p.dim
-    # affine basis of the hull
-    basis_idx = [0]
-    dirs: list = []
-    for i in range(1, len(verts)):
-        cand = dirs + [tuple(frac(a) - frac(b) for a, b in zip(verts[i], verts[0]))]
-        if rank(mat(cand)) == len(cand):
-            dirs = cand
-            basis_idx.append(i)
-        if len(basis_idx) == d + 1:
-            break
-    vertex_labels = {}
-    vert_face = {}
-    for key, label in tag.labels:
-        if len(key) == 1:
-            vertex_labels[key[0]] = label
-    for v in verts:
-        vert_face[v] = vertex_labels.get(tuple(v))
-
-    def image_of(lam, images):
-        base = images[0]
-        return tuple(frac(base[j]) + sum(lam[t] * (frac(images[t + 1][j]) - frac(base[j]))
-                                         for t in range(d))
-                     for j in range(n))
-
-    # barycentric-style coordinates of every vertex in the chosen basis
-    coords = []
-    dm = mat(dirs)
-    for v in verts:
-        rhs = tuple(frac(a) - frac(b) for a, b in zip(v, verts[basis_idx[0]]))
-        lam = solve(tuple(tuple(dm[i][j] for i in range(d)) for j in range(n)), rhs)
-        if lam is None:
-            raise ChainError("vertex outside its own affine hull")
-        coords.append(lam)
 
     # translations c with M c integral, counted modulo the lattice; the free
     # circle check above guarantees M has full column rank, so this is finite
@@ -663,40 +618,18 @@ def aut_finite(cell: Cell, cmap: CellMap, tag: Tag, *, cap: int = 12) -> AutRepo
         for f in invariant_factors(cmap.m_t):
             torus_part *= int(f)
 
+    # the map must fix the affine map's values and every face label
+    t0 = (0,) * cell.torus_rank
     found = []
-    vset = {tuple(v) for v in verts}
-    candidates = [v for v in verts]
-    for images in itertools.permutations(candidates, d + 1):
-        if vert_face.get(tuple(images[0])) != vert_face.get(tuple(verts[basis_idx[0]])):
+    for perm, _ in affine_isomorphisms(p, p):
+        if any(cmap.value(v, t0) != cmap.value(w, t0) for v, w in perm.items()):
             continue
-        perm = {}
-        ok = True
-        for v, lam in zip(verts, coords):
-            w = image_of(lam, images)
-            if w not in vset:
-                ok = False
-                break
-            perm[tuple(v)] = w
-        if not ok or len(set(perm.values())) != len(verts):
+        try:
+            if all(tag.label_of(tuple(sorted(perm[v] for v in key))) == label
+                   for key, label in tag.labels):
+                found.append(perm)
+        except TagError:
             continue
-        # the map must fix the affine map's values and every face label
-        for v in verts:
-            if cmap.value(v, (0,) * cell.torus_rank) != cmap.value(perm[tuple(v)], (0,) * cell.torus_rank):
-                ok = False
-                break
-        if not ok:
-            continue
-        for key, label in tag.labels:
-            image_key = tuple(sorted(perm[v] for v in key))
-            try:
-                if tag.label_of(image_key) != label:
-                    ok = False
-                    break
-            except TagError:
-                ok = False
-                break
-        if ok and perm not in found:
-            found.append(perm)
     return AutReport(found, torus_part, "finite")
 
 

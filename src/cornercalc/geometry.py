@@ -1,12 +1,12 @@
-"""Compact convex polytopes with exact rational vertices, orientations, boundaries.
+"""Compact convex polytopes with exact rational vertices and their face lattices.
 
 A polytope is stored by its vertex set (the extreme points, verified at
 construction). Faces are identified by their sorted vertex tuples, so face keys
-are stable across sub-polytope constructions and canonicalization. Orientations
-are frames: ordered bases of the direction space of the affine hull, together
-with a sign. The induced orientation on a boundary facet puts the outward
-normal first; the second boundary enumerates flags (codim-2 face, ordered pair
-of facets) and carries the free involution that swaps the flag order.
+are stable across sub-polytope constructions and canonicalization. Facets come
+with outward vectors in the direction space of the affine hull; the
+H-representation, minimal faces, corner types and the affine isomorphisms
+between vertex sets are built on them. Orientations, boundaries and the corner
+involution live on cells (see cells and chains).
 """
 
 from __future__ import annotations
@@ -15,22 +15,20 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ._linalg import (
     Mat,
     Vec,
-    canonical_frame,
-    change_of_basis_det,
     frac,
-    in_span,
+    independent_subset,
     kernel_basis,
     lp_feasible,
     mat,
     matvec,
     rref,
     solve,
-    transpose,
+    vadd,
     vec,
     vsub,
 )
@@ -300,150 +298,6 @@ def _in_hull(points: Sequence[Vec], p: Vec) -> bool:
     return lp_feasible(a, b)
 
 
-# ---------------------------------------------------------------------------
-# Orientations
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OrientedPolytope:
-    """A polytope with an orientation: a frame spanning its direction space and a sign.
-
-    A zero-dimensional polytope has the empty frame; its orientation is the sign.
-    """
-
-    polytope: Polytope
-    frame: Mat
-    sign: int
-
-    def __init__(self, polytope: Polytope, frame: Iterable[Iterable] = None, sign: int = 1):
-        fr = mat(frame) if frame is not None else polytope.dir_basis
-        if sign not in (1, -1):
-            raise GeometryError("sign must be +1 or -1")
-        if len(fr) != polytope.dim:
-            raise GeometryError("frame length must equal the polytope dimension")
-        for v in fr:
-            if len(v) != polytope.ambient_dim:
-                raise GeometryError("frame vector dimension mismatch")
-            if not in_span(polytope.dir_basis, v):
-                raise GeometryError("frame vector outside the direction space")
-        if fr:
-            try:
-                canonical_frame(fr)
-            except ValueError:
-                raise GeometryError("frame is linearly dependent")
-        object.__setattr__(self, "polytope", polytope)
-        object.__setattr__(self, "frame", fr)
-        object.__setattr__(self, "sign", sign)
-
-    @property
-    def dim(self) -> int:
-        return self.polytope.dim
-
-    def canonical(self) -> "OrientedPolytope":
-        """Same orientation, expressed over the canonical echelon frame."""
-        if not self.frame:
-            return OrientedPolytope(self.polytope, (), self.sign)
-        basis, s = canonical_frame(self.frame)
-        return OrientedPolytope(self.polytope, basis, s * self.sign)
-
-    def reversed(self) -> "OrientedPolytope":
-        return OrientedPolytope(self.polytope, self.frame, -self.sign)
-
-
-def orientation_equal(a: OrientedPolytope, b: OrientedPolytope) -> int:
-    """+1 if the orientations agree, -1 if opposite. Polytopes must coincide."""
-    if a.polytope.vertices != b.polytope.vertices or a.polytope.ambient_dim != b.polytope.ambient_dim:
-        raise GeometryError("orientation comparison requires the same polytope")
-    if a.dim == 0:
-        return a.sign * b.sign
-    d = change_of_basis_det(a.frame, b.frame)
-    return (1 if d > 0 else -1) * a.sign * b.sign
-
-
-# ---------------------------------------------------------------------------
-# Boundary and second boundary
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BoundaryComponent:
-    """One facet with its induced (outward-normal-first) orientation."""
-
-    parent_key: FaceKey
-    face: FaceKey
-    outward: Vec
-    oriented: OrientedPolytope
-
-
-@dataclass(frozen=True)
-class CornerComponent:
-    """One flag (codim-2 face, first facet, second facet) of the second boundary."""
-
-    face: FaceKey
-    first_facet: FaceKey
-    second_facet: FaceKey
-    oriented: OrientedPolytope
-
-
-def boundary(op: OrientedPolytope) -> list[BoundaryComponent]:
-    """Boundary components of an oriented polytope, one per facet, not glued.
-
-    The induced orientation satisfies: (outward normal, induced frame) matches
-    the parent orientation.
-    """
-    p = op.polytope
-    out = []
-    for key, outward in p.facets():
-        fp = p.face_polytope(key)
-        base = fp.dir_basis
-        cand = (outward,) + base
-        d = change_of_basis_det(cand, op.frame)
-        s = (1 if d > 0 else -1) * op.sign
-        out.append(BoundaryComponent(
-            parent_key=p.vertices,
-            face=key,
-            outward=outward,
-            oriented=OrientedPolytope(fp, base, s)))
-    return out
-
-
-def second_boundary(op: OrientedPolytope) -> list[CornerComponent]:
-    """All flags (F, B1, B2): codim-2 face F with an ordered pair of facets through it.
-
-    Each codim-2 face of a polytope lies in exactly two facets, so it
-    contributes exactly two flags, swapped by sigma.
-    """
-    out = []
-    for bc in boundary(op):
-        if bc.oriented.dim == 0:
-            continue
-        for bc2 in boundary(bc.oriented):
-            other = _other_facet(op.polytope, bc2.face, bc.face)
-            out.append(CornerComponent(
-                face=bc2.face,
-                first_facet=bc.face,
-                second_facet=other,
-                oriented=bc2.oriented))
-    return out
-
-
-def _other_facet(p: Polytope, sub: FaceKey, first: FaceKey) -> FaceKey:
-    holders = [key for key, _ in p.facets() if set(sub) <= set(key)]
-    if len(holders) != 2:
-        raise GeometryError(
-            f"codim-2 face contained in {len(holders)} facets; polytope lattice broken")
-    return holders[0] if holders[1] == first else holders[1]
-
-
-def sigma(component: CornerComponent, components: Sequence[CornerComponent]) -> CornerComponent:
-    """The flag-swap involution on the second boundary: (F,B1,B2) -> (F,B2,B1)."""
-    for c in components:
-        if (c.face == component.face
-                and c.first_facet == component.second_facet
-                and c.second_facet == component.first_facet):
-            return c
-    raise GeometryError("sigma partner not found; second boundary incomplete")
-
-
 def corner_type(p: Polytope, key: FaceKey) -> str:
     """'corner' if the face lies in exactly codim many facets, else 'g-corner'."""
     fp = p.face_polytope(key)
@@ -452,6 +306,46 @@ def corner_type(p: Polytope, key: FaceKey) -> str:
     if codim == 0:
         return "corner"
     return "corner" if holders == codim else "g-corner"
+
+
+def affine_isomorphisms(p1: Polytope, p2: Polytope) -> Iterator[tuple[dict, Callable]]:
+    """Affine bijections of the vertex set of p1 onto that of p2.
+
+    An affine map is fixed by the images of an affine basis of p1 (its first
+    vertex and the vertices extending the span greedily), so the images are
+    drawn from the permutations of p2's vertices.  Each choice carrying the
+    vertices bijectively onto p2's yields (vertex map, linear part); the
+    linear part sends direction vectors of p1 to those of p2.
+    """
+    verts1, verts2 = p1.vertices, p2.vertices
+    if len(verts1) != len(verts2) or p1.dim != p2.dim:
+        return
+    v0 = verts1[0]
+    diffs = [vsub(w, v0) for w in verts1[1:]]
+    basis = [diffs[i] for i in independent_subset(diffs)]
+    cols = mat(tuple(tuple(bv[r] for bv in basis) for r in range(p1.ambient_dim)))
+    lams = [solve(cols, vsub(v, v0)) for v in verts1]
+    vset2 = set(verts2)
+    for images in itertools.permutations(verts2, len(basis) + 1):
+        image, linear = _affine_extension(cols, lams, images, p2.ambient_dim)
+        if set(image) == vset2:
+            yield dict(zip(verts1, image)), linear
+
+
+def _affine_extension(cols: Mat, lams: Sequence[Vec], images: Sequence[Vec], n: int):
+    """The affine map sending the basis behind cols to images, in R^n.
+
+    Returns the images of the points with basis coefficients lams, and the
+    linear part as a function of direction vectors.
+    """
+    u0 = images[0]
+    spans = [vsub(u, u0) for u in images[1:]]
+
+    def push(lam):
+        return tuple(sum((l * s[r] for l, s in zip(lam, spans)), Fraction(0))
+                     for r in range(n))
+
+    return [vadd(u0, push(lam)) for lam in lams], lambda w: push(solve(cols, tuple(w)))
 
 
 # ---------------------------------------------------------------------------
@@ -477,3 +371,6 @@ def standard_simplex(k: int) -> Polytope:
 def octahedron() -> Polytope:
     verts = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
     return Polytope(3, verts, _trusted=True)
+
+
+POINT_POLYTOPE = Polytope.from_points(0, [[]])

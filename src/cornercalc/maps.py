@@ -1,149 +1,33 @@
-"""Affine maps on polytopes, fibre products, and the oriented identity checks.
-
-This is the user-facing layer over the cell machinery: plain polytopes with
-affine maps into a point, a Euclidean space, or a torus. Fibre products return
-one component per integer translate (a single translate over Euclidean
-targets), each an oriented polytope cut out of the product space, flagged when
-it fails transversality or the expected dimension.
+"""The oriented fibre-product identities on mapped cells, checked exactly.
 
 The check functions verify, exactly and with no tolerance, the boundary
 formula for fibre products, the swap sign, associativity, and the interchange
-sign, by constructing both sides independently and comparing canonical forms.
+sign.  Each builds both sides independently with fibre_product_cells and
+compares them in canonical form: as multisets of (canonical key, orientation
+sign), or, for the boundary formula, facet by facet.  A CheckReport records
+whether the identity held, how many components were compared, and whether the
+instance met the identity's preconditions (transversality, orientability,
+chart-comparable torus blocks).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from collections import Counter
+from dataclasses import dataclass
 
-from ._linalg import Mat, Vec, frac, mat, vec
 from .cells import (
     POINT,
     Cell,
-    CellBoundaryComponent,
     CellMap,
-    Coorientation,
-    FibreComponent,
-    FibreProductError,
-    MapError,
-    Target,
-    canonical_cell_map,
+    canonical_form,
     cell_boundary,
-    cell_from_oriented_polytope,
     cell_orientation_equal,
     constant_map,
-    euclid,
     fibre_product_cells,
     is_interior_submersion,
-    is_strong_submersion,
-    kernel_coorientation,
-    torus,
+    permute_cell_coords,
 )
-from .geometry import GeometryError, OrientedPolytope, Polytope
 
-
-@dataclass(frozen=True)
-class AffineMap:
-    """p -> matrix p + offset from a polytope into a target; torus values mod 1."""
-
-    source: Polytope
-    target: Target
-    matrix: Mat
-    offset: Vec
-
-    def __init__(self, source: Polytope, target: Target,
-                 matrix: Iterable[Iterable], offset: Iterable):
-        mx = mat(matrix)
-        off = vec(offset)
-        if len(mx) != target.dim or len(off) != target.dim:
-            raise MapError("matrix and offset rows must equal the target dimension")
-        if target.dim and any(len(row) != source.ambient_dim for row in mx):
-            raise MapError("matrix columns must equal the source's ambient dimension")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "matrix", mx)
-        object.__setattr__(self, "offset", off)
-
-    def value(self, point: Sequence) -> Vec:
-        return self.cell_map().value(vec(point))
-
-    def cell_map(self) -> CellMap:
-        return CellMap(self.target, self.matrix,
-                       tuple(() for _ in range(self.target.dim)), self.offset)
-
-
-def constant_affine_map(source: Polytope, target: Target = POINT,
-                        value: Iterable = None) -> AffineMap:
-    m = target.dim
-    val = vec(value) if value is not None else vec([0] * m)
-    return AffineMap(source, target,
-                     [[0] * source.ambient_dim for _ in range(m)], val)
-
-
-def is_strongly_smooth(f: AffineMap) -> bool:
-    """Affine maps extend smoothly to the ambient space, so always true."""
-    return True
-
-
-def is_submersion(f: AffineMap) -> bool:
-    """Surjective differential on the direction space of every face."""
-    return is_strong_submersion(Cell(f.source), f.cell_map())
-
-
-def is_interior_surjective(f: AffineMap) -> bool:
-    """Surjective differential on the top stratum only."""
-    return is_interior_submersion(Cell(f.source), f.cell_map())
-
-
-# ---------------------------------------------------------------------------
-# Fibre products of oriented polytopes
-# ---------------------------------------------------------------------------
-
-@dataclass
-class FibrePiece:
-    """One component of a polytope-level fibre product."""
-
-    oriented: OrientedPolytope
-    translate: tuple[int, ...]
-    transverse: bool
-    orientable: bool
-    component: FibreComponent
-
-    def project_first(self, point: Sequence) -> Vec:
-        n1 = self.component.split[0]
-        return tuple(vec(point)[:n1])
-
-    def project_second(self, point: Sequence) -> Vec:
-        n1 = self.component.split[0]
-        return tuple(vec(point)[n1:])
-
-    def projection_to_target(self) -> CellMap:
-        return self.component.pmap
-
-
-def fibre_product(x1: OrientedPolytope, f1: AffineMap,
-                  x2: OrientedPolytope, f2: AffineMap) -> list[FibrePiece]:
-    """Components of {(p, p') : f1(p) = f2(p')}, oriented, one per translate.
-
-    At least one map must have surjective differential on its top stratum.
-    """
-    if f1.target != f2.target:
-        raise FibreProductError("fibre product needs a common target")
-    c1 = cell_from_oriented_polytope(x1)
-    c2 = cell_from_oriented_polytope(x2)
-    comps = fibre_product_cells(c1, f1.cell_map(), c2, f2.cell_map())
-    return [FibrePiece(oriented=fc.cell.oriented_polytope(),
-                       translate=fc.translate,
-                       transverse=fc.transverse,
-                       orientable=fc.orientable,
-                       component=fc)
-            for fc in comps]
-
-
-# ---------------------------------------------------------------------------
-# Check reports and canonical comparison
-# ---------------------------------------------------------------------------
 
 @dataclass
 class CheckReport:
@@ -166,33 +50,20 @@ def stack_cell_maps(f: CellMap, g: CellMap) -> CellMap:
     return CellMap(target, f.a + g.a, f.m_t + g.m_t, f.b + g.b)
 
 
-def _canonical_signed(cell: Cell, cmap: CellMap):
-    ccell, cm, _ = canonical_cell_map(cell, cmap)
-    key = (cm.target, ccell.polytope.ambient_dim, ccell.polytope.vertices,
-           ccell.torus_rank, cm.a, cm.m_t, cm.b)
-    return key, ccell.sign
-
-
 def _compare_signed_families(lhs, rhs, predicted: int) -> CheckReport:
-    """Both families as {canonical key: sign}; every match must have the sign."""
-    lmap = {}
-    for cell, cmap in lhs:
-        key, sgn = _canonical_signed(cell, cmap)
-        if key in lmap:
-            return CheckReport(False, 0, details=("duplicate component on the left",))
-        lmap[key] = sgn
-    rmap = {}
+    """Both families as multisets of (canonical key, sign), the right-hand
+    signs multiplied by the predicted sign; the multisets must be equal."""
+    left = Counter(canonical_form(cell, cmap, None)[:2] for cell, cmap in lhs)
+    right = Counter()
     for cell, cmap in rhs:
-        key, sgn = _canonical_signed(cell, cmap)
-        if key in rmap:
-            return CheckReport(False, 0, details=("duplicate component on the right",))
-        rmap[key] = sgn
-    if set(lmap) != set(rmap):
-        return CheckReport(False, 0, details=("component sets differ",))
-    for key, sgn in lmap.items():
-        if sgn != predicted * rmap[key]:
-            return CheckReport(False, 0, details=("orientation sign mismatch",))
-    return CheckReport(True, len(lmap))
+        key, sgn = canonical_form(cell, cmap, None)[:2]
+        right[key, predicted * sgn] += 1
+    if left == right:
+        return CheckReport(True, sum(left.values()))
+    same_keys = (Counter(key for key, _ in left.elements())
+                 == Counter(key for key, _ in right.elements()))
+    reason = "orientation sign mismatch" if same_keys else "component sets differ"
+    return CheckReport(False, 0, details=(reason,))
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +123,6 @@ def check_boundary_of_fibre_product_cells(cell1: Cell, map1: CellMap,
     return CheckReport(True, len(lhs))
 
 
-def check_boundary_of_fibre_product(x1: OrientedPolytope, f1: AffineMap,
-                                    x2: OrientedPolytope, f2: AffineMap) -> CheckReport:
-    return check_boundary_of_fibre_product_cells(
-        cell_from_oriented_polytope(x1), f1.cell_map(),
-        cell_from_oriented_polytope(x2), f2.cell_map())
-
-
 # ---------------------------------------------------------------------------
 # Swap sign
 # ---------------------------------------------------------------------------
@@ -278,7 +142,6 @@ def check_swap_sign_cells(cell1: Cell, map1: CellMap,
     canonical charts only track the exchange when each factor contributes
     at most one circle, so larger wound blocks are out of scope.
     """
-    from .cells import permute_cell_coords
     if not (is_interior_submersion(cell1, map1)
             and is_interior_submersion(cell2, map2)):
         return CheckReport(False, 0, precondition=False,
@@ -309,13 +172,6 @@ def check_swap_sign_cells(cell1: Cell, map1: CellMap,
         pc, pm, _ = permute_cell_coords(c.cell, c.pmap, perm)
         rhs.append((pc, pm))
     return _compare_signed_families(lhs, rhs, predicted)
-
-
-def check_swap_sign(x1: OrientedPolytope, f1: AffineMap,
-                    x2: OrientedPolytope, f2: AffineMap) -> CheckReport:
-    return check_swap_sign_cells(
-        cell_from_oriented_polytope(x1), f1.cell_map(),
-        cell_from_oriented_polytope(x2), f2.cell_map())
 
 
 # ---------------------------------------------------------------------------
@@ -365,15 +221,6 @@ def check_associativity_cells(cell1: Cell, map1: CellMap,
     return _compare_signed_families(lhs, rhs, 1)
 
 
-def check_associativity(x1: OrientedPolytope, f1: AffineMap,
-                        x2: OrientedPolytope, f2a: AffineMap, f2b: AffineMap,
-                        x3: OrientedPolytope, f3: AffineMap) -> CheckReport:
-    return check_associativity_cells(
-        cell_from_oriented_polytope(x1), f1.cell_map(),
-        cell_from_oriented_polytope(x2), f2a.cell_map(), f2b.cell_map(),
-        cell_from_oriented_polytope(x3), f3.cell_map())
-
-
 def check_interchange_cells(cell1: Cell, map1a: CellMap, map1b: CellMap,
                             cell2: Cell, map2: CellMap,
                             cell3: Cell, map3: CellMap) -> CheckReport:
@@ -416,12 +263,3 @@ def check_interchange_cells(cell1: Cell, map1a: CellMap, map1b: CellMap,
             cmp_map = stack_cell_maps(w.compose_on_first(z.pmap), w.pmap)
             rhs.append((w.cell, cmp_map))
     return _compare_signed_families(lhs, rhs, predicted)
-
-
-def check_interchange(x1: OrientedPolytope, f1a: AffineMap, f1b: AffineMap,
-                      x2: OrientedPolytope, f2: AffineMap,
-                      x3: OrientedPolytope, f3: AffineMap) -> CheckReport:
-    return check_interchange_cells(
-        cell_from_oriented_polytope(x1), f1a.cell_map(), f1b.cell_map(),
-        cell_from_oriented_polytope(x2), f2.cell_map(),
-        cell_from_oriented_polytope(x3), f3.cell_map())

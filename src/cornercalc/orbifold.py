@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from ._linalg import Mat, Vec, frac, kernel_basis, mat, matvec, rank, solve, vec
-from .cells import Cell, CellMap
+from .cells import Cell, CellMap, maps_agree
 from .chains import Chain, Generator, QuotientMarker, Tag
 from .geometry import Polytope
 
@@ -663,34 +663,6 @@ def _face_image(entry: ActionComponentMap, face_key: tuple) -> tuple:
     return tuple(sorted(entry.apply(v) for v in face_key))
 
 
-def _maps_agree(cmap_src: CellMap, cmap_dst: CellMap,
-                entry: ActionComponentMap, poly: Polytope) -> bool:
-    """Equality of the map with its transport along one affine action map.
-
-    The difference of two affine maps on the hull is affine, so it is the
-    zero map to the target exactly when the vertex differences are all equal
-    and that constant is zero, or integral for a torus target.
-    """
-    if cmap_src.m_t != cmap_dst.m_t or cmap_src.target != cmap_dst.target:
-        return False
-    m = cmap_src.target.dim
-    if m == 0:
-        return True
-    diffs = []
-    for v in poly.vertices:
-        w = entry.apply(v)
-        lhs = [sum(frac(cmap_src.a[i][c]) * v[c] for c in range(len(v)))
-               + frac(cmap_src.b[i]) for i in range(m)]
-        rhs = [sum(frac(cmap_dst.a[i][c]) * w[c] for c in range(len(w)))
-               + frac(cmap_dst.b[i]) for i in range(m)]
-        diffs.append(tuple(x - y for x, y in zip(lhs, rhs)))
-    if any(d != diffs[0] for d in diffs):
-        return False
-    if cmap_src.target.is_torus:
-        return all(x.denominator == 1 for x in diffs[0])
-    return all(x == 0 for x in diffs[0])
-
-
 def map_is_invariant(action: GroupAction, cmap: CellMap, component: int = 0) -> bool:
     """Whether one map descends to the quotient of its component orbit.
 
@@ -700,7 +672,8 @@ def map_is_invariant(action: GroupAction, cmap: CellMap, component: int = 0) -> 
     for g in action.group.elements:
         for i in action.component_orbit(component):
             entry = action.maps[g][i]
-            if not _maps_agree(cmap, cmap, entry, action.spaces[i]):
+            pairs = [(v, entry.apply(v)) for v in action.spaces[i].vertices]
+            if not maps_agree(cmap, cmap, pairs):
                 return False
     return True
 
@@ -725,7 +698,8 @@ def quotient_pushdown(action: GroupAction, cmaps, tags, ring: str = "Q") -> Chai
         for i, poly in enumerate(action.spaces):
             entry = action.maps[g][i]
             j = entry.target
-            if not _maps_agree(cmaps[i], cmaps[j], entry, poly):
+            pairs = [(v, entry.apply(v)) for v in poly.vertices]
+            if not maps_agree(cmaps[i], cmaps[j], pairs):
                 raise OrbifoldError("map is not invariant under the action")
             for fk in tags[i].face_keys:
                 if tags[i].label_of(fk) != tags[j].label_of(_face_image(entry, fk)):

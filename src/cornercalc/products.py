@@ -31,7 +31,7 @@ from .chains import (
     pair_tags,
     pushforward,
 )
-from .geometry import Polytope
+from .geometry import POINT_POLYTOPE
 from .maps import CheckReport
 
 
@@ -129,15 +129,12 @@ def cap(c: Chain, delta: Chain) -> Chain:
 # Identity cochain
 # ---------------------------------------------------------------------------
 
-_POINT_POLYTOPE = Polytope.from_points(0, [[]])
-
-
 def identity_generator(y: Target) -> Generator:
     """The unit generator: a point times the target torus, mapping by identity."""
     if not y.compact:
         raise ProductError("no compact identity model over a euclidean target")
     m = y.dim
-    cell = Cell(_POINT_POLYTOPE, m)
+    cell = Cell(POINT_POLYTOPE, m)
     eye = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     cmap = CellMap(y, [() for _ in range(m)], eye, [0] * m)
     tag = Tag({((),): ()})
@@ -316,7 +313,7 @@ def pullback(h: TargetMap, delta: Chain) -> Chain:
     if t is None:
         return Chain(ring=delta.ring)
     unit = identity_generator(h.source)
-    cell_h = Cell(_POINT_POLYTOPE, h.source.dim)
+    cell_h = Cell(POINT_POLYTOPE, h.source.dim)
     map_h = CellMap(h.target,
                     [() for _ in range(h.target.dim)],
                     [[int(x) for x in row] for row in h.matrix],

@@ -23,7 +23,7 @@ from .chains import (Chain, ChainComplex, Generator, QuotientMarker, Tag,
                      check_singular_chain_map, corner_terms,
                      generator_boundary, simplex_face_complex,
                      verify_dd_zero)
-from .geometry import Polytope, box, interval
+from .geometry import POINT_POLYTOPE, Polytope, box, interval
 from .maps import (check_associativity_cells,
                    check_boundary_of_fibre_product_cells,
                    check_interchange_cells, check_swap_sign_cells)
@@ -448,7 +448,7 @@ def suite_strata(seed=0, count=None, max_dim=4, ring=None) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 def _point_class(sign=1) -> BordismClass:
-    cell = Cell(Polytope.from_points(0, [[]]), 0, None, sign)
+    cell = Cell(POINT_POLYTOPE, 0, None, sign)
     return BordismClass([(cell, CellMap(POINT, (), (), ()))])
 
 

@@ -1,33 +1,51 @@
 """Polytope kernel tests; scipy's hull is the independent oracle where it applies."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import ConvexHull
 
+from cornercalc.bordism import oriented_match
+from cornercalc.cells import (
+    POINT,
+    Cell,
+    CellMap,
+    cell_boundary,
+    cell_orientation_equal,
+    constant_map,
+    euclid,
+)
+from cornercalc.chains import Generator, Tag, aut_finite, check_sigma_pairing, corner_terms
 from cornercalc.geometry import (
-    BoundaryComponent,
     GeometryError,
-    OrientedPolytope,
     Polytope,
-    boundary,
     box,
     corner_type,
     face_key,
     interval,
     octahedron,
-    orientation_equal,
-    second_boundary,
-    sigma,
     standard_simplex,
 )
 
 
-def _op(p, frame=None, sign=1):
-    return OrientedPolytope(p, frame, sign)
+def _flags(p, frame=None, sign=1):
+    """Second-boundary flags of P as an oriented, injectively labelled chain cell."""
+    tag = Tag.from_atoms({k: i for i, k in enumerate(p.all_face_keys())})
+    gen = Generator(Cell(p, 0, frame, sign), constant_map(POINT, p.ambient_dim, 0), tag)
+    return corner_terms(gen)
+
+
+def _sigma(t, flags):
+    """The flag-swap partner (corner, B2, B1) of the flag (corner, B1, B2)."""
+    partners = [c for c in flags if (c.corner, c.first_facet, c.second_facet)
+                == (t.corner, t.second_facet, t.first_facet)]
+    assert len(partners) == 1
+    return partners[0]
 
 
 # ---------------------------------------------------------------------------
@@ -130,47 +148,47 @@ def test_facet_inequalities_valid():
 
 
 # ---------------------------------------------------------------------------
-# Orientations and boundary
+# Orientations, boundary and the corner involution, on cells with s = 0
 # ---------------------------------------------------------------------------
 
 def test_orientation_frame_validation():
     sq = box([(0, 1)] * 2)
     with pytest.raises(GeometryError):
-        OrientedPolytope(sq, [[1, 0]])                   # wrong frame length
+        Cell(sq, 0, [[1, 0]])                   # wrong frame length
     with pytest.raises(GeometryError):
-        OrientedPolytope(sq, [[1, 0], [2, 0]])           # dependent frame
+        Cell(sq, 0, [[1, 0], [2, 0]])           # dependent frame
     p = interval()
     with pytest.raises(GeometryError):
-        OrientedPolytope(p, [[1, 1]])                    # 2d vector for a 1d ambient
+        Cell(p, 0, [[1, 1]])                    # 2d vector for a 1d ambient
 
 
 def test_orientation_equal_and_canonical():
     sq = box([(0, 1)] * 2)
-    a = _op(sq, [[1, 0], [0, 1]], 1)
-    b = _op(sq, [[0, 1], [1, 0]], 1)
-    assert orientation_equal(a, b) == -1
-    assert orientation_equal(a, b.reversed()) == 1
-    assert orientation_equal(a.canonical(), a) == 1
-    c = _op(sq, [[1, 1], [0, 2]], 1)     # det 2 > 0 relative to standard
-    assert orientation_equal(a, c) == 1
+    a = Cell(sq, 0, [[1, 0], [0, 1]], 1)
+    b = Cell(sq, 0, [[0, 1], [1, 0]], 1)
+    assert cell_orientation_equal(a, b) == -1
+    assert cell_orientation_equal(a, b.reversed()) == 1
+    assert cell_orientation_equal(a.canonical(), a) == 1
+    c = Cell(sq, 0, [[1, 1], [0, 2]], 1)     # det 2 > 0 relative to standard
+    assert cell_orientation_equal(a, c) == 1
 
 
 def test_interval_boundary_signs():
-    bd = boundary(_op(interval()))
+    bd = cell_boundary(Cell(interval()))
     by_face = {bc.face: bc for bc in bd}
     plus = by_face[face_key([[1]])]
     minus = by_face[face_key([[0]])]
-    assert plus.oriented.sign == 1
-    assert minus.oriented.sign == -1
+    assert plus.cell.sign == 1
+    assert minus.cell.sign == -1
 
 
 def test_square_boundary_signs():
     """Standard orientation: edges get +,-,-,+ in canonical frames (e2 or e1)."""
     sq = box([(0, 1)] * 2)
-    bd = boundary(_op(sq, [[1, 0], [0, 1]], 1))
+    bd = cell_boundary(Cell(sq, 0, [[1, 0], [0, 1]], 1))
     signs = {}
     for bc in bd:
-        o = bc.oriented.canonical()
+        o = bc.cell.canonical()
         signs[bc.face] = o.sign
     left = face_key([[0, 0], [0, 1]])
     bottom = face_key([[0, 0], [1, 0]])
@@ -182,39 +200,112 @@ def test_square_boundary_signs():
 
 def test_second_boundary_pairing_square():
     sq = box([(0, 1)] * 2)
-    flags = second_boundary(_op(sq, [[1, 0], [0, 1]], 1))
+    flags = _flags(sq, [[1, 0], [0, 1]], 1)
     assert len(flags) == 8  # 4 vertices x 2 orderings
     for c in flags:
-        partner = sigma(c, flags)
+        partner = _sigma(c, flags)
         assert partner is not c
-        assert sigma(partner, flags) == c
-        assert orientation_equal(c.oriented, partner.oriented) == -1
+        assert _sigma(partner, flags) is c
+        assert cell_orientation_equal(c.cell, partner.cell) == -1
+    rep = check_sigma_pairing(flags)
+    assert rep.ok and rep.corners_checked == 4
 
 
 def test_second_boundary_pairing_octahedron():
-    oc = octahedron()
-    flags = second_boundary(_op(oc))
+    flags = _flags(octahedron())
     assert len(flags) == 24  # 12 edges x 2 orderings
     for c in flags:
-        partner = sigma(c, flags)
-        assert orientation_equal(c.oriented, partner.oriented) == -1
+        partner = _sigma(c, flags)
+        assert cell_orientation_equal(c.cell, partner.cell) == -1
+    rep = check_sigma_pairing(flags)
+    assert rep.ok and rep.corners_checked == 12
 
 
 def test_second_boundary_pairing_simplex_3d():
-    s = standard_simplex(3)
-    flags = second_boundary(_op(s))
+    flags = _flags(standard_simplex(3))
     assert len(flags) == 12  # 6 edges x 2
     for c in flags:
-        assert orientation_equal(sigma(c, flags).oriented, c.oriented) == -1
+        assert cell_orientation_equal(_sigma(c, flags).cell, c.cell) == -1
+    rep = check_sigma_pairing(flags)
+    assert rep.ok and rep.corners_checked == 6
 
 
 def test_boundary_of_boundary_face_multiset():
     """Codim-2 faces seen through facets' boundaries equal the second boundary flags."""
     cube = box([(0, 1)] * 3)
-    op = _op(cube)
     seen = []
-    for bc in boundary(op):
-        for bc2 in boundary(bc.oriented):
+    for bc in cell_boundary(Cell(cube)):
+        for bc2 in cell_boundary(bc.cell):
             seen.append((bc.face, bc2.face))
-    flags = [(c.first_facet, c.face) for c in second_boundary(op)]
+    flags = [(c.first_facet, c.corner) for c in _flags(cube)]
     assert sorted(seen) == sorted(flags)
+
+
+# ---------------------------------------------------------------------------
+# Affine isomorphisms, against a brute force over all vertex permutations
+# ---------------------------------------------------------------------------
+
+def _affine_permutation_dets(p, q):
+    """Sign of det of the linear part of every vertex bijection p -> q that is affine.
+
+    A bijection v_i -> w_i is affine exactly when every affine dependency
+    sum c_i (v_i, 1) = 0 of p's vertices also holds for the images w_i.
+    p must be full-dimensional.
+    """
+    vs = [list(v) for v in p.vertices]
+    deps = [[Fraction(int(c.p), int(c.q)) for c in n]
+            for n in sympy.Matrix([v + [1] for v in vs]).T.nullspace()]
+    dirs = sympy.Matrix([[a - b for a, b in zip(v, vs[0])] for v in vs[1:]])
+    rows = list(dirs.T.rref()[1])
+    dirs_det = dirs.extract(rows, list(range(p.dim))).det()
+    signs = []
+    for ws in itertools.permutations(q.vertices):
+        if any(sum(c * w[j] for c, w in zip(dep, ws)) for dep in deps
+               for j in range(q.ambient_dim)):
+            continue
+        wdirs = sympy.Matrix([[a - b for a, b in zip(w, ws[0])] for w in ws[1:]])
+        d = wdirs.extract(rows, list(range(p.dim))).det() / dirs_det
+        signs.append(1 if d > 0 else -1)
+    return signs
+
+
+@st.composite
+def lattice_polytope_and_map(draw):
+    d = draw(st.integers(1, 3))
+    pts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=d + 1,
+                        max_size=d + 3, unique=True))
+    p = Polytope.from_points(d, [list(x) for x in pts])
+    assume(p.dim == d and len(p.vertices) <= 6)
+    a = draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                      min_size=d, max_size=d))
+    assume(sympy.Matrix(a).det() != 0)
+    b = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+    return p, a, b
+
+
+@settings(max_examples=25, deadline=None)
+@given(lattice_polytope_and_map())
+def test_affine_isomorphisms_match_brute_force(data):
+    p, a, b = data
+    d = p.dim
+    q = Polytope.from_points(d, [[sum(a[i][j] * v[j] for j in range(d)) + b[i]
+                                  for i in range(d)] for v in p.vertices])
+    det_sign = 1 if sympy.Matrix(a).det() > 0 else -1
+    const_p = constant_map(POINT, d, 0)
+    signs = _affine_permutation_dets(p, q)
+    assert det_sign in signs
+    # over the point every affine bijection is an identification
+    assert oriented_match(Cell(p), const_p, Cell(q), const_p) == max(signs)
+    # the identity on p against x -> A^-1 (x - b) on q leaves only A itself
+    inv = sympy.Matrix(a).inv()
+    inv_a = [[Fraction(int(inv[i, j].p), int(inv[i, j].q)) for j in range(d)] for i in range(d)]
+    inv_b = [-sum(inv_a[i][j] * b[j] for j in range(d)) for i in range(d)]
+    ident = CellMap(euclid(d), [[int(i == j) for j in range(d)] for i in range(d)],
+                    [()] * d, [0] * d)
+    back = CellMap(euclid(d), inv_a, [()] * d, inv_b)
+    assert oriented_match(Cell(p), ident, Cell(q), back) == det_sign
+    # self-maps fixing a constant map and a constant label: all symmetries
+    tag = Tag.from_atoms({k: "x" for k in p.all_face_keys()})
+    rep = aut_finite(Cell(p), const_p, tag)
+    assert rep.verdict == "finite"
+    assert len(rep.vertex_maps) == len(_affine_permutation_dets(p, p))

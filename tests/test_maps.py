@@ -1,151 +1,164 @@
-"""Polytope-level maps: submersions, fibre products, and the four sign identities."""
+"""Mapped cells with s = 0: submersions, fibre products, and the four sign identities."""
 
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cornercalc.cells import POINT, euclid, torus
-from cornercalc.geometry import OrientedPolytope, box, interval
+from cornercalc.cells import (
+    POINT,
+    Cell,
+    CellMap,
+    FibreProductError,
+    constant_map,
+    euclid,
+    fibre_product_cells,
+    is_interior_submersion,
+    is_strong_submersion,
+    torus,
+)
+from cornercalc.geometry import box, interval
 from cornercalc.maps import (
-    AffineMap,
-    check_associativity,
-    check_boundary_of_fibre_product,
-    check_interchange,
-    check_swap_sign,
-    constant_affine_map,
-    fibre_product,
-    is_interior_surjective,
-    is_strongly_smooth,
-    is_submersion,
+    CheckReport,
+    _compare_signed_families,
+    check_associativity_cells,
+    check_boundary_of_fibre_product_cells,
+    check_interchange_cells,
+    check_swap_sign_cells,
 )
 
-o = OrientedPolytope
 I = interval()
 SQ = box([(0, 1), (0, 1)])
 
 
+def amap(p, target, a, b):
+    """The affine map x -> a x + b on the polytope p (no torus factor)."""
+    return CellMap(target, a, [() for _ in range(target.dim)], b)
+
+
+def const(p):
+    return constant_map(POINT, p.ambient_dim, 0)
+
+
 def test_submersion_examples():
-    assert not is_submersion(AffineMap(SQ, euclid(1), [[1, 0]], [0]))
-    assert not is_submersion(AffineMap(SQ, torus(1), [[1, 1]], [0]))
-    assert not is_submersion(AffineMap(SQ, euclid(1), [[0, 1]], [0]))
-    assert not is_submersion(AffineMap(I, torus(1), [[1]], [0]))
-    assert is_submersion(constant_affine_map(SQ))
-    assert is_strongly_smooth(AffineMap(SQ, euclid(1), [[1, 0]], [0]))
-    assert is_interior_surjective(AffineMap(SQ, euclid(1), [[1, 0]], [0]))
+    assert not is_strong_submersion(Cell(SQ), amap(SQ, euclid(1), [[1, 0]], [0]))
+    assert not is_strong_submersion(Cell(SQ), amap(SQ, torus(1), [[1, 1]], [0]))
+    assert not is_strong_submersion(Cell(SQ), amap(SQ, euclid(1), [[0, 1]], [0]))
+    assert not is_strong_submersion(Cell(I), amap(I, torus(1), [[1]], [0]))
+    assert is_strong_submersion(Cell(SQ), const(SQ))
+    assert is_interior_submersion(Cell(SQ), amap(SQ, euclid(1), [[1, 0]], [0]))
 
 
 def test_fibre_product_of_intervals_over_point():
-    pieces = fibre_product(o(I), constant_affine_map(I), o(I), constant_affine_map(I))
+    pieces = fibre_product_cells(Cell(I), const(I), Cell(I), const(I))
     assert len(pieces) == 1
     z = pieces[0]
     assert z.transverse and z.orientable and z.translate == ()
-    assert z.oriented.polytope.vertices == SQ.vertices
-    assert z.oriented.sign == 1
-    assert z.project_first((F(1, 3), F(2, 3))) == (F(1, 3),)
-    assert z.project_second((F(1, 3), F(2, 3))) == (F(2, 3),)
+    assert z.cell.polytope.vertices == SQ.vertices
+    assert z.cell.sign == 1
+    coord = amap(I, euclid(1), [[1]], [0])
+    assert z.compose_on_first(coord).value((F(1, 3), F(2, 3))) == (F(1, 3),)
+    assert z.compose_on_second(coord).value((F(1, 3), F(2, 3))) == (F(2, 3),)
 
 
 def test_fibre_product_euclid_overlap():
     a, b = interval(0, 2), interval(1, 3)
-    ida = AffineMap(a, euclid(1), [[1]], [0])
-    idb = AffineMap(b, euclid(1), [[1]], [0])
-    pieces = fibre_product(o(a), ida, o(b), idb)
+    ida = amap(a, euclid(1), [[1]], [0])
+    idb = amap(b, euclid(1), [[1]], [0])
+    pieces = fibre_product_cells(Cell(a), ida, Cell(b), idb)
     assert len(pieces) == 1
-    assert pieces[0].oriented.polytope.vertices == ((F(1), F(1)), (F(2), F(2)))
-    assert pieces[0].projection_to_target().value((F(3, 2), F(3, 2))) == (F(3, 2),)
+    assert pieces[0].cell.polytope.vertices == ((F(1), F(1)), (F(2), F(2)))
+    assert pieces[0].pmap.value((F(3, 2), F(3, 2))) == (F(3, 2),)
 
 
 def test_fibre_product_torus_translates():
-    f = AffineMap(I, torus(1), [[1]], [0])
-    pieces = fibre_product(o(I), f, o(I), f)
+    f = amap(I, torus(1), [[1]], [0])
+    pieces = fibre_product_cells(Cell(I), f, Cell(I), f)
     # sorted by vertex set: diagonal, then the two corner points
     assert [p.translate for p in pieces] == [(0,), (-1,), (1,)]
-    assert [len(p.oriented.polytope.vertices) for p in pieces] == [2, 1, 1]
+    assert [len(p.cell.polytope.vertices) for p in pieces] == [2, 1, 1]
     assert [p.transverse for p in pieces] == [False, False, False]
 
 
 def test_fibre_product_needs_common_target():
-    from cornercalc.cells import FibreProductError
     with pytest.raises(FibreProductError):
-        fibre_product(o(I), constant_affine_map(I), o(I),
-                      AffineMap(I, euclid(1), [[1]], [0]))
+        fibre_product_cells(Cell(I), const(I), Cell(I),
+                            amap(I, euclid(1), [[1]], [0]))
 
 
 def test_dimension_formula():
     sq = box([(0, 3), (0, 3)])
-    f = AffineMap(sq, euclid(1), [[1, 0]], [0])
-    g = AffineMap(interval(F(1, 2), F(5, 2)), euclid(1), [[1]], [0])
-    pieces = fibre_product(o(sq), f, o(interval(F(1, 2), F(5, 2))), g)
-    assert pieces and all(p.oriented.polytope.dim == 2 + 1 - 1 for p in pieces)
+    x2 = interval(F(1, 2), F(5, 2))
+    f = amap(sq, euclid(1), [[1, 0]], [0])
+    g = amap(x2, euclid(1), [[1]], [0])
+    pieces = fibre_product_cells(Cell(sq), f, Cell(x2), g)
+    assert pieces and all(p.cell.polytope.dim == 2 + 1 - 1 for p in pieces)
 
 
 def test_boundary_of_fibre_product_over_point():
-    cp = constant_affine_map(I)
-    rep = check_boundary_of_fibre_product(o(I), cp, o(I), cp)
+    rep = check_boundary_of_fibre_product_cells(Cell(I), const(I), Cell(I), const(I))
     assert rep.ok and rep.precondition and rep.checked == 4
     pt = box([])
-    rep = check_boundary_of_fibre_product(o(I), cp, o(pt), constant_affine_map(pt))
+    rep = check_boundary_of_fibre_product_cells(Cell(I), const(I), Cell(pt), const(pt))
     assert rep.ok and rep.checked == 2
 
 
 def test_boundary_of_fibre_product_euclid():
     a, b = interval(0, 2), interval(1, 3)
-    rep = check_boundary_of_fibre_product(
-        o(a), AffineMap(a, euclid(1), [[1]], [0]),
-        o(b), AffineMap(b, euclid(1), [[1]], [0]))
+    rep = check_boundary_of_fibre_product_cells(
+        Cell(a), amap(a, euclid(1), [[1]], [0]),
+        Cell(b), amap(b, euclid(1), [[1]], [0]))
     assert rep.ok
 
     sq = box([(0, 1), (0, 1)])
     x2 = interval(F(1, 4), F(1, 2))
-    rep = check_boundary_of_fibre_product(
-        o(sq), AffineMap(sq, euclid(1), [[1, 0]], [0]),
-        o(x2), AffineMap(x2, euclid(1), [[1]], [0]))
+    rep = check_boundary_of_fibre_product_cells(
+        Cell(sq), amap(sq, euclid(1), [[1, 0]], [0]),
+        Cell(x2), amap(x2, euclid(1), [[1]], [0]))
     assert rep.ok and rep.precondition
 
 
 def test_boundary_of_fibre_product_torus():
     a, b = interval(0, 1), interval(F(1, 8), F(3, 8))
-    rep = check_boundary_of_fibre_product(
-        o(a), AffineMap(a, torus(1), [[1]], [0]),
-        o(b), AffineMap(b, torus(1), [[1]], [0]))
+    rep = check_boundary_of_fibre_product_cells(
+        Cell(a), amap(a, torus(1), [[1]], [0]),
+        Cell(b), amap(b, torus(1), [[1]], [0]))
     assert rep.ok
 
 
 def test_boundary_precondition_fails_on_degenerate_overlap():
     # shared endpoint values put facet pairs over one target value
-    rep = check_boundary_of_fibre_product(
-        o(I), AffineMap(I, euclid(1), [[1]], [0]),
-        o(I), AffineMap(I, euclid(1), [[1]], [0]))
+    rep = check_boundary_of_fibre_product_cells(
+        Cell(I), amap(I, euclid(1), [[1]], [0]),
+        Cell(I), amap(I, euclid(1), [[1]], [0]))
     assert not rep.precondition
 
 
 def test_swap_sign():
-    cp = constant_affine_map(I)
-    rep = check_swap_sign(o(I), cp, o(I), cp)
+    rep = check_swap_sign_cells(Cell(I), const(I), Cell(I), const(I))
     assert rep.ok and rep.checked == 1
 
     pt = box([])
-    rep = check_swap_sign(o(I), cp, o(pt), constant_affine_map(pt))
+    rep = check_swap_sign_cells(Cell(I), const(I), Cell(pt), const(pt))
     assert rep.ok
 
     sq = box([(0, 1), (0, 1)])
     x2 = interval(F(1, 4), F(1, 2))
-    rep = check_swap_sign(
-        o(sq), AffineMap(sq, euclid(1), [[1, 0]], [0]),
-        o(x2), AffineMap(x2, euclid(1), [[1]], [0]))
+    rep = check_swap_sign_cells(
+        Cell(sq), amap(sq, euclid(1), [[1, 0]], [0]),
+        Cell(x2), amap(x2, euclid(1), [[1]], [0]))
     assert rep.ok
 
     a, b = interval(0, 1), interval(F(1, 8), F(3, 8))
-    rep = check_swap_sign(
-        o(a), AffineMap(a, torus(1), [[1]], [0]),
-        o(b), AffineMap(b, torus(1), [[1]], [0]))
+    rep = check_swap_sign_cells(
+        Cell(a), amap(a, torus(1), [[1]], [0]),
+        Cell(b), amap(b, torus(1), [[1]], [0]))
     assert rep.ok
 
 
 def test_associativity_over_point():
-    cp = constant_affine_map(I)
-    rep = check_associativity(o(I), cp, o(I), cp, cp, o(I), cp)
+    cp = const(I)
+    rep = check_associativity_cells(Cell(I), cp, Cell(I), cp, cp, Cell(I), cp)
     assert rep.ok and rep.precondition
 
 
@@ -153,11 +166,11 @@ def test_associativity_euclid():
     x1 = interval(0, 3)
     x2 = box([(-1, 4), (-3, 6)])
     x3 = interval(-1, 2)
-    rep = check_associativity(
-        o(x1), AffineMap(x1, euclid(1), [[1]], [0]),
-        o(x2), AffineMap(x2, euclid(1), [[1, 0]], [0]),
-        AffineMap(x2, euclid(1), [[0, 1]], [0]),
-        o(x3), AffineMap(x3, euclid(1), [[2]], [1]))
+    rep = check_associativity_cells(
+        Cell(x1), amap(x1, euclid(1), [[1]], [0]),
+        Cell(x2), amap(x2, euclid(1), [[1, 0]], [0]),
+        amap(x2, euclid(1), [[0, 1]], [0]),
+        Cell(x3), amap(x3, euclid(1), [[2]], [1]))
     assert rep.ok and rep.precondition
 
 
@@ -165,30 +178,30 @@ def test_associativity_torus_translates():
     a = interval(0, 1)
     b = box([(F(1, 8), F(9, 8)), (F(1, 16), F(13, 16))])
     c = interval(F(1, 5), F(4, 5))
-    rep = check_associativity(
-        o(a), AffineMap(a, torus(1), [[1]], [0]),
-        o(b), AffineMap(b, torus(1), [[1, 0]], [0]),
-        AffineMap(b, torus(1), [[0, 1]], [0]),
-        o(c), AffineMap(c, torus(1), [[1]], [0]))
+    rep = check_associativity_cells(
+        Cell(a), amap(a, torus(1), [[1]], [0]),
+        Cell(b), amap(b, torus(1), [[1, 0]], [0]),
+        amap(b, torus(1), [[0, 1]], [0]),
+        Cell(c), amap(c, torus(1), [[1]], [0]))
     assert rep.ok and rep.checked >= 2
 
 
 def test_interchange():
     x2 = interval(-1, 2)
-    rep = check_interchange(
-        o(I), AffineMap(I, euclid(1), [[1]], [0]), constant_affine_map(I),
-        o(x2), AffineMap(x2, euclid(1), [[1]], [0]),
-        o(I), constant_affine_map(I))
+    rep = check_interchange_cells(
+        Cell(I), amap(I, euclid(1), [[1]], [0]), const(I),
+        Cell(x2), amap(x2, euclid(1), [[1]], [0]),
+        Cell(I), const(I))
     assert rep.ok
 
     x1 = box([(0, 2), (0, 2)])
     x2 = interval(F(1, 3), F(5, 3))
     x3 = interval(F(1, 7), F(9, 7))
-    rep = check_interchange(
-        o(x1), AffineMap(x1, euclid(1), [[1, 0]], [0]),
-        AffineMap(x1, euclid(1), [[0, 1]], [0]),
-        o(x2), AffineMap(x2, euclid(1), [[1]], [0]),
-        o(x3), AffineMap(x3, euclid(1), [[1]], [0]))
+    rep = check_interchange_cells(
+        Cell(x1), amap(x1, euclid(1), [[1, 0]], [0]),
+        amap(x1, euclid(1), [[0, 1]], [0]),
+        Cell(x2), amap(x2, euclid(1), [[1]], [0]),
+        Cell(x3), amap(x3, euclid(1), [[1]], [0]))
     assert rep.ok
 
 
@@ -207,11 +220,11 @@ def generic_interval_pair(draw):
 @given(generic_interval_pair())
 def test_random_interval_identities(pair):
     x1, x2 = pair
-    f1 = AffineMap(x1, euclid(1), [[1]], [0])
-    f2 = AffineMap(x2, euclid(1), [[1]], [0])
-    rep = check_boundary_of_fibre_product(o(x1), f1, o(x2), f2)
+    f1 = amap(x1, euclid(1), [[1]], [0])
+    f2 = amap(x2, euclid(1), [[1]], [0])
+    rep = check_boundary_of_fibre_product_cells(Cell(x1), f1, Cell(x2), f2)
     assert rep.ok
-    rep = check_swap_sign(o(x1), f1, o(x2), f2)
+    rep = check_swap_sign_cells(Cell(x1), f1, Cell(x2), f2)
     assert rep.ok
 
 
@@ -220,11 +233,11 @@ def test_random_interval_identities(pair):
 def test_random_box_interval_identities(pair, height):
     x_range, x2 = pair
     x1 = box([(x_range.vertices[0][0], x_range.vertices[-1][0]), (0, height)])
-    f1 = AffineMap(x1, euclid(1), [[1, 0]], [0])
-    f2 = AffineMap(x2, euclid(1), [[1]], [0])
-    rep = check_boundary_of_fibre_product(o(x1), f1, o(x2), f2)
+    f1 = amap(x1, euclid(1), [[1, 0]], [0])
+    f2 = amap(x2, euclid(1), [[1]], [0])
+    rep = check_boundary_of_fibre_product_cells(Cell(x1), f1, Cell(x2), f2)
     assert rep.ok
-    rep = check_swap_sign(o(x1), f1, o(x2), f2)
+    rep = check_swap_sign_cells(Cell(x1), f1, Cell(x2), f2)
     assert rep.ok
 
 
@@ -233,7 +246,6 @@ def test_random_box_interval_identities(pair, height):
 # ---------------------------------------------------------------------------
 
 def _pt_cell(rank, ambient=0, sign=1):
-    from cornercalc.cells import Cell
     from cornercalc.geometry import Polytope
     pts = [[0] * ambient] if ambient else [[]]
     return Cell(Polytope.from_points(ambient, pts), rank, None, sign)
@@ -243,8 +255,6 @@ def test_swap_sign_anonymous_circle_blocks():
     # over the point the exchange swaps the two circle factors themselves,
     # a reversal no chart datum records; the transposition determinant
     # enters the predicted sign instead
-    from cornercalc.cells import CellMap
-    from cornercalc.maps import check_swap_sign_cells
     pm = CellMap(POINT, (), (), ())
     rep = check_swap_sign_cells(_pt_cell(1), pm, _pt_cell(1, 2, -1), pm)
     assert rep.precondition and rep.ok
@@ -253,8 +263,6 @@ def test_swap_sign_anonymous_circle_blocks():
 
 
 def test_swap_sign_wound_rank_two_out_of_scope():
-    from cornercalc.cells import CellMap
-    from cornercalc.maps import check_swap_sign_cells
     m1 = CellMap(torus(1), [()], [[1]], [0])
     m2 = CellMap(torus(1), [()], [[1, 1]], [0])
     rep = check_swap_sign_cells(_pt_cell(1), m1, _pt_cell(2), m2)
@@ -262,8 +270,6 @@ def test_swap_sign_wound_rank_two_out_of_scope():
 
 
 def test_associativity_wound_rank_two_out_of_scope():
-    from cornercalc.cells import CellMap
-    from cornercalc.maps import check_associativity_cells
     pm = CellMap(POINT, (), (), ())
     m2b = CellMap(torus(1), [()], [[1, 0]], [0])
     m3 = CellMap(torus(1), [()], [[1]], [0])
@@ -271,3 +277,17 @@ def test_associativity_wound_rank_two_out_of_scope():
                                     _pt_cell(2), pm, m2b,
                                     _pt_cell(1), m3)
     assert not rep.precondition
+
+
+def test_compare_signed_families_counts_multiplicity():
+    """Families are multisets: repeated components compare by their count."""
+    twice = [(Cell(I), const(I)), (Cell(I), const(I))]
+    rep = _compare_signed_families(twice, twice, 1)
+    assert rep.ok and rep.checked == 2
+    mixed = [(Cell(I), const(I)), (Cell(I).reversed(), const(I))]
+    assert _compare_signed_families(mixed, mixed, 1).ok
+    assert _compare_signed_families(mixed, mixed, -1).ok
+    rep = _compare_signed_families(twice, twice[:1], 1)
+    assert rep == CheckReport(False, 0, details=("component sets differ",))
+    rep = _compare_signed_families(twice, twice, -1)
+    assert rep == CheckReport(False, 0, details=("orientation sign mismatch",))
