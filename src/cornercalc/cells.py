@@ -50,7 +50,7 @@ from ._linalg import (
     transpose,
     vec,
 )
-from .geometry import FaceKey, GeometryError, Polytope
+from .geometry import FaceKey, GeometryError, Polytope, section_vertices
 
 
 class MapError(ValueError):
@@ -536,62 +536,14 @@ def _slice_polytope(p1: Polytope, p2: Polytope,
                     equations: Sequence[tuple[Vec, Fraction]]) -> Optional[Polytope]:
     """(P1 x P2) cut by affine equations row.p = rhs; None when empty."""
     n1, n2 = p1.ambient_dim, p2.ambient_dim
-    n = n1 + n2
     zero1, zero2 = (Fraction(0),) * n1, (Fraction(0),) * n2
-    eq_rows: list[Vec] = []
-    eq_rhs: list[Fraction] = []
-    for row, rhs in p1.affine_hull_equations():
-        eq_rows.append(tuple(row) + zero2)
-        eq_rhs.append(rhs)
-    for row, rhs in p2.affine_hull_equations():
-        eq_rows.append(zero1 + tuple(row))
-        eq_rhs.append(rhs)
-    for row, rhs in equations:
-        eq_rows.append(tuple(row))
-        eq_rhs.append(rhs)
-    ineqs: list[tuple[Vec, Fraction]] = []
-    for f, c, _ in p1.facet_inequalities():
-        ineqs.append((tuple(f) + zero2, c))
-    for f, c, _ in p2.facet_inequalities():
-        ineqs.append((zero1 + tuple(f), c))
-
-    if eq_rows:
-        x0 = solve(mat(eq_rows), vec(eq_rhs))
-        if x0 is None:
-            return None
-        kb = kernel_basis(mat(eq_rows))
-    else:
-        x0 = (Fraction(0),) * n
-        kb = tuple(_unit(n, i) for i in range(n))
-    q = len(kb)
-
-    def unparam(y):
-        return tuple(x0[j] + sum(y[i] * kb[i][j] for i in range(q)) for j in range(n))
-
-    def dot(a, b):
-        return sum(x * y for x, y in zip(a, b))
-
-    if q == 0:
-        cands = [x0] if all(dot(f, x0) <= c for f, c in ineqs) else []
-    else:
-        red = [(tuple(dot(f, k) for k in kb), c - dot(f, x0)) for f, c in ineqs]
-        seen = set()
-        cands = []
-        for subset in itertools.combinations(range(len(red)), q):
-            rows = mat([red[i][0] for i in subset])
-            if len(rref(rows)[1]) < q:
-                continue
-            y = solve(rows, vec([red[i][1] for i in subset]))
-            if y is None:
-                continue
-            if all(dot(g, y) <= h for g, h in red):
-                x = unparam(y)
-                if x not in seen:
-                    seen.add(x)
-                    cands.append(x)
-    if not cands:
-        return None
-    return Polytope.from_points(n, cands)
+    eqs = [(tuple(row) + zero2, rhs) for row, rhs in p1.affine_hull_equations()]
+    eqs += [(zero1 + tuple(row), rhs) for row, rhs in p2.affine_hull_equations()]
+    eqs += equations
+    ineqs = [(tuple(f) + zero2, c) for f, c, _ in p1.facet_inequalities()]
+    ineqs += [(zero1 + tuple(f), c) for f, c, _ in p2.facet_inequalities()]
+    cands = section_vertices(n1 + n2, eqs, ineqs)
+    return Polytope.from_points(n1 + n2, cands) if cands else None
 
 
 @dataclass

@@ -7,6 +7,11 @@ with outward vectors in the direction space of the affine hull; the
 H-representation, minimal faces, corner types and the affine isomorphisms
 between vertex sets are built on them. Orientations, boundaries and the corner
 involution live on cells (see cells and chains).
+
+One kernel, section_vertices, enumerates the vertices of {e . x = c, f . x <= d}.
+Facets are the vertices of the polar of the vertex set about its barycenter;
+fibre-product slices (cells) and fixed-locus cuts (orbifold) are sections of
+a polytope's H-representation.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from ._linalg import (
     Mat,
     Vec,
+    dot,
     frac,
     independent_subset,
     kernel_basis,
@@ -46,6 +52,58 @@ def _sorted_vertices(vertices: Iterable[Iterable]) -> tuple[Vec, ...]:
 
 def face_key(vertices: Iterable[Iterable]) -> FaceKey:
     return _sorted_vertices(vertices)
+
+
+def section_vertices(n: int, equations: Sequence[tuple[Vec, Fraction]],
+                     inequalities: Sequence[tuple[Vec, Fraction]]) -> list[Vec]:
+    """Vertices of the bounded set {x in R^n : e . x = c, f . x <= d}.
+
+    Equations, when given, are solved once: x = x0 + sum y_i k_i over a
+    kernel basis k, so each inequality becomes a row over the q coordinates
+    y.  A vertex is the solution of q independent tight rows that satisfies
+    every row.  The q-subsets are grown depth first; each new row is reduced
+    once against the prefix, and a row that turns zero prunes its subtree.
+    """
+    if equations:
+        e = mat(row for row, _ in equations)
+        x0 = solve(e, vec(c for _, c in equations))
+        if x0 is None:
+            return []
+        basis = kernel_basis(e)
+        rows = [(tuple(dot(f, k) for k in basis), frac(d) - dot(f, x0))
+                for f, d in inequalities]
+    else:
+        basis = None
+        rows = [(vec(f), frac(d)) for f, d in inequalities]
+    q = n if basis is None else len(basis)
+    found: dict[Vec, None] = {}
+
+    def descend(start: int, prefix: list) -> None:
+        if len(prefix) == q:
+            y = [Fraction(0)] * q
+            for _, row, rhs, pivot in reversed(prefix):
+                y[pivot] = rhs - sum(a * b for a, b in zip(row, y) if b)
+            tight = {i for i, *_ in prefix}
+            if all(dot(g, y) <= h for k, (g, h) in enumerate(rows) if k not in tight):
+                x = tuple(y) if basis is None else tuple(
+                    x0[j] + sum(y[i] * basis[i][j] for i in range(q))
+                    for j in range(n))
+                found[x] = None
+            return
+        for i in range(start, len(rows) - q + len(prefix) + 1):
+            g, h = rows[i]
+            for _, row, rhs, pivot in prefix:
+                c = g[pivot]
+                if c:
+                    g = [a - c * b for a, b in zip(g, row)]
+                    h -= c * rhs
+            pivot = next((j for j, a in enumerate(g) if a), None)
+            if pivot is not None:
+                inv = 1 / g[pivot]
+                descend(i + 1, prefix + [(i, [a * inv for a in g], h * inv, pivot)])
+
+    descend(0, [])
+    return list(found)
 
 
 @lru_cache(maxsize=4096)
@@ -98,42 +156,31 @@ class _FaceData:
     # -- facets --------------------------------------------------------------
 
     def facets(self) -> list[tuple[FaceKey, Vec]]:
-        """(face_key, outward vector in the direction space) for every facet."""
+        """(face_key, outward vector in the direction space) for every facet.
+
+        With r_i = N p_i - sum p over the N vertices in local coordinates, the
+        facets are the vertices a of the polar {a : a . r_i <= 1}, each tight
+        on its facet's vertices.  The outward vector is a scaled so that its
+        last nonzero entry is +-1, pulled back through dir_basis.
+        """
         if self._facets is not None:
             return self._facets
         d = self.dim
-        out: dict[FaceKey, Vec] = {}
+        out = []
         if d > 0:
             pts = [self.local_coords(v) for v in self.vertices]
             n = len(pts)
-            bary = tuple(sum(p[j] for p in pts) / n for j in range(d))
-            for subset in itertools.combinations(range(n), d):
-                base = pts[subset[0]]
-                diffs = [vsub(pts[i], base) for i in subset[1:]]
-                if diffs:
-                    kb = kernel_basis(mat(diffs))
-                else:
-                    kb = kernel_basis(mat([[Fraction(0)] * d]))
-                if len(kb) != 1:
-                    continue
-                a = kb[0]
-                b = sum(x * y for x, y in zip(a, base))
-                vals = [sum(x * y for x, y in zip(a, p)) - b for p in pts]
-                if all(v >= 0 for v in vals):
-                    inward = a
-                elif all(v <= 0 for v in vals):
-                    inward = tuple(-x for x in a)
-                else:
-                    continue
-                members = tuple(sorted(self.vertices[i] for i in range(n) if vals[i] == 0))
-                if members in out:
-                    continue
-                # outward ambient vector: -inward pulled back through dir_basis
-                amb = tuple(
-                    sum(-inward[i] * self.dir_basis[i][j] for i in range(d))
-                    for j in range(self.ambient_dim))
-                out[members] = amb
-        self._facets = sorted(out.items())
+            total = [sum(p[j] for p in pts) for j in range(d)]
+            rs = [tuple(n * p[j] - total[j] for j in range(d)) for p in pts]
+            for a in section_vertices(d, [], [(r, Fraction(1)) for r in rs]):
+                members = tuple(sorted(v for v, r in zip(self.vertices, rs)
+                                       if dot(a, r) == 1))
+                scale = abs(next(x for x in reversed(a) if x))
+                outward = [x / scale for x in a]
+                amb = tuple(sum(outward[i] * self.dir_basis[i][j] for i in range(d))
+                            for j in range(self.ambient_dim))
+                out.append((members, amb))
+        self._facets = sorted(out)
         return self._facets
 
     def faces_by_dim(self) -> dict[int, list[FaceKey]]:
@@ -231,24 +278,29 @@ class Polytope:
     def minimal_face_containing(self, points: Sequence[Vec]) -> FaceKey:
         """Smallest face containing every given point of the polytope.
 
-        Computed as the face cut out by the facet inequalities tight on all the
-        points; the points must lie in the polytope.
+        Computed as the intersection of the facets tight on all the points;
+        the points must lie in the polytope.
         """
-        tight = []
+        points = [self._point(p) for p in points]
+        if any(dot(e, p) != c for e, c in self.affine_hull_equations() for p in points):
+            raise GeometryError("points not contained in the polytope")
+        face = set(self.vertices)
         for f, c, key in self.facet_inequalities():
-            vals = [sum(a * b for a, b in zip(f, p)) for p in points]
+            vals = [dot(f, p) for p in points]
             if any(v > c for v in vals):
                 raise GeometryError("points not contained in the polytope")
             if all(v == c for v in vals):
-                tight.append((f, c))
-        if not tight:
-            return self.vertices
-        members = [v for v in self.vertices
-                   if all(sum(a * b for a, b in zip(f, v)) == c for f, c in tight)]
-        return tuple(sorted(members))
+                face &= set(key)
+        return tuple(sorted(face))
 
     def contains(self, point: Sequence) -> bool:
-        return _in_hull(self.vertices, vec(point))
+        return _in_hull(self.vertices, self._point(point))
+
+    def _point(self, point: Sequence) -> Vec:
+        p = vec(point)
+        if len(p) != self.ambient_dim:
+            raise GeometryError("point dimension does not match ambient_dim")
+        return p
 
     # -- H-representation ----------------------------------------------------
 

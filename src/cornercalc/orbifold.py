@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from ._linalg import Mat, Vec, frac, kernel_basis, mat, matvec, rank, solve, vec
+from ._linalg import Mat, Vec, frac, kernel_basis, mat, matvec, solve, vec
 from .cells import Cell, CellMap, maps_agree
 from .chains import Chain, Generator, QuotientMarker, Tag
-from .geometry import Polytope
+from .geometry import Polytope, section_vertices
 
 
 class OrbifoldError(ValueError):
@@ -487,38 +487,11 @@ class Stratum:
 
 
 def _cut_by_equations(poly: Polytope, equations: Sequence) -> Optional[Polytope]:
-    """Intersection of the polytope with an affine equation system.
-
-    Vertices of the cut are unique solutions of the equations joined with the
-    hull equations and a subset of facet planes, so enumerating facet subsets
-    up to the ambient dimension finds them all.
-    """
-    n = poly.ambient_dim
-    eq_rows = [tuple(frac(x) for x in row) + (frac(rhs),)
-               for row, rhs in equations]
-    base = [tuple(row) + (rhs,) for row, rhs in poly.affine_hull_equations()]
-    planes = [tuple(nrm) + (rhs,) for nrm, rhs, _ in poly.facet_inequalities()]
-    found = set()
-    for k in range(0, n + 1):
-        for sub in itertools.combinations(planes, k):
-            system = eq_rows + base + list(sub)
-            if not system:
-                continue
-            a = mat(tuple(r[:n] for r in system))
-            b = vec(tuple(r[n] for r in system))
-            if rank(a) < n:
-                continue
-            sol = solve(a, b)
-            if sol is None:
-                continue
-            if poly.contains(sol):
-                found.add(sol)
-    if n == 0:
-        ok = all(frac(rhs) == 0 for row, rhs in equations)
-        return poly if ok else None
-    if not found:
-        return None
-    return Polytope.from_points(n, sorted(found))
+    """The polytope cut by affine equations row.x = rhs; None when empty."""
+    eqs = [*equations, *poly.affine_hull_equations()]
+    ineqs = [(nrm, rhs) for nrm, rhs, _ in poly.facet_inequalities()]
+    found = section_vertices(poly.ambient_dim, eqs, ineqs)
+    return Polytope.from_points(poly.ambient_dim, found) if found else None
 
 
 def direction_rep(action: GroupAction, component: int = 0,

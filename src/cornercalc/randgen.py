@@ -20,7 +20,7 @@ from .bordism import BordismClass, PairingWitness
 from .cells import (POINT, Cell, CellMap, Coorientation, Target, euclid,
                     fibre_product_cells, kernel_coorientation, torus)
 from .chains import Chain, Generator, SingularSimplex, Tag, TargetMap
-from .geometry import Polytope
+from .geometry import POINT_POLYTOPE, Polytope
 
 MAX_TRIES = 200
 
@@ -49,7 +49,7 @@ def random_polytope(rng: Random, ambient: int, max_vertices: int = 6,
     out as silently lower-dimensional instances.
     """
     if ambient == 0:
-        return Polytope.from_points(0, [[]])
+        return POINT_POLYTOPE
     min_dim = min(min_dim, ambient)
     low = min_dim + 1
     for _ in range(MAX_TRIES):
@@ -232,9 +232,6 @@ def interchange_instance(rng: Random, target1: Target,
 # Cochains and chains over a fixed torus target
 # ---------------------------------------------------------------------------
 
-_P0 = Polytope.from_points(0, [[]])
-
-
 def random_cover_cochain(rng: Random, y: Target, prefix,
                          max_terms: int = 2) -> Chain:
     """Grade-zero cochain: finite covers of the torus with invertible
@@ -244,7 +241,7 @@ def random_cover_cochain(rng: Random, y: Target, prefix,
         m_t = _invertible_matrix(rng, y.dim)
         cmap = CellMap(y, [() for _ in range(y.dim)], m_t,
                        _fractions(rng, y.dim))
-        cell = Cell(_P0, y.dim)
+        cell = Cell(POINT_POLYTOPE, y.dim)
         gen = Generator(cell, cmap, Tag({((),): ((prefix, i),)}),
                         coorientation=Coorientation((), rng.choice((1, -1))))
         terms.append((_coefficient(rng), gen))

@@ -1,5 +1,6 @@
 """Cell layer: targets, oriented cells with torus factors, coorientations, fibre products."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,7 @@ from cornercalc.cells import (
     CellMap,
     FibreProductError,
     MapError,
+    _slice_polytope,
     canonical_cell_map,
     canonical_key,
     cell_boundary,
@@ -28,7 +30,7 @@ from cornercalc.cells import (
     restrict_coorientation,
     torus,
 )
-from cornercalc.geometry import box, interval
+from cornercalc.geometry import POINT_POLYTOPE, Polytope, box, interval
 
 
 def test_target_products():
@@ -293,3 +295,16 @@ def test_permute_round_trip():
     c3, m3, _ = permute_cell_coords(c2, m2, perm)
     assert c3.polytope == c.polytope and c3.frame == c.frame and c3.sign == c.sign
     assert m3.a == m.a and m3.m_t == m.m_t and m3.b == m.b
+
+
+def test_slice_polytope():
+    square, unit = box([(0, 1)] * 2), interval()
+    hexagon = _slice_polytope(square, unit, [((1, 1, 1), F(3, 2))])
+    assert hexagon.dim == 2
+    assert set(hexagon.vertices) == set(itertools.permutations((0, F(1, 2), 1)))
+    assert _slice_polytope(square, unit, [((1, 1, 1), 4)]) is None
+    diagonal = Polytope(2, [[0, 0], [2, 2]])                  # lower-dimensional factor
+    assert (_slice_polytope(diagonal, unit, [((1, 0, -1), 0)])
+            == Polytope(3, [[0, 0, 0], [1, 1, 1]]))
+    assert _slice_polytope(POINT_POLYTOPE, unit, [((1,), F(1, 2))]) == Polytope(1, [[F(1, 2)]])
+    assert _slice_polytope(POINT_POLYTOPE, POINT_POLYTOPE, []) == POINT_POLYTOPE

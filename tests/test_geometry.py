@@ -10,6 +10,7 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import ConvexHull
 
+from cornercalc._linalg import rank, solve
 from cornercalc.bordism import oriented_match
 from cornercalc.cells import (
     POINT,
@@ -29,6 +30,7 @@ from cornercalc.geometry import (
     face_key,
     interval,
     octahedron,
+    section_vertices,
     standard_simplex,
 )
 
@@ -136,6 +138,19 @@ def test_minimal_face_containing():
     assert sq.minimal_face_containing([(Fraction(1, 2), Fraction(0))]) == face_key([[0, 0], [1, 0]])
     assert sq.minimal_face_containing([(Fraction(1, 2), Fraction(1, 2))]) == sq.vertices
     assert sq.minimal_face_containing([(Fraction(0), Fraction(0))]) == face_key([[0, 0]])
+
+
+def test_point_shape_is_checked():
+    seg = Polytope(2, [[0, 0], [1, 0]])
+    for bad in ([0], [0, 0, 0]):
+        with pytest.raises(GeometryError, match="ambient_dim"):
+            seg.contains(bad)
+        with pytest.raises(GeometryError, match="ambient_dim"):
+            seg.minimal_face_containing([bad])
+    with pytest.raises(GeometryError, match="not contained"):
+        seg.minimal_face_containing([(1, 3)])               # off the affine hull
+    assert seg.contains([1, 0]) and not seg.contains([1, 3])
+    assert seg.minimal_face_containing([(1, 0)]) == face_key([[1, 0]])
 
 
 def test_facet_inequalities_valid():
@@ -309,3 +324,79 @@ def test_affine_isomorphisms_match_brute_force(data):
     rep = aut_finite(Cell(p), const_p, tag)
     assert rep.verdict == "finite"
     assert len(rep.vertex_maps) == len(_affine_permutation_dets(p, p))
+
+
+# ---------------------------------------------------------------------------
+# Vertex enumeration: facets against scipy, section_vertices against brute force
+# ---------------------------------------------------------------------------
+
+@st.composite
+def lattice_cloud(draw):
+    d = draw(st.integers(2, 4))
+    pts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=d + 1,
+                        max_size=d + 5, unique=True))
+    return d, [list(x) for x in pts]
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattice_cloud())
+def test_facets_match_scipy_hull(cloud):
+    d, pts = cloud
+    p = Polytope.from_points(d, pts)
+    assume(p.dim == d)
+    hull = ConvexHull(np.array(pts, dtype=float))
+    groups = {}
+    for simplex, eq in zip(hull.simplices, hull.equations):
+        plane = tuple(np.round(eq, 6) + 0.0)
+        groups.setdefault(plane, set()).update(tuple(pts[i]) for i in simplex)
+    oracle = sorted(tuple(sorted(g)) for g in groups.values())
+    mine = sorted(tuple(tuple(int(x) for x in v) for v in key) for key, _ in p.facets())
+    assert mine == oracle
+
+
+def _brute_section_vertices(n, equations, inequalities):
+    """Every q-subset of inequalities completing the equations to rank n, solved."""
+    e_rows = [tuple(row) for row, _ in equations]
+    q = n - rank(e_rows) if e_rows else n
+    found = set()
+    for sub in itertools.combinations(inequalities, q):
+        rows = e_rows + [tuple(f) for f, _ in sub]
+        if rows and rank(rows) < n:
+            continue
+        x = solve(tuple(rows), tuple(c for _, c in list(equations) + list(sub)))
+        if x is not None and all(sum(a * b for a, b in zip(f, x)) <= c
+                                 for f, c in inequalities):
+            found.add(x)
+    return found
+
+
+@st.composite
+def section_system(draw):
+    n = draw(st.integers(0, 3))
+    row = st.tuples(*[st.integers(-2, 2)] * n)
+    rhs = st.fractions(-3, 3, max_denominator=2)
+    equations = draw(st.lists(st.tuples(row, rhs), max_size=2))
+    box_rows = [(tuple(s if j == i else 0 for j in range(n)), Fraction(2))
+                for i in range(n) for s in (1, -1)]
+    inequalities = box_rows + draw(st.lists(st.tuples(row, rhs), max_size=3))
+    return n, equations, inequalities
+
+
+@settings(max_examples=80, deadline=None)
+@given(section_system())
+def test_section_vertices_match_brute_force(system):
+    n, equations, inequalities = system
+    got = section_vertices(n, equations, inequalities)
+    assert len(got) == len(set(got))
+    assert set(got) == _brute_section_vertices(n, equations, inequalities)
+
+
+def test_section_vertices_small_cases():
+    assert section_vertices(0, [], []) == [()]
+    assert section_vertices(0, [((), 0)], [((), 1)]) == [()]
+    assert section_vertices(0, [((), 1)], []) == []                 # inconsistent
+    assert section_vertices(0, [], [((), -1)]) == []                # 0 <= -1 fails
+    square = [((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)]
+    assert sorted(section_vertices(2, [], square)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert section_vertices(2, [((1, 0), 2)], square) == []          # x = 2 misses it
+    assert sorted(section_vertices(2, [((1, -1), 0)], square)) == [(0, 0), (1, 1)]

@@ -6,7 +6,7 @@ import pytest
 
 from cornercalc.cells import POINT, Cell, CellMap, euclid, torus
 from cornercalc.chains import Generator, QuotientMarker, Tag, chain
-from cornercalc.geometry import Polytope, box, interval
+from cornercalc.geometry import POINT_POLYTOPE, Polytope, box, interval
 from cornercalc.orbifold import (
     TRIVIAL_GROUP,
     FiniteGroup,
@@ -14,6 +14,7 @@ from cornercalc.orbifold import (
     OrbifoldError,
     RealRep,
     VirtualRep,
+    _cut_by_equations,
     cyclic_group,
     direction_rep,
     fixed_subspace,
@@ -419,3 +420,11 @@ def test_pushdown_constant_torus_map():
     terms = result.terms()
     assert len(terms) == 1
     assert terms[0][0] == Fraction(1, 2)
+
+
+def test_cut_by_equations():
+    diagonal = [((1, -1, 0), 0), ((0, 1, -1), 0)]
+    assert _cut_by_equations(box([(0, 1)] * 3), diagonal) == Polytope(3, [[0, 0, 0], [1, 1, 1]])
+    assert _cut_by_equations(box([(0, 1)] * 2), [((1, 0), 2)]) is None
+    assert _cut_by_equations(POINT_POLYTOPE, [((), 0)]) == POINT_POLYTOPE
+    assert _cut_by_equations(POINT_POLYTOPE, [((), 1)]) is None
