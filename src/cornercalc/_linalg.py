@@ -1,13 +1,19 @@
-"""Exact linear algebra over Fraction, plus integer normal forms for torus factors.
+"""Exact linear algebra over Q, plus integer normal forms for torus factors.
 
-Everything works on tuples of tuples of Fraction (rows). No floats anywhere:
-orientation signs, face incidences and lattice kernels are decided by exact
-pivoting, and a single rounding error would corrupt downstream sign bookkeeping.
+Matrices come in and go out as tuples of tuples of Fraction (rows), and every
+entry returned is a Fraction.  Inside, the eliminations run on integer rows:
+each row is scaled by the lcm of its denominators, reduced with integer row
+operations that keep it primitive (`_eliminate`), or fed to Bareiss
+elimination (`_bareiss`), and a result is turned back into Fractions once, at
+the end.  No floats anywhere: orientation signs, face incidences and lattice
+kernels are decided by exact pivoting, and a single rounding error would
+corrupt downstream sign bookkeeping.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -83,33 +89,100 @@ def is_zero_vec(v: Vec) -> bool:
 # Row reduction, rank, kernels, solving
 # ---------------------------------------------------------------------------
 
-def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot column indices."""
-    rows = [list(r) for r in m]
+_ZERO = Fraction(0)
+
+
+def _scaled(row) -> tuple[list[int], int]:
+    """The row times the lcm of its denominators, as ints, and that lcm."""
+    scale = lcm(*[x.denominator for x in row])
+    if scale == 1:
+        return [x.numerator for x in row], 1
+    return [x.numerator * (scale // x.denominator) for x in row], scale
+
+
+def _primitive_rows(m) -> list[list[int]]:
+    """Each row scaled to integers, with the gcd of its entries divided out."""
+    rows = []
+    for row in m:
+        ints = _scaled(row)[0]
+        g = gcd(*ints)
+        rows.append([x // g for x in ints] if g > 1 else ints)
+    return rows
+
+
+def _eliminate(rows: list[list[int]], jordan: bool = True) -> list[int]:
+    """Integer row reduction in place; returns the pivot columns.
+
+    Each step replaces row_i by a*row_i - b*row_r with a = p/g, b = f/g and
+    g = gcd(p, f), p the pivot and f the entry of row_i in the pivot column,
+    then divides row_i by the gcd of its entries, so rows stay primitive.
+    With `jordan` the rows above the pivot are cleared too: pivot row k then
+    equals its pivot entry times row k of the reduced row echelon form, and
+    the rows below the rank are zero.  Without it only the rows below are.
+    """
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        prow = rows[r]
+        p = prow[c]
+        for i in range(0 if jordan else r + 1, nrows):
+            f = rows[i][c]
+            if i == r or not f:
+                continue
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            new = [a * x - b * y for x, y in zip(rows[i], prow)]
+            g = gcd(*new)
+            rows[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return tuple(tuple(row) for row in rows), tuple(pivots)
+    return pivots
+
+
+def _fraction_row(row: list[int], d: int) -> Vec:
+    return tuple(Fraction(x, d) if x else _ZERO for x in row)
+
+
+def _bareiss(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix (consumed) by Bareiss elimination."""
+    n = len(rows)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not rows[k][k]:
+            piv = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if piv is None:
+                return 0
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        pk = rows[k]
+        p = pk[k]
+        for i in range(k + 1, n):
+            f = rows[i][k]
+            rows[i] = [(x * p - f * y) // prev for x, y in zip(rows[i], pk)]
+        prev = p
+    return sign * rows[-1][-1] if n else 1
+
+
+def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """Reduced row echelon form and the pivot column indices."""
+    rows = _primitive_rows(m)
+    pivots = _eliminate(rows)
+    ncols = len(rows[0]) if rows else 0
+    red = [_fraction_row(rows[k], rows[k][p]) for k, p in enumerate(pivots)]
+    red += [(_ZERO,) * ncols] * (len(rows) - len(pivots))
+    return tuple(red), tuple(pivots)
 
 
 def rank(m: Mat) -> int:
-    return len(rref(m)[1])
+    return len(_eliminate(_primitive_rows(m), jordan=False))
 
 
 def kernel_basis(m: Mat) -> tuple[Vec, ...]:
@@ -117,31 +190,37 @@ def kernel_basis(m: Mat) -> tuple[Vec, ...]:
     if not m:
         return ()
     ncols = len(m[0])
-    red, pivots = rref(m)
+    rows = _primitive_rows(m)
+    pivots = _eliminate(rows)
     pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
+    for f in range(ncols):
+        if f in pivset:
+            continue
+        v = [_ZERO] * ncols
         v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][f]
+        for row, p in zip(rows, pivots):
+            if row[f]:
+                v[p] = Fraction(-row[f], row[p])
         basis.append(tuple(v))
     return tuple(basis)
 
 
 def solve(m: Mat, b: Vec) -> Optional[Vec]:
-    """One solution of m x = b, or None if inconsistent."""
+    """One solution of m x = b with the free coordinates 0, or None if inconsistent."""
+    if len(b) != len(m):
+        raise ValueError("right-hand side length differs from the number of rows")
     if not m:
-        return () if all(x == 0 for x in b) else None
+        return ()
     ncols = len(m[0])
-    aug = tuple(row + (bb,) for row, bb in zip(m, b))
-    red, pivots = rref(aug)
-    if ncols in pivots:
+    rows = _primitive_rows([tuple(row) + (bb,) for row, bb in zip(m, b)])
+    pivots = _eliminate(rows)
+    if pivots and pivots[-1] == ncols:
         return None
-    x = [Fraction(0)] * ncols
-    for i, p in enumerate(pivots):
-        x[p] = red[i][ncols]
+    x = [_ZERO] * ncols
+    for row, p in zip(rows, pivots):
+        if row[ncols]:
+            x[p] = Fraction(row[ncols], row[p])
     return tuple(x)
 
 
@@ -152,55 +231,61 @@ def in_span(vectors: Sequence[Vec], v: Vec) -> bool:
 
 
 def independent_subset(vectors: Sequence[Vec]) -> tuple[int, ...]:
-    """Indices of a maximal linearly independent subset, greedy from the front."""
-    chosen: list[int] = []
-    current: list[Vec] = []
-    for i, v in enumerate(vectors):
-        if not in_span(current, v):
-            chosen.append(i)
-            current.append(v)
-    return tuple(chosen)
+    """Indices of a maximal linearly independent subset, greedy from the front.
+
+    These are the pivot columns of the matrix whose columns are the vectors.
+    """
+    if not vectors:
+        return ()
+    return tuple(_eliminate(_primitive_rows(transpose(mat(vectors))), jordan=False))
 
 
 def det(m: Mat) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
+    """Exact determinant: Bareiss elimination on the integer-scaled rows.
+
+    Row i is multiplied by the lcm L_i of its denominators, so the result is
+    the integer determinant divided once by the product of the L_i.
+    """
     n = len(m)
     if n == 0:
         return Fraction(1)
     if any(len(r) != n for r in m):
         raise ValueError("det of non-square matrix")
-    rows = [list(r) for r in m]
-    result = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            result = -result
-        result *= rows[c][c]
-        inv = Fraction(1) / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return result
+    rows, scale = [], 1
+    for r in m:
+        ints, lcm_r = _scaled(r)
+        rows.append(ints)
+        scale *= lcm_r
+    return Fraction(_bareiss(rows), scale)
 
 
 def change_of_basis_det(frame_a: Sequence[Vec], frame_b: Sequence[Vec]) -> Fraction:
-    """det C where frame_a[i] = sum_j C[i][j] frame_b[j]; frames must span one space."""
+    """det C where frame_a[i] = sum_j C[i][j] frame_b[j]; frames must span one space.
+
+    One reduction of [frame_b^T | frame_a^T] solves for every row of C at
+    once.  A pivot in the right-hand block means some frame_a vector lies
+    outside span(frame_b).  Free coordinates are 0, as in `solve`, so a
+    dependent frame_b gives 0.
+    """
     if len(frame_a) != len(frame_b):
         raise ValueError("frames of different length")
     if not frame_a:
         return Fraction(1)
-    bt = transpose(mat(frame_b))
-    coords = []
-    for v in frame_a:
-        c = solve(bt, v)
-        if c is None:
-            raise ValueError("frames do not span the same space")
-        coords.append(c)
-    return det(mat(coords))
+    b, a = mat(frame_b), mat(frame_a)
+    if len(a[0]) != len(b[0]):
+        raise ValueError("frames live in spaces of different dimension")
+    k = len(b)
+    rows = _primitive_rows(tuple(bj + aj for bj, aj in zip(transpose(b), transpose(a))))
+    pivots = _eliminate(rows)
+    if pivots and pivots[-1] >= k:
+        raise ValueError("frames do not span the same space")
+    if len(pivots) < k:
+        return Fraction(0)
+    # Row j of C^T is rows[j][k:] / rows[j][j].
+    denom = 1
+    for j in range(k):
+        denom *= rows[j][j]
+    return Fraction(_bareiss([row[k:] for row in rows[:k]]), denom)
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +298,18 @@ def canonical_frame(frame: Sequence[Vec]) -> tuple[tuple[Vec, ...], int]:
     Returns (echelon_basis, sign) with sign = sign(det C) for frame = C * basis.
     The echelon basis depends only on the span, so two frames of the same space
     canonicalize to the same basis and their relative orientation lives in the sign.
+    The basis has a 1 at each pivot column and 0 at the others, so
+    C = frame[:, pivots].
     """
     if not frame:
         return (), 1
-    red, pivots = rref(mat(frame))
-    basis = tuple(red[i] for i in range(len(pivots)))
-    if len(basis) != len(frame):
+    ints = _primitive_rows(mat(frame))
+    rows = [list(r) for r in ints]
+    pivots = _eliminate(rows)
+    if len(pivots) != len(frame):
         raise ValueError("frame is linearly dependent")
-    d = change_of_basis_det(frame, basis)
+    basis = tuple(_fraction_row(row, row[p]) for row, p in zip(rows, pivots))
+    d = _bareiss([[r[p] for p in pivots] for r in ints])
     return basis, (1 if d > 0 else -1)
 
 
@@ -516,21 +605,22 @@ def solve_integer(m: Sequence[Sequence[int]], c: Sequence[int]) -> Optional[IntV
 
 
 def integer_matrix_inverse(m: Sequence[Sequence[int]]) -> Optional[IntMat]:
-    """Inverse of a unimodular integer matrix, or None if not unimodular."""
+    """Inverse of a unimodular integer matrix, or None if not unimodular.
+
+    One reduction of [M | I].  M is invertible iff the pivots are the first n
+    columns.  Pivot row i is then primitive and proportional to
+    (e_i | row i of M^-1), so the inverse is integral, which for integral M
+    means det M = +-1, exactly when every pivot is +-1.
+    """
     rows = _as_int_rows(m)
     n = len(rows)
     if n == 0:
         return ()
     if any(len(r) != n for r in rows):
         return None
-    dm = det(mat(rows))
-    if dm not in (1, -1):
+    aug = [r + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
+    if _eliminate(aug) != list(range(n)):
         return None
-    inv = []
-    for j in range(n):
-        e = tuple(Fraction(1 if i == j else 0) for i in range(n))
-        col = solve(mat(rows), e)
-        inv.append(col)
-    # columns solved: inv currently holds columns of M^{-1}
-    out = tuple(tuple(int(inv[j][i]) for j in range(n)) for i in range(n))
-    return out
+    if any(abs(aug[i][i]) != 1 for i in range(n)):
+        return None
+    return tuple(tuple(aug[i][i] * x for x in aug[i][n:]) for i in range(n))

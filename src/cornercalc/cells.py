@@ -40,11 +40,11 @@ from ._linalg import (
     change_of_basis_det,
     frac,
     hermite_column,
-    in_span,
     integer_kernel_basis,
     integer_matrix_inverse,
     kernel_basis,
     mat,
+    rank,
     rref,
     solve,
     transpose,
@@ -140,22 +140,18 @@ class Cell:
             raise GeometryError("negative torus rank")
         if sign not in (1, -1):
             raise GeometryError("sign must be +1 or -1")
-        fr = mat(frame) if frame is not None else default_frame(polytope, torus_rank)
+        span = default_frame(polytope, torus_rank)
+        fr = mat(frame) if frame is not None else span
         n = polytope.ambient_dim
         want = polytope.dim + torus_rank
         if len(fr) != want:
             raise GeometryError("frame length must equal cell dimension")
-        span = default_frame(polytope, torus_rank)
-        for v in fr:
-            if len(v) != n + torus_rank:
-                raise GeometryError("frame vector has wrong length")
-            if not in_span(span, v):
-                raise GeometryError("frame vector outside the cell's tangent space")
-        if fr:
-            try:
-                canonical_frame(fr)
-            except ValueError:
-                raise GeometryError("frame is linearly dependent")
+        if fr and len(fr[0]) != n + torus_rank:
+            raise GeometryError("frame vector has wrong length")
+        if rank(span + fr) != len(span):
+            raise GeometryError("frame vector outside the cell's tangent space")
+        if rank(fr) != len(fr):
+            raise GeometryError("frame is linearly dependent")
         object.__setattr__(self, "polytope", polytope)
         object.__setattr__(self, "torus_rank", torus_rank)
         object.__setattr__(self, "frame", fr)
@@ -292,7 +288,7 @@ def _span_is_full(differential_cols: Sequence[Vec], m: int) -> bool:
         return True
     if not differential_cols:
         return False
-    return len(rref(mat(differential_cols))[1]) == m
+    return rank(mat(differential_cols)) == m
 
 
 def _face_differential_cols(cmap: CellMap, cell: Cell, key: FaceKey) -> list[Vec]:
@@ -338,11 +334,8 @@ class Coorientation:
         fr = mat(frame)
         if sign not in (1, -1):
             raise MapError("sign must be +1 or -1")
-        if fr:
-            try:
-                canonical_frame(fr)
-            except ValueError:
-                raise MapError("coorientation frame is linearly dependent")
+        if rank(fr) != len(fr):
+            raise MapError("coorientation frame is linearly dependent")
         object.__setattr__(self, "frame", fr)
         object.__setattr__(self, "sign", sign)
 
@@ -363,18 +356,22 @@ def validate_coorientation(cell: Cell, cmap: CellMap, co: Coorientation) -> None
     if len(co.frame) != expected:
         raise MapError(
             f"coorientation frame has {len(co.frame)} vectors, expected {expected}")
-    span = cell.tangent_basis()
-    for v in co.frame:
-        if len(v) != cell.ambient:
-            raise MapError("coorientation vector has wrong length")
-        if not in_span(span, v):
-            raise MapError("coorientation vector outside the tangent space")
+    if co.frame and len(co.frame[0]) != cell.ambient:
+        raise MapError("coorientation vector has wrong length")
+
+    def in_kernel(v):
         p_part, t_part = v[:n], v[n:]
-        for i in range(cmap.target.dim):
-            x = sum(cmap.a[i][j] * p_part[j] for j in range(n))
-            x += sum(frac(cmap.m_t[i][j]) * t_part[j] for j in range(len(t_part)))
-            if x != 0:
-                raise MapError("coorientation vector not in the kernel of the differential")
+        return all(sum(cmap.a[i][j] * p_part[j] for j in range(n))
+                   + sum(frac(cmap.m_t[i][j]) * t_part[j] for j in range(len(t_part))) == 0
+                   for i in range(cmap.target.dim))
+
+    # The first failing vector names the fault, tangent space before kernel.
+    bad = next((k for k, v in enumerate(co.frame) if not in_kernel(v)), len(co.frame))
+    span = cell.tangent_basis()
+    if rank(span + co.frame[:bad + 1]) != len(span):
+        raise MapError("coorientation vector outside the tangent space")
+    if bad < len(co.frame):
+        raise MapError("coorientation vector not in the kernel of the differential")
 
 
 def kernel_coorientation(cell: Cell, cmap: CellMap) -> Coorientation:
@@ -968,7 +965,7 @@ def has_free_circle(cell: Cell, cmap: CellMap) -> bool:
         return True
     cols = [tuple(frac(cmap.m_t[i][j]) for i in range(cmap.target.dim))
             for j in range(s)]
-    return len(rref(mat(cols))[1]) < s
+    return rank(mat(cols)) < s
 
 
 def canonical_cell_map(cell: Cell, cmap: CellMap,

@@ -68,7 +68,7 @@ def _term_key(x):
     if isinstance(x, bool):
         return (1, int(x))
     if isinstance(x, (int, Fraction)):
-        return (1, Fraction(x))
+        return (1, x)
     if isinstance(x, str):
         return (2, x)
     if isinstance(x, tuple):

@@ -9,6 +9,7 @@ from cornercalc.cells import (
     POINT,
     Cell,
     CellMap,
+    Coorientation,
     FibreProductError,
     MapError,
     _slice_polytope,
@@ -29,8 +30,9 @@ from cornercalc.cells import (
     permute_cell_coords,
     restrict_coorientation,
     torus,
+    validate_coorientation,
 )
-from cornercalc.geometry import POINT_POLYTOPE, Polytope, box, interval
+from cornercalc.geometry import POINT_POLYTOPE, GeometryError, Polytope, box, interval
 
 
 def test_target_products():
@@ -308,3 +310,39 @@ def test_slice_polytope():
             == Polytope(3, [[0, 0, 0], [1, 1, 1]]))
     assert _slice_polytope(POINT_POLYTOPE, unit, [((1,), F(1, 2))]) == Polytope(1, [[F(1, 2)]])
     assert _slice_polytope(POINT_POLYTOPE, POINT_POLYTOPE, []) == POINT_POLYTOPE
+
+
+def test_cell_frame_errors():
+    segment = Polytope.from_points(2, [[0, 0], [1, 0]])
+    with pytest.raises(GeometryError, match="^frame vector has wrong length$"):
+        Cell(segment, 0, [[1, 0, 0]])
+    with pytest.raises(GeometryError, match="^frame vector outside the cell's tangent space$"):
+        Cell(segment, 0, [[1, 1]])
+    with pytest.raises(GeometryError, match="^frame vector outside the cell's tangent space$"):
+        Cell(segment, 1, [[1, 0, 0], [0, 1, 0]])
+    with pytest.raises(GeometryError, match="^frame is linearly dependent$"):
+        Cell(box([(0, 1), (0, 1)]), 0, [[1, 0], [-2, 0]])
+    with pytest.raises(GeometryError, match="^frame is linearly dependent$"):
+        Cell(segment, 1, [[1, 0, 1], [2, 0, 2]])
+    assert Cell(segment, 1, [[0, 0, 1], [-3, 0, 1]]).dim == 2
+
+
+def test_coorientation_errors():
+    with pytest.raises(MapError, match="^coorientation frame is linearly dependent$"):
+        Coorientation([[1, 0, 2], [F(1, 2), 0, 1]])
+    assert Coorientation([]).frame == ()
+    # a square in R^3 times a circle: tangent span(e1, e2, e4); the map kills e2, e4
+    square = Polytope.from_points(3, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])
+    cell = Cell(square, 1)
+    cmap = CellMap(euclid(1), [[1, 0, 0]], [[0]], [0])
+    validate_coorientation(cell, cmap, Coorientation([[0, 1, 0, 0], [0, 0, 0, 1]]))
+    with pytest.raises(MapError, match="^coorientation vector has wrong length$"):
+        validate_coorientation(cell, cmap, Coorientation([[0, 1, 0], [0, 0, 1]]))
+    # the first vector at fault names the fault, the tangent space checked first
+    outside, off_kernel = [0, 0, 1, 0], [1, 0, 0, 0]
+    with pytest.raises(MapError, match="^coorientation vector outside the tangent space$"):
+        validate_coorientation(cell, cmap, Coorientation([outside, off_kernel]))
+    with pytest.raises(MapError, match="not in the kernel of the differential$"):
+        validate_coorientation(cell, cmap, Coorientation([off_kernel, outside]))
+    with pytest.raises(MapError, match="^coorientation vector outside the tangent space$"):
+        validate_coorientation(cell, cmap, Coorientation([[0, 1, 0, 0], [0, 1, 1, 1]]))

@@ -1,4 +1,6 @@
+import hashlib
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +25,8 @@ from cornercalc.chains import (
     Tag,
     TagError,
     TargetMap,
+    _normal_form,
+    _term_key,
     atom_label,
     aut_finite,
     boundary,
@@ -45,6 +49,7 @@ from cornercalc.chains import (
     verify_dd_zero,
 )
 from cornercalc.geometry import Polytope, box, interval, standard_simplex
+from cornercalc.randgen import random_chain
 
 
 def faces_of(p):
@@ -483,3 +488,52 @@ def test_random_generators_have_square_zero_boundary(g):
     rep = verify_dd_zero(chain(g))
     assert rep.ok
     assert boundary(boundary(chain(g))).is_zero
+
+
+# Pinned from the Fraction-row elimination core, before the integer-row
+# rewrite: any drift in canonical keys, orientation signs, coefficients or
+# term order of these boundaries changes it.
+GOLDEN_BOUNDARY_DIGEST = (
+    "1005fa848af6f4e80d3957ed958dff5d19a89f8c63df7a3a579fd8032195c54a")
+
+
+def test_boundary_canonical_keys_golden_digest():
+    h = hashlib.sha256()
+    count = 0
+    for i in range(20):
+        ch = boundary(random_chain(Random(i), ("t", 0), max_ambient=4, ring="Q"))
+        terms = ch.terms()
+        count += len(terms)
+        h.update(repr(terms).encode())
+        h.update(repr([(c, _normal_form(g)[:2], g.cell.frame, g.cell.sign)
+                       for c, g in terms]).encode())
+    assert count == 408
+    assert h.hexdigest() == GOLDEN_BOUNDARY_DIGEST
+
+
+def _fraction_term_key(x):
+    """The label order as first written, with one Fraction per number."""
+    if x is None:
+        return (0,)
+    if isinstance(x, bool):
+        return (1, int(x))
+    if isinstance(x, (int, Fraction)):
+        return (1, Fraction(x))
+    if isinstance(x, str):
+        return (2, x)
+    return (3, tuple(_fraction_term_key(e) for e in x))
+
+
+_atoms = st.one_of(
+    st.none(), st.booleans(), st.integers(min_value=-4, max_value=4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=4),
+    st.sampled_from(["", "a", "b", "q", "t"]))
+_labels = st.recursive(_atoms, lambda inner: st.lists(inner, max_size=3).map(tuple),
+                       max_leaves=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_labels, max_size=12))
+def test_term_key_orders_like_fraction_key(xs):
+    order = sorted(range(len(xs)), key=lambda i: _term_key(xs[i]))
+    assert order == sorted(range(len(xs)), key=lambda i: _fraction_term_key(xs[i]))

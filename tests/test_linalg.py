@@ -3,7 +3,9 @@
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
+from hypothesis import example, given, settings, strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from cornercalc._linalg import (
@@ -12,6 +14,7 @@ from cornercalc._linalg import (
     det,
     hermite_column,
     identity,
+    independent_subset,
     integer_kernel_basis,
     integer_matrix_inverse,
     invariant_factors,
@@ -24,6 +27,7 @@ from cornercalc._linalg import (
     smith_normal_form,
     solve,
     solve_integer,
+    transpose,
     vec,
 )
 
@@ -186,3 +190,179 @@ def test_solve_integer():
         assert [sum(m[i][j] * got[j] for j in range(len(got))) for i in range(len(m))] == c
     # unsolvable instance: 2x = 1
     assert solve_integer([[2]], [1]) is None
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the integer-row elimination core
+# ---------------------------------------------------------------------------
+
+_entries = st.one_of(st.just(Fraction(0)), st.integers(-3, 3).map(Fraction),
+                     st.fractions(min_value=-5, max_value=5, max_denominator=6))
+
+
+@st.composite
+def rational_matrices(draw, nrows=None, ncols=None):
+    """Small rational matrices; often with a row made from two others."""
+    r = draw(st.integers(0, 5)) if nrows is None else nrows
+    c = draw(st.integers(1, 6)) if ncols is None else ncols
+    rows = [[draw(_entries) for _ in range(c)] for _ in range(r)]
+    if r >= 3 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(r)))[:3]
+        lam, mu = draw(_entries), draw(_entries)
+        rows[i] = [lam * x + mu * y for x, y in zip(rows[j], rows[k])]
+    return tuple(tuple(row) for row in rows)
+
+
+def _sym(m, ncols=None):
+    ncols = len(m[0]) if m else ncols
+    return sympy.Matrix(len(m), ncols, [sympy.Rational(x.numerator, x.denominator)
+                                        for row in m for x in row])
+
+
+def _frac(x) -> Fraction:
+    return Fraction(int(x.p), int(x.q))
+
+
+def _all_fractions(rows) -> bool:
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices(), st.integers(1, 6))
+@example(((Fraction(0),) * 3,) * 2, 3)
+def test_rref_matches_sympy(m, ncols):
+    if not m:
+        assert rref(m) == ((), ())
+        assert _sym(m, ncols).rref() == (sympy.Matrix(0, ncols, []), ())
+        return
+    red, pivots = rref(m)
+    sym_red, sym_pivots = _sym(m).rref()
+    assert pivots == tuple(sym_pivots)
+    assert red == tuple(tuple(_frac(sym_red[i, j]) for j in range(len(m[0])))
+                        for i in range(len(m)))
+    assert rank(m) == len(pivots)
+    assert independent_subset(transpose(m)) == pivots
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: rational_matrices(n, max(n, 1))))
+def test_det_matches_sympy_small_to_six(m):
+    if not m:
+        assert det(m) == 1 == _sym(m, 0).det()
+        return
+    assert det(m) == _frac(_sym(m).det())
+    assert type(det(m)) is Fraction
+
+
+def _change_of_basis_brute(frame_a, frame_b):
+    """Per vector: sympy solve of frame_b^T x = v with free coordinates 0, then det."""
+    bt = _sym(frame_b).T
+    coords = []
+    for v in frame_a:
+        try:
+            sol, params = bt.gauss_jordan_solve(_sym((v,)).T)
+        except ValueError:
+            raise ValueError("frames do not span the same space")
+        sol = sol.subs({p: 0 for p in params})
+        coords.append([sol[j, 0] for j in range(len(frame_b))])
+    return _frac(sympy.Matrix(coords).det())
+
+
+@st.composite
+def frame_pairs(draw):
+    k = draw(st.integers(1, 4))
+    ambient = draw(st.integers(k, 5))
+    frame_b = draw(rational_matrices(k, ambient))
+    if draw(st.booleans()):
+        c = draw(rational_matrices(k, k))
+        frame_a = tuple(tuple(sum((c[i][j] * frame_b[j][t] for j in range(k)),
+                                  Fraction(0)) for t in range(ambient))
+                        for i in range(k))
+    else:
+        frame_a = draw(rational_matrices(k, ambient))
+    return frame_a, frame_b
+
+
+@settings(max_examples=150, deadline=None)
+@given(frame_pairs())
+def test_change_of_basis_det_matches_brute_force(frames):
+    frame_a, frame_b = frames
+    try:
+        want = _change_of_basis_brute(frame_a, frame_b)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=str(e)):
+            change_of_basis_det(frame_a, frame_b)
+        return
+    got = change_of_basis_det(frame_a, frame_b)
+    assert got == want
+    assert type(got) is Fraction
+
+
+def test_change_of_basis_det_dependent_and_inconsistent_frames():
+    e1, e2 = vec([1, 0, 0]), vec([0, 1, 0])
+    # dependent frame_b: the coordinates put 0 on the free direction
+    assert change_of_basis_det((e1, e1), (e1, vec([2, 0, 0]))) == 0
+    with pytest.raises(ValueError, match="do not span"):
+        change_of_basis_det((e1, e2), (e1, vec([2, 0, 0])))
+    with pytest.raises(ValueError, match="different length"):
+        change_of_basis_det((e1,), (e1, e2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_matrices(), st.data())
+def test_results_are_fractions(m, data):
+    ints = tuple(tuple(int(x) for x in row) for row in m)
+    for mm in (m, ints):
+        red, _ = rref(mm)
+        assert _all_fractions(red)
+        if mm:
+            assert _all_fractions(kernel_basis(mm))
+            x = data.draw(st.lists(st.integers(-3, 3), min_size=len(mm[0]),
+                                   max_size=len(mm[0])))
+            got = solve(mm, matvec(mm, vec(x)))
+            assert got is not None and _all_fractions((got,))
+        try:
+            basis, _ = canonical_frame(mm)
+        except ValueError:
+            continue
+        assert _all_fractions(basis)
+
+
+def test_shape_mismatch_raises():
+    with pytest.raises(ValueError):
+        solve(((1, 0), (0, 1)), (1,))
+    with pytest.raises(ValueError):
+        solve(((1, 0),), (1, 0))
+    with pytest.raises(ValueError):
+        change_of_basis_det(((1, 0),), ((1, 0, 5),))
+    with pytest.raises(ValueError):
+        change_of_basis_det(((1, 0, 5),), ((1, 0),))
+
+
+def _random_unimodular(rng, n):
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(rng.randint(0, 3 * n + 2)):
+        i, j = rng.sample(range(n), 2) if n >= 2 else (0, 0)
+        if i != j:
+            f = rng.randint(-3, 3)
+            m[i] = [x + f * y for x, y in zip(m[i], m[j])]
+        if rng.random() < 0.3:
+            m[i] = [-x for x in m[i]]
+        if n >= 2 and rng.random() < 0.3:
+            m[i], m[j] = m[j], m[i]
+    return m
+
+
+def test_integer_matrix_inverse_matches_sympy():
+    rng = random.Random(17)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        m = _random_unimodular(rng, n)
+        inv = integer_matrix_inverse(m)
+        oracle = sympy.Matrix(m).inv()
+        assert inv == tuple(tuple(int(oracle[i, j]) for j in range(n)) for i in range(n))
+        assert all(type(x) is int for row in inv for x in row)
+    assert integer_matrix_inverse([]) == ()
+    assert integer_matrix_inverse([[2, 0], [0, 1]]) is None
+    assert integer_matrix_inverse([[1, 2], [2, 4]]) is None
+    assert integer_matrix_inverse([[1, 2]]) is None
