@@ -42,10 +42,6 @@ def mat(rows: Iterable[Iterable]) -> Mat:
     return out
 
 
-def zeros(n: int) -> Vec:
-    return (Fraction(0),) * n
-
-
 def identity(n: int) -> Mat:
     return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
 
@@ -58,21 +54,12 @@ def vsub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vscale(c: Fraction, a: Vec) -> Vec:
-    return tuple(c * x for x in a)
-
-
 def dot(a: Vec, b: Vec) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
 def matvec(m: Mat, v: Vec) -> Vec:
     return tuple(dot(row, v) for row in m)
-
-
-def matmul(a: Mat, b: Mat) -> Mat:
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
 def transpose(m: Mat) -> Mat:
@@ -100,14 +87,15 @@ def _scaled(row) -> tuple[list[int], int]:
     return [x.numerator * (scale // x.denominator) for x in row], scale
 
 
+def _primitive(row: list[int]) -> list[int]:
+    """The integer row with the gcd of its entries divided out."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 def _primitive_rows(m) -> list[list[int]]:
     """Each row scaled to integers, with the gcd of its entries divided out."""
-    rows = []
-    for row in m:
-        ints = _scaled(row)[0]
-        g = gcd(*ints)
-        rows.append([x // g for x in ints] if g > 1 else ints)
-    return rows
+    return [_primitive(_scaled(row)[0]) for row in m]
 
 
 def _eliminate(rows: list[list[int]], jordan: bool = True) -> list[int]:
@@ -137,9 +125,7 @@ def _eliminate(rows: list[list[int]], jordan: bool = True) -> list[int]:
                 continue
             g = gcd(p, f)
             a, b = p // g, f // g
-            new = [a * x - b * y for x, y in zip(rows[i], prow)]
-            g = gcd(*new)
-            rows[i] = [x // g for x in new] if g > 1 else new
+            rows[i] = _primitive([a * x - b * y for x, y in zip(rows[i], prow)])
         pivots.append(c)
         r += 1
         if r == nrows:

@@ -540,7 +540,7 @@ def _slice_polytope(p1: Polytope, p2: Polytope,
     ineqs = [(tuple(f) + zero2, c) for f, c, _ in p1.facet_inequalities()]
     ineqs += [(zero1 + tuple(f), c) for f, c, _ in p2.facet_inequalities()]
     cands = section_vertices(n1 + n2, eqs, ineqs)
-    return Polytope.from_points(n1 + n2, cands) if cands else None
+    return Polytope(n1 + n2, cands, _trusted=True) if cands else None
 
 
 @dataclass

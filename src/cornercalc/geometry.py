@@ -8,10 +8,16 @@ H-representation, minimal faces, corner types and the affine isomorphisms
 between vertex sets are built on them. Orientations, boundaries and the corner
 involution live on cells (see cells and chains).
 
-One kernel, section_vertices, enumerates the vertices of {e . x = c, f . x <= d}.
-Facets are the vertices of the polar of the vertex set about its barycenter;
-fibre-product slices (cells) and fixed-locus cuts (orbifold) are sections of
-a polytope's H-representation.
+One kernel, section_vertices, enumerates the vertices of {e . x = c, f . x <= d}
+by the double description method on integer rows.  Facets are the vertices of
+the polar of the vertex set about its barycenter; fibre-product slices (cells)
+and fixed-locus cuts (orbifold) are sections of a polytope's H-representation,
+and the kernel's vertices are their extreme points.
+
+Each vertex set keeps one vertex-facet incidence: the vertices of every facet
+as an int bitmask.  Every face is an intersection of facets, so the face
+lattice, minimal faces and the H-representation are read off those masks;
+face keys are built only when a face is handed out.
 """
 
 from __future__ import annotations
@@ -20,11 +26,15 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ._linalg import (
     Mat,
     Vec,
+    _eliminate,
+    _primitive,
+    _primitive_rows,
     dot,
     frac,
     independent_subset,
@@ -56,13 +66,20 @@ def face_key(vertices: Iterable[Iterable]) -> FaceKey:
 
 def section_vertices(n: int, equations: Sequence[tuple[Vec, Fraction]],
                      inequalities: Sequence[tuple[Vec, Fraction]]) -> list[Vec]:
-    """Vertices of the bounded set {x in R^n : e . x = c, f . x <= d}.
+    """Vertices of the set {x in R^n : e . x = c, f . x <= d}.
 
     Equations, when given, are solved once: x = x0 + sum y_i k_i over a
-    kernel basis k, so each inequality becomes a row over the q coordinates
-    y.  A vertex is the solution of q independent tight rows that satisfies
-    every row.  The q-subsets are grown depth first; each new row is reduced
-    once against the prefix, and a row that turns zero prunes its subtree.
+    kernel basis k, so each inequality becomes a row g . y <= h over the q
+    coordinates y.  The vertices are the extreme rays with t > 0 of the
+    homogenised cone {(y, t) : g . y - h t <= 0, t >= 0}, scaled to t = 1,
+    found by the double description method.  Rows and rays are primitive
+    integer vectors; each ray carries the rows tight on it as an int
+    bitmask.  The cone of q + 1 independent rows is spanned by the columns
+    of -A^{-1}.  Each further row keeps the rays on its side and joins every
+    adjacent pair of rays across it: two rays are adjacent when at least
+    q - 1 rows are tight on both and no third ray is tight on all of those.
+    When the rows have rank < q + 1 the set has no vertex, and [] is
+    returned.
     """
     if equations:
         e = mat(row for row, _ in equations)
@@ -76,34 +93,40 @@ def section_vertices(n: int, equations: Sequence[tuple[Vec, Fraction]],
         basis = None
         rows = [(vec(f), frac(d)) for f, d in inequalities]
     q = n if basis is None else len(basis)
-    found: dict[Vec, None] = {}
-
-    def descend(start: int, prefix: list) -> None:
-        if len(prefix) == q:
-            y = [Fraction(0)] * q
-            for _, row, rhs, pivot in reversed(prefix):
-                y[pivot] = rhs - sum(a * b for a, b in zip(row, y) if b)
-            tight = {i for i, *_ in prefix}
-            if all(dot(g, y) <= h for k, (g, h) in enumerate(rows) if k not in tight):
-                x = tuple(y) if basis is None else tuple(
-                    x0[j] + sum(y[i] * basis[i][j] for i in range(q))
-                    for j in range(n))
-                found[x] = None
-            return
-        for i in range(start, len(rows) - q + len(prefix) + 1):
-            g, h = rows[i]
-            for _, row, rhs, pivot in prefix:
-                c = g[pivot]
-                if c:
-                    g = [a - c * b for a, b in zip(g, row)]
-                    h -= c * rhs
-            pivot = next((j for j, a in enumerate(g) if a), None)
-            if pivot is not None:
-                inv = 1 / g[pivot]
-                descend(i + 1, prefix + [(i, [a * inv for a in g], h * inv, pivot)])
-
-    descend(0, [])
-    return list(found)
+    cone = _primitive_rows([g + (-h,) for g, h in rows] + [(0,) * q + (-1,)])
+    start = _eliminate([list(col) for col in zip(*cone)], jordan=False)
+    if len(start) < q + 1:
+        return []
+    # Jordan reduction of [A | I] leaves row k as p_k (e_k | row k of A^{-1}).
+    aug = [cone[i] + [int(j == k) for j in range(q + 1)] for k, i in enumerate(start)]
+    _eliminate(aug)
+    scale = lcm(*(row[k] for k, row in enumerate(aug)))
+    initial = sum(1 << i for i in start)
+    rays = [(_primitive([-row[q + 1 + j] * (scale // row[k]) for k, row in enumerate(aug)]),
+             initial ^ (1 << i)) for j, i in enumerate(start)]
+    for i, row in enumerate(cone):
+        bit = 1 << i
+        if initial & bit:
+            continue
+        sides = [sum(a * b for a, b in zip(row, v)) for v, _ in rays]
+        kept = [(v, z | bit if s == 0 else z) for (v, z), s in zip(rays, sides) if s <= 0]
+        plus = [(r, s) for r, s in zip(rays, sides) if s > 0]
+        minus = [(r, s) for r, s in zip(rays, sides) if s < 0]
+        for ra, sa in plus:
+            for rb, sb in minus:
+                z = ra[1] & rb[1]
+                if z.bit_count() >= q - 1 and not any(
+                        r[1] & z == z for r in rays if r is not ra and r is not rb):
+                    kept.append((_primitive([sa * x - sb * y for x, y in zip(rb[0], ra[0])]),
+                                 z | bit))
+        rays = kept
+    found = []
+    for v, _ in rays:
+        if v[q] > 0:
+            y = [Fraction(a, v[q]) for a in v[:q]]
+            found.append(tuple(y) if basis is None else tuple(
+                x0[j] + sum(y[i] * basis[i][j] for i in range(q)) for j in range(n)))
+    return found
 
 
 @lru_cache(maxsize=4096)
@@ -113,6 +136,12 @@ def _face_data(ambient_dim: int, vertices: tuple[Vec, ...]):
 
 
 class _FaceData:
+    """The vertex-facet incidence of one vertex set, and everything built on it.
+
+    Facets are kept as int bitmasks over `vertices` beside `_facets`; faces,
+    minimal faces and the H-representation are computed from them once.
+    """
+
     def __init__(self, ambient_dim: int, vertices: tuple[Vec, ...]):
         self.ambient_dim = ambient_dim
         self.vertices = vertices
@@ -126,7 +155,14 @@ class _FaceData:
         self.dim = len(self.dir_basis)
         self._local = None
         self._facets: Optional[list] = None
+        self.facet_masks: list[int] = []
         self._faces_by_dim: Optional[dict] = None
+        self.inequalities: Optional[list] = None
+        self.equations: Optional[list] = None
+
+    def key(self, mask: int) -> FaceKey:
+        """The face key of a bitmask over the vertices."""
+        return tuple(v for i, v in enumerate(self.vertices) if mask >> i & 1)
 
     # -- affine-hull coordinates --------------------------------------------
 
@@ -161,7 +197,8 @@ class _FaceData:
         With r_i = N p_i - sum p over the N vertices in local coordinates, the
         facets are the vertices a of the polar {a : a . r_i <= 1}, each tight
         on its facet's vertices.  The outward vector is a scaled so that its
-        last nonzero entry is +-1, pulled back through dir_basis.
+        last nonzero entry is +-1, pulled back through dir_basis.  The
+        facets' vertex bitmasks go to `facet_masks`, in the same order.
         """
         if self._facets is not None:
             return self._facets
@@ -173,32 +210,36 @@ class _FaceData:
             total = [sum(p[j] for p in pts) for j in range(d)]
             rs = [tuple(n * p[j] - total[j] for j in range(d)) for p in pts]
             for a in section_vertices(d, [], [(r, Fraction(1)) for r in rs]):
-                members = tuple(sorted(v for v, r in zip(self.vertices, rs)
-                                       if dot(a, r) == 1))
+                mask = sum(1 << i for i, r in enumerate(rs) if dot(a, r) == 1)
                 scale = abs(next(x for x in reversed(a) if x))
                 outward = [x / scale for x in a]
                 amb = tuple(sum(outward[i] * self.dir_basis[i][j] for i in range(d))
                             for j in range(self.ambient_dim))
-                out.append((members, amb))
-        self._facets = sorted(out)
+                out.append((self.key(mask), amb, mask))
+        out.sort()
+        self.facet_masks = [mask for *_, mask in out]
+        self._facets = [(key, amb) for key, amb, _ in out]
         return self._facets
 
     def faces_by_dim(self) -> dict[int, list[FaceKey]]:
-        """All nonempty faces, the polytope itself included, grouped by dimension."""
-        if self._faces_by_dim is not None:
-            return self._faces_by_dim
-        levels: dict[int, set[FaceKey]] = {self.dim: {self.vertices}}
-        frontier = [self]
-        while frontier:
-            nxt = []
-            for fd in frontier:
-                for key, _ in fd.facets():
-                    lvl = levels.setdefault(fd.dim - 1, set())
-                    if key not in lvl:
-                        lvl.add(key)
-                        nxt.append(_face_data(self.ambient_dim, key))
-            frontier = nxt
-        self._faces_by_dim = {k: sorted(v) for k, v in sorted(levels.items())}
+        """All nonempty faces, the polytope itself included, grouped by dimension.
+
+        The facets of a face G are the inclusion-maximal nonempty sets G & F
+        other than G, over the facets F of the polytope.
+        """
+        if self._faces_by_dim is None:
+            self.facets()
+            level = {(1 << len(self.vertices)) - 1}
+            levels = {}
+            for k in range(self.dim, -1, -1):
+                levels[k] = sorted(self.key(g) for g in level)
+                below = set()
+                for g in level:
+                    cuts = {g & f for f in self.facet_masks} - {g, 0}
+                    below.update(c for c in cuts
+                                 if not any(c != o and c & o == c for o in cuts))
+                level = below
+            self._faces_by_dim = dict(sorted(levels.items()))
         return self._faces_by_dim
 
 
@@ -243,7 +284,11 @@ class Polytope:
 
     @property
     def _fd(self) -> _FaceData:
-        return _face_data(self.ambient_dim, self.vertices)
+        fd = self.__dict__.get("_face")
+        if fd is None:
+            fd = _face_data(self.ambient_dim, self.vertices)
+            object.__setattr__(self, "_face", fd)
+        return fd
 
     @property
     def dim(self) -> int:
@@ -284,14 +329,14 @@ class Polytope:
         points = [self._point(p) for p in points]
         if any(dot(e, p) != c for e, c in self.affine_hull_equations() for p in points):
             raise GeometryError("points not contained in the polytope")
-        face = set(self.vertices)
-        for f, c, key in self.facet_inequalities():
+        face = (1 << len(self.vertices)) - 1
+        for (f, c, _), mask in zip(self.facet_inequalities(), self._fd.facet_masks):
             vals = [dot(f, p) for p in points]
             if any(v > c for v in vals):
                 raise GeometryError("points not contained in the polytope")
             if all(v == c for v in vals):
-                face &= set(key)
-        return tuple(sorted(face))
+                face &= mask
+        return self._fd.key(face)
 
     def contains(self, point: Sequence) -> bool:
         return _in_hull(self.vertices, self._point(point))
@@ -306,34 +351,39 @@ class Polytope:
 
     def affine_hull_equations(self) -> list[tuple[Vec, Fraction]]:
         """Pairs (e, c) with e . x = c on the polytope, spanning the hull's equations."""
-        d = self.dir_basis
-        if len(d) == self.ambient_dim:
-            return []
-        if not d:
-            eqs = [tuple(Fraction(1 if j == i else 0) for j in range(self.ambient_dim))
-                   for i in range(self.ambient_dim)]
-        else:
-            eqs = list(kernel_basis(mat(d)))
-        v0 = self.vertices[0]
-        return [(e, sum(a * b for a, b in zip(e, v0))) for e in eqs]
+        fd = self._fd
+        if fd.equations is None:
+            d = self.dir_basis
+            if len(d) == self.ambient_dim:
+                eqs = []
+            elif not d:
+                eqs = [tuple(Fraction(1 if j == i else 0) for j in range(self.ambient_dim))
+                       for i in range(self.ambient_dim)]
+            else:
+                eqs = list(kernel_basis(mat(d)))
+            v0 = self.vertices[0]
+            fd.equations = [(e, sum(a * b for a, b in zip(e, v0))) for e in eqs]
+        return fd.equations
 
     def facet_inequalities(self) -> list[tuple[Vec, Fraction, FaceKey]]:
         """Triples (f, c, key): f . x <= c on the polytope, equality exactly on the facet."""
-        out = []
-        lm = self._fd.local_matrix()
-        v0 = self.vertices[0]
-        for key, outward in self.facets():
-            # functional increasing in the outward direction
-            local_out = matvec(lm, outward)
-            f_amb = tuple(sum(local_out[i] * lm[i][j] for i in range(len(lm)))
-                          for j in range(self.ambient_dim))
-            c = max(sum(a * b for a, b in zip(f_amb, v)) for v in self.vertices)
-            on_facet = [v for v in self.vertices
-                        if sum(a * b for a, b in zip(f_amb, v)) == c]
-            if tuple(sorted(on_facet)) != key:
-                raise GeometryError("facet functional mismatch")
-            out.append((f_amb, c, key))
-        return out
+        fd = self._fd
+        if fd.inequalities is None:
+            out = []
+            lm = fd.local_matrix()
+            for key, outward in self.facets():
+                # functional increasing in the outward direction
+                local_out = matvec(lm, outward)
+                f_amb = tuple(sum(local_out[i] * lm[i][j] for i in range(len(lm)))
+                              for j in range(self.ambient_dim))
+                c = max(sum(a * b for a, b in zip(f_amb, v)) for v in self.vertices)
+                on_facet = [v for v in self.vertices
+                            if sum(a * b for a, b in zip(f_amb, v)) == c]
+                if tuple(sorted(on_facet)) != key:
+                    raise GeometryError("facet functional mismatch")
+                out.append((f_amb, c, key))
+            fd.inequalities = out
+        return fd.inequalities
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(keys) for d, keys in self.faces().items())

@@ -491,7 +491,7 @@ def _cut_by_equations(poly: Polytope, equations: Sequence) -> Optional[Polytope]
     eqs = [*equations, *poly.affine_hull_equations()]
     ineqs = [(nrm, rhs) for nrm, rhs, _ in poly.facet_inequalities()]
     found = section_vertices(poly.ambient_dim, eqs, ineqs)
-    return Polytope.from_points(poly.ambient_dim, found) if found else None
+    return Polytope(poly.ambient_dim, found, _trusted=True) if found else None
 
 
 def direction_rep(action: GroupAction, component: int = 0,

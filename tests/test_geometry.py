@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from cornercalc.cells import (
     euclid,
 )
 from cornercalc.chains import Generator, Tag, aut_finite, check_sigma_pairing, corner_terms
+from cornercalc.cells import _slice_polytope
 from cornercalc.geometry import (
+    POINT_POLYTOPE,
     GeometryError,
     Polytope,
     box,
@@ -33,6 +36,7 @@ from cornercalc.geometry import (
     section_vertices,
     standard_simplex,
 )
+from cornercalc.orbifold import _cut_by_equations
 
 
 def _flags(p, frame=None, sign=1):
@@ -73,9 +77,7 @@ def test_octahedron_face_counts():
     """8 facets, 12 edges, 6 vertices; scipy is the oracle for the facet count."""
     p = octahedron()
     faces = p.faces()
-    assert len(faces[2]) == 8
-    assert len(faces[1]) == 12
-    assert len(faces[0]) == 6
+    assert [len(faces[d]) for d in range(4)] == [6, 12, 8, 1]
     hull = ConvexHull(np.array([[float(c) for c in v] for v in p.vertices]))
     assert len(hull.simplices) == 8  # triangular facets, so simplices == facets
 
@@ -99,12 +101,14 @@ def test_extreme_points_match_scipy_on_random_clouds():
 
 
 def test_cube_and_simplex_counts():
-    c = box([(0, 1)] * 3)
-    faces = c.faces()
-    assert [len(faces[d]) for d in range(4)] == [8, 12, 6, 1]
-    s = standard_simplex(3)
-    faces = s.faces()
-    assert [len(faces[d]) for d in range(4)] == [4, 6, 4, 1]
+    """box_k has C(k, j) 2^(k-j) faces of dimension j, Delta_k has C(k+1, j+1)."""
+    for k in range(1, 6):
+        faces = box([(0, 1)] * k).faces()
+        assert [len(faces[j]) for j in range(k + 1)] == [comb(k, j) * 2 ** (k - j)
+                                                          for j in range(k + 1)]
+        faces = standard_simplex(k).faces()
+        assert [len(faces[j]) for j in range(k + 1)] == [comb(k + 1, j + 1)
+                                                          for j in range(k + 1)]
 
 
 def test_euler_relation_on_stock_shapes():
@@ -377,14 +381,17 @@ def section_system(draw):
     rhs = st.fractions(-3, 3, max_denominator=2)
     equations = draw(st.lists(st.tuples(row, rhs), max_size=2))
     box_rows = [(tuple(s if j == i else 0 for j in range(n)), Fraction(2))
-                for i in range(n) for s in (1, -1)]
-    inequalities = box_rows + draw(st.lists(st.tuples(row, rhs), max_size=3))
+                for i in range(n) for s in (1, -1)] if draw(st.booleans()) else []
+    inequalities = box_rows + draw(st.lists(st.tuples(row, rhs),
+                                            max_size=3 if box_rows else 6))
     return n, equations, inequalities
 
 
 @settings(max_examples=80, deadline=None)
 @given(section_system())
 def test_section_vertices_match_brute_force(system):
+    """Bounded systems, and without the box rows unbounded ones and ones with a
+    lineality space (no vertex)."""
     n, equations, inequalities = system
     got = section_vertices(n, equations, inequalities)
     assert len(got) == len(set(got))
@@ -400,3 +407,109 @@ def test_section_vertices_small_cases():
     assert sorted(section_vertices(2, [], square)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert section_vertices(2, [((1, 0), 2)], square) == []          # x = 2 misses it
     assert sorted(section_vertices(2, [((1, -1), 0)], square)) == [(0, 0), (1, 1)]
+    for k in (2, 3, 4, 5):                  # polar of box_k: each vertex on 2^(k-1) rows
+        polar = [(v, 1) for v in itertools.product((1, -1), repeat=k)]
+        cross = [tuple(sgn * (i == j) for j in range(k)) for i in range(k) for sgn in (1, -1)]
+        assert sorted(section_vertices(k, [], polar)) == sorted(cross)
+    pyramid = [((0, 0, -1), 0), ((-2, 0, 1), 0), ((2, 0, 1), 2), ((0, -2, 1), 0), ((0, 2, 1), 2)]
+    assert sorted(section_vertices(3, [], pyramid)) == [
+        (0, 0, 0), (0, 1, 0), (Fraction(1, 2), Fraction(1, 2), 1), (1, 0, 0), (1, 1, 0)]
+
+
+# ---------------------------------------------------------------------------
+# Face lattice against scipy facets, and sections against hulls of their points
+# ---------------------------------------------------------------------------
+
+@st.composite
+def embedded_lattice_hull(draw):
+    """Lattice points in Z^k (k = 1..4), placed in R^n (n = k..4) by x = (c, B c) + s."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 4))
+    coeffs = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * k), min_size=k + 1,
+                           max_size=k + 4, unique=True))
+    extra = draw(st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k),
+                          min_size=n - k, max_size=n - k))
+    shift = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    pts = [list(c) + [sum(b * x for b, x in zip(row, c)) for row in extra] for c in coeffs]
+    subsets = draw(st.lists(st.lists(st.integers(0, 20), min_size=1, max_size=3),
+                            min_size=1, max_size=3))
+    return k, coeffs, [[x + t for x, t in zip(p, shift)] for p in pts], shift, subsets
+
+
+def _oracle_facets(k, coeffs):
+    """Facets of conv(coeffs) in Z^k as sets of extreme points, from scipy."""
+    if k == 1:
+        return [{min(coeffs)}, {max(coeffs)}]
+    hull = ConvexHull(np.array(coeffs, dtype=float))
+    extreme = [coeffs[i] for i in hull.vertices]
+    facets = {frozenset(c for c in extreme if abs(np.dot(eq[:-1], c) + eq[-1]) < 1e-9)
+              for eq in hull.equations}
+    return [set(f) for f in facets]
+
+
+@settings(max_examples=40, deadline=None)
+@given(embedded_lattice_hull())
+def test_face_lattice_matches_facet_intersections(data):
+    k, coeffs, pts, shift, subsets = data
+    assume(np.linalg.matrix_rank(np.array([np.subtract(c, coeffs[0]) for c in coeffs])) == k)
+    p = Polytope.from_points(len(shift), pts)
+    back = {v: tuple(int(x - t) for x, t in zip(v[:k], shift)) for v in p.vertices}
+    facets = _oracle_facets(k, coeffs)
+    everything = frozenset(back.values())
+    assert set().union(*facets) == everything
+    closure = {frozenset(f) for f in facets}
+    while True:
+        more = {a & b for a in closure for b in closure if a & b} - closure
+        if not more:
+            break
+        closure |= more
+    got = {}
+    for d, keys in p.faces().items():
+        for key in keys:
+            face = frozenset(back[v] for v in key)
+            got[face] = d
+            assert np.linalg.matrix_rank(np.array([np.subtract(c, next(iter(face)))
+                                                   for c in face])) == d
+    assert set(got) == closure | {everything}
+    for subset in subsets:
+        support = [p.vertices[i % len(p.vertices)] for i in subset]
+        point = tuple(sum(v[j] for v in support) / len(support) for j in range(len(shift)))
+        used = {back[v] for v in support}
+        expected = everything.intersection(*[f for f in facets if used <= f])
+        got_face = p.minimal_face_containing([point, support[0]])
+        assert {back[v] for v in got_face} == expected
+
+
+@st.composite
+def lattice_section(draw):
+    """Two lattice polytopes and affine equations through a point of their product."""
+    polys = []
+    for _ in range(2):
+        d = draw(st.integers(0, 3))
+        pts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=6,
+                            unique=True))
+        polys.append(Polytope.from_points(d, [list(x) for x in pts]))
+    p1, p2 = polys
+    n = p1.ambient_dim + p2.ambient_dim
+    v = draw(st.sampled_from(p1.vertices)) + draw(st.sampled_from(p2.vertices))
+    w = draw(st.sampled_from(p1.vertices)) + draw(st.sampled_from(p2.vertices))
+    anchor = [(a + b) / 2 for a, b in zip(v, w)]
+    rows = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), max_size=2))
+    return p1, p2, [(row, sum(a * x for a, x in zip(row, anchor))) for row in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_section())
+def test_sections_are_hulls_of_their_vertices(data):
+    """Slices and cuts are built from the kernel's vertices without a hull check."""
+    p1, p2, equations = data
+    n1 = p1.ambient_dim
+    for got in (_slice_polytope(p1, p2, equations),
+                _cut_by_equations(p1, [(row[:n1], rhs) for row, rhs in equations
+                                       if not any(row[n1:])])):
+        assert got is not None          # every equation holds at a point of the product
+        assert Polytope.from_points(got.ambient_dim, got.vertices) == got
+        for row, rhs in equations:
+            if got.ambient_dim == len(row):
+                assert all(sum(a * x for a, x in zip(row, v)) == rhs for v in got.vertices)
+

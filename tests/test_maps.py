@@ -1,6 +1,7 @@
 """Mapped cells with s = 0: submersions, fibre products, and the four sign identities."""
 
 from fractions import Fraction as F
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,7 @@ from cornercalc.maps import (
     check_interchange_cells,
     check_swap_sign_cells,
 )
+from cornercalc.randgen import associativity_instance, interchange_instance
 
 I = interval()
 SQ = box([(0, 1), (0, 1)])
@@ -184,6 +186,17 @@ def test_associativity_torus_translates():
         amap(b, torus(1), [[0, 1]], [0]),
         Cell(c), amap(c, torus(1), [[1]], [0]))
     assert rep.ok and rep.checked >= 2
+
+
+def test_line_line_instances_with_large_face_lattices():
+    """Seeded line x line instances whose fibre-product components have large
+    face lattices: both identities hold, in about a second each."""
+    inst = associativity_instance(Random("fibre-identities/associativity/line-line/4"),
+                                  euclid(1), euclid(1))
+    assert check_associativity_cells(*inst).ok
+    inst = interchange_instance(Random("fibre-identities/interchange/line-line/1"),
+                                euclid(1), euclid(1))
+    assert check_interchange_cells(*inst).ok
 
 
 def test_interchange():
