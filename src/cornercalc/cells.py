@@ -291,12 +291,11 @@ def _span_is_full(differential_cols: Sequence[Vec], m: int) -> bool:
     return rank(mat(differential_cols)) == m
 
 
-def _face_differential_cols(cmap: CellMap, cell: Cell, key: FaceKey) -> list[Vec]:
-    """Columns of the differential restricted to the face's direction space + torus."""
+def _face_differential_cols(cmap: CellMap, cell: Cell, dir_basis: Mat) -> list[Vec]:
+    """Columns of the differential on a face with this direction basis, plus the torus."""
     n = cell.polytope.ambient_dim
-    fp = cell.polytope.face_polytope(key)
     cols = []
-    for d in fp.dir_basis:
+    for d in dir_basis:
         cols.append(tuple(sum(cmap.a[i][j] * d[j] for j in range(n))
                           for i in range(cmap.target.dim)))
     for j in range(cell.torus_rank):
@@ -306,17 +305,18 @@ def _face_differential_cols(cmap: CellMap, cell: Cell, key: FaceKey) -> list[Vec
 
 def is_interior_submersion(cell: Cell, cmap: CellMap) -> bool:
     """Differential surjective on the top-dimensional stratum."""
-    cols = _face_differential_cols(cmap, cell, cell.polytope.vertices)
+    cols = _face_differential_cols(cmap, cell, cell.polytope.dir_basis)
     return _span_is_full(cols, cmap.target.dim)
 
 
 def is_strong_submersion(cell: Cell, cmap: CellMap) -> bool:
-    """Differential surjective on every face's direction space (plus torus factor)."""
-    for keys in cell.polytope.faces().values():
-        for key in keys:
-            if not _span_is_full(_face_differential_cols(cmap, cell, key), cmap.target.dim):
-                return False
-    return True
+    """Differential surjective on every face's direction space (plus torus factor).
+
+    The columns of a face contain those of each of its vertices, and every
+    face has a vertex, so the vertices decide it.  A vertex has no direction
+    space: the condition is that the torus columns alone span the target.
+    """
+    return _span_is_full(_face_differential_cols(cmap, cell, ()), cmap.target.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -780,26 +780,35 @@ def _build_component(cell1, map1, cell2, map2, poly, s_z, u, rho,
         b_z.append(const)
     pmap = CellMap(map1.target, a_z, m_z, b_z)
 
-    # face pairs and transversality
+    # face pairs and transversality, from one tight-facet mask per slice vertex
+    # in each factor: a face's factor faces are the meets of the facets tight
+    # at all of its vertices
+    p1, p2 = cell1.polytope, cell2.polytope
+    fd, fd1, fd2 = poly._fd, p1._fd, p2._fd
+    dims1, dims2 = fd1.face_dims(), fd2.face_dims()
+    tight = [(p1.tight_facets(v[:n1]), p2.tight_facets(v[n1:])) for v in poly.vertices]
     face_pairs = {}
     transverse = (poly.dim + s_z == expected_dim)
-    for keys in poly.faces().values():
-        for key in keys:
-            pts1 = [v[:n1] for v in key]
-            pts2 = [v[n1:] for v in key]
-            f1 = cell1.polytope.minimal_face_containing(pts1)
-            f2 = cell2.polytope.minimal_face_containing(pts2)
-            face_pairs[key] = (f1, f2)
-            fp = poly.face_polytope(key)
-            f1p = cell1.polytope.face_polytope(f1)
-            f2p = cell2.polytope.face_polytope(f2)
-            if poly.dim - fp.dim != (cell1.polytope.dim - f1p.dim
-                                     + cell2.polytope.dim - f2p.dim):
-                transverse = False
-            cols = _face_differential_cols(map1, cell1, f1)
-            cols += _face_differential_cols(map2, cell2, f2)
-            if not _span_is_full(cols, m):
-                transverse = False
+    for g, dim in fd.face_dims().items():
+        t1 = t2 = -1
+        for i, (b1, b2) in enumerate(tight):
+            if g >> i & 1:
+                t1 &= b1
+                t2 &= b2
+        f1, f2 = fd1.meet(t1), fd2.meet(t2)
+        face_pairs[fd.key(g)] = (fd1.key(f1), fd2.key(f2))
+        if poly.dim - dim != p1.dim - dims1[f1] + p2.dim - dims2[f2]:
+            transverse = False
+    # The span check runs at the vertices only.  If G' lies in G, the factor
+    # faces of G' lie in those of G, so the columns at G span at least what
+    # they span at G'; every face has a vertex, so a face fails only if one
+    # of its vertices does.
+    for f1, f2 in {(fd1.meet(b1), fd2.meet(b2)) for b1, b2 in tight}:
+        cols = _face_differential_cols(map1, cell1, p1.face_polytope(fd1.key(f1)).dir_basis)
+        cols += _face_differential_cols(map2, cell2, p2.face_polytope(fd2.key(f2)).dir_basis)
+        if not _span_is_full(cols, m):
+            transverse = False
+            break
 
     # embedding J of the component's tangent space into T1 x T2,
     # coordinates ordered (p1, t1, p2, t2)

@@ -17,7 +17,10 @@ and the kernel's vertices are their extreme points.
 Each vertex set keeps one vertex-facet incidence: the vertices of every facet
 as an int bitmask.  Every face is an intersection of facets, so the face
 lattice, minimal faces and the H-representation are read off those masks;
-face keys are built only when a face is handed out.
+face keys are built only when a face is handed out.  A point of the polytope
+has one tight-facet mask, a bitmask over the facets; the minimal face holding
+some points is the meet of the facets tight on all of them, so fibre-product
+face pairs (cells) are read off one tight-facet mask per slice vertex.
 """
 
 from __future__ import annotations
@@ -157,12 +160,22 @@ class _FaceData:
         self._facets: Optional[list] = None
         self.facet_masks: list[int] = []
         self._faces_by_dim: Optional[dict] = None
+        self._face_dims: Optional[dict] = None
         self.inequalities: Optional[list] = None
         self.equations: Optional[list] = None
 
     def key(self, mask: int) -> FaceKey:
         """The face key of a bitmask over the vertices."""
         return tuple(v for i, v in enumerate(self.vertices) if mask >> i & 1)
+
+    def meet(self, facet_bits: int) -> int:
+        """Vertex bitmask of the intersection of the facets in facet_bits."""
+        self.facets()
+        face = (1 << len(self.vertices)) - 1
+        for i, mask in enumerate(self.facet_masks):
+            if facet_bits >> i & 1:
+                face &= mask
+        return face
 
     # -- affine-hull coordinates --------------------------------------------
 
@@ -225,22 +238,29 @@ class _FaceData:
         """All nonempty faces, the polytope itself included, grouped by dimension.
 
         The facets of a face G are the inclusion-maximal nonempty sets G & F
-        other than G, over the facets F of the polytope.
+        other than G, over the facets F of the polytope.  Each face's vertex
+        bitmask and dimension go to `face_dims`, in the same order as the keys.
         """
         if self._faces_by_dim is None:
             self.facets()
             level = {(1 << len(self.vertices)) - 1}
             levels = {}
             for k in range(self.dim, -1, -1):
-                levels[k] = sorted(self.key(g) for g in level)
+                levels[k] = sorted((self.key(g), g) for g in level)
                 below = set()
                 for g in level:
                     cuts = {g & f for f in self.facet_masks} - {g, 0}
                     below.update(c for c in cuts
                                  if not any(c != o and c & o == c for o in cuts))
                 level = below
-            self._faces_by_dim = dict(sorted(levels.items()))
+            self._face_dims = {g: k for k in sorted(levels) for _, g in levels[k]}
+            self._faces_by_dim = {k: [key for key, _ in levels[k]] for k in sorted(levels)}
         return self._faces_by_dim
+
+    def face_dims(self) -> dict[int, int]:
+        """Vertex bitmask -> dimension of every nonempty face, in faces_by_dim's order."""
+        self.faces_by_dim()
+        return self._face_dims
 
 
 @dataclass(frozen=True)
@@ -320,23 +340,30 @@ class Polytope:
     def face_polytope(self, key: FaceKey) -> "Polytope":
         return Polytope(self.ambient_dim, key, _trusted=True)
 
+    def tight_facets(self, point: Sequence) -> int:
+        """Bitmask over facets() of the facets tight at a point of the polytope."""
+        p = self._point(point)
+        if any(dot(e, p) != c for e, c in self.affine_hull_equations()):
+            raise GeometryError("points not contained in the polytope")
+        bits = 0
+        for i, (f, c, _) in enumerate(self.facet_inequalities()):
+            value = dot(f, p)
+            if value > c:
+                raise GeometryError("points not contained in the polytope")
+            if value == c:
+                bits |= 1 << i
+        return bits
+
     def minimal_face_containing(self, points: Sequence[Vec]) -> FaceKey:
         """Smallest face containing every given point of the polytope.
 
         Computed as the intersection of the facets tight on all the points;
         the points must lie in the polytope.
         """
-        points = [self._point(p) for p in points]
-        if any(dot(e, p) != c for e, c in self.affine_hull_equations() for p in points):
-            raise GeometryError("points not contained in the polytope")
-        face = (1 << len(self.vertices)) - 1
-        for (f, c, _), mask in zip(self.facet_inequalities(), self._fd.facet_masks):
-            vals = [dot(f, p) for p in points]
-            if any(v > c for v in vals):
-                raise GeometryError("points not contained in the polytope")
-            if all(v == c for v in vals):
-                face &= mask
-        return self._fd.key(face)
+        bits = -1
+        for p in [self._point(p) for p in points]:
+            bits &= self.tight_facets(p)
+        return self._fd.key(self._fd.meet(bits))
 
     def contains(self, point: Sequence) -> bool:
         return _in_hull(self.vertices, self._point(point))

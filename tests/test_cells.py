@@ -2,9 +2,12 @@
 
 import itertools
 from fractions import Fraction as F
+from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cornercalc._linalg import rank
 from cornercalc.cells import (
     POINT,
     Cell,
@@ -33,6 +36,7 @@ from cornercalc.cells import (
     validate_coorientation,
 )
 from cornercalc.geometry import POINT_POLYTOPE, GeometryError, Polytope, box, interval
+from cornercalc.randgen import associativity_instance, fibre_instance
 
 
 def test_target_products():
@@ -88,6 +92,10 @@ def test_submersion_flavours():
     cyl = Cell(interval(), 1)
     ct = CellMap(torus(1), [[0]], [[1]], [0])
     assert is_strong_submersion(cyl, ct)
+    # on a square times T^2 the torus columns decide, whatever the polytope part does
+    sq_t2 = Cell(sq, 2)
+    assert is_strong_submersion(sq_t2, CellMap(torus(2), [[1, 0], [0, 1]], [[1, 1], [0, 1]], [0, 0]))
+    assert not is_strong_submersion(sq_t2, CellMap(torus(2), [[1, 0], [0, 1]], [[1, 2], [1, 2]], [0, 0]))
 
 
 def test_coorientation_round_trip():
@@ -346,3 +354,95 @@ def test_coorientation_errors():
         validate_coorientation(cell, cmap, Coorientation([off_kernel, outside]))
     with pytest.raises(MapError, match="^coorientation vector outside the tangent space$"):
         validate_coorientation(cell, cmap, Coorientation([[0, 1, 0, 0], [0, 1, 1, 1]]))
+
+
+# ---------------------------------------------------------------------------
+# Face pairs and strong submersions against their per-face definitions
+# ---------------------------------------------------------------------------
+
+def _brute_cols(cmap, cell, key):
+    """Differential columns on the face `key` of the cell's polytope, plus the torus."""
+    n, m = cell.polytope.ambient_dim, cmap.target.dim
+    dirs = cell.polytope.face_polytope(key).dir_basis
+    return ([tuple(sum(cmap.a[i][j] * d[j] for j in range(n)) for i in range(m)) for d in dirs]
+            + [tuple(cmap.m_t[i][j] for i in range(m)) for j in range(cell.torus_rank)])
+
+
+def _spans(cols, m):
+    return m == 0 or (bool(cols) and rank(cols) == m)
+
+
+def _brute_face_data(comp, cell1, map1, cell2, map2):
+    """face_pairs and transverse face by face: the minimal faces holding the
+    split vertices, the dimensions of face polytopes, and the span on every face."""
+    poly, p1, p2 = comp.cell.polytope, cell1.polytope, cell2.polytope
+    n1, m = p1.ambient_dim, map1.target.dim
+    transverse = poly.dim + comp.cell.torus_rank == cell1.dim + cell2.dim - m
+    pairs = {}
+    for _, keys in sorted(poly.faces().items()):
+        for key in sorted(keys):
+            f1 = p1.minimal_face_containing([v[:n1] for v in key])
+            f2 = p2.minimal_face_containing([v[n1:] for v in key])
+            pairs[key] = (f1, f2)
+            codim = p1.dim - p1.face_polytope(f1).dim + p2.dim - p2.face_polytope(f2).dim
+            if (poly.dim - poly.face_polytope(key).dim != codim
+                    or not _spans(_brute_cols(map1, cell1, f1) + _brute_cols(map2, cell2, f2), m)):
+                transverse = False
+    return pairs, transverse
+
+
+def _fibre_cases():
+    """Seeded fibre instances over each target, and both inner products of
+    associativity instances over each pair of targets."""
+    targets = (POINT, euclid(1), torus(1))
+    for t in targets:
+        for seed in range(4):
+            yield fibre_instance(Random(f"face-pairs/{t.kind}/{seed}"), t)
+    for t1, t2 in itertools.product(targets, repeat=2):
+        for seed in range(5):
+            c1, m1, c2, m2a, m2b, c3, m3 = associativity_instance(
+                Random(f"face-pairs/{t1.kind}-{t2.kind}/{seed}"), t1, t2)
+            yield c1, m1, c2, m2a
+            yield c2, m2b, c3, m3
+
+
+def test_face_pairs_match_per_face_definition():
+    seen = set()
+    for case in _fibre_cases():
+        for comp in fibre_product_cells(*case):
+            pairs, transverse = _brute_face_data(comp, *case)
+            assert list(comp.face_pairs.items()) == list(pairs.items())
+            assert comp.transverse == transverse
+            seen.add(transverse)
+    assert seen == {True, False}
+
+
+@st.composite
+def mapped_cell(draw):
+    """A lattice cell of dimension >= 1 times T^s with a map to R^m or T^m, m <= 2.
+
+    `spanning` draws begin the torus columns with the identity, so they span.
+    """
+    n = draw(st.integers(1, 3))
+    pts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=2, max_size=n + 3,
+                        unique=True))
+    s, m = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    entry = st.integers(-2, 2)
+    a = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    on_torus = draw(st.booleans())
+    spanning = on_torus and s >= m and draw(st.booleans())
+    m_t = [[int(i == j) if spanning and j < m else draw(entry) if on_torus else 0
+            for j in range(s)] for i in range(m)]
+    target = POINT if m == 0 else torus(m) if on_torus else euclid(m)
+    cell = Cell(Polytope.from_points(n, [list(x) for x in pts]), s)
+    return cell, CellMap(target, a, m_t, [0] * m), spanning
+
+
+@settings(max_examples=80, deadline=None)
+@given(mapped_cell())
+def test_strong_submersion_matches_per_face_check(data):
+    cell, cmap, spanning = data
+    brute = all(_spans(_brute_cols(cmap, cell, key), cmap.target.dim)
+                for key in cell.polytope.all_face_keys())
+    assert brute or not spanning
+    assert is_strong_submersion(cell, cmap) == brute

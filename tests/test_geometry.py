@@ -142,6 +142,8 @@ def test_minimal_face_containing():
     assert sq.minimal_face_containing([(Fraction(1, 2), Fraction(0))]) == face_key([[0, 0], [1, 0]])
     assert sq.minimal_face_containing([(Fraction(1, 2), Fraction(1, 2))]) == sq.vertices
     assert sq.minimal_face_containing([(Fraction(0), Fraction(0))]) == face_key([[0, 0]])
+    assert sq.minimal_face_containing([]) == ()             # the meet of every facet
+    assert POINT_POLYTOPE.minimal_face_containing([]) == POINT_POLYTOPE.vertices
 
 
 def test_point_shape_is_checked():
@@ -151,8 +153,13 @@ def test_point_shape_is_checked():
             seg.contains(bad)
         with pytest.raises(GeometryError, match="ambient_dim"):
             seg.minimal_face_containing([bad])
-    with pytest.raises(GeometryError, match="not contained"):
-        seg.minimal_face_containing([(1, 3)])               # off the affine hull
+        with pytest.raises(GeometryError, match="ambient_dim"):
+            seg.tight_facets(bad)
+    for outside in ((1, 3), (2, 0)):                        # off the affine hull, past a facet
+        with pytest.raises(GeometryError, match="not contained"):
+            seg.minimal_face_containing([outside])
+        with pytest.raises(GeometryError, match="not contained"):
+            seg.tight_facets(outside)
     assert seg.contains([1, 0]) and not seg.contains([1, 3])
     assert seg.minimal_face_containing([(1, 0)]) == face_key([[1, 0]])
 
@@ -471,6 +478,14 @@ def test_face_lattice_matches_facet_intersections(data):
             assert np.linalg.matrix_rank(np.array([np.subtract(c, next(iter(face)))
                                                    for c in face])) == d
     assert set(got) == closure | {everything}
+    fd = p._fd
+    assert ([(d, fd.key(g)) for g, d in fd.face_dims().items()]
+            == [(d, key) for d, keys in p.faces().items() for key in keys])
+    ineqs = p.facet_inequalities()
+    for point in p.vertices + (p.barycenter(),):
+        assert p.tight_facets(point) == sum(
+            1 << i for i, (f, c, _) in enumerate(ineqs)
+            if sum(a * x for a, x in zip(f, point)) == c)
     for subset in subsets:
         support = [p.vertices[i % len(p.vertices)] for i in subset]
         point = tuple(sum(v[j] for v in support) / len(support) for j in range(len(shift)))
