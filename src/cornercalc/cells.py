@@ -40,7 +40,6 @@ from ._linalg import (
     change_of_basis_det,
     frac,
     hermite_column,
-    integer_kernel_basis,
     integer_matrix_inverse,
     kernel_basis,
     mat,
@@ -492,25 +491,6 @@ def restrict_coorientation(cell: Cell, cmap: CellMap, co: Coorientation,
 # Fibre products
 # ---------------------------------------------------------------------------
 
-def _echelon_columns(h: Mat, u) -> tuple:
-    """Sort columns by first nonzero row, zero columns last; permute u alike."""
-    if not h or not h[0]:
-        return h, u
-    s = len(h[0])
-    rows = len(h)
-
-    def first_row(j):
-        for i in range(rows):
-            if h[i][j] != 0:
-                return i
-        return rows + 1
-
-    order = sorted(range(s), key=first_row)
-    hh = tuple(tuple(row[j] for j in order) for row in h)
-    uu = tuple(tuple(row[j] for j in order) for row in u)
-    return hh, uu
-
-
 def _pivots_of(h: Mat) -> list[tuple[int, int, int]]:
     """(row, value, column) of each nonzero column's first entry; checks echelon."""
     if not h or not h[0]:
@@ -654,7 +634,6 @@ def fibre_product_cells(cell1: Cell, map1: CellMap, cell2: Cell, map2: CellMap, 
 
     if s > 0 and m > 0:
         h, u = hermite_column(m_rows)
-        h, u = _echelon_columns(h, u)
     else:
         h = m_rows
         u = tuple(tuple(1 if i == j else 0 for j in range(s)) for i in range(s))
@@ -982,10 +961,14 @@ def canonical_cell_map(cell: Cell, cmap: CellMap,
     """Canonical representative of (cell, map) under cell isomorphism.
 
     Torus coordinates are reparametrized so the integral part of the map is in
-    column Hermite form; the rational part is reduced modulo the affine hull of
-    the polytope; the offset is reduced modulo the column space and, over a
-    torus, modulo the image of the integer lattice; frames are echelonized with
-    the orientation folded into the sign.
+    column Hermite form.  The linear part is read on the free coordinates of
+    the polytope's affine hull and reduced, like the offset, modulo the
+    rational column space of that form: for rational L the shear
+    (x, t) -> (x, t + L(x - v0)) fixes every face and preserves orientation,
+    so one exact elimination against the echelon torus columns gives the
+    reduced columns and L, which moves the torus part of the frames.  Over a
+    torus the offset is further reduced modulo the image of the integer
+    lattice; frames are echelonized with the orientation folded into the sign.
     """
     n = cell.polytope.ambient_dim
     s = cell.torus_rank
@@ -993,7 +976,6 @@ def canonical_cell_map(cell: Cell, cmap: CellMap,
 
     if s > 0 and m > 0:
         h, uc = hermite_column(cmap.m_t)
-        h, uc = _echelon_columns(h, uc)
         uci = integer_matrix_inverse(uc)
         if uci is None:
             raise AssertionError("hermite transform must be unimodular")
@@ -1013,133 +995,68 @@ def canonical_cell_map(cell: Cell, cmap: CellMap,
 
     frame = tuple(tchange(v) for v in cell.frame)
     co_frame = tuple(tchange(v) for v in coorient.frame) if coorient else None
+    pivots = [(p, d, t, tuple(row[t] for row in new_mt))
+              for p, d, t in _pivots_of(new_mt)]
 
-    new_a = [tuple(row) for row in cmap.a]
+    def reduce(x):
+        """x modulo the torus columns, zero at their pivot rows; the coefficients."""
+        x = list(x)
+        lam = [Fraction(0)] * s
+        for p, d, t, col in pivots:
+            q = x[p] / d
+            if q:
+                lam[t] = q
+                x = [xi - q * ci for xi, ci in zip(x, col)]
+        return x, lam
+
+    new_a = cmap.a
     new_b = list(cmap.b)
     if m > 0 and n > 0:
         hull = cell.polytope.affine_hull_equations()
-        if hull:
-            red, piv = rref(mat([tuple(row) + (rhs,) for row, rhs in hull]))
-            if n in piv:
-                raise AssertionError("affine hull equations are inconsistent")
-            hull_rows = red[:len(piv)]
-            int_rows = []
-            for row, _ in hull:
-                den = 1
-                for x in row:
-                    fx = frac(x)
-                    den = den * fx.denominator // math.gcd(den, fx.denominator)
-                int_rows.append([int(frac(x) * den) for x in row])
-            d_basis = integer_kernel_basis(int_rows)
-        else:
-            hull_rows, piv = (), ()
-            d_basis = tuple(tuple(1 if i == j else 0 for j in range(n))
-                            for i in range(n))
+        red, piv = rref(mat([row for row, _ in hull])) if hull else ((), ())
         free = [c for c in range(n) if c not in piv]
         v0 = min(cell.polytope.vertices)
-        val0 = [new_b[i] + sum(new_a[i][c] * frac(v0[c]) for c in range(n))
+        val0 = [new_b[i] + sum(new_a[i][c] * v0[c] for c in range(n))
                 for i in range(m)]
-        mvals = [[sum(frac(new_a[i][c]) * frac(d[c]) for c in range(n))
-                  for i in range(m)] for d in d_basis]
-
-        # The shear (x, t) -> (x, t + Lx) with integer L is a cell isomorphism
-        # shifting the torus part of frames and the map's derivative on the
-        # direction lattice by the m_t column lattice; reduce modulo it.
-        shear = [[0] * s for _ in d_basis]
-        if s > 0 and d_basis:
-            for j, x in enumerate(mvals):
-                for t in range(s):
-                    p = next((i for i in range(m) if new_mt[i][t] != 0), None)
-                    if p is None:
-                        continue
-                    q = x[p] // frac(new_mt[p][t])
-                    if q:
-                        for i in range(m):
-                            x[i] -= q * frac(new_mt[i][t])
-                        shear[j][t] = q
-
-        dmat_t = mat(tuple(tuple(frac(d[r]) for d in d_basis)
-                           for r in range(n)))
-        beta = {}
+        # The direction w_c of aff(P) with free coordinates e_c: its value
+        # under the map, reduced, is column c of the new linear part.
+        cols, shear = {}, {}
         for c in free:
-            w = [Fraction(0)] * n
-            w[c] = Fraction(1)
-            for hrow, p in zip(hull_rows, piv):
-                w[p] = -frac(hrow[c])
-            sol = solve(dmat_t, tuple(w))
-            if sol is None:
-                raise AssertionError("direction lattice must span the hull")
-            beta[c] = sol
-        k = len(d_basis)
-        rebuilt = []
-        for i in range(m):
-            row = [Fraction(0)] * n
-            for c in free:
-                row[c] = sum(beta[c][j] * mvals[j][i] for j in range(k))
-            rebuilt.append(tuple(row))
-        new_a = rebuilt
-        new_b = [val0[i] - sum(new_a[i][c] * frac(v0[c]) for c in range(n))
+            x = [row[c] - sum(row[p] * hrow[c] for hrow, p in zip(red, piv))
+                 for row in new_a]
+            cols[c], shear[c] = reduce(x)
+        new_a = [tuple(cols[c][i] if c in cols else Fraction(0) for c in range(n))
                  for i in range(m)]
-        if any(any(l) for l in shear):
+        new_b = [val0[i] - sum(new_a[i][c] * v0[c] for c in range(n))
+                 for i in range(m)]
+        if any(any(lam) for lam in shear.values()):
+            # a direction of P is fixed by its free coordinates
             def shear_vec(v):
-                vp = tuple(frac(x) for x in v[:n])
-                bv = solve(dmat_t, vp)
-                if bv is None:
-                    raise AssertionError("frame leaves the direction space")
-                return vp + tuple(frac(v[n + t])
-                                  + sum(bv[j] * shear[j][t] for j in range(k))
-                                  for t in range(s))
+                return tuple(v[:n]) + tuple(
+                    v[n + t] + sum(v[c] * shear[c][t] for c in free)
+                    for t in range(s))
             frame = tuple(shear_vec(v) for v in frame)
             if co_frame is not None:
                 co_frame = tuple(shear_vec(v) for v in co_frame)
 
     if m > 0:
-        mt_cols = [tuple(frac(new_mt[i][j]) for i in range(m)) for j in range(s)]
-        mt_cols = [c for c in mt_cols if any(x != 0 for x in c)]
-        if mt_cols:
-            vred, vpiv = rref(mat(mt_cols))
-            vrows = vred[:len(vpiv)]
-        else:
-            vrows, vpiv = (), ()
-
-        def project(x):
-            y = list(x)
-            for vrow, pc in zip(vrows, vpiv):
-                coef = y[pc]
-                if coef:
-                    y = [y[k] - coef * vrow[k] for k in range(m)]
-            return y
-
-        new_b = project(new_b)
-        if cmap.target.is_torus:
-            npiv = [k for k in range(m) if k not in vpiv]
-            if npiv:
-                gens = []
-                for k in range(m):
-                    e = [Fraction(0)] * m
-                    e[k] = Fraction(1)
-                    gens.append(tuple(project(e)[j] for j in npiv))
-                denom = 1
-                for g in gens:
-                    for x in g:
-                        denom = denom * x.denominator // math.gcd(denom, x.denominator)
-                gmat = [[int(g[i] * denom) for g in gens] for i in range(len(npiv))]
-                hb, _ = hermite_column(gmat)
-                hb, _ = _echelon_columns(hb, tuple(
-                    tuple(1 if i == j else 0 for j in range(len(gens)))
-                    for i in range(len(gens))))
-                pivs = _pivots_of(hb)
-                if len(pivs) != len(npiv) or [p[0] for p in pivs] != list(range(len(npiv))):
-                    raise AssertionError("translate lattice must have full rank")
-                x = [new_b[j] * denom for j in npiv]
-                for i in range(len(npiv)):
-                    d = hb[i][i]
-                    q = math.floor(x[i] / d)
-                    if q:
-                        for k2 in range(i, len(npiv)):
-                            x[k2] -= q * hb[k2][i]
-                for idx, j in enumerate(npiv):
-                    new_b[j] = x[idx] / denom
+        new_b, _ = reduce(new_b)
+        pivot_rows = {p for p, _, _, _ in pivots}
+        npiv = [k for k in range(m) if k not in pivot_rows]
+        if cmap.target.is_torus and npiv:
+            # the reduced translates Z^m hold the unit vectors of the
+            # non-pivot rows, so their Hermite form is square on those rows
+            gens = [reduce(_unit(m, k))[0] for k in range(m)]
+            denom = math.lcm(*(g[j].denominator for g in gens for j in npiv))
+            hb, _ = hermite_column([[int(g[j] * denom) for g in gens] for j in npiv])
+            x = [new_b[j] * denom for j in npiv]
+            for i in range(len(npiv)):
+                q = math.floor(x[i] / hb[i][i])
+                if q:
+                    for k in range(i, len(npiv)):
+                        x[k] -= q * hb[k][i]
+            for idx, j in enumerate(npiv):
+                new_b[j] = x[idx] / denom
 
     ccell = Cell(cell.polytope, s, frame, cell.sign).canonical()
     cmap2 = CellMap(cmap.target, new_a, new_mt, tuple(new_b))

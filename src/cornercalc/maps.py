@@ -6,8 +6,8 @@ sign.  Each builds both sides independently with fibre_product_cells and
 compares them in canonical form: as multisets of (canonical key, orientation
 sign), or, for the boundary formula, facet by facet.  A CheckReport records
 whether the identity held, how many components were compared, and whether the
-instance met the identity's preconditions (transversality, orientability,
-chart-comparable torus blocks).
+instance met the identity's preconditions (submersion, transversality,
+orientability).
 """
 
 from __future__ import annotations
@@ -138,9 +138,9 @@ def check_swap_sign_cells(cell1: Cell, map1: CellMap,
     Without torus equations the product's circle factors concatenate in
     order, so the exchange contributes an extra transposition determinant
     (-1)^(s1 s2) on top of the dimension sign.  With torus equations the
-    surviving circle coordinates are unimodular mixtures of both blocks;
-    canonical charts only track the exchange when each factor contributes
-    at most one circle, so larger wound blocks are out of scope.
+    surviving circle coordinates are unimodular mixtures of both blocks, and
+    the canonical form, which reduces modulo rational shears of the torus
+    factor, records the exchange in the frames.
     """
     if not (is_interior_submersion(cell1, map1)
             and is_interior_submersion(cell2, map2)):
@@ -150,12 +150,7 @@ def check_swap_sign_cells(cell1: Cell, map1: CellMap,
     d1, d2 = cell1.dim, cell2.dim
     s1, s2 = cell1.torus_rank, cell2.torus_rank
     predicted = -1 if ((d1 - m) * (d2 - m)) % 2 else 1
-    if _has_winding(map1, map2):
-        if min(s1, s2) >= 1 and max(s1, s2) >= 2:
-            return CheckReport(False, 0, precondition=False,
-                               details=("wound torus blocks of rank two are "
-                                        "not chart-comparable",))
-    elif (s1 * s2) % 2:
+    if not _has_winding(map1, map2) and (s1 * s2) % 2:
         predicted = -predicted
 
     fwd = fibre_product_cells(cell1, map1, cell2, map2)
@@ -184,16 +179,10 @@ def check_associativity_cells(cell1: Cell, map1: CellMap,
     """(X1 x_{Y1} X2) x_{Y2} X3 vs X1 x_{Y1} (X2 x_{Y2} X3), compared over Y1 x Y2.
 
     map2a: X2 -> Y1 pairs with map1; map2b: X2 -> Y2 pairs with map3.
-    The two nestings run the torus elimination in different orders, which
-    agrees on canonical charts only while every factor contributes at most
-    one circle; wound rank-two blocks are out of scope.
+    The two nestings run the torus elimination in different orders; their
+    circle charts differ by a unimodular change and a rational shear, which
+    the canonical form divides out.
     """
-    if (_has_winding(map1, map2a, map2b, map3)
-            and max(cell1.torus_rank, cell2.torus_rank,
-                    cell3.torus_rank) >= 2):
-        return CheckReport(False, 0, precondition=False,
-                           details=("wound torus blocks of rank two are "
-                                    "not chart-comparable",))
     lhs = []
     for z in fibre_product_cells(cell1, map1, cell2, map2a):
         if not (z.transverse and z.orientable):

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cornercalc._linalg import rank
 from cornercalc.cells import (
@@ -17,6 +17,7 @@ from cornercalc.cells import (
     MapError,
     _slice_polytope,
     canonical_cell_map,
+    canonical_form,
     canonical_key,
     cell_boundary,
     cell_orientation_equal,
@@ -446,3 +447,63 @@ def test_strong_submersion_matches_per_face_check(data):
                 for key in cell.polytope.all_face_keys())
     assert brute or not spanning
     assert is_strong_submersion(cell, cmap) == brute
+
+
+_quarters = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+
+
+@st.composite
+def wound_cell(draw):
+    """A lattice cell of dimension >= 1 times T^s, s >= 1, with a map to T^m
+    whose torus part is nonzero."""
+    n = draw(st.integers(1, 3))
+    pts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=2, max_size=n + 3,
+                        unique=True))
+    s, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    entry = st.integers(-2, 2)
+    m_t = [[draw(entry) for _ in range(s)] for _ in range(m)]
+    assume(any(any(row) for row in m_t))
+    a = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    b = [draw(_quarters) for _ in range(m)]
+    cell = Cell(Polytope.from_points(n, [list(x) for x in pts]), s, None,
+                draw(st.sampled_from((1, -1))))
+    return cell, CellMap(torus(m), a, m_t, b)
+
+
+def _sheared(cell, cmap, lam):
+    """The same cell and map in the coordinates t' = t + lam (x - v0)."""
+    n, s, m = cell.polytope.ambient_dim, cell.torus_rank, cmap.target.dim
+    v0 = cell.polytope.vertices[0]
+    ml = [[sum(cmap.m_t[i][t] * lam[t][c] for t in range(s)) for c in range(n)]
+          for i in range(m)]
+    a = [[cmap.a[i][c] - ml[i][c] for c in range(n)] for i in range(m)]
+    b = [cmap.b[i] + sum(ml[i][c] * v0[c] for c in range(n)) for i in range(m)]
+    frame = [tuple(v[:n]) + tuple(v[n + t] + sum(lam[t][c] * v[c] for c in range(n))
+                                  for t in range(s))
+             for v in cell.frame]
+    return Cell(cell.polytope, s, frame, cell.sign), CellMap(cmap.target, a, cmap.m_t, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(wound_cell(), st.lists(_quarters, min_size=6, max_size=6))
+def test_canonical_form_divides_out_rational_shears(data, entries):
+    cell, cmap = data
+    n = cell.polytope.ambient_dim
+    lam = [entries[t * n:(t + 1) * n] for t in range(cell.torus_rank)]
+    scell, smap = _sheared(cell, cmap, lam)
+    assert canonical_form(scell, smap, None)[:2] == canonical_form(cell, cmap, None)[:2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(wound_cell())
+def test_canonical_form_keeps_columns_outside_the_torus_span(data):
+    cell, cmap = data
+    m = cmap.target.dim
+    cols = [tuple(row[t] for row in cmap.m_t) for t in range(cell.torus_rank)]
+    outside = [u for u in (tuple(int(i == k) for i in range(m)) for k in range(m))
+               if rank(cols + [u]) > rank(cols)]
+    assume(outside)
+    u, d = outside[0], cell.polytope.dir_basis[0]
+    a = [[x + u[i] * dc for x, dc in zip(row, d)] for i, row in enumerate(cmap.a)]
+    moved = CellMap(cmap.target, a, cmap.m_t, cmap.b)
+    assert canonical_key(cell, moved) != canonical_key(cell, cmap)

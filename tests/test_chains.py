@@ -494,7 +494,7 @@ def test_random_generators_have_square_zero_boundary(g):
 # rewrite: any drift in canonical keys, orientation signs, coefficients or
 # term order of these boundaries changes it.
 GOLDEN_BOUNDARY_DIGEST = (
-    "1005fa848af6f4e80d3957ed958dff5d19a89f8c63df7a3a579fd8032195c54a")
+    "f23e296f193975dd77957fd4f615013174be17efa5962de71f2188ff52103910")
 
 
 def test_boundary_canonical_keys_golden_digest():

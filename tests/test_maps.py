@@ -28,6 +28,7 @@ from cornercalc.maps import (
     check_swap_sign_cells,
 )
 from cornercalc.randgen import associativity_instance, interchange_instance
+from cornercalc.suites import run_suite
 
 I = interval()
 SQ = box([(0, 1), (0, 1)])
@@ -275,21 +276,41 @@ def test_swap_sign_anonymous_circle_blocks():
     assert rep.precondition and rep.ok
 
 
-def test_swap_sign_wound_rank_two_out_of_scope():
+def test_swap_sign_wound_rank_two():
+    # the surviving circle mixes both wound blocks
     m1 = CellMap(torus(1), [()], [[1]], [0])
     m2 = CellMap(torus(1), [()], [[1, 1]], [0])
     rep = check_swap_sign_cells(_pt_cell(1), m1, _pt_cell(2), m2)
-    assert not rep.precondition
+    assert rep.precondition and rep.ok and rep.checked >= 1
+    rep = check_swap_sign_cells(_pt_cell(1), m1, _pt_cell(2, sign=-1), m2)
+    assert rep.precondition and rep.ok and rep.checked >= 1
+    # (dim X1 - 1)(dim X2 - 1) = 0 and the blocks are wound: the sign is +1
+    fwd = fibre_product_cells(_pt_cell(1), m1, _pt_cell(2), m2)
+    bwd = fibre_product_cells(_pt_cell(2), m2, _pt_cell(1), m1)
+    lhs = [(c.cell, c.pmap) for c in fwd]
+    rhs = [(c.cell, c.pmap) for c in bwd]
+    assert _compare_signed_families(lhs, rhs, 1).ok
+    rep = _compare_signed_families(lhs, rhs, -1)
+    assert rep == CheckReport(False, 0, details=("orientation sign mismatch",))
 
 
-def test_associativity_wound_rank_two_out_of_scope():
+def test_associativity_wound_rank_two():
     pm = CellMap(POINT, (), (), ())
     m2b = CellMap(torus(1), [()], [[1, 0]], [0])
     m3 = CellMap(torus(1), [()], [[1]], [0])
     rep = check_associativity_cells(_pt_cell(1), pm,
                                     _pt_cell(2), pm, m2b,
                                     _pt_cell(1), m3)
-    assert not rep.precondition
+    assert rep.precondition and rep.ok and rep.checked >= 1
+
+
+def test_swap_suite_over_the_circle():
+    # seed 0 draws wound circles whose two sides' charts differ by a
+    # non-integral rational shear, which an integer-shear reduction keeps apart
+    result = run_suite("swap", seed=0, count=200)
+    circle = [r for r in result.records if r.name.endswith("over the circle")]
+    assert len(circle) == 1
+    assert circle[0].ok, circle[0].details
 
 
 def test_compare_signed_families_counts_multiplicity():
