@@ -304,7 +304,13 @@ def canonical_frame(frame: Sequence[Vec]) -> tuple[tuple[Vec, ...], int]:
 # ---------------------------------------------------------------------------
 
 def lp_feasible(a: Mat, b: Vec) -> bool:
-    """Phase-1 simplex with Bland's rule, all arithmetic exact."""
+    """Phase-1 simplex with Bland's rule, all arithmetic exact.
+
+    The library itself uses no LP: extreme points and membership are read
+    off the vertex-facet incidence (geometry).  This stays as the tests'
+    independent reference for hull membership, and as a traced name of the
+    benchmark.
+    """
     m = len(a)
     if m == 0:
         return True

@@ -21,6 +21,11 @@ face keys are built only when a face is handed out.  A point of the polytope
 has one tight-facet mask, a bitmask over the facets; the minimal face holding
 some points is the meet of the facets tight on all of them, so fibre-product
 face pairs (cells) are read off one tight-facet mask per slice vertex.
+
+No LP is solved.  The extreme points of a point set are read off the
+incidence of the point set itself: a point is extreme when the facets tight
+at it meet in that point alone.  Membership is the H-representation, the
+affine hull's equations and the facet inequalities, tested exactly.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ from ._linalg import (
     frac,
     independent_subset,
     kernel_basis,
-    lp_feasible,
     mat,
     matvec,
     rref,
@@ -268,37 +272,31 @@ class Polytope:
     """Convex hull of finitely many exact rational points, stored by extreme points.
 
     The constructor insists that the given vertices are exactly the extreme
-    points; use from_points to hull an arbitrary finite point set.
+    points; use from_points to hull an arbitrary finite point set.  Both
+    read extremality off the vertex-facet incidence of the given points, and
+    contains tests the H-representation; no LP is used.
     """
 
     ambient_dim: int
     vertices: tuple[Vec, ...]
 
     def __init__(self, ambient_dim: int, vertices: Iterable[Iterable], _trusted: bool = False):
-        vs = _sorted_vertices(vertices)
-        if not vs:
-            raise GeometryError("polytope needs at least one vertex")
-        if any(len(v) != ambient_dim for v in vs):
-            raise GeometryError("vertex dimension does not match ambient_dim")
+        vs = _checked_points(ambient_dim, vertices, "vertex")
         if len(set(vs)) != len(vs):
             raise GeometryError("duplicate vertices")
         if not _trusted:
-            for i, v in enumerate(vs):
-                others = vs[:i] + vs[i + 1:]
-                if others and _in_hull(others, v):
+            extreme = set(_extreme_points(ambient_dim, vs))
+            for v in vs:
+                if v not in extreme:
                     raise GeometryError(f"vertex {v} is not an extreme point")
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "vertices", vs)
 
     @staticmethod
     def from_points(ambient_dim: int, points: Iterable[Iterable]) -> "Polytope":
-        pts = _sorted_vertices(points)
-        if not pts:
-            raise GeometryError("polytope needs at least one point")
+        pts = _checked_points(ambient_dim, points, "point")
         uniq = tuple(dict.fromkeys(pts))
-        extreme = [p for i, p in enumerate(uniq)
-                   if not _in_hull(uniq[:i] + uniq[i + 1:], p)]
-        return Polytope(ambient_dim, extreme, _trusted=True)
+        return Polytope(ambient_dim, _extreme_points(ambient_dim, uniq), _trusted=True)
 
     # -- cached shared data --------------------------------------------------
 
@@ -366,7 +364,9 @@ class Polytope:
         return self._fd.key(self._fd.meet(bits))
 
     def contains(self, point: Sequence) -> bool:
-        return _in_hull(self.vertices, self._point(point))
+        p = self._point(point)
+        return (all(dot(e, p) == c for e, c in self.affine_hull_equations())
+                and all(dot(f, p) <= c for f, c, _ in self.facet_inequalities()))
 
     def _point(self, point: Sequence) -> Vec:
         p = vec(point)
@@ -416,15 +416,33 @@ class Polytope:
         return sum((-1) ** d * len(keys) for d, keys in self.faces().items())
 
 
-def _in_hull(points: Sequence[Vec], p: Vec) -> bool:
-    """Exact membership p in conv(points) via LP feasibility."""
-    if not points:
-        return False
-    n = len(points)
-    dim = len(p)
-    a = mat([[points[j][i] for j in range(n)] for i in range(dim)] + [[1] * n])
-    b = vec(list(p) + [1])
-    return lp_feasible(a, b)
+def _checked_points(ambient_dim: int, points: Iterable[Iterable], what: str) -> tuple[Vec, ...]:
+    """The points sorted, checked to be nonempty and of length ambient_dim."""
+    pts = _sorted_vertices(points)
+    if not pts:
+        raise GeometryError(f"polytope needs at least one {what}")
+    if any(len(p) != ambient_dim for p in pts):
+        raise GeometryError("vertex dimension does not match ambient_dim")
+    return pts
+
+
+def _extreme_points(ambient_dim: int, points: tuple[Vec, ...]) -> tuple[Vec, ...]:
+    """The extreme points among distinct sorted points, in their order.
+
+    The points' own face data gives every facet of their hull with the
+    points on it, by one polar double description.  A point is extreme
+    exactly when the meet of the facets tight at it is that point alone: a
+    vertex's minimal face is itself, and any other point's minimal face has
+    dimension at least one and holds at least two of the points.
+    """
+    fd = _face_data(ambient_dim, points)
+    fd.facets()
+    extreme = []
+    for i, p in enumerate(points):
+        tight = sum(1 << j for j, mask in enumerate(fd.facet_masks) if mask >> i & 1)
+        if fd.meet(tight) == 1 << i:
+            extreme.append(p)
+    return tuple(extreme)
 
 
 def corner_type(p: Polytope, key: FaceKey) -> str:

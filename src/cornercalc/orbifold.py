@@ -215,8 +215,9 @@ class GroupAction:
     """A finite group acting affinely on a disjoint union of polytopes.
 
     Every element must send each component onto a component, carrying the
-    vertex set bijectively; the assignment is verified to be a homomorphism
-    by evaluating on vertices.
+    vertex set bijectively.  Each element's maps are applied to each
+    component's vertices once, giving a table of vertex permutations; the
+    homomorphism law a.(b.v) = (ab).v is checked on those tables.
     """
 
     __slots__ = ("group", "spaces", "maps")
@@ -255,19 +256,25 @@ class GroupAction:
 
     def _validate(self) -> None:
         grp = self.group
+        index = [{v: k for k, v in enumerate(sp.vertices)} for sp in self.spaces]
+        perms = {}
         for g, entries in self.maps.items():
             targets = [e.target for e in entries]
             if sorted(targets) != list(range(len(self.spaces))):
                 raise OrbifoldError("components must be permuted")
+            perms[g] = []
             for i, e in enumerate(entries):
                 src, dst = self.spaces[i], self.spaces[e.target]
                 if len(e.matrix) != dst.ambient_dim or any(
                         len(row) != src.ambient_dim for row in e.matrix):
                     raise OrbifoldError("affine map shape mismatch")
-                image = {e.apply(v) for v in src.vertices}
-                if image != set(dst.vertices):
+                image = tuple(index[e.target].get(e.apply(v)) for v in src.vertices)
+                if set(image) != set(range(len(dst.vertices))):
                     raise OrbifoldError(
                         f"element {g!r} does not permute the vertex set")
+                perms[g].append(image)
+        # b.v is vertex k of component eb.target, so a.(b.v) is entry k of
+        # a's table there; both sides are vertices of component ea.target.
         for a in grp.elements:
             for b in grp.elements:
                 ab = grp.mul(a, b)
@@ -277,9 +284,9 @@ class GroupAction:
                     eab = self.maps[ab][i]
                     if ea.target != eab.target:
                         raise OrbifoldError("action is not a homomorphism")
-                    for v in self.spaces[i].vertices:
-                        if ea.apply(eb.apply(v)) != eab.apply(v):
-                            raise OrbifoldError("action is not a homomorphism")
+                    pa = perms[a][eb.target]
+                    if tuple(pa[k] for k in perms[b][i]) != perms[ab][i]:
+                        raise OrbifoldError("action is not a homomorphism")
 
     @property
     def single(self) -> Polytope:

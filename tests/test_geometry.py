@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -11,7 +12,7 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import ConvexHull
 
-from cornercalc._linalg import rank, solve
+from cornercalc._linalg import lp_feasible, mat, rank, solve, vec
 from cornercalc.bordism import oriented_match
 from cornercalc.cells import (
     POINT,
@@ -65,6 +66,11 @@ def test_vertex_validation():
         Polytope(1, [[0], [1], ["1/2"]])      # interior point is not extreme
     with pytest.raises(GeometryError):
         Polytope(2, [[0], [1]])               # wrong coordinate length
+    for bad in ([[0], [1]], [[0, 0], [1]]):   # short points, ragged points
+        with pytest.raises(GeometryError, match="ambient_dim"):
+            Polytope.from_points(2, bad)
+        with pytest.raises(GeometryError, match="ambient_dim"):
+            Polytope(2, bad)
 
 
 def test_from_points_drops_non_extreme():
@@ -98,6 +104,62 @@ def test_extreme_points_match_scipy_on_random_clouds():
         mine = Polytope.from_points(dim, uniq)
         oracle = sorted(tuple(Fraction(int(x)) for x in arr[i]) for i in hull.vertices)
         assert list(mine.vertices) == oracle
+
+
+def _lp_in_hull(points, p):
+    """Reference membership of p in conv(points): exact phase-1 LP feasibility."""
+    if not points:
+        return False
+    a = mat([[q[i] for q in points] for i in range(len(p))] + [[1] * len(points)])
+    return lp_feasible(a, vec(list(p) + [1]))
+
+
+@st.composite
+def flat_cloud(draw):
+    """Integer points base + sum c_j g_j in R^n spanning at most k <= n directions.
+
+    Covers single points, repeated points, collinear points and coplanar
+    points in R^3 as well as full-dimensional clouds.
+    """
+    n = draw(st.integers(0, 4))
+    k = draw(st.integers(0, min(n, 3)))
+    coord = st.integers(-2, 2)
+    base = draw(st.tuples(*[coord] * n))
+    gens = draw(st.lists(st.tuples(*[coord] * n), min_size=k, max_size=k))
+    coeffs = draw(st.lists(st.tuples(*[coord] * k), min_size=1, max_size=7))
+    pts = [tuple(b + sum(c * g[i] for c, g in zip(cs, gens)) for i, b in enumerate(base))
+           for cs in coeffs]
+    pts += draw(st.lists(st.sampled_from(pts), max_size=2))      # repeats
+    return n, [list(p) for p in pts]
+
+
+@settings(max_examples=120, deadline=None)
+@given(flat_cloud())
+def test_extremality_and_membership_match_lp(cloud):
+    """Extreme points and contains against the LP: a point is extreme exactly
+    when it is not in the hull of the other distinct points."""
+    n, pts = cloud
+    uniq = sorted({tuple(Fraction(x) for x in p) for p in pts})
+    oracle = [p for i, p in enumerate(uniq) if not _lp_in_hull(uniq[:i] + uniq[i + 1:], p)]
+    poly = Polytope.from_points(n, pts)
+    assert list(poly.vertices) == oracle
+    if oracle == uniq:
+        assert Polytope(n, uniq).vertices == tuple(uniq)
+    else:
+        first = next(p for p in uniq if p not in oracle)
+        with pytest.raises(GeometryError, match=f"vertex {re.escape(str(first))} is not"):
+            Polytope(n, uniq)
+    bary = poly.barycenter()
+    probes = list(poly.vertices) + [bary]
+    for key, outward in poly.facets():
+        mid = tuple(sum(v[j] for v in key) / len(key) for j in range(n))
+        probes += [mid, tuple(m + x / 7 for m, x in zip(mid, outward))]
+    for v in poly.vertices:
+        probes.append(tuple(x + (x - b) / 5 for x, b in zip(v, bary)))  # just outside
+        for e, _ in poly.affine_hull_equations():
+            probes.append(tuple(x + y / 3 for x, y in zip(v, e)))        # off the hull
+    for q in probes:
+        assert poly.contains(q) == _lp_in_hull(poly.vertices, q), q
 
 
 def test_cube_and_simplex_counts():

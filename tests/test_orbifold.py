@@ -29,6 +29,7 @@ from cornercalc.orbifold import (
     symmetric_group,
     zero_rep,
 )
+from cornercalc.suites import _strata_cases
 
 
 def perm_matrix(p):
@@ -158,6 +159,42 @@ def test_action_validates_homomorphism():
             "r0": [(0, [[1]], [0]), (1, [[1]], [0])],
             "r1": [(1, [[1]], [3]), (0, [[-1]], [4])],
         })
+
+
+def test_action_law_fails_although_every_element_permutes():
+    # r2 given r1's matrix: each map permutes the hexagon, r1.r1 != r2
+    hexa = hexagon_action().single
+    m = [[0, -1], [1, -1]]
+    with pytest.raises(OrbifoldError, match="not a homomorphism"):
+        GroupAction(Z3, hexa, {
+            "r0": ([[1, 0], [0, 1]], [0, 0]),
+            "r1": (m, [0, 0]),
+            "r2": (m, [0, 0]),
+        })
+
+
+def test_action_law_is_read_in_the_image_component():
+    # r1 swaps two unit squares; the way back mirrors the first coordinate,
+    # so r1.(r1.v) is v's mirror image in its own square, not v
+    comps = (box([(0, 1), (0, 1)]), box([(3, 4), (0, 1)]))
+    eye = [[1, 0], [0, 1]]
+    mirror = [[-1, 0], [0, 1]]
+    with pytest.raises(OrbifoldError, match="not a homomorphism"):
+        GroupAction(Z2, comps, {
+            "r0": [(0, eye, [0, 0]), (1, eye, [0, 0])],
+            "r1": [(1, eye, [3, 0]), (0, mirror, [4, 0])],
+        })
+    act = GroupAction(Z2, comps, {
+        "r0": [(0, eye, [0, 0]), (1, eye, [0, 0])],
+        "r1": [(1, mirror, [4, 0]), (0, mirror, [4, 0])],
+    })
+    assert act.apply("r1", [0, 1]) == (1, (4, 1))
+
+
+def test_strata_case_actions_construct():
+    cases = _strata_cases()
+    assert len(cases) == 13
+    assert all(isinstance(act, GroupAction) for _, act, _, _ in cases)
 
 
 def test_stabilizer_points():
