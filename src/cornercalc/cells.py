@@ -14,14 +14,16 @@ Fibre products are computed exactly: the torus part by Hermite normal form and
 coset enumeration, the polytope part by slicing the product polytope with the
 resulting affine equations and enumerating basic feasible solutions.
 
-Orientation conventions.  For oriented operands the fibre product is oriented by
-lifting the first factor's frame and appending the kernel frame of the second
-map's differential, the kernel oriented so that (lifts of the target frame,
-kernel frame) matches the second factor; if only the first map is a submersion
-the mirror recipe (kernel of the first map in front, lifted second frame behind)
-is used.  Both agree with the convention T(Z) = Ker df1 + TY + Ker df2 when both
-maps are submersions.  Coorientations are frames of Ker df with a sign; the
-correspondence with orientations reads TX = f*(TY) + Ker df, target first.
+Orientation conventions.  Coorientations are frames of Ker df with a sign, and
+one dictionary relates them to orientations: TX = f*(TY) + Ker df, target
+first (kernel_coorientation one way, orientation_from_coorientation the
+other).  A fibre product has one frame rule: a cooriented factor contributes
+its kernel frame, an oriented factor its own frame lifted through the other
+map, factor 1 first, with the product of the factors' signs; with both
+factors cooriented the result is the cup coorientation.  Oriented operands
+first coorient the second map by the dictionary, or, if only the first map
+is a submersion, the first map with its kernel in front.  This agrees with
+T(Z) = Ker df1 + TY + Ker df2 when both maps are submersions.
 """
 
 from __future__ import annotations
@@ -114,6 +116,12 @@ def torus(m: int) -> Target:
 
 def _unit(n: int, i: int) -> Vec:
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
+
+
+def _in_ambient(basis: Mat, coords: Vec, ambient: int) -> Vec:
+    """The vector with these coordinates on the basis, in ambient coordinates."""
+    return tuple(sum(c * basis[i][j] for i, c in enumerate(coords))
+                 for j in range(ambient))
 
 
 def default_frame(polytope: Polytope, torus_rank: int) -> Mat:
@@ -235,18 +243,18 @@ class CellMap:
 
     def differential_on(self, cell: Cell) -> Mat:
         """Matrix of the differential on cell.tangent_basis(), shape m x (dim cell)."""
-        basis = cell.tangent_basis()
         n = cell.polytope.ambient_dim
-        cols = []
-        for v in basis:
-            p_part, t_part = v[:n], v[n:]
-            col = []
-            for i in range(self.target.dim):
-                x = sum(self.a[i][j] * p_part[j] for j in range(n))
-                x += sum(frac(self.m_t[i][j]) * t_part[j] for j in range(len(t_part)))
-                col.append(x)
-            cols.append(tuple(col))
+        cols = [_differential_vec(self, n, v) for v in cell.tangent_basis()]
         return transpose(mat(cols)) if cols else tuple(() for _ in range(self.target.dim))
+
+
+def _differential_vec(cmap: CellMap, n: int, v: Vec) -> Vec:
+    """d(cmap) applied to v in R^(n+s), polytope part first."""
+    p_part, t_part = v[:n], v[n:]
+    return tuple(
+        sum(cmap.a[i][j] * p_part[j] for j in range(n))
+        + sum(frac(cmap.m_t[i][j]) * t_part[j] for j in range(len(t_part)))
+        for i in range(cmap.target.dim))
 
 
 def constant_map(target: Target, n: int, s: int, value: Iterable = None) -> CellMap:
@@ -359,10 +367,7 @@ def validate_coorientation(cell: Cell, cmap: CellMap, co: Coorientation) -> None
         raise MapError("coorientation vector has wrong length")
 
     def in_kernel(v):
-        p_part, t_part = v[:n], v[n:]
-        return all(sum(cmap.a[i][j] * p_part[j] for j in range(n))
-                   + sum(frac(cmap.m_t[i][j]) * t_part[j] for j in range(len(t_part))) == 0
-                   for i in range(cmap.target.dim))
+        return not any(_differential_vec(cmap, n, v))
 
     # The first failing vector names the fault, tangent space before kernel.
     bad = next((k for k, v in enumerate(co.frame) if not in_kernel(v)), len(co.frame))
@@ -373,8 +378,24 @@ def validate_coorientation(cell: Cell, cmap: CellMap, co: Coorientation) -> None
         raise MapError("coorientation vector not in the kernel of the differential")
 
 
+def _target_lifts(tb: Mat, dmat: Mat, ambient: int) -> list[Vec]:
+    """Ambient vectors w_i with df(w_i) = e_i, solved on the tangent basis tb."""
+    m = len(dmat)
+    lifts = []
+    for i in range(m):
+        w = solve(dmat, _unit(m, i))
+        if w is None:
+            raise FibreProductError("map is not an interior submersion")
+        lifts.append(_in_ambient(tb, w, ambient))
+    return lifts
+
+
 def kernel_coorientation(cell: Cell, cmap: CellMap) -> Coorientation:
-    """Kernel frame oriented by the second-factor rule TX = (lifts of TY) + Ker."""
+    """The coorientation matching the cell's orientation: TX = f*(TY) + Ker df.
+
+    The kernel frame is oriented so that (lifts of the target frame, kernel
+    frame) matches the cell; the inverse of orientation_from_coorientation.
+    """
     tb = cell.tangent_basis()
     dmat = cmap.differential_on(cell)
     m = cmap.target.dim
@@ -382,22 +403,15 @@ def kernel_coorientation(cell: Cell, cmap: CellMap) -> Coorientation:
         _unit(cell.dim, i) for i in range(cell.dim))
     if len(kb) != cell.dim - m:
         raise FibreProductError("map is not an interior submersion")
-    lifts = []
-    for i in range(m):
-        w = solve(dmat, _unit(m, i))
-        if w is None:
-            raise FibreProductError("map is not an interior submersion")
-        lifts.append(w)
-    def to_ambient(coords):
-        return tuple(sum(c * tb[i][j] for i, c in enumerate(coords))
-                     for j in range(cell.ambient))
-    frame_vs = [to_ambient(w) for w in lifts] + [to_ambient(k) for k in kb]
+    lifts = _target_lifts(tb, dmat, cell.ambient)
+    kframe = tuple(_in_ambient(tb, k, cell.ambient) for k in kb)
+    frame_vs = lifts + list(kframe)
     if frame_vs:
         d = change_of_basis_det(frame_vs, cell.frame)
         eps = (1 if d > 0 else -1) * cell.sign
     else:
         eps = cell.sign
-    return Coorientation(tuple(to_ambient(k) for k in kb), eps)
+    return Coorientation(kframe, eps)
 
 
 def first_factor_kernel(cell: Cell, cmap: CellMap) -> Coorientation:
@@ -411,35 +425,9 @@ def first_factor_kernel(cell: Cell, cmap: CellMap) -> Coorientation:
 
 def orientation_from_coorientation(cell: Cell, cmap: CellMap, co: Coorientation) -> Cell:
     """Orient the cell by TX = f*(TY) + Ker df, using the target's standard frame."""
-    tb = cell.tangent_basis()
-    dmat = cmap.differential_on(cell)
-    m = cmap.target.dim
-    lifts = []
-    for i in range(m):
-        w = solve(dmat, _unit(m, i))
-        if w is None:
-            raise FibreProductError("map is not an interior submersion")
-        lifts.append(tuple(sum(c * tb[k][j] for k, c in enumerate(w))
-                           for j in range(cell.ambient)))
+    lifts = _target_lifts(cell.tangent_basis(), cmap.differential_on(cell), cell.ambient)
     frame_vs = tuple(lifts) + tuple(co.frame)
     return Cell(cell.polytope, cell.torus_rank, frame_vs, co.sign).canonical()
-
-
-def coorientation_from_orientation(cell: Cell, cmap: CellMap) -> Coorientation:
-    """Inverse of orientation_from_coorientation for an oriented cell."""
-    tb = cell.tangent_basis()
-    dmat = cmap.differential_on(cell)
-    m = cmap.target.dim
-    kb = kernel_basis(dmat)
-    if len(kb) != cell.dim - m:
-        raise FibreProductError("map is not an interior submersion")
-    def to_ambient(coords):
-        return tuple(sum(c * tb[i][j] for i, c in enumerate(coords))
-                     for j in range(cell.ambient))
-    kframe = tuple(to_ambient(k) for k in kb)
-    probe = orientation_from_coorientation(cell, cmap, Coorientation(kframe, 1))
-    s = cell_orientation_equal(probe, cell)
-    return Coorientation(kframe, s)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +472,7 @@ def restrict_coorientation(cell: Cell, cmap: CellMap, co: Coorientation,
     d = change_of_basis_det(cand, oriented.frame)
     sgn = (1 if d > 0 else -1) * oriented.sign
     facet_oriented = Cell(bc.cell.polytope, bc.cell.torus_rank, bc.cell.frame, sgn)
-    return coorientation_from_orientation(facet_oriented, cmap)
+    return kernel_coorientation(facet_oriented, cmap)
 
 
 # ---------------------------------------------------------------------------
@@ -582,24 +570,19 @@ class FibreComponent:
         return self._compose(g, n1, s1, s1 + s2)
 
 
-def _differential_vec(cmap: CellMap, n: int, v: Vec) -> Vec:
-    p_part, t_part = v[:n], v[n:]
-    return tuple(
-        sum(cmap.a[i][j] * p_part[j] for j in range(n))
-        + sum(frac(cmap.m_t[i][j]) * t_part[j] for j in range(len(t_part)))
-        for i in range(cmap.target.dim))
-
-
 def fibre_product_cells(cell1: Cell, map1: CellMap, cell2: Cell, map2: CellMap, *,
                         coorient1: Optional[Coorientation] = None,
                         coorient2: Optional[Coorientation] = None,
                         ) -> list[FibreComponent]:
     """All components of the fibre product of two cells over a shared target.
 
-    Orientation mode depends on which coorientations are supplied:
-    none (oriented operands, kernel recipe on whichever map is an interior
-    submersion, preferring the second), coorient2 only (first operand oriented),
-    coorient1 only (mirror), or both (result carries a coorientation).
+    A cooriented factor contributes its kernel frame, an oriented factor its
+    own frame lifted through the other map; factor 1's vectors come first and
+    the sign is the product of the factors' signs.  With both coorientations
+    supplied the result is the cup coorientation of the projection, otherwise
+    an orientation of the component.  Oriented operands are first given the
+    coorientation kernel_coorientation(cell2, map2), or first_factor_kernel
+    (cell1, map1) when only map1 is an interior submersion.
     """
     if map1.target != map2.target:
         raise FibreProductError("fibre product needs a common target")
@@ -614,15 +597,11 @@ def fibre_product_cells(cell1: Cell, map1: CellMap, cell2: Cell, map2: CellMap, 
         validate_coorientation(cell1, map1, coorient1)
     if coorient2 is not None:
         validate_coorientation(cell2, map2, coorient2)
-    mode = ("cup" if coorient1 is not None and coorient2 is not None
-            else "cap" if coorient2 is not None
-            else "cap_mirror" if coorient1 is not None
-            else "oriented")
-    if mode == "oriented":
+    if coorient1 is None and coorient2 is None:
         if is_interior_submersion(cell2, map2):
-            side = 2
+            coorient2 = kernel_coorientation(cell2, map2)
         elif is_interior_submersion(cell1, map1):
-            side = 1
+            coorient1 = first_factor_kernel(cell1, map1)
         else:
             raise FibreProductError("neither map is an interior submersion")
 
@@ -706,8 +685,7 @@ def fibre_product_cells(cell1: Cell, map1: CellMap, cell2: Cell, map2: CellMap, 
             comp = _build_component(
                 cell1, map1, cell2, map2, poly, s_z, u, rho,
                 tau_rows, tau_consts, tuple(int(x) for x in lam_full),
-                expected_dim, mode, side if mode == "oriented" else 0,
-                coorient1, coorient2)
+                expected_dim, coorient1, coorient2)
             components.append(comp)
 
     components.sort(key=lambda fc: (fc.cell.polytope.vertices, fc.translate))
@@ -715,7 +693,7 @@ def fibre_product_cells(cell1: Cell, map1: CellMap, cell2: Cell, map2: CellMap, 
 
 
 def _build_component(cell1, map1, cell2, map2, poly, s_z, u, rho,
-                     tau_rows, tau_consts, translate, expected_dim, mode, side,
+                     tau_rows, tau_consts, translate, expected_dim,
                      coorient1, coorient2) -> FibreComponent:
     n1, s1 = cell1.polytope.ambient_dim, cell1.torus_rank
     n2, s2 = cell2.polytope.ambient_dim, cell2.torus_rank
@@ -804,129 +782,59 @@ def _build_component(cell1, map1, cell2, map2, poly, s_z, u, rho,
         return (tuple(u_dir[:n1]) + tuple(dt[:s1])
                 + tuple(u_dir[n1:]) + tuple(dt[s1:]))
 
-    dirb = poly.dir_basis
-    j_cols = [j_column(d, None) for d in dirb] + [j_column(None, i) for i in range(s_z)]
+    j_cols = [j_column(d, None) for d in poly.dir_basis]
+    j_cols += [j_column(None, i) for i in range(s_z)]
     j_mat = transpose(mat(j_cols)) if j_cols else tuple(
         () for _ in range(n1 + s1 + n2 + s2))
-    dim_z = poly.dim + s_z
-
-    def pull_back(v):
-        if not j_cols:
-            return None if any(x != 0 for x in v) else ()
-        x = solve(j_mat, v)
-        return x
-
-    def to_ambient(x):
-        p_part = [Fraction(0)] * n
-        for i, c in enumerate(x[:poly.dim]):
-            p_part = [p_part[j] + c * dirb[i][j] for j in range(n)]
-        return tuple(p_part) + tuple(x[poly.dim:])
 
     def assemble(vectors_t1t2):
         out = []
         for v in vectors_t1t2:
-            x = pull_back(v)
-            if x is None or len(x) != dim_z:
-                return None
-            out.append(to_ambient(x))
-        return out
+            x = solve(j_mat, v)
+            if x is None:
+                raise FibreProductError("frame vector not tangent to the component")
+            out.append(_in_ambient(poly.dir_basis, x[:poly.dim], n) + x[poly.dim:])
+        return tuple(out)
 
-    def lift_through(cellk, mapk, other_map, other_n, v):
-        """w in T(cellk) with dmapk(w) = d(other_map)(v); None if impossible."""
-        if m == 0:
-            return (Fraction(0),) * cellk.ambient
-        dmat = mapk.differential_on(cellk)
-        rhs = _differential_vec(other_map, other_n, v)
-        w = solve(dmat, rhs)
-        if w is None:
-            return None
-        tb = cellk.tangent_basis()
-        return tuple(sum(w[i] * tb[i][j] for i in range(len(tb)))
-                     for j in range(cellk.ambient))
+    def lift_through(cellk, mapk, other_map, other_n, frame):
+        """For each v in frame, w in T(cellk) with dmapk(w) = d(other_map)(v)."""
+        tb, dmat = cellk.tangent_basis(), mapk.differential_on(cellk)
+        out = []
+        for v in frame:
+            w = solve(dmat, _differential_vec(other_map, other_n, v))
+            if w is None:
+                raise FibreProductError("frame vector does not lift through the map")
+            out.append(_in_ambient(tb, w, cellk.ambient))
+        return out
 
     zero1 = (Fraction(0),) * (n1 + s1)
     zero2 = (Fraction(0),) * (n2 + s2)
-
-    orientable = True
     coorientation = None
-    frame = None
-    sign = 1
     try:
-        if mode == "oriented" and side == 2:
-            kappa = kernel_coorientation(cell2, map2)
-            vecs = []
-            for v in cell1.frame:
-                w = lift_through(cell2, map2, map1, n1, v)
-                if w is None:
-                    raise FibreProductError("lift failed")
-                vecs.append(tuple(v) + tuple(w))
-            vecs += [zero1 + tuple(k) for k in kappa.frame]
-            frame = assemble(vecs)
-            sign = cell1.sign * kappa.sign
-        elif mode == "oriented":
-            kappa = first_factor_kernel(cell1, map1)
-            vecs = [tuple(k) + zero2 for k in kappa.frame]
-            for v in cell2.frame:
-                w = lift_through(cell1, map1, map2, n2, v)
-                if w is None:
-                    raise FibreProductError("lift failed")
-                vecs.append(tuple(w) + tuple(v))
-            frame = assemble(vecs)
-            sign = kappa.sign * cell2.sign
-        elif mode == "cap":
-            vecs = []
-            for v in cell1.frame:
-                w = lift_through(cell2, map2, map1, n1, v)
-                if w is None:
-                    raise FibreProductError("lift failed")
-                vecs.append(tuple(v) + tuple(w))
-            vecs += [zero1 + tuple(k) for k in coorient2.frame]
-            frame = assemble(vecs)
-            sign = cell1.sign * coorient2.sign
-        elif mode == "cap_mirror":
+        if coorient1 is not None:
             vecs = [tuple(k) + zero2 for k in coorient1.frame]
-            for v in cell2.frame:
-                w = lift_through(cell1, map1, map2, n2, v)
-                if w is None:
-                    raise FibreProductError("lift failed")
-                vecs.append(tuple(w) + tuple(v))
-            frame = assemble(vecs)
-            sign = coorient1.sign * cell2.sign
-        else:  # cup
-            vecs = [tuple(k) + zero2 for k in coorient1.frame]
+        else:
+            lifts = lift_through(cell2, map2, map1, n1, cell1.frame)
+            vecs = [tuple(v) + w for v, w in zip(cell1.frame, lifts)]
+        if coorient2 is not None:
             vecs += [zero1 + tuple(k) for k in coorient2.frame]
-            co_frame = assemble(vecs)
-            if co_frame is None or len(co_frame) != dim_z - m:
-                raise FibreProductError("coorientation assembly failed")
-            coorientation = Coorientation(tuple(co_frame),
-                                          coorient1.sign * coorient2.sign)
-            frame = None
-    except FibreProductError:
-        orientable = False
-        frame = None
-        if mode == "cup":
-            coorientation = None
-
-    if mode != "cup" and (frame is None or len(frame) != dim_z):
-        orientable = False
-        cell = Cell(poly, s_z)
-    elif mode == "cup":
-        cell = Cell(poly, s_z)
-        if coorientation is not None:
-            try:
-                validate_coorientation(cell, pmap, coorientation)
-            except MapError:
-                coorientation = None
-                orientable = False
-    else:
-        try:
-            cell = Cell(poly, s_z, tuple(frame), sign)
-        except GeometryError:
-            orientable = False
+        else:
+            lifts = lift_through(cell1, map1, map2, n2, cell2.frame)
+            vecs += [w + tuple(v) for v, w in zip(cell2.frame, lifts)]
+        frame = assemble(vecs)
+        sign = ((cell1 if coorient1 is None else coorient1).sign
+                * (cell2 if coorient2 is None else coorient2).sign)
+        if coorient1 is not None and coorient2 is not None:
             cell = Cell(poly, s_z)
-
-    if not transverse and mode != "cup" and not orientable:
-        cell = Cell(poly, s_z)
+            coorientation = Coorientation(frame, sign)
+            validate_coorientation(cell, pmap, coorientation)
+        else:
+            cell = Cell(poly, s_z, frame, sign)
+        orientable = True
+    except (FibreProductError, GeometryError, MapError):
+        # a frame vector that does not lift or is not tangent, or a frame
+        # that is not a basis, leaves the component unoriented
+        cell, coorientation, orientable = Cell(poly, s_z), None, False
 
     return FibreComponent(
         cell=cell, pmap=pmap, translate=translate,

@@ -152,11 +152,6 @@ class Tag:
         return f"Tag({len(self.labels)} faces)"
 
 
-def _cell_face_keys(cell: Cell) -> list:
-    faces = cell.polytope.faces()
-    return [key for _, keys in sorted(faces.items()) for key in keys]
-
-
 def pair_tags(tag1: Tag, tag2: Tag, face_pairs: Mapping[FaceKey, tuple]) -> Tag:
     """Tag a fibre product: each face inherits the merged labels of its pair.
 
@@ -216,7 +211,7 @@ class Generator:
         if m > 0 and (cmap.n_cols != cell.polytope.ambient_dim
                       or cmap.s_cols != cell.torus_rank):
             raise ChainError("map shape does not match the cell")
-        keys = _cell_face_keys(cell)
+        keys = cell.polytope.all_face_keys()
         if set(tag.face_keys) != set(tuple(k) for k in keys):
             raise TagError("tag must label exactly the faces of the cell")
         if coorientation is not None:
@@ -239,7 +234,7 @@ class Generator:
 
     @staticmethod
     def _validate_marker(cell: Cell, tag: Tag, marker: QuotientMarker):
-        keys = {tuple(k) for k in _cell_face_keys(cell)}
+        keys = {tuple(k) for k in cell.polytope.all_face_keys()}
         seen = set()
         orbit_labels = []
         for orbit in marker.orbits:
@@ -456,7 +451,7 @@ def generator_boundary(gen: Generator) -> list:
     out = []
     marker = gen.quotient
     for bc in cell_boundary(gen.cell):
-        sub_keys = _cell_face_keys(Cell(bc.cell.polytope, 0))
+        sub_keys = bc.cell.polytope.all_face_keys()
         if marker is None:
             tag = gen.tag.restrict(sub_keys)
         else:
@@ -509,7 +504,7 @@ def corner_terms(gen: Generator) -> list[CornerTerm]:
     p = gen.cell.polytope
     facet_keys = [key for key, _ in p.facets()]
     for bc1 in cell_boundary(gen.cell):
-        sub_keys = _cell_face_keys(Cell(bc1.cell.polytope, 0))
+        sub_keys = bc1.cell.polytope.all_face_keys()
         tag1 = gen.tag.restrict(sub_keys)
         for bc2 in cell_boundary(bc1.cell):
             corner = bc2.face
@@ -517,7 +512,7 @@ def corner_terms(gen: Generator) -> list[CornerTerm]:
             if len(holders) != 2:
                 raise ChainError("corner contained in other than two facets")
             other = holders[0] if holders[1] == bc1.face else holders[1]
-            corner_keys = _cell_face_keys(Cell(bc2.cell.polytope, 0))
+            corner_keys = bc2.cell.polytope.all_face_keys()
             out.append(CornerTerm(
                 corner=corner,
                 first_facet=bc1.face,
@@ -954,7 +949,7 @@ def cylinder(gen: Generator, alt_tag: Tag) -> Generator:
     cmap = CellMap(gen.cmap.target, a_new, gen.cmap.m_t, gen.cmap.b)
 
     labels = {}
-    for key in _cell_face_keys(Cell(prism, 0)):
+    for key in prism.all_face_keys():
         ts = {v[0] for v in key}
         base = tuple(sorted({tuple(v[1:]) for v in key}))
         if ts == {Fraction(0)}:
@@ -1058,7 +1053,7 @@ def simplex_face_complex(k: int) -> list:
         for key in keys:
             fp = p.face_polytope(key)
             cell = Cell(fp, 0)
-            sub_keys = _cell_face_keys(cell)
+            sub_keys = fp.all_face_keys()
             gens.append(Generator(cell, constant_map(POINT, k + 1, 0),
                                   big.restrict(sub_keys)))
     return gens

@@ -17,8 +17,8 @@ from .cells import (
     CellMap,
     Coorientation,
     Target,
-    coorientation_from_orientation,
     fibre_product_cells,
+    kernel_coorientation,
     orientation_from_coorientation,
     permute_cell_coords,
 )
@@ -327,7 +327,7 @@ def pullback(h: TargetMap, delta: Chain) -> Chain:
             if not comp.transverse or not comp.orientable:
                 raise ProductError("pullback hit a non-transverse component")
             pmap = comp.compose_on_first(id_map)
-            co = coorientation_from_orientation(comp.cell, pmap)
+            co = kernel_coorientation(comp.cell, pmap)
             tag = pair_tags(unit.tag, g.tag, comp.face_pairs)
             terms.append((coeff,
                           Generator(comp.cell, pmap, tag, coorientation=co)))

@@ -7,7 +7,7 @@ from random import Random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cornercalc._linalg import rank
+from cornercalc._linalg import change_of_basis_det, kernel_basis, rank, solve
 from cornercalc.cells import (
     POINT,
     Cell,
@@ -22,7 +22,6 @@ from cornercalc.cells import (
     cell_boundary,
     cell_orientation_equal,
     constant_map,
-    coorientation_from_orientation,
     euclid,
     fibre_product_cells,
     first_factor_kernel,
@@ -37,7 +36,8 @@ from cornercalc.cells import (
     validate_coorientation,
 )
 from cornercalc.geometry import POINT_POLYTOPE, GeometryError, Polytope, box, interval
-from cornercalc.randgen import associativity_instance, fibre_instance
+from cornercalc.randgen import (associativity_instance, fibre_instance, random_cell,
+                                random_map)
 
 
 def test_target_products():
@@ -101,14 +101,60 @@ def test_submersion_flavours():
 
 def test_coorientation_round_trip():
     sq = box([(0, 2), (0, 2)])
-    c = Cell(sq, 0, [(1, 0), (1, 1)], -1)
-    m = CellMap(euclid(1), [[1, 1]], [[]], [0])
-    co = coorientation_from_orientation(c, m)
-    back = orientation_from_coorientation(c, m, co)
-    assert cell_orientation_equal(back, c) == 1
-    # reversing the coorientation reverses the recovered orientation
-    rev = orientation_from_coorientation(c, m, co.reversed())
-    assert cell_orientation_equal(rev, c) == -1
+    cases = [(Cell(sq, 0, [(1, 0), (1, 1)], -1), CellMap(euclid(1), [[1, 1]], [[]], [0])),
+             (Cell(box([(0, 1), (0, 1)])), constant_map(POINT, 2, 0))]
+    rng = Random(5)
+    for target in (POINT, euclid(1), euclid(2), torus(1), torus(2)):
+        for _ in range(30):
+            c = random_cell(rng, max_torus=2)
+            cases.append((c, random_map(rng, c, target)))
+    submersions = 0
+    for c, m in cases:
+        if not is_interior_submersion(c, m):
+            with pytest.raises(FibreProductError):
+                kernel_coorientation(c, m)
+            continue
+        submersions += 1
+        co = kernel_coorientation(c, m)
+        back = orientation_from_coorientation(c, m, co)
+        assert cell_orientation_equal(back, c) == 1
+        # reversing the coorientation reverses the recovered orientation
+        rev = orientation_from_coorientation(c, m, co.reversed())
+        assert cell_orientation_equal(rev, c) == -1
+    assert submersions >= 60
+
+
+def _kernel_and_lifts(c, f):
+    """Ker df and lifts of the target's standard frame, as ambient vectors of c."""
+    tb = c.tangent_basis()
+    m = f.target.dim
+    if not m:
+        return list(tb), []
+    rows = [tuple(f.a[i]) + tuple(f.m_t[i]) for i in range(m)]
+    d = [[sum(r[k] * v[k] for k in range(len(v))) for v in tb] for r in rows]
+
+    def ambient(coords):
+        return tuple(sum(x * v[k] for x, v in zip(coords, tb)) for k in range(c.ambient))
+
+    units = [[F(int(i == j)) for i in range(m)] for j in range(m)]
+    return [ambient(k) for k in kernel_basis(d)], [ambient(solve(d, e)) for e in units]
+
+
+def _sign(x):
+    return 1 if x > 0 else -1
+
+
+def _orientation_against(z, frame):
+    """z's orientation against a frame of T(Z) given in the factors' coordinates."""
+    n1, s1, n2, s2 = z.split
+    n = n1 + n2
+
+    def embed(v):
+        dt = [sum(r[k] * v[k] for k in range(n)) + sum(c * x for c, x in zip(fc, v[n:]))
+              for r, fc in zip(z.t_rows, z.t_fcoefs)]
+        return tuple(v[:n1]) + tuple(dt[:s1]) + tuple(v[n1:n]) + tuple(dt[s1:])
+
+    return _sign(change_of_basis_det([embed(v) for v in z.cell.frame], frame)) * z.cell.sign
 
 
 def test_kernel_recipes_agree():
@@ -116,12 +162,43 @@ def test_kernel_recipes_agree():
     b = Cell(interval(F(1, 3), F(5, 3)))
     fa = CellMap(euclid(1), [[1, 0]], [[]], [0])
     fb = CellMap(euclid(1), [[1]], [[]], [0])
-    plain = fibre_product_cells(a, fa, b, fb)
-    with_k2 = fibre_product_cells(a, fa, b, fb, coorient2=kernel_coorientation(b, fb))
-    with_k1 = fibre_product_cells(a, fa, b, fb, coorient1=first_factor_kernel(a, fa))
-    assert len(plain) == len(with_k2) == len(with_k1) == 1
-    assert cell_orientation_equal(plain[0].cell, with_k2[0].cell) == 1
-    assert cell_orientation_equal(plain[0].cell, with_k1[0].cell) == 1
+    assert len(fibre_product_cells(a, fa, b, fb)) == 1
+    cases = [(a, fa, b, fb)]
+    rng = Random(8)
+    for target in (POINT, euclid(1), torus(1)):
+        for _ in range(8):
+            cases.append(fibre_instance(rng, target))
+    for c1, f1, c2, f2 in cases:
+        plain = fibre_product_cells(c1, f1, c2, f2)
+        with_k2 = fibre_product_cells(c1, f1, c2, f2, coorient2=kernel_coorientation(c2, f2))
+        with_k1 = fibre_product_cells(c1, f1, c2, f2, coorient1=first_factor_kernel(c1, f1))
+        assert plain and plain == with_k2
+        assert len(with_k1) == len(plain)
+        for z, z1 in zip(plain, with_k1):
+            assert cell_orientation_equal(z.cell, z1.cell) == 1
+        # Oracle, built without the library's kernels or lifts: with both maps
+        # submersions, T(Z) = Ker df1 + TY + Ker df2, where X1 = Ker df1 + TY
+        # and X2 = TY + Ker df2 orient the factors.
+        k1, l1 = _kernel_and_lifts(c1, f1)
+        k2, l2 = _kernel_and_lifts(c2, f2)
+        e1 = _sign(change_of_basis_det(k1 + l1, c1.frame)) * c1.sign
+        e2 = _sign(change_of_basis_det(l2 + k2, c2.frame)) * c2.sign
+        zero1, zero2 = (F(0),) * c1.ambient, (F(0),) * c2.ambient
+        frame = ([k + zero2 for k in k1] + [u + w for u, w in zip(l1, l2)]
+                 + [zero1 + k for k in k2])
+        for z in plain:
+            assert _orientation_against(z, frame) == e1 * e2
+        # a point as the second factor: T(Z) = Ker df1, with X1 = Ker df1 + TY
+        if f1.target.dim:
+            verts = c1.polytope.vertices
+            centre = [sum(v[i] for v in verts) / len(verts) for i in range(len(verts[0]))]
+            pt = Cell(POINT_POLYTOPE, 0, None, c2.sign)
+            to_v = constant_map(f1.target, 0, 0, f1.value(centre, (0,) * c1.torus_rank))
+            assert not is_interior_submersion(pt, to_v)
+            mirror = fibre_product_cells(c1, f1, pt, to_v)
+            assert mirror
+            for z in mirror:
+                assert _orientation_against(z, k1) == e1 * pt.sign
 
 
 def test_boundary_of_interval():
@@ -144,7 +221,7 @@ def test_boundary_restricts_coorientation():
     sq = box([(0, 1), (0, 1)])
     c = Cell(sq)
     m = CellMap(euclid(1), [[1, 0]], [[]], [0])
-    co = coorientation_from_orientation(c, m)
+    co = kernel_coorientation(c, m)
     for bc in cell_boundary(c):
         # only the x = const edges map to a point of the target non-submersively;
         # the y-edges still submerge and inherit a coorientation
@@ -236,8 +313,8 @@ def test_cup_concatenation_order_matches_swap_sign():
     b = Cell(box([(F(1, 4), F(3, 4)), (0, 2)]))
     fa = CellMap(euclid(1), [[1, 0]], [[]], [0])
     fb = CellMap(euclid(1), [[1, 0]], [[]], [0])
-    ka = coorientation_from_orientation(a, fa)
-    kb = coorientation_from_orientation(b, fb)
+    ka = kernel_coorientation(a, fa)
+    kb = kernel_coorientation(b, fb)
     z_ab = fibre_product_cells(a, fa, b, fb, coorient1=ka, coorient2=kb)
     z_ba = fibre_product_cells(b, fb, a, fa, coorient1=kb, coorient2=ka)
     assert len(z_ab) == len(z_ba) == 1
@@ -253,8 +330,8 @@ def test_cup_concatenation_order_matches_swap_sign():
 def test_cup_concatenation_order_even_degrees():
     ide = CellMap(euclid(1), [[1]], [[]], [0])
     a, b = Cell(interval(0, 2)), Cell(interval(1, 3))
-    ka = coorientation_from_orientation(a, ide)
-    kb = coorientation_from_orientation(b, ide)
+    ka = kernel_coorientation(a, ide)
+    kb = kernel_coorientation(b, ide)
     z_ab = fibre_product_cells(a, ide, b, ide, coorient1=ka, coorient2=kb)
     z_ba = fibre_product_cells(b, ide, a, ide, coorient1=kb, coorient2=ka)
     u, v = z_ab[0], z_ba[0]

@@ -1,6 +1,7 @@
 """Cup, cap, identity, pullback, and duality over point and torus targets."""
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -48,6 +49,7 @@ from cornercalc.products import (
     projection_formula,
     pullback,
 )
+from cornercalc.randgen import random_target_map, random_thick_cochain
 
 P0 = Polytope.from_points(0, [[]])
 
@@ -284,6 +286,42 @@ def test_pullback_functorial_and_chain_map():
     assert not boundary(thick).is_zero
     assert check_pullback_d(h2, thick).ok
     assert check_pullback_cup(h2, c, thick).ok
+
+
+def test_pullback_along_a_map_from_the_point():
+    t1 = torus(1)
+    h1 = TargetMap(t1, t1, [[2]], [0])
+    h2 = TargetMap(POINT, t1, [[]], [0])
+    cover = chain(cover_cochain([[2]], "a"))
+    for thick in (chain(thick_cochain(t1, "t")), random_thick_cochain(Random(0), t1, "r")):
+        assert homogeneous_degree(pullback(h2, thick)) == -1
+        assert check_pullback_functorial(h1, h2, thick).ok
+        assert check_pullback_cup(h2, cover, thick).ok
+
+
+PULLBACK_D_SIGN = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="restrict_coorientation passes through the orientation with the target "
+           "frame first, so d over Y carries (-1)^dim Y against the fibre-boundary "
+           "rule and pullback along Y' -> Y commutes with d only up to "
+           "(-1)^(dim Y - dim Y')")
+
+
+def _target_map_draws(source, count):
+    rng = Random(3)
+    return [random_target_map(rng, source, torus(1)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("h", [
+    pytest.param(TargetMap(POINT, torus(1), [[]], [0]), marks=PULLBACK_D_SIGN, id="point"),
+    *[pytest.param(h, marks=PULLBACK_D_SIGN, id=f"T2-{i}")
+      for i, h in enumerate(_target_map_draws(torus(2), 6))],
+    *[pytest.param(h, id=f"T1-{i}") for i, h in enumerate(_target_map_draws(torus(1), 2))],
+    *[pytest.param(h, id=f"T3-{i}") for i, h in enumerate(_target_map_draws(torus(3), 2))],
+])
+def test_pullback_commutes_with_d(h):
+    thick = chain(thick_cochain(torus(1), "t"))
+    assert check_pullback_d(h, thick).ok
 
 
 def test_pullback_properness_over_euclid():
