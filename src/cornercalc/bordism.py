@@ -18,14 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from ._linalg import (Mat, Vec, change_of_basis_det, frac, invariant_factors,
+from ._linalg import (Mat, Vec, change_of_basis_det, identity, invariant_factors,
                       mat, matvec, rank, vec)
 from .cells import (Cell, CellMap, Coorientation, canonical_cell_map,
                     canonical_form, cell_boundary, fibre_product_cells,
                     maps_agree, validate_coorientation)
 from .chains import (Chain, Generator, Tag, boundary, cylinder,
                      transport_generator)
-from .geometry import POINT_POLYTOPE, Polytope, affine_isomorphisms
+from .geometry import (POINT_POLYTOPE, Polytope, affine_isomorphisms, compress_mask,
+                       face_key)
 from .maps import CheckReport
 from .orbifold import (FiniteGroup, GroupAction, VirtualRep, map_is_invariant,
                        orbifold_stratum)
@@ -35,17 +36,12 @@ class BordismError(ValueError):
     """Problem with bordism-class data or certificates."""
 
 
-def _vkey(v) -> Vec:
-    return tuple(frac(x) for x in v)
-
-
-def _fkey(face) -> tuple:
-    return tuple(sorted(_vkey(v) for v in face))
-
-
-def _eye(n: int) -> Mat:
-    return tuple(tuple(Fraction(1 if r == c else 0) for c in range(n))
-                 for r in range(n))
+def _facet_mask(p: Polytope, key) -> Optional[int]:
+    """Vertex bitmask of the facet of p with the given key, or None."""
+    for (fkey, _), mask in zip(p.facets(), p._fd.facet_masks):
+        if fkey == key:
+            return mask
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -70,22 +66,22 @@ class PairingWitness:
     def __post_init__(self):
         li, lf = self.left
         ri, rf = self.right
-        object.__setattr__(self, "left", (int(li), _fkey(lf)))
-        object.__setattr__(self, "right", (int(ri), _fkey(rf)))
+        object.__setattr__(self, "left", (int(li), face_key(lf)))
+        object.__setattr__(self, "right", (int(ri), face_key(rf)))
         object.__setattr__(self, "matrix", mat(self.matrix))
         object.__setattr__(self, "offset", vec(self.offset))
 
     @classmethod
     def shared(cls, i: int, j: int, face) -> "PairingWitness":
         """Identity identification of one face lying in two components."""
-        key = _fkey(face)
+        key = face_key(face)
         n = len(key[0])
-        return cls((i, key), (j, key), _eye(n), (Fraction(0),) * n)
+        return cls((i, key), (j, key), identity(n), (Fraction(0),) * n)
 
     def is_shared(self) -> bool:
         if self.left[1] != self.right[1] or any(x != 0 for x in self.offset):
             return False
-        return self.matrix == _eye(len(self.offset))
+        return self.matrix == identity(len(self.offset))
 
     def apply(self, point) -> Vec:
         moved = matvec(self.matrix, vec(point))
@@ -192,7 +188,7 @@ def _boundary_atlas(b: BordismClass) -> dict:
     atlas = {}
     for i, comp in enumerate(b.components):
         for bc in cell_boundary(comp.cell):
-            atlas[(i, _fkey(bc.face))] = bc
+            atlas[(i, bc.face)] = bc
     return atlas
 
 
@@ -277,11 +273,10 @@ def _corner_fault(b: BordismClass) -> Optional[str]:
         p = comp.cell.polytope
         if p.dim < 2:
             continue
-        facet_keys = [_fkey(k) for k, _ in p.facets()]
-        for g in p.faces().get(p.dim - 2, ()):
-            gset = set(_fkey(g))
-            if any(gset <= set(fk) and (i, fk) not in paired
-                   for fk in facet_keys):
+        free = [m for (key, _), m in zip(p.facets(), p._fd.facet_masks)
+                if (i, key) not in paired]
+        for g, dim in p._fd.face_dims().items():
+            if dim == p.dim - 2 and any(g & ~m == 0 for m in free):
                 return (f"component {i} has corner faces on its free "
                         "boundary; witnesses must have corner-free boundary")
     return None
@@ -488,11 +483,10 @@ def _emission_generators(b: BordismClass, atom) -> list:
     comp_faces = []
     parent = {}
     for i, comp in enumerate(b.components):
-        faces = [_fkey(k) for keys in comp.cell.polytope.faces().values()
-                 for k in keys]
+        faces = list(comp.cell.polytope._fd.face_dims())
         comp_faces.append(faces)
-        for fk in faces:
-            parent[(i, fk)] = (i, fk)
+        for g in faces:
+            parent[(i, g)] = (i, g)
 
     def find(x):
         while parent[x] != x:
@@ -500,15 +494,22 @@ def _emission_generators(b: BordismClass, atom) -> list:
             x = parent[x]
         return x
 
+    # a shared face has the same sorted vertices in both components, so its
+    # faces match by their masks packed at the face's vertices
     for pw in b.pairings:
         (i, fkey), (j, _) = pw.left, pw.right
-        fset = set(fkey)
-        for sub in comp_faces[i]:
-            if set(sub) <= fset:
-                if (j, sub) not in parent:
+        fi = _facet_mask(b.components[i].cell.polytope, fkey)
+        fj = _facet_mask(b.components[j].cell.polytope, fkey)
+        if fj is None:
+            raise BordismError("shared face is not a face of both components")
+        inner = {compress_mask(h, fj): h for h in comp_faces[j] if h & ~fj == 0}
+        for g in comp_faces[i]:
+            if g & ~fi == 0:
+                h = inner.get(compress_mask(g, fi))
+                if h is None:
                     raise BordismError("shared face is not a face of both "
                                        "components")
-                ra, rb = find((i, sub)), find((j, sub))
+                ra, rb = find((i, g)), find((j, h))
                 if ra != rb:
                     parent[max(ra, rb)] = min(ra, rb)
 
@@ -516,9 +517,9 @@ def _emission_generators(b: BordismClass, atom) -> list:
     label_index = {r: k for k, r in enumerate(roots)}
     gens = []
     for i, comp in enumerate(b.components):
-        labels = {fk: ((str(atom), label_index[find((i, fk))]),)
-                  for fk in comp_faces[i]}
-        tag = Tag(labels)
+        tag = Tag.of_masks(comp.cell.polytope.vertices,
+                           [(g, ((str(atom), label_index[find((i, g))]),))
+                            for g in comp_faces[i]])
         if not tag.is_injective():
             raise BordismError("pairings identify two faces of one "
                                "component; split the component first")
@@ -558,7 +559,7 @@ def tag_independence_witness(b: BordismClass, atom1="g", atom2="h"):
     for g1, g2 in zip(gens1, gens2):
         w_terms.append((Fraction(1), cylinder(g1, g2.tag)))
         n = g1.cell.polytope.ambient_dim
-        lift = ((Fraction(0),) * n,) + _eye(n)
+        lift = ((Fraction(0),) * n,) + identity(n)
         top = transport_generator(g2, lift,
                                   (Fraction(1),) + (Fraction(0),) * n)
         bottom = transport_generator(g1, lift, (Fraction(0),) * (n + 1))
@@ -588,14 +589,10 @@ def identity_cobordism(y) -> BordismClass:
                            "target")
     m = y.dim
     cmap = CellMap(y, tuple(() for _ in range(m)),
-                   _eye(m) if m else (), (0,) * m)
+                   identity(m) if m else (), (0,) * m)
     cell = Cell(POINT_POLYTOPE, m)
     comp = BordismComponent(cell, cmap, Coorientation((), 1))
     return BordismClass((comp,), ())
-
-
-def _top_key(p: Polytope) -> tuple:
-    return _fkey(p.vertices)
 
 
 def _derive_product_pairings(first, second, pieces, index):
@@ -610,30 +607,29 @@ def _derive_product_pairings(first, second, pieces, index):
         return ks[0]
 
     def located(fc, pair):
-        return [pf for pf, got in fc.face_pairs.items() if got == pair]
+        fd = fc.cell.polytope._fd
+        return [fd.key(g) for g, got in fc.face_pairs.items() if got == pair]
 
     def extend(pairing_list, on_first):
         outer = first if on_first else second
         inner = second if on_first else first
+
+        def order(a, b):
+            return (a, b) if on_first else (b, a)
+
         for pw in pairing_list:
             (i, fkey), (j, gkey) = pw.left, pw.right
             n_i = outer.components[i].cell.polytope.ambient_dim
-            n_j = outer.components[j].cell.polytope.ambient_dim
+            fmask = _facet_mask(outer.components[i].cell.polytope, fkey)
+            gmask = _facet_mask(outer.components[j].cell.polytope, gkey)
             for i2, comp2 in enumerate(inner.components):
                 n2 = comp2.cell.polytope.ambient_dim
-                top2 = _top_key(comp2.cell.polytope)
-                if on_first:
-                    kl, kr = lone_piece(i, i2), lone_piece(j, i2)
-                    fl, fr = pieces[(i, i2, kl)], pieces[(j, i2, kr)]
-                    hits_l = located(fl, (fkey, top2))
-                    hits_r = located(fr, (gkey, top2))
-                    il, ir = index[(i, i2, kl)], index[(j, i2, kr)]
-                else:
-                    kl, kr = lone_piece(i2, i), lone_piece(i2, j)
-                    fl, fr = pieces[(i2, i, kl)], pieces[(i2, j, kr)]
-                    hits_l = located(fl, (top2, fkey))
-                    hits_r = located(fr, (top2, gkey))
-                    il, ir = index[(i2, i, kl)], index[(i2, j, kr)]
+                top2 = (1 << len(comp2.cell.polytope.vertices)) - 1
+                kl = order(i, i2) + (lone_piece(*order(i, i2)),)
+                kr = order(j, i2) + (lone_piece(*order(j, i2)),)
+                hits_l = located(pieces[kl], order(fmask, top2))
+                hits_r = located(pieces[kr], order(gmask, top2))
+                il, ir = index[kl], index[kr]
                 if not hits_l and not hits_r:
                     continue
                 if len(hits_l) != 1 or len(hits_r) != 1:
@@ -643,10 +639,10 @@ def _derive_product_pairings(first, second, pieces, index):
                 if on_first:
                     rows = [tuple(row) + (Fraction(0),) * n2
                             for row in pw.matrix]
-                    rows += [(Fraction(0),) * n_i + e for e in _eye(n2)]
+                    rows += [(Fraction(0),) * n_i + e for e in identity(n2)]
                     off = tuple(pw.offset) + (Fraction(0),) * n2
                 else:
-                    rows = [e + (Fraction(0),) * n_i for e in _eye(n2)]
+                    rows = [e + (Fraction(0),) * n_i for e in identity(n2)]
                     rows += [(Fraction(0),) * n2 + tuple(row)
                              for row in pw.matrix]
                     off = (Fraction(0),) * n2 + tuple(pw.offset)

@@ -526,7 +526,7 @@ class FibreComponent:
     transverse: bool
     orientable: bool
     coorientation: Optional[Coorientation]
-    face_pairs: dict
+    face_pairs: dict    # face mask -> (face mask in factor 1, in factor 2)
     split: tuple[int, int, int, int] = (0, 0, 0, 0)       # n1, s1, n2, s2
     t_rows: tuple = ()
     t_fcoefs: tuple = ()
@@ -753,7 +753,7 @@ def _build_component(cell1, map1, cell2, map2, poly, s_z, u, rho,
                 t1 &= b1
                 t2 &= b2
         f1, f2 = fd1.meet(t1), fd2.meet(t2)
-        face_pairs[fd.key(g)] = (fd1.key(f1), fd2.key(f2))
+        face_pairs[g] = (f1, f2)
         if poly.dim - dim != p1.dim - dims1[f1] + p2.dim - dims2[f2]:
             transverse = False
     # The span check runs at the vertices only.  If G' lies in G, the factor

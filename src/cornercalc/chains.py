@@ -8,11 +8,18 @@ times their cover, and cells carrying a circle direction that neither the
 map nor the polytope constrains are dropped (such a cell has an
 orientation-reversing self-map fixing all data, so its class is 2-torsion
 and dies over the rationals).
+
+A face of a cell is a bitmask over its polytope's sorted vertices, from the
+face lattice (geometry) up to tags, quotient orbits and fibre-product face
+pairs; face keys (sorted vertex tuples) appear only at the public edge.  A
+face's sorted vertices are a subsequence of its polytope's, so restricting a
+tag to a face keeps the masks inside it and packs their bits at its vertices.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -21,6 +28,7 @@ from ._linalg import (
     Mat,
     Vec,
     frac,
+    identity,
     invariant_factors,
     mat,
     rank,
@@ -42,7 +50,8 @@ from .cells import (
     restrict_coorientation,
     validate_coorientation,
 )
-from .geometry import FaceKey, Polytope, affine_isomorphisms, standard_simplex
+from .geometry import (FaceKey, Polytope, affine_isomorphisms, compress_mask, mask_bits,
+                       move_mask, standard_simplex)
 from .maps import CheckReport
 
 
@@ -91,59 +100,112 @@ def merge_labels(*labels: tuple) -> tuple:
     return tuple(sorted(combined, key=_term_key))
 
 
+def _vertex_index(vertices) -> dict:
+    return {v: i for i, v in enumerate(vertices)}
+
+
+def _face_mask(index: dict, key) -> int:
+    """Vertex bitmask of a face key, through a vertex -> index dict."""
+    mask = 0
+    for v in key:
+        i = index.get(tuple(v))
+        if i is None:
+            raise TagError(f"face {tuple(key)} is not on the polytope's vertices")
+        mask |= 1 << i
+    return mask
+
+
+def _checked_label(label) -> tuple:
+    if not isinstance(label, tuple):
+        raise TagError("labels must be tuples of atoms")
+    for a in label:
+        _term_key(a)
+    return label
+
+
 class Tag:
-    """Labelling of a cell's face lattice, one label per face key."""
+    """Labelling of a cell's face lattice, one label per face.
 
-    __slots__ = ("labels",)
+    A face is a bitmask over the sorted vertices of the cell's polytope;
+    `labels` holds one (mask, label) pair per face, sorted by mask, and
+    `vertices` is the polytope's vertex tuple, read only to convert face
+    keys at the public edge.  Restricting to a face F keeps the faces inside
+    F and packs their bits at F's vertices (geometry.compress_mask), which is
+    exact: a face's sorted vertices are a subsequence of its polytope's.
+    """
 
-    def __init__(self, labels: Mapping[FaceKey, tuple] | Iterable):
-        items = labels.items() if isinstance(labels, Mapping) else labels
-        pairs = []
-        for key, label in items:
-            if not isinstance(label, tuple):
-                raise TagError("labels must be tuples of atoms")
-            for a in label:
-                _term_key(a)
-            pairs.append((tuple(key), tuple(label)))
-        pairs.sort(key=lambda kv: kv[0])
-        if len({k for k, _ in pairs}) != len(pairs):
-            raise TagError("duplicate face key in tag")
-        self.labels = tuple(pairs)
+    __slots__ = ("vertices", "labels")
+
+    def __init__(self, polytope: Polytope, labels: Mapping[FaceKey, tuple]):
+        index = _vertex_index(polytope.vertices)
+        self._set(polytope.vertices, [(_face_mask(index, key), _checked_label(label))
+                                      for key, label in labels.items()])
 
     @classmethod
-    def from_atoms(cls, atoms: Mapping[FaceKey, object]) -> "Tag":
-        return cls({k: atom_label(v) for k, v in atoms.items()})
+    def from_atoms(cls, polytope: Polytope, atoms: Mapping[FaceKey, object]) -> "Tag":
+        return cls(polytope, {k: atom_label(v) for k, v in atoms.items()})
+
+    @classmethod
+    def of_masks(cls, vertices: tuple, pairs: Iterable) -> "Tag":
+        """A tag from (face mask, label) pairs over the given vertex tuple."""
+        tag = cls.__new__(cls)
+        tag._set(vertices, pairs)
+        return tag
+
+    def _set(self, vertices: tuple, pairs: Iterable):
+        pairs = sorted(pairs, key=lambda p: p[0])
+        if any(a[0] == b[0] for a, b in zip(pairs, pairs[1:])):
+            raise TagError("duplicate face key in tag")
+        self.vertices = vertices
+        self.labels = tuple(pairs)
 
     @property
     def face_keys(self) -> tuple:
-        return tuple(k for k, _ in self.labels)
+        return tuple(self._key(m) for m, _ in self.labels)
+
+    def _key(self, mask: int) -> FaceKey:
+        return tuple(self.vertices[i] for i in mask_bits(mask))
+
+    def label_at(self, mask: int) -> tuple:
+        i = bisect_left(self.labels, mask, key=lambda p: p[0])
+        if i == len(self.labels) or self.labels[i][0] != mask:
+            raise TagError(f"face {self._key(mask)} not labelled")
+        return self.labels[i][1]
 
     def label_of(self, face_key: FaceKey) -> tuple:
-        for k, label in self.labels:
-            if k == tuple(face_key):
-                return label
-        raise TagError(f"face {face_key} not labelled")
+        return self.label_at(_face_mask(_vertex_index(self.vertices), face_key))
 
     def mapping(self) -> dict:
-        return dict(self.labels)
+        return {self._key(m): label for m, label in self.labels}
 
     def is_injective(self) -> bool:
         vals = [label for _, label in self.labels]
         return len(set(vals)) == len(vals)
 
-    def restrict(self, face_keys: Sequence[FaceKey]) -> "Tag":
-        """The induced labelling on a sub-lattice (a facet's faces)."""
-        want = {tuple(k) for k in face_keys}
-        have = {k for k, _ in self.labels}
-        if not want <= have:
-            raise TagError("restriction target is not a sub-lattice of the tag")
-        return Tag({k: label for k, label in self.labels if k in want})
+    def restrict(self, face_mask: int) -> "Tag":
+        """The induced labelling on the faces of one face (a facet, say).
+
+        Packing is monotone on the subsets of face_mask: the pairs stay sorted.
+        """
+        at = mask_bits(face_mask)
+        tag = Tag.__new__(Tag)
+        tag.vertices = tuple(self.vertices[i] for i in at)
+        tag.labels = tuple((sum(1 << k for k, i in enumerate(at) if m >> i & 1), label)
+                           for m, label in self.labels if not m & ~face_mask)
+        return tag
+
+    def moved(self, vertices: tuple, table: Sequence[int]) -> "Tag":
+        """The tag carried along the vertex bijection i -> table[i] onto vertices."""
+        return Tag.of_masks(vertices, [(move_mask(m, table), label)
+                                       for m, label in self.labels])
 
     def relabel(self, dictionary: Mapping[tuple, tuple]) -> "Tag":
-        return Tag({k: dictionary[label] for k, label in self.labels})
+        return Tag.of_masks(self.vertices, [(m, _checked_label(dictionary[label]))
+                                            for m, label in self.labels])
 
     def __eq__(self, other):
-        return isinstance(other, Tag) and self.labels == other.labels
+        return (isinstance(other, Tag) and self.labels == other.labels
+                and self.vertices == other.vertices)
 
     def __hash__(self):
         return hash(self.labels)
@@ -152,18 +214,24 @@ class Tag:
         return f"Tag({len(self.labels)} faces)"
 
 
-def pair_tags(tag1: Tag, tag2: Tag, face_pairs: Mapping[FaceKey, tuple]) -> Tag:
+def numbered_tag(polytope: Polytope, *prefix) -> Tag:
+    """Labels ((*prefix, i),), numbering the faces by dimension, then key."""
+    return Tag.of_masks(polytope.vertices,
+                        [(g, ((*prefix, i),))
+                         for i, g in enumerate(polytope._fd.face_dims())])
+
+
+def pair_tags(tag1: Tag, tag2: Tag, comp) -> Tag:
     """Tag a fibre product: each face inherits the merged labels of its pair.
 
-    face_pairs maps a face key of the product cell to the matched pair of
-    operand face keys.  Merging is a sorted concatenation, so the pairing is
-    symmetric and associative after canonicalization, with the empty label
-    acting as a unit.
+    comp is a cells.FibreComponent: its face_pairs maps a face mask of the
+    product cell to the matched pair of operand face masks.  Merging is a
+    sorted concatenation, so the pairing is symmetric and associative after
+    canonicalization, with the empty label acting as a unit.
     """
-    out = {}
-    for key, (k1, k2) in face_pairs.items():
-        out[tuple(key)] = merge_labels(tag1.label_of(k1), tag2.label_of(k2))
-    tag = Tag(out)
+    tag = Tag.of_masks(comp.cell.polytope.vertices,
+                       [(g, merge_labels(tag1.label_at(f1), tag2.label_at(f2)))
+                        for g, (f1, f2) in comp.face_pairs.items()])
     if not tag.is_injective():
         raise TagError("label collision while pairing tags; use disjoint atom pools")
     return tag
@@ -179,7 +247,8 @@ class QuotientMarker:
 
     The generator holding the marker is the class of cover/group; its tag is
     constant on each orbit and injective across orbits.  orbits is a partition
-    of the cover's face keys.
+    of the cover's faces, as vertex bitmasks (see Tag); from_faces takes face
+    keys.
     """
 
     order: int
@@ -188,9 +257,21 @@ class QuotientMarker:
     def __post_init__(self):
         if self.order < 1:
             raise ChainError("group order must be positive")
+        if not all(isinstance(f, int) for orbit in self.orbits for f in orbit):
+            raise ChainError("orbits hold face masks; from_faces takes face keys")
         object.__setattr__(self, "orbits",
-                           tuple(tuple(sorted(tuple(tuple(f) for f in orbit)))
-                                 for orbit in self.orbits))
+                           tuple(tuple(sorted(orbit)) for orbit in self.orbits))
+
+    @classmethod
+    def from_faces(cls, polytope: Polytope, order: int, orbits) -> "QuotientMarker":
+        index = _vertex_index(polytope.vertices)
+        return cls(order, tuple(tuple(_face_mask(index, f) for f in orbit)
+                                for orbit in orbits))
+
+    def positions(self) -> dict:
+        """Face mask -> its position atom within a shared orbit (empty if alone)."""
+        return {f: (("q", j),) if len(orbit) > 1 else EMPTY_LABEL
+                for orbit in self.orbits for j, f in enumerate(orbit)}
 
 
 class Generator:
@@ -211,8 +292,9 @@ class Generator:
         if m > 0 and (cmap.n_cols != cell.polytope.ambient_dim
                       or cmap.s_cols != cell.torus_rank):
             raise ChainError("map shape does not match the cell")
-        keys = cell.polytope.all_face_keys()
-        if set(tag.face_keys) != set(tuple(k) for k in keys):
+        faces = cell.polytope._fd.face_dims()
+        if (len(tag.labels) != len(faces) or any(g not in faces for g, _ in tag.labels)
+                or tag.vertices != cell.polytope.vertices):
             raise TagError("tag must label exactly the faces of the cell")
         if coorientation is not None:
             if quotient is not None:
@@ -223,7 +305,7 @@ class Generator:
             cell = Cell(cell.polytope, cell.torus_rank,
                         default_frame(cell.polytope, cell.torus_rank), 1)
         if quotient is not None:
-            self._validate_marker(cell, tag, quotient)
+            self._validate_marker(faces, tag, quotient)
         elif not tag.is_injective():
             raise TagError("tag labels must be injective")
         self.cell = cell
@@ -233,14 +315,13 @@ class Generator:
         self.quotient = quotient
 
     @staticmethod
-    def _validate_marker(cell: Cell, tag: Tag, marker: QuotientMarker):
-        keys = {tuple(k) for k in cell.polytope.all_face_keys()}
+    def _validate_marker(faces: Mapping[int, int], tag: Tag, marker: QuotientMarker):
         seen = set()
         orbit_labels = []
         for orbit in marker.orbits:
             if marker.order % len(orbit) != 0:
                 raise ChainError("orbit size must divide the group order")
-            labels = {tag.label_of(f) for f in orbit}
+            labels = {tag.label_at(f) for f in orbit}
             if len(labels) != 1:
                 raise TagError("marker tag must be constant on each orbit")
             orbit_labels.append(labels.pop())
@@ -248,7 +329,7 @@ class Generator:
                 if f in seen:
                     raise ChainError("orbits must be disjoint")
                 seen.add(f)
-        if seen != keys:
+        if seen != faces.keys():
             raise ChainError("orbits must cover every face of the cell")
         if len(set(orbit_labels)) != len(orbit_labels):
             raise TagError("marker tag must separate orbits")
@@ -287,26 +368,11 @@ def expand_quotient(gen: Generator) -> tuple[Fraction, Generator]:
     marker = gen.quotient
     if marker is None:
         return Fraction(1), gen
-    new_labels = {}
-    for orbit in marker.orbits:
-        base = gen.tag.label_of(orbit[0])
-        if len(orbit) == 1:
-            new_labels[orbit[0]] = base
-        else:
-            for j, fk in enumerate(orbit):
-                new_labels[fk] = merge_labels(base, (("q", j),))
-    cover = Generator(gen.cell, gen.cmap, Tag(new_labels))
+    pos = marker.positions()
+    cover = Generator(gen.cell, gen.cmap, Tag.of_masks(
+        gen.tag.vertices, [(m, merge_labels(label, pos[m]) if pos[m] else label)
+                           for m, label in gen.tag.labels]))
     return Fraction(1, marker.order), cover
-
-
-def _orbit_position(marker: QuotientMarker, face_key) -> tuple:
-    fk = tuple(face_key)
-    for orbit in marker.orbits:
-        if fk in orbit:
-            if len(orbit) == 1:
-                return EMPTY_LABEL
-            return (("q", orbit.index(fk)),)
-    raise ChainError(f"face {face_key} not in any orbit")
 
 
 # ---------------------------------------------------------------------------
@@ -450,24 +516,25 @@ def generator_boundary(gen: Generator) -> list:
     """Signed facet generators of one generator; marked generators expand."""
     out = []
     marker = gen.quotient
-    for bc in cell_boundary(gen.cell):
-        sub_keys = bc.cell.polytope.all_face_keys()
-        if marker is None:
-            tag = gen.tag.restrict(sub_keys)
-        else:
-            tag = Tag({tuple(k): merge_labels(gen.tag.label_of(k),
-                                              _orbit_position(marker, k))
-                       for k in sub_keys})
+    tag = gen.tag
+    if marker is not None:
+        pos = marker.positions()
+        tag = Tag.of_masks(tag.vertices, [(m, merge_labels(label, pos[m]))
+                                          for m, label in tag.labels])
+    # cell_boundary follows facets(), and facet_masks is in the same order
+    bcs = cell_boundary(gen.cell)
+    for bc, facet in zip(bcs, gen.cell.polytope._fd.facet_masks):
+        sub = tag.restrict(facet)
         cmap = gen.cmap
         if gen.is_cochain:
             parent = Cell(gen.cell.polytope, gen.cell.torus_rank,
                           gen.cell.frame, 1)
             co = restrict_coorientation(parent, gen.cmap, gen.coorientation, bc)
             cell = Cell(bc.cell.polytope, bc.cell.torus_rank, bc.cell.frame, 1)
-            out.append((Fraction(1), Generator(cell, cmap, tag, co)))
+            out.append((Fraction(1), Generator(cell, cmap, sub, co)))
         else:
             coeff = Fraction(1, marker.order) if marker is not None else Fraction(1)
-            out.append((coeff, Generator(bc.cell, cmap, tag)))
+            out.append((coeff, Generator(bc.cell, cmap, sub)))
     return out
 
 
@@ -502,23 +569,24 @@ def corner_terms(gen: Generator) -> list[CornerTerm]:
         _, gen = expand_quotient(gen)
     out = []
     p = gen.cell.polytope
-    facet_keys = [key for key, _ in p.facets()]
-    for bc1 in cell_boundary(gen.cell):
-        sub_keys = bc1.cell.polytope.all_face_keys()
-        tag1 = gen.tag.restrict(sub_keys)
-        for bc2 in cell_boundary(bc1.cell):
-            corner = bc2.face
-            holders = [k for k in facet_keys if set(corner) <= set(k)]
+    bcs1 = cell_boundary(gen.cell)
+    facet_masks = p._fd.facet_masks
+    for i1, (bc1, m1) in enumerate(zip(bcs1, facet_masks)):
+        tag1 = gen.tag.restrict(m1)
+        # every facet of P cut down to the facet entered first, over its vertices
+        cuts = [compress_mask(m & m1, m1) for m in facet_masks]
+        bcs2 = cell_boundary(bc1.cell)
+        for bc2, m2 in zip(bcs2, bc1.cell.polytope._fd.facet_masks):
+            holders = [i for i, cut in enumerate(cuts) if m2 & ~cut == 0]
             if len(holders) != 2:
                 raise ChainError("corner contained in other than two facets")
-            other = holders[0] if holders[1] == bc1.face else holders[1]
-            corner_keys = bc2.cell.polytope.all_face_keys()
+            other = holders[0] if holders[1] == i1 else holders[1]
             out.append(CornerTerm(
-                corner=corner,
+                corner=bc2.face,
                 first_facet=bc1.face,
-                second_facet=other,
+                second_facet=bcs1[other].face,
                 cell=bc2.cell,
-                tag=tag1.restrict(corner_keys)))
+                tag=tag1.restrict(m2)))
     return out
 
 
@@ -615,16 +683,15 @@ def aut_finite(cell: Cell, cmap: CellMap, tag: Tag, *, cap: int = 12) -> AutRepo
 
     # the map must fix the affine map's values and every face label
     t0 = (0,) * cell.torus_rank
+    index = _vertex_index(p.vertices)
+    labels = dict(tag.labels)
     found = []
     for perm, _ in affine_isomorphisms(p, p):
         if any(cmap.value(v, t0) != cmap.value(w, t0) for v, w in perm.items()):
             continue
-        try:
-            if all(tag.label_of(tuple(sorted(perm[v] for v in key))) == label
-                   for key, label in tag.labels):
-                found.append(perm)
-        except TagError:
-            continue
+        table = [index[perm[v]] for v in p.vertices]
+        if all(labels.get(move_mask(m, table)) == label for m, label in tag.labels):
+            found.append(perm)
     return AutReport(found, torus_part, "finite")
 
 
@@ -683,8 +750,7 @@ class TargetMap:
 
 
 def identity_target_map(t: Target) -> TargetMap:
-    eye = [[1 if i == j else 0 for j in range(t.dim)] for i in range(t.dim)]
-    return TargetMap(t, t, eye, [0] * t.dim)
+    return TargetMap(t, t, identity(t.dim), [0] * t.dim)
 
 
 def push_generator(h: TargetMap, gen: Generator) -> Generator:
@@ -741,9 +807,10 @@ def transport_generator(gen: Generator, linear: Sequence[Sequence],
     if len(set(new_verts)) != len(new_verts):
         raise ChainError("transport map is not injective on the vertices")
     poly = Polytope.from_points(n_new, [list(v) for v in new_verts])
-    if set(poly.vertices) != set(new_verts):
+    index = _vertex_index(poly.vertices)
+    table = [index.get(nv) for nv in new_verts]
+    if len(poly.vertices) != len(new_verts) or None in table:
         raise ChainError("transport map does not preserve the vertex set")
-    vmap = {tuple(o): nv for o, nv in zip(old_verts, new_verts)}
 
     def push_vec(w):
         head = tuple(sum(lin[i][j] * frac(w[j]) for j in range(n_old))
@@ -776,8 +843,7 @@ def transport_generator(gen: Generator, linear: Sequence[Sequence],
              for i in range(m)]
     cmap = CellMap(gen.cmap.target, a_new, gen.cmap.m_t, b_new)
 
-    tag = Tag({tuple(sorted(vmap[v] for v in key)): label
-               for key, label in gen.tag.labels})
+    tag = gen.tag.moved(poly.vertices, table)
     co = gen.coorientation
     if co is not None:
         co = Coorientation(tuple(push_vec(w) for w in co.frame), co.sign)
@@ -787,10 +853,6 @@ def transport_generator(gen: Generator, linear: Sequence[Sequence],
 # ---------------------------------------------------------------------------
 # Simplices and the singular bridge
 # ---------------------------------------------------------------------------
-
-def simplex(k: int) -> Polytope:
-    return standard_simplex(k)
-
 
 def simplex_cell(k: int) -> Cell:
     """The standard simplex with the edge frame out of its first vertex."""
@@ -822,9 +884,7 @@ def face_inclusion(k: int, j: int) -> tuple:
 
 def standard_simplex_tag(k: int) -> Tag:
     """Deterministic labels for the faces of the standard simplex."""
-    p = standard_simplex(k)
-    keys = [key for _, keys in sorted(p.faces().items()) for key in keys]
-    return Tag.from_atoms({key: ("dx", k, i) for i, key in enumerate(keys)})
+    return numbered_tag(standard_simplex(k), "dx", k)
 
 
 @dataclass(frozen=True)
@@ -885,13 +945,10 @@ def _facet_label_dictionary(k: int, j: int) -> dict:
     lin, _ = face_inclusion(k, j)
     small = standard_simplex_tag(k - 1)
     big = standard_simplex_tag(k)
-    out = {}
-    for key, label in small.labels:
-        image = tuple(sorted(tuple(sum(lin[i][t] * v[t] for t in range(k))
-                                   for i in range(k + 1))
-                             for v in key))
-        out[label] = big.label_of(image)
-    return out
+    index = _vertex_index(big.vertices)
+    table = [index[tuple(sum(lin[i][t] * v[t] for t in range(k)) for i in range(k + 1))]
+             for v in small.vertices]
+    return {label: big.label_at(move_mask(m, table)) for m, label in small.labels}
 
 
 def check_singular_chain_map(terms: Sequence):
@@ -934,7 +991,8 @@ def cylinder(gen: Generator, alt_tag: Tag) -> Generator:
         raise ChainError("cylinders need unmarked generators")
     if gen.is_cochain:
         raise ChainError("cylinders are chain-level witnesses")
-    if set(alt_tag.face_keys) != set(gen.tag.face_keys):
+    if (alt_tag.vertices != gen.tag.vertices
+            or [m for m, _ in alt_tag.labels] != [m for m, _ in gen.tag.labels]):
         raise TagError("alternative tag must label the same faces")
     if not alt_tag.is_injective():
         raise TagError("alternative tag must be injective")
@@ -948,18 +1006,21 @@ def cylinder(gen: Generator, alt_tag: Tag) -> Generator:
     a_new = [(Fraction(0),) + tuple(row) for row in gen.cmap.a]
     cmap = CellMap(gen.cmap.target, a_new, gen.cmap.m_t, gen.cmap.b)
 
-    labels = {}
-    for key in prism.all_face_keys():
-        ts = {v[0] for v in key}
-        base = tuple(sorted({tuple(v[1:]) for v in key}))
-        if ts == {Fraction(0)}:
-            labels[key] = gen.tag.label_of(base)
-        elif ts == {Fraction(1)}:
-            labels[key] = alt_tag.label_of(base)
+    # every point of pts is a vertex and they sort by height first, so the
+    # prism's vertex k is vertex k of P at height 0 and vertex k - N at height 1
+    low_bits = (1 << len(p.vertices)) - 1
+    pairs = []
+    for g in prism._fd.face_dims():
+        low, high = g & low_bits, g >> len(p.vertices)
+        if not high:
+            label = gen.tag.label_at(low)
+        elif not low:
+            label = alt_tag.label_at(high)
         else:
-            labels[key] = merge_labels(gen.tag.label_of(base),
-                                       alt_tag.label_of(base), (("cyl",),))
-    tag = Tag(labels)
+            label = merge_labels(gen.tag.label_at(low | high),
+                                 alt_tag.label_at(low | high), (("cyl",),))
+        pairs.append((g, label))
+    tag = Tag.of_masks(prism.vertices, pairs)
     if not tag.is_injective():
         raise TagError("cylinder labels collide; the two tags must use disjoint atoms")
     return Generator(cell, cmap, tag)
@@ -1044,16 +1105,22 @@ class ChainComplex:
         return out
 
 
+def face_complex(p: Polytope, with_top: bool = True) -> list:
+    """Every face of P as a point-target generator; P itself only with_top.
+
+    One numbered tag over P's faces is restricted to each face, so a face
+    and its facets agree on labels and the boundaries close up.  Its
+    homology is that of a point with the top cell, else of the sphere
+    bounding P.
+    """
+    fd = p._fd
+    big = numbered_tag(p, "dx", p.dim)
+    top = (1 << len(p.vertices)) - 1
+    cmap = constant_map(POINT, p.ambient_dim, 0)
+    return [Generator(Cell(p.face_polytope(fd.key(g)), 0), cmap, big.restrict(g))
+            for g in fd.face_dims() if with_top or g != top]
+
+
 def simplex_face_complex(k: int) -> list:
     """Every face of the standard simplex as a point-target generator."""
-    p = standard_simplex(k)
-    big = standard_simplex_tag(k)
-    gens = []
-    for dim, keys in sorted(p.faces().items()):
-        for key in keys:
-            fp = p.face_polytope(key)
-            cell = Cell(fp, 0)
-            sub_keys = fp.all_face_keys()
-            gens.append(Generator(cell, constant_map(POINT, k + 1, 0),
-                                  big.restrict(sub_keys)))
-    return gens
+    return face_complex(standard_simplex(k))

@@ -17,7 +17,9 @@ and the kernel's vertices are their extreme points.
 Each vertex set keeps one vertex-facet incidence: the vertices of every facet
 as an int bitmask.  Every face is an intersection of facets, so the face
 lattice, minimal faces and the H-representation are read off those masks;
-face keys are built only when a face is handed out.  A point of the polytope
+face keys are built only when a face is handed out.  The layers above (tags,
+fibre-product face pairs, orbits) keep faces as vertex bitmasks too, moved
+between vertex sets by compress_mask and move_mask.  A point of the polytope
 has one tight-facet mask, a bitmask over the facets; the minimal face holding
 some points is the meet of the facets tight on all of them, so fibre-product
 face pairs (cells) are read off one tight-facet mask per slice vertex.
@@ -63,12 +65,27 @@ class GeometryError(ValueError):
     """Raised for malformed polytopes, frames, or face queries."""
 
 
-def _sorted_vertices(vertices: Iterable[Iterable]) -> tuple[Vec, ...]:
+def face_key(vertices: Iterable[Iterable]) -> FaceKey:
     return tuple(sorted(vec(v) for v in vertices))
 
 
-def face_key(vertices: Iterable[Iterable]) -> FaceKey:
-    return _sorted_vertices(vertices)
+# A face is a bitmask over its polytope's sorted vertices.  A face G of a
+# face F has its sorted vertices as a subsequence of F's, so packing G's
+# bits at F's set bits gives G's mask over F's own vertices.
+
+def mask_bits(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def compress_mask(mask: int, within: int) -> int:
+    """The bits of mask at the set bits of within, packed in order."""
+    return sum(1 << k for k, i in enumerate(mask_bits(within)) if mask >> i & 1)
+
+
+def move_mask(mask: int, table: Sequence[int]) -> int:
+    """Image of a vertex bitmask under the vertex map i -> table[i]."""
+    return sum(1 << table[i] for i in mask_bits(mask))
 
 
 def section_vertices(n: int, equations: Sequence[tuple[Vec, Fraction]],
@@ -170,7 +187,7 @@ class _FaceData:
 
     def key(self, mask: int) -> FaceKey:
         """The face key of a bitmask over the vertices."""
-        return tuple(v for i, v in enumerate(self.vertices) if mask >> i & 1)
+        return tuple(self.vertices[i] for i in mask_bits(mask))
 
     def meet(self, facet_bits: int) -> int:
         """Vertex bitmask of the intersection of the facets in facet_bits."""
@@ -418,7 +435,7 @@ class Polytope:
 
 def _checked_points(ambient_dim: int, points: Iterable[Iterable], what: str) -> tuple[Vec, ...]:
     """The points sorted, checked to be nonempty and of length ambient_dim."""
-    pts = _sorted_vertices(points)
+    pts = face_key(points)
     if not pts:
         raise GeometryError(f"polytope needs at least one {what}")
     if any(len(p) != ambient_dim for p in pts):

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from ._linalg import Mat, Vec, frac, kernel_basis, mat, matvec, solve, vec
+from ._linalg import Mat, Vec, frac, identity, kernel_basis, mat, matvec, solve, vec
 from .cells import Cell, CellMap, maps_agree
 from .chains import Chain, Generator, QuotientMarker, Tag
-from .geometry import Polytope, section_vertices
+from .geometry import Polytope, move_mask, section_vertices
 
 
 class OrbifoldError(ValueError):
@@ -217,10 +217,12 @@ class GroupAction:
     Every element must send each component onto a component, carrying the
     vertex set bijectively.  Each element's maps are applied to each
     component's vertices once, giving a table of vertex permutations; the
-    homomorphism law a.(b.v) = (ab).v is checked on those tables.
+    homomorphism law a.(b.v) = (ab).v is checked on those tables, which are
+    kept: tables[g][i][k] is the index of g.v in component maps[g][i].target
+    for vertex k of component i, so faces move as vertex bitmasks.
     """
 
-    __slots__ = ("group", "spaces", "maps")
+    __slots__ = ("group", "spaces", "maps", "tables")
 
     def __init__(self, group: FiniteGroup, space, rep: Mapping):
         if isinstance(space, Polytope):
@@ -287,6 +289,7 @@ class GroupAction:
                     pa = perms[a][eb.target]
                     if tuple(pa[k] for k in perms[b][i]) != perms[ab][i]:
                         raise OrbifoldError("action is not a homomorphism")
+        self.tables = perms
 
     @property
     def single(self) -> Polytope:
@@ -338,9 +341,7 @@ class RealRep:
             if len(m) != dim or any(len(row) != dim for row in m):
                 raise OrbifoldError("representation matrices must be square")
             mats[g] = m
-        eye = tuple(tuple(Fraction(1 if i == j else 0) for j in range(dim))
-                    for i in range(dim))
-        if mats[group.identity] != eye:
+        if mats[group.identity] != identity(dim):
             raise OrbifoldError("identity must act as the identity matrix")
         for a in group.elements:
             for b in group.elements:
@@ -364,8 +365,7 @@ class RealRep:
 
 
 def identity_rep(group: FiniteGroup, dim: int) -> RealRep:
-    eye = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
-    return RealRep(group, dim, {g: eye for g in group.elements})
+    return RealRep(group, dim, {g: identity(dim) for g in group.elements})
 
 
 def fixed_subspace(rep: RealRep) -> tuple:
@@ -639,10 +639,6 @@ def iota_check(stratum: Stratum, probes: Optional[Sequence] = None) -> IotaRepor
 # Quotient pushdown
 # ---------------------------------------------------------------------------
 
-def _face_image(entry: ActionComponentMap, face_key: tuple) -> tuple:
-    return tuple(sorted(entry.apply(v) for v in face_key))
-
-
 def map_is_invariant(action: GroupAction, cmap: CellMap, component: int = 0) -> bool:
     """Whether one map descends to the quotient of its component orbit.
 
@@ -681,8 +677,9 @@ def quotient_pushdown(action: GroupAction, cmaps, tags, ring: str = "Q") -> Chai
             pairs = [(v, entry.apply(v)) for v in poly.vertices]
             if not maps_agree(cmaps[i], cmaps[j], pairs):
                 raise OrbifoldError("map is not invariant under the action")
-            for fk in tags[i].face_keys:
-                if tags[i].label_of(fk) != tags[j].label_of(_face_image(entry, fk)):
+            table = action.tables[g][i]
+            for f, label in tags[i].labels:
+                if label != tags[j].label_at(move_mask(f, table)):
                     raise OrbifoldError("tag is not invariant under the action")
     seen: set = set()
     terms = []
@@ -697,7 +694,7 @@ def quotient_pushdown(action: GroupAction, cmaps, tags, ring: str = "Q") -> Chai
         cell = Cell(poly, cmaps[rep_i].s_cols)
         marker = None
         if len(stab) > 1:
-            orbits = _face_orbits(action, rep_i, stab, tags[rep_i].face_keys)
+            orbits = _face_orbits(action, rep_i, stab, [f for f, _ in tags[rep_i].labels])
             marker = QuotientMarker(len(stab), orbits)
         terms.append((Fraction(1),
                       Generator(cell, cmaps[rep_i], tags[rep_i],
@@ -706,14 +703,7 @@ def quotient_pushdown(action: GroupAction, cmaps, tags, ring: str = "Q") -> Chai
 
 
 def _face_orbits(action: GroupAction, component: int, stab: Sequence,
-                 face_keys: Iterable) -> tuple:
-    faces = [tuple(fk) for fk in face_keys]
-    remaining = set(faces)
-    orbits = []
-    for fk in faces:
-        if fk not in remaining:
-            continue
-        orbit = {_face_image(action.maps[g][component], fk) for g in stab}
-        remaining -= orbit
-        orbits.append(tuple(sorted(orbit)))
-    return tuple(orbits)
+                 faces: Sequence[int]) -> tuple:
+    """The stabilizer's orbits on a component's faces, as vertex bitmasks."""
+    return tuple(sorted({tuple(sorted({move_mask(f, action.tables[g][component])
+                                       for g in stab})) for f in faces}))

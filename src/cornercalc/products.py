@@ -71,7 +71,7 @@ def _cup_pair(g1: Generator, g2: Generator) -> list:
         if not comp.transverse or comp.coorientation is None:
             raise ProductError("cup hit a non-transverse component; "
                                "cochain operands must be submersions")
-        tag = pair_tags(g1.tag, g2.tag, comp.face_pairs)
+        tag = pair_tags(g1.tag, g2.tag, comp)
         out.append((Fraction(1),
                     Generator(comp.cell, comp.pmap, tag,
                               coorientation=comp.coorientation)))
@@ -103,7 +103,7 @@ def _cap_pair(g: Generator, d: Generator) -> list:
         if not comp.transverse or not comp.orientable:
             raise ProductError("cap hit a non-transverse component; "
                                "the cochain operand must be a submersion")
-        tag = pair_tags(g.tag, d.tag, comp.face_pairs)
+        tag = pair_tags(g.tag, d.tag, comp)
         out.append((Fraction(1), Generator(comp.cell, comp.pmap, tag)))
     return out
 
@@ -137,7 +137,7 @@ def identity_generator(y: Target) -> Generator:
     cell = Cell(POINT_POLYTOPE, m)
     eye = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     cmap = CellMap(y, [() for _ in range(m)], eye, [0] * m)
-    tag = Tag({((),): ()})
+    tag = Tag(POINT_POLYTOPE, {((),): ()})
     return Generator(cell, cmap, tag, coorientation=Coorientation((), 1))
 
 
@@ -165,9 +165,9 @@ def _permute_generator(gen: Generator, perm: Sequence[int]) -> Generator:
     """Coordinate-permutation witness: cell, map, coorientation, and labels."""
     cell, cmap, co = permute_cell_coords(gen.cell, gen.cmap, perm,
                                          gen.coorientation)
-    vmap = {v: tuple(v[j] for j in perm) for v in gen.cell.polytope.vertices}
-    tag = Tag({tuple(sorted(vmap[v] for v in key)): label
-               for key, label in gen.tag.labels})
+    index = {v: i for i, v in enumerate(cell.polytope.vertices)}
+    table = [index[tuple(v[j] for j in perm)] for v in gen.cell.polytope.vertices]
+    tag = gen.tag.moved(cell.polytope.vertices, table)
     return Generator(cell, cmap, tag, coorientation=co)
 
 
@@ -328,7 +328,7 @@ def pullback(h: TargetMap, delta: Chain) -> Chain:
                 raise ProductError("pullback hit a non-transverse component")
             pmap = comp.compose_on_first(id_map)
             co = kernel_coorientation(comp.cell, pmap)
-            tag = pair_tags(unit.tag, g.tag, comp.face_pairs)
+            tag = pair_tags(unit.tag, g.tag, comp)
             terms.append((coeff,
                           Generator(comp.cell, pmap, tag, coorientation=co)))
     return Chain(terms, ring=delta.ring)

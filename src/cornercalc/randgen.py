@@ -19,7 +19,7 @@ from ._linalg import mat, rank
 from .bordism import BordismClass, PairingWitness
 from .cells import (POINT, Cell, CellMap, Coorientation, Target, euclid,
                     fibre_product_cells, kernel_coorientation, torus)
-from .chains import Chain, Generator, SingularSimplex, Tag, TargetMap
+from .chains import Chain, Generator, SingularSimplex, Tag, TargetMap, numbered_tag
 from .geometry import POINT_POLYTOPE, Polytope
 
 MAX_TRIES = 200
@@ -60,14 +60,6 @@ def random_polytope(rng: Random, ambient: int, max_vertices: int = 6,
         if p.dim >= min_dim:
             return p
     raise GenerationError("no polytope of the requested dimension in budget")
-
-
-def numbered_tag(poly: Polytope, prefix) -> Tag:
-    """Injective labels, one per face, ordered by dimension then key."""
-    faces = []
-    for d in sorted(poly.faces()):
-        faces.extend(sorted(poly.faces()[d]))
-    return Tag({fk: ((prefix, i),) for i, fk in enumerate(faces)})
 
 
 def random_cell(rng: Random, max_ambient: int = 3, max_torus: int = 1,
@@ -242,7 +234,7 @@ def random_cover_cochain(rng: Random, y: Target, prefix,
         cmap = CellMap(y, [() for _ in range(y.dim)], m_t,
                        _fractions(rng, y.dim))
         cell = Cell(POINT_POLYTOPE, y.dim)
-        gen = Generator(cell, cmap, Tag({((),): ((prefix, i),)}),
+        gen = Generator(cell, cmap, Tag(POINT_POLYTOPE, {((),): ((prefix, i),)}),
                         coorientation=Coorientation((), rng.choice((1, -1))))
         terms.append((_coefficient(rng), gen))
     return Chain(terms)

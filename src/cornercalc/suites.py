@@ -21,7 +21,7 @@ from .cells import (POINT, Cell, CellMap, FibreProductError, euclid, torus)
 from .chains import (Chain, ChainComplex, Generator, QuotientMarker, Tag,
                      TagError, boundary, chain, check_sigma_pairing,
                      check_singular_chain_map, corner_terms,
-                     generator_boundary, simplex_face_complex,
+                     generator_boundary, numbered_tag, simplex_face_complex,
                      verify_dd_zero)
 from .geometry import POINT_POLYTOPE, Polytope, box, interval
 from .maps import (check_associativity_cells,
@@ -315,8 +315,8 @@ def suite_quotient_half(seed=0, count=None, max_dim=4,
     poly = act.spaces[0]
     ends = tuple(sorted(poly.faces()[0]))
     top = poly.faces()[1][0]
-    tag = Tag({ends[0]: (("end", 0),), ends[1]: (("end", 0),),
-               top: (("seg", 0),)})
+    tag = Tag(poly, {ends[0]: (("end", 0),), ends[1]: (("end", 0),),
+                     top: (("seg", 0),)})
     pushed = quotient_pushdown(act, CellMap(POINT, (), (), ()), tag)
     terms = pushed.terms()
     half = (len(terms) == 1 and terms[0][0] == Fraction(1, 2))
@@ -326,7 +326,7 @@ def suite_quotient_half(seed=0, count=None, max_dim=4,
         (f"coefficient {terms[0][0]}" if terms else "no terms",))
 
     marked = Generator(Cell(poly, 0), CellMap(POINT, (), (), ()), tag,
-                       quotient=QuotientMarker(2, (ends, (top,))))
+                       quotient=QuotientMarker.from_faces(poly, 2, (ends, (top,))))
     via_expansion = boundary(chain(marked))
     direct = Chain(generator_boundary(marked))
     coeffs = sorted(c for c, _ in via_expansion.terms())
@@ -510,15 +510,21 @@ def suite_bordism(seed=0, count=None, max_dim=4, ring=None) -> SuiteResult:
 # Negative controls
 # ---------------------------------------------------------------------------
 
+def _refusal(name: str, call, error, needle: str, accepted: str) -> CheckRecord:
+    """A control that must be refused: call raises error, naming needle."""
+    try:
+        call()
+    except error as err:
+        return CheckRecord(name, needle in str(err), 1, (str(err),))
+    return CheckRecord(name, False, 1, (accepted,))
+
+
 def suite_negative_controls(seed=0, count=None, max_dim=4,
                             ring=None) -> SuiteResult:
     records = []
 
     sq = box([(0, 1), (0, 1)])
-    faces = []
-    for d in sorted(sq.faces()):
-        faces.extend(sorted(sq.faces()[d]))
-    tag = Tag({fk: (("sq", i),) for i, fk in enumerate(faces)})
+    tag = numbered_tag(sq, "sq")
     gen = Generator(Cell(sq, 0), CellMap(POINT, (), (), ()), tag)
     terms = corner_terms(gen)
     flipped = terms[0]
@@ -537,40 +543,25 @@ def suite_negative_controls(seed=0, count=None, max_dim=4,
     iv = interval(0, 1)
     ends = sorted(iv.faces()[0])
     top = iv.faces()[1][0]
-    bad_tag = Tag({ends[0]: (("dup",),), ends[1]: (("dup",),),
-                   top: (("seg",),)})
-    try:
-        Generator(Cell(iv, 0), CellMap(POINT, (), (), ()), bad_tag)
-        records.append(CheckRecord(
-            "repeated labels across faces are rejected", False, 1,
-            ("generator accepted a non-injective labeling",)))
-    except TagError as err:
-        records.append(CheckRecord(
-            "repeated labels across faces are rejected",
-            "injective" in str(err), 1, (str(err),)))
+    bad_tag = Tag(iv, {ends[0]: (("dup",),), ends[1]: (("dup",),),
+                       top: (("seg",),)})
+    records.append(_refusal(
+        "repeated labels across faces are rejected",
+        lambda: Generator(Cell(iv, 0), CellMap(POINT, (), (), ()), bad_tag),
+        TagError, "injective", "generator accepted a non-injective labeling"))
 
     z2 = cyclic_group(2)
     rho = VirtualRep(z2, ((1, -1),))
-    try:
-        strata_projection(_point_class(1), z2, rho)
-        records.append(CheckRecord(
-            "even symmetry orders cannot transfer orientation", False, 1,
-            ("projection accepted an even-order group",)))
-    except BordismError as err:
-        records.append(CheckRecord(
-            "even symmetry orders cannot transfer orientation",
-            "odd orders" in str(err), 1, (str(err),)))
+    records.append(_refusal(
+        "even symmetry orders cannot transfer orientation",
+        lambda: strata_projection(_point_class(1), z2, rho),
+        BordismError, "odd orders", "projection accepted an even-order group"))
 
     square_witness = BordismClass([(Cell(sq), CellMap(POINT, (), (), ()))])
-    try:
-        present_group([_point_class(1), _point_class(-1)], [square_witness])
-        records.append(CheckRecord(
-            "a relation witness with corners is refused", False, 1,
-            ("presentation accepted a cornered witness",)))
-    except BordismError as err:
-        records.append(CheckRecord(
-            "a relation witness with corners is refused",
-            "corner" in str(err), 1, (str(err),)))
+    records.append(_refusal(
+        "a relation witness with corners is refused",
+        lambda: present_group([_point_class(1), _point_class(-1)], [square_witness]),
+        BordismError, "corner", "presentation accepted a cornered witness"))
 
     return _result("negative-controls", records)
 

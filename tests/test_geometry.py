@@ -42,7 +42,7 @@ from cornercalc.orbifold import _cut_by_equations
 
 def _flags(p, frame=None, sign=1):
     """Second-boundary flags of P as an oriented, injectively labelled chain cell."""
-    tag = Tag.from_atoms({k: i for i, k in enumerate(p.all_face_keys())})
+    tag = Tag.from_atoms(p, {k: i for i, k in enumerate(p.all_face_keys())})
     gen = Generator(Cell(p, 0, frame, sign), constant_map(POINT, p.ambient_dim, 0), tag)
     return corner_terms(gen)
 
@@ -393,7 +393,7 @@ def test_affine_isomorphisms_match_brute_force(data):
     back = CellMap(euclid(d), inv_a, [()] * d, inv_b)
     assert oriented_match(Cell(p), ident, Cell(q), back) == det_sign
     # self-maps fixing a constant map and a constant label: all symmetries
-    tag = Tag.from_atoms({k: "x" for k in p.all_face_keys()})
+    tag = Tag.from_atoms(p, {k: "x" for k in p.all_face_keys()})
     rep = aut_finite(Cell(p), const_p, tag)
     assert rep.verdict == "finite"
     assert len(rep.vertex_maps) == len(_affine_permutation_dets(p, p))

@@ -105,8 +105,8 @@ def full_tag(poly, prefix):
     faces = []
     for d in sorted(poly.faces()):
         faces.extend(poly.faces()[d])
-    return Tag({fk: ((prefix, i),) for i, fk in
-                enumerate(sorted(faces, key=lambda k: (len(k), k)))})
+    return Tag(poly, {fk: ((prefix, i),) for i, fk in
+                      enumerate(sorted(faces, key=lambda k: (len(k), k)))})
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +392,8 @@ def test_pushdown_reflection_is_marked():
     poly = act.spaces[0]
     ends = poly.faces()[0]
     top = poly.faces()[1][0]
-    tag = Tag({ends[0]: (("end", 0),), ends[1]: (("end", 0),),
-               top: (("seg", 0),)})
+    tag = Tag(poly, {ends[0]: (("end", 0),), ends[1]: (("end", 0),),
+                     top: (("seg", 0),)})
     result = quotient_pushdown(act, point_map(), tag)
     terms = result.terms()
     assert len(terms) == 1
@@ -402,7 +402,7 @@ def test_pushdown_reflection_is_marked():
     assert gen.quotient is None
     orbits = (tuple(sorted(ends)), (top,))
     marked = Generator(Cell(poly, 0), point_map(), tag,
-                       quotient=QuotientMarker(2, orbits))
+                       quotient=QuotientMarker.from_faces(poly, 2, orbits))
     assert result.coefficient(marked) == 1
 
 
@@ -418,8 +418,8 @@ def test_pushdown_rejects_noninvariant_map():
     poly = act.spaces[0]
     ends = poly.faces()[0]
     top = poly.faces()[1][0]
-    tag = Tag({ends[0]: (("end", 0),), ends[1]: (("end", 0),),
-               top: (("seg", 0),)})
+    tag = Tag(poly, {ends[0]: (("end", 0),), ends[1]: (("end", 0),),
+                     top: (("seg", 0),)})
     cmap = CellMap(euclid(1), [[1]], [[0]], [0])
     with pytest.raises(OrbifoldError):
         quotient_pushdown(act, cmap, tag)
@@ -434,8 +434,8 @@ def test_pushdown_free_swap_is_one_interval():
     for comp in act.spaces:
         ends = sorted(comp.faces()[0])
         top = comp.faces()[1][0]
-        tags.append(Tag({ends[0]: (("lo",),), ends[1]: (("hi",),),
-                         top: (("seg",),)}))
+        tags.append(Tag(comp, {ends[0]: (("lo",),), ends[1]: (("hi",),),
+                               top: (("seg",),)}))
     result = quotient_pushdown(act, [point_map(), point_map()], tags)
     terms = result.terms()
     assert len(terms) == 1
@@ -450,8 +450,8 @@ def test_pushdown_constant_torus_map():
     poly = act.spaces[0]
     ends = poly.faces()[0]
     top = poly.faces()[1][0]
-    tag = Tag({ends[0]: (("end", 0),), ends[1]: (("end", 0),),
-               top: (("seg", 0),)})
+    tag = Tag(poly, {ends[0]: (("end", 0),), ends[1]: (("end", 0),),
+                     top: (("seg", 0),)})
     cmap = CellMap(torus(1), [[0]], [[]], [Fraction(1, 3)])
     result = quotient_pushdown(act, cmap, tag)
     terms = result.terms()

@@ -63,7 +63,7 @@ def numbered_tag(poly, prefix):
     for d in sorted(poly.faces()):
         faces.extend(poly.faces()[d])
     ordered = sorted(faces, key=lambda k: (len(k), k))
-    return Tag({f: ((prefix, i),) for i, f in enumerate(ordered)})
+    return Tag(poly, {f: ((prefix, i),) for i, f in enumerate(ordered)})
 
 
 def cover_cochain(m_row, prefix, target=None):
@@ -71,7 +71,7 @@ def cover_cochain(m_row, prefix, target=None):
     y = target or torus(len(m_row[0]) if isinstance(m_row[0], list) else 1)
     cell = Cell(P0, len(m_row))
     cmap = CellMap(y, [() for _ in range(y.dim)], m_row, [0] * y.dim)
-    return Generator(cell, cmap, Tag({((),): ((prefix, 0),)}),
+    return Generator(cell, cmap, Tag(P0, {((),): ((prefix, 0),)}),
                      coorientation=Coorientation((), 1))
 
 
@@ -91,7 +91,7 @@ def torus_chain(y, prefix):
     eye = [[1 if i == j else 0 for j in range(y.dim)] for i in range(y.dim)]
     cell = Cell(P0, y.dim)
     cmap = CellMap(y, [() for _ in range(y.dim)], eye, [0] * y.dim)
-    return Generator(cell, cmap, Tag({((),): ((prefix, 0),)}))
+    return Generator(cell, cmap, Tag(P0, {((),): ((prefix, 0),)}))
 
 
 def square_chain(y, prefix):
@@ -356,7 +356,7 @@ def test_duality_sends_identity_to_fundamental_chain():
     t1 = torus(1)
     image = duality_KchToKh(identity_cochain(t1))
     expected = chain(Generator(Cell(P0, 1), CellMap(t1, [()], [[1]], [0]),
-                               Tag({((),): ()})))
+                               Tag(P0, {((),): ()})))
     assert image == expected
     assert duality_KchToKh(identity_cochain(t1), -1) == expected.scale(-1)
     with pytest.raises(ProductError):
