@@ -1,5 +1,6 @@
 """Cell layer: targets, oriented cells with torus factors, coorientations, fibre products."""
 
+import hashlib
 import itertools
 from fractions import Fraction as F
 from random import Random
@@ -498,6 +499,28 @@ def test_face_pairs_match_per_face_definition():
             assert comp.transverse == transverse
             seen.add(transverse)
     assert seen == {True, False}
+
+
+# Any drift in a fibre product's cell, map, translate, flags, coorientation,
+# face pairs or the facets of its polytope changes it.
+GOLDEN_FIBRE_DIGEST = (
+    "61f66b8801770fb8c584a4a4b0f6045a7929f77d5ed61fed400b3bd3b970db0f")
+
+
+def test_fibre_products_golden_digest():
+    h = hashlib.sha256()
+    count = 0
+    for t in (POINT, euclid(1), torus(1)):
+        for seed in range(12):
+            case = fibre_instance(Random(f"golden-fibre/{t.kind}/{seed}"), t)
+            for comp in fibre_product_cells(*case):
+                count += 1
+                h.update(repr((comp.cell, comp.pmap, comp.translate, comp.transverse,
+                               comp.orientable, comp.coorientation,
+                               sorted(comp.face_pairs.items()),
+                               comp.cell.polytope.facets())).encode())
+    assert count == 37
+    assert h.hexdigest() == GOLDEN_FIBRE_DIGEST
 
 
 @st.composite
