@@ -51,7 +51,7 @@ from ._linalg import (
     transpose,
     vec,
 )
-from .geometry import FaceKey, GeometryError, Polytope, section_vertices
+from .geometry import FaceKey, GeometryError, Polytope, section_polytope
 
 
 class MapError(ValueError):
@@ -155,10 +155,12 @@ class Cell:
             raise GeometryError("frame length must equal cell dimension")
         if fr and len(fr[0]) != n + torus_rank:
             raise GeometryError("frame vector has wrong length")
-        if rank(span + fr) != len(span):
-            raise GeometryError("frame vector outside the cell's tangent space")
-        if rank(fr) != len(fr):
-            raise GeometryError("frame is linearly dependent")
+        # the default frame is an RREF basis of the tangent space already
+        if fr != span:
+            if rank(span + fr) != len(span):
+                raise GeometryError("frame vector outside the cell's tangent space")
+            if rank(fr) != len(fr):
+                raise GeometryError("frame is linearly dependent")
         object.__setattr__(self, "polytope", polytope)
         object.__setattr__(self, "torus_rank", torus_rank)
         object.__setattr__(self, "frame", fr)
@@ -446,8 +448,8 @@ def cell_boundary(cell: Cell) -> list[CellBoundaryComponent]:
     p = cell.polytope
     s = cell.torus_rank
     out = []
-    for key, outward in p.facets():
-        fp = p.face_polytope(key)
+    for (key, outward), mask in zip(p.facets(), p._fd.facet_masks):
+        fp = p.face_from_mask(mask)
         base = default_frame(fp, s)
         out_vec = tuple(outward) + (Fraction(0),) * s
         cand = (out_vec,) + base
@@ -498,8 +500,13 @@ def _pivots_of(h: Mat) -> list[tuple[int, int, int]]:
 
 
 def _slice_polytope(p1: Polytope, p2: Polytope,
-                    equations: Sequence[tuple[Vec, Fraction]]) -> Optional[Polytope]:
-    """(P1 x P2) cut by affine equations row.p = rhs; None when empty."""
+                    equations: Sequence[tuple[Vec, Fraction]]
+                    ) -> Optional[tuple[Polytope, list[int]]]:
+    """(P1 x P2) cut by affine equations row.p = rhs; None when empty.
+
+    With the slice comes, per vertex, the bitmask of the factor facets tight
+    at it: P1's facets in its facets() order, then P2's.
+    """
     n1, n2 = p1.ambient_dim, p2.ambient_dim
     zero1, zero2 = (Fraction(0),) * n1, (Fraction(0),) * n2
     eqs = [(tuple(row) + zero2, rhs) for row, rhs in p1.affine_hull_equations()]
@@ -507,8 +514,7 @@ def _slice_polytope(p1: Polytope, p2: Polytope,
     eqs += equations
     ineqs = [(tuple(f) + zero2, c) for f, c, _ in p1.facet_inequalities()]
     ineqs += [(zero1 + tuple(f), c) for f, c, _ in p2.facet_inequalities()]
-    cands = section_vertices(n1 + n2, eqs, ineqs)
-    return Polytope(n1 + n2, cands, _trusted=True) if cands else None
+    return section_polytope(n1 + n2, eqs, ineqs)
 
 
 @dataclass
@@ -679,11 +685,11 @@ def fibre_product_cells(cell1: Cell, map1: CellMap, cell2: Cell, map2: CellMap, 
             for (r, row, shift), val in zip(residuals, res_choice):
                 lam_full[r] = Fraction(val)
                 equations.append((row, Fraction(val) - shift))
-            poly = _slice_polytope(cell1.polytope, cell2.polytope, equations)
-            if poly is None:
+            section = _slice_polytope(cell1.polytope, cell2.polytope, equations)
+            if section is None:
                 continue
             comp = _build_component(
-                cell1, map1, cell2, map2, poly, s_z, u, rho,
+                cell1, map1, cell2, map2, *section, s_z, u, rho,
                 tau_rows, tau_consts, tuple(int(x) for x in lam_full),
                 expected_dim, coorient1, coorient2)
             components.append(comp)
@@ -692,7 +698,7 @@ def fibre_product_cells(cell1: Cell, map1: CellMap, cell2: Cell, map2: CellMap, 
     return components
 
 
-def _build_component(cell1, map1, cell2, map2, poly, s_z, u, rho,
+def _build_component(cell1, map1, cell2, map2, poly, tight, s_z, u, rho,
                      tau_rows, tau_consts, translate, expected_dim,
                      coorient1, coorient2) -> FibreComponent:
     n1, s1 = cell1.polytope.ambient_dim, cell1.torus_rank
@@ -737,13 +743,14 @@ def _build_component(cell1, map1, cell2, map2, poly, s_z, u, rho,
         b_z.append(const)
     pmap = CellMap(map1.target, a_z, m_z, b_z)
 
-    # face pairs and transversality, from one tight-facet mask per slice vertex
-    # in each factor: a face's factor faces are the meets of the facets tight
-    # at all of its vertices
+    # face pairs and transversality, from the slice's tight factor facets at
+    # each vertex: a face's factor faces are the meets of the facets tight at
+    # all of its vertices
     p1, p2 = cell1.polytope, cell2.polytope
     fd, fd1, fd2 = poly._fd, p1._fd, p2._fd
     dims1, dims2 = fd1.face_dims(), fd2.face_dims()
-    tight = [(p1.tight_facets(v[:n1]), p2.tight_facets(v[n1:])) for v in poly.vertices]
+    k1 = len(fd1.facet_masks)
+    tight = [(z & (1 << k1) - 1, z >> k1) for z in tight]
     face_pairs = {}
     transverse = (poly.dim + s_z == expected_dim)
     for g, dim in fd.face_dims().items():
@@ -761,8 +768,8 @@ def _build_component(cell1, map1, cell2, map2, poly, s_z, u, rho,
     # they span at G'; every face has a vertex, so a face fails only if one
     # of its vertices does.
     for f1, f2 in {(fd1.meet(b1), fd2.meet(b2)) for b1, b2 in tight}:
-        cols = _face_differential_cols(map1, cell1, p1.face_polytope(fd1.key(f1)).dir_basis)
-        cols += _face_differential_cols(map2, cell2, p2.face_polytope(fd2.key(f2)).dir_basis)
+        cols = _face_differential_cols(map1, cell1, p1.face_from_mask(f1).dir_basis)
+        cols += _face_differential_cols(map2, cell2, p2.face_from_mask(f2).dir_basis)
         if not _span_is_full(cols, m):
             transverse = False
             break

@@ -1117,7 +1117,7 @@ def face_complex(p: Polytope, with_top: bool = True) -> list:
     big = numbered_tag(p, "dx", p.dim)
     top = (1 << len(p.vertices)) - 1
     cmap = constant_map(POINT, p.ambient_dim, 0)
-    return [Generator(Cell(p.face_polytope(fd.key(g)), 0), cmap, big.restrict(g))
+    return [Generator(Cell(p.face_from_mask(g), 0), cmap, big.restrict(g))
             for g in fd.face_dims() if with_top or g != top]
 
 

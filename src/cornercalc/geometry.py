@@ -9,25 +9,37 @@ between vertex sets are built on them. Orientations, boundaries and the corner
 involution live on cells (see cells and chains).
 
 One kernel, section_vertices, enumerates the vertices of {e . x = c, f . x <= d}
-by the double description method on integer rows.  Facets are the vertices of
-the polar of the vertex set about its barycenter; fibre-product slices (cells)
-and fixed-locus cuts (orbifold) are sections of a polytope's H-representation,
-and the kernel's vertices are their extreme points.
+by the double description method on integer rows, each with the bitmask of
+the inequalities tight at it.  Each vertex set keeps one vertex-facet
+incidence: the vertices of every facet as an int bitmask, and one functional
+f per facet with f . x largest on the facet.  Every face is an intersection of
+facets, so the face lattice, minimal faces and the H-representation are read
+off those masks; face keys are built only when a face is handed out.  The
+layers above (tags, fibre-product face pairs, orbits) keep faces as vertex
+bitmasks too, moved between vertex sets by compress_mask and move_mask.
 
-Each vertex set keeps one vertex-facet incidence: the vertices of every facet
-as an int bitmask.  Every face is an intersection of facets, so the face
-lattice, minimal faces and the H-representation are read off those masks;
-face keys are built only when a face is handed out.  The layers above (tags,
-fibre-product face pairs, orbits) keep faces as vertex bitmasks too, moved
-between vertex sets by compress_mask and move_mask.  A point of the polytope
-has one tight-facet mask, a bitmask over the facets; the minimal face holding
-some points is the meet of the facets tight on all of them, so fibre-product
-face pairs (cells) are read off one tight-facet mask per slice vertex.
+The incidence is enumerated cold, as the vertices of the polar of the vertex
+set about its barycenter, only for a root point set: one that no known
+polytope produced.  Everything else inherits it from the incidence that
+produced it.
+- A section (a fibre-product slice in cells, a fixed-locus cut in orbifold)
+  has as facets the largest proper sets of its vertices tight on one row.
+- A face has as facets the largest proper sets G & F over the facets F of
+  its polytope.
+- The hull of a point set has the point set's facets, restricted to the
+  extreme points.
+Either way each facet's functional is one that is tight on it, and its
+outward vector is that functional read in the direction space, scaled so that
+its last nonzero entry is +-1, which does not depend on which functional was
+taken.
 
-No LP is solved.  The extreme points of a point set are read off the
-incidence of the point set itself: a point is extreme when the facets tight
-at it meet in that point alone.  Membership is the H-representation, the
-affine hull's equations and the facet inequalities, tested exactly.
+A point of the polytope has one tight-facet mask, a bitmask over the facets;
+the minimal face holding some points is the meet of the facets tight on all
+of them, so fibre-product face pairs (cells) are read off the kernel's tight
+rows at each slice vertex.  No LP is solved.  A point is extreme when the
+facets tight at it meet in that point alone.  Membership is the
+H-representation, the affine hull's equations and the facet inequalities,
+tested exactly.
 """
 
 from __future__ import annotations
@@ -45,6 +57,7 @@ from ._linalg import (
     _eliminate,
     _primitive,
     _primitive_rows,
+    _scaled,
     dot,
     frac,
     independent_subset,
@@ -89,8 +102,9 @@ def move_mask(mask: int, table: Sequence[int]) -> int:
 
 
 def section_vertices(n: int, equations: Sequence[tuple[Vec, Fraction]],
-                     inequalities: Sequence[tuple[Vec, Fraction]]) -> list[Vec]:
-    """Vertices of the set {x in R^n : e . x = c, f . x <= d}.
+                     inequalities: Sequence[tuple[Vec, Fraction]]) -> list[tuple[Vec, int]]:
+    """Vertices of the set {x in R^n : e . x = c, f . x <= d}, each with the
+    bitmask of the inequalities tight at it.
 
     Equations, when given, are solved once: x = x0 + sum y_i k_i over a
     kernel basis k, so each inequality becomes a row g . y <= h over the q
@@ -103,7 +117,8 @@ def section_vertices(n: int, equations: Sequence[tuple[Vec, Fraction]],
     adjacent pair of rays across it: two rays are adjacent when at least
     q - 1 rows are tight on both and no third ray is tight on all of those.
     When the rows have rank < q + 1 the set has no vertex, and [] is
-    returned.
+    returned.  A ray's mask is exact: a row is tight on a positive
+    combination of two rays that satisfy it only when it is tight on both.
     """
     if equations:
         e = mat(row for row, _ in equations)
@@ -145,12 +160,42 @@ def section_vertices(n: int, equations: Sequence[tuple[Vec, Fraction]],
                                  z | bit))
         rays = kept
     found = []
-    for v, _ in rays:
+    rows_mask = (1 << len(rows)) - 1
+    for v, z in rays:
         if v[q] > 0:
             y = [Fraction(a, v[q]) for a in v[:q]]
-            found.append(tuple(y) if basis is None else tuple(
-                x0[j] + sum(y[i] * basis[i][j] for i in range(q)) for j in range(n)))
+            found.append((tuple(y) if basis is None else tuple(
+                x0[j] + sum(y[i] * basis[i][j] for i in range(q)) for j in range(n)),
+                z & rows_mask))
     return found
+
+
+def section_polytope(n: int, equations: Sequence[tuple[Vec, Fraction]],
+                     inequalities: Sequence[tuple[Vec, Fraction]]):
+    """The polytope {e . x = c, f . x <= d} and the inequalities tight at each
+    of its vertices, in vertex order; None when the set is empty.
+
+    Its facets are the largest proper sets of vertices tight on one row, and
+    that row's f is the facet's functional: no polar enumeration runs.
+    """
+    found = sorted(section_vertices(n, equations, inequalities))
+    if not found:
+        return None
+    poly = Polytope(n, [v for v, _ in found], _trusted=True)
+    tight = [z for _, z in found]
+    fd = poly._fd
+    if fd._facets is None:
+        row_of = {}
+        for i in range(len(inequalities)):
+            row_of.setdefault(sum(1 << k for k, z in enumerate(tight) if z >> i & 1), i)
+        cuts = set(row_of) - {0, (1 << len(tight)) - 1}
+        fd.set_facets([(m, vec(inequalities[row_of[m]][0])) for m in _maximal(cuts)])
+    return poly, tight
+
+
+def _maximal(masks: set) -> list[int]:
+    """The masks not strictly contained in another of the set."""
+    return [c for c in masks if not any(c != o and c & o == c for o in masks)]
 
 
 @lru_cache(maxsize=4096)
@@ -162,8 +207,9 @@ def _face_data(ambient_dim: int, vertices: tuple[Vec, ...]):
 class _FaceData:
     """The vertex-facet incidence of one vertex set, and everything built on it.
 
-    Facets are kept as int bitmasks over `vertices` beside `_facets`; faces,
-    minimal faces and the H-representation are computed from them once.
+    Facets are kept as int bitmasks over `vertices` beside `_facets`, each
+    with a functional largest on it; faces, minimal faces and the
+    H-representation are computed from them once.
     """
 
     def __init__(self, ambient_dim: int, vertices: tuple[Vec, ...]):
@@ -180,6 +226,7 @@ class _FaceData:
         self._local = None
         self._facets: Optional[list] = None
         self.facet_masks: list[int] = []
+        self.functionals: list[Vec] = []
         self._faces_by_dim: Optional[dict] = None
         self._face_dims: Optional[dict] = None
         self.inequalities: Optional[list] = None
@@ -228,32 +275,61 @@ class _FaceData:
     def facets(self) -> list[tuple[FaceKey, Vec]]:
         """(face_key, outward vector in the direction space) for every facet.
 
-        With r_i = N p_i - sum p over the N vertices in local coordinates, the
-        facets are the vertices a of the polar {a : a . r_i <= 1}, each tight
-        on its facet's vertices.  The outward vector is a scaled so that its
-        last nonzero entry is +-1, pulled back through dir_basis.  The
-        facets' vertex bitmasks go to `facet_masks`, in the same order.
+        Unless inherited (set_facets), the facets are enumerated cold: with
+        r_i = N p_i - sum p over the N vertices in local coordinates, they
+        are the vertices a of the polar {a : a . r_i <= 1}, each tight on its
+        facet's vertices, and a read back through the local coordinates is
+        the facet's functional.
         """
-        if self._facets is not None:
-            return self._facets
-        d = self.dim
-        out = []
-        if d > 0:
-            pts = [self.local_coords(v) for v in self.vertices]
-            n = len(pts)
-            total = [sum(p[j] for p in pts) for j in range(d)]
-            rs = [tuple(n * p[j] - total[j] for j in range(d)) for p in pts]
-            for a in section_vertices(d, [], [(r, Fraction(1)) for r in rs]):
-                mask = sum(1 << i for i, r in enumerate(rs) if dot(a, r) == 1)
-                scale = abs(next(x for x in reversed(a) if x))
-                outward = [x / scale for x in a]
-                amb = tuple(sum(outward[i] * self.dir_basis[i][j] for i in range(d))
-                            for j in range(self.ambient_dim))
-                out.append((self.key(mask), amb, mask))
-        out.sort()
-        self.facet_masks = [mask for *_, mask in out]
-        self._facets = [(key, amb) for key, amb, _ in out]
+        if self._facets is None:
+            entries = []
+            if self.dim > 0:
+                lm = self.local_matrix()
+                pts = [self.local_coords(v) for v in self.vertices]
+                n = len(pts)
+                total = [sum(p[j] for p in pts) for j in range(self.dim)]
+                rs = [tuple(n * p[j] - total[j] for j in range(self.dim)) for p in pts]
+                for a, mask in section_vertices(self.dim, [], [(r, Fraction(1)) for r in rs]):
+                    entries.append((mask, tuple(sum(x * row[j] for x, row in zip(a, lm))
+                                                for j in range(self.ambient_dim))))
+            self.set_facets(entries)
         return self._facets
+
+    def set_facets(self, entries: Iterable[tuple[int, Vec]]) -> None:
+        """Take the facets from (vertex bitmask, functional) pairs.
+
+        A functional f, largest on its facet, reads a = D f in the local
+        coordinates over dir_basis D; the outward vector is a scaled so that
+        its last nonzero entry is +-1, pulled back through D.  Every
+        functional tight on the facet gives the same vector, and so does any
+        positive multiple of D and f: both are taken as integers.
+        """
+        den = lcm(*(x.denominator for row in self.dir_basis for x in row))
+        d = [[x.numerator * (den // x.denominator) for x in row] for row in self.dir_basis]
+        out = []
+        for mask, f in entries:
+            f_int = _scaled(f)[0]
+            a = [sum(x * y for x, y in zip(row, f_int)) for row in d]
+            scale = abs(next(x for x in reversed(a) if x)) * den
+            amb = tuple(Fraction(sum(x * row[j] for x, row in zip(a, d)), scale)
+                        for j in range(self.ambient_dim))
+            out.append((self.key(mask), amb, mask, f))
+        out.sort(key=lambda entry: entry[0])
+        self.facet_masks = [mask for _, _, mask, _ in out]
+        self.functionals = [f for *_, f in out]
+        self._facets = [(key, amb) for key, amb, _, _ in out]
+
+    def inherit_face(self, parent: "_FaceData", face: int) -> None:
+        """Take the facets of this face of parent, its vertex bitmask `face`.
+
+        They are the largest proper sets face & F over the parent's facets F,
+        with F's functional, compressed to this face's vertices.
+        """
+        functional = {}
+        for mask, f in zip(parent.facet_masks, parent.functionals):
+            functional.setdefault(face & mask, f)
+        cuts = set(functional) - {face, 0}
+        self.set_facets([(compress_mask(c, face), functional[c]) for c in _maximal(cuts)])
 
     def faces_by_dim(self) -> dict[int, list[FaceKey]]:
         """All nonempty faces, the polytope itself included, grouped by dimension.
@@ -270,9 +346,7 @@ class _FaceData:
                 levels[k] = sorted((self.key(g), g) for g in level)
                 below = set()
                 for g in level:
-                    cuts = {g & f for f in self.facet_masks} - {g, 0}
-                    below.update(c for c in cuts
-                                 if not any(c != o and c & o == c for o in cuts))
+                    below.update(_maximal({g & f for f in self.facet_masks} - {g, 0}))
                 level = below
             self._face_dims = {g: k for k in sorted(levels) for _, g in levels[k]}
             self._faces_by_dim = {k: [key for key, _ in levels[k]] for k in sorted(levels)}
@@ -302,7 +376,7 @@ class Polytope:
         if len(set(vs)) != len(vs):
             raise GeometryError("duplicate vertices")
         if not _trusted:
-            extreme = set(_extreme_points(ambient_dim, vs))
+            extreme = set(_hull_face_data(ambient_dim, vs).vertices)
             for v in vs:
                 if v not in extreme:
                     raise GeometryError(f"vertex {v} is not an extreme point")
@@ -312,8 +386,10 @@ class Polytope:
     @staticmethod
     def from_points(ambient_dim: int, points: Iterable[Iterable]) -> "Polytope":
         pts = _checked_points(ambient_dim, points, "point")
-        uniq = tuple(dict.fromkeys(pts))
-        return Polytope(ambient_dim, _extreme_points(ambient_dim, uniq), _trusted=True)
+        fd = _hull_face_data(ambient_dim, tuple(dict.fromkeys(pts)))
+        poly = Polytope(ambient_dim, fd.vertices, _trusted=True)
+        object.__setattr__(poly, "_face", fd)
+        return poly
 
     # -- cached shared data --------------------------------------------------
 
@@ -353,7 +429,32 @@ class Polytope:
         return [k for _, keys in sorted(self.faces().items()) for k in keys]
 
     def face_polytope(self, key: FaceKey) -> "Polytope":
-        return Polytope(self.ambient_dim, key, _trusted=True)
+        """The face with these vertices; GeometryError if they are not a face."""
+        index = {v: i for i, v in enumerate(self.vertices)}
+        try:
+            mask = sum(1 << index[vec(v)] for v in key)
+        except KeyError:
+            raise GeometryError("not a face of the polytope") from None
+        if mask.bit_count() != len(key):
+            raise GeometryError("not a face of the polytope")
+        return self.face_from_mask(mask)
+
+    def face_from_mask(self, mask: int) -> "Polytope":
+        """The face with this vertex bitmask, its facets inherited from ours.
+
+        A nonempty vertex set is a face exactly when it is the meet of the
+        facets containing it (the polytope itself when there are none).
+        """
+        fd = self._fd
+        fd.facets()
+        holders = sum(1 << j for j, f in enumerate(fd.facet_masks) if f & mask == mask)
+        if not mask or fd.meet(holders) != mask:
+            raise GeometryError("not a face of the polytope")
+        face = Polytope(self.ambient_dim, fd.key(mask), _trusted=True)
+        sub = face._fd
+        if sub._facets is None:
+            sub.inherit_face(fd, mask)
+        return face
 
     def tight_facets(self, point: Sequence) -> int:
         """Bitmask over facets() of the facets tight at a point of the polytope."""
@@ -443,23 +544,32 @@ def _checked_points(ambient_dim: int, points: Iterable[Iterable], what: str) -> 
     return pts
 
 
-def _extreme_points(ambient_dim: int, points: tuple[Vec, ...]) -> tuple[Vec, ...]:
-    """The extreme points among distinct sorted points, in their order.
+def _hull_face_data(ambient_dim: int, points: tuple[Vec, ...]) -> _FaceData:
+    """Face data of the hull of distinct sorted points; its vertices are the
+    extreme points, in their order.
 
     The points' own face data gives every facet of their hull with the
     points on it, by one polar double description.  A point is extreme
     exactly when the meet of the facets tight at it is that point alone: a
     vertex's minimal face is itself, and any other point's minimal face has
-    dimension at least one and holds at least two of the points.
+    dimension at least one and holds at least two of the points.  The hull
+    has the same affine hull and facets, with the masks restricted to the
+    extreme points.
     """
     fd = _face_data(ambient_dim, points)
     fd.facets()
-    extreme = []
-    for i, p in enumerate(points):
+    kept = 0
+    for i in range(len(points)):
         tight = sum(1 << j for j, mask in enumerate(fd.facet_masks) if mask >> i & 1)
         if fd.meet(tight) == 1 << i:
-            extreme.append(p)
-    return tuple(extreme)
+            kept |= 1 << i
+    if kept == (1 << len(points)) - 1:
+        return fd
+    hull = _face_data(ambient_dim, fd.key(kept))
+    if hull._facets is None:
+        hull.set_facets([(compress_mask(mask, kept), f)
+                         for mask, f in zip(fd.facet_masks, fd.functionals)])
+    return hull
 
 
 def corner_type(p: Polytope, key: FaceKey) -> str:

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from ._linalg import Mat, Vec, frac, identity, kernel_basis, mat, matvec, solve, vec
 from .cells import Cell, CellMap, maps_agree
 from .chains import Chain, Generator, QuotientMarker, Tag
-from .geometry import Polytope, move_mask, section_vertices
+from .geometry import Polytope, move_mask, section_polytope
 
 
 class OrbifoldError(ValueError):
@@ -497,8 +497,8 @@ def _cut_by_equations(poly: Polytope, equations: Sequence) -> Optional[Polytope]
     """The polytope cut by affine equations row.x = rhs; None when empty."""
     eqs = [*equations, *poly.affine_hull_equations()]
     ineqs = [(nrm, rhs) for nrm, rhs, _ in poly.facet_inequalities()]
-    found = section_vertices(poly.ambient_dim, eqs, ineqs)
-    return Polytope(poly.ambient_dim, found, _trusted=True) if found else None
+    section = section_polytope(poly.ambient_dim, eqs, ineqs)
+    return section[0] if section else None
 
 
 def direction_rep(action: GroupAction, component: int = 0,

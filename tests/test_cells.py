@@ -388,15 +388,20 @@ def test_permute_round_trip():
 
 def test_slice_polytope():
     square, unit = box([(0, 1)] * 2), interval()
-    hexagon = _slice_polytope(square, unit, [((1, 1, 1), F(3, 2))])
+    hexagon, tight = _slice_polytope(square, unit, [((1, 1, 1), F(3, 2))])
     assert hexagon.dim == 2
     assert set(hexagon.vertices) == set(itertools.permutations((0, F(1, 2), 1)))
     assert _slice_polytope(square, unit, [((1, 1, 1), 4)]) is None
     diagonal = Polytope(2, [[0, 0], [2, 2]])                  # lower-dimensional factor
-    assert (_slice_polytope(diagonal, unit, [((1, 0, -1), 0)])
+    assert (_slice_polytope(diagonal, unit, [((1, 0, -1), 0)])[0]
             == Polytope(3, [[0, 0, 0], [1, 1, 1]]))
-    assert _slice_polytope(POINT_POLYTOPE, unit, [((1,), F(1, 2))]) == Polytope(1, [[F(1, 2)]])
-    assert _slice_polytope(POINT_POLYTOPE, POINT_POLYTOPE, []) == POINT_POLYTOPE
+    assert (_slice_polytope(POINT_POLYTOPE, unit, [((1,), F(1, 2))])[0]
+            == Polytope(1, [[F(1, 2)]]))
+    assert _slice_polytope(POINT_POLYTOPE, POINT_POLYTOPE, []) == (POINT_POLYTOPE, [0])
+    # the kernel's tight rows are the factors' tight facets at each vertex
+    k1 = len(square.facets())
+    assert tight == [square.tight_facets(v[:2]) | unit.tight_facets(v[2:]) << k1
+                     for v in hexagon.vertices]
 
 
 def test_cell_frame_errors():

@@ -25,15 +25,18 @@ from cornercalc.cells import (
 )
 from cornercalc.chains import Generator, Tag, aut_finite, check_sigma_pairing, corner_terms
 from cornercalc.cells import _slice_polytope
+from cornercalc import geometry
 from cornercalc.geometry import (
     POINT_POLYTOPE,
     GeometryError,
     Polytope,
+    _FaceData,
     box,
     corner_type,
     face_key,
     interval,
     octahedron,
+    section_polytope,
     section_vertices,
     standard_simplex,
 )
@@ -462,26 +465,34 @@ def test_section_vertices_match_brute_force(system):
     """Bounded systems, and without the box rows unbounded ones and ones with a
     lineality space (no vertex)."""
     n, equations, inequalities = system
-    got = section_vertices(n, equations, inequalities)
+    found = section_vertices(n, equations, inequalities)
+    got = [v for v, _ in found]
     assert len(got) == len(set(got))
     assert set(got) == _brute_section_vertices(n, equations, inequalities)
+    for v, tight in found:
+        assert tight == sum(1 << i for i, (f, c) in enumerate(inequalities)
+                            if sum(a * x for a, x in zip(f, v)) == c)
+
+
+def _section_points(n, equations, inequalities):
+    return [v for v, _ in section_vertices(n, equations, inequalities)]
 
 
 def test_section_vertices_small_cases():
-    assert section_vertices(0, [], []) == [()]
-    assert section_vertices(0, [((), 0)], [((), 1)]) == [()]
-    assert section_vertices(0, [((), 1)], []) == []                 # inconsistent
-    assert section_vertices(0, [], [((), -1)]) == []                # 0 <= -1 fails
+    assert _section_points(0, [], []) == [()]
+    assert _section_points(0, [((), 0)], [((), 1)]) == [()]
+    assert _section_points(0, [((), 1)], []) == []                 # inconsistent
+    assert _section_points(0, [], [((), -1)]) == []                # 0 <= -1 fails
     square = [((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)]
-    assert sorted(section_vertices(2, [], square)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert section_vertices(2, [((1, 0), 2)], square) == []          # x = 2 misses it
-    assert sorted(section_vertices(2, [((1, -1), 0)], square)) == [(0, 0), (1, 1)]
+    assert sorted(_section_points(2, [], square)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert _section_points(2, [((1, 0), 2)], square) == []          # x = 2 misses it
+    assert sorted(_section_points(2, [((1, -1), 0)], square)) == [(0, 0), (1, 1)]
     for k in (2, 3, 4, 5):                  # polar of box_k: each vertex on 2^(k-1) rows
         polar = [(v, 1) for v in itertools.product((1, -1), repeat=k)]
         cross = [tuple(sgn * (i == j) for j in range(k)) for i in range(k) for sgn in (1, -1)]
-        assert sorted(section_vertices(k, [], polar)) == sorted(cross)
+        assert sorted(_section_points(k, [], polar)) == sorted(cross)
     pyramid = [((0, 0, -1), 0), ((-2, 0, 1), 0), ((2, 0, 1), 2), ((0, -2, 1), 0), ((0, 2, 1), 2)]
-    assert sorted(section_vertices(3, [], pyramid)) == [
+    assert sorted(_section_points(3, [], pyramid)) == [
         (0, 0, 0), (0, 1, 0), (Fraction(1, 2), Fraction(1, 2), 1), (1, 0, 0), (1, 1, 0)]
 
 
@@ -581,7 +592,7 @@ def test_sections_are_hulls_of_their_vertices(data):
     """Slices and cuts are built from the kernel's vertices without a hull check."""
     p1, p2, equations = data
     n1 = p1.ambient_dim
-    for got in (_slice_polytope(p1, p2, equations),
+    for got in (_slice_polytope(p1, p2, equations)[0],
                 _cut_by_equations(p1, [(row[:n1], rhs) for row, rhs in equations
                                        if not any(row[n1:])])):
         assert got is not None          # every equation holds at a point of the product
@@ -590,3 +601,84 @@ def test_sections_are_hulls_of_their_vertices(data):
             if got.ambient_dim == len(row):
                 assert all(sum(a * x for a, x in zip(row, v)) == rhs for v in got.vertices)
 
+
+
+# ---------------------------------------------------------------------------
+# Inherited face data against a cold polar enumeration
+# ---------------------------------------------------------------------------
+
+def _assert_matches_cold(poly):
+    """The polytope's facets and facet masks equal a fresh cold enumeration's."""
+    cold = _FaceData(poly.ambient_dim, poly.vertices)
+    assert poly.facets() == cold.facets()
+    assert poly._fd.facet_masks == cold.facet_masks
+
+
+@settings(max_examples=40, deadline=None)
+@given(embedded_lattice_hull())
+def test_inherited_faces_match_cold_enumeration(data):
+    """Every face of a lattice hull of dimension 1-4, inherited from the hull."""
+    _, _, pts, shift, _ = data
+    p = Polytope.from_points(len(shift), pts)
+    for g in p._fd.face_dims():
+        inherited = _FaceData(p.ambient_dim, p._fd.key(g))
+        inherited.inherit_face(p._fd, g)
+        cold = _FaceData(p.ambient_dim, p._fd.key(g))
+        assert inherited.facets() == cold.facets()
+        assert inherited.facet_masks == cold.facet_masks
+        _assert_matches_cold(p.face_from_mask(g))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_section())
+def test_inherited_sections_match_cold_enumeration(data):
+    """Slices and cuts take their facets from the kernel's tight rows; the
+    rows tight at a slice vertex are the factors' tight facets there."""
+    p1, p2, equations = data
+    n1 = p1.ambient_dim
+    geometry._face_data.cache_clear()
+    poly, tight = _slice_polytope(p1, p2, equations)
+    _assert_matches_cold(poly)
+    k1 = len(p1.facets())
+    assert tight == [p1.tight_facets(v[:n1]) | p2.tight_facets(v[n1:]) << k1
+                     for v in poly.vertices]
+    geometry._face_data.cache_clear()
+    cut = _cut_by_equations(p1, [(row[:n1], rhs) for row, rhs in equations
+                                 if not any(row[n1:])])
+    _assert_matches_cold(cut)
+
+
+@settings(max_examples=80, deadline=None)
+@given(flat_cloud(), st.lists(st.lists(st.integers(0, 20), min_size=2, max_size=3),
+                              max_size=3))
+def test_inherited_hulls_match_cold_enumeration(cloud, mixes):
+    """from_points with repeated points and with interior points (averages of
+    drawn points) gives its hull the point set's facets."""
+    n, pts = cloud
+    pts += [[sum(Fraction(pts[i % len(pts)][j]) for i in mix) / len(mix) for j in range(n)]
+            for mix in mixes]
+    geometry._face_data.cache_clear()
+    _assert_matches_cold(Polytope.from_points(n, pts))
+
+
+def test_section_polytope_facets_from_rows():
+    square = [((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0), ((1, 1), 2)]
+    poly, tight = section_polytope(2, [], square)
+    assert poly == box([(0, 1)] * 2)
+    assert tight == [0b1010, 0b0110, 0b1001, 0b10101]    # the last row holds at (1, 1)
+    assert section_polytope(2, [((1, 0), 2)], square) is None
+    _assert_matches_cold(poly)
+
+
+def test_face_polytope_refuses_non_faces():
+    square = box([(0, 1)] * 2)
+    assert square.face_polytope(((0, 0), (1, 0))) == Polytope(2, [[0, 0], [1, 0]])
+    assert square.face_polytope(square.vertices) == square
+    for bad in (((0, 0), (5, 5)),            # not a vertex
+                ((0, 0), (1, 1)),            # a diagonal, not a face
+                ((0, 0), (0, 0)),            # a repeated vertex
+                ()):                         # the empty set
+        with pytest.raises(GeometryError, match="not a face"):
+            square.face_polytope(bad)
+    with pytest.raises(GeometryError, match="not a face"):
+        square.face_from_mask(0b1001)
