@@ -21,17 +21,13 @@ bitmasks too, moved between vertex sets by compress_mask and move_mask.
 The incidence is enumerated cold, as the vertices of the polar of the vertex
 set about its barycenter, only for a root point set: one that no known
 polytope produced.  Everything else inherits it from the incidence that
-produced it.
-- A section (a fibre-product slice in cells, a fixed-locus cut in orbifold)
-  has as facets the largest proper sets of its vertices tight on one row.
-- A face has as facets the largest proper sets G & F over the facets F of
-  its polytope.
-- The hull of a point set has the point set's facets, restricted to the
-  extreme points.
-Either way each facet's functional is one that is tight on it, and its
-outward vector is that functional read in the direction space, scaled so that
-its last nonzero entry is +-1, which does not depend on which functional was
-taken.
+produced it: a section (a fibre-product slice in cells, a fixed-locus cut in
+orbifold) has as facets the largest proper sets of its vertices tight on one
+row, a face G the largest proper sets G & F over the facets F of its
+polytope, and the hull of a point set the point set's facets restricted to
+the extreme points.  A facet's outward vector is its functional read in the
+direction space, scaled so that its last nonzero entry is +-1, so any
+functional tight on the facet gives the same vector.
 
 A point of the polytope has one tight-facet mask, a bitmask over the facets;
 the minimal face holding some points is the meet of the facets tight on all
@@ -431,13 +427,10 @@ class Polytope:
     def face_polytope(self, key: FaceKey) -> "Polytope":
         """The face with these vertices; GeometryError if they are not a face."""
         index = {v: i for i, v in enumerate(self.vertices)}
-        try:
-            mask = sum(1 << index[vec(v)] for v in key)
-        except KeyError:
-            raise GeometryError("not a face of the polytope") from None
-        if mask.bit_count() != len(key):
+        bits = [index.get(vec(v)) for v in key]
+        if None in bits or len(set(bits)) != len(bits):
             raise GeometryError("not a face of the polytope")
-        return self.face_from_mask(mask)
+        return self.face_from_mask(sum(1 << i for i in bits))
 
     def face_from_mask(self, mask: int) -> "Polytope":
         """The face with this vertex bitmask, its facets inherited from ours.
