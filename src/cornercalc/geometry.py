@@ -167,7 +167,8 @@ def section_vertices(n: int, equations: Sequence[tuple[Vec, Fraction]],
 
 
 def section_polytope(n: int, equations: Sequence[tuple[Vec, Fraction]],
-                     inequalities: Sequence[tuple[Vec, Fraction]]):
+                     inequalities: Sequence[tuple[Vec, Fraction]]
+                     ) -> Optional[tuple["Polytope", list[int]]]:
     """The polytope {e . x = c, f . x <= d} and the inequalities tight at each
     of its vertices, in vertex order; None when the set is empty.
 
