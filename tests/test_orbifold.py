@@ -1,5 +1,6 @@
 """Group actions on polytopes, fixed strata, fiber counts, and pushdowns."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -195,6 +196,22 @@ def test_strata_case_actions_construct():
     cases = _strata_cases()
     assert len(cases) == 13
     assert all(isinstance(act, GroupAction) for _, act, _, _ in cases)
+
+
+# Any drift in an action's vertex tables or in a stratum's dimension, pieces,
+# their vertices, morphisms or characters changes it.
+GOLDEN_STRATA_DIGEST = (
+    "585a8ee4dfecc14845c2a968c8050947f48e82b2deabf9452618e8d29a3add14")
+
+
+def test_strata_golden_digest():
+    h = hashlib.sha256()
+    for _, act, sub, rho in _strata_cases():
+        st = orbifold_stratum(act, sub, rho)
+        h.update(repr((sorted(act.tables.items()), st.dim,
+                       [(piece.component, piece.polytope.vertices, piece.morphism,
+                         piece.character) for piece in st.pieces])).encode())
+    assert h.hexdigest() == GOLDEN_STRATA_DIGEST
 
 
 def test_stabilizer_points():
