@@ -36,6 +36,16 @@ rows at each slice vertex.  No LP is solved.  A point is extreme when the
 facets tight at it meet in that point alone.  Membership is the
 H-representation, the affine hull's equations and the facet inequalities,
 tested exactly.
+
+The arithmetic inside is on integers.  Each vertex set keeps its vertices
+over one common denominator, and its hull equations and facets as primitive
+integer rows (a, b) with a . x <= b; membership, tight facets and the check
+of each facet's functional are integer dot products with a point scaled to
+integers.  section_vertices eliminates its equations once into an integer
+kernel basis and an integer base point, and the double description runs on
+integer rows and rays.  Fractions are made once, at the API: vertices,
+facets' outward vectors, facet_inequalities, affine_hull_equations and
+local_matrix, each entry built from an integer numerator and denominator.
 """
 
 from __future__ import annotations
@@ -44,7 +54,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ._linalg import (
@@ -54,7 +64,6 @@ from ._linalg import (
     _primitive,
     _primitive_rows,
     _scaled,
-    dot,
     frac,
     independent_subset,
     kernel_basis,
@@ -102,33 +111,62 @@ def section_vertices(n: int, equations: Sequence[tuple[Vec, Fraction]],
     """Vertices of the set {x in R^n : e . x = c, f . x <= d}, each with the
     bitmask of the inequalities tight at it.
 
-    Equations, when given, are solved once: x = x0 + sum y_i k_i over a
-    kernel basis k, so each inequality becomes a row g . y <= h over the q
+    Equations, when given, are solved once, by one integer elimination of
+    [e | c]: x = X0 / D0 + sum y_i K_i over a primitive integer kernel basis
+    K, so each inequality becomes an integer row g . y <= h over the q
     coordinates y.  The vertices are the extreme rays with t > 0 of the
-    homogenised cone {(y, t) : g . y - h t <= 0, t >= 0}, scaled to t = 1,
-    found by the double description method.  Rows and rays are primitive
-    integer vectors; each ray carries the rows tight on it as an int
-    bitmask.  The cone of q + 1 independent rows is spanned by the columns
-    of -A^{-1}.  Each further row keeps the rays on its side and joins every
-    adjacent pair of rays across it: two rays are adjacent when at least
-    q - 1 rows are tight on both and no third ray is tight on all of those.
-    When the rows have rank < q + 1 the set has no vertex, and [] is
-    returned.  A ray's mask is exact: a row is tight on a positive
-    combination of two rays that satisfy it only when it is tight on both.
+    homogenised cone {(y, t) : g . y - h t <= 0, t >= 0} (_cone_vertices),
+    and a ray (v, t) is the point with x_j = (X0_j t + D0 sum v_i K_ij) /
+    (D0 t), one Fraction per coordinate.
     """
     if equations:
-        e = mat(row for row, _ in equations)
-        x0 = solve(e, vec(c for _, c in equations))
-        if x0 is None:
+        aug = _primitive_rows([vec(e) + (frac(c),) for e, c in equations])
+        pivots = _eliminate(aug)
+        if pivots and pivots[-1] == n:
             return []
-        basis = kernel_basis(e)
-        rows = [(tuple(dot(f, k) for k in basis), frac(d) - dot(f, x0))
-                for f, d in inequalities]
-    else:
-        basis = None
-        rows = [(vec(f), frac(d)) for f, d in inequalities]
-    q = n if basis is None else len(basis)
-    cone = _primitive_rows([g + (-h,) for g, h in rows] + [(0,) * q + (-1,)])
+        # Jordan reduction leaves pivot row k as p_k times row k of the RREF.
+        d0 = lcm(*(row[p] for row, p in zip(aug, pivots)))
+        x0 = [0] * n
+        for row, p in zip(aug, pivots):
+            x0[p] = row[n] * (d0 // row[p])
+        basis = []
+        for f in sorted(set(range(n)) - set(pivots)):
+            scale = lcm(*(row[p] for row, p in zip(aug, pivots) if row[f]))
+            k = [0] * n
+            k[f] = scale
+            for row, p in zip(aug, pivots):
+                if row[f]:
+                    k[p] = -row[f] * (scale // row[p])
+            basis.append(_primitive(k))
+        rows = []
+        for f, d in inequalities:
+            *g, h = _scaled(vec(f) + (frac(d),))[0]
+            rows.append([d0 * sum(a * b for a, b in zip(g, k)) for k in basis]
+                        + [sum(a * b for a, b in zip(g, x0)) - h * d0])
+        return [(tuple(Fraction(x * t + d0 * sum(a * k[j] for a, k in zip(v, basis)), d0 * t)
+                       for j, x in enumerate(x0)), z)
+                for v, t, z in _cone_vertices(len(basis), rows)]
+    rows = []
+    for f, d in inequalities:
+        *g, h = _scaled(vec(f) + (frac(d),))[0]
+        rows.append(g + [-h])
+    return [(tuple(Fraction(a, t) for a in v), z) for v, t, z in _cone_vertices(n, rows)]
+
+
+def _cone_vertices(q: int, rows: Sequence[list[int]]) -> list[tuple[list[int], int, int]]:
+    """The extreme rays (v, t) with t > 0 of {(y, t) in R^(q+1) : r . (y, t) <= 0
+    for the integer rows r, t >= 0}, as (v, t, bitmask of the rows tight on it).
+
+    The double description method on primitive integer rows and rays.  The
+    cone of q + 1 independent rows is spanned by the columns of -A^{-1}.
+    Each further row keeps the rays on its side and joins every adjacent
+    pair of rays across it: two rays are adjacent when at least q - 1 rows
+    are tight on both and no third ray is tight on all of those.  When the
+    rows have rank < q + 1 the set {t = 1} of the cone has no vertex, and []
+    is returned.  A ray's mask is exact: a row is tight on a positive
+    combination of two rays that satisfy it only when it is tight on both.
+    """
+    cone = [_primitive(list(row)) for row in rows] + [[0] * q + [-1]]
     start = _eliminate([list(col) for col in zip(*cone)], jordan=False)
     if len(start) < q + 1:
         return []
@@ -155,15 +193,8 @@ def section_vertices(n: int, equations: Sequence[tuple[Vec, Fraction]],
                     kept.append((_primitive([sa * x - sb * y for x, y in zip(rb[0], ra[0])]),
                                  z | bit))
         rays = kept
-    found = []
     rows_mask = (1 << len(rows)) - 1
-    for v, z in rays:
-        if v[q] > 0:
-            y = [Fraction(a, v[q]) for a in v[:q]]
-            found.append((tuple(y) if basis is None else tuple(
-                x0[j] + sum(y[i] * basis[i][j] for i in range(q)) for j in range(n)),
-                z & rows_mask))
-    return found
+    return [(v[:q], v[q], z & rows_mask) for v, z in rays if v[q] > 0]
 
 
 def section_polytope(n: int, equations: Sequence[tuple[Vec, Fraction]],
@@ -190,6 +221,10 @@ def section_polytope(n: int, equations: Sequence[tuple[Vec, Fraction]],
     return poly, tight
 
 
+def _idot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
 def _maximal(masks: set) -> list[int]:
     """The masks not strictly contained in another of the set."""
     return [c for c in masks if not any(c != o and c & o == c for o in masks)]
@@ -206,7 +241,11 @@ class _FaceData:
 
     Facets are kept as int bitmasks over `vertices` beside `_facets`, each
     with a functional largest on it; faces, minimal faces and the
-    H-representation are computed from them once.
+    H-representation are computed from them once.  The arithmetic runs on
+    an integer view, built lazily: the vertices over one common denominator
+    (lattice), the local-coordinate matrix over one denominator
+    (local_ints), and the hull's equations and the facets as primitive
+    integer rows (rows).  Fractions are made once, for what is handed out.
     """
 
     def __init__(self, ambient_dim: int, vertices: tuple[Vec, ...]):
@@ -220,10 +259,15 @@ class _FaceData:
         else:
             self.dir_basis = ()
         self.dim = len(self.dir_basis)
+        self._lattice: Optional[tuple] = None
+        self._local_ints: Optional[tuple] = None
         self._local = None
         self._facets: Optional[list] = None
         self.facet_masks: list[int] = []
         self.functionals: list[Vec] = []
+        self._local_functionals: list[list[int]] = []
+        self._rows: Optional[tuple] = None
+        self._row_scales: list[tuple[int, int]] = []
         self._faces_by_dim: Optional[dict] = None
         self._face_dims: Optional[dict] = None
         self.inequalities: Optional[list] = None
@@ -242,26 +286,91 @@ class _FaceData:
                 face &= mask
         return face
 
+    # -- the integer view ------------------------------------------------------
+
+    def lattice(self) -> tuple[list[tuple[int, ...]], int]:
+        """(X, den): the vertices are X[k] / den, X[k] integer tuples."""
+        if self._lattice is None:
+            den = lcm(*(x.denominator for v in self.vertices for x in v))
+            self._lattice = ([tuple(x.numerator * (den // x.denominator) for x in v)
+                              for v in self.vertices], den)
+        return self._lattice
+
+    def _dir_ints(self) -> tuple[list[list[int]], int]:
+        """(B, den): dir_basis is B / den, B an integer matrix."""
+        den = lcm(*(x.denominator for row in self.dir_basis for x in row))
+        return [[x.numerator * (den // x.denominator) for x in row]
+                for row in self.dir_basis], den
+
+    def local_ints(self) -> tuple[list[list[int]], int]:
+        """(L, m): L / m takes w in the direction space to its coordinates in dir_basis.
+
+        L / m = (D D^T)^{-1} D for D = dir_basis = B / den, that is den
+        (B B^T)^{-1} B; a Jordan reduction of [B B^T | B] leaves row k as
+        p_k (e_k | row k of (B B^T)^{-1} B).
+        """
+        if self._local_ints is None:
+            b, den = self._dir_ints()
+            q = len(b)
+            aug = [[sum(x * y for x, y in zip(r1, r2)) for r2 in b] + r1 for r1 in b]
+            _eliminate(aug)
+            m = lcm(*(row[k] for k, row in enumerate(aug)))
+            self._local_ints = ([[x * den * (m // row[k]) for x in row[q:]]
+                                 for k, row in enumerate(aug)], m)
+        return self._local_ints
+
+    def rows(self) -> tuple[list[tuple[list[int], int]], list[tuple[list[int], int]]]:
+        """The hull's equations and the facets as primitive integer rows (a, b).
+
+        a . x = b holds on the affine hull for each equation, and a . x <= b
+        on the vertex set for each facet, with equality exactly on its
+        vertices (GeometryError "facet functional mismatch" otherwise).  A
+        facet's row is the positive multiple of its ambient functional
+        L^T u / |u_last| (u its functional in local coordinates, set_facets);
+        _row_scales keeps (g, h) with that functional a g / h and its bound
+        b g / h.
+        """
+        if self._rows is None:
+            self.facets()
+            equations = [(a, b) for *a, b in
+                         (_primitive(_scaled(e + (c,))[0]) for e, c in self.hull_equations())]
+            xs, den = self.lattice()
+            lint, m = self.local_ints()
+            facets, scales = [], []
+            for u, mask in zip(self._local_functionals, self.facet_masks):
+                w = [sum(c * row[j] for c, row in zip(u, lint)) for j in range(self.ambient_dim)]
+                values = [_idot(w, x) for x in xs]
+                top = max(values)
+                if sum(1 << k for k, value in enumerate(values) if value == top) != mask:
+                    raise GeometryError("facet functional mismatch")
+                g = gcd(*(x * den for x in w), top)
+                facets.append(([x * den // g for x in w], top // g))
+                scales.append((g, den * m * abs(next(x for x in reversed(u) if x))))
+            self._row_scales = scales
+            self._rows = (equations, facets)
+        return self._rows
+
+    def hull_equations(self) -> list[tuple[Vec, Fraction]]:
+        """Pairs (e, c) with e . x = c on the vertex set, spanning the hull's equations."""
+        if self.equations is None:
+            d, n = self.dir_basis, self.ambient_dim
+            if len(d) == n:
+                eqs = []
+            elif not d:
+                eqs = [tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in range(n)]
+            else:
+                eqs = list(kernel_basis(mat(d)))
+            v0 = self.vertices[0]
+            self.equations = [(e, sum(a * b for a, b in zip(e, v0))) for e in eqs]
+        return self.equations
+
     # -- affine-hull coordinates --------------------------------------------
 
     def local_matrix(self) -> Mat:
         """Matrix L with L(w) = coordinates of w in dir_basis, for w in the span."""
         if self._local is None:
-            d = self.dir_basis
-            if not d:
-                self._local = ()
-            else:
-                gram = mat([[sum(a * b for a, b in zip(r1, r2)) for r2 in d] for r1 in d])
-                # L = Gram^{-1} D ; solve Gram * row_i = D_i for each row
-                rows = []
-                for i in range(len(d)):
-                    e = vec([1 if j == i else 0 for j in range(len(d))])
-                    rows.append(solve(gram, e))
-                ginv = mat(rows)
-                self._local = tuple(
-                    tuple(sum(ginv[i][k] * d[k][j] for k in range(len(d)))
-                          for j in range(self.ambient_dim))
-                    for i in range(len(d)))
+            lint, m = self.local_ints()
+            self._local = tuple(tuple(Fraction(x, m) for x in row) for row in lint)
         return self._local
 
     def local_coords(self, point: Vec) -> Vec:
@@ -276,18 +385,21 @@ class _FaceData:
         r_i = N p_i - sum p over the N vertices in local coordinates, they
         are the vertices a of the polar {a : a . r_i <= 1}, each tight on its
         facet's vertices, and a read back through the local coordinates is
-        the facet's functional.
+        the facet's functional.  The r_i are taken times a positive integer,
+        which scales the polar and leaves the functionals' directions as
+        they are.
         """
         if self._facets is None:
             entries = []
             if self.dim > 0:
-                lm = self.local_matrix()
-                pts = [self.local_coords(v) for v in self.vertices]
-                n = len(pts)
-                total = [sum(p[j] for p in pts) for j in range(self.dim)]
-                rs = [tuple(n * p[j] - total[j] for j in range(self.dim)) for p in pts]
-                for a, mask in section_vertices(self.dim, [], [(r, Fraction(1)) for r in rs]):
-                    entries.append((mask, tuple(sum(x * row[j] for x, row in zip(a, lm))
+                lint, _ = self.local_ints()
+                xs, _ = self.lattice()
+                total = [sum(col) for col in zip(*xs)]
+                n = len(xs)
+                rows = [[sum(l * (n * x - t) for l, x, t in zip(row, v, total))
+                         for row in lint] + [-1] for v in xs]
+                for y, _, mask in _cone_vertices(self.dim, rows):
+                    entries.append((mask, tuple(sum(c * row[j] for c, row in zip(y, lint))
                                                 for j in range(self.ambient_dim))))
             self.set_facets(entries)
         return self._facets
@@ -295,26 +407,27 @@ class _FaceData:
     def set_facets(self, entries: Iterable[tuple[int, Vec]]) -> None:
         """Take the facets from (vertex bitmask, functional) pairs.
 
-        A functional f, largest on its facet, reads a = D f in the local
-        coordinates over dir_basis D; the outward vector is a scaled so that
+        A functional f, largest on its facet, reads u = D f in the local
+        coordinates over dir_basis D; the outward vector is u scaled so that
         its last nonzero entry is +-1, pulled back through D.  Every
         functional tight on the facet gives the same vector, and so does any
-        positive multiple of D and f: both are taken as integers.
+        positive multiple of D and f: both are taken as integers, and u is
+        kept for rows().
         """
-        den = lcm(*(x.denominator for row in self.dir_basis for x in row))
-        d = [[x.numerator * (den // x.denominator) for x in row] for row in self.dir_basis]
+        d, den = self._dir_ints()
         out = []
         for mask, f in entries:
             f_int = _scaled(f)[0]
-            a = [sum(x * y for x, y in zip(row, f_int)) for row in d]
-            scale = abs(next(x for x in reversed(a) if x)) * den
-            amb = tuple(Fraction(sum(x * row[j] for x, row in zip(a, d)), scale)
+            u = [_idot(row, f_int) for row in d]
+            scale = abs(next(x for x in reversed(u) if x)) * den
+            amb = tuple(Fraction(sum(x * row[j] for x, row in zip(u, d)), scale)
                         for j in range(self.ambient_dim))
-            out.append((self.key(mask), amb, mask, f))
+            out.append((self.key(mask), amb, mask, f, u))
         out.sort(key=lambda entry: entry[0])
-        self.facet_masks = [mask for _, _, mask, _ in out]
-        self.functionals = [f for *_, f in out]
-        self._facets = [(key, amb) for key, amb, _, _ in out]
+        self.facet_masks = [entry[2] for entry in out]
+        self.functionals = [entry[3] for entry in out]
+        self._local_functionals = [entry[4] for entry in out]
+        self._facets = [(key, amb) for key, amb, *_ in out]
 
     def inherit_face(self, parent: "_FaceData", face: int) -> None:
         """Take the facets of this face of parent, its vertex bitmask `face`.
@@ -452,15 +565,16 @@ class Polytope:
 
     def tight_facets(self, point: Sequence) -> int:
         """Bitmask over facets() of the facets tight at a point of the polytope."""
-        p = self._point(point)
-        if any(dot(e, p) != c for e, c in self.affine_hull_equations()):
+        p, scale = _scaled(self._point(point))
+        equations, facets = self._fd.rows()
+        if any(_idot(a, p) != b * scale for a, b in equations):
             raise GeometryError("points not contained in the polytope")
         bits = 0
-        for i, (f, c, _) in enumerate(self.facet_inequalities()):
-            value = dot(f, p)
-            if value > c:
+        for i, (a, b) in enumerate(facets):
+            value = _idot(a, p) - b * scale
+            if value > 0:
                 raise GeometryError("points not contained in the polytope")
-            if value == c:
+            if value == 0:
                 bits |= 1 << i
         return bits
 
@@ -476,9 +590,10 @@ class Polytope:
         return self._fd.key(self._fd.meet(bits))
 
     def contains(self, point: Sequence) -> bool:
-        p = self._point(point)
-        return (all(dot(e, p) == c for e, c in self.affine_hull_equations())
-                and all(dot(f, p) <= c for f, c, _ in self.facet_inequalities()))
+        p, scale = _scaled(self._point(point))
+        equations, facets = self._fd.rows()
+        return (all(_idot(a, p) == b * scale for a, b in equations)
+                and all(_idot(a, p) <= b * scale for a, b in facets))
 
     def _point(self, point: Sequence) -> Vec:
         p = vec(point)
@@ -490,38 +605,21 @@ class Polytope:
 
     def affine_hull_equations(self) -> list[tuple[Vec, Fraction]]:
         """Pairs (e, c) with e . x = c on the polytope, spanning the hull's equations."""
-        fd = self._fd
-        if fd.equations is None:
-            d = self.dir_basis
-            if len(d) == self.ambient_dim:
-                eqs = []
-            elif not d:
-                eqs = [tuple(Fraction(1 if j == i else 0) for j in range(self.ambient_dim))
-                       for i in range(self.ambient_dim)]
-            else:
-                eqs = list(kernel_basis(mat(d)))
-            v0 = self.vertices[0]
-            fd.equations = [(e, sum(a * b for a, b in zip(e, v0))) for e in eqs]
-        return fd.equations
+        return self._fd.hull_equations()
 
     def facet_inequalities(self) -> list[tuple[Vec, Fraction, FaceKey]]:
-        """Triples (f, c, key): f . x <= c on the polytope, equality exactly on the facet."""
+        """Triples (f, c, key): f . x <= c on the polytope, equality exactly on the facet.
+
+        f is the facet's outward vector read back through the local
+        coordinates, so it lies in the direction space; f and c are made
+        from the facet's integer row, one Fraction per entry.
+        """
         fd = self._fd
         if fd.inequalities is None:
-            out = []
-            lm = fd.local_matrix()
-            for key, outward in self.facets():
-                # functional increasing in the outward direction
-                local_out = matvec(lm, outward)
-                f_amb = tuple(sum(local_out[i] * lm[i][j] for i in range(len(lm)))
-                              for j in range(self.ambient_dim))
-                c = max(sum(a * b for a, b in zip(f_amb, v)) for v in self.vertices)
-                on_facet = [v for v in self.vertices
-                            if sum(a * b for a, b in zip(f_amb, v)) == c]
-                if tuple(sorted(on_facet)) != key:
-                    raise GeometryError("facet functional mismatch")
-                out.append((f_amb, c, key))
-            fd.inequalities = out
+            _, rows = fd.rows()
+            fd.inequalities = [(tuple(Fraction(x * g, h) for x in a), Fraction(b * g, h), key)
+                               for (a, b), (g, h), (key, _)
+                               in zip(rows, fd._row_scales, fd.facets())]
         return fd.inequalities
 
     def euler_characteristic(self) -> int:

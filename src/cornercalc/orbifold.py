@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from ._linalg import Mat, Vec, frac, identity, kernel_basis, mat, matvec, solve, vec
+from ._linalg import Mat, Vec, _scaled, frac, identity, kernel_basis, mat, matvec, solve, vec
 from .cells import Cell, CellMap, maps_agree
 from .chains import Chain, Generator, QuotientMarker, Tag
 from .geometry import Polytope, move_mask, section_polytope
@@ -219,7 +219,11 @@ class GroupAction:
     component's vertices once, giving a table of vertex permutations; the
     homomorphism law a.(b.v) = (ab).v is checked on those tables, which are
     kept: tables[g][i][k] is the index of g.v in component maps[g][i].target
-    for vertex k of component i, so faces move as vertex bitmasks.
+    for vertex k of component i, so faces move as vertex bitmasks.  The
+    tables are built on integers: each component's vertices over one common
+    denominator, each map's matrix and offset over another, and an image
+    that falls off the target's vertex lattice is no vertex
+    (_vertex_images).
     """
 
     __slots__ = ("group", "spaces", "maps", "tables")
@@ -258,7 +262,8 @@ class GroupAction:
 
     def _validate(self) -> None:
         grp = self.group
-        index = [{v: k for k, v in enumerate(sp.vertices)} for sp in self.spaces]
+        lattices = [sp._fd.lattice() for sp in self.spaces]
+        index = [{x: k for k, x in enumerate(xs)} for xs, _ in lattices]
         perms = {}
         for g, entries in self.maps.items():
             targets = [e.target for e in entries]
@@ -270,7 +275,8 @@ class GroupAction:
                 if len(e.matrix) != dst.ambient_dim or any(
                         len(row) != src.ambient_dim for row in e.matrix):
                     raise OrbifoldError("affine map shape mismatch")
-                image = tuple(index[e.target].get(e.apply(v)) for v in src.vertices)
+                image = _vertex_images(e, lattices[i], lattices[e.target][1],
+                                       index[e.target])
                 if set(image) != set(range(len(dst.vertices))):
                     raise OrbifoldError(
                         f"element {g!r} does not permute the vertex set")
@@ -308,6 +314,29 @@ class GroupAction:
     def component_stabilizer(self, i: int) -> tuple:
         return tuple(g for g in self.group.elements
                      if self.maps[g][i].target == i)
+
+
+def _vertex_images(e: ActionComponentMap, src: tuple, dst_den: int, index: dict) -> tuple:
+    """Index of e.v among the target's vertices for each source vertex v,
+    None where e.v is not one of them.
+
+    With the source vertices X / s, the target's X' / t and e = (M x + c)
+    = (A x + a) / m over one denominator m, the image of X / s is
+    (A X + a s) / (m s): the target vertex X' exactly when t (A X + a s) is
+    m s X'.  An image with t (A X + a s) off the lattice m s Z^n is a miss.
+    """
+    xs, s = src
+    cols = len(e.matrix[0]) if e.matrix else 0
+    flat, m = _scaled([x for row in e.matrix for x in row] + list(e.offset))
+    mat_int = [flat[r * cols:(r + 1) * cols] for r in range(len(e.matrix))]
+    shift = [x * s for x in flat[len(e.matrix) * cols:]]
+    q = m * s
+    out = []
+    for x in xs:
+        y = [dst_den * (sum(a * b for a, b in zip(row, x)) + c)
+             for row, c in zip(mat_int, shift)]
+        out.append(None if any(v % q for v in y) else index.get(tuple(v // q for v in y)))
+    return tuple(out)
 
 
 def stabilizer(action: GroupAction, point: Sequence, component: int = 0) -> tuple:

@@ -12,7 +12,8 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import ConvexHull
 
-from cornercalc._linalg import lp_feasible, mat, rank, solve, vec
+from cornercalc._linalg import (_primitive_rows, dot, frac, kernel_basis, lp_feasible, mat,
+                               matvec, rank, solve, vec)
 from cornercalc.bordism import oriented_match
 from cornercalc.cells import (
     POINT,
@@ -682,3 +683,157 @@ def test_face_polytope_refuses_non_faces():
             square.face_polytope(bad)
     with pytest.raises(GeometryError, match="not a face"):
         square.face_from_mask(0b1001)
+
+
+# ---------------------------------------------------------------------------
+# The integer kernels against the Fraction formulas they replaced
+# ---------------------------------------------------------------------------
+
+def _fraction_section_vertices(n, equations, inequalities):
+    """section_vertices with its set-up and back-substitution in Fractions:
+    x = x0 + sum y_i k_i over kernel_basis, rows g . y <= h by Fraction dot
+    products, and each vertex x0 + sum (v_i / t) k_i."""
+    if equations:
+        e = mat(row for row, _ in equations)
+        x0 = solve(e, vec(c for _, c in equations))
+        if x0 is None:
+            return []
+        basis = kernel_basis(e)
+        rows = [(tuple(dot(f, k) for k in basis), frac(d) - dot(f, x0))
+                for f, d in inequalities]
+    else:
+        basis = None
+        rows = [(vec(f), frac(d)) for f, d in inequalities]
+    q = n if basis is None else len(basis)
+    found = []
+    for v, t, z in geometry._cone_vertices(q, _primitive_rows([g + (-h,) for g, h in rows])):
+        y = [Fraction(a, t) for a in v]
+        found.append((tuple(y) if basis is None else tuple(
+            x0[j] + sum(y[i] * basis[i][j] for i in range(q)) for j in range(n)), z))
+    return found
+
+
+def _fraction_local_matrix(fd):
+    """(D D^T)^{-1} D for D = dir_basis, one Gram solve per row."""
+    d = fd.dir_basis
+    gram = mat([[dot(r1, r2) for r2 in d] for r1 in d])
+    ginv = [solve(gram, vec(int(j == i) for j in range(len(d)))) for i in range(len(d))]
+    return tuple(tuple(sum(ginv[i][k] * d[k][j] for k in range(len(d)))
+                       for j in range(fd.ambient_dim)) for i in range(len(d)))
+
+
+def _fraction_facet_inequalities(p):
+    """Each facet's outward vector read back through the local matrix, its
+    largest value on the vertices, and the vertices taking it."""
+    lm = _fraction_local_matrix(p._fd)
+    out = []
+    for key, outward in p.facets():
+        local_out = matvec(lm, outward)
+        f = tuple(sum(local_out[i] * lm[i][j] for i in range(len(lm)))
+                  for j in range(p.ambient_dim))
+        c = max(dot(f, v) for v in p.vertices)
+        assert tuple(sorted(v for v in p.vertices if dot(f, v) == c)) == key
+        out.append((f, c, key))
+    return out
+
+
+def _rational(draw, ints):
+    """The integers over denominators drawn from 2..5, one per entry."""
+    return [Fraction(x, draw(st.integers(2, 5))) for x in ints]
+
+
+@st.composite
+def rational_section_system(draw):
+    n = draw(st.integers(0, 3))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    entry = st.integers(-6, 6)
+
+    def rational_row():
+        return tuple(_rational(draw, draw(row))), _rational(draw, [draw(entry)])[0]
+
+    equations = [rational_row() for _ in range(draw(st.integers(0, 2)))]
+    box_rows = [(tuple(Fraction(s, 2) if j == i else 0 for j in range(n)), Fraction(5, 3))
+                for i in range(n) for s in (1, -1)] if draw(st.booleans()) else []
+    inequalities = box_rows + [rational_row()
+                               for _ in range(draw(st.integers(0, 3 if box_rows else 6)))]
+    return n, equations, inequalities
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_section_system())
+def test_section_vertices_match_fraction_formulas(system):
+    """The same vertices, in the same order, with the same tight masks."""
+    n, equations, inequalities = system
+    got = section_vertices(n, equations, inequalities)
+    assert repr(got) == repr(_fraction_section_vertices(n, equations, inequalities))
+    assert {v for v, _ in got} == _brute_section_vertices(n, equations, inequalities)
+
+
+@st.composite
+def rational_hull(draw):
+    """Points (c, B c) / d + s / d0 in R^n, c in Z^k (k = 1..3, n = k..4), every
+    denominator d, d0 drawn from 2..5; and a hyperplane through the barycenter."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k, 4))
+    coeffs = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * k), min_size=k + 1,
+                           max_size=k + 4, unique=True))
+    extra = draw(st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k),
+                          min_size=n - k, max_size=n - k))
+    shift = _rational(draw, draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+    pts = []
+    for c in coeffs:
+        d = draw(st.integers(2, 5))
+        full = list(c) + [sum(b * x for b, x in zip(row, c)) for row in extra]
+        pts.append([Fraction(x, d) + t for x, t in zip(full, shift)])
+    normal = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    return Polytope.from_points(n, pts), normal
+
+
+def _faces_and_slice(p, normal):
+    """p, every face of p, and p cut by normal . x = normal . barycenter."""
+    shapes = [p] + [p.face_from_mask(g) for g in p._fd.face_dims()]
+    bary = p.barycenter()
+    cut = _cut_by_equations(p, [(tuple(normal), dot(vec(normal), bary))])
+    return shapes + [cut] if cut is not None else shapes
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_hull())
+def test_facet_inequalities_match_fraction_formulas(data):
+    """Rational hulls, their faces and their slices: the same triples."""
+    p, normal = data
+    for shape in _faces_and_slice(p, normal):
+        assert repr(shape.facet_inequalities()) == repr(_fraction_facet_inequalities(shape))
+        assert shape._fd.local_matrix() == _fraction_local_matrix(shape._fd)
+
+
+def _probes(p):
+    """Vertices, the barycenter, midpoints of vertex pairs, points beyond each
+    vertex and points off the affine hull."""
+    bary = p.barycenter()
+    vs = list(p.vertices)
+    pts = vs + [bary] + [tuple((a + b) / 2 for a, b in zip(u, w)) for u, w in zip(vs, vs[1:])]
+    pts += [tuple(2 * a - b for a, b in zip(v, bary)) for v in vs]
+    pts += [tuple(b + Fraction(int(i == j), 3) for i, b in enumerate(bary))
+            for j in range(p.ambient_dim)]
+    return pts
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_hull())
+def test_membership_matches_fraction_formulas(data):
+    """contains and tight_facets against Fraction dot products with the
+    hull's equations and the facet inequalities."""
+    p, normal = data
+    for shape in _faces_and_slice(p, normal):
+        ineqs = _fraction_facet_inequalities(shape)
+        for q in _probes(shape):
+            inside = (all(dot(e, q) == c for e, c in shape.affine_hull_equations())
+                      and all(dot(f, q) <= c for f, c, _ in ineqs))
+            assert shape.contains(q) == inside
+            if inside:
+                assert shape.tight_facets(q) == sum(
+                    1 << i for i, (f, c, _) in enumerate(ineqs) if dot(f, q) == c)
+            else:
+                with pytest.raises(GeometryError, match="not contained"):
+                    shape.tight_facets(q)

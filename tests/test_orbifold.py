@@ -482,3 +482,48 @@ def test_cut_by_equations():
     assert _cut_by_equations(box([(0, 1)] * 2), [((1, 0), 2)]) is None
     assert _cut_by_equations(POINT_POLYTOPE, [((), 0)]) == POINT_POLYTOPE
     assert _cut_by_equations(POINT_POLYTOPE, [((), 1)]) is None
+
+
+# ---------------------------------------------------------------------------
+# vertex tables over rational vertices and maps
+# ---------------------------------------------------------------------------
+
+HALF = Fraction(1, 2)
+
+
+def test_action_tables_on_rational_vertices():
+    # r1 halves [0, 1] onto [0, 1/2] and doubles it back
+    act = GroupAction(Z2, (seg(0, 1), seg(0, HALF)), {
+        "r0": [(0, [[1]], [0]), (1, [[1]], [0])],
+        "r1": [(1, [[HALF]], [0]), (0, [[2]], [0])],
+    })
+    assert act.tables["r1"] == [(0, 1), (0, 1)]
+    third = Fraction(1, 3)
+    refl = GroupAction(Z2, seg(third, 2 * third), {"r0": ([[1]], [0]), "r1": ([[-1]], [1])})
+    assert refl.tables["r1"] == [(1, 0)]
+    rot = GroupAction(Z2, box([(-HALF, HALF), (0, third)]), {
+        "r0": ([[1, 0], [0, 1]], [0, 0]),
+        "r1": ([[-1, 0], [0, -1]], [0, third]),
+    })
+    assert rot.tables["r1"] == [(3, 2, 1, 0)]
+
+
+def test_action_refuses_images_off_the_vertex_lattice():
+    # x + 1/2 sends 0 and 1 to 1/2 and 3/2, which round down onto 0 and 1
+    with pytest.raises(OrbifoldError, match="does not permute the vertex set"):
+        GroupAction(Z2, seg(0, 1), {"r0": ([[1]], [0]), "r1": ([[1]], [HALF])})
+    with pytest.raises(OrbifoldError, match="does not permute the vertex set"):
+        GroupAction(Z2, box([(0, 1)] * 2), {
+            "r0": ([[1, 0], [0, 1]], [0, 0]),
+            "r1": ([[0, 1], [1, 0]], [HALF, 0]),
+        })
+
+
+def test_action_refuses_a_map_onto_the_wrong_component_size():
+    # x + 3 carries [0, 1/2] to [3, 7/2], not onto [3, 4]; read without the
+    # denominators, the vertices 0 and 1/2 would be 0 and 1
+    with pytest.raises(OrbifoldError, match="does not permute the vertex set"):
+        GroupAction(Z2, (seg(0, HALF), seg(3, 4)), {
+            "r0": [(0, [[1]], [0]), (1, [[1]], [0])],
+            "r1": [(1, [[1]], [3]), (0, [[1]], [-3])],
+        })
