@@ -10,6 +10,7 @@ quietly shrinking.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -41,10 +42,19 @@ from .bordism import strata_projection
 
 @dataclass(frozen=True)
 class CheckRecord:
+    """One check's verdict over `checked` cases.
+
+    A seeded record also counts the instances it sampled (`attempts`) and
+    the ones it set aside, as sorted (reason, count) pairs in `rejected`:
+    the class name of a sampling error, or "precondition".
+    """
+
     name: str
     ok: bool
     checked: int
     details: tuple = ()
+    attempts: int = 0
+    rejected: tuple = ()
 
     def __bool__(self):
         return self.ok
@@ -75,23 +85,28 @@ def _result(suite: str, records) -> SuiteResult:
 
 def _seeded_record(name: str, count: int, sample, check) -> CheckRecord:
     """Run `check` on sampled instances until `count` meet its precondition."""
-    done = 0
-    checked = 0
-    bad = 0
+    done = checked = bad = attempts = 0
     details = []
-    attempts = 0
+    rejected = Counter()
+
+    def record(ok: bool) -> CheckRecord:
+        return CheckRecord(name, ok, checked, tuple(details), attempts,
+                           tuple(sorted(rejected.items())))
+
     while done < count:
-        attempts += 1
-        if attempts > _ATTEMPT_BUDGET * count:
+        if attempts == _ATTEMPT_BUDGET * count:
             details.append(f"only {done} of {count} instances met the "
                            "precondition within the retry budget")
-            return CheckRecord(name, False, checked, tuple(details))
+            return record(False)
+        attempts += 1
         try:
             inst = sample()
             rep = check(inst)
-        except _SAMPLE_ERRORS:
+        except _SAMPLE_ERRORS as err:
+            rejected[type(err).__name__] += 1
             continue
         if not rep.precondition:
+            rejected["precondition"] += 1
             continue
         done += 1
         checked += max(rep.checked, 1)
@@ -102,7 +117,7 @@ def _seeded_record(name: str, count: int, sample, check) -> CheckRecord:
                 details.append(f"instance {done} failed: {extra}")
     if bad:
         details.append(f"{bad} of {count} instances failed")
-    return CheckRecord(name, bad == 0, checked, tuple(details))
+    return record(bad == 0)
 
 
 def _split(count: int, buckets: int) -> list:
