@@ -1,0 +1,18 @@
+"""The committed equivalence tool, run on one item of one workload."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_outcome_digest_of_one_item():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "outcome_digest.py"),
+         "--workload", "fibre-identities", "--items", "1"],
+        capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out.splitlines() == [
+        "fibre-identities items 0..0: 24 ops, 77 fibre_product_cells results (70 components)",
+        "sha256 c6d857181c3840da846c50b4f03854a098164e4afed31cef616b12f7e82815f0",
+    ]

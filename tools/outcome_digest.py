@@ -1,0 +1,97 @@
+"""One digest of every operation outcome and fibre product of a benchmark workload.
+
+    python3 tools/outcome_digest.py --workload fibre-identities --items 7
+
+runs items 0..N-1 of every check kind of the workload, as defined in
+`perfbench/workloads.py` (imported, not changed), without deadlines: for each
+item in turn, each kind samples its instance from the item's random stream
+and decides it.  It prints the number of operations, the number of
+`fibre_product_cells` results the operations produced (and their components),
+and one SHA-256 over
+
+- every operation's outcome, or the class and message of what it raised;
+- every fibre-product component, in the order they were built: its cell,
+  frame, sign, projection map, translate, transversality and orientability
+  flags, coorientation, sorted face pairs, `facets()` and
+  `facet_inequalities()`.
+
+Two trees give the same digest when they decide every operation alike and
+build the same fibre products.  To compare a change with its parent, run the
+script in each checkout; it imports the `src/` and `perfbench/` next to it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import cornercalc.cells as cells  # noqa: E402
+import workloads  # noqa: E402
+
+
+def _component_repr(comp) -> str:
+    poly = comp.cell.polytope
+    return repr((comp.cell, comp.cell.frame, comp.cell.sign, comp.pmap, comp.translate,
+                 comp.transverse, comp.orientable, comp.coorientation,
+                 sorted(comp.face_pairs.items()), poly.facets(),
+                 poly.facet_inequalities()))
+
+
+def _record_fibre_products(h, tally: dict) -> None:
+    """Rebind `fibre_product_cells` in every cornercalc module to a recorder."""
+    orig = cells.fibre_product_cells
+
+    def recorded(*args, **kwargs):
+        result = orig(*args, **kwargs)
+        tally["results"] += 1
+        tally["components"] += len(result)
+        for comp in result:
+            h.update(_component_repr(comp).encode())
+        return result
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "cornercalc" or name.startswith("cornercalc.")):
+            for key, value in list(vars(module).items()):
+                if value is orig:
+                    setattr(module, key, recorded)
+
+
+def outcome_digest(workload: str, items: int) -> tuple[int, dict, str]:
+    """(operations, fibre-product tally, SHA-256 hex digest) of items 0..items-1."""
+    h = hashlib.sha256()
+    tally = {"results": 0, "components": 0}
+    _record_fibre_products(h, tally)
+    kinds = workloads.WORKLOADS[workload]()
+    ops = 0
+    for item in range(items):
+        for kind in kinds:
+            rng = workloads.item_random(workload, kind.name, item)
+            try:
+                outcome = repr(kind.check(kind.sample(rng)))
+            except Exception as err:
+                outcome = f"raised {type(err).__name__}: {err}"
+            ops += 1
+            h.update(f"{kind.name}|{item}|{outcome}\n".encode())
+    return ops, tally, h.hexdigest()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
+    ap.add_argument("--items", type=int, default=1)
+    args = ap.parse_args(argv)
+    ops, tally, digest = outcome_digest(args.workload, args.items)
+    print(f"{args.workload} items 0..{args.items - 1}: {ops} ops, "
+          f"{tally['results']} fibre_product_cells results "
+          f"({tally['components']} components)")
+    print(f"sha256 {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
