@@ -62,7 +62,6 @@ from ._linalg import (
     Vec,
     _eliminate,
     _primitive,
-    _primitive_rows,
     _scaled,
     frac,
     independent_subset,
@@ -111,46 +110,31 @@ def section_vertices(n: int, equations: Sequence[tuple[Vec, Fraction]],
     """Vertices of the set {x in R^n : e . x = c, f . x <= d}, each with the
     bitmask of the inequalities tight at it.
 
-    Equations, when given, are solved once, by one integer elimination of
-    [e | c]: x = X0 / D0 + sum y_i K_i over a primitive integer kernel basis
-    K, so each inequality becomes an integer row g . y <= h over the q
-    coordinates y.  The vertices are the extreme rays with t > 0 of the
-    homogenised cone {(y, t) : g . y - h t <= 0, t >= 0} (_cone_vertices),
-    and a ray (v, t) is the point with x_j = (X0_j t + D0 sum v_i K_ij) /
-    (D0 t), one Fraction per coordinate.
+    Equations, when given, are solved once: x = X0 / D0 + sum y_i K_i over
+    a primitive integer kernel basis K (without equations, X0 = 0, D0 = 1
+    and K = I), so each inequality becomes an integer row g . y <= h over
+    the q coordinates y.  The vertices are the extreme rays with t > 0 of
+    the homogenised cone {(y, t) : g . y - h t <= 0, t >= 0}
+    (_cone_vertices), and the ray (v, t) is the point with x_j = (X0_j t +
+    D0 sum v_i K_ij) / (D0 t), one Fraction per coordinate.
     """
     if equations:
-        aug = _primitive_rows([vec(e) + (frac(c),) for e, c in equations])
-        pivots = _eliminate(aug)
-        if pivots and pivots[-1] == n:
+        e = mat(row for row, _ in equations)
+        x0 = solve(e, vec(c for _, c in equations))
+        if x0 is None:
             return []
-        # Jordan reduction leaves pivot row k as p_k times row k of the RREF.
-        d0 = lcm(*(row[p] for row, p in zip(aug, pivots)))
-        x0 = [0] * n
-        for row, p in zip(aug, pivots):
-            x0[p] = row[n] * (d0 // row[p])
-        basis = []
-        for f in sorted(set(range(n)) - set(pivots)):
-            scale = lcm(*(row[p] for row, p in zip(aug, pivots) if row[f]))
-            k = [0] * n
-            k[f] = scale
-            for row, p in zip(aug, pivots):
-                if row[f]:
-                    k[p] = -row[f] * (scale // row[p])
-            basis.append(_primitive(k))
-        rows = []
-        for f, d in inequalities:
-            *g, h = _scaled(vec(f) + (frac(d),))[0]
-            rows.append([d0 * sum(a * b for a, b in zip(g, k)) for k in basis]
-                        + [sum(a * b for a, b in zip(g, x0)) - h * d0])
-        return [(tuple(Fraction(x * t + d0 * sum(a * k[j] for a, k in zip(v, basis)), d0 * t)
-                       for j, x in enumerate(x0)), z)
-                for v, t, z in _cone_vertices(len(basis), rows)]
+        x0, d0 = _scaled(x0)
+        basis = [_primitive(_scaled(k)[0]) for k in kernel_basis(e)]
+    else:
+        x0, d0 = [0] * n, 1
+        basis = [[int(i == j) for j in range(n)] for i in range(n)]
     rows = []
     for f, d in inequalities:
         *g, h = _scaled(vec(f) + (frac(d),))[0]
-        rows.append(g + [-h])
-    return [(tuple(Fraction(a, t) for a in v), z) for v, t, z in _cone_vertices(n, rows)]
+        rows.append([d0 * _idot(g, k) for k in basis] + [_idot(g, x0) - h * d0])
+    return [(tuple(Fraction(x * t + d0 * sum(a * k[j] for a, k in zip(v, basis)), d0 * t)
+                   for j, x in enumerate(x0)), z)
+            for v, t, z in _cone_vertices(len(basis), rows)]
 
 
 def _cone_vertices(q: int, rows: Sequence[list[int]]) -> list[tuple[list[int], int, int]]:
@@ -312,7 +296,7 @@ class _FaceData:
         if self._local_ints is None:
             b, den = self._dir_ints()
             q = len(b)
-            aug = [[sum(x * y for x, y in zip(r1, r2)) for r2 in b] + r1 for r1 in b]
+            aug = [[_idot(r1, r2) for r2 in b] + r1 for r1 in b]
             _eliminate(aug)
             m = lcm(*(row[k] for k, row in enumerate(aug)))
             self._local_ints = ([[x * den * (m // row[k]) for x in row[q:]]
