@@ -5,7 +5,7 @@ Everything is exact rational arithmetic. The modules build on one another:
 - geometry: compact convex polytopes by their vertices, face lattices,
   facet inequalities, corner types and affine isomorphisms of vertex sets;
 - cells: the one oriented object, a cell P x T^s (s = 0 is a plain oriented
-  polytope) with a frame and a sign, its boundary, affine maps into a point,
+  polytope) with an orientation sign, its boundary, affine maps into a point,
   Euclidean space or a torus, coorientations, fibre products with exact
   orientation signs, and canonical forms;
 - chains: gauge-tagged chains and cochains, the boundary operator, the corner

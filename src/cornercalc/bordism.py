@@ -22,7 +22,7 @@ from ._linalg import (Mat, Vec, change_of_basis_det, identity, invariant_factors
                       mat, matvec, rank, vec)
 from .cells import (Cell, CellMap, Coorientation, canonical_cell_map,
                     canonical_form, cell_boundary, fibre_product_cells,
-                    maps_agree, validate_coorientation)
+                    identity_map, maps_agree, validate_coorientation)
 from .chains import (Chain, Generator, Tag, boundary, cylinder,
                      transport_generator)
 from .geometry import (POINT_POLYTOPE, Polytope, affine_isomorphisms, compress_mask,
@@ -587,11 +587,8 @@ def identity_cobordism(y) -> BordismClass:
     if not y.compact:
         raise BordismError("no compact identity class over a euclidean "
                            "target")
-    m = y.dim
-    cmap = CellMap(y, tuple(() for _ in range(m)),
-                   identity(m) if m else (), (0,) * m)
-    cell = Cell(POINT_POLYTOPE, m)
-    comp = BordismComponent(cell, cmap, Coorientation((), 1))
+    comp = BordismComponent(Cell(POINT_POLYTOPE, y.dim), identity_map(y),
+                            Coorientation((), 1))
     return BordismClass((comp,), ())
 
 

@@ -14,10 +14,14 @@ Fibre products are computed exactly: the torus part by Hermite normal form and
 coset enumeration, the polytope part by slicing the product polytope with the
 resulting affine equations and enumerating basic feasible solutions.
 
-Orientation conventions.  Coorientations are frames of Ker df with a sign, and
-one dictionary relates them to orientations: TX = f*(TY) + Ker df, target
-first (kernel_coorientation one way, orientation_from_coorientation the
-other).  A fibre product has one frame rule: a cooriented factor contributes
+Orientation conventions.  A cell's tangent space dir(P) + R^s is fixed by the
+cell, so its orientation is one sign against the default frame; a frame given
+to the constructor is folded into that sign once.  Coorientations keep a
+frame of Ker df with a sign: the kernel depends on the map, not on the cell,
+and a frame exactly as given lets validate_coorientation name the first
+vector at fault.  One dictionary relates coorientations to orientations:
+TX = f*(TY) + Ker df, target first (kernel_coorientation one way,
+orientation_from_coorientation the other).  A fibre product has one frame rule: a cooriented factor contributes
 its kernel frame, an oriented factor its own frame lifted through the other
 map, factor 1 first, with the product of the factors' signs; with both
 factors cooriented the result is the cup coorientation.  Oriented operands
@@ -40,6 +44,7 @@ from ._linalg import (
     Vec,
     canonical_frame,
     change_of_basis_det,
+    det,
     frac,
     hermite_column,
     integer_matrix_inverse,
@@ -134,11 +139,15 @@ def default_frame(polytope: Polytope, torus_rank: int) -> Mat:
 
 @dataclass(frozen=True)
 class Cell:
-    """Oriented cell P x T^s. Frame vectors live in R^(n+s), polytope part first."""
+    """Oriented cell P x T^s: the orientation is one sign against default_frame.
+
+    The tangent space dir(P) + R^s lives in R^(n+s), polytope part first.  A
+    frame passed in must be a basis of it; its change of basis to the
+    default frame is folded into the sign, and `frame` is the default frame.
+    """
 
     polytope: Polytope
     torus_rank: int
-    frame: Mat
     sign: int
 
     def __init__(self, polytope: Polytope, torus_rank: int = 0,
@@ -147,24 +156,31 @@ class Cell:
             raise GeometryError("negative torus rank")
         if sign not in (1, -1):
             raise GeometryError("sign must be +1 or -1")
-        span = default_frame(polytope, torus_rank)
-        fr = mat(frame) if frame is not None else span
-        n = polytope.ambient_dim
-        want = polytope.dim + torus_rank
-        if len(fr) != want:
-            raise GeometryError("frame length must equal cell dimension")
-        if fr and len(fr[0]) != n + torus_rank:
-            raise GeometryError("frame vector has wrong length")
-        # the default frame is an RREF basis of the tangent space already
-        if fr != span:
-            if rank(span + fr) != len(span):
-                raise GeometryError("frame vector outside the cell's tangent space")
-            if rank(fr) != len(fr):
-                raise GeometryError("frame is linearly dependent")
+        if frame is not None:
+            fr = mat(frame)
+            span = default_frame(polytope, torus_rank)
+            if len(fr) != len(span):
+                raise GeometryError("frame length must equal cell dimension")
+            if fr and len(fr[0]) != polytope.ambient_dim + torus_rank:
+                raise GeometryError("frame vector has wrong length")
+            if fr != span:
+                try:
+                    d = change_of_basis_det(fr, span)
+                except ValueError:
+                    raise GeometryError(
+                        "frame vector outside the cell's tangent space") from None
+                if d == 0:
+                    raise GeometryError("frame is linearly dependent")
+                if d < 0:
+                    sign = -sign
         object.__setattr__(self, "polytope", polytope)
         object.__setattr__(self, "torus_rank", torus_rank)
-        object.__setattr__(self, "frame", fr)
         object.__setattr__(self, "sign", sign)
+
+    @property
+    def frame(self) -> Mat:
+        """The default frame, which the sign orients."""
+        return default_frame(self.polytope, self.torus_rank)
 
     @property
     def dim(self) -> int:
@@ -174,17 +190,8 @@ class Cell:
     def ambient(self) -> int:
         return self.polytope.ambient_dim + self.torus_rank
 
-    def tangent_basis(self) -> Mat:
-        return default_frame(self.polytope, self.torus_rank)
-
-    def canonical(self) -> "Cell":
-        if not self.frame:
-            return self
-        basis, s = canonical_frame(self.frame)
-        return Cell(self.polytope, self.torus_rank, basis, s * self.sign)
-
     def reversed(self) -> "Cell":
-        return Cell(self.polytope, self.torus_rank, self.frame, -self.sign)
+        return Cell(self.polytope, self.torus_rank, sign=-self.sign)
 
 
 def cell_orientation_equal(a: Cell, b: Cell) -> int:
@@ -192,10 +199,7 @@ def cell_orientation_equal(a: Cell, b: Cell) -> int:
             or a.polytope.ambient_dim != b.polytope.ambient_dim
             or a.torus_rank != b.torus_rank):
         raise GeometryError("orientation comparison requires identical cells")
-    if a.dim == 0:
-        return a.sign * b.sign
-    d = change_of_basis_det(a.frame, b.frame)
-    return (1 if d > 0 else -1) * a.sign * b.sign
+    return a.sign * b.sign
 
 
 @dataclass(frozen=True)
@@ -244,9 +248,9 @@ class CellMap:
         return tuple(out)
 
     def differential_on(self, cell: Cell) -> Mat:
-        """Matrix of the differential on cell.tangent_basis(), shape m x (dim cell)."""
+        """Matrix of the differential on cell.frame, shape m x (dim cell)."""
         n = cell.polytope.ambient_dim
-        cols = [_differential_vec(self, n, v) for v in cell.tangent_basis()]
+        cols = [_differential_vec(self, n, v) for v in cell.frame]
         return transpose(mat(cols)) if cols else tuple(() for _ in range(self.target.dim))
 
 
@@ -263,6 +267,13 @@ def constant_map(target: Target, n: int, s: int, value: Iterable = None) -> Cell
     m = target.dim
     b = vec(value) if value is not None else vec([0] * m)
     return CellMap(target, [[0] * n for _ in range(m)], [[0] * s for _ in range(m)], b)
+
+
+def identity_map(y: Target) -> CellMap:
+    """The identity of a compact target y, on the point times T^(dim y)."""
+    m = y.dim
+    eye = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    return CellMap(y, [() for _ in range(m)], eye, [0] * m)
 
 
 def maps_agree(f: CellMap, g: CellMap, point_pairs) -> bool:
@@ -373,7 +384,7 @@ def validate_coorientation(cell: Cell, cmap: CellMap, co: Coorientation) -> None
 
     # The first failing vector names the fault, tangent space before kernel.
     bad = next((k for k, v in enumerate(co.frame) if not in_kernel(v)), len(co.frame))
-    span = cell.tangent_basis()
+    span = cell.frame
     if rank(span + co.frame[:bad + 1]) != len(span):
         raise MapError("coorientation vector outside the tangent space")
     if bad < len(co.frame):
@@ -398,7 +409,7 @@ def kernel_coorientation(cell: Cell, cmap: CellMap) -> Coorientation:
     The kernel frame is oriented so that (lifts of the target frame, kernel
     frame) matches the cell; the inverse of orientation_from_coorientation.
     """
-    tb = cell.tangent_basis()
+    tb = cell.frame
     dmat = cmap.differential_on(cell)
     m = cmap.target.dim
     kb = kernel_basis(dmat) if dmat and dmat[0] else tuple(
@@ -409,7 +420,7 @@ def kernel_coorientation(cell: Cell, cmap: CellMap) -> Coorientation:
     kframe = tuple(_in_ambient(tb, k, cell.ambient) for k in kb)
     frame_vs = lifts + list(kframe)
     if frame_vs:
-        d = change_of_basis_det(frame_vs, cell.frame)
+        d = change_of_basis_det(frame_vs, tb)
         eps = (1 if d > 0 else -1) * cell.sign
     else:
         eps = cell.sign
@@ -427,9 +438,9 @@ def first_factor_kernel(cell: Cell, cmap: CellMap) -> Coorientation:
 
 def orientation_from_coorientation(cell: Cell, cmap: CellMap, co: Coorientation) -> Cell:
     """Orient the cell by TX = f*(TY) + Ker df, using the target's standard frame."""
-    lifts = _target_lifts(cell.tangent_basis(), cmap.differential_on(cell), cell.ambient)
+    lifts = _target_lifts(cell.frame, cmap.differential_on(cell), cell.ambient)
     frame_vs = tuple(lifts) + tuple(co.frame)
-    return Cell(cell.polytope, cell.torus_rank, frame_vs, co.sign).canonical()
+    return Cell(cell.polytope, cell.torus_rank, frame_vs, co.sign)
 
 
 # ---------------------------------------------------------------------------
@@ -447,17 +458,16 @@ def cell_boundary(cell: Cell) -> list[CellBoundaryComponent]:
     """One component per facet of the polytope part; torus factors are closed."""
     p = cell.polytope
     s = cell.torus_rank
+    frame = cell.frame
     out = []
     for (key, outward), mask in zip(p.facets(), p._fd.facet_masks):
         fp = p.face_from_mask(mask)
-        base = default_frame(fp, s)
         out_vec = tuple(outward) + (Fraction(0),) * s
-        cand = (out_vec,) + base
-        d = change_of_basis_det(cand, cell.frame)
+        d = change_of_basis_det((out_vec,) + default_frame(fp, s), frame)
         sgn = (1 if d > 0 else -1) * cell.sign
         out.append(CellBoundaryComponent(
             face=key,
-            cell=Cell(fp, s, base, sgn),
+            cell=Cell(fp, s, sign=sgn),
             outward=out_vec))
     return out
 
@@ -473,7 +483,7 @@ def restrict_coorientation(cell: Cell, cmap: CellMap, co: Coorientation,
     cand = (bc.outward,) + bc.cell.frame
     d = change_of_basis_det(cand, oriented.frame)
     sgn = (1 if d > 0 else -1) * oriented.sign
-    facet_oriented = Cell(bc.cell.polytope, bc.cell.torus_rank, bc.cell.frame, sgn)
+    facet_oriented = Cell(bc.cell.polytope, bc.cell.torus_rank, sign=sgn)
     return kernel_coorientation(facet_oriented, cmap)
 
 
@@ -517,6 +527,34 @@ def _slice_polytope(p1: Polytope, p2: Polytope,
     return section_polytope(n1 + n2, eqs, ineqs)
 
 
+def _compose(g: CellMap, offset_n: int, t_lo: int, n: int, s_z: int,
+             t_rows, t_fcoefs, t_consts) -> CellMap:
+    """g on a factor, composed with the inclusion of a fibre component.
+
+    The factor's polytope coordinates start at offset_n among the n of the
+    product, its torus coordinates at t_lo; torus coordinate k is
+    t_rows[k].p + t_fcoefs[k].phi + t_consts[k] on the component, with phi
+    its s_z free torus coordinates.
+    """
+    a_out, m_out, b_out = [], [], []
+    for i in range(g.target.dim):
+        row = [Fraction(0)] * n
+        for j in range(g.n_cols):
+            row[offset_n + j] = frac(g.a[i][j])
+        fc = [0] * s_z
+        const = g.b[i]
+        for k, coef in enumerate(g.m_t[i], t_lo):
+            if coef:
+                row = [row[j] + coef * t_rows[k][j] for j in range(n)]
+                for l in range(s_z):
+                    fc[l] += coef * t_fcoefs[k][l]
+                const += coef * t_consts[k]
+        a_out.append(tuple(row))
+        m_out.append(tuple(fc))
+        b_out.append(const)
+    return CellMap(g.target, a_out, m_out, b_out)
+
+
 @dataclass
 class FibreComponent:
     """One connected piece of a fibre product, with its projection to the target.
@@ -538,42 +576,20 @@ class FibreComponent:
     t_fcoefs: tuple = ()
     t_consts: tuple = ()
 
-    def _compose(self, g: CellMap, offset_n: int, t_lo: int, t_hi: int) -> CellMap:
-        n1, s1, n2, s2 = self.split
-        n = n1 + n2
-        s_z = self.cell.torus_rank
-        mg = g.target.dim
-        a_out, m_out, b_out = [], [], []
-        for i in range(mg):
-            row = [Fraction(0)] * n
-            for j in range(g.n_cols):
-                row[offset_n + j] = frac(g.a[i][j])
-            fc = [0] * s_z
-            const = g.b[i]
-            for k in range(t_lo, t_hi):
-                coef = g.m_t[i][k - t_lo]
-                if coef:
-                    row = [row[j] + coef * self.t_rows[k][j] for j in range(n)]
-                    for l in range(s_z):
-                        fc[l] += coef * self.t_fcoefs[k][l]
-                    const += coef * self.t_consts[k]
-            a_out.append(tuple(row))
-            m_out.append(tuple(fc))
-            b_out.append(const)
-        return CellMap(g.target, a_out, m_out, b_out)
-
     def compose_on_first(self, g: CellMap) -> CellMap:
         """g on the first factor, composed with the inclusion of the component."""
-        n1, s1, _, _ = self.split
+        n1, s1, n2, _ = self.split
         if g.target.dim and (g.n_cols != n1 or g.s_cols != s1):
             raise MapError("map shape does not match the first factor")
-        return self._compose(g, 0, 0, s1)
+        return _compose(g, 0, 0, n1 + n2, self.cell.torus_rank,
+                        self.t_rows, self.t_fcoefs, self.t_consts)
 
     def compose_on_second(self, g: CellMap) -> CellMap:
         n1, s1, n2, s2 = self.split
         if g.target.dim and (g.n_cols != n2 or g.s_cols != s2):
             raise MapError("map shape does not match the second factor")
-        return self._compose(g, n1, s1, s1 + s2)
+        return _compose(g, n1, s1, n1 + n2, self.cell.torus_rank,
+                        self.t_rows, self.t_fcoefs, self.t_consts)
 
 
 def fibre_product_cells(cell1: Cell, map1: CellMap, cell2: Cell, map2: CellMap, *,
@@ -724,24 +740,7 @@ def _build_component(cell1, map1, cell2, map2, poly, tight, s_z, u, rho,
         t_consts.append(const)
 
     # projection to the target through the first factor
-    a_z = []
-    m_z = []
-    b_z = []
-    for i in range(m):
-        row = list(tuple(map1.a[i]) + (Fraction(0),) * n2)
-        fc = [0] * s_z
-        const = map1.b[i]
-        for k in range(s1):
-            coef = map1.m_t[i][k]
-            if coef:
-                row = [row[j] + coef * t_rows[k][j] for j in range(n)]
-                for l in range(s_z):
-                    fc[l] += coef * t_fcoefs[k][l]
-                const += coef * t_consts[k]
-        a_z.append(tuple(row))
-        m_z.append(tuple(fc))
-        b_z.append(const)
-    pmap = CellMap(map1.target, a_z, m_z, b_z)
+    pmap = _compose(map1, 0, 0, n, s_z, t_rows, t_fcoefs, t_consts)
 
     # face pairs and transversality, from the slice's tight factor facets at
     # each vertex: a face's factor faces are the meets of the facets tight at
@@ -805,7 +804,7 @@ def _build_component(cell1, map1, cell2, map2, poly, tight, s_z, u, rho,
 
     def lift_through(cellk, mapk, other_map, other_n, frame):
         """For each v in frame, w in T(cellk) with dmapk(w) = d(other_map)(v)."""
-        tb, dmat = cellk.tangent_basis(), mapk.differential_on(cellk)
+        tb, dmat = cellk.frame, mapk.differential_on(cellk)
         out = []
         for v in frame:
             w = solve(dmat, _differential_vec(other_map, other_n, v))
@@ -876,40 +875,38 @@ def canonical_cell_map(cell: Cell, cmap: CellMap,
     """Canonical representative of (cell, map) under cell isomorphism.
 
     Torus coordinates are reparametrized so the integral part of the map is in
-    column Hermite form.  The linear part is read on the free coordinates of
-    the polytope's affine hull and reduced, like the offset, modulo the
-    rational column space of that form: for rational L the shear
-    (x, t) -> (x, t + L(x - v0)) fixes every face and preserves orientation,
-    so one exact elimination against the echelon torus columns gives the
-    reduced columns and L, which moves the torus part of the frames.  Over a
-    torus the offset is further reduced modulo the image of the integer
-    lattice; frames are echelonized with the orientation folded into the sign.
+    column Hermite form, t' = U^-1 t, which multiplies the cell's sign by
+    det U = +-1.  The linear part is read on the free coordinates of the
+    polytope's affine hull and reduced, like the offset, modulo the rational
+    column space of that form: for rational L the shear
+    (x, t) -> (x, t + L(x - v0)) fixes every face and has determinant 1, so
+    one exact elimination against the echelon torus columns gives the
+    reduced columns and L, which moves the torus part of a coorientation
+    frame.  Over a torus the offset is further reduced modulo the image of
+    the integer lattice; a coorientation frame is echelonized with its
+    orientation folded into its sign.
     """
     n = cell.polytope.ambient_dim
     s = cell.torus_rank
     m = cmap.target.dim
+    sign = cell.sign
+    co_frame = coorient.frame if coorient else None
 
     if s > 0 and m > 0:
-        h, uc = hermite_column(cmap.m_t)
-        uci = integer_matrix_inverse(uc)
-        if uci is None:
+        new_mt, uc = hermite_column(cmap.m_t)
+        det_u = det(uc)
+        if det_u not in (1, -1):
             raise AssertionError("hermite transform must be unimodular")
-
-        def tchange(v):
-            tpart = v[n:]
-            new_t = tuple(sum(frac(uci[i][j]) * tpart[j] for j in range(s))
-                          for i in range(s))
-            return tuple(v[:n]) + new_t
-
-        new_mt = h
+        sign *= int(det_u)
+        if co_frame is not None:
+            uci = integer_matrix_inverse(uc)
+            co_frame = tuple(
+                tuple(v[:n]) + tuple(sum(frac(uci[i][j]) * v[n + j] for j in range(s))
+                                     for i in range(s))
+                for v in co_frame)
     else:
-        def tchange(v):
-            return tuple(v)
-
         new_mt = cmap.m_t
 
-    frame = tuple(tchange(v) for v in cell.frame)
-    co_frame = tuple(tchange(v) for v in coorient.frame) if coorient else None
     pivots = [(p, d, t, tuple(row[t] for row in new_mt))
               for p, d, t in _pivots_of(new_mt)]
 
@@ -944,15 +941,12 @@ def canonical_cell_map(cell: Cell, cmap: CellMap,
                  for i in range(m)]
         new_b = [val0[i] - sum(new_a[i][c] * v0[c] for c in range(n))
                  for i in range(m)]
-        if any(any(lam) for lam in shear.values()):
+        if co_frame is not None and any(any(lam) for lam in shear.values()):
             # a direction of P is fixed by its free coordinates
-            def shear_vec(v):
-                return tuple(v[:n]) + tuple(
-                    v[n + t] + sum(v[c] * shear[c][t] for c in free)
-                    for t in range(s))
-            frame = tuple(shear_vec(v) for v in frame)
-            if co_frame is not None:
-                co_frame = tuple(shear_vec(v) for v in co_frame)
+            co_frame = tuple(
+                tuple(v[:n]) + tuple(v[n + t] + sum(v[c] * shear[c][t] for c in free)
+                                     for t in range(s))
+                for v in co_frame)
 
     if m > 0:
         new_b, _ = reduce(new_b)
@@ -973,7 +967,7 @@ def canonical_cell_map(cell: Cell, cmap: CellMap,
             for idx, j in enumerate(npiv):
                 new_b[j] = x[idx] / denom
 
-    ccell = Cell(cell.polytope, s, frame, cell.sign).canonical()
+    ccell = Cell(cell.polytope, s, sign=sign)
     cmap2 = CellMap(cmap.target, new_a, new_mt, tuple(new_b))
     cco = Coorientation(co_frame, coorient.sign).canonical() if coorient else None
     return ccell, cmap2, cco

@@ -25,7 +25,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from ._linalg import (
-    Mat,
     Vec,
     frac,
     identity,
@@ -44,7 +43,6 @@ from .cells import (
     cell_boundary,
     cell_orientation_equal,
     constant_map,
-    default_frame,
     has_free_circle,
     is_strong_submersion,
     restrict_coorientation,
@@ -302,8 +300,7 @@ class Generator:
             if not is_strong_submersion(cell, cmap):
                 raise ChainError("cochain generators need a submersion on every face")
             validate_coorientation(cell, cmap, coorientation)
-            cell = Cell(cell.polytope, cell.torus_rank,
-                        default_frame(cell.polytope, cell.torus_rank), 1)
+            cell = Cell(cell.polytope, cell.torus_rank)
         if quotient is not None:
             self._validate_marker(faces, tag, quotient)
         elif not tag.is_injective():
@@ -385,7 +382,7 @@ def _normal_form(gen: Generator):
                                                  gen.coorientation)
     if has_free_circle(cell, cmapc):
         return None
-    norm_cell = Cell(cell.polytope, cell.torus_rank, cell.frame, 1)
+    norm_cell = Cell(cell.polytope, cell.torus_rank)
     if gen.is_cochain:
         coo = Coorientation(coo.frame, 1)
         cofr = coo.frame
@@ -527,10 +524,8 @@ def generator_boundary(gen: Generator) -> list:
         sub = tag.restrict(facet)
         cmap = gen.cmap
         if gen.is_cochain:
-            parent = Cell(gen.cell.polytope, gen.cell.torus_rank,
-                          gen.cell.frame, 1)
-            co = restrict_coorientation(parent, gen.cmap, gen.coorientation, bc)
-            cell = Cell(bc.cell.polytope, bc.cell.torus_rank, bc.cell.frame, 1)
+            co = restrict_coorientation(gen.cell, gen.cmap, gen.coorientation, bc)
+            cell = Cell(bc.cell.polytope, bc.cell.torus_rank)
             out.append((Fraction(1), Generator(cell, cmap, sub, co)))
         else:
             coeff = Fraction(1, marker.order) if marker is not None else Fraction(1)
@@ -1092,9 +1087,6 @@ class ChainComplex:
                         raise ChainError("boundary term lands in the wrong grade")
                     m[row][col] += coeff * sign
             self.matrices[grade] = tuple(tuple(r) for r in m)
-
-    def boundary_matrix(self, grade: int) -> Mat:
-        return self.matrices.get(grade, ())
 
     def betti(self) -> dict:
         out = {}

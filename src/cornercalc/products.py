@@ -18,6 +18,7 @@ from .cells import (
     Coorientation,
     Target,
     fibre_product_cells,
+    identity_map,
     kernel_coorientation,
     orientation_from_coorientation,
     permute_cell_coords,
@@ -133,12 +134,9 @@ def identity_generator(y: Target) -> Generator:
     """The unit generator: a point times the target torus, mapping by identity."""
     if not y.compact:
         raise ProductError("no compact identity model over a euclidean target")
-    m = y.dim
-    cell = Cell(POINT_POLYTOPE, m)
-    eye = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    cmap = CellMap(y, [() for _ in range(m)], eye, [0] * m)
     tag = Tag(POINT_POLYTOPE, {((),): ()})
-    return Generator(cell, cmap, tag, coorientation=Coorientation((), 1))
+    return Generator(Cell(POINT_POLYTOPE, y.dim), identity_map(y), tag,
+                     coorientation=Coorientation((), 1))
 
 
 def identity_cochain(y: Target, ring: str = "Q") -> Chain:
@@ -287,11 +285,6 @@ def check_cap_identity(c: Chain) -> CheckReport:
 # Pullback
 # ---------------------------------------------------------------------------
 
-def _identity_cell_map(y: Target) -> CellMap:
-    eye = [[1 if i == j else 0 for j in range(y.dim)] for i in range(y.dim)]
-    return CellMap(y, [() for _ in range(y.dim)], eye, [0] * y.dim)
-
-
 def pullback(h: TargetMap, delta: Chain) -> Chain:
     """Pull a cochain back along a proper map of targets; grade is preserved.
 
@@ -318,7 +311,7 @@ def pullback(h: TargetMap, delta: Chain) -> Chain:
                     [() for _ in range(h.target.dim)],
                     [[int(x) for x in row] for row in h.matrix],
                     h.offset)
-    id_map = _identity_cell_map(h.source)
+    id_map = identity_map(h.source)
     terms = []
     for coeff, g in delta.terms():
         comps = fibre_product_cells(cell_h, map_h, g.cell, g.cmap,

@@ -1,7 +1,7 @@
 """Named check suites shared by the command line and the acceptance tests.
 
-A suite is a pure function of its options: the same seed, count, and size
-caps produce the same records in the same order, so serialized reports are
+A suite is a pure function of its seed and count: the same seed and count
+produce the same records in the same order, so serialized reports are
 byte-identical across runs.  Seeded suites resample instances until a check's
 precondition holds, within a bounded budget, and report exactly how many
 instances they accepted; a suite that cannot fill its quota fails instead of
@@ -71,7 +71,7 @@ class SuiteResult:
 
 
 class SuiteError(ValueError):
-    """Unknown suite name or unusable option combination."""
+    """Unknown suite name."""
 
 
 _ATTEMPT_BUDGET = 60
@@ -134,11 +134,10 @@ _FIBRE_TARGETS = ((POINT, "over the point"),
 # Chain suites
 # ---------------------------------------------------------------------------
 
-def suite_dd_zero(seed=0, count=None, max_dim=4, ring=None) -> SuiteResult:
+def suite_dd_zero(seed=0, count=None) -> SuiteResult:
     count = 100 if count is None else count
-    ring = "Q" if ring is None else ring
     rng = Random(seed)
-    chains = [random_chain(rng, ("t", i), max_ambient=max_dim, ring=ring)
+    chains = [random_chain(rng, ("t", i), max_ambient=4, ring="Q")
               for i in range(count)]
     bad = [i for i, c in enumerate(chains)
            if not boundary(boundary(c)).is_zero]
@@ -159,8 +158,7 @@ def suite_dd_zero(seed=0, count=None, max_dim=4, ring=None) -> SuiteResult:
     return _result("dd-zero", [rec1, rec2])
 
 
-def suite_boundary_product(seed=0, count=None, max_dim=4,
-                           ring=None) -> SuiteResult:
+def suite_boundary_product(seed=0, count=None) -> SuiteResult:
     count = 100 if count is None else count
     rng = Random(seed)
     records = []
@@ -173,7 +171,7 @@ def suite_boundary_product(seed=0, count=None, max_dim=4,
     return _result("boundary-product", records)
 
 
-def suite_swap(seed=0, count=None, max_dim=4, ring=None) -> SuiteResult:
+def suite_swap(seed=0, count=None) -> SuiteResult:
     count = 50 if count is None else count
     rng = Random(seed)
     records = []
@@ -194,8 +192,7 @@ def _target_pairs():
                            (torus(1), "circle"))]
 
 
-def suite_associativity(seed=0, count=None, max_dim=4,
-                        ring=None) -> SuiteResult:
+def suite_associativity(seed=0, count=None) -> SuiteResult:
     count = 50 if count is None else count
     rng = Random(seed)
     pairs = _target_pairs()
@@ -210,8 +207,7 @@ def suite_associativity(seed=0, count=None, max_dim=4,
     return _result("associativity", records)
 
 
-def suite_interchange(seed=0, count=None, max_dim=4,
-                      ring=None) -> SuiteResult:
+def suite_interchange(seed=0, count=None) -> SuiteResult:
     count = 50 if count is None else count
     rng = Random(seed)
     pairs = _target_pairs()
@@ -230,7 +226,7 @@ def suite_interchange(seed=0, count=None, max_dim=4,
 # Algebra suites
 # ---------------------------------------------------------------------------
 
-def suite_dga(seed=0, count=None, max_dim=4, ring=None) -> SuiteResult:
+def suite_dga(seed=0, count=None) -> SuiteResult:
     count = 50 if count is None else count
     rng = Random(seed)
     records = []
@@ -248,7 +244,7 @@ def suite_dga(seed=0, count=None, max_dim=4, ring=None) -> SuiteResult:
     return _result("dga", records)
 
 
-def suite_cap_module(seed=0, count=None, max_dim=4, ring=None) -> SuiteResult:
+def suite_cap_module(seed=0, count=None) -> SuiteResult:
     count = 50 if count is None else count
     rng = Random(seed)
     targets = (torus(1), torus(2))
@@ -288,8 +284,7 @@ def suite_cap_module(seed=0, count=None, max_dim=4, ring=None) -> SuiteResult:
     return _result("cap-module", records)
 
 
-def suite_singular_bridge(seed=0, count=None, max_dim=4,
-                          ring=None) -> SuiteResult:
+def suite_singular_bridge(seed=0, count=None) -> SuiteResult:
     count = 50 if count is None else count
     rng = Random(seed)
     record = _seeded_record(
@@ -299,10 +294,9 @@ def suite_singular_bridge(seed=0, count=None, max_dim=4,
     return _result("singular-bridge", [record])
 
 
-def suite_homology(seed=0, count=None, max_dim=4, ring=None) -> SuiteResult:
-    top = 3 if max_dim is None else min(3, max_dim)
+def suite_homology(seed=0, count=None) -> SuiteResult:
     records = []
-    for k in range(top + 1):
+    for k in range(4):
         betti = ChainComplex(simplex_face_complex(k)).betti()
         expected = {g: (1 if g == 0 else 0) for g in betti}
         ok = betti == expected and betti.get(0) == 1
@@ -324,8 +318,7 @@ def _reflection_action() -> GroupAction:
     })
 
 
-def suite_quotient_half(seed=0, count=None, max_dim=4,
-                        ring=None) -> SuiteResult:
+def suite_quotient_half(seed=0, count=None) -> SuiteResult:
     act = _reflection_action()
     poly = act.spaces[0]
     ends = tuple(sorted(poly.faces()[0]))
@@ -438,7 +431,7 @@ def _strata_cases():
     ]
 
 
-def suite_strata(seed=0, count=None, max_dim=4, ring=None) -> SuiteResult:
+def suite_strata(seed=0, count=None) -> SuiteResult:
     records = []
     for label, act, sub, rho in _strata_cases():
         st = orbifold_stratum(act, sub, rho)
@@ -473,20 +466,19 @@ def _interval_class() -> BordismClass:
     return BordismClass([(cell, CellMap(POINT, (), (), ()))])
 
 
-def suite_bordism(seed=0, count=None, max_dim=4, ring=None) -> SuiteResult:
+def suite_bordism(seed=0, count=None) -> SuiteResult:
     count = 10 if count is None else count
-    ring = "Z" if ring is None else ring
     rng = Random(seed)
 
     pres = present_group([_point_class(1), _point_class(-1)],
-                         [_interval_class()], ring=ring)
+                         [_interval_class()], ring="Z")
     ok1 = pres.invariant_factors() in ((1,),) and pres.free_rank == 1
     rec1 = CheckRecord(
         "two oriented points modulo the interval present one free rank",
         ok1, 2, (f"invariant factors {pres.invariant_factors()}, "
                  f"free rank {pres.free_rank}",))
 
-    pres2 = present_group([_point_class(1)], [_interval_class()], ring=ring)
+    pres2 = present_group([_point_class(1)], [_interval_class()], ring="Z")
     ok2 = pres2.relations == ((0,),) and pres2.free_rank == 1
     rec2 = CheckRecord(
         "a single point generator absorbs both interval ends",
@@ -534,8 +526,7 @@ def _refusal(name: str, call, error, needle: str, accepted: str) -> CheckRecord:
     return CheckRecord(name, False, 1, (accepted,))
 
 
-def suite_negative_controls(seed=0, count=None, max_dim=4,
-                            ring=None) -> SuiteResult:
+def suite_negative_controls(seed=0, count=None) -> SuiteResult:
     records = []
 
     sq = box([(0, 1), (0, 1)])
@@ -546,8 +537,7 @@ def suite_negative_controls(seed=0, count=None, max_dim=4,
     corrupted = [type(flipped)(
         corner=flipped.corner, first_facet=flipped.first_facet,
         second_facet=flipped.second_facet,
-        cell=Cell(flipped.cell.polytope, flipped.cell.torus_rank,
-                  flipped.cell.frame, -flipped.cell.sign),
+        cell=flipped.cell.reversed(),
         tag=flipped.tag)] + terms[1:]
     rep = check_sigma_pairing(corrupted)
     records.append(CheckRecord(
@@ -602,9 +592,8 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = 0, count=None, max_dim: int = 4,
-              ring=None) -> SuiteResult:
+def run_suite(name: str, seed: int = 0, count=None) -> SuiteResult:
     if name not in SUITES:
         known = ", ".join(sorted(SUITES))
         raise SuiteError(f"unknown suite {name!r}; known suites: {known}")
-    return SUITES[name](seed=seed, count=count, max_dim=max_dim, ring=ring)
+    return SUITES[name](seed=seed, count=count)

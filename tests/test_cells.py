@@ -8,7 +8,9 @@ from random import Random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cornercalc._linalg import change_of_basis_det, kernel_basis, rank, solve
+from cornercalc._linalg import (canonical_frame, change_of_basis_det, det,
+                                hermite_column, integer_matrix_inverse, kernel_basis,
+                                mat, rank, rref, solve)
 from cornercalc.cells import (
     POINT,
     Cell,
@@ -16,6 +18,7 @@ from cornercalc.cells import (
     Coorientation,
     FibreProductError,
     MapError,
+    _pivots_of,
     _slice_polytope,
     canonical_cell_map,
     canonical_form,
@@ -23,6 +26,7 @@ from cornercalc.cells import (
     cell_boundary,
     cell_orientation_equal,
     constant_map,
+    default_frame,
     euclid,
     fibre_product_cells,
     first_factor_kernel,
@@ -127,7 +131,7 @@ def test_coorientation_round_trip():
 
 def _kernel_and_lifts(c, f):
     """Ker df and lifts of the target's standard frame, as ambient vectors of c."""
-    tb = c.tangent_basis()
+    tb = c.frame
     m = f.target.dim
     if not m:
         return list(tb), []
@@ -507,9 +511,12 @@ def test_face_pairs_match_per_face_definition():
 
 
 # Any drift in a fibre product's cell, map, translate, flags, coorientation,
-# face pairs or the facets of its polytope changes it.
+# face pairs or the facets of its polytope changes it.  Re-pinned when a cell
+# stopped storing a frame, which changes its repr only: with each cell read as
+# (polytope, torus rank, sign of its canonical form), all 37 components hash
+# alike before and after.
 GOLDEN_FIBRE_DIGEST = (
-    "61f66b8801770fb8c584a4a4b0f6045a7929f77d5ed61fed400b3bd3b970db0f")
+    "84ed5d927b7e06d659deded8c422c544b01907d213aedfd9dc831f4a3eef5961")
 
 
 def test_fibre_products_golden_digest():
@@ -619,3 +626,153 @@ def test_canonical_form_keeps_columns_outside_the_torus_span(data):
     a = [[x + u[i] * dc for x, dc in zip(row, d)] for i, row in enumerate(cmap.a)]
     moved = CellMap(cmap.target, a, cmap.m_t, cmap.b)
     assert canonical_key(cell, moved) != canonical_key(cell, cmap)
+
+
+# A cell's orientation is one sign against its default frame.  The references
+# below are the formulas of the frame-carrying cells this replaced: the
+# constructor's rank checks, Cell.canonical (canonical_frame of the frame),
+# the determinant of cell_orientation_equal, and canonical_cell_map moving
+# the frame through the Hermite reparametrization and the rational shear.
+
+@st.composite
+def lattice_cell(draw):
+    """A lattice polytope of dimension 0 to 3 and a torus rank 0 to 2."""
+    n = draw(st.integers(1, 3))
+    pts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=n + 2,
+                        unique=True))
+    return Polytope.from_points(n, [list(x) for x in pts]), draw(st.integers(0, 2))
+
+
+def _int_matrix(data, d):
+    return [[data.draw(st.integers(-2, 2)) for _ in range(d)] for _ in range(d)]
+
+
+def _times(c, frame):
+    """The frame whose vector i is sum_j c[i][j] frame[j]."""
+    width = len(frame[0]) if frame else 0
+    return tuple(tuple(sum(c[i][j] * frame[j][k] for j in range(len(frame)))
+                       for k in range(width)) for i in range(len(c)))
+
+
+def _reference_frame_fault(poly, s, frame):
+    """The error the frame-carrying constructor raised for a frame of cell size."""
+    span = default_frame(poly, s)
+    if frame != span:
+        if rank(span + frame) != len(span):
+            return "frame vector outside the cell's tangent space"
+        if rank(frame) != len(frame):
+            return "frame is linearly dependent"
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_cell(), st.data())
+def test_frame_folds_into_the_sign(cell_data, data):
+    poly, s = cell_data
+    default = default_frame(poly, s)
+    c = _int_matrix(data, len(default))
+    sigma = data.draw(st.sampled_from((1, -1)))
+    frame = _times(c, default)
+    replaced = bool(default) and data.draw(st.booleans())
+    if replaced:
+        # a vector that may leave the tangent space
+        k = data.draw(st.integers(0, len(default) - 1))
+        v = tuple(F(data.draw(st.integers(-2, 2))) for _ in range(poly.ambient_dim + s))
+        frame = frame[:k] + (v,) + frame[k + 1:]
+    fault = _reference_frame_fault(poly, s, frame)
+    if fault is not None:
+        with pytest.raises(GeometryError, match=f"^{fault}$"):
+            Cell(poly, s, frame, sigma)
+        return
+    cell = Cell(poly, s, frame, sigma)
+    basis, canonical_sign = canonical_frame(frame)
+    assert basis == default == cell.frame
+    assert cell.sign == sigma * canonical_sign
+    if not replaced:
+        assert cell.sign == sigma * _sign(det(mat(c)))
+    assert cell == Cell(poly, s, None, cell.sign)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattice_cell(), st.data())
+def test_orientation_equal_is_a_sign_product(cell_data, data):
+    poly, s = cell_data
+    default = default_frame(poly, s)
+    frames, signs = [], []
+    for _ in range(2):
+        c = _int_matrix(data, len(default))
+        assume(det(mat(c)) != 0)
+        frames.append(_times(c, default))
+        signs.append(data.draw(st.sampled_from((1, -1))))
+    a, b = (Cell(poly, s, fr, sg) for fr, sg in zip(frames, signs))
+    expected = signs[0] * signs[1]
+    if default:
+        expected *= _sign(change_of_basis_det(frames[0], frames[1]))
+    assert cell_orientation_equal(a, b) == expected
+
+
+def _reference_canonical_sign(poly, frame, sign, cmap):
+    """Sign of the canonical cell, by moving the frame as canonical_cell_map did.
+
+    For a map with torus part and a polytope of positive ambient dimension.
+    """
+    n, m = poly.ambient_dim, cmap.target.dim
+    assert m > 0 and n > 0
+    s = len(frame[0]) - n
+    h, uc = hermite_column(cmap.m_t)
+    uci = integer_matrix_inverse(uc)
+    frame = [tuple(v[:n]) + tuple(sum(uci[i][j] * v[n + j] for j in range(s))
+                                  for i in range(s)) for v in frame]
+    pivots = [(p, d, t, tuple(row[t] for row in h)) for p, d, t in _pivots_of(h)]
+    hull = poly.affine_hull_equations()
+    red, piv = rref(mat([row for row, _ in hull])) if hull else ((), ())
+    free = [c for c in range(n) if c not in piv]
+    shear = {}
+    for c in free:
+        x = [row[c] - sum(row[p] * hrow[c] for hrow, p in zip(red, piv))
+             for row in cmap.a]
+        lam = [F(0)] * s
+        for p, d, t, col in pivots:
+            q = x[p] / d
+            if q:
+                lam[t] = q
+                x = [xi - q * ci for xi, ci in zip(x, col)]
+        shear[c] = lam
+    frame = [tuple(v[:n]) + tuple(v[n + t] + sum(v[c] * shear[c][t] for c in free)
+                                  for t in range(s)) for v in frame]
+    return sign * canonical_frame(frame)[1]
+
+
+def _unimodular(data, s):
+    """A random s x s integer matrix of determinant +-1, from elementary moves."""
+    w = [[int(i == j) for j in range(s)] for i in range(s)]
+    for _ in range(data.draw(st.integers(0, 4))):
+        i, j = data.draw(st.integers(0, s - 1)), data.draw(st.integers(0, s - 1))
+        if i == j:
+            w[i] = [-x for x in w[i]]
+        else:
+            k = data.draw(st.integers(-2, 2))
+            w[i] = [x + k * y for x, y in zip(w[i], w[j])]
+    return w
+
+
+@settings(max_examples=100, deadline=None)
+@given(wound_cell(), st.data())
+def test_canonical_sign_matches_the_moved_frame(cell_data, data):
+    cell, cmap = cell_data
+    n, s = cell.polytope.ambient_dim, cell.torus_rank
+    # new torus coordinates W t: frames move by W, the torus columns by W^-1
+    w = _unimodular(data, s)
+    wi = integer_matrix_inverse(w)
+    m_t = [[sum(row[k] * wi[k][j] for k in range(s)) for j in range(s)] for row in cmap.m_t]
+    c = _int_matrix(data, cell.dim)
+    assume(det(mat(c)) != 0)
+    frame = [tuple(v[:n]) + tuple(sum(w[i][j] * v[n + j] for j in range(s)) for i in range(s))
+             for v in _times(c, cell.frame)]
+    lam = [[data.draw(_quarters) for _ in range(n)] for _ in range(s)]
+    _, smap = _sheared(cell, CellMap(cmap.target, cmap.a, m_t, cmap.b), lam)
+    frame = [tuple(v[:n]) + tuple(v[n + t] + sum(lam[t][k] * v[k] for k in range(n))
+                                  for t in range(s)) for v in frame]
+    ccell, _, _ = canonical_cell_map(Cell(cell.polytope, s, frame, cell.sign), smap)
+    assert ccell.sign == _reference_canonical_sign(cell.polytope, frame, cell.sign, smap)
+    assert ccell.frame == cell.frame

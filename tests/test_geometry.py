@@ -260,7 +260,6 @@ def test_orientation_equal_and_canonical():
     b = Cell(sq, 0, [[0, 1], [1, 0]], 1)
     assert cell_orientation_equal(a, b) == -1
     assert cell_orientation_equal(a, b.reversed()) == 1
-    assert cell_orientation_equal(a.canonical(), a) == 1
     c = Cell(sq, 0, [[1, 1], [0, 2]], 1)     # det 2 > 0 relative to standard
     assert cell_orientation_equal(a, c) == 1
 
@@ -280,8 +279,7 @@ def test_square_boundary_signs():
     bd = cell_boundary(Cell(sq, 0, [[1, 0], [0, 1]], 1))
     signs = {}
     for bc in bd:
-        o = bc.cell.canonical()
-        signs[bc.face] = o.sign
+        signs[bc.face] = bc.cell.sign
     left = face_key([[0, 0], [0, 1]])
     bottom = face_key([[0, 0], [1, 0]])
     top = face_key([[0, 1], [1, 1]])

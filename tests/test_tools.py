@@ -14,5 +14,5 @@ def test_outcome_digest_of_one_item():
         capture_output=True, text=True, check=True, timeout=60).stdout
     assert out.splitlines() == [
         "fibre-identities items 0..0: 24 ops, 77 fibre_product_cells results (70 components)",
-        "sha256 c6d857181c3840da846c50b4f03854a098164e4afed31cef616b12f7e82815f0",
+        "sha256 f7b6b737874c9eff963895c27c56af5ab3f57f3dc114b350d7fac24bf2d26c2c",
     ]

@@ -10,10 +10,10 @@ and decides it.  It prints the number of operations, the number of
 and one SHA-256 over
 
 - every operation's outcome, or the class and message of what it raised;
-- every fibre-product component, in the order they were built: its cell,
-  frame, sign, projection map, translate, transversality and orientability
-  flags, coorientation, sorted face pairs, `facets()` and
-  `facet_inequalities()`.
+- every fibre-product component, in the order they were built: its cell
+  (polytope, torus rank and orientation sign), projection map, translate,
+  transversality and orientability flags, coorientation, sorted face pairs,
+  `facets()` and `facet_inequalities()`.
 
 Two trees give the same digest when they decide every operation alike and
 build the same fibre products.  To compare a change with its parent, run the
@@ -36,7 +36,7 @@ import workloads  # noqa: E402
 
 def _component_repr(comp) -> str:
     poly = comp.cell.polytope
-    return repr((comp.cell, comp.cell.frame, comp.cell.sign, comp.pmap, comp.translate,
+    return repr((comp.cell, comp.pmap, comp.translate,
                  comp.transverse, comp.orientable, comp.coorientation,
                  sorted(comp.face_pairs.items()), poly.facets(),
                  poly.facet_inequalities()))
