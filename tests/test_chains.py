@@ -51,7 +51,7 @@ from cornercalc.chains import (
     verify_dd_zero,
 )
 from cornercalc.geometry import Polytope, box, interval, octahedron, standard_simplex
-from cornercalc.randgen import random_chain
+from cornercalc.randgen import random_chain, random_cochain
 from test_geometry import embedded_lattice_hull
 
 
@@ -516,6 +516,28 @@ def test_boundary_canonical_keys_golden_digest():
                        for c, g in terms]).encode())
     assert count == 408
     assert h.hexdigest() == GOLDEN_BOUNDARY_DIGEST
+
+
+# The cochain side of the boundary: restricted coorientations, their frames
+# and signs, over T^1 and T^2.  Pinned before facet signs were read from the
+# polytope's face data.
+GOLDEN_COBOUNDARY_DIGEST = (
+    "32b654efb3db56d25c26ddf43d950c45e58de460236e3ea83c378f70979f7546")
+
+
+def test_coboundary_canonical_keys_golden_digest():
+    h = hashlib.sha256()
+    count = 0
+    for y in (torus(1), torus(2)):
+        for i in range(20):
+            ch = boundary(random_cochain(Random(i), y, ("c", 0)))
+            terms = ch.terms()
+            count += len(terms)
+            h.update(repr(terms).encode())
+            h.update(repr([(c, _normal_form(g)[:2], g.coorientation.frame,
+                            g.coorientation.sign) for c, g in terms]).encode())
+    assert count == 36
+    assert h.hexdigest() == GOLDEN_COBOUNDARY_DIGEST
 
 
 def _fraction_term_key(x):
