@@ -51,7 +51,6 @@ from ._linalg import (
     kernel_basis,
     mat,
     rank,
-    rref,
     solve,
     transpose,
     vec,
@@ -455,21 +454,19 @@ class CellBoundaryComponent:
 
 
 def cell_boundary(cell: Cell) -> list[CellBoundaryComponent]:
-    """One component per facet of the polytope part; torus factors are closed."""
+    """One component per facet of the polytope part; torus factors are closed.
+
+    A facet's sign, outward normal first, is read from the polytope's face
+    data.  It does not depend on the torus rank: both frames end in the same
+    identity block on R^s, so the change of basis between them is block
+    diagonal with an identity block.
+    """
     p = cell.polytope
     s = cell.torus_rank
-    frame = cell.frame
-    out = []
-    for (key, outward), mask in zip(p.facets(), p._fd.facet_masks):
-        fp = p.face_from_mask(mask)
-        out_vec = tuple(outward) + (Fraction(0),) * s
-        d = change_of_basis_det((out_vec,) + default_frame(fp, s), frame)
-        sgn = (1 if d > 0 else -1) * cell.sign
-        out.append(CellBoundaryComponent(
-            face=key,
-            cell=Cell(fp, s, sign=sgn),
-            outward=out_vec))
-    return out
+    zero = (Fraction(0),) * s
+    return [CellBoundaryComponent(face=key, cell=Cell(fp, s, sign=sign * cell.sign),
+                                  outward=tuple(outward) + zero)
+            for (key, outward), (fp, sign) in zip(p.facets(), p._fd.facet_cells())]
 
 
 def restrict_coorientation(cell: Cell, cmap: CellMap, co: Coorientation,
@@ -477,12 +474,12 @@ def restrict_coorientation(cell: Cell, cmap: CellMap, co: Coorientation,
     """Induced coorientation on a boundary facet, via the orientation dictionary.
 
     Convert to an orientation (target frame first), take the boundary
-    orientation (outward normal first), convert back on the facet.
+    orientation (outward normal first), convert back on the facet.  bc is a
+    component of cell_boundary(cell), so bc.cell.sign * cell.sign is the
+    facet's sign against the cell's default frame.
     """
     oriented = orientation_from_coorientation(cell, cmap, co)
-    cand = (bc.outward,) + bc.cell.frame
-    d = change_of_basis_det(cand, oriented.frame)
-    sgn = (1 if d > 0 else -1) * oriented.sign
+    sgn = bc.cell.sign * cell.sign * oriented.sign
     facet_oriented = Cell(bc.cell.polytope, bc.cell.torus_rank, sign=sgn)
     return kernel_coorientation(facet_oriented, cmap)
 
@@ -924,19 +921,14 @@ def canonical_cell_map(cell: Cell, cmap: CellMap,
     new_a = cmap.a
     new_b = list(cmap.b)
     if m > 0 and n > 0:
-        hull = cell.polytope.affine_hull_equations()
-        red, piv = rref(mat([row for row, _ in hull])) if hull else ((), ())
-        free = [c for c in range(n) if c not in piv]
-        v0 = min(cell.polytope.vertices)
+        v0 = cell.polytope.vertices[0]
         val0 = [new_b[i] + sum(new_a[i][c] * v0[c] for c in range(n))
                 for i in range(m)]
         # The direction w_c of aff(P) with free coordinates e_c: its value
         # under the map, reduced, is column c of the new linear part.
         cols, shear = {}, {}
-        for c in free:
-            x = [row[c] - sum(row[p] * hrow[c] for hrow, p in zip(red, piv))
-                 for row in new_a]
-            cols[c], shear[c] = reduce(x)
+        for c, w in cell.polytope._fd.hull_directions():
+            cols[c], shear[c] = reduce([sum(row[j] * x for j, x in w) for row in new_a])
         new_a = [tuple(cols[c][i] if c in cols else Fraction(0) for c in range(n))
                  for i in range(m)]
         new_b = [val0[i] - sum(new_a[i][c] * v0[c] for c in range(n))
@@ -944,7 +936,7 @@ def canonical_cell_map(cell: Cell, cmap: CellMap,
         if co_frame is not None and any(any(lam) for lam in shear.values()):
             # a direction of P is fixed by its free coordinates
             co_frame = tuple(
-                tuple(v[:n]) + tuple(v[n + t] + sum(v[c] * shear[c][t] for c in free)
+                tuple(v[:n]) + tuple(v[n + t] + sum(v[c] * lam[t] for c, lam in shear.items())
                                      for t in range(s))
                 for v in co_frame)
 

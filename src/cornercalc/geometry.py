@@ -6,7 +6,9 @@ are stable across sub-polytope constructions and canonicalization. Facets come
 with outward vectors in the direction space of the affine hull; the
 H-representation, minimal faces, corner types and the affine isomorphisms
 between vertex sets are built on them. Orientations, boundaries and the corner
-involution live on cells (see cells and chains).
+involution live on cells (see cells and chains); the per-polytope part of the
+boundary, each facet's polytope and its sign with the outward normal first,
+is kept with the face data.
 
 One kernel, section_vertices, enumerates the vertices of {e . x = c, f . x <= d}
 by the double description method on integer rows, each with the bitmask of
@@ -63,6 +65,7 @@ from ._linalg import (
     _eliminate,
     _primitive,
     _scaled,
+    change_of_basis_det,
     frac,
     independent_subset,
     kernel_basis,
@@ -230,6 +233,10 @@ class _FaceData:
     (lattice), the local-coordinate matrix over one denominator
     (local_ints), and the hull's equations and the facets as primitive
     integer rows (rows).  Fractions are made once, for what is handed out.
+    The boundary data is lazy too: each facet's polytope and the sign of
+    its frame, outward vector first, against dir_basis (facet_cells), and
+    the directions of the affine hull on its free coordinates
+    (hull_directions).
     """
 
     def __init__(self, ambient_dim: int, vertices: tuple[Vec, ...]):
@@ -256,6 +263,8 @@ class _FaceData:
         self._face_dims: Optional[dict] = None
         self.inequalities: Optional[list] = None
         self.equations: Optional[list] = None
+        self._facet_cells: Optional[list] = None
+        self._hull_directions: Optional[list] = None
 
     def key(self, mask: int) -> FaceKey:
         """The face key of a bitmask over the vertices."""
@@ -348,6 +357,22 @@ class _FaceData:
             self.equations = [(e, sum(a * b for a, b in zip(e, v0))) for e in eqs]
         return self.equations
 
+    def hull_directions(self) -> list[tuple[int, tuple[tuple[int, Fraction], ...]]]:
+        """(c, w_c) for each free coordinate c of the rref of the hull's equations.
+
+        w_c is the direction of the affine hull with free coordinates e_c,
+        as sparse (index, coefficient) pairs: 1 at c, -red[k][c] at the
+        k-th pivot.
+        """
+        if self._hull_directions is None:
+            eqs = [e for e, _ in self.hull_equations()]
+            red, piv = rref(mat(eqs)) if eqs else ((), ())
+            self._hull_directions = [
+                (c, ((c, Fraction(1)),) + tuple((p, -row[c]) for row, p in zip(red, piv)
+                                                if row[c]))
+                for c in range(self.ambient_dim) if c not in piv]
+        return self._hull_directions
+
     # -- affine-hull coordinates --------------------------------------------
 
     def local_matrix(self) -> Mat:
@@ -412,6 +437,30 @@ class _FaceData:
         self.functionals = [entry[3] for entry in out]
         self._local_functionals = [entry[4] for entry in out]
         self._facets = [(key, amb) for key, amb, *_ in out]
+
+    def face(self, mask: int) -> "Polytope":
+        """The face with this vertex bitmask, its facets inherited from ours."""
+        face = Polytope(self.ambient_dim, self.key(mask), _trusted=True)
+        sub = face._fd
+        if sub._facets is None:
+            sub.inherit_face(self, mask)
+        return face
+
+    def facet_cells(self) -> list[tuple["Polytope", int]]:
+        """(facet polytope, sign) for each facet, in facets() order.
+
+        The sign is that of the change of basis from (outward vector,
+        facet's dir_basis) to dir_basis: the facet's orientation, outward
+        normal first, against this vertex set's.
+        """
+        if self._facet_cells is None:
+            cells = []
+            for (_, outward), mask in zip(self.facets(), self.facet_masks):
+                face = self.face(mask)
+                d = change_of_basis_det((outward,) + face.dir_basis, self.dir_basis)
+                cells.append((face, 1 if d > 0 else -1))
+            self._facet_cells = cells
+        return self._facet_cells
 
     def inherit_face(self, parent: "_FaceData", face: int) -> None:
         """Take the facets of this face of parent, its vertex bitmask `face`.
@@ -541,11 +590,7 @@ class Polytope:
         holders = sum(1 << j for j, f in enumerate(fd.facet_masks) if f & mask == mask)
         if not mask or fd.meet(holders) != mask:
             raise GeometryError("not a face of the polytope")
-        face = Polytope(self.ambient_dim, fd.key(mask), _trusted=True)
-        sub = face._fd
-        if sub._facets is None:
-            sub.inherit_face(fd, mask)
-        return face
+        return fd.face(mask)
 
     def tight_facets(self, point: Sequence) -> int:
         """Bitmask over facets() of the facets tight at a point of the polytope."""

@@ -1,7 +1,10 @@
 """Cell layer: targets, oriented cells with torus factors, coorientations, fibre products."""
 
 import hashlib
+import importlib
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction as F
 from random import Random
 
@@ -43,6 +46,7 @@ from cornercalc.cells import (
 from cornercalc.geometry import POINT_POLYTOPE, GeometryError, Polytope, box, interval
 from cornercalc.randgen import (associativity_instance, fibre_instance, random_cell,
                                 random_map)
+from test_geometry import embedded_lattice_hull
 
 
 def test_target_products():
@@ -776,3 +780,132 @@ def test_canonical_sign_matches_the_moved_frame(cell_data, data):
     ccell, _, _ = canonical_cell_map(Cell(cell.polytope, s, frame, cell.sign), smap)
     assert ccell.sign == _reference_canonical_sign(cell.polytope, frame, cell.sign, smap)
     assert ccell.frame == cell.frame
+
+
+# Boundary data is read once per polytope from its face data.  The references
+# below are the per-call formulas it replaced: the determinant of each facet's
+# frame, outward normal first, against the cell's default frame (in
+# cell_boundary and restrict_coorientation), and the rref of the affine hull
+# equations with v0 = min(vertices) in canonical_cell_map.
+
+def _reference_facet_sign(p, mask, outward, s):
+    fp = p.face_from_mask(mask)
+    out = tuple(outward) + (F(0),) * s
+    return _sign(change_of_basis_det((out,) + default_frame(fp, s), default_frame(p, s)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(embedded_lattice_hull(), st.integers(0, 2), st.sampled_from((1, -1)))
+def test_stored_facet_signs_match_the_change_of_basis(data, s, sigma):
+    _, _, pts, _, _ = data
+    p = Polytope.from_points(len(pts[0]), pts)
+    assume(p.dim >= 1)
+    for q in [p] + [fp for fp, _ in p._fd.facet_cells()]:
+        bcs = cell_boundary(Cell(q, s, None, sigma))
+        assert len(bcs) == len(q.facets())
+        for (key, outward), mask, (fp, sign), bc in zip(
+                q.facets(), q._fd.facet_masks, q._fd.facet_cells(), bcs):
+            reference = _reference_facet_sign(q, mask, outward, s)
+            assert sign == reference
+            assert fp == q.face_from_mask(mask)
+            assert fp.facets() == q.face_from_mask(mask).facets()
+            assert bc.face == key and bc.outward == tuple(outward) + (F(0),) * s
+            assert bc.cell == Cell(fp, s, None, sigma * reference)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wound_cell())
+def test_restricted_coorientation_matches_the_change_of_basis(cell_data):
+    cell, cmap = cell_data
+    assume(is_strong_submersion(cell, cmap))
+    for co in (kernel_coorientation(cell, cmap), first_factor_kernel(cell, cmap)):
+        oriented = orientation_from_coorientation(cell, cmap, co)
+        for bc in cell_boundary(cell):
+            d = change_of_basis_det((bc.outward,) + bc.cell.frame, oriented.frame)
+            facet = Cell(bc.cell.polytope, bc.cell.torus_rank, sign=_sign(d) * oriented.sign)
+            assert (restrict_coorientation(cell, cmap, co, bc)
+                    == kernel_coorientation(facet, cmap))
+
+
+def _reference_canonical_map(cell, cmap):
+    """(a, b) of the canonical map, with the hull reduced by rref on every call."""
+    n, s, m = cell.polytope.ambient_dim, cell.torus_rank, cmap.target.dim
+    new_mt, _ = hermite_column(cmap.m_t)
+    pivots = [(p, d, t, tuple(row[t] for row in new_mt)) for p, d, t in _pivots_of(new_mt)]
+
+    def reduce(x):
+        x = list(x)
+        for p, d, t, col in pivots:
+            q = x[p] / d
+            if q:
+                x = [xi - q * ci for xi, ci in zip(x, col)]
+        return x
+
+    hull = cell.polytope.affine_hull_equations()
+    red, piv = rref(mat([row for row, _ in hull])) if hull else ((), ())
+    free = [c for c in range(n) if c not in piv]
+    v0 = min(cell.polytope.vertices)
+    val0 = [cmap.b[i] + sum(cmap.a[i][c] * v0[c] for c in range(n)) for i in range(m)]
+    cols = {c: reduce([row[c] - sum(row[p] * hrow[c] for hrow, p in zip(red, piv))
+                       for row in cmap.a]) for c in free}
+    new_a = [tuple(cols[c][i] if c in cols else F(0) for c in range(n)) for i in range(m)]
+    new_b = reduce([val0[i] - sum(new_a[i][c] * v0[c] for c in range(n)) for i in range(m)])
+    npiv = [k for k in range(m) if k not in {p for p, _, _, _ in pivots}]
+    if npiv:
+        gens = [reduce(tuple(F(int(i == k)) for i in range(m))) for k in range(m)]
+        denom = math.lcm(*(g[j].denominator for g in gens for j in npiv))
+        hb, _ = hermite_column([[int(g[j] * denom) for g in gens] for j in npiv])
+        x = [new_b[j] * denom for j in npiv]
+        for i in range(len(npiv)):
+            q = math.floor(x[i] / hb[i][i])
+            for k in range(i, len(npiv)):
+                x[k] -= q * hb[k][i]
+        for idx, j in enumerate(npiv):
+            new_b[j] = x[idx] / denom
+    return tuple(new_a), tuple(new_b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wound_cell())
+def test_canonical_columns_and_offset_match_the_rref_recipe(cell_data):
+    cell, cmap = cell_data
+    _, cmap2, _ = canonical_cell_map(cell, cmap)
+    assert (cmap2.a, cmap2.b) == _reference_canonical_map(cell, cmap)
+
+
+def test_boundary_data_is_computed_once_per_polytope(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in ("_linalg", "geometry", "cells", "chains", "products", "bordism"):
+        mod = importlib.import_module(f"cornercalc.{module}")
+        for name in ("change_of_basis_det", "rref"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    # a pentagon in the plane z = x + 2y + 1/7 of R^3, at coordinates no other
+    # test uses, so its face data starts cold
+    xy = [(F(1, 97), 0), (1, F(1, 89)), (1, 1), (0, 1), (F(-1, 83), F(1, 2))]
+    p = Polytope.from_points(3, [[x, y, x + 2 * y + F(1, 7)] for x, y in xy])
+    assert p.dim == 2 and len(p.facets()) == 5
+    cmap = CellMap(torus(2), [[1, 2, 0], [F(1, 3), 0, 1]], [[1], [2]], [F(1, 5), 0])
+    cmap2 = CellMap(torus(2), [[0, 1, 1], [2, 0, F(1, 7)]], [[0], [3]], [0, F(1, 2)])
+
+    def boundary_two_deep(cell):
+        for bc in cell_boundary(cell):
+            cell_boundary(bc.cell)
+
+    boundary_two_deep(Cell(p, 1))
+    assert calls["change_of_basis_det"] > 0
+    canonical_cell_map(Cell(p, 1), cmap)
+    assert calls["rref"] > 0
+    calls.clear()
+    for s, sign in ((1, 1), (2, -1), (0, 1)):
+        boundary_two_deep(Cell(p, s, None, sign))
+    canonical_cell_map(Cell(p, 1), cmap)
+    canonical_cell_map(Cell(p, 1, None, -1), cmap2)
+    assert calls == Counter()
