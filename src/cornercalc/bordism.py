@@ -22,7 +22,8 @@ from ._linalg import (Mat, Vec, change_of_basis_det, identity, invariant_factors
                       mat, matvec, rank, vec)
 from .cells import (Cell, CellMap, Coorientation, canonical_cell_map,
                     canonical_form, cell_boundary, fibre_product_cells,
-                    identity_map, maps_agree, validate_coorientation)
+                    identity_map, maps_agree, orientation_from_coorientation,
+                    validate_coorientation)
 from .chains import (Chain, Generator, Tag, boundary, cylinder,
                      transport_generator)
 from .geometry import (POINT_POLYTOPE, Polytope, affine_isomorphisms, compress_mask,
@@ -116,9 +117,12 @@ class BordismComponent:
         return self.cell.dim
 
     def canonical_term(self) -> tuple:
-        key, sign, _, _, co = canonical_form(self.cell, self.cmap,
-                                             self.coorientation)
-        return key + (co.frame if co is not None else (),), sign
+        """(key, sign); a coorientation is read as its dictionary orientation."""
+        cooriented = self.coorientation is not None
+        cell = (orientation_from_coorientation(self.cell, self.cmap, self.coorientation)
+                if cooriented else self.cell)
+        key, sign, _, _ = canonical_form(cell, self.cmap)
+        return key + (cooriented,), sign
 
 
 class BordismClass:
@@ -295,8 +299,8 @@ def oriented_match(cell1: Cell, cmap1: CellMap,
     some identification preserves the orientations, else -1 when one exists
     reversing them, else None.
     """
-    c1, m1, _ = canonical_cell_map(cell1, cmap1)
-    c2, m2, _ = canonical_cell_map(cell2, cmap2)
+    c1, m1 = canonical_cell_map(cell1, cmap1)
+    c2, m2 = canonical_cell_map(cell2, cmap2)
     if (m1.target != m2.target or c1.torus_rank != c2.torus_rank
             or c1.dim != c2.dim or m1.m_t != m2.m_t):
         return None

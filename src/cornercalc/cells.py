@@ -16,18 +16,23 @@ resulting affine equations and enumerating basic feasible solutions.
 
 Orientation conventions.  A cell's tangent space dir(P) + R^s is fixed by the
 cell, so its orientation is one sign against the default frame; a frame given
-to the constructor is folded into that sign once.  Coorientations keep a
-frame of Ker df with a sign: the kernel depends on the map, not on the cell,
-and a frame exactly as given lets validate_coorientation name the first
-vector at fault.  One dictionary relates coorientations to orientations:
+to the constructor is folded into that sign once.  A coorientation of a
+submersion f is an oriented frame of Ker df, and over the oriented target it
+is the same data as an orientation of the cell, by one dictionary:
 TX = f*(TY) + Ker df, target first (kernel_coorientation one way,
-orientation_from_coorientation the other).  A fibre product has one frame rule: a cooriented factor contributes
-its kernel frame, an oriented factor its own frame lifted through the other
-map, factor 1 first, with the product of the factors' signs; with both
-factors cooriented the result is the cup coorientation.  Oriented operands
-first coorient the second map by the dictionary, or, if only the first map
-is a submersion, the first map with its kernel in front.  This agrees with
-T(Z) = Ker df1 + TY + Ker df2 when both maps are submersions.
+orientation_from_coorientation the other).  So a cochain generator stores the
+orientation, and the cell's sign is the one orientation carrier of chains and
+cochains alike: isomorphisms commuting with the maps preserve the dictionary,
+so one normal form and one boundary serve both.  A Coorientation is an input
+format, validated against the map (the frame as given names the first vector
+at fault), and the frame a fibre product reads.  A fibre product has one
+frame rule: a cooriented factor contributes its kernel frame, an oriented
+factor its own frame lifted through the other map, factor 1 first, with the
+product of the factors' signs; with both factors cooriented the result is the
+cup coorientation.  Oriented operands first coorient the second map by the
+dictionary, or, if only the first map is a submersion, the first map with its
+kernel in front.  This agrees with T(Z) = Ker df1 + TY + Ker df2 when both
+maps are submersions.
 """
 
 from __future__ import annotations
@@ -42,12 +47,10 @@ from ._linalg import (
     IntMat,
     Mat,
     Vec,
-    canonical_frame,
     change_of_basis_det,
     det,
     frac,
     hermite_column,
-    integer_matrix_inverse,
     kernel_basis,
     mat,
     rank,
@@ -358,12 +361,6 @@ class Coorientation:
         object.__setattr__(self, "frame", fr)
         object.__setattr__(self, "sign", sign)
 
-    def canonical(self) -> "Coorientation":
-        if not self.frame:
-            return self
-        basis, s = canonical_frame(self.frame)
-        return Coorientation(basis, s * self.sign)
-
     def reversed(self) -> "Coorientation":
         return Coorientation(self.frame, -self.sign)
 
@@ -467,21 +464,6 @@ def cell_boundary(cell: Cell) -> list[CellBoundaryComponent]:
     return [CellBoundaryComponent(face=key, cell=Cell(fp, s, sign=sign * cell.sign),
                                   outward=tuple(outward) + zero)
             for (key, outward), (fp, sign) in zip(p.facets(), p._fd.facet_cells())]
-
-
-def restrict_coorientation(cell: Cell, cmap: CellMap, co: Coorientation,
-                           bc: CellBoundaryComponent) -> Coorientation:
-    """Induced coorientation on a boundary facet, via the orientation dictionary.
-
-    Convert to an orientation (target frame first), take the boundary
-    orientation (outward normal first), convert back on the facet.  bc is a
-    component of cell_boundary(cell), so bc.cell.sign * cell.sign is the
-    facet's sign against the cell's default frame.
-    """
-    oriented = orientation_from_coorientation(cell, cmap, co)
-    sgn = bc.cell.sign * cell.sign * oriented.sign
-    facet_oriented = Cell(bc.cell.polytope, bc.cell.torus_rank, sign=sgn)
-    return kernel_coorientation(facet_oriented, cmap)
 
 
 # ---------------------------------------------------------------------------
@@ -867,8 +849,7 @@ def has_free_circle(cell: Cell, cmap: CellMap) -> bool:
     return rank(mat(cols)) < s
 
 
-def canonical_cell_map(cell: Cell, cmap: CellMap,
-                       coorient: Optional[Coorientation] = None):
+def canonical_cell_map(cell: Cell, cmap: CellMap):
     """Canonical representative of (cell, map) under cell isomorphism.
 
     Torus coordinates are reparametrized so the integral part of the map is in
@@ -877,17 +858,14 @@ def canonical_cell_map(cell: Cell, cmap: CellMap,
     polytope's affine hull and reduced, like the offset, modulo the rational
     column space of that form: for rational L the shear
     (x, t) -> (x, t + L(x - v0)) fixes every face and has determinant 1, so
-    one exact elimination against the echelon torus columns gives the
-    reduced columns and L, which moves the torus part of a coorientation
-    frame.  Over a torus the offset is further reduced modulo the image of
-    the integer lattice; a coorientation frame is echelonized with its
-    orientation folded into its sign.
+    the sign does not move.  Over a torus the offset is further reduced
+    modulo the image of the integer lattice.  Both moves commute with the
+    map, so they preserve the orientation dictionary and serve cochains too.
     """
     n = cell.polytope.ambient_dim
     s = cell.torus_rank
     m = cmap.target.dim
     sign = cell.sign
-    co_frame = coorient.frame if coorient else None
 
     if s > 0 and m > 0:
         new_mt, uc = hermite_column(cmap.m_t)
@@ -895,28 +873,20 @@ def canonical_cell_map(cell: Cell, cmap: CellMap,
         if det_u not in (1, -1):
             raise AssertionError("hermite transform must be unimodular")
         sign *= int(det_u)
-        if co_frame is not None:
-            uci = integer_matrix_inverse(uc)
-            co_frame = tuple(
-                tuple(v[:n]) + tuple(sum(frac(uci[i][j]) * v[n + j] for j in range(s))
-                                     for i in range(s))
-                for v in co_frame)
     else:
         new_mt = cmap.m_t
 
-    pivots = [(p, d, t, tuple(row[t] for row in new_mt))
+    pivots = [(p, d, tuple(row[t] for row in new_mt))
               for p, d, t in _pivots_of(new_mt)]
 
     def reduce(x):
-        """x modulo the torus columns, zero at their pivot rows; the coefficients."""
+        """x modulo the torus columns, zero at their pivot rows."""
         x = list(x)
-        lam = [Fraction(0)] * s
-        for p, d, t, col in pivots:
+        for p, d, col in pivots:
             q = x[p] / d
             if q:
-                lam[t] = q
                 x = [xi - q * ci for xi, ci in zip(x, col)]
-        return x, lam
+        return x
 
     new_a = cmap.a
     new_b = list(cmap.b)
@@ -926,28 +896,21 @@ def canonical_cell_map(cell: Cell, cmap: CellMap,
                 for i in range(m)]
         # The direction w_c of aff(P) with free coordinates e_c: its value
         # under the map, reduced, is column c of the new linear part.
-        cols, shear = {}, {}
-        for c, w in cell.polytope._fd.hull_directions():
-            cols[c], shear[c] = reduce([sum(row[j] * x for j, x in w) for row in new_a])
+        cols = {c: reduce([sum(row[j] * x for j, x in w) for row in new_a])
+                for c, w in cell.polytope._fd.hull_directions()}
         new_a = [tuple(cols[c][i] if c in cols else Fraction(0) for c in range(n))
                  for i in range(m)]
         new_b = [val0[i] - sum(new_a[i][c] * v0[c] for c in range(n))
                  for i in range(m)]
-        if co_frame is not None and any(any(lam) for lam in shear.values()):
-            # a direction of P is fixed by its free coordinates
-            co_frame = tuple(
-                tuple(v[:n]) + tuple(v[n + t] + sum(v[c] * lam[t] for c, lam in shear.items())
-                                     for t in range(s))
-                for v in co_frame)
 
     if m > 0:
-        new_b, _ = reduce(new_b)
-        pivot_rows = {p for p, _, _, _ in pivots}
+        new_b = reduce(new_b)
+        pivot_rows = {p for p, _, _ in pivots}
         npiv = [k for k in range(m) if k not in pivot_rows]
         if cmap.target.is_torus and npiv:
             # the reduced translates Z^m hold the unit vectors of the
             # non-pivot rows, so their Hermite form is square on those rows
-            gens = [reduce(_unit(m, k))[0] for k in range(m)]
+            gens = [reduce(_unit(m, k)) for k in range(m)]
             denom = math.lcm(*(g[j].denominator for g in gens for j in npiv))
             hb, _ = hermite_column([[int(g[j] * denom) for g in gens] for j in npiv])
             x = [new_b[j] * denom for j in npiv]
@@ -959,49 +922,37 @@ def canonical_cell_map(cell: Cell, cmap: CellMap,
             for idx, j in enumerate(npiv):
                 new_b[j] = x[idx] / denom
 
-    ccell = Cell(cell.polytope, s, sign=sign)
-    cmap2 = CellMap(cmap.target, new_a, new_mt, tuple(new_b))
-    cco = Coorientation(co_frame, coorient.sign).canonical() if coorient else None
-    return ccell, cmap2, cco
+    return Cell(cell.polytope, s, sign=sign), CellMap(cmap.target, new_a, new_mt, tuple(new_b))
 
 
-def canonical_form(cell: Cell, cmap: CellMap, coorient: Optional[Coorientation]):
-    """(key, sign, cell, map, coorientation) of the canonical representative.
+def canonical_form(cell: Cell, cmap: CellMap):
+    """(key, sign, cell, map) of the canonical representative.
 
     The key is the hashable identity of (cell, map) up to cell isomorphism,
-    orientation aside; the sign is the coorientation's when one is given
-    (coorient not None), else the cell's.
+    orientation aside; the sign is the canonical cell's.
     """
-    ccell, cmap2, cco = canonical_cell_map(cell, cmap, coorient)
+    ccell, cmap2 = canonical_cell_map(cell, cmap)
     key = ((cmap2.target.kind, cmap2.target.dim), ccell.polytope.ambient_dim,
            ccell.polytope.vertices, ccell.torus_rank, cmap2.a, cmap2.m_t, cmap2.b)
-    sign = cco.sign if cco is not None else ccell.sign
-    return key, sign, ccell, cmap2, cco
+    return key, ccell.sign, ccell, cmap2
 
 
 def canonical_key(cell: Cell, cmap: CellMap):
     """Hashable identity of (cell, map) up to cell isomorphism, orientation aside."""
-    return canonical_form(cell, cmap, None)[0]
+    return canonical_form(cell, cmap)[0]
 
 
-def permute_cell_coords(cell: Cell, cmap: CellMap, perm: Sequence[int],
-                        coorient: Optional[Coorientation] = None):
+def permute_cell_coords(cell: Cell, cmap: CellMap, perm: Sequence[int]):
     """Relabel polytope coordinates: new coordinate i reads old coordinate perm[i]."""
     n = cell.polytope.ambient_dim
     if sorted(perm) != list(range(n)):
         raise GeometryError("perm must be a permutation of the coordinates")
     verts = [tuple(v[j] for j in perm) for v in cell.polytope.vertices]
     poly = Polytope(n, verts, _trusted=True)
-
-    def pv(v):
-        return tuple(v[j] for j in perm) + tuple(v[n:])
-
-    new_cell = Cell(poly, cell.torus_rank, tuple(pv(v) for v in cell.frame), cell.sign)
+    frame = tuple(tuple(v[j] for j in perm) + v[n:] for v in cell.frame)
+    new_cell = Cell(poly, cell.torus_rank, frame, cell.sign)
     if cmap.target.dim:
         new_a = tuple(tuple(row[j] for j in perm) for row in cmap.a)
     else:
         new_a = cmap.a
-    new_map = CellMap(cmap.target, new_a, cmap.m_t, cmap.b)
-    new_co = (Coorientation(tuple(pv(v) for v in coorient.frame), coorient.sign)
-              if coorient else None)
-    return new_cell, new_map, new_co
+    return new_cell, CellMap(cmap.target, new_a, cmap.m_t, cmap.b)

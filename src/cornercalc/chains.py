@@ -45,7 +45,8 @@ from .cells import (
     constant_map,
     has_free_circle,
     is_strong_submersion,
-    restrict_coorientation,
+    kernel_coorientation,
+    orientation_from_coorientation,
     validate_coorientation,
 )
 from .geometry import (FaceKey, Polytope, affine_isomorphisms, compress_mask, mask_bits,
@@ -273,19 +274,22 @@ class QuotientMarker:
 
 
 class Generator:
-    """One labelled cell with a map to the target.
+    """One labelled, oriented cell with a map to the target.
 
-    Chain generators carry an orientation on the cell; cochain generators
-    instead carry a coorientation of the map (which must then restrict to a
-    submersion on every face), and the cell's own orientation is normalized
-    away.
+    A cochain generator (is_cochain) stands for a coorientation of the map,
+    which must restrict to a submersion on every face.  It stores the
+    orientation the dictionary TX = f*(TY) + Ker df gives that coorientation
+    (see cells), so chains and cochains share one normal form, one boundary
+    and one fibre product.  A coorientation passed in is validated and
+    converted once; `coorientation` reads one back and keeps it.
     """
 
-    __slots__ = ("cell", "cmap", "tag", "coorientation", "quotient")
+    __slots__ = ("cell", "cmap", "tag", "is_cochain", "quotient", "_coorientation")
 
     def __init__(self, cell: Cell, cmap: CellMap, tag: Tag,
                  coorientation: Optional[Coorientation] = None,
-                 quotient: Optional[QuotientMarker] = None):
+                 quotient: Optional[QuotientMarker] = None, *,
+                 is_cochain: bool = False):
         m = cmap.target.dim
         if m > 0 and (cmap.n_cols != cell.polytope.ambient_dim
                       or cmap.s_cols != cell.torus_rank):
@@ -294,13 +298,15 @@ class Generator:
         if (len(tag.labels) != len(faces) or any(g not in faces for g, _ in tag.labels)
                 or tag.vertices != cell.polytope.vertices):
             raise TagError("tag must label exactly the faces of the cell")
-        if coorientation is not None:
+        is_cochain = is_cochain or coorientation is not None
+        if is_cochain:
             if quotient is not None:
                 raise ChainError("cochain generators cannot carry quotient markers")
             if not is_strong_submersion(cell, cmap):
                 raise ChainError("cochain generators need a submersion on every face")
-            validate_coorientation(cell, cmap, coorientation)
-            cell = Cell(cell.polytope, cell.torus_rank)
+            if coorientation is not None:
+                validate_coorientation(cell, cmap, coorientation)
+                cell = orientation_from_coorientation(cell, cmap, coorientation)
         if quotient is not None:
             self._validate_marker(faces, tag, quotient)
         elif not tag.is_injective():
@@ -308,8 +314,9 @@ class Generator:
         self.cell = cell
         self.cmap = cmap
         self.tag = tag
-        self.coorientation = coorientation
+        self.is_cochain = is_cochain
         self.quotient = quotient
+        self._coorientation = None
 
     @staticmethod
     def _validate_marker(faces: Mapping[int, int], tag: Tag, marker: QuotientMarker):
@@ -332,21 +339,21 @@ class Generator:
             raise TagError("marker tag must separate orbits")
 
     @property
+    def coorientation(self) -> Optional[Coorientation]:
+        """The coorientation a cochain generator stands for; None on chains."""
+        if self.is_cochain and self._coorientation is None:
+            self._coorientation = kernel_coorientation(self.cell, self.cmap)
+        return self._coorientation
+
+    @property
     def grade(self) -> int:
-        if self.coorientation is not None:
+        if self.is_cochain:
             return self.cmap.target.dim - self.cell.dim
         return self.cell.dim
 
-    @property
-    def is_cochain(self) -> bool:
-        return self.coorientation is not None
-
     def reversed(self) -> "Generator":
-        if self.is_cochain:
-            return Generator(self.cell, self.cmap, self.tag,
-                             self.coorientation.reversed())
         return Generator(self.cell.reversed(), self.cmap, self.tag,
-                         quotient=self.quotient)
+                         quotient=self.quotient, is_cochain=self.is_cochain)
 
     def __repr__(self):
         kind = "cochain" if self.is_cochain else "chain"
@@ -377,19 +384,16 @@ def expand_quotient(gen: Generator) -> tuple[Fraction, Generator]:
 # ---------------------------------------------------------------------------
 
 def _normal_form(gen: Generator):
-    """(key, sign, normalized generator), or None when the class is zero."""
-    key, sign, cell, cmapc, coo = canonical_form(gen.cell, gen.cmap,
-                                                 gen.coorientation)
+    """(key, sign, normalized generator), or None when the class is zero.
+
+    The key ends in the tag and in True for a cochain, None for a chain.
+    """
+    key, sign, cell, cmapc = canonical_form(gen.cell, gen.cmap)
     if has_free_circle(cell, cmapc):
         return None
-    norm_cell = Cell(cell.polytope, cell.torus_rank)
-    if gen.is_cochain:
-        coo = Coorientation(coo.frame, 1)
-        cofr = coo.frame
-    else:
-        coo = cofr = None
-    key += (gen.tag.labels, cofr)
-    return key, sign, Generator(norm_cell, cmapc, gen.tag, coo)
+    key += (gen.tag.labels, gen.is_cochain or None)
+    return key, sign, Generator(Cell(cell.polytope, cell.torus_rank), cmapc, gen.tag,
+                                is_cochain=gen.is_cochain)
 
 
 class Chain:
@@ -518,18 +522,12 @@ def generator_boundary(gen: Generator) -> list:
         pos = marker.positions()
         tag = Tag.of_masks(tag.vertices, [(m, merge_labels(label, pos[m]))
                                           for m, label in tag.labels])
+    coeff = Fraction(1, marker.order) if marker is not None else Fraction(1)
     # cell_boundary follows facets(), and facet_masks is in the same order
     bcs = cell_boundary(gen.cell)
     for bc, facet in zip(bcs, gen.cell.polytope._fd.facet_masks):
-        sub = tag.restrict(facet)
-        cmap = gen.cmap
-        if gen.is_cochain:
-            co = restrict_coorientation(gen.cell, gen.cmap, gen.coorientation, bc)
-            cell = Cell(bc.cell.polytope, bc.cell.torus_rank)
-            out.append((Fraction(1), Generator(cell, cmap, sub, co)))
-        else:
-            coeff = Fraction(1, marker.order) if marker is not None else Fraction(1)
-            out.append((coeff, Generator(bc.cell, cmap, sub)))
+        out.append((coeff, Generator(bc.cell, gen.cmap, tag.restrict(facet),
+                                     is_cochain=gen.is_cochain)))
     return out
 
 
@@ -781,9 +779,11 @@ def transport_generator(gen: Generator, linear: Sequence[Sequence],
                         offset: Sequence) -> Generator:
     """Push a generator through an affine map injective on its polytope's hull.
 
-    Vertices, frames, labels, and any coorientation move along; the affine
-    map to the target is re-solved in the new chart, which is possible and
-    unique up to the hull exactly when the transport is injective on the hull.
+    Vertices, the orientation and labels move along; the affine map to the
+    target is re-solved in the new chart, which is possible and unique up to
+    the hull exactly when the transport is injective on the hull.  The
+    transport commutes with the maps, so a cochain's orientation still
+    stands for the coorientation it did.
     """
     if gen.quotient is not None:
         raise ChainError("transport a marked generator after expanding it")
@@ -791,7 +791,6 @@ def transport_generator(gen: Generator, linear: Sequence[Sequence],
     off = tuple(frac(x) for x in offset)
     n_old = gen.cell.polytope.ambient_dim
     n_new = len(lin)
-    s = gen.cell.torus_rank
 
     def phi(v):
         return tuple(off[i] + sum(lin[i][j] * frac(v[j]) for j in range(n_old))
@@ -807,13 +806,9 @@ def transport_generator(gen: Generator, linear: Sequence[Sequence],
     if len(poly.vertices) != len(new_verts) or None in table:
         raise ChainError("transport map does not preserve the vertex set")
 
-    def push_vec(w):
-        head = tuple(sum(lin[i][j] * frac(w[j]) for j in range(n_old))
-                     for i in range(n_new))
-        return head + tuple(w[n_old:])
-
-    frame = tuple(push_vec(w) for w in gen.cell.frame)
-    cell = Cell(poly, s, frame, gen.cell.sign)
+    frame = tuple(tuple(sum(lin[i][j] * w[j] for j in range(n_old)) for i in range(n_new))
+                  + w[n_old:] for w in gen.cell.frame)
+    cell = Cell(poly, gen.cell.torus_rank, frame, gen.cell.sign)
 
     # re-solve the affine part on the new chart
     base = old_verts[0]
@@ -839,10 +834,7 @@ def transport_generator(gen: Generator, linear: Sequence[Sequence],
     cmap = CellMap(gen.cmap.target, a_new, gen.cmap.m_t, b_new)
 
     tag = gen.tag.moved(poly.vertices, table)
-    co = gen.coorientation
-    if co is not None:
-        co = Coorientation(tuple(push_vec(w) for w in co.frame), co.sign)
-    return Generator(cell, cmap, tag, co)
+    return Generator(cell, cmap, tag, is_cochain=gen.is_cochain)
 
 
 # ---------------------------------------------------------------------------

@@ -53,10 +53,10 @@ def stack_cell_maps(f: CellMap, g: CellMap) -> CellMap:
 def _compare_signed_families(lhs, rhs, predicted: int) -> CheckReport:
     """Both families as multisets of (canonical key, sign), the right-hand
     signs multiplied by the predicted sign; the multisets must be equal."""
-    left = Counter(canonical_form(cell, cmap, None)[:2] for cell, cmap in lhs)
+    left = Counter(canonical_form(cell, cmap)[:2] for cell, cmap in lhs)
     right = Counter()
     for cell, cmap in rhs:
-        key, sgn = canonical_form(cell, cmap, None)[:2]
+        key, sgn = canonical_form(cell, cmap)[:2]
         right[key, predicted * sgn] += 1
     if left == right:
         return CheckReport(True, sum(left.values()))
@@ -164,7 +164,7 @@ def check_swap_sign_cells(cell1: Cell, map1: CellMap,
     lhs = [(c.cell, c.pmap) for c in fwd]
     rhs = []
     for c in bwd:
-        pc, pm, _ = permute_cell_coords(c.cell, c.pmap, perm)
+        pc, pm = permute_cell_coords(c.cell, c.pmap, perm)
         rhs.append((pc, pm))
     return _compare_signed_families(lhs, rhs, predicted)
 

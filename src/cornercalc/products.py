@@ -1,9 +1,12 @@
 """Cup and cap products, the identity cochain, pullback, and duality.
 
-Cochains multiply by fibring over the common target; the coorientation of the
-projection is assembled from the factor coorientations, and face labels pair
-by multiset merge.  Chains are a module over cochains via the same fibre
-construction with one factor oriented.
+Cup and cap are one fibre product over the common target: the first factor
+enters with its orientation, the second, a cochain, with its coorientation,
+and face labels pair by multiset merge.  A cochain generator stores the
+orientation that its coorientation gives by TX = f*(TY) + Ker df, so the
+component's orientation is that of the cup coorientation when the first
+factor is a cochain, and the cap when it is a chain; the result keeps the
+first factor's kind.  Duality reads a cochain's orientation as a chain's.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ from .cells import (
     Target,
     fibre_product_cells,
     identity_map,
-    kernel_coorientation,
-    orientation_from_coorientation,
     permute_cell_coords,
 )
 from .chains import (
@@ -63,19 +64,23 @@ def _common_target(c: Chain) -> Target | None:
 # Cup and cap
 # ---------------------------------------------------------------------------
 
-def _cup_pair(g1: Generator, g2: Generator) -> list:
+def _pair(g1: Generator, g2: Generator) -> list:
+    """g1 cup g2 or g1 cap g2, by g1's kind: g1 oriented, g2 cooriented.
+
+    The frame rule lifts g1's frame (lifts of TY, then Ker df1) through f2 and
+    appends Ker df2, which orients the component by the cup coorientation
+    (Ker df1, Ker df2) when g1 is a cochain.
+    """
     comps = fibre_product_cells(g1.cell, g1.cmap, g2.cell, g2.cmap,
-                                coorient1=g1.coorientation,
                                 coorient2=g2.coorientation)
     out = []
     for comp in comps:
-        if not comp.transverse or comp.coorientation is None:
-            raise ProductError("cup hit a non-transverse component; "
-                               "cochain operands must be submersions")
+        if not comp.transverse or not comp.orientable:
+            raise ProductError("product hit a non-transverse component; "
+                               "the cochain operand must be a submersion")
         tag = pair_tags(g1.tag, g2.tag, comp)
-        out.append((Fraction(1),
-                    Generator(comp.cell, comp.pmap, tag,
-                              coorientation=comp.coorientation)))
+        out.append((Fraction(1), Generator(comp.cell, comp.pmap, tag,
+                                           is_cochain=g1.is_cochain)))
     return out
 
 
@@ -91,22 +96,9 @@ def cup(c1: Chain, c2: Chain) -> Chain:
     terms = []
     for a1, g1 in c1.terms():
         for a2, g2 in c2.terms():
-            for factor, g in _cup_pair(g1, g2):
+            for factor, g in _pair(g1, g2):
                 terms.append((a1 * a2 * factor, g))
     return Chain(terms, ring=c1.ring)
-
-
-def _cap_pair(g: Generator, d: Generator) -> list:
-    comps = fibre_product_cells(g.cell, g.cmap, d.cell, d.cmap,
-                                coorient2=d.coorientation)
-    out = []
-    for comp in comps:
-        if not comp.transverse or not comp.orientable:
-            raise ProductError("cap hit a non-transverse component; "
-                               "the cochain operand must be a submersion")
-        tag = pair_tags(g.tag, d.tag, comp)
-        out.append((Fraction(1), Generator(comp.cell, comp.pmap, tag)))
-    return out
 
 
 def cap(c: Chain, delta: Chain) -> Chain:
@@ -121,7 +113,7 @@ def cap(c: Chain, delta: Chain) -> Chain:
     terms = []
     for a1, g in c.terms():
         for a2, d in delta.terms():
-            for factor, gg in _cap_pair(g, d):
+            for factor, gg in _pair(g, d):
                 terms.append((a1 * a2 * factor, gg))
     return Chain(terms, ring=c.ring)
 
@@ -160,13 +152,12 @@ def _sign(exponent: int) -> int:
 
 
 def _permute_generator(gen: Generator, perm: Sequence[int]) -> Generator:
-    """Coordinate-permutation witness: cell, map, coorientation, and labels."""
-    cell, cmap, co = permute_cell_coords(gen.cell, gen.cmap, perm,
-                                         gen.coorientation)
+    """Coordinate-permutation witness: cell, map and labels."""
+    cell, cmap = permute_cell_coords(gen.cell, gen.cmap, perm)
     index = {v: i for i, v in enumerate(cell.polytope.vertices)}
     table = [index[tuple(v[j] for j in perm)] for v in gen.cell.polytope.vertices]
     tag = gen.tag.moved(cell.polytope.vertices, table)
-    return Generator(cell, cmap, tag, coorientation=co)
+    return Generator(cell, cmap, tag, is_cochain=gen.is_cochain)
 
 
 def _block_swap_perm(n_first: int, n_second: int) -> list:
@@ -189,7 +180,7 @@ def check_cup_supercommutative(c1: Chain, c2: Chain) -> CheckReport:
             n2 = g2.cell.polytope.ambient_dim
             perm = _block_swap_perm(n2, n1)
             moved = [(coeff, _permute_generator(g, perm))
-                     for coeff, g in _cup_pair(g2, g1)]
+                     for coeff, g in _pair(g2, g1)]
             rhs = rhs + Chain([(sign * a1 * a2 * coeff, g)
                                for coeff, g in moved], ring=c1.ring)
     checked = len(lhs.terms())
@@ -319,11 +310,9 @@ def pullback(h: TargetMap, delta: Chain) -> Chain:
         for comp in comps:
             if not comp.transverse or not comp.orientable:
                 raise ProductError("pullback hit a non-transverse component")
-            pmap = comp.compose_on_first(id_map)
-            co = kernel_coorientation(comp.cell, pmap)
             tag = pair_tags(unit.tag, g.tag, comp)
-            terms.append((coeff,
-                          Generator(comp.cell, pmap, tag, coorientation=co)))
+            terms.append((coeff, Generator(comp.cell, comp.compose_on_first(id_map), tag,
+                                           is_cochain=True)))
     return Chain(terms, ring=delta.ring)
 
 
@@ -369,18 +358,15 @@ def projection_formula(alpha: Chain, beta: Chain, h: TargetMap) -> CheckReport:
 def duality_KchToKh(delta: Chain, orientation: int = 1) -> Chain:
     """Reinterpret a cochain over an oriented target as an oriented chain.
 
-    The coorientation and the target's orientation compose to an orientation;
-    reversing the target's orientation negates the result.
+    A cochain generator already stores the orientation its coorientation and
+    the target's orientation compose to; reversing the target's orientation
+    negates the result.
     """
     if orientation not in (1, -1):
         raise ProductError("orientation must be +1 or -1")
     _require_cochain(delta, "duality")
-    terms = []
-    for coeff, g in delta.terms():
-        oriented = orientation_from_coorientation(g.cell, g.cmap,
-                                                  g.coorientation)
-        terms.append((coeff * orientation, Generator(oriented, g.cmap, g.tag)))
-    return Chain(terms, ring=delta.ring)
+    return Chain([(coeff * orientation, Generator(g.cell, g.cmap, g.tag))
+                  for coeff, g in delta.terms()], ring=delta.ring)
 
 
 def check_duality_chain_map(delta: Chain) -> CheckReport:

@@ -18,7 +18,7 @@ from typing import Sequence
 from ._linalg import mat, rank
 from .bordism import BordismClass, PairingWitness
 from .cells import (POINT, Cell, CellMap, Coorientation, Target, euclid,
-                    fibre_product_cells, kernel_coorientation, torus)
+                    fibre_product_cells, torus)
 from .chains import Chain, Generator, SingularSimplex, Tag, TargetMap, numbered_tag
 from .geometry import POINT_POLYTOPE, Polytope
 
@@ -252,9 +252,8 @@ def random_thick_cochain(rng: Random, y: Target, prefix, poly_dim: int = 1,
         eye = [[1 if i2 == j else 0 for j in range(y.dim)]
                for i2 in range(y.dim)]
         cmap = CellMap(y, a, eye, _fractions(rng, y.dim))
-        co = kernel_coorientation(cell, cmap)
-        gen = Generator(cell, cmap, numbered_tag(p, (prefix, i)),
-                        coorientation=co)
+        # cooriented by kernel_coorientation(cell, cmap), which the cell orients
+        gen = Generator(cell, cmap, numbered_tag(p, (prefix, i)), is_cochain=True)
         terms.append((_coefficient(rng), gen))
     return Chain(terms)
 

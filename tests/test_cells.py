@@ -39,10 +39,10 @@ from cornercalc.cells import (
     kernel_coorientation,
     orientation_from_coorientation,
     permute_cell_coords,
-    restrict_coorientation,
     torus,
     validate_coorientation,
 )
+from cornercalc.chains import Generator, generator_boundary, numbered_tag
 from cornercalc.geometry import POINT_POLYTOPE, GeometryError, Polytope, box, interval
 from cornercalc.randgen import (associativity_instance, fibre_instance, random_cell,
                                 random_map)
@@ -231,11 +231,14 @@ def test_boundary_restricts_coorientation():
     c = Cell(sq)
     m = CellMap(euclid(1), [[1, 0]], [[]], [0])
     co = kernel_coorientation(c, m)
-    for bc in cell_boundary(c):
+    # a cooriented cell's facets are the boundary facets of its dictionary
+    # orientation
+    oriented = orientation_from_coorientation(c, m, co)
+    for bc in cell_boundary(oriented):
         # only the x = const edges map to a point of the target non-submersively;
         # the y-edges still submerge and inherit a coorientation
         if bc.outward[0] == 0:
-            rco = restrict_coorientation(c, m, co, bc)
+            rco = kernel_coorientation(bc.cell, m)
             recovered = orientation_from_coorientation(bc.cell, m, rco)
             assert cell_orientation_equal(recovered, bc.cell) == 1
 
@@ -316,6 +319,21 @@ def test_doubling_cover():
     assert sorted(z.translate for z in fibre) == [(0,), (1,)]
 
 
+def _canonical_coorientation(comp, perm=None):
+    """(cell, map, coorientation) of a cup component's canonical form.
+
+    The component's coorientation is read as its dictionary orientation,
+    which the coordinate permutation and the canonical form carry, and read
+    back on the canonical cell.
+    """
+    cell = orientation_from_coorientation(comp.cell, comp.pmap, comp.coorientation)
+    cmap = comp.pmap
+    if perm is not None:
+        cell, cmap = permute_cell_coords(cell, cmap, perm)
+    cell, cmap = canonical_cell_map(cell, cmap)
+    return cell, cmap, kernel_coorientation(cell, cmap)
+
+
 def test_cup_concatenation_order_matches_swap_sign():
     # degrees (2-1, 2-1): the two concatenation orders differ by -1
     a = Cell(box([(0, 1), (0, 1)]))
@@ -328,9 +346,8 @@ def test_cup_concatenation_order_matches_swap_sign():
     z_ba = fibre_product_cells(b, fb, a, fa, coorient1=kb, coorient2=ka)
     assert len(z_ab) == len(z_ba) == 1
     u, v = z_ab[0], z_ba[0]
-    vc, vm, vco = permute_cell_coords(v.cell, v.pmap, [2, 3, 0, 1], v.coorientation)
-    c1, m1, k1 = canonical_cell_map(u.cell, u.pmap, u.coorientation)
-    c2, m2, k2 = canonical_cell_map(vc, vm, vco)
+    c1, m1, k1 = _canonical_coorientation(u)
+    c2, m2, k2 = _canonical_coorientation(v, [2, 3, 0, 1])
     assert c1.polytope == c2.polytope and m1.a == m2.a
     assert k1.frame == k2.frame
     assert k1.sign * k2.sign == -1
@@ -344,9 +361,8 @@ def test_cup_concatenation_order_even_degrees():
     z_ab = fibre_product_cells(a, ide, b, ide, coorient1=ka, coorient2=kb)
     z_ba = fibre_product_cells(b, ide, a, ide, coorient1=kb, coorient2=ka)
     u, v = z_ab[0], z_ba[0]
-    vc, vm, vco = permute_cell_coords(v.cell, v.pmap, [1, 0], v.coorientation)
-    _, _, k1 = canonical_cell_map(u.cell, u.pmap, u.coorientation)
-    _, _, k2 = canonical_cell_map(vc, vm, vco)
+    _, _, k1 = _canonical_coorientation(u)
+    _, _, k2 = _canonical_coorientation(v, [1, 0])
     assert k1.frame == k2.frame and k1.sign == k2.sign
 
 
@@ -388,8 +404,8 @@ def test_permute_round_trip():
     c = Cell(sq, 1, [(1, 0, 0), (1, 1, 0), (0, 0, 1)], -1)
     m = CellMap(torus(2), [[1, 0], [0, F(1, 2)]], [[1], [0]], [0, F(1, 5)])
     perm = [1, 0]
-    c2, m2, _ = permute_cell_coords(c, m, perm)
-    c3, m3, _ = permute_cell_coords(c2, m2, perm)
+    c2, m2 = permute_cell_coords(c, m, perm)
+    c3, m3 = permute_cell_coords(c2, m2, perm)
     assert c3.polytope == c.polytope and c3.frame == c.frame and c3.sign == c.sign
     assert m3.a == m.a and m3.m_t == m.m_t and m3.b == m.b
 
@@ -612,7 +628,7 @@ def test_canonical_form_divides_out_rational_shears(data, entries):
     n = cell.polytope.ambient_dim
     lam = [entries[t * n:(t + 1) * n] for t in range(cell.torus_rank)]
     scell, smap = _sheared(cell, cmap, lam)
-    assert canonical_form(scell, smap, None)[:2] == canonical_form(cell, cmap, None)[:2]
+    assert canonical_form(scell, smap)[:2] == canonical_form(cell, cmap)[:2]
 
 
 # Over T^1 a nonzero torus column always spans, so no unit vector lies
@@ -777,7 +793,7 @@ def test_canonical_sign_matches_the_moved_frame(cell_data, data):
     _, smap = _sheared(cell, CellMap(cmap.target, cmap.a, m_t, cmap.b), lam)
     frame = [tuple(v[:n]) + tuple(v[n + t] + sum(lam[t][k] * v[k] for k in range(n))
                                   for t in range(s)) for v in frame]
-    ccell, _, _ = canonical_cell_map(Cell(cell.polytope, s, frame, cell.sign), smap)
+    ccell, _ = canonical_cell_map(Cell(cell.polytope, s, frame, cell.sign), smap)
     assert ccell.sign == _reference_canonical_sign(cell.polytope, frame, cell.sign, smap)
     assert ccell.frame == cell.frame
 
@@ -785,7 +801,7 @@ def test_canonical_sign_matches_the_moved_frame(cell_data, data):
 # Boundary data is read once per polytope from its face data.  The references
 # below are the per-call formulas it replaced: the determinant of each facet's
 # frame, outward normal first, against the cell's default frame (in
-# cell_boundary and restrict_coorientation), and the rref of the affine hull
+# cell_boundary and the coorientation restriction), and the rref of the affine hull
 # equations with v0 = min(vertices) in canonical_cell_map.
 
 def _reference_facet_sign(p, mask, outward, s):
@@ -818,13 +834,15 @@ def test_stored_facet_signs_match_the_change_of_basis(data, s, sigma):
 def test_restricted_coorientation_matches_the_change_of_basis(cell_data):
     cell, cmap = cell_data
     assume(is_strong_submersion(cell, cmap))
+    tag = numbered_tag(cell.polytope)
     for co in (kernel_coorientation(cell, cmap), first_factor_kernel(cell, cmap)):
         oriented = orientation_from_coorientation(cell, cmap, co)
-        for bc in cell_boundary(cell):
+        facets = generator_boundary(Generator(cell, cmap, tag, coorientation=co))
+        assert len(facets) == len(cell_boundary(cell))
+        for bc, (_, sub) in zip(cell_boundary(cell), facets):
             d = change_of_basis_det((bc.outward,) + bc.cell.frame, oriented.frame)
             facet = Cell(bc.cell.polytope, bc.cell.torus_rank, sign=_sign(d) * oriented.sign)
-            assert (restrict_coorientation(cell, cmap, co, bc)
-                    == kernel_coorientation(facet, cmap))
+            assert sub.coorientation == kernel_coorientation(facet, cmap)
 
 
 def _reference_canonical_map(cell, cmap):
@@ -869,7 +887,7 @@ def _reference_canonical_map(cell, cmap):
 @given(wound_cell())
 def test_canonical_columns_and_offset_match_the_rref_recipe(cell_data):
     cell, cmap = cell_data
-    _, cmap2, _ = canonical_cell_map(cell, cmap)
+    _, cmap2 = canonical_cell_map(cell, cmap)
     assert (cmap2.a, cmap2.b) == _reference_canonical_map(cell, cmap)
 
 

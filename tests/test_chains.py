@@ -520,9 +520,16 @@ def test_boundary_canonical_keys_golden_digest():
 
 # The cochain side of the boundary: restricted coorientations, their frames
 # and signs, over T^1 and T^2.  Pinned before facet signs were read from the
-# polytope's face data.
+# polytope's face data.  Re-pinned when a cochain generator came to store the
+# orientation its coorientation gives, which moves the representation only:
+# a class's coefficient moves by the sign of its canonical dictionary frame,
+# the coorientation read back is kernel_coorientation's frame rather than an
+# echelon basis, and the key ends in True rather than that basis.  Over
+# random_cochain draws 0-199 on T^1 and T^2 (968 terms of cochains and their
+# boundaries), every term kept its key without the last slot, its canonical
+# Ker df frame, its coefficient times its coorientation's sign, and its order.
 GOLDEN_COBOUNDARY_DIGEST = (
-    "32b654efb3db56d25c26ddf43d950c45e58de460236e3ea83c378f70979f7546")
+    "153834361a36106d29b6f8443e4851704cd42978a681403bcaa4831f32d2608b")
 
 
 def test_coboundary_canonical_keys_golden_digest():

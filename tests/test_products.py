@@ -301,10 +301,10 @@ def test_pullback_along_a_map_from_the_point():
 
 PULLBACK_D_SIGN = pytest.mark.xfail(
     strict=True, raises=AssertionError,
-    reason="restrict_coorientation passes through the orientation with the target "
-           "frame first, so d over Y carries (-1)^dim Y against the fibre-boundary "
-           "rule and pullback along Y' -> Y commutes with d only up to "
-           "(-1)^(dim Y - dim Y')")
+    reason="a cochain's facets take the boundary orientation of its dictionary "
+           "orientation, whose target frame comes first, so d over Y carries "
+           "(-1)^dim Y against the fibre-boundary rule and pullback along Y' -> Y "
+           "commutes with d only up to (-1)^(dim Y - dim Y')")
 
 
 def _target_map_draws(source, count):

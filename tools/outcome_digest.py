@@ -1,4 +1,4 @@
-"""One digest of every operation outcome and fibre product of a benchmark workload.
+"""Digests of the operation outcomes and fibre products of a benchmark workload.
 
     python3 tools/outcome_digest.py --workload fibre-identities --items 7
 
@@ -7,17 +7,20 @@ runs items 0..N-1 of every check kind of the workload, as defined in
 item in turn, each kind samples its instance from the item's random stream
 and decides it.  It prints the number of operations, the number of
 `fibre_product_cells` results the operations produced (and their components),
-and one SHA-256 over
+one SHA-256 over
 
 - every operation's outcome, or the class and message of what it raised;
 - every fibre-product component, in the order they were built: its cell
   (polytope, torus rank and orientation sign), projection map, translate,
   transversality and orientability flags, coorientation, sorted face pairs,
-  `facets()` and `facet_inequalities()`.
+  `facets()` and `facet_inequalities()`;
 
-Two trees give the same digest when they decide every operation alike and
-build the same fibre products.  To compare a change with its parent, run the
-script in each checkout; it imports the `src/` and `perfbench/` next to it.
+and a second SHA-256 over the operation outcomes alone.  Two trees give the
+same first digest when they decide every operation alike and build the same
+fibre products, and the same second digest when they decide every operation
+alike, whatever fibre products they build on the way.  To compare a change
+with its parent, run the script in each checkout; it imports the `src/` and
+`perfbench/` next to it.
 """
 
 from __future__ import annotations
@@ -61,9 +64,10 @@ def _record_fibre_products(h, tally: dict) -> None:
                     setattr(module, key, recorded)
 
 
-def outcome_digest(workload: str, items: int) -> tuple[int, dict, str]:
-    """(operations, fibre-product tally, SHA-256 hex digest) of items 0..items-1."""
-    h = hashlib.sha256()
+def outcome_digest(workload: str, items: int) -> tuple[int, dict, str, str]:
+    """(operations, fibre-product tally, combined and outcome-only SHA-256 hex
+    digests) of items 0..items-1."""
+    h, outcomes = hashlib.sha256(), hashlib.sha256()
     tally = {"results": 0, "components": 0}
     _record_fibre_products(h, tally)
     kinds = workloads.WORKLOADS[workload]()
@@ -76,8 +80,10 @@ def outcome_digest(workload: str, items: int) -> tuple[int, dict, str]:
             except Exception as err:
                 outcome = f"raised {type(err).__name__}: {err}"
             ops += 1
-            h.update(f"{kind.name}|{item}|{outcome}\n".encode())
-    return ops, tally, h.hexdigest()
+            line = f"{kind.name}|{item}|{outcome}\n".encode()
+            h.update(line)
+            outcomes.update(line)
+    return ops, tally, h.hexdigest(), outcomes.hexdigest()
 
 
 def main(argv=None) -> int:
@@ -85,11 +91,12 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
     ap.add_argument("--items", type=int, default=1)
     args = ap.parse_args(argv)
-    ops, tally, digest = outcome_digest(args.workload, args.items)
+    ops, tally, digest, outcomes = outcome_digest(args.workload, args.items)
     print(f"{args.workload} items 0..{args.items - 1}: {ops} ops, "
           f"{tally['results']} fibre_product_cells results "
           f"({tally['components']} components)")
     print(f"sha256 {digest}")
+    print(f"outcomes sha256 {outcomes}")
     return 0
 
 
