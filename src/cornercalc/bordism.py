@@ -1,9 +1,9 @@
 """Bordism classes of mapped polytopes with certified closure.
 
-A class is a finite list of compact oriented (or cooriented) mapped cells
-together with a gluing certificate: a pairing of the boundary facets by
-orientation-reversing affine identifications that commute with the maps.
-Closure is certified by the caller and audited here, never inferred.
+A class is a finite list of compact mapped cells, all oriented or all
+cooriented, together with a gluing certificate: a pairing of the boundary
+facets by orientation-reversing affine identifications that commute with the
+maps.  Closure is certified by the caller and audited here, never inferred.
 
 On top of the classes the module presents bordism groups from relation
 witnesses, emits chain representatives with gluing-class tags, builds the
@@ -22,8 +22,8 @@ from ._linalg import (Mat, Vec, change_of_basis_det, identity, invariant_factors
                       mat, matvec, rank, vec)
 from .cells import (Cell, CellMap, Coorientation, canonical_cell_map,
                     canonical_form, cell_boundary, fibre_product_cells,
-                    identity_map, maps_agree, orientation_from_coorientation,
-                    validate_coorientation)
+                    identity_map, is_interior_submersion, maps_agree,
+                    orientation_from_coorientation, validate_coorientation)
 from .chains import (Chain, Generator, Tag, boundary, cylinder,
                      transport_generator)
 from .geometry import (POINT_POLYTOPE, Polytope, affine_isomorphisms, compress_mask,
@@ -92,37 +92,50 @@ class PairingWitness:
         return matvec(self.matrix, vec(direction))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BordismComponent:
-    """One mapped cell of a class, optionally with a symmetry model."""
+    """One mapped cell of a class, optionally with a symmetry model.
+
+    A cooriented component stores, as chains.Generator does, the orientation
+    that the dictionary TX = f*(TY) + Ker df (see cells) gives a coorientation
+    passed in; cooriented=True takes a cell already oriented that way.
+    """
 
     cell: Cell
     cmap: CellMap
-    coorientation: Optional[Coorientation] = None
-    model: Optional[GroupAction] = None
+    cooriented: bool
+    model: Optional[GroupAction]
 
-    def __post_init__(self):
-        if self.cmap.target.dim:
-            if self.cmap.n_cols != self.cell.polytope.ambient_dim:
+    def __init__(self, cell: Cell, cmap: CellMap,
+                 coorientation: Optional[Coorientation] = None,
+                 model: Optional[GroupAction] = None, *, cooriented: bool = False):
+        if cmap.target.dim:
+            if cmap.n_cols != cell.polytope.ambient_dim:
                 raise BordismError("map columns do not match the ambient space")
-            if self.cmap.s_cols != self.cell.torus_rank:
+            if cmap.s_cols != cell.torus_rank:
                 raise BordismError("map torus columns do not match the cell")
-        if self.coorientation is not None:
-            validate_coorientation(self.cell, self.cmap, self.coorientation)
+        if coorientation is not None:
+            validate_coorientation(cell, cmap, coorientation)
+            cell = orientation_from_coorientation(cell, cmap, coorientation)
+            cooriented = True
+        elif cooriented and not is_interior_submersion(cell, cmap):
+            raise BordismError("a cooriented component needs an interior "
+                               "submersion")
+        object.__setattr__(self, "cell", cell)
+        object.__setattr__(self, "cmap", cmap)
+        object.__setattr__(self, "cooriented", cooriented)
+        object.__setattr__(self, "model", model)
 
     @property
     def grade(self) -> int:
-        if self.coorientation is not None:
+        if self.cooriented:
             return self.cmap.target.dim - self.cell.dim
         return self.cell.dim
 
     def canonical_term(self) -> tuple:
-        """(key, sign); a coorientation is read as its dictionary orientation."""
-        cooriented = self.coorientation is not None
-        cell = (orientation_from_coorientation(self.cell, self.cmap, self.coorientation)
-                if cooriented else self.cell)
-        key, sign, _, _ = canonical_form(cell, self.cmap)
-        return key + (cooriented,), sign
+        """(key, sign); the key ends in the cooriented flag."""
+        key, sign, _, _ = canonical_form(self.cell, self.cmap)
+        return key + (self.cooriented,), sign
 
 
 class BordismClass:
@@ -142,7 +155,7 @@ class BordismClass:
             for idx, _ in (pw.left, pw.right):
                 if not 0 <= idx < len(comps):
                     raise BordismError("pairing names a missing component")
-        flavours = {c.coorientation is not None for c in comps}
+        flavours = {c.cooriented for c in comps}
         if len(flavours) > 1:
             raise BordismError("mixing oriented and cooriented components")
         if kind == "classical" and flavours == {True}:
@@ -157,8 +170,7 @@ class BordismClass:
 
     @property
     def cooriented(self) -> bool:
-        return bool(self.components) and \
-            self.components[0].coorientation is not None
+        return bool(self.components) and self.components[0].cooriented
 
     @property
     def target(self):
@@ -528,7 +540,7 @@ def _emission_generators(b: BordismClass, atom) -> list:
             raise BordismError("pairings identify two faces of one "
                                "component; split the component first")
         gens.append(Generator(comp.cell, comp.cmap, tag,
-                              coorientation=comp.coorientation))
+                              is_cochain=comp.cooriented))
     return gens
 
 
@@ -592,7 +604,7 @@ def identity_cobordism(y) -> BordismClass:
         raise BordismError("no compact identity class over a euclidean "
                            "target")
     comp = BordismComponent(Cell(POINT_POLYTOPE, y.dim), identity_map(y),
-                            Coorientation((), 1))
+                            cooriented=True)
     return BordismClass((comp,), ())
 
 
@@ -660,7 +672,9 @@ def bordism_cup_cap(a: BordismClass, b: BordismClass,
 
     Two cooriented factors multiply to a cooriented class; one oriented and
     one cooriented factor to an oriented class, with the oriented factor
-    placed first.  Certificates are derived from the factors' certificates
+    placed first.  Each pair of components is one fibre product, the first
+    entering with its orientation, so a cooriented product is oriented by the
+    cup coorientation.  Certificates are derived from the factors' certificates
     when every component pair meets in a single piece; otherwise supply the
     pairings explicitly.  Derived certificates are re-audited whenever both
     factors are certified closed.
@@ -677,36 +691,24 @@ def bordism_cup_cap(a: BordismClass, b: BordismClass,
         first, second = b, a
     else:
         first, second = a, b
-    cup = first.cooriented
     pieces = {}
     index = {}
     comps = []
     for i1, f in enumerate(first.components):
         for i2, s in enumerate(second.components):
-            got = fibre_product_cells(
-                f.cell, f.cmap, s.cell, s.cmap,
-                coorient1=f.coorientation if cup else None,
-                coorient2=s.coorientation)
+            got = fibre_product_cells(f.cell, f.cmap, s.cell, s.cmap)
             for k, fc in enumerate(got):
                 if not fc.transverse:
                     raise BordismError("a pair of components is not "
                                        "transverse; the product is "
                                        "undefined here")
-                if cup:
-                    if fc.coorientation is None:
-                        raise BordismError("product carries no "
-                                           "coorientation; both factors "
-                                           "must be submersive")
-                    comp = BordismComponent(fc.cell, fc.pmap,
-                                            fc.coorientation)
-                else:
-                    if not fc.orientable:
-                        raise BordismError("a product component is not "
-                                           "orientable over the cooriented "
-                                           "factor")
-                    comp = BordismComponent(fc.cell, fc.pmap)
+                if not fc.orientable:
+                    raise BordismError("a product component is not "
+                                       "orientable over the cooriented "
+                                       "factor")
                 index[(i1, i2, k)] = len(comps)
-                comps.append(comp)
+                comps.append(BordismComponent(fc.cell, fc.pmap,
+                                              cooriented=first.cooriented))
                 pieces[(i1, i2, k)] = fc
     if pairings is None:
         pairings = _derive_product_pairings(first, second, pieces, index)

@@ -26,13 +26,14 @@ cochains alike: isomorphisms commuting with the maps preserve the dictionary,
 so one normal form and one boundary serve both.  A Coorientation is an input
 format, validated against the map (the frame as given names the first vector
 at fault), and the frame a fibre product reads.  A fibre product has one
-frame rule: a cooriented factor contributes its kernel frame, an oriented
-factor its own frame lifted through the other map, factor 1 first, with the
-product of the factors' signs; with both factors cooriented the result is the
-cup coorientation.  Oriented operands first coorient the second map by the
-dictionary, or, if only the first map is a submersion, the first map with its
-kernel in front.  This agrees with T(Z) = Ker df1 + TY + Ker df2 when both
-maps are submersions.
+frame rule and one output, an oriented component: a cooriented factor
+contributes its kernel frame, an oriented factor its own frame lifted
+through the other map, factor 1 first, with the product of the factors'
+signs.  Oriented operands first coorient the second map by the dictionary,
+or, if only the first map is a submersion, the first map with its kernel in
+front.  This agrees with T(Z) = Ker df1 + TY + Ker df2 when both maps are
+submersions, and a first factor oriented by the dictionary makes the
+component the dictionary orientation of the cup coorientation.
 """
 
 from __future__ import annotations
@@ -548,7 +549,6 @@ class FibreComponent:
     translate: tuple[int, ...]
     transverse: bool
     orientable: bool
-    coorientation: Optional[Coorientation]
     face_pairs: dict    # face mask -> (face mask in factor 1, in factor 2)
     split: tuple[int, int, int, int] = (0, 0, 0, 0)       # n1, s1, n2, s2
     t_rows: tuple = ()
@@ -572,18 +572,18 @@ class FibreComponent:
 
 
 def fibre_product_cells(cell1: Cell, map1: CellMap, cell2: Cell, map2: CellMap, *,
-                        coorient1: Optional[Coorientation] = None,
                         coorient2: Optional[Coorientation] = None,
                         ) -> list[FibreComponent]:
-    """All components of the fibre product of two cells over a shared target.
+    """All components of the fibre product of two cells over a shared target,
+    each oriented by one frame rule, or flagged not orientable.
 
-    A cooriented factor contributes its kernel frame, an oriented factor its
-    own frame lifted through the other map; factor 1's vectors come first and
-    the sign is the product of the factors' signs.  With both coorientations
-    supplied the result is the cup coorientation of the projection, otherwise
-    an orientation of the component.  Oriented operands are first given the
-    coorientation kernel_coorientation(cell2, map2), or first_factor_kernel
-    (cell1, map1) when only map1 is an interior submersion.
+    Factor 1 is oriented; it contributes its frame lifted through map2.
+    Factor 2 contributes the kernel frame of coorient2, by default
+    kernel_coorientation(cell2, map2), with the product of the signs.  When
+    map2 is not an interior submersion, factor 1 contributes the kernel frame
+    of first_factor_kernel(cell1, map1) instead and factor 2 its frame lifted
+    through map1.  With cell1 oriented by the dictionary, the component is
+    oriented by the cup coorientation (Ker df1, Ker df2).
     """
     if map1.target != map2.target:
         raise FibreProductError("fibre product needs a common target")
@@ -594,17 +594,15 @@ def fibre_product_cells(cell1: Cell, map1: CellMap, cell2: Cell, map2: CellMap, 
     if m > 0 and (map1.n_cols != n1 or map1.s_cols != s1
                   or map2.n_cols != n2 or map2.s_cols != s2):
         raise MapError("map shapes do not match the cells")
-    if coorient1 is not None:
-        validate_coorientation(cell1, map1, coorient1)
+    coorient1 = None
     if coorient2 is not None:
         validate_coorientation(cell2, map2, coorient2)
-    if coorient1 is None and coorient2 is None:
-        if is_interior_submersion(cell2, map2):
-            coorient2 = kernel_coorientation(cell2, map2)
-        elif is_interior_submersion(cell1, map1):
-            coorient1 = first_factor_kernel(cell1, map1)
-        else:
-            raise FibreProductError("neither map is an interior submersion")
+    elif is_interior_submersion(cell2, map2):
+        coorient2 = kernel_coorientation(cell2, map2)
+    elif is_interior_submersion(cell1, map1):
+        coorient1 = first_factor_kernel(cell1, map1)
+    else:
+        raise FibreProductError("neither map is an interior submersion")
 
     n = n1 + n2
     s = s1 + s2
@@ -794,7 +792,6 @@ def _build_component(cell1, map1, cell2, map2, poly, tight, s_z, u, rho,
 
     zero1 = (Fraction(0),) * (n1 + s1)
     zero2 = (Fraction(0),) * (n2 + s2)
-    coorientation = None
     try:
         if coorient1 is not None:
             vecs = [tuple(k) + zero2 for k in coorient1.frame]
@@ -809,22 +806,15 @@ def _build_component(cell1, map1, cell2, map2, poly, tight, s_z, u, rho,
         frame = assemble(vecs)
         sign = ((cell1 if coorient1 is None else coorient1).sign
                 * (cell2 if coorient2 is None else coorient2).sign)
-        if coorient1 is not None and coorient2 is not None:
-            cell = Cell(poly, s_z)
-            coorientation = Coorientation(frame, sign)
-            validate_coorientation(cell, pmap, coorientation)
-        else:
-            cell = Cell(poly, s_z, frame, sign)
-        orientable = True
+        cell, orientable = Cell(poly, s_z, frame, sign), True
     except (FibreProductError, GeometryError, MapError):
         # a frame vector that does not lift or is not tangent, or a frame
         # that is not a basis, leaves the component unoriented
-        cell, coorientation, orientable = Cell(poly, s_z), None, False
+        cell, orientable = Cell(poly, s_z), False
 
     return FibreComponent(
         cell=cell, pmap=pmap, translate=translate,
-        transverse=transverse, orientable=orientable,
-        coorientation=coorientation, face_pairs=face_pairs,
+        transverse=transverse, orientable=orientable, face_pairs=face_pairs,
         split=(n1, s1, n2, s2),
         t_rows=tuple(t_rows), t_fcoefs=tuple(t_fcoefs), t_consts=tuple(t_consts))
 

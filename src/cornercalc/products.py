@@ -84,15 +84,13 @@ def _pair(g1: Generator, g2: Generator) -> list:
     return out
 
 
-def cup(c1: Chain, c2: Chain) -> Chain:
-    """Product of cochains over a shared target; bilinear and canonical."""
-    _require_cochain(c1, "cup")
-    _require_cochain(c2, "cup")
+def _product(c1: Chain, c2: Chain, what: str) -> Chain:
+    """The bilinear extension of _pair, after the target and ring checks."""
     t1, t2 = _common_target(c1), _common_target(c2)
     if t1 is not None and t2 is not None and t1 != t2:
-        raise ProductError("cup factors live over different targets")
+        raise ProductError(f"{what} factors live over different targets")
     if c1.ring != c2.ring:
-        raise ProductError("cup factors use different coefficient rings")
+        raise ProductError(f"{what} factors use different coefficient rings")
     terms = []
     for a1, g1 in c1.terms():
         for a2, g2 in c2.terms():
@@ -101,21 +99,18 @@ def cup(c1: Chain, c2: Chain) -> Chain:
     return Chain(terms, ring=c1.ring)
 
 
+def cup(c1: Chain, c2: Chain) -> Chain:
+    """Product of cochains over a shared target; bilinear and canonical."""
+    _require_cochain(c1, "cup")
+    _require_cochain(c2, "cup")
+    return _product(c1, c2, "cup")
+
+
 def cap(c: Chain, delta: Chain) -> Chain:
     """Chain-by-cochain product; the result is an oriented chain."""
     _require_chain(c, "cap")
     _require_cochain(delta, "cap")
-    t1, t2 = _common_target(c), _common_target(delta)
-    if t1 is not None and t2 is not None and t1 != t2:
-        raise ProductError("cap factors live over different targets")
-    if c.ring != delta.ring:
-        raise ProductError("cap factors use different coefficient rings")
-    terms = []
-    for a1, g in c.terms():
-        for a2, d in delta.terms():
-            for factor, gg in _pair(g, d):
-                terms.append((a1 * a2 * factor, gg))
-    return Chain(terms, ring=c.ring)
+    return _product(c, delta, "cap")
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +159,13 @@ def _block_swap_perm(n_first: int, n_second: int) -> list:
     return list(range(n_first, n_first + n_second)) + list(range(n_first))
 
 
+def _law(lhs: Chain, rhs: Chain, failure: str) -> CheckReport:
+    """An identity lhs == rhs, checked over lhs's terms."""
+    if lhs == rhs:
+        return CheckReport(True, len(lhs.terms()), True)
+    return CheckReport(False, 0, True, (failure,))
+
+
 # ---------------------------------------------------------------------------
 # DGA checks
 # ---------------------------------------------------------------------------
@@ -190,22 +192,16 @@ def check_cup_supercommutative(c1: Chain, c2: Chain) -> CheckReport:
 
 
 def check_cup_associative(c1: Chain, c2: Chain, c3: Chain) -> CheckReport:
-    lhs = cup(cup(c1, c2), c3)
-    rhs = cup(c1, cup(c2, c3))
-    if lhs == rhs:
-        return CheckReport(True, len(lhs.terms()), True)
-    return CheckReport(False, 0, True, ("associativity failed",))
+    return _law(cup(cup(c1, c2), c3), cup(c1, cup(c2, c3)), "associativity failed")
 
 
 def check_cup_leibniz(c1: Chain, c2: Chain) -> CheckReport:
     k = homogeneous_degree(c1)
     if k is None:
         return CheckReport(True, 0, True)
-    lhs = boundary(cup(c1, c2))
-    rhs = cup(boundary(c1), c2) + cup(c1, boundary(c2)).scale(_sign(k))
-    if lhs == rhs:
-        return CheckReport(True, len(lhs.terms()), True)
-    return CheckReport(False, 0, True, ("cochain Leibniz failed",))
+    return _law(boundary(cup(c1, c2)),
+                cup(boundary(c1), c2) + cup(c1, boundary(c2)).scale(_sign(k)),
+                "cochain Leibniz failed")
 
 
 def check_cup_identity(c: Chain) -> CheckReport:
@@ -239,11 +235,7 @@ def check_dga(c1: Chain, c2: Chain, c3: Chain) -> CheckReport:
 
 def check_cap_module(c: Chain, d1: Chain, d2: Chain) -> CheckReport:
     """(c cap d1) cap d2 equals c cap (d1 cup d2)."""
-    lhs = cap(cap(c, d1), d2)
-    rhs = cap(c, cup(d1, d2))
-    if lhs == rhs:
-        return CheckReport(True, len(lhs.terms()), True)
-    return CheckReport(False, 0, True, ("cap module axiom failed",))
+    return _law(cap(cap(c, d1), d2), cap(c, cup(d1, d2)), "cap module axiom failed")
 
 
 def check_cap_leibniz(c: Chain, d: Chain) -> CheckReport:
@@ -255,12 +247,9 @@ def check_cap_leibniz(c: Chain, d: Chain) -> CheckReport:
     k = homogeneous_degree(c)
     if t is None or k is None:
         return CheckReport(True, 0, True)
-    sign = _sign(t.dim - k)
-    lhs = boundary(cap(c, d))
-    rhs = cap(boundary(c), d) + cap(c, boundary(d)).scale(sign)
-    if lhs == rhs:
-        return CheckReport(True, len(lhs.terms()), True)
-    return CheckReport(False, 0, True, ("cap Leibniz failed",))
+    return _law(boundary(cap(c, d)),
+                cap(boundary(c), d) + cap(c, boundary(d)).scale(_sign(t.dim - k)),
+                "cap Leibniz failed")
 
 
 def check_cap_identity(c: Chain) -> CheckReport:
@@ -319,36 +308,24 @@ def pullback(h: TargetMap, delta: Chain) -> Chain:
 def check_pullback_functorial(h1: TargetMap, h2: TargetMap,
                               delta: Chain) -> CheckReport:
     """(h1 after h2) pulled back equals pulling back along h1 then h2."""
-    lhs = pullback(h1.compose(h2), delta)
-    rhs = pullback(h2, pullback(h1, delta))
-    if lhs == rhs:
-        return CheckReport(True, len(lhs.terms()), True)
-    return CheckReport(False, 0, True, ("pullback functoriality failed",))
+    return _law(pullback(h1.compose(h2), delta), pullback(h2, pullback(h1, delta)),
+                "pullback functoriality failed")
 
 
 def check_pullback_cup(h: TargetMap, d1: Chain, d2: Chain) -> CheckReport:
-    lhs = pullback(h, cup(d1, d2))
-    rhs = cup(pullback(h, d1), pullback(h, d2))
-    if lhs == rhs:
-        return CheckReport(True, len(lhs.terms()), True)
-    return CheckReport(False, 0, True, ("pullback of a cup failed",))
+    return _law(pullback(h, cup(d1, d2)), cup(pullback(h, d1), pullback(h, d2)),
+                "pullback of a cup failed")
 
 
 def check_pullback_d(h: TargetMap, delta: Chain) -> CheckReport:
-    lhs = boundary(pullback(h, delta))
-    rhs = pullback(h, boundary(delta))
-    if lhs == rhs:
-        return CheckReport(True, len(lhs.terms()), True)
-    return CheckReport(False, 0, True, ("pullback does not commute with d",))
+    return _law(boundary(pullback(h, delta)), pullback(h, boundary(delta)),
+                "pullback does not commute with d")
 
 
 def projection_formula(alpha: Chain, beta: Chain, h: TargetMap) -> CheckReport:
     """Push alpha cap (pulled-back beta) forward equals pushing then capping."""
-    lhs = pushforward(h, cap(alpha, pullback(h, beta)))
-    rhs = cap(pushforward(h, alpha), beta)
-    if lhs == rhs:
-        return CheckReport(True, len(lhs.terms()), True)
-    return CheckReport(False, 0, True, ("projection formula failed",))
+    return _law(pushforward(h, cap(alpha, pullback(h, beta))),
+                cap(pushforward(h, alpha), beta), "projection formula failed")
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +347,5 @@ def duality_KchToKh(delta: Chain, orientation: int = 1) -> Chain:
 
 
 def check_duality_chain_map(delta: Chain) -> CheckReport:
-    lhs = boundary(duality_KchToKh(delta))
-    rhs = duality_KchToKh(boundary(delta))
-    if lhs == rhs:
-        return CheckReport(True, len(lhs.terms()), True)
-    return CheckReport(False, 0, True, ("duality is not a chain map",))
+    return _law(boundary(duality_KchToKh(delta)), duality_KchToKh(boundary(delta)),
+                "duality is not a chain map")

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,13 @@ def circle_cover(k):
     cell = Cell(Polytope.from_points(0, [[]]), 1)
     cmap = CellMap(torus(1), [()], [[k]], [0])
     return BordismClass([(cell, cmap, Coorientation((), 1))])
+
+
+def kernel_class(m_t, frame, sign):
+    """A point times T^2 over T^1, cooriented by a frame of the kernel."""
+    cell = Cell(Polytope.from_points(0, [[]]), 2)
+    cmap = CellMap(torus(1), [()], [m_t], [0])
+    return BordismClass([(cell, cmap, Coorientation([frame], sign))])
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +384,32 @@ def test_cap_with_identity_over_point():
     assert class_match(res, tri)
     assert closed_certificate_check(res).ok
     assert boundary(Pi_Kb_Kh(res)).is_zero
+
+
+def product_corpus():
+    """Cooriented classes over T^1: circle covers, points times T^2 whose
+    kernel frames point either way, and the unit."""
+    return ([circle_cover(k) for k in (1, 2, 3, -2)]
+            + [kernel_class((1, 0), (0, 1), 1), kernel_class((1, 1), (1, -1), -1),
+               kernel_class((3, 0), (0, -1), 1), identity_cobordism(torus(1))])
+
+
+# Canonical terms of the products of all ordered pairs of the corpus.
+GOLDEN_PRODUCT_DIGEST = (
+    "f2f2ffb7265c7152446d341d18702a014f6812f904bc0bfdc9cc7c1552527d4a")
+
+
+def test_products_golden_digest():
+    h = hashlib.sha256()
+    count = 0
+    corpus = product_corpus()
+    for a in corpus:
+        for b in corpus:
+            terms = bordism_cup_cap(a, b).canonical_terms()
+            count += len(terms)
+            h.update(repr(terms).encode())
+    assert count == 76
+    assert h.hexdigest() == GOLDEN_PRODUCT_DIGEST
 
 
 def test_two_oriented_factors_rejected():

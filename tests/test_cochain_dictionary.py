@@ -1,19 +1,26 @@
-"""A cochain generator stores the orientation its coorientation gives by
-TX = f*(TY) + Ker df.  The references below are the formulas of the cochains
-that carried a frame of Ker df instead: the facet restriction through the
-dictionary and back, and the cup as a fibre product of two coorientations."""
+"""A cochain generator, and a cooriented bordism component, stores the
+orientation its coorientation gives by TX = f*(TY) + Ker df.  The references
+below are the formulas of the cochains that carried a frame of Ker df
+instead: the facet restriction through the dictionary and back, the cup
+coorientation read as a frame of the fibre product, and the bordism key of
+the dictionary orientation."""
 
 from fractions import Fraction as F
 from random import Random
 
 from hypothesis import assume, given, settings, strategies as st
 
-from cornercalc._linalg import canonical_frame, det, mat
+import pytest
+
+from cornercalc._linalg import canonical_frame, change_of_basis_det, det, mat
+from cornercalc.bordism import BordismComponent, BordismError
 from cornercalc.cells import (
     Cell,
     CellMap,
     Coorientation,
+    canonical_form,
     cell_boundary,
+    constant_map,
     fibre_product_cells,
     is_strong_submersion,
     kernel_coorientation,
@@ -25,7 +32,7 @@ from cornercalc.chains import Chain, Generator, generator_boundary, numbered_tag
 from cornercalc.geometry import POINT_POLYTOPE, Polytope
 from cornercalc.products import cup
 from cornercalc.randgen import random_cochain
-from test_cells import wound_cell
+from test_cells import _kernel_and_lifts, _orientation_against, _sign, wound_cell
 
 _entry = st.integers(-2, 2)
 
@@ -90,17 +97,24 @@ def _reference_facet_coorientations(cell, cmap, co):
 
 
 def _reference_cup(c1, c2):
-    """Fibre products with both coorientations, each component then oriented
-    by the dictionary."""
+    """Each fibre-product component oriented by the dictionary orientation of
+    the cup coorientation, built without the library's kernels or lifts: with
+    X_i oriented by eps_i (lifts of TY, Ker df_i), the frame (lifts of TY,
+    Ker df1, Ker df2) of T(Z) with the sign eps1 * eps2."""
     terms = []
     for a1, g1 in c1.terms():
         for a2, g2 in c2.terms():
-            for comp in fibre_product_cells(g1.cell, g1.cmap, g2.cell, g2.cmap,
-                                            coorient1=g1.coorientation,
-                                            coorient2=g2.coorientation):
-                assert comp.transverse and comp.coorientation is not None
-                oriented = orientation_from_coorientation(comp.cell, comp.pmap,
-                                                          comp.coorientation)
+            k1, l1 = _kernel_and_lifts(g1.cell, g1.cmap)
+            k2, l2 = _kernel_and_lifts(g2.cell, g2.cmap)
+            e1 = _sign(change_of_basis_det(l1 + k1, g1.cell.frame)) * g1.cell.sign
+            e2 = _sign(change_of_basis_det(l2 + k2, g2.cell.frame)) * g2.cell.sign
+            zero1, zero2 = (F(0),) * g1.cell.ambient, (F(0),) * g2.cell.ambient
+            frame = ([u + w for u, w in zip(l1, l2)] + [k + zero2 for k in k1]
+                     + [zero1 + k for k in k2])
+            for comp in fibre_product_cells(g1.cell, g1.cmap, g2.cell, g2.cmap):
+                assert comp.transverse and comp.orientable
+                sign = comp.cell.sign * _orientation_against(comp, frame) * e1 * e2
+                oriented = Cell(comp.cell.polytope, comp.cell.torus_rank, None, sign)
                 terms.append((a1 * a2, Generator(oriented, comp.pmap,
                                                  pair_tags(g1.tag, g2.tag, comp),
                                                  is_cochain=True)))
@@ -146,3 +160,23 @@ def test_cup_is_the_cup_coorientation(seed, m):
     product = cup(c1, c2)
     assert product == _reference_cup(c1, c2)
     assert all(g.is_cochain for _, g in product.terms())
+
+
+@settings(max_examples=100, deadline=None)
+@given(cooriented_cell(), st.data())
+def test_bordism_component_keys_its_dictionary_orientation(cell_data, data):
+    cell, cmap = cell_data
+    co = _some_coorientation(data, cell, cmap)
+    comp = BordismComponent(cell, cmap, co)
+    key, sign, _, _ = canonical_form(orientation_from_coorientation(cell, cmap, co), cmap)
+    assert comp.canonical_term() == (key + (True,), sign)
+    assert comp.cooriented and comp.grade == cmap.target.dim - cell.dim
+
+
+def test_cooriented_component_needs_a_submersion():
+    point = Cell(POINT_POLYTOPE, 0)
+    with pytest.raises(BordismError, match="submersion"):
+        BordismComponent(point, constant_map(torus(1), 0, 0), cooriented=True)
+    circle = Cell(POINT_POLYTOPE, 1)
+    with pytest.raises(BordismError, match="submersion"):
+        BordismComponent(circle, CellMap(torus(1), [()], [[0]], [0]), cooriented=True)

@@ -15,9 +15,11 @@ def _digest_lines(workload):
 
 
 def test_outcome_digest_of_one_item():
+    # The combined line moved when fibre-product components stopped carrying a
+    # coorientation slot, which was None on every one recorded here.
     assert _digest_lines("fibre-identities") == [
         "fibre-identities items 0..0: 24 ops, 77 fibre_product_cells results (70 components)",
-        "sha256 f7b6b737874c9eff963895c27c56af5ab3f57f3dc114b350d7fac24bf2d26c2c",
+        "sha256 214a90eb5d0e95b2f4b81a9c46317b20be599b6cdf0da4aec978075cd9aa71fa",
         "outcomes sha256 14883f75bcdad41e29ab3760f7a75c66e560f0394399b689b70d65263f51867e",
     ]
 
@@ -30,3 +32,19 @@ def test_outcome_only_digest_of_one_cochain_item():
                       "110 fibre_product_cells results (138 components)")
     assert outcomes == (
         "outcomes sha256 1dd9881733bafec6d8d0fb5ed9962cc5d78f9341d2dce31262009a5f2599a4eb")
+
+
+def test_outcome_only_digest_of_one_chain_boundary_item():
+    counts, _, outcomes = _digest_lines("chain-boundary")
+    assert counts == ("chain-boundary items 0..0: 2 ops, "
+                      "0 fibre_product_cells results (0 components)")
+    assert outcomes == (
+        "outcomes sha256 bc13f342d30de3ebe5ea75b52d35104d8d05f162fc0cd2c8fabc7523cf679246")
+
+
+def test_outcome_only_digest_of_one_homology_bordism_item():
+    counts, _, outcomes = _digest_lines("homology-bordism")
+    assert counts == ("homology-bordism items 0..0: 25 ops, "
+                      "0 fibre_product_cells results (0 components)")
+    assert outcomes == (
+        "outcomes sha256 af7886ba6038bde5315210fefae5567f7014e522f7be62e9ea96688f1c391a80")

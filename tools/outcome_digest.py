@@ -12,8 +12,8 @@ one SHA-256 over
 - every operation's outcome, or the class and message of what it raised;
 - every fibre-product component, in the order they were built: its cell
   (polytope, torus rank and orientation sign), projection map, translate,
-  transversality and orientability flags, coorientation, sorted face pairs,
-  `facets()` and `facet_inequalities()`;
+  transversality and orientability flags, sorted face pairs, `facets()` and
+  `facet_inequalities()`;
 
 and a second SHA-256 over the operation outcomes alone.  Two trees give the
 same first digest when they decide every operation alike and build the same
@@ -40,7 +40,7 @@ import workloads  # noqa: E402
 def _component_repr(comp) -> str:
     poly = comp.cell.polytope
     return repr((comp.cell, comp.pmap, comp.translate,
-                 comp.transverse, comp.orientable, comp.coorientation,
+                 comp.transverse, comp.orientable,
                  sorted(comp.face_pairs.items()), poly.facets(),
                  poly.facet_inequalities()))
 
