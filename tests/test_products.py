@@ -1,5 +1,6 @@
 """Cup, cap, identity, pullback, and duality over point and torus targets."""
 
+import hashlib
 from fractions import Fraction
 from random import Random
 
@@ -11,6 +12,7 @@ from cornercalc.cells import (
     Coorientation,
     POINT,
     euclid,
+    fibre_product_cells,
     kernel_coorientation,
     torus,
 )
@@ -49,7 +51,8 @@ from cornercalc.products import (
     projection_formula,
     pullback,
 )
-from cornercalc.randgen import random_target_map, random_thick_cochain
+from cornercalc.randgen import (random_chain_over, random_cochain, random_target_map,
+                                random_thick_cochain)
 
 P0 = Polytope.from_points(0, [[]])
 
@@ -397,3 +400,32 @@ def test_identity_generator_matches_unit_of_cup():
     assert g.grade == 0
     assert g.cell.torus_rank == 2
     assert chain(g) == identity_cochain(torus(2))
+
+
+# Any drift in the fibre products behind cup and cap changes it: each
+# component's cell (polytope, torus rank and orientation sign), projection
+# map, transversality and orientability, for every generator pair that
+# products._pair meets in a cup of two random cochains or a cap of a random
+# chain by a random cochain, over T^1 and T^2.
+GOLDEN_CUP_DIGEST = (
+    "d7ef1882e00d5b5834947fde027f408ec7bb17a9fc6f25965cc256752682847e")
+
+
+def test_cup_and_cap_components_golden_digest():
+    h = hashlib.sha256()
+    count = 0
+    for y in (torus(1), torus(2)):
+        for i in range(20):
+            rng = Random(f"golden-cup/{y.dim}/{i}")
+            first = (random_cochain(rng, y, ("a", 0)) if i % 3
+                     else random_chain_over(rng, y, ("a", 0)))
+            second = random_cochain(rng, y, ("b", 0))
+            for _, g1 in first.terms():
+                for _, g2 in second.terms():
+                    for comp in fibre_product_cells(g1.cell, g1.cmap, g2.cell, g2.cmap,
+                                                    coorient2=g2.coorientation):
+                        count += 1
+                        h.update(repr((comp.cell, comp.pmap, comp.transverse,
+                                       comp.orientable)).encode())
+    assert count == 97
+    assert h.hexdigest() == GOLDEN_CUP_DIGEST
