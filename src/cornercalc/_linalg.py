@@ -79,6 +79,10 @@ def is_zero_vec(v: Vec) -> bool:
 _ZERO = Fraction(0)
 
 
+class SpanError(ValueError):
+    """Raised when a frame has a vector outside the span it is compared to."""
+
+
 def _scaled(row) -> tuple[list[int], int]:
     """The row times the lcm of its denominators, as ints, and that lcm."""
     scale = lcm(*[x.denominator for x in row])
@@ -192,22 +196,38 @@ def kernel_basis(m: Mat) -> tuple[Vec, ...]:
     return tuple(basis)
 
 
-def solve(m: Mat, b: Vec) -> Optional[Vec]:
-    """One solution of m x = b with the free coordinates 0, or None if inconsistent."""
-    if len(b) != len(m):
+def solve_columns(m: Mat, rhs: Sequence[Vec]) -> Optional[list[Vec]]:
+    """For each b in rhs, the solution of m x = b with the free coordinates 0;
+    None if any of the systems is inconsistent.
+
+    One reduction of [m | b_1 ... b_k] serves every right-hand side: the
+    solution with free coordinates 0 is linear in b.  Every pivot lies in the
+    m block exactly when every system is consistent.
+    """
+    if any(len(b) != len(m) for b in rhs):
         raise ValueError("right-hand side length differs from the number of rows")
     if not m:
-        return ()
+        return [()] * len(rhs)
     ncols = len(m[0])
-    rows = _primitive_rows([tuple(row) + (bb,) for row, bb in zip(m, b)])
+    rows = _primitive_rows([tuple(row) + tuple(b[i] for b in rhs)
+                            for i, row in enumerate(m)])
     pivots = _eliminate(rows)
-    if pivots and pivots[-1] == ncols:
+    if pivots and pivots[-1] >= ncols:
         return None
-    x = [_ZERO] * ncols
-    for row, p in zip(rows, pivots):
-        if row[ncols]:
-            x[p] = Fraction(row[ncols], row[p])
-    return tuple(x)
+    out = []
+    for j in range(ncols, ncols + len(rhs)):
+        x = [_ZERO] * ncols
+        for row, p in zip(rows, pivots):
+            if row[j]:
+                x[p] = Fraction(row[j], row[p])
+        out.append(tuple(x))
+    return out
+
+
+def solve(m: Mat, b: Vec) -> Optional[Vec]:
+    """One solution of m x = b with the free coordinates 0, or None if inconsistent."""
+    xs = solve_columns(m, (b,))
+    return None if xs is None else xs[0]
 
 
 def in_span(vectors: Sequence[Vec], v: Vec) -> bool:
@@ -250,8 +270,8 @@ def change_of_basis_det(frame_a: Sequence[Vec], frame_b: Sequence[Vec]) -> Fract
 
     One reduction of [frame_b^T | frame_a^T] solves for every row of C at
     once.  A pivot in the right-hand block means some frame_a vector lies
-    outside span(frame_b).  Free coordinates are 0, as in `solve`, so a
-    dependent frame_b gives 0.
+    outside span(frame_b), and raises SpanError.  Free coordinates are 0, as
+    in `solve`, so a dependent frame_b gives 0.
     """
     if len(frame_a) != len(frame_b):
         raise ValueError("frames of different length")
@@ -264,7 +284,7 @@ def change_of_basis_det(frame_a: Sequence[Vec], frame_b: Sequence[Vec]) -> Fract
     rows = _primitive_rows(tuple(bj + aj for bj, aj in zip(transpose(b), transpose(a))))
     pivots = _eliminate(rows)
     if pivots and pivots[-1] >= k:
-        raise ValueError("frames do not span the same space")
+        raise SpanError("frames do not span the same space")
     if len(pivots) < k:
         return Fraction(0)
     # Row j of C^T is rows[j][k:] / rows[j][j].

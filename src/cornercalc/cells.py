@@ -29,11 +29,16 @@ at fault), and the frame a fibre product reads.  A fibre product has one
 frame rule and one output, an oriented component: a cooriented factor
 contributes its kernel frame, an oriented factor its own frame lifted
 through the other map, factor 1 first, with the product of the factors'
-signs.  Oriented operands first coorient the second map by the dictionary,
-or, if only the first map is a submersion, the first map with its kernel in
-front.  This agrees with T(Z) = Ker df1 + TY + Ker df2 when both maps are
-submersions, and a first factor oriented by the dictionary makes the
-component the dictionary orientation of the cup coorientation.
+signs.  The frame lives in T1 x T2, and the component's sign is that
+product times the sign of one determinant: the frame against J applied to
+the component's default frame, J the inclusion of its tangent space into
+T1 x T2.  A frame vector that does not lift or is not tangent, or a zero
+determinant, leaves the component unoriented.  Oriented operands first
+coorient the second map by the dictionary, or, if only the first map is a
+submersion, the first map with its kernel in front.  This agrees with
+T(Z) = Ker df1 + TY + Ker df2 when both maps are submersions, and a first
+factor oriented by the dictionary makes the component the dictionary
+orientation of the cup coorientation.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from typing import Iterable, Optional, Sequence
 from ._linalg import (
     IntMat,
     Mat,
+    SpanError,
     Vec,
     change_of_basis_det,
     det,
@@ -55,7 +61,7 @@ from ._linalg import (
     kernel_basis,
     mat,
     rank,
-    solve,
+    solve_columns,
     transpose,
     vec,
 )
@@ -169,7 +175,7 @@ class Cell:
             if fr != span:
                 try:
                     d = change_of_basis_det(fr, span)
-                except ValueError:
+                except SpanError:
                     raise GeometryError(
                         "frame vector outside the cell's tangent space") from None
                 if d == 0:
@@ -391,13 +397,10 @@ def validate_coorientation(cell: Cell, cmap: CellMap, co: Coorientation) -> None
 def _target_lifts(tb: Mat, dmat: Mat, ambient: int) -> list[Vec]:
     """Ambient vectors w_i with df(w_i) = e_i, solved on the tangent basis tb."""
     m = len(dmat)
-    lifts = []
-    for i in range(m):
-        w = solve(dmat, _unit(m, i))
-        if w is None:
-            raise FibreProductError("map is not an interior submersion")
-        lifts.append(_in_ambient(tb, w, ambient))
-    return lifts
+    ws = solve_columns(dmat, [_unit(m, i) for i in range(m)])
+    if ws is None:
+        raise FibreProductError("map is not an interior submersion")
+    return [_in_ambient(tb, w, ambient) for w in ws]
 
 
 def kernel_coorientation(cell: Cell, cmap: CellMap) -> Coorientation:
@@ -584,6 +587,11 @@ def fibre_product_cells(cell1: Cell, map1: CellMap, cell2: Cell, map2: CellMap, 
     of first_factor_kernel(cell1, map1) instead and factor 2 its frame lifted
     through map1.  With cell1 oriented by the dictionary, the component is
     oriented by the cup coorientation (Ker df1, Ker df2).
+
+    The frame, in T1 x T2, orients a component by one determinant against
+    J applied to the component's default frame, with the product of the
+    factors' signs; a component whose frame is not a basis of its tangent
+    space is flagged not orientable.
     """
     if map1.target != map2.target:
         raise FibreProductError("fibre product needs a common target")
@@ -750,45 +758,29 @@ def _build_component(cell1, map1, cell2, map2, poly, tight, s_z, u, rho,
             transverse = False
             break
 
-    # embedding J of the component's tangent space into T1 x T2,
-    # coordinates ordered (p1, t1, p2, t2)
-    def j_column(u_dir, phi_idx):
-        if u_dir is not None:
-            dtau = [sum(tau_rows[j][i] * u_dir[i] for i in range(n)) for j in range(rho)]
-            dtau += [Fraction(0)] * s_z
-        else:
-            dtau = [Fraction(0)] * rho + [Fraction(1 if i == phi_idx else 0)
-                                          for i in range(s_z)]
-        dt = [sum(frac(u[k][j]) * dtau[j] for j in range(s)) for k in range(s)]
-        if u_dir is None:
-            u_dir = (Fraction(0),) * n
+    # J, the embedding of the component's tangent space into T1 x T2 with
+    # coordinates ordered (p1, t1, p2, t2): a direction u of the slice moves
+    # t by t_rows . u, and the free torus coordinate phi_i moves it by
+    # column i of t_fcoefs.  j_cols is J applied to the component's default
+    # frame, so the frame rule's vectors orient the component by their
+    # determinant against it.
+    def j_column(u_dir, dt):
         return (tuple(u_dir[:n1]) + tuple(dt[:s1])
                 + tuple(u_dir[n1:]) + tuple(dt[s1:]))
 
-    j_cols = [j_column(d, None) for d in poly.dir_basis]
-    j_cols += [j_column(None, i) for i in range(s_z)]
-    j_mat = transpose(mat(j_cols)) if j_cols else tuple(
-        () for _ in range(n1 + s1 + n2 + s2))
-
-    def assemble(vectors_t1t2):
-        out = []
-        for v in vectors_t1t2:
-            x = solve(j_mat, v)
-            if x is None:
-                raise FibreProductError("frame vector not tangent to the component")
-            out.append(_in_ambient(poly.dir_basis, x[:poly.dim], n) + x[poly.dim:])
-        return tuple(out)
+    j_cols = [j_column(d, [sum((x * y for x, y in zip(row, d) if x), Fraction(0))
+                           for row in t_rows])
+              for d in poly.dir_basis]
+    j_cols += [j_column((Fraction(0),) * n, [Fraction(fc[i]) for fc in t_fcoefs])
+               for i in range(s_z)]
 
     def lift_through(cellk, mapk, other_map, other_n, frame):
         """For each v in frame, w in T(cellk) with dmapk(w) = d(other_map)(v)."""
-        tb, dmat = cellk.frame, mapk.differential_on(cellk)
-        out = []
-        for v in frame:
-            w = solve(dmat, _differential_vec(other_map, other_n, v))
-            if w is None:
-                raise FibreProductError("frame vector does not lift through the map")
-            out.append(_in_ambient(tb, w, cellk.ambient))
-        return out
+        ws = solve_columns(mapk.differential_on(cellk),
+                           [_differential_vec(other_map, other_n, v) for v in frame])
+        if ws is None:
+            raise FibreProductError("frame vector does not lift through the map")
+        return [_in_ambient(cellk.frame, w, cellk.ambient) for w in ws]
 
     zero1 = (Fraction(0),) * (n1 + s1)
     zero2 = (Fraction(0),) * (n2 + s2)
@@ -803,18 +795,19 @@ def _build_component(cell1, map1, cell2, map2, poly, tight, s_z, u, rho,
         else:
             lifts = lift_through(cell1, map1, map2, n2, cell2.frame)
             vecs += [w + tuple(v) for v, w in zip(cell2.frame, lifts)]
-        frame = assemble(vecs)
-        sign = ((cell1 if coorient1 is None else coorient1).sign
-                * (cell2 if coorient2 is None else coorient2).sign)
-        cell, orientable = Cell(poly, s_z, frame, sign), True
-    except (FibreProductError, GeometryError, MapError):
-        # a frame vector that does not lift or is not tangent, or a frame
-        # that is not a basis, leaves the component unoriented
-        cell, orientable = Cell(poly, s_z), False
+        d = change_of_basis_det(vecs, j_cols) if len(vecs) == len(j_cols) else 0
+    except (FibreProductError, SpanError):
+        # a frame vector that does not lift or is not tangent leaves the
+        # component unoriented, as does a frame of the wrong length or one
+        # that is not a basis (d = 0)
+        d = 0
+    sign = ((cell1 if coorient1 is None else coorient1).sign
+            * (cell2 if coorient2 is None else coorient2).sign)
+    cell = Cell(poly, s_z, sign=sign if d > 0 else -sign) if d else Cell(poly, s_z)
 
     return FibreComponent(
         cell=cell, pmap=pmap, translate=translate,
-        transverse=transverse, orientable=orientable, face_pairs=face_pairs,
+        transverse=transverse, orientable=d != 0, face_pairs=face_pairs,
         split=(n1, s1, n2, s2),
         t_rows=tuple(t_rows), t_fcoefs=tuple(t_fcoefs), t_consts=tuple(t_consts))
 

@@ -128,12 +128,13 @@ class Tag:
     A face is a bitmask over the sorted vertices of the cell's polytope;
     `labels` holds one (mask, label) pair per face, sorted by mask, and
     `vertices` is the polytope's vertex tuple, read only to convert face
-    keys at the public edge.  Restricting to a face F keeps the faces inside
+    keys at the public edge; `order`, the labels' `_term_key`, is built at
+    most once per tag.  Restricting to a face F keeps the faces inside
     F and packs their bits at F's vertices (geometry.compress_mask), which is
     exact: a face's sorted vertices are a subsequence of its polytope's.
     """
 
-    __slots__ = ("vertices", "labels")
+    __slots__ = ("vertices", "labels", "_order")
 
     def __init__(self, polytope: Polytope, labels: Mapping[FaceKey, tuple]):
         index = _vertex_index(polytope.vertices)
@@ -157,6 +158,7 @@ class Tag:
             raise TagError("duplicate face key in tag")
         self.vertices = vertices
         self.labels = tuple(pairs)
+        self._order = None
 
     @property
     def face_keys(self) -> tuple:
@@ -173,6 +175,13 @@ class Tag:
 
     def label_of(self, face_key: FaceKey) -> tuple:
         return self.label_at(_face_mask(_vertex_index(self.vertices), face_key))
+
+    @property
+    def order(self) -> tuple:
+        """The labels' place in the term order, `_term_key(labels)`."""
+        if self._order is None:
+            self._order = _term_key(self.labels)
+        return self._order
 
     def mapping(self) -> dict:
         return {self._key(m): label for m, label in self.labels}
@@ -191,6 +200,7 @@ class Tag:
         tag.vertices = tuple(self.vertices[i] for i in at)
         tag.labels = tuple((sum(1 << k for k, i in enumerate(at) if m >> i & 1), label)
                            for m, label in self.labels if not m & ~face_mask)
+        tag._order = None
         return tag
 
     def moved(self, vertices: tuple, table: Sequence[int]) -> "Tag":
@@ -396,6 +406,18 @@ def _normal_form(gen: Generator):
                                 is_cochain=gen.is_cochain)
 
 
+def _term_order(key: tuple, gen: Generator) -> tuple:
+    """The place of a normal-form term in the term order, that of _term_key(key).
+
+    The key is ((kind, dim), ambient, vertices, torus_rank, a, m_t, b,
+    labels, flag).  Its first seven slots hold only str, int and Fraction,
+    one type per position, which compare natively as _term_key does; the
+    labels' part is the generator's tag order, and a chain's flag (None)
+    comes before a cochain's (True).
+    """
+    return key[:7] + (gen.tag.order, key[8] is not None)
+
+
 class Chain:
     """Finite rational combination of generator classes, kept canonical."""
 
@@ -422,10 +444,10 @@ class Chain:
         if nf is None:
             return
         key, sign, norm = nf
-        if key in self._terms:
-            self._terms[key][0] += sign * coeff
-        else:
-            self._terms[key] = [sign * coeff, norm]
+        new = [sign * coeff, norm]
+        entry = self._terms.setdefault(key, new)
+        if entry is not new:
+            entry[0] += new[0]
 
     def _prune(self):
         for key in [k for k, (c, _) in self._terms.items() if c == 0]:
@@ -433,7 +455,7 @@ class Chain:
 
     def terms(self) -> list:
         """Deterministically ordered list of (coefficient, generator)."""
-        items = sorted(self._terms.items(), key=lambda kv: _term_key(kv[0]))
+        items = sorted(self._terms.items(), key=lambda kv: _term_order(kv[0], kv[1][1]))
         return [(c, g) for _, (c, g) in items]
 
     def coefficient(self, gen: Generator) -> Fraction:
@@ -465,10 +487,10 @@ class Chain:
         out = Chain(ring=self.ring)
         out._terms = {k: [c, g] for k, (c, g) in self._terms.items()}
         for key, (c, g) in other._terms.items():
-            if key in out._terms:
-                out._terms[key][0] += c
-            else:
-                out._terms[key] = [c, g]
+            new = [c, g]
+            entry = out._terms.setdefault(key, new)
+            if entry is not new:
+                entry[0] += c
         out._prune()
         return out
 
@@ -1057,7 +1079,7 @@ class ChainComplex:
                 reps[key] = norm
                 self.basis.setdefault(norm.grade, []).append((key, norm))
         for grade in self.basis:
-            self.basis[grade].sort(key=lambda kv: _term_key(kv[0]))
+            self.basis[grade].sort(key=lambda kv: _term_order(*kv))
         self._key_index = {key: (grade, i)
                            for grade, items in self.basis.items()
                            for i, (key, _) in enumerate(items)}

@@ -45,7 +45,7 @@ from cornercalc.cells import (
 from cornercalc.chains import Generator, generator_boundary, numbered_tag
 from cornercalc.geometry import POINT_POLYTOPE, GeometryError, Polytope, box, interval
 from cornercalc.randgen import (associativity_instance, fibre_instance, random_cell,
-                                random_map)
+                                random_map, submersive_cell)
 from test_geometry import embedded_lattice_hull
 
 
@@ -153,17 +153,20 @@ def _sign(x):
     return 1 if x > 0 else -1
 
 
+def _embed(z, v):
+    """J: a tangent vector of the component z, in its own coordinates (p, phi),
+    carried into the factors' coordinates (p1, t1, p2, t2)."""
+    n1, s1, n2, _ = z.split
+    n = n1 + n2
+    dt = [sum(r[k] * v[k] for k in range(n)) + sum(c * x for c, x in zip(fc, v[n:]))
+          for r, fc in zip(z.t_rows, z.t_fcoefs)]
+    return tuple(v[:n1]) + tuple(dt[:s1]) + tuple(v[n1:n]) + tuple(dt[s1:])
+
+
 def _orientation_against(z, frame):
     """z's orientation against a frame of T(Z) given in the factors' coordinates."""
-    n1, s1, n2, s2 = z.split
-    n = n1 + n2
-
-    def embed(v):
-        dt = [sum(r[k] * v[k] for k in range(n)) + sum(c * x for c, x in zip(fc, v[n:]))
-              for r, fc in zip(z.t_rows, z.t_fcoefs)]
-        return tuple(v[:n1]) + tuple(dt[:s1]) + tuple(v[n1:n]) + tuple(dt[s1:])
-
-    return _sign(change_of_basis_det([embed(v) for v in z.cell.frame], frame)) * z.cell.sign
+    return (_sign(change_of_basis_det([_embed(z, v) for v in z.cell.frame], frame))
+            * z.cell.sign)
 
 
 def test_kernel_recipes_agree():
@@ -929,3 +932,102 @@ def test_boundary_data_is_computed_once_per_polytope(monkeypatch):
     canonical_cell_map(Cell(p, 1), cmap)
     canonical_cell_map(Cell(p, 1, None, -1), cmap2)
     assert calls == Counter()
+
+
+# ---------------------------------------------------------------------------
+# Fibre-product orientation against the frame rule solved vector by vector
+# ---------------------------------------------------------------------------
+
+def _reference_orientation(z, c1, f1, c2, f2):
+    """(sign, orientable) of the component z by the frame rule as first
+    written: kernels and target lifts solved per unit vector, each frame
+    vector lifted through the other map on its own, then each solved against
+    J, carried back to ambient coordinates and folded into a Cell."""
+    m = f1.target.dim
+    zero1, zero2 = (F(0),) * c1.ambient, (F(0),) * c2.ambient
+
+    def coorientation(c, f):
+        kernel, lifts = _kernel_and_lifts(c, f)
+        frame = lifts + kernel
+        return kernel, c.sign * (_sign(change_of_basis_det(frame, c.frame)) if frame else 1)
+
+    def lift(c, f, other, v):
+        rows = [tuple(f.a[i]) + tuple(f.m_t[i]) for i in range(m)]
+        d = [[sum(x * y for x, y in zip(r, u)) for u in c.frame] for r in rows]
+        dv = [sum(x * y for x, y in zip(tuple(other.a[i]) + tuple(other.m_t[i]), v))
+              for i in range(m)]
+        w = solve(d, dv)
+        if w is None:
+            return None
+        return tuple(sum(x * u[k] for x, u in zip(w, c.frame)) for k in range(c.ambient))
+
+    if is_interior_submersion(c2, f2):
+        k2, sign2 = coorientation(c2, f2)
+        lifts = [lift(c2, f2, f1, v) for v in c1.frame]
+        vecs = [v + w for v, w in zip(c1.frame, lifts) if w is not None]
+        vecs += [zero1 + k for k in k2]
+        sign = c1.sign * sign2
+    else:
+        k1, sign1 = coorientation(c1, f1)
+        lifts = [lift(c1, f1, f2, v) for v in c2.frame]
+        vecs = [k + zero2 for k in k1]
+        vecs += [w + v for v, w in zip(c2.frame, lifts) if w is not None]
+        sign = sign1 * (-1) ** (m * len(k1)) * c2.sign
+    if None in lifts:
+        return None, False
+    poly, s_z = z.cell.polytope, z.cell.torus_rank
+    basis = default_frame(poly, s_z)
+    j_cols = [_embed(z, v) for v in basis]
+    j_mat = [[col[i] for col in j_cols] for i in range(c1.ambient + c2.ambient)]
+    frame = []
+    for v in vecs:
+        x = solve(j_mat, v)
+        if x is None:
+            return None, False
+        frame.append(tuple(sum(xi * b[k] for xi, b in zip(x, basis))
+                           for k in range(poly.ambient_dim + s_z)))
+    try:
+        return Cell(poly, s_z, frame, sign).sign, True
+    except GeometryError:
+        return None, False
+
+
+def _assert_orientations_match_reference(c1, f1, c2, f2):
+    flags = set()
+    for z in fibre_product_cells(c1, f1, c2, f2):
+        sign, orientable = _reference_orientation(z, c1, f1, c2, f2)
+        assert z.orientable == orientable
+        if orientable:
+            assert z.cell.sign == sign
+        flags.add((z.transverse, z.orientable))
+    return flags
+
+
+_FIBRE_TARGETS = st.sampled_from((POINT, euclid(1), torus(1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_FIBRE_TARGETS, st.integers(0, 10**6))
+def test_fibre_orientation_matches_the_per_vector_recipe(target, seed):
+    rng = Random(seed)
+    _assert_orientations_match_reference(*fibre_instance(rng, target))
+    # an unfiltered pair, which may meet faces non-transversally, and the same
+    # first factor against a constant map, which the first-factor rule orients
+    c1, f1 = submersive_cell(rng, target)
+    c2, f2 = submersive_cell(rng, target)
+    _assert_orientations_match_reference(c1, f1, c2, f2)
+    value = [F(rng.randint(-4, 4), 4) for _ in range(target.dim)]
+    _assert_orientations_match_reference(
+        c1, f1, c2, constant_map(target, c2.polytope.ambient_dim, c2.torus_rank, value))
+
+
+def test_fibre_orientation_reference_on_unorientable_components():
+    line = CellMap(euclid(1), [[1]], [[]], [0])
+    plane = CellMap(euclid(1), [[1, 0]], [[]], [0])
+    # two intervals meeting at one point: a frame of length 1 on a point
+    assert _assert_orientations_match_reference(
+        Cell(interval(0, 1)), line, Cell(interval(-1, 0)), line) == {(False, False)}
+    # two squares meeting along an edge: three frame vectors on a square
+    assert _assert_orientations_match_reference(
+        Cell(box([(0, 1), (0, 1)])), plane, Cell(box([(-1, 0), (0, 1)]), 0, None, -1),
+        plane) == {(False, False)}

@@ -42,6 +42,7 @@ from cornercalc.chains import (
     generator_boundary,
     identity_target_map,
     merge_labels,
+    numbered_tag,
     pushforward,
     simplex_face_complex,
     singular_boundary,
@@ -51,7 +52,8 @@ from cornercalc.chains import (
     verify_dd_zero,
 )
 from cornercalc.geometry import Polytope, box, interval, octahedron, standard_simplex
-from cornercalc.randgen import random_chain, random_cochain
+from cornercalc.products import cap, cup
+from cornercalc.randgen import random_chain, random_chain_over, random_cochain
 from test_geometry import embedded_lattice_hull
 
 
@@ -684,3 +686,57 @@ def test_face_complex_negative_controls():
     assert _nonzero(cx.betti()) != {0: 1, 1: 1}
     with pytest.raises(ChainError):
         ChainComplex(face_complex(sq)[:edge] + face_complex(sq)[edge + 1:])
+
+
+# ---------------------------------------------------------------------------
+# Term order: the per-tag order key against _term_key on the whole key
+# ---------------------------------------------------------------------------
+
+# label prefixes of every atom type, so labels compare int with str and tuple
+_PREFIXES = (3, "s", ("t", 0), (1, "x"), ())
+
+
+def _assert_term_key_order(ch):
+    want = sorted(ch._terms.items(), key=lambda kv: _term_key(kv[0]))
+    got = ch.terms()
+    assert len(got) == len(want)
+    assert all(c == c2 and g is g2 for (c, g), (_, (c2, g2)) in zip(got, want))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(_PREFIXES), st.sampled_from(_PREFIXES))
+def test_terms_order_matches_term_key(seed, p1, p2):
+    rng = Random(seed)
+    ch = (random_chain(rng, p1, max_terms=6, max_ambient=3)
+          + random_chain(rng, p2, max_terms=6, max_ambient=3))
+    # one cell and map under shuffled numberings of every prefix: the labels
+    # decide the order
+    _, g = ch.terms()[0]
+    faces = list(g.cell.polytope._fd.face_dims())
+    tags = []
+    for prefix in _PREFIXES + _PREFIXES:
+        numbers = rng.sample(range(len(faces)), len(faces))
+        tags.append(Tag.of_masks(g.cell.polytope.vertices,
+                                 [(f, ((prefix, i),)) for f, i in zip(faces, numbers)]))
+    same = Chain([(k + 1, Generator(g.cell, g.cmap, tag)) for k, tag in enumerate(tags)])
+    y = torus(rng.randint(1, 2))
+    d1, d2 = random_cochain(rng, y, p1), random_cochain(rng, y, ("b", p2))
+    c = random_chain_over(rng, y, ("c", p2))
+    for x in (ch, boundary(ch), same, boundary(same), d1 + d2, boundary(d1),
+              cup(d1, d2), cup(d2, d1), cap(c, d1), boundary(cap(c, d2))):
+        _assert_term_key_order(x)
+
+
+def test_complex_basis_order_matches_term_key():
+    gens = []
+    polys = (standard_simplex(2), box([(0, 1), (0, 1)]), interval(0, 1), octahedron(),
+             standard_simplex(1))
+    for prefix, p in zip(_PREFIXES + _PREFIXES, polys + polys[1:] + polys[:1]):
+        big = numbered_tag(p, prefix)
+        cmap = constant_map(POINT, p.ambient_dim, 0)
+        gens += [Generator(Cell(p.face_from_mask(g), 0), cmap, big.restrict(g))
+                 for g in p._fd.face_dims()]
+    cc = ChainComplex(gens)
+    for items in cc.basis.values():
+        assert items == sorted(items, key=lambda kv: _term_key(kv[0]))
+    assert cc.betti() == {0: 10, 1: 0, 2: 0, 3: 0}

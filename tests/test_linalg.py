@@ -26,6 +26,7 @@ from cornercalc._linalg import (
     rref,
     smith_normal_form,
     solve,
+    solve_columns,
     solve_integer,
     transpose,
     vec,
@@ -366,3 +367,44 @@ def test_integer_matrix_inverse_matches_sympy():
     assert integer_matrix_inverse([[2, 0], [0, 1]]) is None
     assert integer_matrix_inverse([[1, 2], [2, 4]]) is None
     assert integer_matrix_inverse([[1, 2]]) is None
+
+
+def _sympy_solve(m, b, ncols):
+    """The solution of m x = b with sympy's free parameters set to 0, or None."""
+    try:
+        sol, params = _sym(m, ncols).gauss_jordan_solve(
+            sympy.Matrix(len(b), 1, [sympy.Rational(x.numerator, x.denominator) for x in b]))
+    except ValueError:
+        return None
+    sol = sol.subs({p: 0 for p in params})
+    return tuple(_frac(x) for x in sol)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices(), st.data())
+@example(((Fraction(1), Fraction(0)), (Fraction(2), Fraction(0))), None)
+def test_solve_columns_matches_per_column_solve(m, data):
+    ncols = len(m[0]) if m else 0
+    if data is None:
+        # one consistent and one inconsistent right-hand side
+        rhs = [(Fraction(1), Fraction(2)), (Fraction(1), Fraction(1))]
+    else:
+        rhs = []
+        for _ in range(data.draw(st.integers(0, 4))):
+            if data.draw(st.booleans()):
+                x = [data.draw(_entries) for _ in range(ncols)]
+                rhs.append(tuple(sum((r * y for r, y in zip(row, x)), Fraction(0))
+                                 for row in m))
+            else:
+                rhs.append(tuple(data.draw(_entries) for _ in m))
+    per_column = [solve(m, b) for b in rhs]
+    if m:
+        assert per_column == [_sympy_solve(m, b, ncols) for b in rhs]
+    got = solve_columns(m, rhs)
+    if None in per_column:
+        assert got is None
+    else:
+        assert got == per_column
+        assert all(type(x) is Fraction for xs in got for x in xs)
+    with pytest.raises(ValueError, match="right-hand side length"):
+        solve_columns(m, rhs + [(Fraction(0),) * (len(m) + 1)])
