@@ -173,7 +173,11 @@ def _law(lhs: Chain, rhs: Chain, failure: str) -> CheckReport:
 def check_cup_supercommutative(c1: Chain, c2: Chain) -> CheckReport:
     """cup(c1, c2) equals the sign-weighted swap, transported by the
     coordinate-exchange witness per generator pair."""
-    lhs = cup(c1, c2)
+    return _cup_supercommutative(c1, c2, cup(c1, c2))
+
+
+def _cup_supercommutative(c1: Chain, c2: Chain, c12: Chain) -> CheckReport:
+    """check_cup_supercommutative with c12 = cup(c1, c2) given."""
     rhs = Chain(ring=c1.ring)
     for a1, g1 in c1.terms():
         for a2, g2 in c2.terms():
@@ -185,21 +189,33 @@ def check_cup_supercommutative(c1: Chain, c2: Chain) -> CheckReport:
                      for coeff, g in _pair(g2, g1)]
             rhs = rhs + Chain([(sign * a1 * a2 * coeff, g)
                                for coeff, g in moved], ring=c1.ring)
-    checked = len(lhs.terms())
-    if lhs == rhs:
+    checked = len(c12.terms())
+    if c12 == rhs:
         return CheckReport(True, checked, True)
     return CheckReport(False, checked, True, ("swap comparison failed",))
 
 
 def check_cup_associative(c1: Chain, c2: Chain, c3: Chain) -> CheckReport:
-    return _law(cup(cup(c1, c2), c3), cup(c1, cup(c2, c3)), "associativity failed")
+    return _cup_associative(c1, c2, c3, cup(c1, c2))
+
+
+def _cup_associative(c1: Chain, c2: Chain, c3: Chain, c12: Chain) -> CheckReport:
+    """check_cup_associative with c12 = cup(c1, c2) given."""
+    return _law(cup(c12, c3), cup(c1, cup(c2, c3)), "associativity failed")
 
 
 def check_cup_leibniz(c1: Chain, c2: Chain) -> CheckReport:
+    if homogeneous_degree(c1) is None:
+        return CheckReport(True, 0, True)
+    return _cup_leibniz(c1, c2, cup(c1, c2))
+
+
+def _cup_leibniz(c1: Chain, c2: Chain, c12: Chain) -> CheckReport:
+    """check_cup_leibniz with c12 = cup(c1, c2) given."""
     k = homogeneous_degree(c1)
     if k is None:
         return CheckReport(True, 0, True)
-    return _law(boundary(cup(c1, c2)),
+    return _law(boundary(c12),
                 cup(boundary(c1), c2) + cup(c1, boundary(c2)).scale(_sign(k)),
                 "cochain Leibniz failed")
 
@@ -217,11 +233,15 @@ def check_cup_identity(c: Chain) -> CheckReport:
 
 
 def check_dga(c1: Chain, c2: Chain, c3: Chain) -> CheckReport:
-    """Supercommutativity, Leibniz, associativity, and the unit laws."""
+    """Supercommutativity, Leibniz, associativity, and the unit laws.
+
+    cup(c1, c2) is computed once and shared by the first three.
+    """
+    c12 = cup(c1, c2)
     reports = {
-        "supercommutativity": check_cup_supercommutative(c1, c2),
-        "leibniz": check_cup_leibniz(c1, c2),
-        "associativity": check_cup_associative(c1, c2, c3),
+        "supercommutativity": _cup_supercommutative(c1, c2, c12),
+        "leibniz": _cup_leibniz(c1, c2, c12),
+        "associativity": _cup_associative(c1, c2, c3, c12),
         "identity": check_cup_identity(c1),
     }
     bad = tuple(name for name, rep in reports.items() if not rep.ok)
