@@ -47,6 +47,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from ._linalg import (
@@ -127,6 +128,9 @@ def torus(m: int) -> Target:
 # ---------------------------------------------------------------------------
 # Cells and cell maps
 # ---------------------------------------------------------------------------
+
+_ZERO = Fraction(0)
+
 
 def _unit(n: int, i: int) -> Vec:
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
@@ -264,12 +268,23 @@ class CellMap:
 
 
 def _differential_vec(cmap: CellMap, n: int, v: Vec) -> Vec:
-    """d(cmap) applied to v in R^(n+s), polytope part first."""
+    """d(cmap) applied to v in R^(n+s), polytope part first.
+
+    Zero entries of A, M and v are skipped and M's integers multiply v's
+    Fractions directly.
+    """
     p_part, t_part = v[:n], v[n:]
-    return tuple(
-        sum(cmap.a[i][j] * p_part[j] for j in range(n))
-        + sum(frac(cmap.m_t[i][j]) * t_part[j] for j in range(len(t_part)))
-        for i in range(cmap.target.dim))
+    out = []
+    for arow, trow in zip(cmap.a, cmap.m_t):
+        x = _ZERO
+        for a, y in zip(arow, p_part):
+            if a and y:
+                x += a * y
+        for t, y in zip(trow, t_part):
+            if t and y:
+                x += t * y
+        out.append(x)
+    return tuple(out)
 
 
 def constant_map(target: Target, n: int, s: int, value: Iterable = None) -> CellMap:
@@ -832,6 +847,52 @@ def has_free_circle(cell: Cell, cmap: CellMap) -> bool:
     return rank(mat(cols)) < s
 
 
+@lru_cache(maxsize=4096)
+def _torus_form(m_t: IntMat, is_torus: bool):
+    """(H, det U, pivots, lattice): the torus part of canonical_cell_map for M_t.
+
+    H = M_t U is the column Hermite form, U in GL_s(Z) with det U = +-1 (M_t
+    itself, det 1, when it has no rows or no columns).  pivots are
+    (row, value, column of H) for each nonzero column of H.  lattice is None
+    unless the target is a torus with rows outside the pivot rows; then it is
+    (npiv, denom, hb): those rows, and the Hermite form hb of denom times the
+    reduced unit vectors read on them, square and lower triangular, which
+    spans the reduced image of Z^m there.  The unimodularity and echelon
+    checks run here, once per matrix.
+    """
+    m = len(m_t)
+    if m and m_t[0]:
+        h, uc = hermite_column(m_t)
+        det_u = det(uc)
+        if det_u not in (1, -1):
+            raise AssertionError("hermite transform must be unimodular")
+        det_u = int(det_u)
+    else:
+        h, det_u = m_t, 1
+    pivots = tuple((p, d, tuple(row[t] for row in h)) for p, d, t in _pivots_of(h))
+    lattice = None
+    pivot_rows = {p for p, _, _ in pivots}
+    npiv = tuple(k for k in range(m) if k not in pivot_rows)
+    if is_torus and npiv:
+        # the reduced translates Z^m hold the unit vectors of the
+        # non-pivot rows, so their Hermite form is square on those rows
+        gens = [_reduce(pivots, _unit(m, k)) for k in range(m)]
+        denom = math.lcm(*(g[j].denominator for g in gens for j in npiv))
+        hb, _ = hermite_column([[int(g[j] * denom) for g in gens] for j in npiv])
+        lattice = (npiv, denom, hb)
+    return h, det_u, pivots, lattice
+
+
+def _reduce(pivots, x) -> list:
+    """x modulo the torus columns, zero at their pivot rows."""
+    x = list(x)
+    for p, d, col in pivots:
+        q = x[p] / d
+        if q:
+            x = [xi - q * ci for xi, ci in zip(x, col)]
+    return x
+
+
 def canonical_cell_map(cell: Cell, cmap: CellMap):
     """Canonical representative of (cell, map) under cell isomorphism.
 
@@ -844,58 +905,44 @@ def canonical_cell_map(cell: Cell, cmap: CellMap):
     the sign does not move.  Over a torus the offset is further reduced
     modulo the image of the integer lattice.  Both moves commute with the
     map, so they preserve the orientation dictionary and serve cochains too.
+
+    The offset is reduce(b + A p0), p0 the hull origin (the point of aff(P)
+    whose free coordinates are 0).  It equals reduce(A v0 + b) less the new
+    linear part at v0: v0 - p0 = sum_c v0_c w_c over the hull directions,
+    reduce is a linear projection along the torus columns, and it fixes
+    each reduced column.  The arithmetic is exact, so the identity holds
+    entry for entry.  Each row of A is read as integers over its
+    denominators' lcm against the hull's integer chart (hull_chart), so an
+    entry of the new A or b is made as one Fraction.  The Hermite form, its
+    sign, the pivots and the reduced lattice depend on M alone (and on
+    whether the target is a torus): they are computed once per integral
+    matrix (_torus_form).
     """
     n = cell.polytope.ambient_dim
-    s = cell.torus_rank
     m = cmap.target.dim
-    sign = cell.sign
-
-    if s > 0 and m > 0:
-        new_mt, uc = hermite_column(cmap.m_t)
-        det_u = det(uc)
-        if det_u not in (1, -1):
-            raise AssertionError("hermite transform must be unimodular")
-        sign *= int(det_u)
-    else:
-        new_mt = cmap.m_t
-
-    pivots = [(p, d, tuple(row[t] for row in new_mt))
-              for p, d, t in _pivots_of(new_mt)]
-
-    def reduce(x):
-        """x modulo the torus columns, zero at their pivot rows."""
-        x = list(x)
-        for p, d, col in pivots:
-            q = x[p] / d
-            if q:
-                x = [xi - q * ci for xi, ci in zip(x, col)]
-        return x
-
+    new_mt, det_u, pivots, lattice = _torus_form(cmap.m_t, cmap.target.is_torus)
     new_a = cmap.a
-    new_b = list(cmap.b)
-    if m > 0 and n > 0:
-        v0 = cell.polytope.vertices[0]
-        val0 = [new_b[i] + sum(new_a[i][c] * v0[c] for c in range(n))
-                for i in range(m)]
-        # The direction w_c of aff(P) with free coordinates e_c: its value
-        # under the map, reduced, is column c of the new linear part.
-        cols = {c: reduce([sum(row[j] * x for j, x in w) for row in new_a])
-                for c, w in cell.polytope._fd.hull_directions()}
-        new_a = [tuple(cols[c][i] if c in cols else Fraction(0) for c in range(n))
-                 for i in range(m)]
-        new_b = [val0[i] - sum(new_a[i][c] * v0[c] for c in range(n))
-                 for i in range(m)]
-
+    new_b = cmap.b
     if m > 0:
-        new_b = reduce(new_b)
-        pivot_rows = {p for p, _, _ in pivots}
-        npiv = [k for k in range(m) if k not in pivot_rows]
-        if cmap.target.is_torus and npiv:
-            # the reduced translates Z^m hold the unit vectors of the
-            # non-pivot rows, so their Hermite form is square on those rows
-            gens = [reduce(_unit(m, k)) for k in range(m)]
-            denom = math.lcm(*(g[j].denominator for g in gens for j in npiv))
-            hb, _ = hermite_column([[int(g[j] * denom) for g in gens] for j in npiv])
+        den, dirs, origin = cell.polytope._fd.hull_chart()
+        rows = []
+        for row in cmap.a:
+            scale = math.lcm(*(x.denominator for x in row))
+            rows.append(([x.numerator * (scale // x.denominator) for x in row], scale * den))
+        if n > 0:
+            # The direction w_c of aff(P) with free coordinates e_c: its value
+            # under the map, reduced, is column c of the new linear part.
+            cols = {c: _reduce(pivots, [Fraction(sum(r[j] * x for j, x in w), d)
+                                        for r, d in rows])
+                    for c, w in dirs}
+            new_a = [tuple(cols[c][i] if c in cols else _ZERO for c in range(n))
+                     for i in range(m)]
+        new_b = _reduce(pivots, [
+            Fraction(bi.numerator * d + bi.denominator * sum(r[j] * x for j, x in origin),
+                     bi.denominator * d)
+            for (r, d), bi in zip(rows, cmap.b)])
+        if lattice is not None:
+            npiv, denom, hb = lattice
             x = [new_b[j] * denom for j in npiv]
             for i in range(len(npiv)):
                 q = math.floor(x[i] / hb[i][i])
@@ -905,7 +952,8 @@ def canonical_cell_map(cell: Cell, cmap: CellMap):
             for idx, j in enumerate(npiv):
                 new_b[j] = x[idx] / denom
 
-    return Cell(cell.polytope, s, sign=sign), CellMap(cmap.target, new_a, new_mt, tuple(new_b))
+    return (Cell(cell.polytope, cell.torus_rank, sign=cell.sign * det_u),
+            CellMap(cmap.target, new_a, new_mt, tuple(new_b)))
 
 
 def canonical_form(cell: Cell, cmap: CellMap):

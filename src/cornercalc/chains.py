@@ -399,7 +399,10 @@ def _normal_form(gen: Generator):
     The key ends in the tag and in True for a cochain, None for a chain.
     """
     key, sign, cell, cmapc = canonical_form(gen.cell, gen.cmap)
-    if has_free_circle(cell, cmapc):
+    # cmapc.m_t is in column Hermite form, its zero columns last, so a free
+    # circle (has_free_circle) is a zero last column, or no target rows
+    s = cell.torus_rank
+    if s and not any(row[s - 1] for row in cmapc.m_t):
         return None
     key += (gen.tag.labels, gen.is_cochain or None)
     return key, sign, Generator(Cell(cell.polytope, cell.torus_rank), cmapc, gen.tag,

@@ -234,9 +234,10 @@ class _FaceData:
     (local_ints), and the hull's equations and the facets as primitive
     integer rows (rows).  Fractions are made once, for what is handed out.
     The boundary data is lazy too: each facet's polytope and the sign of
-    its frame, outward vector first, against dir_basis (facet_cells), and
-    the directions of the affine hull on its free coordinates
-    (hull_directions).
+    its frame, outward vector first, against dir_basis (facet_cells), the
+    directions of the affine hull on its free coordinates
+    (hull_directions), the point of the hull whose free coordinates are
+    all 0 (hull_origin), and both over one common denominator (hull_chart).
     """
 
     def __init__(self, ambient_dim: int, vertices: tuple[Vec, ...]):
@@ -265,6 +266,8 @@ class _FaceData:
         self.equations: Optional[list] = None
         self._facet_cells: Optional[list] = None
         self._hull_directions: Optional[list] = None
+        self._hull_origin: Optional[tuple] = None
+        self._hull_chart: Optional[tuple] = None
 
     def key(self, mask: int) -> FaceKey:
         """The face key of a bitmask over the vertices."""
@@ -372,6 +375,37 @@ class _FaceData:
                                                 if row[c]))
                 for c in range(self.ambient_dim) if c not in piv]
         return self._hull_directions
+
+    def hull_origin(self) -> tuple[tuple[int, Fraction], ...]:
+        """The point p0 = v0 - sum_c v0_c w_c of the affine hull, w_c from hull_directions.
+
+        Its free coordinates are all 0, so it is kept sparse, as the
+        (index, value) pairs of its nonzero coordinates, all pivots of the
+        hull's equations: empty for a full-dimensional vertex set, the
+        vertex itself for a point.
+        """
+        if self._hull_origin is None:
+            v0 = self.vertices[0]
+            p0 = list(v0)
+            for c, w in self.hull_directions():
+                if v0[c]:
+                    for j, x in w:
+                        p0[j] -= v0[c] * x
+            self._hull_origin = tuple((j, x) for j, x in enumerate(p0) if x)
+        return self._hull_origin
+
+    def hull_chart(self) -> tuple[int, tuple[tuple[int, tuple[tuple[int, int], ...]], ...],
+                                  tuple[tuple[int, int], ...]]:
+        """(den, directions, origin): hull_directions() and hull_origin() times
+        their denominators' lcm den, as sparse (index, integer) pairs."""
+        if self._hull_chart is None:
+            dirs, origin = self.hull_directions(), self.hull_origin()
+            den = lcm(*(x.denominator for _, w in dirs for _, x in w),
+                      *(x.denominator for _, x in origin))
+            self._hull_chart = (den, tuple((c, tuple((j, int(x * den)) for j, x in w))
+                                           for c, w in dirs),
+                                tuple((j, int(x * den)) for j, x in origin))
+        return self._hull_chart
 
     # -- affine-hull coordinates --------------------------------------------
 

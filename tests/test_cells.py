@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cornercalc._linalg import (canonical_frame, change_of_basis_det, det,
                                 hermite_column, integer_matrix_inverse, kernel_basis,
-                                mat, rank, rref, solve)
+                                mat, rank, rref, solve, transpose)
 from cornercalc.cells import (
     POINT,
     Cell,
@@ -21,6 +21,8 @@ from cornercalc.cells import (
     Coorientation,
     FibreProductError,
     MapError,
+    Target,
+    _differential_vec,
     _pivots_of,
     _slice_polytope,
     canonical_cell_map,
@@ -42,11 +44,11 @@ from cornercalc.cells import (
     torus,
     validate_coorientation,
 )
-from cornercalc.chains import Generator, generator_boundary, numbered_tag
+from cornercalc.chains import Generator, _normal_form, generator_boundary, numbered_tag
 from cornercalc.geometry import POINT_POLYTOPE, GeometryError, Polytope, box, interval
 from cornercalc.randgen import (associativity_instance, fibre_instance, random_cell,
                                 random_map, submersive_cell)
-from test_geometry import embedded_lattice_hull
+from test_geometry import embedded_lattice_hull, placed_rational_hull
 
 
 def test_target_products():
@@ -932,6 +934,129 @@ def test_boundary_data_is_computed_once_per_polytope(monkeypatch):
     canonical_cell_map(Cell(p, 1), cmap)
     canonical_cell_map(Cell(p, 1, None, -1), cmap2)
     assert calls == Counter()
+
+
+# ---------------------------------------------------------------------------
+# The canonical form's chart arithmetic, once per polytope and per integral
+# matrix, against the per-call formulas it replaced: the offset as the value
+# at v0 less the new linear part at v0, and the Hermite form, its determinant
+# and the reduced lattice recomputed on every call.
+# ---------------------------------------------------------------------------
+
+def _parent_canonical_cell_map(cell, cmap):
+    n, s, m = cell.polytope.ambient_dim, cell.torus_rank, cmap.target.dim
+    sign = cell.sign
+    if s > 0 and m > 0:
+        new_mt, uc = hermite_column(cmap.m_t)
+        det_u = det(uc)
+        assert det_u in (1, -1)
+        sign *= int(det_u)
+    else:
+        new_mt = cmap.m_t
+    pivots = [(p, d, tuple(row[t] for row in new_mt)) for p, d, t in _pivots_of(new_mt)]
+
+    def reduce(x):
+        x = list(x)
+        for p, d, col in pivots:
+            q = x[p] / d
+            if q:
+                x = [xi - q * ci for xi, ci in zip(x, col)]
+        return x
+
+    new_a, new_b = cmap.a, list(cmap.b)
+    if m > 0 and n > 0:
+        v0 = cell.polytope.vertices[0]
+        val0 = [new_b[i] + sum(new_a[i][c] * v0[c] for c in range(n)) for i in range(m)]
+        cols = {c: reduce([sum(row[j] * x for j, x in w) for row in new_a])
+                for c, w in cell.polytope._fd.hull_directions()}
+        new_a = [tuple(cols[c][i] if c in cols else F(0) for c in range(n)) for i in range(m)]
+        new_b = [val0[i] - sum(new_a[i][c] * v0[c] for c in range(n)) for i in range(m)]
+    if m > 0:
+        new_b = reduce(new_b)
+        npiv = [k for k in range(m) if k not in {p for p, _, _ in pivots}]
+        if cmap.target.is_torus and npiv:
+            gens = [reduce(tuple(F(int(i == k)) for i in range(m))) for k in range(m)]
+            denom = math.lcm(*(g[j].denominator for g in gens for j in npiv))
+            hb, _ = hermite_column([[int(g[j] * denom) for g in gens] for j in npiv])
+            x = [new_b[j] * denom for j in npiv]
+            for i in range(len(npiv)):
+                q = math.floor(x[i] / hb[i][i])
+                if q:
+                    for k in range(i, len(npiv)):
+                        x[k] -= q * hb[k][i]
+            for idx, j in enumerate(npiv):
+                new_b[j] = x[idx] / denom
+    return Cell(cell.polytope, s, sign=sign), CellMap(cmap.target, new_a, new_mt, tuple(new_b))
+
+
+_thirds = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def hull_cell_and_map(draw):
+    """A rational lattice hull of dimension 0 to 3 in R^n, n <= 4 (mostly of
+    lower dimension), times T^s, s <= 2, with a map to a point, R^m or T^m,
+    m <= 3.  Over a torus the integral part is zero, of rank at most one
+    (multiples of one column) or arbitrary."""
+    p = draw(placed_rational_hull())
+    kind = draw(st.sampled_from(("point", "euclid", "torus")))
+    shape = draw(st.sampled_from(("zero", "low", "any"))) if kind == "torus" else "zero"
+    # rank at most one is deficient on two columns and two rows or more
+    n, s = p.ambient_dim, 2 if shape == "low" else draw(st.integers(0, 2))
+    m = 0 if kind == "point" else draw(st.integers(2 if shape == "low" else 1, 3))
+    target = POINT if m == 0 else Target(kind, m)
+    a = [[draw(_thirds) for _ in range(n)] for _ in range(m)]
+    b = [draw(st.fractions(min_value=-5, max_value=5, max_denominator=6)) for _ in range(m)]
+    entry = st.integers(-3, 3)
+    if shape == "zero":
+        m_t = [[0] * s for _ in range(m)]
+    elif shape == "low":
+        col, mult = [draw(entry) for _ in range(m)], [draw(entry) for _ in range(s)]
+        m_t = [[x * y for y in mult] for x in col]
+    else:
+        m_t = [[draw(entry) for _ in range(s)] for _ in range(m)]
+    sign = draw(st.sampled_from((1, -1)))
+    return Cell(p, s, None, sign), CellMap(target, a, m_t, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hull_cell_and_map())
+def test_canonical_cell_map_matches_parent_formula(data):
+    cell, cmap = data
+    got_cell, got_map = canonical_cell_map(cell, cmap)
+    want_cell, want_map = _parent_canonical_cell_map(cell, cmap)
+    assert got_cell.sign == want_cell.sign
+    assert got_cell.polytope == want_cell.polytope
+    assert got_cell.torus_rank == want_cell.torus_rank
+    assert repr(got_map) == repr(want_map)
+    # the canonical M is in Hermite form: a free circle is a missing pivot
+    s = cell.torus_rank
+    free = len(_pivots_of(got_map.m_t)) < s
+    assert has_free_circle(cell, cmap) == has_free_circle(got_cell, got_map) == free
+    gen = Generator(cell, cmap, numbered_tag(cell.polytope))
+    assert (_normal_form(gen) is None) == free
+
+
+def _parent_differential_vec(cmap, n, v):
+    p_part, t_part = v[:n], v[n:]
+    return tuple(
+        sum(cmap.a[i][j] * p_part[j] for j in range(n))
+        + sum(F(cmap.m_t[i][j]) * t_part[j] for j in range(len(t_part)))
+        for i in range(cmap.target.dim))
+
+
+@settings(max_examples=150, deadline=None)
+@given(hull_cell_and_map(), st.data())
+def test_differential_vec_matches_parent_formula(data, more):
+    cell, cmap = data
+    n, s = cell.polytope.ambient_dim, cell.torus_rank
+    # sparse vectors, as frame vectors are, and dense ones
+    v = tuple(more.draw(st.lists(st.one_of(st.just(F(0)), _thirds),
+                                 min_size=n + s, max_size=n + s)))
+    assert _differential_vec(cmap, n, v) == _parent_differential_vec(cmap, n, v)
+    want = [_parent_differential_vec(cmap, n, u) for u in cell.frame]
+    want = transpose(mat(want)) if want else tuple(() for _ in range(cmap.target.dim))
+    assert repr(cmap.differential_on(cell)) == repr(want)
 
 
 # ---------------------------------------------------------------------------

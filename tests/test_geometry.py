@@ -835,3 +835,60 @@ def test_membership_matches_fraction_formulas(data):
             else:
                 with pytest.raises(GeometryError, match="not contained"):
                     shape.tight_facets(q)
+
+
+# ---------------------------------------------------------------------------
+# The hull origin: the point of the affine hull whose free coordinates are 0
+# ---------------------------------------------------------------------------
+
+@st.composite
+def placed_rational_hull(draw):
+    """A rational lattice hull of dimension at most k (k = 0..3) in R^n
+    (n = max(k, 1)..4): points (c, B c) + s, c in Z^k, B and s rational, with
+    the coordinates permuted, so any coordinates may be the hull's pivots.
+    Most draws are lower-dimensional than R^n."""
+    k = draw(st.integers(0, 3))
+    n = draw(st.integers(max(k, 1), 4))
+    coeffs = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * k), min_size=k + 1,
+                           max_size=k + 3, unique=True))
+    extra = [_rational(draw, draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k)))
+             for _ in range(n - k)]
+    shift = _rational(draw, draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+    perm = draw(st.permutations(range(n)))
+    pts = []
+    for c in coeffs:
+        full = [x + t for x, t in zip(list(c) + [dot(row, c) for row in extra], shift)]
+        pts.append([full[j] for j in perm])
+    return Polytope.from_points(n, pts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(placed_rational_hull())
+def test_hull_origin_is_the_hull_point_with_free_coordinates_zero(p):
+    """hull_origin and hull_chart against hull_equations and hull_directions."""
+    fd = p._fd
+    origin = fd.hull_origin()
+    assert [j for j, _ in origin] == sorted({j for j, _ in origin})
+    assert all(x != 0 for _, x in origin)
+    p0 = [Fraction(0)] * p.ambient_dim
+    for j, x in origin:
+        p0[j] = x
+    assert all(dot(e, p0) == c for e, c in fd.hull_equations())
+    assert all(p0[c] == 0 for c, _ in fd.hull_directions())
+    # every vertex is the origin plus its free coordinates along the directions
+    for v in p.vertices:
+        point = list(p0)
+        for c, w in fd.hull_directions():
+            for j, x in w:
+                point[j] += v[c] * x
+        assert tuple(point) == v
+    if p.dim == p.ambient_dim:
+        assert origin == ()
+    if p.dim == 0:
+        assert tuple(p0) == p.vertices[0]
+    # the integer chart is the same data over one denominator
+    den, dirs, ints = fd.hull_chart()
+    assert den >= 1 and all(type(x) is int for _, x in ints)
+    assert tuple((j, Fraction(x, den)) for j, x in ints) == origin
+    assert [(c, tuple((j, Fraction(x, den)) for j, x in w)) for c, w in dirs] == \
+        fd.hull_directions()
