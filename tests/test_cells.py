@@ -943,7 +943,9 @@ def test_boundary_data_is_computed_once_per_polytope(monkeypatch):
 # and the reduced lattice recomputed on every call.
 # ---------------------------------------------------------------------------
 
-def _parent_canonical_cell_map(cell, cmap):
+def _per_call_canonical_cell_map(cell, cmap):
+    """canonical_cell_map with the offset A v0 + b less the new A at v0, and the
+    torus form recomputed on every call."""
     n, s, m = cell.polytope.ambient_dim, cell.torus_rank, cmap.target.dim
     sign = cell.sign
     if s > 0 and m > 0:
@@ -1024,7 +1026,7 @@ def hull_cell_and_map(draw):
 def test_canonical_cell_map_matches_parent_formula(data):
     cell, cmap = data
     got_cell, got_map = canonical_cell_map(cell, cmap)
-    want_cell, want_map = _parent_canonical_cell_map(cell, cmap)
+    want_cell, want_map = _per_call_canonical_cell_map(cell, cmap)
     assert got_cell.sign == want_cell.sign
     assert got_cell.polytope == want_cell.polytope
     assert got_cell.torus_rank == want_cell.torus_rank
@@ -1037,7 +1039,8 @@ def test_canonical_cell_map_matches_parent_formula(data):
     assert (_normal_form(gen) is None) == free
 
 
-def _parent_differential_vec(cmap, n, v):
+def _fraction_differential_vec(cmap, n, v):
+    """The differential on v with every entry of A and M made a Fraction."""
     p_part, t_part = v[:n], v[n:]
     return tuple(
         sum(cmap.a[i][j] * p_part[j] for j in range(n))
@@ -1053,8 +1056,8 @@ def test_differential_vec_matches_parent_formula(data, more):
     # sparse vectors, as frame vectors are, and dense ones
     v = tuple(more.draw(st.lists(st.one_of(st.just(F(0)), _thirds),
                                  min_size=n + s, max_size=n + s)))
-    assert _differential_vec(cmap, n, v) == _parent_differential_vec(cmap, n, v)
-    want = [_parent_differential_vec(cmap, n, u) for u in cell.frame]
+    assert _differential_vec(cmap, n, v) == _fraction_differential_vec(cmap, n, v)
+    want = [_fraction_differential_vec(cmap, n, u) for u in cell.frame]
     want = transpose(mat(want)) if want else tuple(() for _ in range(cmap.target.dim))
     assert repr(cmap.differential_on(cell)) == repr(want)
 
