@@ -214,6 +214,25 @@ def test_strata_golden_digest():
     assert h.hexdigest() == GOLDEN_STRATA_DIGEST
 
 
+# The strata digest sees only the characters of the direction representations;
+# this one pins their matrices, for every embedding of every case and every
+# component the embedding fixes.
+GOLDEN_DIRECTION_REP_DIGEST = (
+    "f5cfe0bb4e034a23f74577c508a6fec2bbf407d704b34690135ef78f9ec10c90")
+
+
+def test_direction_rep_golden_digest():
+    h = hashlib.sha256()
+    for _, act, sub, _ in _strata_cases():
+        for lam in injective_morphisms(sub, act.group):
+            for ci in range(len(act.spaces)):
+                if any(act.maps[img][ci].target != ci for _, img in lam):
+                    continue
+                rep = direction_rep(act, ci, elements=dict(lam), group=sub)
+                h.update(repr(rep.matrices).encode())
+    assert h.hexdigest() == GOLDEN_DIRECTION_REP_DIGEST
+
+
 def test_stabilizer_points():
     act = reflection_action()
     assert stabilizer(act, [0]) == ("r0", "r1")
