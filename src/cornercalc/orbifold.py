@@ -6,6 +6,15 @@ complement by the averaged projector; strata collect fixed loci whose
 nontrivial tangent character matches a prescribed class, and the forgetful map
 to the space is checked to have finite fibers.  Invariant generator data
 pushes down to quotient-marked generators consumed by the chain layer.
+
+The arithmetic runs on integers.  Each affine map of an action carries an
+integer view (A, a, m), the map x -> (A x + a) / m, built once per map: the
+vertex tables, the stabilizer of a point and the fixed-locus equations read
+it.  A direction representation reads each element's matrix through the
+component's integer chart (its direction basis and local coordinates over
+one denominator each), and a representation's homomorphism law is checked
+on its matrices over one common denominator.  Fractions are made once, for
+what is handed out.
 """
 
 from __future__ import annotations
@@ -13,12 +22,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from ._linalg import Mat, Vec, _scaled, frac, identity, kernel_basis, mat, matvec, solve, vec
 from .cells import Cell, CellMap, maps_agree
 from .chains import Chain, Generator, QuotientMarker, Tag
-from .geometry import Polytope, move_mask, section_polytope
+from .geometry import Polytope, _idot, move_mask, section_polytope
 
 
 class OrbifoldError(ValueError):
@@ -38,13 +49,14 @@ class FiniteGroup:
         elems = tuple(elements)
         if len(set(elems)) != len(elems) or not elems:
             raise OrbifoldError("group elements must be distinct and nonempty")
+        members = set(elems)
         tbl = {}
         for a in elems:
             for b in elems:
                 if (a, b) not in table:
                     raise OrbifoldError("multiplication table is incomplete")
                 c = table[(a, b)]
-                if c not in set(elems):
+                if c not in members:
                     raise OrbifoldError("product leaves the element set")
                 tbl[(a, b)] = c
         ident = None
@@ -202,6 +214,8 @@ def conjugate_morphism(lam: tuple, sigma, big: FiniteGroup) -> tuple:
 
 @dataclass(frozen=True)
 class ActionComponentMap:
+    """x -> matrix x + offset, onto component `target`."""
+
     target: int
     matrix: Mat
     offset: Vec
@@ -209,6 +223,15 @@ class ActionComponentMap:
     def apply(self, point: Sequence) -> Vec:
         return tuple(x + y for x, y in
                      zip(matvec(self.matrix, vec(point)), self.offset))
+
+    @cached_property
+    def ints(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]:
+        """(A, a, m): the map is x -> (A x + a) / m, over one denominator m."""
+        cols = len(self.matrix[0]) if self.matrix else 0
+        flat, m = _scaled([x for row in self.matrix for x in row] + list(self.offset))
+        rows = len(self.matrix)
+        return (tuple(tuple(flat[r * cols:(r + 1) * cols]) for r in range(rows)),
+                tuple(flat[rows * cols:]), m)
 
 
 class GroupAction:
@@ -221,9 +244,10 @@ class GroupAction:
     kept: tables[g][i][k] is the index of g.v in component maps[g][i].target
     for vertex k of component i, so faces move as vertex bitmasks.  The
     tables are built on integers: each component's vertices over one common
-    denominator, each map's matrix and offset over another, and an image
-    that falls off the target's vertex lattice is no vertex
-    (_vertex_images).
+    denominator, each map's matrix and offset over another (the map's
+    integer view ActionComponentMap.ints, built once per map and read again
+    by stabilizer, direction_rep and orbifold_stratum), and an image that
+    falls off the target's vertex lattice is no vertex (_vertex_images).
     """
 
     __slots__ = ("group", "spaces", "maps", "tables")
@@ -326,10 +350,8 @@ def _vertex_images(e: ActionComponentMap, src: tuple, dst_den: int, index: dict)
     m s X'.  An image with t (A X + a s) off the lattice m s Z^n is a miss.
     """
     xs, s = src
-    cols = len(e.matrix[0]) if e.matrix else 0
-    flat, m = _scaled([x for row in e.matrix for x in row] + list(e.offset))
-    mat_int = [flat[r * cols:(r + 1) * cols] for r in range(len(e.matrix))]
-    shift = [x * s for x in flat[len(e.matrix) * cols:]]
+    mat_int, offset, m = e.ints
+    shift = [x * s for x in offset]
     q = m * s
     out = []
     for x in xs:
@@ -340,14 +362,23 @@ def _vertex_images(e: ActionComponentMap, src: tuple, dst_den: int, index: dict)
 
 
 def stabilizer(action: GroupAction, point: Sequence, component: int = 0) -> tuple:
-    """Elements fixing the point; the point must lie in the component."""
+    """Elements fixing the point; the point must lie in the component.
+
+    With the point P / s over one denominator and an element's map
+    (A x + a) / m, the element fixes it when A P + a s = m P.
+    """
     p = vec(point)
     if not action.spaces[component].contains(p):
         raise OrbifoldError("point lies outside the component")
+    pt, s = _scaled(p)
     out = []
     for g in action.group.elements:
-        tgt, q = action.apply(g, p, component)
-        if tgt == component and q == p:
+        e = action.maps[g][component]
+        if e.target != component:
+            continue
+        mat_int, offset, m = e.ints
+        if all(_idot(row, pt) + c * s == m * x
+               for row, c, x in zip(mat_int, offset, pt)):
             out.append(g)
     return tuple(out)
 
@@ -357,7 +388,11 @@ def stabilizer(action: GroupAction, point: Sequence, component: int = 0) -> tupl
 # ---------------------------------------------------------------------------
 
 class RealRep:
-    """A rational matrix representation checked to be a homomorphism."""
+    """A rational matrix representation checked to be a homomorphism.
+
+    The law is checked on integers: with every matrix A_g / D over one
+    common denominator D, A_a A_b = D A_ab for all a, b.
+    """
 
     __slots__ = ("group", "dim", "matrices")
 
@@ -372,13 +407,16 @@ class RealRep:
             mats[g] = m
         if mats[group.identity] != identity(dim):
             raise OrbifoldError("identity must act as the identity matrix")
+        den = lcm(*(x.denominator for m in mats.values() for row in m for x in row))
+        ints = {g: [[x.numerator * (den // x.denominator) for x in row] for row in m]
+                for g, m in mats.items()}
+        cols = {g: list(zip(*m)) for g, m in ints.items()}
         for a in group.elements:
             for b in group.elements:
-                prod = tuple(tuple(sum(mats[a][i][k] * mats[b][k][j]
-                                       for k in range(dim))
-                                   for j in range(dim))
-                             for i in range(dim))
-                if prod != mats[group.mul(a, b)]:
+                ab = ints[group.mul(a, b)]
+                if any(_idot(row, col) != den * x
+                       for row, ab_row in zip(ints[a], ab)
+                       for col, x in zip(cols[b], ab_row)):
                     raise OrbifoldError("matrices do not form a homomorphism")
         self.group = group
         self.dim = dim
@@ -536,14 +574,20 @@ def direction_rep(action: GroupAction, component: int = 0,
     """The linear action on the direction space of a component.
 
     With a morphism given as the elements mapping, the representation is of
-    the smaller group through its images.
+    the smaller group through its images.  It is read through the
+    component's integer chart: with dir_basis B / den, its local
+    coordinates L / l and an element's matrix A / m, the element acts by
+    R / (l m den) for R = L A B^T, the coordinates of A B^T.  Those are
+    coordinates of the images exactly when the images lie in the direction
+    space, that is when B^T R = den l A B^T.
     """
     poly = action.spaces[component]
-    dirs = poly.dir_basis
-    d = len(dirs)
-    n = poly.ambient_dim
+    fd = poly._fd
+    d = fd.dim
     if d:
-        cols = mat(tuple(tuple(v[r] for v in dirs) for r in range(n)))
+        b, den = fd._dir_ints()
+        b_cols = list(zip(*b))
+        lint, lm = fd.local_ints()
     grp = group or action.group
     lam = elements or {g: g for g in grp.elements}
     mats = {}
@@ -551,14 +595,19 @@ def direction_rep(action: GroupAction, component: int = 0,
         entry = action.maps[lam[g]][component]
         if entry.target != component:
             raise OrbifoldError("element moves the component")
-        out = []
-        for v in dirs:
-            image = matvec(entry.matrix, v)
-            coords = solve(cols, image)
-            if coords is None:
-                raise OrbifoldError("direction space is not preserved")
-            out.append(coords)
-        mats[g] = tuple(tuple(out[j][i] for j in range(d)) for i in range(d))
+        if not d:
+            mats[g] = ()
+            continue
+        mat_int, _, m = entry.ints
+        # image_cols[j] = A B^T e_j, r_cols[j] = R e_j
+        image_cols = [[_idot(row, v) for row in mat_int] for v in b]
+        r_cols = [[_idot(row, w) for row in lint] for w in image_cols]
+        scale = den * lm
+        if any(_idot(bc, r) != scale * w_k
+               for r, w in zip(r_cols, image_cols) for bc, w_k in zip(b_cols, w)):
+            raise OrbifoldError("direction space is not preserved")
+        q = lm * m * den
+        mats[g] = tuple(tuple(Fraction(r[i], q) for r in r_cols) for i in range(d))
     return RealRep(grp, d, mats)
 
 
@@ -591,14 +640,12 @@ def orbifold_stratum(action: GroupAction, sub: FiniteGroup,
             if any(action.maps[img][ci].target != ci
                    for _, img in lam):
                 continue
+            # (A x + a) / m = x, row by row as (A - m I) x = -a
             eqs = []
-            n = poly.ambient_dim
             for _, img in lam:
-                entry = action.maps[img][ci]
-                for r in range(n):
-                    row = tuple(entry.matrix[r][c] - (1 if r == c else 0)
-                                for c in range(n))
-                    eqs.append((row, -entry.offset[r]))
+                mat_int, offset, m = action.maps[img][ci].ints
+                for r, (row, c) in enumerate(zip(mat_int, offset)):
+                    eqs.append((tuple(x - m if j == r else x for j, x in enumerate(row)), -c))
             locus = _cut_by_equations(poly, eqs)
             if locus is None:
                 continue

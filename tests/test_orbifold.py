@@ -1,15 +1,19 @@
 """Group actions on polytopes, fixed strata, fiber counts, and pushdowns."""
 
 import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from cornercalc._linalg import det, identity, mat, matvec, solve
 from cornercalc.cells import POINT, Cell, CellMap, euclid, torus
 from cornercalc.chains import Generator, QuotientMarker, Tag, chain
 from cornercalc.geometry import POINT_POLYTOPE, Polytope, box, interval
 from cornercalc.orbifold import (
     TRIVIAL_GROUP,
+    ActionComponentMap,
     FiniteGroup,
     GroupAction,
     OrbifoldError,
@@ -241,6 +245,15 @@ def test_stabilizer_points():
         stabilizer(act, [2])
 
 
+def test_stabilizer_reflection_about_one():
+    # x -> 2 - x on [1/3, 5/3]: rational vertices, a nonzero offset
+    act = GroupAction(Z2, seg(Fraction(1, 3), Fraction(5, 3)),
+                      {"r0": ([[1]], [0]), "r1": ([[-1]], [2])})
+    assert stabilizer(act, [1]) == ("r0", "r1")
+    assert stabilizer(act, [HALF]) == ("r0",)
+    assert stabilizer(act, [Fraction(4, 3)]) == ("r0",)
+
+
 def test_stabilizer_square_origin():
     act = square_action()
     assert len(stabilizer(act, [0, 0])) == 4
@@ -264,11 +277,37 @@ def test_split_permutation_rep():
     assert len(fixed_subspace(rep)) == 1
 
 
+def _matmul(a, b):
+    return tuple(tuple(sum((x * y for x, y in zip(row, col)), Fraction(0))
+                       for col in zip(*b)) for row in a)
+
+
+def _inverse(m):
+    n = len(m)
+    cols = [solve(mat(m), tuple(Fraction(int(i == j)) for i in range(n))) for j in range(n)]
+    return tuple(tuple(col[i] for col in cols) for i in range(n))
+
+
 def test_rep_validation():
     with pytest.raises(OrbifoldError):
         RealRep(Z2, 1, {"r0": [[1]], "r1": [[2]]})
-    with pytest.raises(OrbifoldError):
+    with pytest.raises(OrbifoldError, match="identity must act"):
         RealRep(Z2, 1, {"r0": [[-1]], "r1": [[1]]})
+    # Over the common denominator 2 the law reads A_a A_b = 2 A_ab: read
+    # without the factor 2, the first would be refused and the second kept.
+    swap = RealRep(Z2, 2, {"r0": [[1, 0], [0, 1]], "r1": [[0, HALF], [2, 0]]})
+    assert swap.character() == (2, 0)
+    with pytest.raises(OrbifoldError, match="do not form a homomorphism"):
+        RealRep(Z2, 2, {"r0": [[1, 0], [0, 1]], "r1": [[0, HALF], [1, 0]]})
+    # a rotation of order 3 conjugated into entries over 2
+    rot = mat([[0, -1], [1, -1]])
+    conj = mat([[2, 1], [0, 1]])
+    r1 = _matmul(_matmul(conj, rot), _inverse(conj))
+    assert any(x.denominator == 2 for row in r1 for x in row)
+    rep = RealRep(Z3, 2, {"r0": [[1, 0], [0, 1]], "r1": r1, "r2": _matmul(r1, r1)})
+    assert rep.character() == (2, -1, -1)
+    with pytest.raises(OrbifoldError, match="do not form a homomorphism"):
+        RealRep(Z3, 2, {"r0": [[1, 0], [0, 1]], "r1": r1, "r2": r1})
 
 
 def test_virtual_rep_checks():
@@ -405,6 +444,132 @@ def test_direction_rep_character():
     rep = direction_rep(act)
     assert rep.character() == (2, 0, 0, -1, -1, 0)
     assert nontrivial_character(rep) == (2, 0, 0, -1, -1, 0)
+
+
+def test_direction_rep_checks():
+    with pytest.raises(OrbifoldError, match="element moves the component"):
+        direction_rep(swap_action(), 0)
+    # A segment on the diagonal of the plane; r1's map, swapped in after the
+    # action was validated, shears the diagonal off itself.
+    act = GroupAction(Z2, Polytope(2, [[0, 0], [1, 1]]), {
+        "r0": ([[1, 0], [0, 1]], [0, 0]),
+        "r1": ([[0, 1], [1, 0]], [0, 0]),
+    })
+    assert direction_rep(act).character() == (1, 1)
+    act.maps["r1"] = (ActionComponentMap(0, mat([[1, 1], [0, 1]]), mat([[0, 0]])[0]),)
+    with pytest.raises(OrbifoldError, match="direction space is not preserved"):
+        direction_rep(act)
+
+
+# ---------------------------------------------------------------------------
+# the integer paths against their Fraction references
+# ---------------------------------------------------------------------------
+
+def _reference_direction_rep(action, component=0, elements=None, group=None):
+    """One Fraction solve per direction vector."""
+    poly = action.spaces[component]
+    dirs = poly.dir_basis
+    d = len(dirs)
+    if d:
+        cols = mat(tuple(tuple(v[r] for v in dirs) for r in range(poly.ambient_dim)))
+    grp = group or action.group
+    lam = elements or {g: g for g in grp.elements}
+    mats = {}
+    for g in grp.elements:
+        entry = action.maps[lam[g]][component]
+        assert entry.target == component
+        out = [solve(cols, matvec(entry.matrix, v)) for v in dirs]
+        assert None not in out
+        mats[g] = tuple(tuple(out[j][i] for j in range(d)) for i in range(d))
+    return mats
+
+
+def _reference_stabilizer(action, point, component=0):
+    """Each element applied in Fractions."""
+    p = tuple(Fraction(x) for x in point)
+    return tuple(g for g in action.group.elements
+                 if action.apply(g, p, component) == (component, p))
+
+
+_shifts = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+
+
+@st.composite
+def conjugated_box_action(draw):
+    """A cyclic group acting on a box by a signed permutation about its
+    centre, carried into R^N (N >= the box's dimension) by x -> M x + t, M
+    an invertible integer matrix and t a rational shift, with the data to
+    probe it: the action, the group and points of the carried box.
+
+    The signed permutation maps the box onto itself: widths are constant on
+    its cycles.  Beyond the box's dimension the action flips signs.
+    """
+    n = draw(st.integers(1, 3))
+    big = n + draw(st.integers(0, 2))
+    perm = draw(st.permutations(range(n)))
+    widths = [None] * n
+    for i in range(n):
+        if widths[i] is None:
+            w = draw(st.sampled_from([HALF, Fraction(1), Fraction(3, 2)]))
+            j = i
+            while widths[j] is None:
+                widths[j] = w
+                j = perm[j]
+    centre = draw(st.lists(_shifts, min_size=n, max_size=n)) + [Fraction(0)] * (big - n)
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=big, max_size=big))
+    gen = [[Fraction(0)] * big for _ in range(big)]
+    for i in range(big):
+        gen[perm[i] if i < n else i][i] = Fraction(signs[i])
+    gen = mat(gen)
+    gen_off = tuple(c - x for c, x in zip(centre, matvec(gen, centre)))
+    m = mat(draw(st.lists(st.lists(st.integers(-2, 2), min_size=big, max_size=big),
+                          min_size=big, max_size=big)))
+    assume(det(m) != 0)
+    m_inv = _inverse(m)
+    t = tuple(draw(st.lists(_shifts, min_size=big, max_size=big)))
+
+    def carry(x):
+        return tuple(a + b for a, b in zip(matvec(m, x), t))
+
+    # the powers of the generator, each conjugated: M G M^-1 x + (M g + t - M G M^-1 t)
+    rep, power, off = {}, identity(big), (Fraction(0),) * big
+    k = 0
+    while True:
+        conj = _matmul(_matmul(m, power), m_inv)
+        rep[f"r{k}"] = (conj, tuple(a + b - c for a, b, c in
+                                    zip(matvec(m, off), t, matvec(conj, t))))
+        k += 1
+        off = tuple(a + b for a, b in zip(matvec(gen, off), gen_off))
+        power = _matmul(gen, power)
+        if power == identity(big) and not any(off):
+            break
+    group = cyclic_group(k)
+    corners = itertools.product(*[(c - w, c + w) for c, w in zip(centre, widths)])
+    poly = Polytope.from_points(big, [carry(v + tuple(centre[n:])) for v in corners])
+    act = GroupAction(group, poly, rep)
+    steps = st.sampled_from([-1, -HALF, 0, HALF, 1])
+    points = [carry(tuple(c + draw(steps) * w for c, w in zip(centre, widths)) + tuple(centre[n:]))
+              for _ in range(4)]
+    return act, group, [carry(tuple(centre))] + points
+
+
+@settings(max_examples=60, deadline=None)
+@given(conjugated_box_action())
+def test_integer_paths_match_fraction_references(case):
+    act, group, points = case
+    poly = act.single
+    assert direction_rep(act).matrices == _reference_direction_rep(act)
+    for order in range(1, len(group) + 1):
+        if len(group) % order:
+            continue
+        sub = cyclic_group(order)
+        for lam in injective_morphisms(sub, group):
+            got = direction_rep(act, 0, elements=dict(lam), group=sub).matrices
+            assert got == _reference_direction_rep(act, 0, dict(lam), sub)
+    for p in points + list(poly.vertices) + [poly.barycenter()]:
+        assert stabilizer(act, p) == _reference_stabilizer(act, p)
+    # the centre is fixed by the whole group
+    assert stabilizer(act, points[0]) == group.elements
 
 
 # ---------------------------------------------------------------------------
