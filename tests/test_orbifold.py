@@ -456,7 +456,7 @@ def test_direction_rep_checks():
         "r1": ([[0, 1], [1, 0]], [0, 0]),
     })
     assert direction_rep(act).character() == (1, 1)
-    act.maps["r1"] = (ActionComponentMap(0, mat([[1, 1], [0, 1]]), mat([[0, 0]])[0]),)
+    act.maps["r1"] = (ActionComponentMap(0, mat([[1, 1], [0, 1]]), (Fraction(0),) * 2),)
     with pytest.raises(OrbifoldError, match="direction space is not preserved"):
         direction_rep(act)
 
@@ -498,8 +498,8 @@ _shifts = st.fractions(min_value=-2, max_value=2, max_denominator=6)
 def conjugated_box_action(draw):
     """A cyclic group acting on a box by a signed permutation about its
     centre, carried into R^N (N >= the box's dimension) by x -> M x + t, M
-    an invertible integer matrix and t a rational shift, with the data to
-    probe it: the action, the group and points of the carried box.
+    an invertible integer matrix and t a rational shift.  Returns the
+    action, the group and points of the carried box, its centre first.
 
     The signed permutation maps the box onto itself: widths are constant on
     its cycles.  Beyond the box's dimension the action flips signs.
