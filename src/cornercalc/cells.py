@@ -25,20 +25,18 @@ orientation, and the cell's sign is the one orientation carrier of chains and
 cochains alike: isomorphisms commuting with the maps preserve the dictionary,
 so one normal form and one boundary serve both.  A Coorientation is an input
 format, validated against the map (the frame as given names the first vector
-at fault), and the frame a fibre product reads.  A fibre product has one
-frame rule and one output, an oriented component: a cooriented factor
-contributes its kernel frame, an oriented factor its own frame lifted
-through the other map, factor 1 first, with the product of the factors'
-signs.  The frame lives in T1 x T2, and the component's sign is that
-product times the sign of one determinant: the frame against J applied to
-the component's default frame, J the inclusion of its tangent space into
-T1 x T2.  A frame vector that does not lift or is not tangent, or a zero
-determinant, leaves the component unoriented.  Oriented operands first
-coorient the second map by the dictionary, or, if only the first map is a
-submersion, the first map with its kernel in front.  This agrees with
-T(Z) = Ker df1 + TY + Ker df2 when both maps are submersions, and a first
-factor oriented by the dictionary makes the component the dictionary
-orientation of the cup coorientation.
+at fault).
+
+A fibre product is oriented because it is transverse, by one rule read off
+D = [df1 | -df2] on the factors' frames, an m x (d1 + d2) matrix: when D is
+onto TY, TZ = Ker D, and with D N = (e_1 ... e_m) the kernel frame K is
+oriented by eps1 eps2 (-1)^(m d2) sign det(K + N against frame1 + frame2).
+When f2 is a submersion this is factor 1's frame lifted through f2 followed
+by Ker df2 cooriented by the dictionary; when f1 is, Ker df1 with its kernel
+in front followed by factor 2's frame lifted through f1.  Both maps
+submersions give T(Z) = Ker df1 + TY + Ker df2, and a first factor oriented
+by the dictionary makes the component the dictionary orientation of the cup
+coorientation.  If D is not onto, every component is left unoriented.
 """
 
 from __future__ import annotations
@@ -63,7 +61,6 @@ from ._linalg import (
     mat,
     rank,
     solve_columns,
-    transpose,
     vec,
 )
 from .geometry import FaceKey, GeometryError, Polytope, section_polytope
@@ -137,9 +134,17 @@ def _unit(n: int, i: int) -> Vec:
 
 
 def _in_ambient(basis: Mat, coords: Vec, ambient: int) -> Vec:
-    """The vector with these coordinates on the basis, in ambient coordinates."""
-    return tuple(sum(c * basis[i][j] for i, c in enumerate(coords))
-                 for j in range(ambient))
+    """The vector with these coordinates on the basis, in ambient coordinates.
+
+    Zero coordinates and zero basis entries are skipped.
+    """
+    out = [_ZERO] * ambient
+    for c, row in zip(coords, basis):
+        if c:
+            for j, x in enumerate(row):
+                if x:
+                    out[j] += c * x
+    return tuple(out)
 
 
 def default_frame(polytope: Polytope, torus_rank: int) -> Mat:
@@ -261,10 +266,15 @@ class CellMap:
         return tuple(out)
 
     def differential_on(self, cell: Cell) -> Mat:
-        """Matrix of the differential on cell.frame, shape m x (dim cell)."""
-        n = cell.polytope.ambient_dim
-        cols = [_differential_vec(self, n, v) for v in cell.frame]
-        return transpose(mat(cols)) if cols else tuple(() for _ in range(self.target.dim))
+        """Matrix of the differential on cell.frame, shape m x (dim cell).
+
+        The frame is dir_basis then the torus unit vectors, so row i is A's
+        row i on each direction, then M's row i.  Zero products are skipped.
+        """
+        dirs = cell.polytope.dir_basis
+        return tuple(tuple(sum((a * x for a, x in zip(arow, d) if a and x), _ZERO) for d in dirs)
+                     + tuple(Fraction(t) for t in trow)
+                     for arow, trow in zip(self.a, self.m_t))
 
 
 def _differential_vec(cmap: CellMap, n: int, v: Vec) -> Vec:
@@ -327,30 +337,10 @@ def maps_agree(f: CellMap, g: CellMap, point_pairs) -> bool:
 # Submersion conditions
 # ---------------------------------------------------------------------------
 
-def _span_is_full(differential_cols: Sequence[Vec], m: int) -> bool:
-    if m == 0:
-        return True
-    if not differential_cols:
-        return False
-    return rank(mat(differential_cols)) == m
-
-
-def _face_differential_cols(cmap: CellMap, cell: Cell, dir_basis: Mat) -> list[Vec]:
-    """Columns of the differential on a face with this direction basis, plus the torus."""
-    n = cell.polytope.ambient_dim
-    cols = []
-    for d in dir_basis:
-        cols.append(tuple(sum(cmap.a[i][j] * d[j] for j in range(n))
-                          for i in range(cmap.target.dim)))
-    for j in range(cell.torus_rank):
-        cols.append(tuple(frac(cmap.m_t[i][j]) for i in range(cmap.target.dim)))
-    return cols
-
-
 def is_interior_submersion(cell: Cell, cmap: CellMap) -> bool:
     """Differential surjective on the top-dimensional stratum."""
-    cols = _face_differential_cols(cmap, cell, cell.polytope.dir_basis)
-    return _span_is_full(cols, cmap.target.dim)
+    m = cmap.target.dim
+    return m == 0 or rank(cmap.differential_on(cell)) == m
 
 
 def is_strong_submersion(cell: Cell, cmap: CellMap) -> bool:
@@ -360,7 +350,8 @@ def is_strong_submersion(cell: Cell, cmap: CellMap) -> bool:
     face has a vertex, so the vertices decide it.  A vertex has no direction
     space: the condition is that the torus columns alone span the target.
     """
-    return _span_is_full(_face_differential_cols(cmap, cell, ()), cmap.target.dim)
+    m = cmap.target.dim
+    return m == 0 or rank(mat(cmap.m_t)) == m
 
 
 # ---------------------------------------------------------------------------
@@ -440,15 +431,6 @@ def kernel_coorientation(cell: Cell, cmap: CellMap) -> Coorientation:
     else:
         eps = cell.sign
     return Coorientation(kframe, eps)
-
-
-def first_factor_kernel(cell: Cell, cmap: CellMap) -> Coorientation:
-    """Kernel frame oriented by the first-factor rule TX = Ker + (lifts of TY)."""
-    co = kernel_coorientation(cell, cmap)
-    m = cmap.target.dim
-    q = len(co.frame)
-    flip = -1 if (m * q) % 2 else 1
-    return Coorientation(co.frame, co.sign * flip)
 
 
 def orientation_from_coorientation(cell: Cell, cmap: CellMap, co: Coorientation) -> Cell:
@@ -589,24 +571,57 @@ class FibreComponent:
                         self.t_rows, self.t_fcoefs, self.t_consts)
 
 
-def fibre_product_cells(cell1: Cell, map1: CellMap, cell2: Cell, map2: CellMap, *,
-                        coorient2: Optional[Coorientation] = None,
+def _oriented_kernel(cell1: Cell, map1: CellMap, cell2: Cell, map2: CellMap
+                     ) -> Optional[tuple[int, list[Vec]]]:
+    """(sign, K): an oriented frame of Ker D, D = [df1 | -df2] on the factors'
+    frames, in (p1, t1, p2, t2) coordinates; None when D is not onto.
+
+    With D N = (e_1 ... e_m), the sign is eps1 eps2 (-1)^(m d2) times the
+    sign of det(K + N) on the block frame (frame1 + 0, 0 + frame2).  If f2 is
+    a submersion, write X2's frame as (lifts of TY, Ker df2): column
+    operations carry (frame1 lifted through f2, Ker df2, N) to the block
+    frame at the cost of (-1)^(m (d2 - m + 1)) = (-1)^(m d2), so this is the
+    rule that lifts factor 1's frame through f2 and appends the dictionary's
+    Ker df2.  If f1 is, the same operations give (Ker df1, frame2 lifted
+    through f1), with Ker df1 oriented as (Ker df1, lifts of TY) orients X1.
+    """
+    m = map1.target.dim
+    d1, d2 = cell1.dim, cell2.dim
+    if m:
+        dmat = tuple(r1 + tuple(-x for x in r2) for r1, r2 in
+                     zip(map1.differential_on(cell1), map2.differential_on(cell2)))
+        lifts = solve_columns(dmat, [_unit(m, i) for i in range(m)])
+        if lifts is None:
+            return None
+        kernel = kernel_basis(dmat)
+    else:
+        lifts, kernel = [], tuple(_unit(d1 + d2, i) for i in range(d1 + d2))
+    sign = cell1.sign * cell2.sign * (-1 if (m * d2) % 2 else 1)
+    if det(tuple(kernel) + tuple(lifts)) < 0:
+        sign = -sign
+    f1, f2 = cell1.frame, cell2.frame
+    return sign, [_in_ambient(f1, k[:d1], cell1.ambient) + _in_ambient(f2, k[d1:], cell2.ambient)
+                  for k in kernel]
+
+
+def fibre_product_cells(cell1: Cell, map1: CellMap, cell2: Cell, map2: CellMap
                         ) -> list[FibreComponent]:
     """All components of the fibre product of two cells over a shared target,
-    each oriented by one frame rule, or flagged not orientable.
+    each oriented by one rule, or flagged not orientable.
 
-    Factor 1 is oriented; it contributes its frame lifted through map2.
-    Factor 2 contributes the kernel frame of coorient2, by default
-    kernel_coorientation(cell2, map2), with the product of the signs.  When
-    map2 is not an interior submersion, factor 1 contributes the kernel frame
-    of first_factor_kernel(cell1, map1) instead and factor 2 its frame lifted
-    through map1.  With cell1 oriented by the dictionary, the component is
-    oriented by the cup coorientation (Ker df1, Ker df2).
+    D = [df1 | -df2] on the factors' frames is built once: when it maps onto
+    the target, Ker D is the tangent space of every transverse component,
+    and one oriented frame of it (_oriented_kernel) orients each component
+    by one determinant, of J applied to the component's default frame
+    against that frame, J the inclusion of its tangent space into T1 x T2.
+    With cell1 oriented by the dictionary and f2 a submersion, the
+    component is oriented by the cup coorientation (Ker df1, Ker df2).  When
+    D is not onto, or a component's dimension is not that of Ker D, the
+    component is flagged not orientable.
 
-    The frame, in T1 x T2, orients a component by one determinant against
-    J applied to the component's default frame, with the product of the
-    factors' signs; a component whose frame is not a basis of its tangent
-    space is flagged not orientable.
+    A component is transverse when it has the expected dimension and each
+    of its faces has the codimension of its factor faces; then D spans the
+    target on every face pair (see _build_component).
     """
     if map1.target != map2.target:
         raise FibreProductError("fibre product needs a common target")
@@ -617,15 +632,7 @@ def fibre_product_cells(cell1: Cell, map1: CellMap, cell2: Cell, map2: CellMap, 
     if m > 0 and (map1.n_cols != n1 or map1.s_cols != s1
                   or map2.n_cols != n2 or map2.s_cols != s2):
         raise MapError("map shapes do not match the cells")
-    coorient1 = None
-    if coorient2 is not None:
-        validate_coorientation(cell2, map2, coorient2)
-    elif is_interior_submersion(cell2, map2):
-        coorient2 = kernel_coorientation(cell2, map2)
-    elif is_interior_submersion(cell1, map1):
-        coorient1 = first_factor_kernel(cell1, map1)
-    else:
-        raise FibreProductError("neither map is an interior submersion")
+    kernel = _oriented_kernel(cell1, map1, cell2, map2)
 
     n = n1 + n2
     s = s1 + s2
@@ -707,7 +714,7 @@ def fibre_product_cells(cell1: Cell, map1: CellMap, cell2: Cell, map2: CellMap, 
             comp = _build_component(
                 cell1, map1, cell2, map2, *section, s_z, u, rho,
                 tau_rows, tau_consts, tuple(int(x) for x in lam_full),
-                expected_dim, coorient1, coorient2)
+                expected_dim, kernel)
             components.append(comp)
 
     components.sort(key=lambda fc: (fc.cell.polytope.vertices, fc.translate))
@@ -716,12 +723,11 @@ def fibre_product_cells(cell1: Cell, map1: CellMap, cell2: Cell, map2: CellMap, 
 
 def _build_component(cell1, map1, cell2, map2, poly, tight, s_z, u, rho,
                      tau_rows, tau_consts, translate, expected_dim,
-                     coorient1, coorient2) -> FibreComponent:
+                     kernel) -> FibreComponent:
     n1, s1 = cell1.polytope.ambient_dim, cell1.torus_rank
     n2, s2 = cell2.polytope.ambient_dim, cell2.torus_rank
     n = n1 + n2
     s = s1 + s2
-    m = map1.target.dim
 
     # t = U tau: affine data for each t coordinate
     t_rows = []
@@ -762,23 +768,20 @@ def _build_component(cell1, map1, cell2, map2, poly, tight, s_z, u, rho,
         face_pairs[g] = (f1, f2)
         if poly.dim - dim != p1.dim - dims1[f1] + p2.dim - dims2[f2]:
             transverse = False
-    # The span check runs at the vertices only.  If G' lies in G, the factor
-    # faces of G' lie in those of G, so the columns at G span at least what
-    # they span at G'; every face has a vertex, so a face fails only if one
-    # of its vertices does.
-    for f1, f2 in {(fd1.meet(b1), fd2.meet(b2)) for b1, b2 in tight}:
-        cols = _face_differential_cols(map1, cell1, p1.face_from_mask(f1).dir_basis)
-        cols += _face_differential_cols(map2, cell2, p2.face_from_mask(f2).dir_basis)
-        if not _span_is_full(cols, m):
-            transverse = False
-            break
+    # These checks decide the span condition too.  The face pair (F1, F2) of
+    # a face G is minimal, so G is the slice of F1 x F2 through its relative
+    # interior, and dim G + s_z = dim F1 + dim F2 + s1 + s2 - rank D_F, D_F
+    # the columns of D on dir F1, dir F2 and the torus: the pivot rows of
+    # the torus elimination carry rank M = rho, the residual rows the rest,
+    # and s_z = s1 + s2 - rho.  The two checks give dim G + s_z =
+    # dim F1 + dim F2 + s1 + s2 - m, so D_F spans the target on every face.
 
     # J, the embedding of the component's tangent space into T1 x T2 with
     # coordinates ordered (p1, t1, p2, t2): a direction u of the slice moves
     # t by t_rows . u, and the free torus coordinate phi_i moves it by
     # column i of t_fcoefs.  j_cols is J applied to the component's default
-    # frame, so the frame rule's vectors orient the component by their
-    # determinant against it.
+    # frame; it lies in Ker D, so its determinant against the oriented
+    # kernel frame orients the component when the dimensions agree.
     def j_column(u_dir, dt):
         return (tuple(u_dir[:n1]) + tuple(dt[:s1])
                 + tuple(u_dir[n1:]) + tuple(dt[s1:]))
@@ -789,35 +792,10 @@ def _build_component(cell1, map1, cell2, map2, poly, tight, s_z, u, rho,
     j_cols += [j_column((Fraction(0),) * n, [Fraction(fc[i]) for fc in t_fcoefs])
                for i in range(s_z)]
 
-    def lift_through(cellk, mapk, other_map, other_n, frame):
-        """For each v in frame, w in T(cellk) with dmapk(w) = d(other_map)(v)."""
-        ws = solve_columns(mapk.differential_on(cellk),
-                           [_differential_vec(other_map, other_n, v) for v in frame])
-        if ws is None:
-            raise FibreProductError("frame vector does not lift through the map")
-        return [_in_ambient(cellk.frame, w, cellk.ambient) for w in ws]
-
-    zero1 = (Fraction(0),) * (n1 + s1)
-    zero2 = (Fraction(0),) * (n2 + s2)
-    try:
-        if coorient1 is not None:
-            vecs = [tuple(k) + zero2 for k in coorient1.frame]
-        else:
-            lifts = lift_through(cell2, map2, map1, n1, cell1.frame)
-            vecs = [tuple(v) + w for v, w in zip(cell1.frame, lifts)]
-        if coorient2 is not None:
-            vecs += [zero1 + tuple(k) for k in coorient2.frame]
-        else:
-            lifts = lift_through(cell1, map1, map2, n2, cell2.frame)
-            vecs += [w + tuple(v) for v, w in zip(cell2.frame, lifts)]
-        d = change_of_basis_det(vecs, j_cols) if len(vecs) == len(j_cols) else 0
-    except (FibreProductError, SpanError):
-        # a frame vector that does not lift or is not tangent leaves the
-        # component unoriented, as does a frame of the wrong length or one
-        # that is not a basis (d = 0)
-        d = 0
-    sign = ((cell1 if coorient1 is None else coorient1).sign
-            * (cell2 if coorient2 is None else coorient2).sign)
+    d = 0
+    if kernel is not None and len(kernel[1]) == len(j_cols):
+        sign, frame = kernel
+        d = change_of_basis_det(j_cols, frame)
     cell = Cell(poly, s_z, sign=sign if d > 0 else -sign) if d else Cell(poly, s_z)
 
     return FibreComponent(

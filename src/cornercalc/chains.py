@@ -45,7 +45,6 @@ from .cells import (
     constant_map,
     has_free_circle,
     is_strong_submersion,
-    kernel_coorientation,
     orientation_from_coorientation,
     validate_coorientation,
 )
@@ -291,10 +290,10 @@ class Generator:
     orientation the dictionary TX = f*(TY) + Ker df gives that coorientation
     (see cells), so chains and cochains share one normal form, one boundary
     and one fibre product.  A coorientation passed in is validated and
-    converted once; `coorientation` reads one back and keeps it.
+    converted once; kernel_coorientation(cell, cmap) reads it back.
     """
 
-    __slots__ = ("cell", "cmap", "tag", "is_cochain", "quotient", "_coorientation")
+    __slots__ = ("cell", "cmap", "tag", "is_cochain", "quotient")
 
     def __init__(self, cell: Cell, cmap: CellMap, tag: Tag,
                  coorientation: Optional[Coorientation] = None,
@@ -326,7 +325,6 @@ class Generator:
         self.tag = tag
         self.is_cochain = is_cochain
         self.quotient = quotient
-        self._coorientation = None
 
     @staticmethod
     def _validate_marker(faces: Mapping[int, int], tag: Tag, marker: QuotientMarker):
@@ -347,13 +345,6 @@ class Generator:
             raise ChainError("orbits must cover every face of the cell")
         if len(set(orbit_labels)) != len(orbit_labels):
             raise TagError("marker tag must separate orbits")
-
-    @property
-    def coorientation(self) -> Optional[Coorientation]:
-        """The coorientation a cochain generator stands for; None on chains."""
-        if self.is_cochain and self._coorientation is None:
-            self._coorientation = kernel_coorientation(self.cell, self.cmap)
-        return self._coorientation
 
     @property
     def grade(self) -> int:

@@ -1,12 +1,14 @@
 """Cup and cap products, the identity cochain, pullback, and duality.
 
-Cup and cap are one fibre product over the common target: the first factor
-enters with its orientation, the second, a cochain, with its coorientation,
-and face labels pair by multiset merge.  A cochain generator stores the
-orientation that its coorientation gives by TX = f*(TY) + Ker df, so the
-component's orientation is that of the cup coorientation when the first
-factor is a cochain, and the cap when it is a chain; the result keeps the
-first factor's kind.  Duality reads a cochain's orientation as a chain's.
+Cup and cap are one fibre product over the common target, oriented by the
+one rule of cells.fibre_product_cells (Ker D, D = df1 - df2), with face
+labels paired by multiset merge.  Both factors enter with their stored
+orientations.  A cochain generator stores the orientation that its
+coorientation gives by TX = f*(TY) + Ker df, and the cochain operand is a
+submersion, so the component's orientation is that of the cup coorientation
+when the first factor is a cochain, and the cap when it is a chain; the
+result keeps the first factor's kind.  Duality reads a cochain's orientation
+as a chain's.
 """
 
 from __future__ import annotations
@@ -65,14 +67,14 @@ def _common_target(c: Chain) -> Target | None:
 # ---------------------------------------------------------------------------
 
 def _pair(g1: Generator, g2: Generator) -> list:
-    """g1 cup g2 or g1 cap g2, by g1's kind: g1 oriented, g2 cooriented.
+    """g1 cup g2 or g1 cap g2, by g1's kind; g2 is a cochain.
 
-    The frame rule lifts g1's frame (lifts of TY, then Ker df1) through f2 and
-    appends Ker df2, which orients the component by the cup coorientation
+    f2 is a submersion, so the fibre product's rule orients each component
+    by g1's frame (lifts of TY, then Ker df1) lifted through f2, followed by
+    Ker df2 as g2's orientation gives it: the cup coorientation
     (Ker df1, Ker df2) when g1 is a cochain.
     """
-    comps = fibre_product_cells(g1.cell, g1.cmap, g2.cell, g2.cmap,
-                                coorient2=g2.coorientation)
+    comps = fibre_product_cells(g1.cell, g1.cmap, g2.cell, g2.cmap)
     out = []
     for comp in comps:
         if not comp.transverse or not comp.orientable:
@@ -314,8 +316,7 @@ def pullback(h: TargetMap, delta: Chain) -> Chain:
     id_map = identity_map(h.source)
     terms = []
     for coeff, g in delta.terms():
-        comps = fibre_product_cells(cell_h, map_h, g.cell, g.cmap,
-                                    coorient2=g.coorientation)
+        comps = fibre_product_cells(cell_h, map_h, g.cell, g.cmap)
         for comp in comps:
             if not comp.transverse or not comp.orientable:
                 raise ProductError("pullback hit a non-transverse component")

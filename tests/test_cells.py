@@ -11,9 +11,9 @@ from random import Random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cornercalc._linalg import (canonical_frame, change_of_basis_det, det,
+from cornercalc._linalg import (SpanError, canonical_frame, change_of_basis_det, det,
                                 hermite_column, integer_matrix_inverse, kernel_basis,
-                                mat, rank, rref, solve, transpose)
+                                mat, rank, rref, solve, solve_columns, transpose)
 from cornercalc.cells import (
     POINT,
     Cell,
@@ -34,7 +34,6 @@ from cornercalc.cells import (
     default_frame,
     euclid,
     fibre_product_cells,
-    first_factor_kernel,
     has_free_circle,
     is_interior_submersion,
     is_strong_submersion,
@@ -46,8 +45,9 @@ from cornercalc.cells import (
 )
 from cornercalc.chains import Generator, _normal_form, generator_boundary, numbered_tag
 from cornercalc.geometry import POINT_POLYTOPE, GeometryError, Polytope, box, interval
+from cornercalc.maps import check_boundary_of_fibre_product_cells
 from cornercalc.randgen import (associativity_instance, fibre_instance, random_cell,
-                                random_map, submersive_cell)
+                                random_map, random_polytope, submersive_cell)
 from test_geometry import embedded_lattice_hull, placed_rational_hull
 
 
@@ -184,8 +184,9 @@ def test_kernel_recipes_agree():
             cases.append(fibre_instance(rng, target))
     for c1, f1, c2, f2 in cases:
         plain = fibre_product_cells(c1, f1, c2, f2)
-        with_k2 = fibre_product_cells(c1, f1, c2, f2, coorient2=kernel_coorientation(c2, f2))
-        assert plain and plain == with_k2
+        assert plain
+        for z in plain:
+            assert _two_branch_orientation(z, c1, f1, c2, f2) == (z.cell.sign, True)
         # Oracle, built without the library's kernels or lifts: with both maps
         # submersions, T(Z) = Ker df1 + TY + Ker df2, where X1 = Ker df1 + TY
         # and X2 = TY + Ker df2 orient the factors.
@@ -193,9 +194,9 @@ def test_kernel_recipes_agree():
         k2, l2 = _kernel_and_lifts(c2, f2)
         e1 = _sign(change_of_basis_det(k1 + l1, c1.frame)) * c1.sign
         e2 = _sign(change_of_basis_det(l2 + k2, c2.frame)) * c2.sign
-        # the first-factor kernel, which orients the fibre product when map2
-        # is no submersion, orients X1 = Ker df1 + TY as c1 does
-        first = first_factor_kernel(c1, f1)
+        # the two-branch rule's first-factor kernel, its frame when map2 is
+        # no submersion, orients X1 = Ker df1 + TY as c1 does
+        first = _first_factor_kernel(c1, f1)
         assert first.sign * _sign(change_of_basis_det(first.frame, k1)) == e1
         zero1, zero2 = (F(0),) * c1.ambient, (F(0),) * c2.ambient
         frame = ([k + zero2 for k in k1] + [u + w for u, w in zip(l1, l2)]
@@ -328,7 +329,7 @@ def _cup_components(a, fa, b, fb):
     """The fibre product of a oriented by the dictionary and b cooriented by it,
     which orients each component by the cup coorientation."""
     oriented = orientation_from_coorientation(a, fa, kernel_coorientation(a, fa))
-    return fibre_product_cells(oriented, fa, b, fb, coorient2=kernel_coorientation(b, fb))
+    return fibre_product_cells(oriented, fa, b, fb)
 
 
 def _canonical_coorientation(comp, perm=None):
@@ -372,11 +373,25 @@ def test_cup_concatenation_order_even_degrees():
     assert k1.frame == k2.frame and k1.sign == k2.sign
 
 
-def test_fibre_product_needs_a_submersion():
+def test_fibre_product_of_non_submersions_is_oriented_by_transversality():
+    # the point over R^1 twice: D = 0 is not onto, so the one component is
+    # neither transverse nor oriented
     p = Cell(box([]))
     to_line = constant_map(euclid(1), 0, 0)
-    with pytest.raises(FibreProductError):
-        fibre_product_cells(p, to_line, p, to_line)
+    (z,) = fibre_product_cells(p, to_line, p, to_line)
+    assert not z.transverse and not z.orientable
+    # two segments crossing in R^2: neither map is a submersion, but the pair
+    # is transverse, so the crossing is an oriented point.  The two orders
+    # differ by (-1)^((d1 - m)(d2 - m)) = -1; the signs are this library's
+    # convention, sign det(N) for D N = 1 with D = [df1 | -df2]
+    seg = Cell(interval(-1, 1))
+    across = CellMap(euclid(2), [[1], [0]], [[], []], [0, 0])
+    up = CellMap(euclid(2), [[0], [1]], [[], []], [0, 0])
+    for f1, f2, sign in ((across, up, -1), (up, across, 1)):
+        (z,) = fibre_product_cells(seg, f1, seg, f2)
+        assert z.transverse and z.orientable
+        assert z.cell.polytope.vertices == ((F(0), F(0)),)
+        assert z.cell.sign == sign
 
 
 def test_free_circle_detection():
@@ -842,14 +857,14 @@ def test_restricted_coorientation_matches_the_change_of_basis(cell_data):
     cell, cmap = cell_data
     assume(is_strong_submersion(cell, cmap))
     tag = numbered_tag(cell.polytope)
-    for co in (kernel_coorientation(cell, cmap), first_factor_kernel(cell, cmap)):
+    for co in (kernel_coorientation(cell, cmap), _first_factor_kernel(cell, cmap)):
         oriented = orientation_from_coorientation(cell, cmap, co)
         facets = generator_boundary(Generator(cell, cmap, tag, coorientation=co))
         assert len(facets) == len(cell_boundary(cell))
         for bc, (_, sub) in zip(cell_boundary(cell), facets):
             d = change_of_basis_det((bc.outward,) + bc.cell.frame, oriented.frame)
             facet = Cell(bc.cell.polytope, bc.cell.torus_rank, sign=_sign(d) * oriented.sign)
-            assert sub.coorientation == kernel_coorientation(facet, cmap)
+            assert kernel_coorientation(sub.cell, sub.cmap) == kernel_coorientation(facet, cmap)
 
 
 def _reference_canonical_map(cell, cmap):
@@ -1159,3 +1174,153 @@ def test_fibre_orientation_reference_on_unorientable_components():
     assert _assert_orientations_match_reference(
         Cell(box([(0, 1), (0, 1)])), plane, Cell(box([(-1, 0), (0, 1)]), 0, None, -1),
         plane) == {(False, False)}
+
+
+# ---------------------------------------------------------------------------
+# The one orientation rule against the two-branch frame rule it replaced
+# ---------------------------------------------------------------------------
+
+def _first_factor_kernel(cell, cmap):
+    """Ker df oriented by the first-factor rule TX = Ker df + (lifts of TY)."""
+    co = kernel_coorientation(cell, cmap)
+    flip = -1 if (cmap.target.dim * len(co.frame)) % 2 else 1
+    return Coorientation(co.frame, co.sign * flip)
+
+
+def _two_branch_orientation(z, c1, f1, c2, f2):
+    """(sign, orientable) of z by the two-branch frame rule: factor 1's frame
+    lifted through f2 and kernel_coorientation(c2, f2) when f2 is an interior
+    submersion, else _first_factor_kernel(c1, f1) and factor 2's frame lifted
+    through f1.  None where neither map is an interior submersion: that rule
+    refused the pair."""
+    if is_interior_submersion(c2, f2):
+        co1, co2 = None, kernel_coorientation(c2, f2)
+    elif is_interior_submersion(c1, f1):
+        co1, co2 = _first_factor_kernel(c1, f1), None
+    else:
+        return None
+
+    def lift_through(ck, fk, other, other_n, frame):
+        ws = solve_columns(fk.differential_on(ck),
+                           [_differential_vec(other, other_n, v) for v in frame])
+        if ws is None:
+            return None
+        return [tuple(sum(x * u[k] for x, u in zip(w, ck.frame)) for k in range(ck.ambient))
+                for w in ws]
+
+    zero1, zero2 = (F(0),) * c1.ambient, (F(0),) * c2.ambient
+    if co1 is not None:
+        vecs = [k + zero2 for k in co1.frame]
+    else:
+        lifts = lift_through(c2, f2, f1, c1.polytope.ambient_dim, c1.frame)
+        if lifts is None:
+            return 0, False
+        vecs = [v + w for v, w in zip(c1.frame, lifts)]
+    if co2 is not None:
+        vecs += [zero1 + k for k in co2.frame]
+    else:
+        lifts = lift_through(c1, f1, f2, c2.polytope.ambient_dim, c2.frame)
+        if lifts is None:
+            return 0, False
+        vecs += [w + v for v, w in zip(c2.frame, lifts)]
+    j_cols = [_embed(z, v) for v in z.cell.frame]
+    if len(vecs) != len(j_cols):
+        return 0, False
+    try:
+        d = change_of_basis_det(vecs, j_cols)
+    except SpanError:
+        return 0, False
+    sign = (c1 if co1 is None else co1).sign * (c2 if co2 is None else co2).sign
+    return (sign * _sign(d), True) if d else (0, False)
+
+
+def _per_face_transverse(z, c1, f1, c2, f2):
+    """z's transverse flag with the span checked on each vertex's factor
+    faces as polytopes: the differential on face_from_mask(...).dir_basis,
+    plus the torus columns, must span the target."""
+    poly, p1, p2 = z.cell.polytope, c1.polytope, c2.polytope
+    m = f1.target.dim
+    dims = poly._fd.face_dims()
+    transverse = poly.dim + z.cell.torus_rank == c1.dim + c2.dim - m
+    for g, (g1, g2) in z.face_pairs.items():
+        q1, q2 = p1.face_from_mask(g1), p2.face_from_mask(g2)
+        if poly.dim - dims[g] != p1.dim - q1.dim + p2.dim - q2.dim:
+            transverse = False
+        if dims[g] == 0:
+            cols = []
+            for c, f, q in ((c1, f1, q1), (c2, f2, q2)):
+                cols += [tuple(sum(x * y for x, y in zip(f.a[i], d)) for i in range(m))
+                         for d in q.dir_basis]
+                cols += [tuple(f.m_t[i][j] for i in range(m)) for j in range(c.torus_rank)]
+            if not _spans(cols, m):
+                transverse = False
+    return transverse
+
+
+def _assert_matches_two_branch_rule(c1, f1, c2, f2):
+    """Each component's flags, and its sign where the two-branch rule
+    orients it, as that rule and the per-face span check give them; the
+    flags seen."""
+    seen = set()
+    for z in fibre_product_cells(c1, f1, c2, f2):
+        assert z.transverse == _per_face_transverse(z, c1, f1, c2, f2)
+        reference = _two_branch_orientation(z, c1, f1, c2, f2)
+        if reference is not None:
+            assert (z.cell.sign if z.orientable else 0, z.orientable) == reference
+        seen.add((z.transverse, z.orientable, reference is None))
+    return seen
+
+
+def _nonsubmersive_pair(rng, target):
+    """Cells of dimension 1 or 2, each mapped affinely into the 3-dimensional
+    target, through one common value at their barycentres (torus
+    coordinates 0): neither map is a submersion, and the fibre product is
+    not empty.  Over T^3 a 1-dimensional polytope may carry a circle, so
+    that the torus columns span a line and the faces still decide."""
+    out = []
+    for _ in range(2):
+        k = rng.randint(1, 2)
+        p = random_polytope(rng, k, 4, spread=1, min_dim=k)
+        s = int(target.is_torus and k == 1 and rng.random() < 0.5)
+        a = [[rng.randint(-1, 1) for _ in range(k)] for _ in range(3)]
+        m_t = [[rng.randint(-1, 1) for _ in range(s)] for _ in range(3)]
+        out.append((Cell(p, s, None, rng.choice((1, -1))), a, m_t, p.barycenter()))
+    (c1, a1, t1, x1), (c2, a2, t2, x2) = out
+    b1 = [F(rng.randint(-4, 4), 4) for _ in range(3)]
+    b2 = [b + sum(u * x for u, x in zip(r1, x1)) - sum(u * x for u, x in zip(r2, x2))
+          for b, r1, r2 in zip(b1, a1, a2)]
+    return (c1, CellMap(target, a1, t1, b1), c2, CellMap(target, a2, t2, b2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_FIBRE_TARGETS, st.integers(0, 10**6))
+def test_one_rule_matches_the_two_branch_rule(target, seed):
+    rng = Random(seed)
+    seen = _assert_matches_two_branch_rule(*fibre_instance(rng, target))
+    assert all(t and o and not refused for t, o, refused in seen)
+    # an unfiltered pair, which may meet faces non-transversally, and a pair
+    # of cells in R^3 or T^3 where neither map is a submersion: the two-branch
+    # rule refused those, so only the transverse flag has a reference
+    _assert_matches_two_branch_rule(*submersive_cell(rng, target), *submersive_cell(rng, target))
+    c1, f1, c2, f2 = _nonsubmersive_pair(rng, rng.choice((euclid(3), torus(3))))
+    assert not is_interior_submersion(c1, f1) and not is_interior_submersion(c2, f2)
+    assert _assert_matches_two_branch_rule(c1, f1, c2, f2)
+
+
+def test_transverse_products_of_non_submersions_have_the_boundary_formula():
+    transverse = 0
+    for target in (euclid(3), torus(3)):
+        for seed in range(40):
+            case = _nonsubmersive_pair(Random(f"non-submersive/{target.kind}/{seed}"), target)
+            comps = fibre_product_cells(*case)
+            assert comps
+            for z in comps:
+                assert z.transverse == _per_face_transverse(z, *case)
+            report = check_boundary_of_fibre_product_cells(*case)
+            if all(z.transverse for z in comps):
+                transverse += 1
+                assert all(z.orientable for z in comps)
+                assert report.ok and report.precondition
+            else:
+                assert not report.precondition
+    assert transverse >= 20

@@ -3,7 +3,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cornercalc.cells import (
     POINT,
@@ -543,8 +543,9 @@ def test_coboundary_canonical_keys_golden_digest():
             terms = ch.terms()
             count += len(terms)
             h.update(repr(terms).encode())
-            h.update(repr([(c, _normal_form(g)[:2], g.coorientation.frame,
-                            g.coorientation.sign) for c, g in terms]).encode())
+            cos = [kernel_coorientation(g.cell, g.cmap) for _, g in terms]
+            h.update(repr([(c, _normal_form(g)[:2], co.frame, co.sign)
+                           for (c, g), co in zip(terms, cos)]).encode())
     assert count == 36
     assert h.hexdigest() == GOLDEN_COBOUNDARY_DIGEST
 
@@ -705,10 +706,14 @@ def _assert_term_key_order(ch):
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6), st.sampled_from(_PREFIXES), st.sampled_from(_PREFIXES))
+@example(61, 3, 3)
 def test_terms_order_matches_term_key(seed, p1, p2):
     rng = Random(seed)
     ch = (random_chain(rng, p1, max_terms=6, max_ambient=3)
           + random_chain(rng, p2, max_terms=6, max_ambient=3))
+    # both draws are zero at some seeds (61, 89, 319, ...); the laws below
+    # need a term
+    assume(ch.terms())
     # one cell and map under shuffled numberings of every prefix: the labels
     # decide the order
     _, g = ch.terms()[0]

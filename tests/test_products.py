@@ -422,8 +422,7 @@ def test_cup_and_cap_components_golden_digest():
             second = random_cochain(rng, y, ("b", 0))
             for _, g1 in first.terms():
                 for _, g2 in second.terms():
-                    for comp in fibre_product_cells(g1.cell, g1.cmap, g2.cell, g2.cmap,
-                                                    coorient2=g2.coorientation):
+                    for comp in fibre_product_cells(g1.cell, g1.cmap, g2.cell, g2.cmap):
                         count += 1
                         h.update(repr((comp.cell, comp.pmap, comp.transverse,
                                        comp.orientable)).encode())
