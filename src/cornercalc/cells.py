@@ -230,10 +230,17 @@ class CellMap:
     b: Vec           # length m
 
     def __init__(self, target: Target, a: Iterable[Iterable], m_t: Iterable[Iterable], b: Iterable):
+        self._set(target, mat(a), tuple(tuple(int(x) for x in row) for row in m_t), vec(b))
+
+    @classmethod
+    def _exact(cls, target: Target, a: Mat, m_t: IntMat, b: Vec) -> "CellMap":
+        """The map on entries already exact: tuples of Fractions and of ints."""
+        cmap = object.__new__(cls)
+        cmap._set(target, a, m_t, b)
+        return cmap
+
+    def _set(self, target: Target, aa: Mat, mt: IntMat, bb: Vec):
         m = target.dim
-        aa = mat(a)
-        bb = vec(b)
-        mt = tuple(tuple(int(x) for x in row) for row in m_t)
         if len(aa) != m or len(bb) != m or len(mt) != m:
             raise MapError("map rows must equal the target dimension")
         if m == 0:
@@ -894,7 +901,9 @@ def canonical_cell_map(cell: Cell, cmap: CellMap):
     entry of the new A or b is made as one Fraction.  The Hermite form, its
     sign, the pivots and the reduced lattice depend on M alone (and on
     whether the target is a torus): they are computed once per integral
-    matrix (_torus_form).
+    matrix (_torus_form).  The new entries are exact by construction, so
+    the map is built by CellMap._exact: the row counts and the torus
+    columns are checked, and nothing is converted again.
     """
     n = cell.polytope.ambient_dim
     m = cmap.target.dim
@@ -913,8 +922,8 @@ def canonical_cell_map(cell: Cell, cmap: CellMap):
             cols = {c: _reduce(pivots, [Fraction(sum(r[j] * x for j, x in w), d)
                                         for r, d in rows])
                     for c, w in dirs}
-            new_a = [tuple(cols[c][i] if c in cols else _ZERO for c in range(n))
-                     for i in range(m)]
+            new_a = tuple(tuple(cols[c][i] if c in cols else _ZERO for c in range(n))
+                          for i in range(m))
         new_b = _reduce(pivots, [
             Fraction(bi.numerator * d + bi.denominator * sum(r[j] * x for j, x in origin),
                      bi.denominator * d)
@@ -931,7 +940,7 @@ def canonical_cell_map(cell: Cell, cmap: CellMap):
                 new_b[j] = x[idx] / denom
 
     return (Cell(cell.polytope, cell.torus_rank, sign=cell.sign * det_u),
-            CellMap(cmap.target, new_a, new_mt, tuple(new_b)))
+            CellMap._exact(cmap.target, new_a, new_mt, tuple(new_b)))
 
 
 def canonical_form(cell: Cell, cmap: CellMap):

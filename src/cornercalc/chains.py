@@ -400,16 +400,27 @@ def _normal_form(gen: Generator):
                                 is_cochain=gen.is_cochain)
 
 
-def _term_order(key: tuple, gen: Generator) -> tuple:
-    """The place of a normal-form term in the term order, that of _term_key(key).
+def _in_term_order(items: Iterable) -> list:
+    """Items (key, generator, ...) of normal-form terms, sorted in the term
+    order: that of _term_key(key).
 
     The key is ((kind, dim), ambient, vertices, torus_rank, a, m_t, b,
     labels, flag).  Its first seven slots hold only str, int and Fraction,
     one type per position, which compare natively as _term_key does; the
     labels' part is the generator's tag order, and a chain's flag (None)
-    comes before a cochain's (True).
+    comes before a cochain's (True).  The order is lexicographic, so the
+    items are sorted on key[:7] first, and the tag order, built
+    recursively, is read only within a run of equal key[:7]: one cell and
+    map under several tags, or a chain and a cochain.
     """
-    return key[:7] + (gen.tag.order, key[8] is not None)
+    items = sorted(items, key=lambda item: item[0][:7])
+    out = []
+    for _, run in itertools.groupby(items, key=lambda item: item[0][:7]):
+        run = list(run)
+        if len(run) > 1:
+            run.sort(key=lambda item: (item[1].tag.order, item[0][8] is not None))
+        out += run
+    return out
 
 
 class Chain:
@@ -448,9 +459,10 @@ class Chain:
             del self._terms[key]
 
     def terms(self) -> list:
-        """Deterministically ordered list of (coefficient, generator)."""
-        items = sorted(self._terms.items(), key=lambda kv: _term_order(kv[0], kv[1][1]))
-        return [(c, g) for _, (c, g) in items]
+        """(coefficient, generator) pairs in the term order (_in_term_order): by
+        the canonical cell and map, and by tag only among terms that share them."""
+        items = _in_term_order((key, g, c) for key, (c, g) in self._terms.items())
+        return [(c, g) for _, g, c in items]
 
     def coefficient(self, gen: Generator) -> Fraction:
         """Coefficient of the generator's class; 1/|group| folds back out."""
@@ -1073,7 +1085,7 @@ class ChainComplex:
                 reps[key] = norm
                 self.basis.setdefault(norm.grade, []).append((key, norm))
         for grade in self.basis:
-            self.basis[grade].sort(key=lambda kv: _term_order(*kv))
+            self.basis[grade] = _in_term_order(self.basis[grade])
         self._key_index = {key: (grade, i)
                            for grade, items in self.basis.items()
                            for i, (key, _) in enumerate(items)}

@@ -26,10 +26,11 @@ polytope produced.  Everything else inherits it from the incidence that
 produced it: a section (a fibre-product slice in cells, a fixed-locus cut in
 orbifold) has as facets the largest proper sets of its vertices tight on one
 row, a face G the largest proper sets G & F over the facets F of its
-polytope, and the hull of a point set the point set's facets restricted to
-the extreme points.  A facet's outward vector is its functional read in the
-direction space, scaled so that its last nonzero entry is +-1, so any
-functional tight on the facet gives the same vector.
+polytope (and G's face lattice is its polytope's faces inside G), and the
+hull of a point set the point set's facets restricted to the extreme points.
+A facet's outward vector is its functional read in the direction space,
+scaled so that its last nonzero entry is +-1, so any functional tight on the
+facet gives the same vector.
 
 A point of the polytope has one tight-facet mask, a bitmask over the facets;
 the minimal face holding some points is the meet of the facets tight on all
@@ -233,11 +234,21 @@ class _FaceData:
     (lattice), the local-coordinate matrix over one denominator
     (local_ints), and the hull's equations and the facets as primitive
     integer rows (rows).  Fractions are made once, for what is handed out.
+
+    A face handed out by face(mask) reuses what its parent computed: its
+    vertices are the parent's at the set bits, already sorted; its facets
+    are the parent's cut down to it (inherit_face); and its face lattice
+    is the parent's faces inside it, masks compressed, in the parent's
+    order (a face's dimension and vertex tuple do not depend on the
+    polytope it is read in).  Only a vertex set that no known polytope
+    produced walks its lattice from the facet masks (face_dims).
+
     The boundary data is lazy too: each facet's polytope and the sign of
     its frame, outward vector first, against dir_basis (facet_cells), the
     directions of the affine hull on its free coordinates
-    (hull_directions), the point of the hull whose free coordinates are
-    all 0 (hull_origin), and both over one common denominator (hull_chart).
+    (hull_directions, one reduction of dir_basis from the right), the
+    point of the hull whose free coordinates are all 0 (hull_origin), and
+    both over one common denominator (hull_chart).
     """
 
     def __init__(self, ambient_dim: int, vertices: tuple[Vec, ...]):
@@ -246,7 +257,7 @@ class _FaceData:
         v0 = vertices[0]
         diffs = [vsub(v, v0) for v in vertices[1:]]
         if diffs:
-            red, pivots = rref(mat(diffs))
+            red, pivots = rref(diffs)
             self.dir_basis: Mat = tuple(red[i] for i in range(len(pivots)))
         else:
             self.dir_basis = ()
@@ -364,16 +375,26 @@ class _FaceData:
         """(c, w_c) for each free coordinate c of the rref of the hull's equations.
 
         w_c is the direction of the affine hull with free coordinates e_c,
-        as sparse (index, coefficient) pairs: 1 at c, -red[k][c] at the
-        k-th pivot.
+        as sparse (index, coefficient) pairs, c first and then the nonzero
+        entries at the pivots of the equations in increasing order.  The free
+        coordinates are the right-most pivots of the direction space, and
+        the w_c are the rows of dir_basis reduced from the right: one
+        reduction, with no equations built.  A full-dimensional vertex set
+        has w_c = e_c for every c, a point none.
         """
         if self._hull_directions is None:
-            eqs = [e for e, _ in self.hull_equations()]
-            red, piv = rref(mat(eqs)) if eqs else ((), ())
-            self._hull_directions = [
-                (c, ((c, Fraction(1)),) + tuple((p, -row[c]) for row, p in zip(red, piv)
-                                                if row[c]))
-                for c in range(self.ambient_dim) if c not in piv]
+            n, d = self.ambient_dim, self.dir_basis
+            if len(d) == n:
+                dirs = [(c, ((c, Fraction(1)),)) for c in range(n)]
+            elif not d:
+                dirs = []
+            else:
+                red, piv = rref(tuple(row[::-1] for row in d))
+                dirs = [(n - 1 - p, ((n - 1 - p, Fraction(1)),)
+                         + tuple((j, x) for j, x in enumerate(reversed(row))
+                                 if x and j != n - 1 - p))
+                        for row, p in zip(reversed(red), reversed(piv))]
+            self._hull_directions = dirs
         return self._hull_directions
 
     def hull_origin(self) -> tuple[tuple[int, Fraction], ...]:
@@ -466,18 +487,26 @@ class _FaceData:
             amb = tuple(Fraction(sum(x * row[j] for x, row in zip(u, d)), scale)
                         for j in range(self.ambient_dim))
             out.append((self.key(mask), amb, mask, f, u))
-        out.sort(key=lambda entry: entry[0])
+        out.sort(key=lambda entry: mask_bits(entry[2]))
         self.facet_masks = [entry[2] for entry in out]
         self.functionals = [entry[3] for entry in out]
         self._local_functionals = [entry[4] for entry in out]
         self._facets = [(key, amb) for key, amb, *_ in out]
 
     def face(self, mask: int) -> "Polytope":
-        """The face with this vertex bitmask, its facets inherited from ours."""
-        face = Polytope(self.ambient_dim, self.key(mask), _trusted=True)
+        """The face with this vertex bitmask, its facets and lattice inherited from ours.
+
+        Its vertices are ours at the set bits, already sorted and distinct.
+        Its faces are ours inside it, in our order: by dimension, then by
+        vertex tuple, which is the same tuple read in the face.
+        """
+        face = Polytope._of_sorted(self.ambient_dim, self.key(mask))
         sub = face._fd
         if sub._facets is None:
             sub.inherit_face(self, mask)
+        if sub._face_dims is None:
+            sub._face_dims = {compress_mask(g, mask): k for g, k in self.face_dims().items()
+                              if not g & ~mask}
         return face
 
     def facet_cells(self) -> list[tuple["Polytope", int]]:
@@ -509,29 +538,34 @@ class _FaceData:
         self.set_facets([(compress_mask(c, face), functional[c]) for c in _maximal(cuts)])
 
     def faces_by_dim(self) -> dict[int, list[FaceKey]]:
-        """All nonempty faces, the polytope itself included, grouped by dimension.
-
-        The facets of a face G are the inclusion-maximal nonempty sets G & F
-        other than G, over the facets F of the polytope.  Each face's vertex
-        bitmask and dimension go to `face_dims`, in the same order as the keys.
-        """
+        """All nonempty faces, the polytope itself included, grouped by dimension,
+        each dimension's keys in increasing order."""
         if self._faces_by_dim is None:
+            by_dim: dict[int, list[FaceKey]] = {}
+            for g, k in self.face_dims().items():
+                by_dim.setdefault(k, []).append(self.key(g))
+            self._faces_by_dim = by_dim
+        return self._faces_by_dim
+
+    def face_dims(self) -> dict[int, int]:
+        """Vertex bitmask -> dimension of every nonempty face, by dimension, then key.
+
+        Unless inherited (face), the lattice is walked down from the vertex
+        set: the facets of a face G are the inclusion-maximal nonempty sets
+        G & F other than G, over the facets F.  Masks are ordered by their
+        set bits, which orders them as their keys: the vertices are sorted.
+        """
+        if self._face_dims is None:
             self.facets()
             level = {(1 << len(self.vertices)) - 1}
             levels = {}
             for k in range(self.dim, -1, -1):
-                levels[k] = sorted((self.key(g), g) for g in level)
+                levels[k] = sorted(level, key=mask_bits)
                 below = set()
                 for g in level:
                     below.update(_maximal({g & f for f in self.facet_masks} - {g, 0}))
                 level = below
-            self._face_dims = {g: k for k in sorted(levels) for _, g in levels[k]}
-            self._faces_by_dim = {k: [key for key, _ in levels[k]] for k in sorted(levels)}
-        return self._faces_by_dim
-
-    def face_dims(self) -> dict[int, int]:
-        """Vertex bitmask -> dimension of every nonempty face, in faces_by_dim's order."""
-        self.faces_by_dim()
+            self._face_dims = {g: k for k in sorted(levels) for g in levels[k]}
         return self._face_dims
 
 
@@ -560,11 +594,19 @@ class Polytope:
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "vertices", vs)
 
+    @classmethod
+    def _of_sorted(cls, ambient_dim: int, vertices: tuple[Vec, ...]) -> "Polytope":
+        """The polytope on vertices already sorted, distinct, extreme and exact."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "ambient_dim", ambient_dim)
+        object.__setattr__(poly, "vertices", vertices)
+        return poly
+
     @staticmethod
     def from_points(ambient_dim: int, points: Iterable[Iterable]) -> "Polytope":
         pts = _checked_points(ambient_dim, points, "point")
         fd = _hull_face_data(ambient_dim, tuple(dict.fromkeys(pts)))
-        poly = Polytope(ambient_dim, fd.vertices, _trusted=True)
+        poly = Polytope._of_sorted(ambient_dim, fd.vertices)
         object.__setattr__(poly, "_face", fd)
         return poly
 

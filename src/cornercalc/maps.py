@@ -6,7 +6,7 @@ sign.  Each builds both sides independently with fibre_product_cells and
 compares them in canonical form: as multisets of (canonical key, orientation
 sign), or, for the boundary formula, facet by facet.  A CheckReport records
 whether the identity held, how many components were compared, and whether the
-instance met the identity's preconditions (submersion, transversality,
+instance met the identity's preconditions (transversality and
 orientability).
 """
 
@@ -24,7 +24,6 @@ from .cells import (
     cell_orientation_equal,
     constant_map,
     fibre_product_cells,
-    is_interior_submersion,
     permute_cell_coords,
 )
 
@@ -140,12 +139,10 @@ def check_swap_sign_cells(cell1: Cell, map1: CellMap,
     (-1)^(s1 s2) on top of the dimension sign.  With torus equations the
     surviving circle coordinates are unimodular mixtures of both blocks, and
     the canonical form, which reduces modulo rational shears of the torus
-    factor, records the exchange in the frames.
+    factor, records the exchange in the frames.  The precondition is that
+    both products are transverse and oriented; neither map need be a
+    submersion.
     """
-    if not (is_interior_submersion(cell1, map1)
-            and is_interior_submersion(cell2, map2)):
-        return CheckReport(False, 0, precondition=False,
-                           details=("both maps must be submersions",))
     m = map1.target.dim
     d1, d2 = cell1.dim, cell2.dim
     s1, s2 = cell1.torus_rank, cell2.torus_rank

@@ -45,7 +45,7 @@ from cornercalc.cells import (
 )
 from cornercalc.chains import Generator, _normal_form, generator_boundary, numbered_tag
 from cornercalc.geometry import POINT_POLYTOPE, GeometryError, Polytope, box, interval
-from cornercalc.maps import check_boundary_of_fibre_product_cells
+from cornercalc.maps import check_boundary_of_fibre_product_cells, check_swap_sign_cells
 from cornercalc.randgen import (associativity_instance, fibre_instance, random_cell,
                                 random_map, random_polytope, submersive_cell)
 from test_geometry import embedded_lattice_hull, placed_rational_hull
@@ -1321,6 +1321,25 @@ def test_transverse_products_of_non_submersions_have_the_boundary_formula():
                 transverse += 1
                 assert all(z.orientable for z in comps)
                 assert report.ok and report.precondition
+            else:
+                assert not report.precondition
+    assert transverse >= 20
+
+
+def test_transverse_products_of_non_submersions_have_the_swap_sign():
+    # Neither map is a submersion, so only transversality makes the swap
+    # law's precondition: every transverse draw must give the sign
+    # (-1)^((dim X1 - m)(dim X2 - m)), in both orders of the factors.
+    transverse = 0
+    for target in (euclid(3), torus(3)):
+        for seed in range(40):
+            c1, f1, c2, f2 = _nonsubmersive_pair(
+                Random(f"non-submersive/{target.kind}/{seed}"), target)
+            comps = fibre_product_cells(c1, f1, c2, f2) + fibre_product_cells(c2, f2, c1, f1)
+            report = check_swap_sign_cells(c1, f1, c2, f2)
+            if all(z.transverse for z in comps):
+                transverse += 1
+                assert report.ok and report.precondition, report.details
             else:
                 assert not report.precondition
     assert transverse >= 20

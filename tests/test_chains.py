@@ -745,3 +745,52 @@ def test_complex_basis_order_matches_term_key():
     for items in cc.basis.values():
         assert items == sorted(items, key=lambda kv: _term_key(kv[0]))
     assert cc.betti() == {0: 10, 1: 0, 2: 0, 3: 0}
+
+
+def _term_order(key, gen):
+    """The term order as one sort key: the first seven slots of the normal-form
+    key, then the tag's order, then the cochain flag (a chain's None first)."""
+    return key[:7] + (gen.tag.order, key[8] is not None)
+
+
+def _ties(keys):
+    """How many keys share their first seven slots with another key."""
+    heads = [k[:7] for k in keys]
+    return sum(heads.count(h) > 1 for h in heads)
+
+
+def test_terms_and_basis_sort_by_the_full_term_order():
+    """Chain.terms and ChainComplex.basis, which read tags only within ties,
+    against one sort on the whole term order.  The ties: one cell and map
+    under two tags, and a chain and a cochain of one cell, map and tag."""
+    iv, pt = interval(0, 1), box([])
+    cells = ((Cell(iv, 0), constant_map(POINT, 1, 0)),
+             (Cell(pt, 1), CellMap(torus(1), [()], [[1]], [0])))
+    gens = [Generator(cell, cmap, numbered_tag(cell.polytope, prefix), is_cochain=flag)
+            for cell, cmap in cells for prefix in ("b", "a", 3) for flag in (True, False)]
+    ch = Chain([(k + 1, g) for k, g in enumerate(gens)])
+    for seed in range(4):
+        rng = Random(seed)
+        ch = ch + random_chain(rng, ("r", seed), max_terms=6, max_ambient=3)
+    assert _ties(list(ch._terms)) == len(gens)
+    want = sorted(ch._terms.items(), key=lambda kv: _term_order(kv[0], kv[1][1]))
+    got = ch.terms()
+    assert len(got) == len(want)
+    assert all(c == c2 and g is g2 for (c, g), (_, (c2, g2)) in zip(got, want))
+
+    # vertices are grade 0 both as chains and as cochains over the point
+    pt = Polytope(1, [[2]])
+    cx_gens = [Generator(Cell(pt, 0), constant_map(POINT, 1, 0), numbered_tag(pt, prefix),
+                         is_cochain=flag)
+               for prefix in ("v", "u") for flag in (False, True)]
+    for p in (standard_simplex(2), box([(0, 1)] * 2), iv):
+        cmap = constant_map(POINT, p.ambient_dim, 0)
+        for prefix in ("a", 3, ("t", 0)):
+            big = numbered_tag(p, prefix)
+            cx_gens += [Generator(Cell(p.face_from_mask(g), 0), cmap, big.restrict(g))
+                        for g in p._fd.face_dims()]
+    cx = ChainComplex(cx_gens)
+    keys = [key for items in cx.basis.values() for key, _ in items]
+    assert _ties(keys) > len(cx_gens) // 2
+    for items in cx.basis.values():
+        assert items == sorted(items, key=lambda kv: _term_order(*kv))

@@ -4,7 +4,7 @@ import itertools
 import random
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import ConvexHull
 
 from cornercalc._linalg import (_primitive_rows, dot, frac, kernel_basis, lp_feasible, mat,
-                               matvec, rank, solve, vec)
+                               matvec, rank, rref, solve, vec)
 from cornercalc.bordism import oriented_match
 from cornercalc.cells import (
     POINT,
@@ -842,12 +842,12 @@ def test_membership_matches_fraction_formulas(data):
 # ---------------------------------------------------------------------------
 
 @st.composite
-def placed_rational_hull(draw):
-    """A rational lattice hull of dimension at most k (k = 0..3) in R^n
+def placed_rational_hull(draw, max_dim=3):
+    """A rational lattice hull of dimension at most k (k = 0..max_dim) in R^n
     (n = max(k, 1)..4): points (c, B c) + s, c in Z^k, B and s rational, with
     the coordinates permuted, so any coordinates may be the hull's pivots.
     Most draws are lower-dimensional than R^n."""
-    k = draw(st.integers(0, 3))
+    k = draw(st.integers(0, max_dim))
     n = draw(st.integers(max(k, 1), 4))
     coeffs = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * k), min_size=k + 1,
                            max_size=k + 3, unique=True))
@@ -892,3 +892,66 @@ def test_hull_origin_is_the_hull_point_with_free_coordinates_zero(p):
     assert tuple((j, Fraction(x, den)) for j, x in ints) == origin
     assert [(c, tuple((j, Fraction(x, den)) for j, x in w)) for c, w in dirs] == \
         fd.hull_directions()
+
+
+# ---------------------------------------------------------------------------
+# Faces reuse their parent's data: against cold face data and two eliminations
+# ---------------------------------------------------------------------------
+
+def _two_elimination_chart(fd):
+    """(hull_directions, hull_origin, hull_chart) by the reference formula:
+    the hull's equations are a kernel basis of dir_basis, the free
+    coordinates are the non-pivots of their rref, and w_c is e_c minus
+    column c of the rref at the pivots."""
+    n, d = fd.ambient_dim, fd.dir_basis
+    if len(d) == n:
+        eqs = []
+    elif not d:
+        eqs = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    else:
+        eqs = list(kernel_basis(mat(d)))
+    red, piv = rref(mat(eqs)) if eqs else ((), ())
+    dirs = [(c, ((c, Fraction(1)),) + tuple((p, -row[c]) for row, p in zip(red, piv) if row[c]))
+            for c in range(n) if c not in piv]
+    p0 = list(fd.vertices[0])
+    for c, w in dirs:
+        x0 = fd.vertices[0][c]
+        for j, x in w:
+            p0[j] -= x0 * x
+    origin = tuple((j, x) for j, x in enumerate(p0) if x)
+    den = lcm(*(x.denominator for _, w in dirs for _, x in w), *(x.denominator for _, x in origin))
+    chart = (den, tuple((c, tuple((j, int(x * den)) for j, x in w)) for c, w in dirs),
+             tuple((j, int(x * den)) for j, x in origin))
+    return dirs, origin, chart
+
+
+def _faces_reached(poly):
+    """Every face reached from poly through face() on its face masks and
+    through facet_cells, recursively, down to the vertices."""
+    reached = [poly._fd.face(g) for g in poly._fd.face_dims()]
+    stack = [poly]
+    while stack:
+        p = stack.pop()
+        reached.append(p)
+        stack.extend(fp for fp, _ in p._fd.facet_cells())
+    return reached
+
+
+@settings(max_examples=60, deadline=None)
+@given(placed_rational_hull(max_dim=4))
+def test_faces_inherit_the_lattice_and_chart_of_a_cold_enumeration(p):
+    """A face built by face() takes its lattice from its parent's and its
+    chart from one reduction: both must equal what face data built from
+    scratch, outside the cache, and the two-elimination chart give."""
+    geometry._face_data.cache_clear()
+    p = Polytope.from_points(p.ambient_dim, p.vertices)
+    for face in _faces_reached(p):
+        fd = face._fd
+        cold = _FaceData(face.ambient_dim, face.vertices)
+        assert list(fd.face_dims().items()) == list(cold.face_dims().items())
+        assert list(fd.faces_by_dim().items()) == list(cold.faces_by_dim().items())
+        assert fd.facets() == cold.facets() and fd.facet_masks == cold.facet_masks
+        dirs, origin, chart = _two_elimination_chart(cold)
+        assert fd.hull_directions() == dirs
+        assert fd.hull_origin() == origin
+        assert fd.hull_chart() == chart

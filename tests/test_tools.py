@@ -50,3 +50,19 @@ def test_outcome_only_digest_of_one_homology_bordism_item():
                       "0 fibre_product_cells results (0 components)")
     assert outcomes == (
         "outcomes sha256 af7886ba6038bde5315210fefae5567f7014e522f7be62e9ea96688f1c391a80")
+
+
+def test_bench_pairs_smoke():
+    # one short pair of the same checkout on both sides: every end-to-end
+    # metric gets a line, and the run is correct
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "bench_pairs.py"), str(ROOT), str(ROOT),
+         "--workload", "chain-boundary", "--pairs", "1", "--seed0", "1", "--seconds", "0.3"],
+        capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0].startswith("pair 1 seed 1: throughput_ops_s parent ")
+    rows = {line.split()[0]: line.split() for line in lines[2:]}
+    assert set(rows) >= {"metric", "throughput_ops_s", "latency_p50_ms", "latency_p90_ms",
+                         "ok_share", "setup_s", "peak_rss_mb"}
+    assert rows["ok_share"][1:3] == ["1", "1"] and rows["ok_share"][-1] == "0/1"
