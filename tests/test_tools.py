@@ -24,16 +24,17 @@ def test_outcome_digest_of_one_item():
     ]
 
 
-def test_outcome_only_digest_of_one_cochain_item():
-    # The fibre products of a cup are recorded in the combined digest, so only
-    # the counts and the outcomes are pinned here.  The counts moved from 110
-    # results (138 components) when check_dga came to compute cup(c1, c2)
-    # once for its three laws instead of once per law; the outcomes did not.
-    counts, _, outcomes = _digest_lines("cochain-algebra")
-    assert counts == ("cochain-algebra items 0..0: 10 ops, "
-                      "98 fibre_product_cells results (122 components)")
-    assert outcomes == (
-        "outcomes sha256 1dd9881733bafec6d8d0fb5ed9962cc5d78f9341d2dce31262009a5f2599a4eb")
+def test_outcome_digest_of_one_cochain_item():
+    # The combined line hashes every component's cell, sign and flags, so it
+    # pins the orientation signs of the cups and caps, not only the outcomes.
+    # The counts moved from 110 results (138 components) when check_dga came
+    # to compute cup(c1, c2) once for its three laws instead of once per law;
+    # the outcomes did not.
+    assert _digest_lines("cochain-algebra") == [
+        "cochain-algebra items 0..0: 10 ops, 98 fibre_product_cells results (122 components)",
+        "sha256 d78ebc3669d7069b615f76475223fadb7c100bc5aea9eede9b1a9d5a028a18ed",
+        "outcomes sha256 1dd9881733bafec6d8d0fb5ed9962cc5d78f9341d2dce31262009a5f2599a4eb",
+    ]
 
 
 def test_outcome_only_digest_of_one_chain_boundary_item():
