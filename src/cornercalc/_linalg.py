@@ -142,7 +142,11 @@ def _fraction_row(row: list[int], d: int) -> Vec:
 
 
 def _bareiss(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix (consumed) by Bareiss elimination."""
+    """Determinant of a square integer matrix by Bareiss elimination.
+
+    The list is consumed, but a row is replaced rather than changed in
+    place, so rows it shares with other lists are left as they were.
+    """
     n = len(rows)
     sign, prev = 1, 1
     for k in range(n - 1):

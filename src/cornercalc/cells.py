@@ -27,16 +27,25 @@ so one normal form and one boundary serve both.  A Coorientation is an input
 format, validated against the map (the frame as given names the first vector
 at fault).
 
-A fibre product is oriented because it is transverse, by one rule read off
-D = [df1 | -df2] on the factors' frames, an m x (d1 + d2) matrix: when D is
-onto TY, TZ = Ker D, and with D N = (e_1 ... e_m) the kernel frame K is
-oriented by eps1 eps2 (-1)^(m d2) sign det(K + N against frame1 + frame2).
-When f2 is a submersion this is factor 1's frame lifted through f2 followed
-by Ker df2 cooriented by the dictionary; when f1 is, Ker df1 with its kernel
-in front followed by factor 2's frame lifted through f1.  Both maps
-submersions give T(Z) = Ker df1 + TY + Ker df2, and a first factor oriented
-by the dictionary makes the component the dictionary orientation of the cup
-coorientation.  If D is not onto, every component is left unoriented.
+Orientation signs are one determinant.  Let D be a differential on default
+frames (m x d) and X a frame in frame coordinates (d x k): dir_basis is in
+RREF, so coordinate i of a direction is its entry at the i-th pivot column,
+and torus coordinates are read as they stand.  [X^T; D] stacks the rows of
+X^T on those of D.  For any N with D N = I, [X^T; D] [X | N] =
+[[X^T X, X^T N], [0, I]], so sign det[X^T; D] is the sign of det[X | N], X
+completed by lifts of TY; it is 0 when k + m != d or D is not onto.
+
+A fibre-product component is oriented by eps1 eps2 (-1)^(m d2)
+sign det[X^T; D], with D = [df1 | -df2] on the factors' frames and X its
+default frame, and is unoriented when that is 0.  When f2 is a submersion
+this is factor 1's frame lifted through f2 followed by Ker df2 cooriented by
+the dictionary; when f1 is, Ker df1 with its kernel in front followed by
+factor 2's frame lifted through f1.  Both maps submersions give
+T(Z) = Ker df1 + TY + Ker df2, and a first factor oriented by the dictionary
+makes the component the dictionary orientation of the cup coorientation.
+The dictionary is the same determinant with D = df: a coorientation frame K
+with sign c orients the cell by c (-1)^(m k) sign det[K^T; df], as
+[K^T; df] [L | K] = [[K^T L, K^T K], [I, 0]] for lifts L with df L = I.
 """
 
 from __future__ import annotations
@@ -53,6 +62,8 @@ from ._linalg import (
     Mat,
     SpanError,
     Vec,
+    _bareiss,
+    _primitive_rows,
     change_of_basis_det,
     det,
     frac,
@@ -60,7 +71,6 @@ from ._linalg import (
     kernel_basis,
     mat,
     rank,
-    solve_columns,
     vec,
 )
 from .geometry import FaceKey, GeometryError, Polytope, section_polytope
@@ -133,18 +143,14 @@ def _unit(n: int, i: int) -> Vec:
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
 
 
-def _in_ambient(basis: Mat, coords: Vec, ambient: int) -> Vec:
-    """The vector with these coordinates on the basis, in ambient coordinates.
-
-    Zero coordinates and zero basis entries are skipped.
-    """
-    out = [_ZERO] * ambient
-    for c, row in zip(coords, basis):
-        if c:
-            for j, x in enumerate(row):
-                if x:
-                    out[j] += c * x
-    return tuple(out)
+def _det_sign(x_rows: Sequence[Sequence], d_rows: list, width: int) -> int:
+    """sign det[X^T; D]: the exact rows x_rows of X^T on top of the integer
+    rows d_rows of D, each of the given width; 0 when that matrix is not
+    square or is singular.  Rows are scaled by positive integers only."""
+    if len(x_rows) + len(d_rows) != width:
+        return 0
+    d = _bareiss(_primitive_rows(x_rows) + d_rows)
+    return (d > 0) - (d < 0)
 
 
 def default_frame(polytope: Polytope, torus_rank: int) -> Mat:
@@ -407,44 +413,42 @@ def validate_coorientation(cell: Cell, cmap: CellMap, co: Coorientation) -> None
         raise MapError("coorientation vector not in the kernel of the differential")
 
 
-def _target_lifts(tb: Mat, dmat: Mat, ambient: int) -> list[Vec]:
-    """Ambient vectors w_i with df(w_i) = e_i, solved on the tangent basis tb."""
-    m = len(dmat)
-    ws = solve_columns(dmat, [_unit(m, i) for i in range(m)])
-    if ws is None:
-        raise FibreProductError("map is not an interior submersion")
-    return [_in_ambient(tb, w, ambient) for w in ws]
-
-
 def kernel_coorientation(cell: Cell, cmap: CellMap) -> Coorientation:
     """The coorientation matching the cell's orientation: TX = f*(TY) + Ker df.
 
-    The kernel frame is oriented so that (lifts of the target frame, kernel
-    frame) matches the cell; the inverse of orientation_from_coorientation.
+    The frame K is kernel_basis(df) on the cell's frame, carried into
+    ambient coordinates.  (Lifts of TY, K) orients the cell when its sign is
+    cell.sign (-1)^(m k) sign det[K^T; df] (module docstring), and df is
+    onto, so that determinant is not 0.  The inverse of
+    orientation_from_coorientation.
     """
-    tb = cell.frame
     dmat = cmap.differential_on(cell)
     m = cmap.target.dim
     kb = kernel_basis(dmat) if dmat and dmat[0] else tuple(
         _unit(cell.dim, i) for i in range(cell.dim))
     if len(kb) != cell.dim - m:
         raise FibreProductError("map is not an interior submersion")
-    lifts = _target_lifts(tb, dmat, cell.ambient)
-    kframe = tuple(_in_ambient(tb, k, cell.ambient) for k in kb)
-    frame_vs = lifts + list(kframe)
-    if frame_vs:
-        d = change_of_basis_det(frame_vs, tb)
-        eps = (1 if d > 0 else -1) * cell.sign
-    else:
-        eps = cell.sign
-    return Coorientation(kframe, eps)
+    eps = cell.sign * _det_sign(kb, _primitive_rows(dmat), cell.dim) * (-1) ** (m * len(kb))
+    cols = tuple(zip(*cell.frame))
+    return Coorientation([[sum((c * x for c, x in zip(k, col) if c and x), _ZERO) for col in cols]
+                          for k in kb], eps)
 
 
 def orientation_from_coorientation(cell: Cell, cmap: CellMap, co: Coorientation) -> Cell:
-    """Orient the cell by TX = f*(TY) + Ker df, using the target's standard frame."""
-    lifts = _target_lifts(cell.frame, cmap.differential_on(cell), cell.ambient)
-    frame_vs = tuple(lifts) + tuple(co.frame)
-    return Cell(cell.polytope, cell.torus_rank, frame_vs, co.sign)
+    """Orient the cell by TX = f*(TY) + Ker df, using the target's standard frame.
+
+    The coorientation must be valid (validate_coorientation).  With K its
+    frame in frame coordinates, the cell's sign is
+    co.sign (-1)^(m k) sign det[K^T; df] (module docstring); the
+    determinant is 0 exactly when df is not onto.
+    """
+    pivots, n = cell.polytope._fd.dir_pivots, cell.polytope.ambient_dim
+    sign = _det_sign([[v[p] for p in pivots] + list(v[n:]) for v in co.frame],
+                     _primitive_rows(cmap.differential_on(cell)), cell.dim)
+    if not sign:
+        raise FibreProductError("map is not an interior submersion")
+    return Cell(cell.polytope, cell.torus_rank,
+                sign=co.sign * sign * (-1) ** (cmap.target.dim * len(co.frame)))
 
 
 # ---------------------------------------------------------------------------
@@ -578,53 +582,19 @@ class FibreComponent:
                         self.t_rows, self.t_fcoefs, self.t_consts)
 
 
-def _oriented_kernel(cell1: Cell, map1: CellMap, cell2: Cell, map2: CellMap
-                     ) -> Optional[tuple[int, list[Vec]]]:
-    """(sign, K): an oriented frame of Ker D, D = [df1 | -df2] on the factors'
-    frames, in (p1, t1, p2, t2) coordinates; None when D is not onto.
-
-    With D N = (e_1 ... e_m), the sign is eps1 eps2 (-1)^(m d2) times the
-    sign of det(K + N) on the block frame (frame1 + 0, 0 + frame2).  If f2 is
-    a submersion, write X2's frame as (lifts of TY, Ker df2): column
-    operations carry (frame1 lifted through f2, Ker df2, N) to the block
-    frame at the cost of (-1)^(m (d2 - m + 1)) = (-1)^(m d2), so this is the
-    rule that lifts factor 1's frame through f2 and appends the dictionary's
-    Ker df2.  If f1 is, the same operations give (Ker df1, frame2 lifted
-    through f1), with Ker df1 oriented as (Ker df1, lifts of TY) orients X1.
-    """
-    m = map1.target.dim
-    d1, d2 = cell1.dim, cell2.dim
-    if m:
-        dmat = tuple(r1 + tuple(-x for x in r2) for r1, r2 in
-                     zip(map1.differential_on(cell1), map2.differential_on(cell2)))
-        lifts = solve_columns(dmat, [_unit(m, i) for i in range(m)])
-        if lifts is None:
-            return None
-        kernel = kernel_basis(dmat)
-    else:
-        lifts, kernel = [], tuple(_unit(d1 + d2, i) for i in range(d1 + d2))
-    sign = cell1.sign * cell2.sign * (-1 if (m * d2) % 2 else 1)
-    if det(tuple(kernel) + tuple(lifts)) < 0:
-        sign = -sign
-    f1, f2 = cell1.frame, cell2.frame
-    return sign, [_in_ambient(f1, k[:d1], cell1.ambient) + _in_ambient(f2, k[d1:], cell2.ambient)
-                  for k in kernel]
-
-
 def fibre_product_cells(cell1: Cell, map1: CellMap, cell2: Cell, map2: CellMap
                         ) -> list[FibreComponent]:
     """All components of the fibre product of two cells over a shared target,
     each oriented by one rule, or flagged not orientable.
 
-    D = [df1 | -df2] on the factors' frames is built once: when it maps onto
-    the target, Ker D is the tangent space of every transverse component,
-    and one oriented frame of it (_oriented_kernel) orients each component
-    by one determinant, of J applied to the component's default frame
-    against that frame, J the inclusion of its tangent space into T1 x T2.
-    With cell1 oriented by the dictionary and f2 a submersion, the
-    component is oriented by the cup coorientation (Ker df1, Ker df2).  When
-    D is not onto, or a component's dimension is not that of Ker D, the
-    component is flagged not orientable.
+    D = [df1 | -df2] on the factors' frames, m x (d1 + d2), is built once,
+    as rows scaled to integers by positive factors.  A component's sign is
+    eps1 eps2 (-1)^(m d2) sign det[X^T; D], X its default frame in the
+    factors' frame coordinates, one Bareiss determinant per component
+    (_build_component).  As [X^T; D] [X | N] = [[X^T X, X^T N], [0, I]] for
+    D N = I, that is the sign of det[X | N], the kernel frame completed by
+    lifts of TY.  When D is not onto, or the component's dimension is not
+    d1 + d2 - m, the determinant is 0: the component is not orientable.
 
     A component is transverse when it has the expected dimension and each
     of its faces has the codimension of its factor faces; then D spans the
@@ -639,7 +609,9 @@ def fibre_product_cells(cell1: Cell, map1: CellMap, cell2: Cell, map2: CellMap
     if m > 0 and (map1.n_cols != n1 or map1.s_cols != s1
                   or map2.n_cols != n2 or map2.s_cols != s2):
         raise MapError("map shapes do not match the cells")
-    kernel = _oriented_kernel(cell1, map1, cell2, map2)
+    eps = cell1.sign * cell2.sign * (-1) ** (m * cell2.dim)
+    d_rows = _primitive_rows([r1 + tuple(-x for x in r2) for r1, r2 in
+                              zip(map1.differential_on(cell1), map2.differential_on(cell2))])
 
     n = n1 + n2
     s = s1 + s2
@@ -721,7 +693,7 @@ def fibre_product_cells(cell1: Cell, map1: CellMap, cell2: Cell, map2: CellMap
             comp = _build_component(
                 cell1, map1, cell2, map2, *section, s_z, u, rho,
                 tau_rows, tau_consts, tuple(int(x) for x in lam_full),
-                expected_dim, kernel)
+                expected_dim, eps, d_rows)
             components.append(comp)
 
     components.sort(key=lambda fc: (fc.cell.polytope.vertices, fc.translate))
@@ -730,7 +702,10 @@ def fibre_product_cells(cell1: Cell, map1: CellMap, cell2: Cell, map2: CellMap
 
 def _build_component(cell1, map1, cell2, map2, poly, tight, s_z, u, rho,
                      tau_rows, tau_consts, translate, expected_dim,
-                     kernel) -> FibreComponent:
+                     eps, d_rows) -> FibreComponent:
+    """The component poly x T^(s_z): its projection, face pairs, flags, and
+    the sign eps sign det[X^T; D], D the call's integer rows d_rows and X
+    its default frame in the factors' frame coordinates (p1, t1, p2, t2)."""
     n1, s1 = cell1.polytope.ambient_dim, cell1.torus_rank
     n2, s2 = cell2.polytope.ambient_dim, cell2.torus_rank
     n = n1 + n2
@@ -783,31 +758,25 @@ def _build_component(cell1, map1, cell2, map2, poly, tight, s_z, u, rho,
     # and s_z = s1 + s2 - rho.  The two checks give dim G + s_z =
     # dim F1 + dim F2 + s1 + s2 - m, so D_F spans the target on every face.
 
-    # J, the embedding of the component's tangent space into T1 x T2 with
-    # coordinates ordered (p1, t1, p2, t2): a direction u of the slice moves
-    # t by t_rows . u, and the free torus coordinate phi_i moves it by
-    # column i of t_fcoefs.  j_cols is J applied to the component's default
-    # frame; it lies in Ker D, so its determinant against the oriented
-    # kernel frame orients the component when the dimensions agree.
-    def j_column(u_dir, dt):
-        return (tuple(u_dir[:n1]) + tuple(dt[:s1])
-                + tuple(u_dir[n1:]) + tuple(dt[s1:]))
+    # X, the component's default frame in the factors' frame coordinates: a
+    # direction u of the slice is read at the pivots of dir P1 and dir P2
+    # and moves t by t_rows . u; the free torus coordinate phi_i moves t by
+    # column i of t_fcoefs.
+    piv1 = fd1.dir_pivots
+    piv2 = [n1 + p for p in fd2.dir_pivots]
 
-    j_cols = [j_column(d, [sum((x * y for x, y in zip(row, d) if x), Fraction(0))
-                           for row in t_rows])
+    def coords(u_dir, dt):
+        return [u_dir[p] for p in piv1] + dt[:s1] + [u_dir[p] for p in piv2] + dt[s1:]
+
+    x_rows = [coords(d, [sum((x * y for x, y in zip(row, d) if x), _ZERO) for row in t_rows])
               for d in poly.dir_basis]
-    j_cols += [j_column((Fraction(0),) * n, [Fraction(fc[i]) for fc in t_fcoefs])
-               for i in range(s_z)]
-
-    d = 0
-    if kernel is not None and len(kernel[1]) == len(j_cols):
-        sign, frame = kernel
-        d = change_of_basis_det(j_cols, frame)
-    cell = Cell(poly, s_z, sign=sign if d > 0 else -sign) if d else Cell(poly, s_z)
+    x_rows += [coords((0,) * n, [fc[i] for fc in t_fcoefs]) for i in range(s_z)]
+    sign = _det_sign(x_rows, d_rows, cell1.dim + cell2.dim)
+    cell = Cell(poly, s_z, sign=eps * sign) if sign else Cell(poly, s_z)
 
     return FibreComponent(
         cell=cell, pmap=pmap, translate=translate,
-        transverse=transverse, orientable=d != 0, face_pairs=face_pairs,
+        transverse=transverse, orientable=sign != 0, face_pairs=face_pairs,
         split=(n1, s1, n2, s2),
         t_rows=tuple(t_rows), t_fcoefs=tuple(t_fcoefs), t_consts=tuple(t_consts))
 

@@ -117,18 +117,32 @@ def section_vertices(n: int, equations: Sequence[tuple[Vec, Fraction]],
     Equations, when given, are solved once: x = X0 / D0 + sum y_i K_i over
     a primitive integer kernel basis K (without equations, X0 = 0, D0 = 1
     and K = I), so each inequality becomes an integer row g . y <= h over
-    the q coordinates y.  The vertices are the extreme rays with t > 0 of
-    the homogenised cone {(y, t) : g . y - h t <= 0, t >= 0}
+    the q coordinates y.  X0, D0 and K come from one Jordan reduction of
+    the integer rows [E | c], with no solution when a pivot lies in the c
+    column: X0 / D0 is the solution with free coordinates 0, and K has one
+    vector per free column.  The vertices are the extreme rays with t > 0
+    of the homogenised cone {(y, t) : g . y - h t <= 0, t >= 0}
     (_cone_vertices), and the ray (v, t) is the point with x_j = (X0_j t +
     D0 sum v_i K_ij) / (D0 t), one Fraction per coordinate.
     """
     if equations:
-        e = mat(row for row, _ in equations)
-        x0 = solve(e, vec(c for _, c in equations))
-        if x0 is None:
+        rows = [_scaled(vec(row) + (frac(c),))[0] for row, c in equations]
+        pivots = _eliminate(rows)
+        if pivots and pivots[-1] == n:
             return []
-        x0, d0 = _scaled(x0)
-        basis = [_primitive(_scaled(k)[0]) for k in kernel_basis(e)]
+        d0 = lcm(*(row[p] for row, p in zip(rows, pivots)))
+        rows = [[x * (d0 // row[p]) for x in row] for row, p in zip(rows, pivots)]
+
+        def column(j):
+            """Column j of the RREF times d0, read at the pivot coordinates."""
+            x = [0] * n
+            for row, p in zip(rows, pivots):
+                x[p] = row[j]
+            return x
+
+        x0 = column(n)
+        basis = [_primitive([d0 * (i == f) - x for i, x in enumerate(column(f))])
+                 for f in range(n) if f not in pivots]
     else:
         x0, d0 = [0] * n, 1
         basis = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -260,7 +274,10 @@ class _FaceData:
             red, pivots = rref(diffs)
             self.dir_basis: Mat = tuple(red[i] for i in range(len(pivots)))
         else:
-            self.dir_basis = ()
+            self.dir_basis, pivots = (), ()
+        # dir_basis is in RREF: coordinate i of a direction is its entry at
+        # the i-th pivot column
+        self.dir_pivots: tuple[int, ...] = pivots
         self.dim = len(self.dir_basis)
         self._lattice: Optional[tuple] = None
         self._local_ints: Optional[tuple] = None

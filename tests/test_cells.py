@@ -1343,3 +1343,121 @@ def test_transverse_products_of_non_submersions_have_the_swap_sign():
             else:
                 assert not report.precondition
     assert transverse >= 20
+
+
+# ---------------------------------------------------------------------------
+# One determinant per component against the oriented kernel frame
+# ---------------------------------------------------------------------------
+
+def _kernel_frame_orientation(z, c1, f1, c2, f2):
+    """(sign, orientable) of z by the oriented kernel frame: K from
+    kernel_basis(D) and N from solve_columns(D, I), D = [df1 | -df2] on the
+    factors' frames; K oriented by eps1 eps2 (-1)^(m d2) sign det(K + N),
+    and z's sign that times the sign of change_of_basis_det(J frame, K).
+    Unoriented when D is not onto or z's dimension is not len(K)."""
+    m, d1, d = f1.target.dim, c1.dim, c1.dim + c2.dim
+
+    def units(k):
+        return [tuple(F(int(i == j)) for i in range(k)) for j in range(k)]
+
+    def ambient(c, coords):
+        return tuple(sum(x * u[k] for x, u in zip(coords, c.frame)) for k in range(c.ambient))
+
+    if m:
+        dmat = tuple(r1 + tuple(-x for x in r2)
+                     for r1, r2 in zip(f1.differential_on(c1), f2.differential_on(c2)))
+        lifts = solve_columns(dmat, units(m))
+        if lifts is None:
+            return 0, False
+        kernel = kernel_basis(dmat)
+    else:
+        lifts, kernel = [], units(d)
+    sign = c1.sign * c2.sign * (-1) ** (m * c2.dim) * _sign(det(tuple(kernel) + tuple(lifts)))
+    frame = [ambient(c1, k[:d1]) + ambient(c2, k[d1:]) for k in kernel]
+    j_cols = [_embed(z, v) for v in z.cell.frame]
+    if len(j_cols) != len(frame):
+        return 0, False
+    c = change_of_basis_det(j_cols, frame)
+    return (sign * _sign(c), True) if c else (0, False)
+
+
+def _assert_matches_kernel_frame(c1, f1, c2, f2):
+    """Each component's sign and orientable flag as the kernel frame gives
+    them; the orientable flags seen."""
+    seen = set()
+    for z in fibre_product_cells(c1, f1, c2, f2):
+        reference = _kernel_frame_orientation(z, c1, f1, c2, f2)
+        assert (z.cell.sign if z.orientable else 0, z.orientable) == reference
+        seen.add(z.orientable)
+    return seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(_FIBRE_TARGETS, st.integers(0, 10**6))
+def test_one_determinant_matches_the_oriented_kernel_frame(target, seed):
+    rng = Random(seed)
+    assert _assert_matches_kernel_frame(*fibre_instance(rng, target)) == {True}
+    _assert_matches_kernel_frame(*submersive_cell(rng, target), *submersive_cell(rng, target))
+    _assert_matches_kernel_frame(*_nonsubmersive_pair(rng, rng.choice((euclid(3), torus(3)))))
+
+
+@st.composite
+def placed_pair(draw):
+    """Two cells on placed rational hulls (any coordinates may be the
+    pivots), each with up to two circles, mapped into a target of dimension
+    0 to 2 by small integer maps, which may have any rank, through one
+    common value at their first vertices."""
+    target = draw(st.sampled_from((POINT, euclid(1), euclid(2), torus(1), torus(2))))
+    m = target.dim
+    entry = st.integers(-1, 1)
+    out = []
+    for _ in range(2):
+        p = draw(placed_rational_hull(max_dim=2))
+        s = draw(st.integers(0, 2 if target.is_torus else 1))
+        a = [[draw(entry) for _ in range(p.ambient_dim)] for _ in range(m)]
+        m_t = [[draw(entry) if target.is_torus else 0 for _ in range(s)] for _ in range(m)]
+        out.append((Cell(p, s, None, draw(st.sampled_from((1, -1)))), a, m_t))
+    (c1, a1, t1), (c2, a2, t2) = out
+    v1, v2 = c1.polytope.vertices[0], c2.polytope.vertices[0]
+    b1 = [F(draw(st.integers(-4, 4)), 4) for _ in range(m)]
+    b2 = [b + sum(x * y for x, y in zip(r1, v1)) - sum(x * y for x, y in zip(r2, v2))
+          for b, r1, r2 in zip(b1, a1, a2)]
+    return c1, CellMap(target, a1, t1, b1), c2, CellMap(target, a2, t2, b2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(placed_pair())
+def test_one_determinant_on_placed_hulls_with_circles(case):
+    assert fibre_product_cells(*case)
+    _assert_matches_kernel_frame(*case)
+
+
+def test_one_determinant_where_d_is_not_onto_and_over_the_point():
+    sq = box([(0, 1), (0, 1)])
+    # D = [[1, 0, 0, -1], [1, 0, 0, -1]] has rank 1 in R^2
+    diag = (Cell(sq), CellMap(euclid(2), [[1, 0], [1, 0]], [[], []], [0, 0]),
+            Cell(sq, 0, None, -1), CellMap(euclid(2), [[0, 1], [0, 1]], [[], []], [0, 0]))
+    # circles winding T^2 along one direction on both factors
+    wound = (Cell(interval(), 1), CellMap(torus(2), [[1], [1]], [[1], [1]], [0, 0]),
+             Cell(interval(), 1), CellMap(torus(2), [[0], [0]], [[1], [1]], [0, 0]))
+    for case in (diag, wound):
+        assert _assert_matches_kernel_frame(*case) == {False}
+    # over the point the product is oriented by the factors' frames, read in
+    # the order (x1, y1, t1, x2, t2, t3); the component's frame is
+    # (x1, y1, x2, t1, t2, t3), one transposition away, so its sign is
+    # -eps1 eps2 = +1
+    c1, c2 = Cell(sq, 1, None, -1), Cell(interval(), 2)
+    comps = fibre_product_cells(c1, constant_map(POINT, 2, 1), c2, constant_map(POINT, 1, 2))
+    assert len(comps) == 1 and comps[0].cell.sign == 1
+    assert _assert_matches_kernel_frame(c1, constant_map(POINT, 2, 1),
+                                        c2, constant_map(POINT, 1, 2)) == {True}
+
+
+@settings(max_examples=60, deadline=None)
+@given(placed_rational_hull(max_dim=4))
+def test_dir_basis_is_rref_at_the_stored_pivots(p):
+    pivots = p._fd.dir_pivots
+    assert len(pivots) == p.dim and list(pivots) == sorted(set(pivots))
+    for i, row in enumerate(p.dir_basis):
+        assert [row[q] for q in pivots] == [int(j == i) for j in range(p.dim)]
+        assert not any(row[:pivots[i]])

@@ -741,6 +741,31 @@ def _rational(draw, ints):
 
 
 @st.composite
+def dependent_section_system(draw):
+    """Up to four rational equations in R^1..R^4, some of them combinations
+    of the others (consistent or not), so that free columns sit between the
+    pivots, and a box cut by up to three more rows."""
+    n = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    equations = []
+    for _ in range(draw(st.integers(0, 4))):
+        if equations and draw(st.booleans()):
+            (r1, c1), (r2, c2) = draw(st.sampled_from(equations)), draw(st.sampled_from(equations))
+            a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            shift = Fraction(draw(st.sampled_from((0, 0, 1))), 2)
+            equations.append((tuple(a * x + b * y for x, y in zip(r1, r2)), a * c1 + b * c2 + shift))
+        else:
+            equations.append((tuple(_rational(draw, draw(row))),
+                              _rational(draw, [draw(st.integers(-6, 6))])[0]))
+    box_rows = [(tuple(Fraction(s) if j == i else 0 for j in range(n)), Fraction(2))
+                for i in range(n) for s in (1, -1)]
+    inequalities = box_rows + [(tuple(_rational(draw, draw(row))),
+                                _rational(draw, [draw(st.integers(-6, 6))])[0])
+                               for _ in range(draw(st.integers(0, 3)))]
+    return n, equations, inequalities
+
+
+@st.composite
 def rational_section_system(draw):
     n = draw(st.integers(0, 3))
     row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
@@ -757,10 +782,11 @@ def rational_section_system(draw):
     return n, equations, inequalities
 
 
-@settings(max_examples=80, deadline=None)
-@given(rational_section_system())
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(rational_section_system(), dependent_section_system()))
 def test_section_vertices_match_fraction_formulas(system):
-    """The same vertices, in the same order, with the same tight masks."""
+    """The same vertices, in the same order, with the same tight masks, as
+    solve and kernel_basis give them."""
     n, equations, inequalities = system
     got = section_vertices(n, equations, inequalities)
     assert repr(got) == repr(_fraction_section_vertices(n, equations, inequalities))
