@@ -5,6 +5,7 @@ from random import Random
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from cornercalc.bordism import tag_independence_witness
 from cornercalc.cells import (
     POINT,
     Cell,
@@ -53,7 +54,8 @@ from cornercalc.chains import (
 )
 from cornercalc.geometry import Polytope, box, interval, octahedron, standard_simplex
 from cornercalc.products import cap, cup
-from cornercalc.randgen import random_chain, random_chain_over, random_cochain
+from cornercalc.randgen import (cycle_class, random_chain, random_chain_over, random_cochain,
+                                random_cycle_class, random_generator, random_singular_terms)
 from test_geometry import embedded_lattice_hull
 
 
@@ -794,3 +796,78 @@ def test_terms_and_basis_sort_by_the_full_term_order():
     assert _ties(keys) > len(cx_gens) // 2
     for items in cx.basis.values():
         assert items == sorted(items, key=lambda kv: _term_order(*kv))
+
+
+def _chain_rows(ch):
+    return [(c, _normal_form(g)[:2]) for c, g in ch.terms()]
+
+
+def _height_ends(ch):
+    """The terms of a prism boundary at height 0 and at height 1."""
+    ends = {Fraction(0): [], Fraction(1): []}
+    for c, g in ch.terms():
+        heights = {v[0] for v in g.cell.polytope.vertices}
+        if len(heights) == 1 and heights <= ends.keys():
+            ends[heights.pop()].append((c, g))
+    return Chain(ends[Fraction(0)]), Chain(ends[Fraction(1)])
+
+
+# Both sides of the chain comparison in check_singular_chain_map and in
+# tag_independence_witness, and the height-0 and height-1 ends of the prism
+# behind check_cylinder_witness beside the tag difference lifted to those
+# heights, over a fixed seeded corpus: every term's canonical key, sign and
+# coefficient, and every verdict.  Pinned while all three checks still
+# re-charted their terms through transport_generator.
+GOLDEN_WITNESS_DIGEST = (
+    "6e8f4b99673f5a21be3c8f22f4ebc3d61bafed769b878541e1c3a0ded8bb4c56")
+
+
+def _comparing(monkeypatch, check, *args):
+    """check(*args), and the pairs of chains it compared on the way."""
+    compared = []
+    chain_eq = Chain.__eq__
+
+    def recording_eq(self, other):
+        compared.append((self, other))
+        return chain_eq(self, other)
+
+    with monkeypatch.context() as m:
+        m.setattr(Chain, "__eq__", recording_eq)
+        result = check(*args)
+    return result, compared
+
+
+def test_witness_chains_golden_digest(monkeypatch):
+    h = hashlib.sha256()
+    terms_seen, verdicts = 0, []
+    for i in range(40):
+        report, compared = _comparing(monkeypatch, check_singular_chain_map,
+                                      random_singular_terms(Random(i)))
+        verdicts.append(report.ok)
+        h.update(repr((report.ok, [(_chain_rows(a), _chain_rows(b))
+                                   for a, b in compared])).encode())
+        terms_seen += sum(len(a.terms()) + len(b.terms()) for a, b in compared)
+    for i in range(30):
+        g = random_generator(Random(i), ("t", i))
+        alt = numbered_tag(g.cell.polytope, "alt")
+        ends = _height_ends(boundary(chain(cylinder(g, alt))))
+        n = g.cell.polytope.ambient_dim
+        lift = ((0,) * n,) + tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
+        wanted = [chain((s, transport_generator(Generator(g.cell, g.cmap, tag), lift,
+                                                (t,) + (0,) * n)))
+                  for s, tag, t in ((-1, g.tag, 0), (1, alt, 1))]
+        report = check_cylinder_witness(g, alt)
+        verdicts.append(report.ok)
+        h.update(repr((report.ok, [_chain_rows(e) for e in ends],
+                       [_chain_rows(w) for w in wanted])).encode())
+        terms_seen += sum(len(e.terms()) for e in ends)
+    classes = [random_cycle_class(Random(i)) for i in range(8)]
+    classes.append(cycle_class([(0, 0, 0), (1, 0, 2), (0, 3, 1), (2, 2, 2)]))
+    for b in classes:
+        (_, report), compared = _comparing(monkeypatch, tag_independence_witness, b)
+        verdicts.append(report.ok)
+        h.update(repr((report.ok, [(_chain_rows(a), _chain_rows(c))
+                                   for a, c in compared])).encode())
+        terms_seen += sum(len(a.terms()) + len(c.terms()) for a, c in compared)
+    assert (terms_seen, sum(verdicts), len(verdicts)) == (524, 79, 79)
+    assert h.hexdigest() == GOLDEN_WITNESS_DIGEST
