@@ -24,8 +24,7 @@ from .cells import (Cell, CellMap, Coorientation, canonical_cell_map,
                     canonical_form, cell_boundary, fibre_product_cells,
                     identity_map, is_interior_submersion, maps_agree,
                     orientation_from_coorientation, validate_coorientation)
-from .chains import (Chain, Generator, Tag, boundary, cylinder,
-                     transport_generator)
+from .chains import Chain, Generator, Tag, _insert_coordinate, boundary, cylinder
 from .geometry import (POINT_POLYTOPE, Polytope, affine_isomorphisms, compress_mask,
                        face_key)
 from .maps import CheckReport
@@ -208,6 +207,19 @@ def _boundary_atlas(b: BordismClass) -> dict:
     return atlas
 
 
+def _orientation_factor(linear, cell1: Cell, cell2: Cell) -> Optional[int]:
+    """+1 or -1 as the identification with polytope part `linear`, identical
+    on the torus factor, preserves or reverses the orientations; None when it
+    does not carry cell1's tangent space onto cell2's."""
+    n = cell1.polytope.ambient_dim
+    carried = tuple(tuple(linear(f[:n])) + tuple(f[n:]) for f in cell1.frame)
+    try:
+        d = change_of_basis_det(carried, cell2.frame)
+    except ValueError:
+        return None
+    return (1 if d > 0 else -1) * cell1.sign * cell2.sign
+
+
 def _witness_fault(b: BordismClass, pw: PairingWitness,
                    atlas: dict) -> Optional[str]:
     (i, fkey), (j, gkey) = pw.left, pw.right
@@ -229,13 +241,9 @@ def _witness_fault(b: BordismClass, pw: PairingWitness,
         return "identification does not carry the face onto its partner"
     if not maps_agree(ci.cmap, cj.cmap, list(zip(fkey, image))):
         return "identification does not commute with the maps"
-    carried = tuple(tuple(pw.linear(v[:n_i])) + tuple(v[n_i:])
-                    for v in bi.cell.frame)
-    try:
-        d = change_of_basis_det(carried, bj.cell.frame)
-    except ValueError:
+    eps = _orientation_factor(pw.linear, bi.cell, bj.cell)
+    if eps is None:
         return "identification does not carry the face plane onto its partner"
-    eps = (1 if d > 0 else -1) * bi.cell.sign * bj.cell.sign
     if eps != -1:
         return "identification does not reverse the induced orientation"
     return None
@@ -316,20 +324,15 @@ def oriented_match(cell1: Cell, cmap1: CellMap,
     if (m1.target != m2.target or c1.torus_rank != c2.torus_rank
             or c1.dim != c2.dim or m1.m_t != m2.m_t):
         return None
-    n1 = c1.polytope.ambient_dim
     best = None
     for vmap, linear in affine_isomorphisms(c1.polytope, c2.polytope):
         if not maps_agree(m1, m2, list(vmap.items())):
             continue
-        carried = tuple(linear(f[:n1]) + tuple(f[n1:]) for f in c1.frame)
-        try:
-            det_sign = change_of_basis_det(carried, c2.frame)
-        except ValueError:
-            continue
-        eps = (1 if det_sign > 0 else -1) * c1.sign * c2.sign
+        eps = _orientation_factor(linear, c1, c2)
         if eps == 1:
             return 1
-        best = -1
+        if eps is not None:
+            best = -1
     return best
 
 
@@ -560,9 +563,9 @@ def tag_independence_witness(b: BordismClass, atom1="g", atom2="h"):
 
     The witness is the union of prisms over the components.  Its boundary
     is the second emission at height one minus the first at height zero,
-    both pushed up along the height embedding, while the prism sides cancel
-    in pairs along the gluing.  The report also records that both emissions
-    are cycles.
+    each lifted by inserting the height coordinate (_insert_coordinate),
+    while the prism sides cancel in pairs along the gluing.  The report also
+    records that both emissions are cycles.
     """
     if str(atom1) == str(atom2):
         raise BordismError("the two labelling atoms must differ")
@@ -570,19 +573,11 @@ def tag_independence_witness(b: BordismClass, atom1="g", atom2="h"):
         raise BordismError("prism witnesses exist for oriented classes")
     gens1 = _emission_generators(b, atom1)
     gens2 = _emission_generators(b, atom2)
-    w_terms = []
-    end_terms = []
-    for g1, g2 in zip(gens1, gens2):
-        w_terms.append((Fraction(1), cylinder(g1, g2.tag)))
-        n = g1.cell.polytope.ambient_dim
-        lift = ((Fraction(0),) * n,) + identity(n)
-        top = transport_generator(g2, lift,
-                                  (Fraction(1),) + (Fraction(0),) * n)
-        bottom = transport_generator(g1, lift, (Fraction(0),) * (n + 1))
-        end_terms.append((Fraction(1), top))
-        end_terms.append((Fraction(-1), bottom))
-    witness = Chain(w_terms, ring="Q")
-    wanted = Chain(end_terms, ring="Q")
+    witness = Chain([(Fraction(1), cylinder(g1, g2.tag)) for g1, g2 in zip(gens1, gens2)],
+                    ring="Q")
+    wanted = Chain([(Fraction(1), _insert_coordinate(g2, 0, 1)) for g2 in gens2]
+                   + [(Fraction(-1), _insert_coordinate(g1, 0, 0)) for g1 in gens1],
+                   ring="Q")
     details = []
     if boundary(witness) != wanted:
         details.append("prism boundary does not reduce to the two emissions")

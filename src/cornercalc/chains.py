@@ -207,10 +207,6 @@ class Tag:
         return Tag.of_masks(vertices, [(move_mask(m, table), label)
                                        for m, label in self.labels])
 
-    def relabel(self, dictionary: Mapping[tuple, tuple]) -> "Tag":
-        return Tag.of_masks(self.vertices, [(m, _checked_label(dictionary[label]))
-                                            for m, label in self.labels])
-
     def __eq__(self, other):
         return (isinstance(other, Tag) and self.labels == other.labels
                 and self.vertices == other.vertices)
@@ -802,6 +798,29 @@ def pushforward(h: TargetMap, c: Chain) -> Chain:
 # ---------------------------------------------------------------------------
 # Chart transport (explicit witnesses)
 # ---------------------------------------------------------------------------
+# The witnesses below (the singular bridge, the ends of a prism) re-chart a
+# generator only by putting it on a hyperplane x_j = value of R^(n+1), which
+# _insert_coordinate does exactly, solving nothing again.  Inserting one
+# constant keeps the vertices' lexicographic order, so the face masks of
+# the lattice and the tag stay as they are; dir_basis gains a zero column
+# at j and stays in RREF, so the default frames correspond and the sign
+# carries over; and A with a zero column at j, b and M unchanged, is the
+# same map.  transport_generator, the general affine re-chart (a hull
+# rebuild, a frame change of basis, a solve per map row), is the reference
+# it agrees with.
+
+def _insert_coordinate(gen: Generator, j: int, value, labels=None) -> Generator:
+    """gen on the hyperplane x_j = value of R^(n+1), labelled by labels (face
+    mask, label) pairs when given, else by gen's own."""
+    c = frac(value)
+    verts = tuple(v[:j] + (c,) + v[j:] for v in gen.cell.polytope.vertices)
+    poly = Polytope._of_sorted(gen.cell.polytope.ambient_dim + 1, verts)
+    cmap = CellMap._exact(gen.cmap.target,
+                          tuple(row[:j] + (Fraction(0),) + row[j:] for row in gen.cmap.a),
+                          gen.cmap.m_t, gen.cmap.b)
+    return Generator(Cell(poly, gen.cell.torus_rank, sign=gen.cell.sign), cmap,
+                     Tag.of_masks(verts, labels or gen.tag.labels), is_cochain=gen.is_cochain)
+
 
 def transport_generator(gen: Generator, linear: Sequence[Sequence],
                         offset: Sequence) -> Generator:
@@ -839,7 +858,7 @@ def transport_generator(gen: Generator, linear: Sequence[Sequence],
     cell = Cell(poly, gen.cell.torus_rank, frame, gen.cell.sign)
 
     # re-solve the affine part on the new chart
-    base = old_verts[0]
+    base, new_base = old_verts[0], new_verts[0]
     dirs = [tuple(frac(a) - frac(b) for a, b in zip(v, base)) for v in old_verts[1:]]
     pushed = [tuple(sum(lin[i][j] * d[j] for j in range(n_old)) for i in range(n_new))
               for d in dirs]
@@ -857,7 +876,7 @@ def transport_generator(gen: Generator, linear: Sequence[Sequence],
         a_new.append(tuple(row))
     b_new = [sum(gen.cmap.a[i][j] * frac(base[j]) for j in range(n_old))
              + gen.cmap.b[i]
-             - sum(a_new[i][j] * phi(base)[j] for j in range(n_new))
+             - sum(a_new[i][j] * new_base[j] for j in range(n_new))
              for i in range(m)]
     cmap = CellMap(gen.cmap.target, a_new, gen.cmap.m_t, b_new)
 
@@ -877,24 +896,6 @@ def simplex_cell(k: int) -> Cell:
     frame = tuple(tuple(e[i + 1][j] - e[0][j] for j in range(k + 1))
                   for i in range(k))
     return Cell(p, 0, frame, 1)
-
-
-def face_inclusion(k: int, j: int) -> tuple:
-    """Linear data (matrix, offset) of the j-th facet inclusion of the simplex.
-
-    Inserts a zero at position j: the image is the facet where coordinate j
-    vanishes.
-    """
-    if not 0 <= j <= k:
-        raise ChainError("facet index out of range")
-    rows = []
-    for i in range(k + 1):
-        if i == j:
-            rows.append(tuple(Fraction(0) for _ in range(k)))
-        else:
-            src = i if i < j else i - 1
-            rows.append(tuple(Fraction(1 if t == src else 0) for t in range(k)))
-    return tuple(rows), tuple(Fraction(0) for _ in range(k + 1))
 
 
 def standard_simplex_tag(k: int) -> Tag:
@@ -925,11 +926,11 @@ class SingularSimplex:
         object.__setattr__(self, "offset", bb)
 
     def face(self, j: int) -> "SingularSimplex":
-        lin, _ = face_inclusion(self.degree, j)
-        mm = [[sum(self.matrix[i][r] * lin[r][t] for r in range(self.degree + 1))
-               for t in range(self.degree)]
-              for i in range(self.target.dim)]
-        return SingularSimplex(self.degree - 1, self.target, mm, self.offset)
+        """The simplex on the facet x_j = 0: the map with column j dropped."""
+        if not 0 <= j <= self.degree:
+            raise ChainError("facet index out of range")
+        return SingularSimplex(self.degree - 1, self.target,
+                               [row[:j] + row[j + 1:] for row in self.matrix], self.offset)
 
 
 def singular_boundary(terms: Sequence) -> list:
@@ -955,38 +956,27 @@ def singular_to_kuranishi(terms: Sequence) -> Chain:
     return Chain([(frac(coeff), singular_generator(sx)) for coeff, sx in terms])
 
 
-def _facet_label_dictionary(k: int, j: int) -> dict:
-    """Translate standard labels of the small simplex to facet-restricted ones."""
-    lin, _ = face_inclusion(k, j)
-    small = standard_simplex_tag(k - 1)
-    big = standard_simplex_tag(k)
-    index = _vertex_index(big.vertices)
-    table = [index[tuple(sum(lin[i][t] * v[t] for t in range(k)) for i in range(k + 1))]
-             for v in small.vertices]
-    return {label: big.label_at(move_mask(m, table)) for m, label in small.labels}
-
-
 def check_singular_chain_map(terms: Sequence):
-    """Boundary commutes with the singular bridge, via facet re-charting.
+    """Boundary commutes with the singular bridge, each facet in the big chart.
 
-    The geometric boundary of a bridged simplex lives on facets of the big
-    simplex; the bridged simplicial boundary lives on small simplices.  Each
-    small term is transported through its facet inclusion, with the fixed
-    label dictionary, and the resulting chains must agree exactly.
+    The boundary of a bridged k-simplex lives on the facets x_j = 0 of the
+    big simplex.  Small term j, the bridged sx.face(j), is put there by
+    inserting x_j = 0 and labelled by the big tag restricted to facet j: the
+    vertices sort as e_k < ... < e_0, so that facet drops vertex k - j and
+    its masks are the small simplex's.  The two chains must agree exactly.
     """
     lhs = boundary(singular_to_kuranishi(terms))
-    rhs = Chain()
+    rhs_terms = []
     for coeff, sx in terms:
         k = sx.degree
         if k == 0:
             continue
+        big, full = standard_simplex_tag(k), (1 << (k + 1)) - 1
         for j in range(k + 1):
-            small = singular_generator(sx.face(j))
-            mu = _facet_label_dictionary(k, j)
-            relabeled = Generator(small.cell, small.cmap, small.tag.relabel(mu))
-            lin, off = face_inclusion(k, j)
-            moved = transport_generator(relabeled, lin, off)
-            rhs = rhs + Chain([(frac(coeff) * (-1) ** j, moved)])
+            facet = big.restrict(full & ~(1 << (k - j)))
+            small = _insert_coordinate(singular_generator(sx.face(j)), j, 0, facet.labels)
+            rhs_terms.append((frac(coeff) * (-1) ** j, small))
+    rhs = Chain(rhs_terms)
     if lhs == rhs:
         return CheckReport(True, len(lhs.terms()), True, ())
     return CheckReport(False, 0, True, ("boundary does not match the bridged boundary",))
@@ -1012,17 +1002,16 @@ def cylinder(gen: Generator, alt_tag: Tag) -> Generator:
     if not alt_tag.is_injective():
         raise TagError("alternative tag must be injective")
     p = gen.cell.polytope
-    n, s = p.ambient_dim, gen.cell.torus_rank
-    pts = [[0] + list(v) for v in p.vertices] + [[1] + list(v) for v in p.vertices]
-    prism = Polytope.from_points(n + 1, pts)
-    frame = ((Fraction(1),) + (Fraction(0),) * (n + s),) + tuple(
-        (Fraction(0),) + tuple(w) for w in gen.cell.frame)
-    cell = Cell(prism, s, frame, gen.cell.sign)
-    a_new = [(Fraction(0),) + tuple(row) for row in gen.cmap.a]
-    cmap = CellMap(gen.cmap.target, a_new, gen.cmap.m_t, gen.cmap.b)
+    # the lifted vertices are the prism's, sorted: vertex k is vertex k of P
+    # at height 0 and vertex k - N at height 1; its dir_basis, e_0 over P's
+    # with a zero in front, is in RREF, so the cell keeps gen's sign
+    prism = Polytope._of_sorted(p.ambient_dim + 1, tuple(
+        (Fraction(h),) + v for h in (0, 1) for v in p.vertices))
+    cell = Cell(prism, gen.cell.torus_rank, sign=gen.cell.sign)
+    cmap = CellMap._exact(gen.cmap.target,
+                          tuple((Fraction(0),) + row for row in gen.cmap.a),
+                          gen.cmap.m_t, gen.cmap.b)
 
-    # every point of pts is a vertex and they sort by height first, so the
-    # prism's vertex k is vertex k of P at height 0 and vertex k - N at height 1
     low_bits = (1 << len(p.vertices)) - 1
     pairs = []
     for g in prism._fd.face_dims():
@@ -1042,26 +1031,17 @@ def cylinder(gen: Generator, alt_tag: Tag) -> Generator:
 
 
 def check_cylinder_witness(gen: Generator, alt_tag: Tag):
-    """The prism boundary equals new-minus-old plus terms over the facets."""
-    wit = cylinder(gen, alt_tag)
-    b = boundary(chain(wit))
-    n = gen.cell.polytope.ambient_dim
-    drop = tuple(tuple(Fraction(1 if j == i + 1 else 0) for j in range(n + 1))
-                 for i in range(n))
-    ends = Chain()
-    sides = Chain()
-    for coeff, term in b.terms():
-        ts = {v[0] for v in term.cell.polytope.vertices}
-        if ts == {Fraction(0)} or ts == {Fraction(1)}:
-            moved = transport_generator(term, drop, (Fraction(0),) * n)
-            ends = ends + Chain([(coeff, moved)])
-        else:
-            sides = sides + Chain([(coeff, term)])
-    want = chain((1, Generator(gen.cell, gen.cmap, alt_tag)),
-                 (-1, Generator(gen.cell, gen.cmap, gen.tag)))
+    """The prism boundary equals new-minus-old plus terms over the facets:
+    its ends, the terms at one height, are the relabelled generator lifted to
+    height 1 minus the original lifted to height 0 (_insert_coordinate)."""
+    b = boundary(chain(cylinder(gen, alt_tag)))
+    ends = Chain([(coeff, term) for coeff, term in b.terms()
+                  if len({v[0] for v in term.cell.polytope.vertices}) == 1])
+    want = chain((1, _insert_coordinate(gen, 0, 1, alt_tag.labels)),
+                 (-1, _insert_coordinate(gen, 0, 0)))
     if ends == want:
-        return CheckReport(True, len(b.terms()), True,
-                           (f"{len(sides.terms())} side terms",))
+        sides = len(b.terms()) - len(ends.terms())
+        return CheckReport(True, len(b.terms()), True, (f"{sides} side terms",))
     return CheckReport(False, 0, True, ("prism ends do not give the tag difference",))
 
 

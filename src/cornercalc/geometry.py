@@ -211,7 +211,8 @@ def section_polytope(n: int, equations: Sequence[tuple[Vec, Fraction]],
     found = sorted(section_vertices(n, equations, inequalities))
     if not found:
         return None
-    poly = Polytope(n, [v for v, _ in found], _trusted=True)
+    # the vertices are exact and distinct, and now sorted
+    poly = Polytope._of_sorted(n, tuple(v for v, _ in found))
     tight = [z for _, z in found]
     fd = poly._fd
     if fd._facets is None:

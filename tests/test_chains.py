@@ -26,6 +26,7 @@ from cornercalc.chains import (
     Tag,
     TagError,
     TargetMap,
+    _insert_coordinate,
     _normal_form,
     _term_key,
     atom_label,
@@ -47,12 +48,14 @@ from cornercalc.chains import (
     pushforward,
     simplex_face_complex,
     singular_boundary,
+    singular_generator,
     singular_to_kuranishi,
     standard_simplex_tag,
     transport_generator,
     verify_dd_zero,
 )
-from cornercalc.geometry import Polytope, box, interval, octahedron, standard_simplex
+from cornercalc.geometry import (Polytope, box, interval, move_mask, octahedron,
+                                 standard_simplex)
 from cornercalc.products import cap, cup
 from cornercalc.randgen import (cycle_class, random_chain, random_chain_over, random_cochain,
                                 random_cycle_class, random_generator, random_singular_terms)
@@ -871,3 +874,106 @@ def test_witness_chains_golden_digest(monkeypatch):
         terms_seen += sum(len(a.terms()) + len(c.terms()) for a, c in compared)
     assert (terms_seen, sum(verdicts), len(verdicts)) == (524, 79, 79)
     assert h.hexdigest() == GOLDEN_WITNESS_DIGEST
+
+
+def _insertion(n, j, value):
+    """(matrix, offset) of x -> x with `value` inserted at coordinate j."""
+    rows = [tuple(int(c == r - (r > j)) if r != j else 0 for c in range(n))
+            for r in range(n + 1)]
+    return rows, [value if r == j else 0 for r in range(n + 1)]
+
+
+def _assert_same_generator(got, ref):
+    assert got.cell.polytope.vertices == ref.cell.polytope.vertices
+    assert got.cell.sign == ref.cell.sign
+    assert got.tag == ref.tag
+    assert got.is_cochain == ref.is_cochain
+    nf_got, nf_ref = _normal_form(got), _normal_form(ref)
+    assert (nf_got and nf_got[:2]) == (nf_ref and nf_ref[:2])
+    for v in got.cell.polytope.vertices:
+        assert got.cmap.value(v) == ref.cmap.value(v)
+
+
+def test_inserting_a_coordinate_matches_transport():
+    # _insert_coordinate against the general re-chart it replaces on the
+    # witness paths: a hull rebuild, a frame change of basis and a solve
+    # per map row.  Chains over the point, R^1, T^1 and T^2 with circles,
+    # and cochains over T^1 and T^2, at every insertion position.
+    gens = [random_generator(Random(i), ("t", i)) for i in range(300)]
+    for i in range(60):
+        y = (torus(1), torus(2))[i % 2]
+        gens += [g for _, g in random_cochain(Random(i), y, ("c", i)).terms()]
+    circles = targets = cochains = 0
+    for i, g in enumerate(gens):
+        n = g.cell.polytope.ambient_dim
+        j = i % (n + 1)
+        value = (0, 1, Fraction(-3, 2))[i % 3]
+        got = _insert_coordinate(g, j, value)
+        _assert_same_generator(got, transport_generator(g, *_insertion(n, j, value)))
+        circles += g.cell.torus_rank > 0 and g.cell.polytope.dim > 0
+        targets += g.cmap.target.dim > 0 and g.cell.polytope.dim > 0
+        cochains += g.is_cochain
+    assert (circles, targets, cochains) == (134, 204, 88)
+
+
+def _face_inclusion(k, j):
+    """The j-th facet inclusion of the standard k-simplex: a zero inserted at j."""
+    return _insertion(k, j, 0)
+
+
+def _facet_label_dictionary(k, j):
+    """Standard labels of the (k-1)-simplex -> the k-simplex's labels on facet j."""
+    lin, _ = _face_inclusion(k, j)
+    small, big = standard_simplex_tag(k - 1), standard_simplex_tag(k)
+    index = {v: i for i, v in enumerate(big.vertices)}
+    table = [index[tuple(sum(lin[i][t] * v[t] for t in range(k)) for i in range(k + 1))]
+             for v in small.vertices]
+    return {label: big.label_at(move_mask(m, table)) for m, label in small.labels}
+
+
+def _bridged_boundary_reference(terms):
+    """The bridged simplicial boundary, each small term relabelled by the facet
+    dictionary and transported through the facet inclusion."""
+    rhs = Chain()
+    for coeff, sx in terms:
+        k = sx.degree
+        for j in range(k + 1 if k else 0):
+            small = singular_generator(sx.face(j))
+            mu = _facet_label_dictionary(k, j)
+            relabeled = Generator(small.cell, small.cmap, Tag.of_masks(
+                small.tag.vertices, [(m, mu[label]) for m, label in small.tag.labels]))
+            moved = transport_generator(relabeled, *_face_inclusion(k, j))
+            rhs = rhs + chain((Fraction(coeff) * (-1) ** j, moved))
+    return rhs
+
+
+def test_bridge_rhs_matches_the_facet_inclusion_reference(monkeypatch):
+    seen = 0
+    for i in range(120):
+        terms = random_singular_terms(Random(1000 + i))
+        report, compared = _comparing(monkeypatch, check_singular_chain_map, terms)
+        assert report.ok and len(compared) == 1
+        (lhs, rhs), = compared
+        ref = _bridged_boundary_reference(terms)
+        assert _chain_rows(rhs) == _chain_rows(ref)
+        seen += len(rhs.terms())
+    assert seen >= 300
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4), st.sampled_from([euclid(1), euclid(2), torus(1)]), st.data())
+def test_singular_face_is_the_product_by_the_inclusion_matrix(k, y, data):
+    entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    matrix = [[data.draw(entries) for _ in range(k + 1)] for _ in range(y.dim)]
+    offset = [data.draw(entries) for _ in range(y.dim)]
+    sx = SingularSimplex(k, y, matrix, offset)
+    for j in range(k + 1):
+        lin, _ = _face_inclusion(k, j)
+        face = sx.face(j)
+        assert face.degree == k - 1 and face.offset == sx.offset
+        assert face.matrix == tuple(tuple(sum(row[r] * lin[r][t] for r in range(k + 1))
+                                          for t in range(k))
+                                    for row in sx.matrix)
+    for j in (-1, k + 1):
+        with pytest.raises(ChainError):
+            sx.face(j)
