@@ -269,6 +269,18 @@ def det(m: Mat) -> Fraction:
     return Fraction(_bareiss(rows), scale)
 
 
+def det_sign(x_rows: Sequence[Sequence], d_rows: Sequence[list[int]], width: int) -> int:
+    """sign det[X^T; D]: the exact rows x_rows of X^T on top of the integer
+    rows d_rows of D, each of the given width; 0 when that matrix is not
+    square or is singular.  Rows are scaled by positive integers only.
+    With no rows of D it is the sign of a frame in frame coordinates.
+    """
+    if len(x_rows) + len(d_rows) != width:
+        return 0
+    d = _bareiss(_primitive_rows(x_rows) + list(d_rows))
+    return (d > 0) - (d < 0)
+
+
 def change_of_basis_det(frame_a: Sequence[Vec], frame_b: Sequence[Vec]) -> Fraction:
     """det C where frame_a[i] = sum_j C[i][j] frame_b[j]; frames must span one space.
 
@@ -276,6 +288,9 @@ def change_of_basis_det(frame_a: Sequence[Vec], frame_b: Sequence[Vec]) -> Fract
     once.  A pivot in the right-hand block means some frame_a vector lies
     outside span(frame_b), and raises SpanError.  Free coordinates are 0, as
     in `solve`, so a dependent frame_b gives 0.
+
+    The library signs frames by det_sign in the dir_basis chart; this stays
+    as the tests' reference and as a traced name of the benchmark.
     """
     if len(frame_a) != len(frame_b):
         raise ValueError("frames of different length")

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from ._linalg import (Mat, Vec, change_of_basis_det, identity, invariant_factors,
-                      mat, matvec, rank, vec)
+from ._linalg import Mat, Vec, det_sign, identity, invariant_factors, mat, matvec, rank, vec
 from .cells import (Cell, CellMap, Coorientation, canonical_cell_map,
                     canonical_form, cell_boundary, fibre_product_cells,
                     identity_map, is_interior_submersion, maps_agree,
@@ -210,14 +209,15 @@ def _boundary_atlas(b: BordismClass) -> dict:
 def _orientation_factor(linear, cell1: Cell, cell2: Cell) -> Optional[int]:
     """+1 or -1 as the identification with polytope part `linear`, identical
     on the torus factor, preserves or reverses the orientations; None when it
-    does not carry cell1's tangent space onto cell2's."""
-    n = cell1.polytope.ambient_dim
-    carried = tuple(tuple(linear(f[:n])) + tuple(f[n:]) for f in cell1.frame)
-    try:
-        d = change_of_basis_det(carried, cell2.frame)
-    except ValueError:
+    does not carry cell1's tangent space onto cell2's.  cell1's dir_basis
+    is carried over, tested for membership and signed in cell2's chart."""
+    fd = cell2.polytope._fd
+    carried = [tuple(linear(v)) for v in cell1.polytope.dir_basis]
+    if (cell1.torus_rank != cell2.torus_rank or len(carried) != fd.dim
+            or not all(fd.is_tangent(v) for v in carried)):
         return None
-    return (1 if d > 0 else -1) * cell1.sign * cell2.sign
+    d = det_sign([fd.frame_coords(v) for v in carried], (), fd.dim)
+    return d * cell1.sign * cell2.sign if d else None
 
 
 def _witness_fault(b: BordismClass, pw: PairingWitness,

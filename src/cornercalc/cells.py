@@ -27,13 +27,18 @@ so one normal form and one boundary serve both.  A Coorientation is an input
 format, validated against the map (the frame as given names the first vector
 at fault).
 
-Orientation signs are one determinant.  Let D be a differential on default
-frames (m x d) and X a frame in frame coordinates (d x k): dir_basis is in
-RREF, so coordinate i of a direction is its entry at the i-th pivot column,
-and torus coordinates are read as they stand.  [X^T; D] stacks the rows of
-X^T on those of D.  For any N with D N = I, [X^T; D] [X | N] =
-[[X^T X, X^T N], [0, I]], so sign det[X^T; D] is the sign of det[X | N], X
-completed by lifts of TY; it is 0 when k + m != d or D is not onto.
+Orientation signs are one determinant on one chart.  dir_basis is in RREF,
+so a tangent vector's frame coordinates are its entries at the pivot
+columns, then its torus entries (frame_coords); a vector of R^(n+s) is
+tangent when the dir_basis rows weighted by those entries give back its
+first n entries (is_tangent).  That is tested only for frames from outside
+(Cell's frame, a Coorientation, a bordism identification, a group action's
+images); frames the library builds are read without it.  Let D be a
+differential on default frames (m x d) and X a frame in frame coordinates
+(d x k); [X^T; D] stacks the rows of X^T on those of D (det_sign).  For any
+N with D N = I, [X^T; D] [X | N] = [[X^T X, X^T N], [0, I]], so
+sign det[X^T; D] is the sign of det[X | N], X completed by lifts of TY; it
+is 0 when k + m != d or D is not onto.
 
 A fibre-product component is oriented by eps1 eps2 (-1)^(m d2)
 sign det[X^T; D], with D = [df1 | -df2] on the factors' frames and X its
@@ -60,12 +65,10 @@ from typing import Iterable, Optional, Sequence
 from ._linalg import (
     IntMat,
     Mat,
-    SpanError,
     Vec,
-    _bareiss,
     _primitive_rows,
-    change_of_basis_det,
     det,
+    det_sign,
     frac,
     hermite_column,
     kernel_basis,
@@ -143,16 +146,6 @@ def _unit(n: int, i: int) -> Vec:
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
 
 
-def _det_sign(x_rows: Sequence[Sequence], d_rows: list, width: int) -> int:
-    """sign det[X^T; D]: the exact rows x_rows of X^T on top of the integer
-    rows d_rows of D, each of the given width; 0 when that matrix is not
-    square or is singular.  Rows are scaled by positive integers only."""
-    if len(x_rows) + len(d_rows) != width:
-        return 0
-    d = _bareiss(_primitive_rows(x_rows) + d_rows)
-    return (d > 0) - (d < 0)
-
-
 def default_frame(polytope: Polytope, torus_rank: int) -> Mat:
     """Canonical frame of dir(P) + R^s inside R^(n+s)."""
     n = polytope.ambient_dim
@@ -166,8 +159,8 @@ class Cell:
     """Oriented cell P x T^s: the orientation is one sign against default_frame.
 
     The tangent space dir(P) + R^s lives in R^(n+s), polytope part first.  A
-    frame passed in must be a basis of it; its change of basis to the
-    default frame is folded into the sign, and `frame` is the default frame.
+    frame passed in must be a basis of it; its sign in the chart is folded
+    into the sign, and `frame` is the default frame.
     """
 
     polytope: Polytope
@@ -182,21 +175,17 @@ class Cell:
             raise GeometryError("sign must be +1 or -1")
         if frame is not None:
             fr = mat(frame)
-            span = default_frame(polytope, torus_rank)
-            if len(fr) != len(span):
+            fd = polytope._fd
+            if len(fr) != fd.dim + torus_rank:
                 raise GeometryError("frame length must equal cell dimension")
             if fr and len(fr[0]) != polytope.ambient_dim + torus_rank:
                 raise GeometryError("frame vector has wrong length")
-            if fr != span:
-                try:
-                    d = change_of_basis_det(fr, span)
-                except SpanError:
-                    raise GeometryError(
-                        "frame vector outside the cell's tangent space") from None
-                if d == 0:
-                    raise GeometryError("frame is linearly dependent")
-                if d < 0:
-                    sign = -sign
+            if not all(fd.is_tangent(v) for v in fr):
+                raise GeometryError("frame vector outside the cell's tangent space")
+            d = det_sign([fd.frame_coords(v) for v in fr], (), len(fr))
+            if not d:
+                raise GeometryError("frame is linearly dependent")
+            sign *= d
         object.__setattr__(self, "polytope", polytope)
         object.__setattr__(self, "torus_rank", torus_rank)
         object.__setattr__(self, "sign", sign)
@@ -290,26 +279,6 @@ class CellMap:
                      for arow, trow in zip(self.a, self.m_t))
 
 
-def _differential_vec(cmap: CellMap, n: int, v: Vec) -> Vec:
-    """d(cmap) applied to v in R^(n+s), polytope part first.
-
-    Zero entries of A, M and v are skipped and M's integers multiply v's
-    Fractions directly.
-    """
-    p_part, t_part = v[:n], v[n:]
-    out = []
-    for arow, trow in zip(cmap.a, cmap.m_t):
-        x = _ZERO
-        for a, y in zip(arow, p_part):
-            if a and y:
-                x += a * y
-        for t, y in zip(trow, t_part):
-            if t and y:
-                x += t * y
-        out.append(x)
-    return tuple(out)
-
-
 def constant_map(target: Target, n: int, s: int, value: Iterable = None) -> CellMap:
     m = target.dim
     b = vec(value) if value is not None else vec([0] * m)
@@ -393,7 +362,6 @@ class Coorientation:
 
 def validate_coorientation(cell: Cell, cmap: CellMap, co: Coorientation) -> None:
     """Check the frame is an exact basis of Ker(df) within the tangent space."""
-    n = cell.polytope.ambient_dim
     expected = cell.dim - cmap.target.dim
     if len(co.frame) != expected:
         raise MapError(
@@ -401,16 +369,15 @@ def validate_coorientation(cell: Cell, cmap: CellMap, co: Coorientation) -> None
     if co.frame and len(co.frame[0]) != cell.ambient:
         raise MapError("coorientation vector has wrong length")
 
-    def in_kernel(v):
-        return not any(_differential_vec(cmap, n, v))
-
-    # The first failing vector names the fault, tangent space before kernel.
-    bad = next((k for k, v in enumerate(co.frame) if not in_kernel(v)), len(co.frame))
-    span = cell.frame
-    if rank(span + co.frame[:bad + 1]) != len(span):
-        raise MapError("coorientation vector outside the tangent space")
-    if bad < len(co.frame):
-        raise MapError("coorientation vector not in the kernel of the differential")
+    # The first failing vector names the fault, tangent space before kernel;
+    # df is applied to its coordinates in the chart.
+    fd, dmat = cell.polytope._fd, cmap.differential_on(cell)
+    for v in co.frame:
+        if not fd.is_tangent(v):
+            raise MapError("coorientation vector outside the tangent space")
+        x = fd.frame_coords(v)
+        if any(sum(a * c for a, c in zip(row, x) if a and c) for row in dmat):
+            raise MapError("coorientation vector not in the kernel of the differential")
 
 
 def kernel_coorientation(cell: Cell, cmap: CellMap) -> Coorientation:
@@ -428,7 +395,7 @@ def kernel_coorientation(cell: Cell, cmap: CellMap) -> Coorientation:
         _unit(cell.dim, i) for i in range(cell.dim))
     if len(kb) != cell.dim - m:
         raise FibreProductError("map is not an interior submersion")
-    eps = cell.sign * _det_sign(kb, _primitive_rows(dmat), cell.dim) * (-1) ** (m * len(kb))
+    eps = cell.sign * det_sign(kb, _primitive_rows(dmat), cell.dim) * (-1) ** (m * len(kb))
     cols = tuple(zip(*cell.frame))
     return Coorientation([[sum((c * x for c, x in zip(k, col) if c and x), _ZERO) for col in cols]
                           for k in kb], eps)
@@ -438,13 +405,12 @@ def orientation_from_coorientation(cell: Cell, cmap: CellMap, co: Coorientation)
     """Orient the cell by TX = f*(TY) + Ker df, using the target's standard frame.
 
     The coorientation must be valid (validate_coorientation).  With K its
-    frame in frame coordinates, the cell's sign is
-    co.sign (-1)^(m k) sign det[K^T; df] (module docstring); the
-    determinant is 0 exactly when df is not onto.
+    frame in the chart, the cell's sign is co.sign (-1)^(m k) sign det[K^T; df]
+    (module docstring); the determinant is 0 exactly when df is not onto.
     """
-    pivots, n = cell.polytope._fd.dir_pivots, cell.polytope.ambient_dim
-    sign = _det_sign([[v[p] for p in pivots] + list(v[n:]) for v in co.frame],
-                     _primitive_rows(cmap.differential_on(cell)), cell.dim)
+    fd = cell.polytope._fd
+    sign = det_sign([fd.frame_coords(v) for v in co.frame],
+                    _primitive_rows(cmap.differential_on(cell)), cell.dim)
     if not sign:
         raise FibreProductError("map is not an interior submersion")
     return Cell(cell.polytope, cell.torus_rank,
@@ -619,12 +585,13 @@ def fibre_product_cells(cell1: Cell, map1: CellMap, cell2: Cell, map2: CellMap
     m_rows = tuple(tuple(map1.m_t[i]) + tuple(-x for x in map2.m_t[i]) for i in range(m))
     c_vec = tuple(map2.b[i] - map1.b[i] for i in range(m))
 
-    if s > 0 and m > 0:
-        h, u = hermite_column(m_rows)
+    if m > 0:
+        # the reduced lattice is not read here
+        h, u, _, pivots, _ = _torus_form(m_rows, False)
     else:
-        h = m_rows
+        # M has no rows, so s is not read off it
+        h, pivots = m_rows, ()
         u = tuple(tuple(1 if i == j else 0 for j in range(s)) for i in range(s))
-    pivots = _pivots_of(h)
     rho = len(pivots)
     s_z = s - rho
     pivot_rows = [pr for pr, _, _ in pivots]
@@ -759,19 +726,17 @@ def _build_component(cell1, map1, cell2, map2, poly, tight, s_z, u, rho,
     # dim F1 + dim F2 + s1 + s2 - m, so D_F spans the target on every face.
 
     # X, the component's default frame in the factors' frame coordinates: a
-    # direction u of the slice is read at the pivots of dir P1 and dir P2
-    # and moves t by t_rows . u; the free torus coordinate phi_i moves t by
-    # column i of t_fcoefs.
-    piv1 = fd1.dir_pivots
-    piv2 = [n1 + p for p in fd2.dir_pivots]
-
+    # direction u of the slice is read in the charts of P1 x T^s1 and
+    # P2 x T^s2 and moves t by t_rows . u; the free torus coordinate phi_i
+    # moves t by column i of t_fcoefs.
     def coords(u_dir, dt):
-        return [u_dir[p] for p in piv1] + dt[:s1] + [u_dir[p] for p in piv2] + dt[s1:]
+        return (fd1.frame_coords([*u_dir[:n1], *dt[:s1]])
+                + fd2.frame_coords([*u_dir[n1:], *dt[s1:]]))
 
     x_rows = [coords(d, [sum((x * y for x, y in zip(row, d) if x), _ZERO) for row in t_rows])
               for d in poly.dir_basis]
     x_rows += [coords((0,) * n, [fc[i] for fc in t_fcoefs]) for i in range(s_z)]
-    sign = _det_sign(x_rows, d_rows, cell1.dim + cell2.dim)
+    sign = det_sign(x_rows, d_rows, cell1.dim + cell2.dim)
     cell = Cell(poly, s_z, sign=eps * sign) if sign else Cell(poly, s_z)
 
     return FibreComponent(
@@ -803,10 +768,10 @@ def has_free_circle(cell: Cell, cmap: CellMap) -> bool:
 
 @lru_cache(maxsize=4096)
 def _torus_form(m_t: IntMat, is_torus: bool):
-    """(H, det U, pivots, lattice): the torus part of canonical_cell_map for M_t.
+    """(H, U, det U, pivots, lattice): the torus part of canonical_cell_map for M_t.
 
     H = M_t U is the column Hermite form, U in GL_s(Z) with det U = +-1 (M_t
-    itself, det 1, when it has no rows or no columns).  pivots are
+    itself and U = I_s when it has no rows or no columns).  pivots are
     (row, value, column of H) for each nonzero column of H.  lattice is None
     unless the target is a torus with rows outside the pivot rows; then it is
     (npiv, denom, hb): those rows, and the Hermite form hb of denom times the
@@ -822,7 +787,8 @@ def _torus_form(m_t: IntMat, is_torus: bool):
             raise AssertionError("hermite transform must be unimodular")
         det_u = int(det_u)
     else:
-        h, det_u = m_t, 1
+        s = len(m_t[0]) if m else 0
+        h, uc, det_u = m_t, tuple(tuple(int(i == j) for j in range(s)) for i in range(s)), 1
     pivots = tuple((p, d, tuple(row[t] for row in h)) for p, d, t in _pivots_of(h))
     lattice = None
     pivot_rows = {p for p, _, _ in pivots}
@@ -834,7 +800,7 @@ def _torus_form(m_t: IntMat, is_torus: bool):
         denom = math.lcm(*(g[j].denominator for g in gens for j in npiv))
         hb, _ = hermite_column([[int(g[j] * denom) for g in gens] for j in npiv])
         lattice = (npiv, denom, hb)
-    return h, det_u, pivots, lattice
+    return h, uc, det_u, pivots, lattice
 
 
 def _reduce(pivots, x) -> list:
@@ -876,7 +842,7 @@ def canonical_cell_map(cell: Cell, cmap: CellMap):
     """
     n = cell.polytope.ambient_dim
     m = cmap.target.dim
-    new_mt, det_u, pivots, lattice = _torus_form(cmap.m_t, cmap.target.is_torus)
+    new_mt, _, det_u, pivots, lattice = _torus_form(cmap.m_t, cmap.target.is_torus)
     new_a = cmap.a
     new_b = cmap.b
     if m > 0:
@@ -930,14 +896,17 @@ def canonical_key(cell: Cell, cmap: CellMap):
 
 
 def permute_cell_coords(cell: Cell, cmap: CellMap, perm: Sequence[int]):
-    """Relabel polytope coordinates: new coordinate i reads old coordinate perm[i]."""
+    """Relabel polytope coordinates: new coordinate i reads old coordinate perm[i].
+
+    The sign moves by the old dir_basis, permuted, read in the new chart."""
     n = cell.polytope.ambient_dim
     if sorted(perm) != list(range(n)):
         raise GeometryError("perm must be a permutation of the coordinates")
     verts = [tuple(v[j] for j in perm) for v in cell.polytope.vertices]
     poly = Polytope(n, verts, _trusted=True)
-    frame = tuple(tuple(v[j] for j in perm) + v[n:] for v in cell.frame)
-    new_cell = Cell(poly, cell.torus_rank, frame, cell.sign)
+    fd = poly._fd
+    moved = [fd.frame_coords([v[j] for j in perm]) for v in cell.polytope.dir_basis]
+    new_cell = Cell(poly, cell.torus_rank, sign=cell.sign * det_sign(moved, (), fd.dim))
     if cmap.target.dim:
         new_a = tuple(tuple(row[j] for j in perm) for row in cmap.a)
     else:

@@ -22,6 +22,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
 from ._linalg import (
@@ -889,17 +890,16 @@ def transport_generator(gen: Generator, linear: Sequence[Sequence],
 # ---------------------------------------------------------------------------
 
 def simplex_cell(k: int) -> Cell:
-    """The standard simplex with the edge frame out of its first vertex."""
-    p = standard_simplex(k)
-    e = [tuple(Fraction(1 if j == i else 0) for j in range(k + 1))
-         for i in range(k + 1)]
-    frame = tuple(tuple(e[i + 1][j] - e[0][j] for j in range(k + 1))
-                  for i in range(k))
-    return Cell(p, 0, frame, 1)
+    """The standard simplex with the edge frame -e0 + e_(i+1) out of e0.  Read
+    at the pivots, the first k coordinates, that frame is the rows -e0 + e_(i+1)
+    and, last, -e0, of determinant (-1)^k."""
+    return Cell(standard_simplex(k), 0, sign=(-1) ** k)
 
 
+@lru_cache
 def standard_simplex_tag(k: int) -> Tag:
-    """Deterministic labels for the faces of the standard simplex."""
+    """Deterministic labels for the faces of the standard simplex, built once
+    per k: a Tag is never mutated."""
     return numbered_tag(standard_simplex(k), "dx", k)
 
 

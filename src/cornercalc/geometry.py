@@ -66,12 +66,11 @@ from ._linalg import (
     _eliminate,
     _primitive,
     _scaled,
-    change_of_basis_det,
+    det_sign,
     frac,
     independent_subset,
     kernel_basis,
     mat,
-    matvec,
     rref,
     solve,
     vadd,
@@ -249,6 +248,8 @@ class _FaceData:
     (lattice), the local-coordinate matrix over one denominator
     (local_ints), and the hull's equations and the facets as primitive
     integer rows (rows).  Fractions are made once, for what is handed out.
+    local_ints serves the H-representation alone (rows, the cold facets,
+    local_matrix); tangent vectors are read in the chart (frame_coords).
 
     A face handed out by face(mask) reuses what its parent computed: its
     vertices are the parent's at the set bits, already sorted; its facets
@@ -259,7 +260,7 @@ class _FaceData:
     produced walks its lattice from the facet masks (face_dims).
 
     The boundary data is lazy too: each facet's polytope and the sign of
-    its frame, outward vector first, against dir_basis (facet_cells), the
+    its frame, outward vector first, read in the chart (facet_cells), the
     directions of the affine hull on its free coordinates
     (hull_directions, one reduction of dir_basis from the right), the
     point of the hull whose free coordinates are all 0 (hull_origin), and
@@ -455,8 +456,19 @@ class _FaceData:
             self._local = tuple(tuple(Fraction(x, m) for x in row) for row in lint)
         return self._local
 
-    def local_coords(self, point: Vec) -> Vec:
-        return matvec(self.local_matrix(), vsub(point, self.vertices[0]))
+    # -- the chart of tangent vectors -----------------------------------------
+
+    def frame_coords(self, v: Sequence) -> list:
+        """Coordinates of a vector of dir(P) + R^s in the default frame: its
+        entries at dir_pivots, then its torus entries as they stand."""
+        return [v[p] for p in self.dir_pivots] + list(v[self.ambient_dim:])
+
+    def is_tangent(self, v: Sequence) -> bool:
+        """Whether a vector of R^(n+s) lies in dir(P) + R^s: the dir_basis
+        rows weighted by its entries at dir_pivots give back its first n."""
+        x = self.frame_coords(v)
+        return all(sum(c * row[j] for c, row in zip(x, self.dir_basis) if c) == v[j]
+                   for j in range(self.ambient_dim))
 
     # -- facets --------------------------------------------------------------
 
@@ -530,16 +542,16 @@ class _FaceData:
     def facet_cells(self) -> list[tuple["Polytope", int]]:
         """(facet polytope, sign) for each facet, in facets() order.
 
-        The sign is that of the change of basis from (outward vector,
-        facet's dir_basis) to dir_basis: the facet's orientation, outward
-        normal first, against this vertex set's.
+        The sign is det_sign of (outward vector, facet's dir_basis) read in
+        the chart, untested: the facet's orientation, outward normal first,
+        against this vertex set's.
         """
         if self._facet_cells is None:
             cells = []
             for (_, outward), mask in zip(self.facets(), self.facet_masks):
                 face = self.face(mask)
-                d = change_of_basis_det((outward,) + face.dir_basis, self.dir_basis)
-                cells.append((face, 1 if d > 0 else -1))
+                frame = [self.frame_coords(v) for v in (outward,) + face.dir_basis]
+                cells.append((face, det_sign(frame, (), self.dim)))
             self._facet_cells = cells
         return self._facet_cells
 
@@ -646,9 +658,6 @@ class Polytope:
     def dir_basis(self) -> Mat:
         """Canonical (RREF) basis of the direction space of the affine hull."""
         return self._fd.dir_basis
-
-    def local_coords(self, point: Sequence) -> Vec:
-        return self._fd.local_coords(vec(point))
 
     def barycenter(self) -> Vec:
         n = len(self.vertices)
@@ -851,8 +860,9 @@ def box(bounds: Sequence[tuple]) -> Polytope:
     return Polytope.from_points(len(bounds), [list(p) for p in pts])
 
 
+@lru_cache
 def standard_simplex(k: int) -> Polytope:
-    """Delta_k in R^(k+1): convex hull of the standard basis vectors."""
+    """Delta_k in R^(k+1): convex hull of the standard basis vectors, built once per k."""
     verts = [[1 if j == i else 0 for j in range(k + 1)] for i in range(k + 1)]
     return Polytope(k + 1, verts, _trusted=True)
 

@@ -10,9 +10,9 @@ pushes down to quotient-marked generators consumed by the chain layer.
 The arithmetic runs on integers.  Each affine map of an action carries an
 integer view (A, a, m), the map x -> (A x + a) / m, built once per map: the
 vertex tables, the stabilizer of a point and the fixed-locus equations read
-it.  A direction representation reads each element's matrix through the
-component's integer chart (its direction basis and local coordinates over
-one denominator each), and a representation's homomorphism law is checked
+it.  A direction representation reads each element's matrix in the
+component's chart (its direction basis over one denominator, the images
+read at its pivots), and a representation's homomorphism law is checked
 on its matrices over one common denominator.  Fractions are made once, for
 what is handed out.
 """
@@ -574,12 +574,11 @@ def direction_rep(action: GroupAction, component: int = 0,
     """The linear action on the direction space of a component.
 
     With a morphism given as the elements mapping, the representation is of
-    the smaller group through its images.  It is read through the
-    component's integer chart: with dir_basis B / den, its local
-    coordinates L / l and an element's matrix A / m, the element acts by
-    R / (l m den) for R = L A B^T, the coordinates of A B^T.  Those are
-    coordinates of the images exactly when the images lie in the direction
-    space, that is when B^T R = den l A B^T.
+    the smaller group through its images.  It is read in the component's
+    chart, on integers: with dir_basis B / den and an element's matrix
+    A / m, the element acts by R / (m den) for R the rows of A B^T at the
+    dir_basis pivots, the coordinates of the images.  The images lie in the
+    direction space exactly when B^T R = den A B^T.
     """
     poly = action.spaces[component]
     fd = poly._fd
@@ -587,7 +586,6 @@ def direction_rep(action: GroupAction, component: int = 0,
     if d:
         b, den = fd._dir_ints()
         b_cols = list(zip(*b))
-        lint, lm = fd.local_ints()
     grp = group or action.group
     lam = elements or {g: g for g in grp.elements}
     mats = {}
@@ -601,12 +599,11 @@ def direction_rep(action: GroupAction, component: int = 0,
         mat_int, _, m = entry.ints
         # image_cols[j] = A B^T e_j, r_cols[j] = R e_j
         image_cols = [[_idot(row, v) for row in mat_int] for v in b]
-        r_cols = [[_idot(row, w) for row in lint] for w in image_cols]
-        scale = den * lm
-        if any(_idot(bc, r) != scale * w_k
+        r_cols = [fd.frame_coords(w) for w in image_cols]
+        if any(_idot(bc, r) != den * w_k
                for r, w in zip(r_cols, image_cols) for bc, w_k in zip(b_cols, w)):
             raise OrbifoldError("direction space is not preserved")
-        q = lm * m * den
+        q = m * den
         mats[g] = tuple(tuple(Fraction(r[i], q) for r in r_cols) for i in range(d))
     return RealRep(grp, d, mats)
 

@@ -81,3 +81,23 @@ def test_traced_benchmark_hooks_see_work():
     assert proc.returncode == 0, proc.stderr
     cold_facets, slices, cuts = json.loads(proc.stdout.strip().splitlines()[-1])
     assert cold_facets > 0 and slices > 0 and cuts > 0
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports, other than from __future__, that it never reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_src_imports_are_used():
+    modules = sorted((ROOT / "src" / "cornercalc").glob("*.py"))
+    assert modules
+    unused = {path.name: _unused_imports(path.read_text()) for path in modules}
+    assert {name: names for name, names in unused.items() if names} == {}

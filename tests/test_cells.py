@@ -22,7 +22,6 @@ from cornercalc.cells import (
     FibreProductError,
     MapError,
     Target,
-    _differential_vec,
     _pivots_of,
     _slice_polytope,
     canonical_cell_map,
@@ -43,8 +42,11 @@ from cornercalc.cells import (
     torus,
     validate_coorientation,
 )
-from cornercalc.chains import Generator, _normal_form, generator_boundary, numbered_tag
-from cornercalc.geometry import POINT_POLYTOPE, GeometryError, Polytope, box, interval
+from cornercalc.bordism import _orientation_factor
+from cornercalc.chains import (Generator, _normal_form, generator_boundary, numbered_tag,
+                               simplex_cell)
+from cornercalc.geometry import (POINT_POLYTOPE, GeometryError, Polytope, box, interval,
+                                 standard_simplex)
 from cornercalc.maps import check_boundary_of_fibre_product_cells, check_swap_sign_cells
 from cornercalc.randgen import (associativity_instance, fibre_instance, random_cell,
                                 random_map, random_polytope, submersive_cell)
@@ -924,7 +926,7 @@ def test_boundary_data_is_computed_once_per_polytope(monkeypatch):
 
     for module in ("_linalg", "geometry", "cells", "chains", "products", "bordism"):
         mod = importlib.import_module(f"cornercalc.{module}")
-        for name in ("change_of_basis_det", "rref"):
+        for name in ("det_sign", "rref"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
     # a pentagon in the plane z = x + 2y + 1/7 of R^3, at coordinates no other
@@ -940,7 +942,7 @@ def test_boundary_data_is_computed_once_per_polytope(monkeypatch):
             cell_boundary(bc.cell)
 
     boundary_two_deep(Cell(p, 1))
-    assert calls["change_of_basis_det"] > 0
+    assert calls["det_sign"] > 0
     canonical_cell_map(Cell(p, 1), cmap)
     assert calls["rref"] > 0
     calls.clear()
@@ -1064,14 +1066,10 @@ def _fraction_differential_vec(cmap, n, v):
 
 
 @settings(max_examples=150, deadline=None)
-@given(hull_cell_and_map(), st.data())
-def test_differential_vec_matches_parent_formula(data, more):
+@given(hull_cell_and_map())
+def test_differential_vec_matches_parent_formula(data):
     cell, cmap = data
-    n, s = cell.polytope.ambient_dim, cell.torus_rank
-    # sparse vectors, as frame vectors are, and dense ones
-    v = tuple(more.draw(st.lists(st.one_of(st.just(F(0)), _thirds),
-                                 min_size=n + s, max_size=n + s)))
-    assert _differential_vec(cmap, n, v) == _fraction_differential_vec(cmap, n, v)
+    n = cell.polytope.ambient_dim
     want = [_fraction_differential_vec(cmap, n, u) for u in cell.frame]
     want = transpose(mat(want)) if want else tuple(() for _ in range(cmap.target.dim))
     assert repr(cmap.differential_on(cell)) == repr(want)
@@ -1202,7 +1200,7 @@ def _two_branch_orientation(z, c1, f1, c2, f2):
 
     def lift_through(ck, fk, other, other_n, frame):
         ws = solve_columns(fk.differential_on(ck),
-                           [_differential_vec(other, other_n, v) for v in frame])
+                           [_fraction_differential_vec(other, other_n, v) for v in frame])
         if ws is None:
             return None
         return [tuple(sum(x * u[k] for x, u in zip(w, ck.frame)) for k in range(ck.ambient))
@@ -1461,3 +1459,181 @@ def test_dir_basis_is_rref_at_the_stored_pivots(p):
     for i, row in enumerate(p.dir_basis):
         assert [row[q] for q in pivots] == [int(j == i) for j in range(p.dim)]
         assert not any(row[:pivots[i]])
+
+
+# ---------------------------------------------------------------------------
+# The chart of tangent vectors against the change-of-basis formulas it
+# replaced: a frame's sign was change_of_basis_det against the default
+# frame, a SpanError naming a vector outside the tangent space, and a
+# coorientation was checked by its ambient differential and one rank.
+# ---------------------------------------------------------------------------
+
+def _parent_frame_sign(poly, s, frame, sign):
+    """The sign Cell(poly, s, frame, sign) had, or the message it raised."""
+    span = default_frame(poly, s)
+    if frame == span:
+        return sign
+    try:
+        d = change_of_basis_det(frame, span)
+    except SpanError:
+        return "frame vector outside the cell's tangent space"
+    if d == 0:
+        return "frame is linearly dependent"
+    return sign if d > 0 else -sign
+
+
+def _parent_orientation_factor(linear, cell1, cell2):
+    """bordism._orientation_factor by the change of basis of the carried frame.
+
+    It read a dependent carried frame, determinant 0, as reversing; that
+    frame does not carry the tangent space onto cell2's, so it is None here,
+    as documented.  No caller makes one: an identification carries the
+    vertices onto the partner's vertices.
+    """
+    n = cell1.polytope.ambient_dim
+    carried = tuple(tuple(linear(f[:n])) + tuple(f[n:]) for f in cell1.frame)
+    try:
+        d = change_of_basis_det(carried, cell2.frame)
+    except ValueError:
+        return None
+    return _sign(d) * cell1.sign * cell2.sign if d else None
+
+
+def _parent_coorientation_fault(cell, cmap, co):
+    """The message validate_coorientation raised, by the ambient differential
+    of each vector and the rank of the tangent frame with the prefix up to
+    the first vector off the kernel; None when it passed."""
+    n = cell.polytope.ambient_dim
+    expected = cell.dim - cmap.target.dim
+    if len(co.frame) != expected:
+        return f"coorientation frame has {len(co.frame)} vectors, expected {expected}"
+    if co.frame and len(co.frame[0]) != cell.ambient:
+        return "coorientation vector has wrong length"
+    bad = next((k for k, v in enumerate(co.frame)
+                if any(_fraction_differential_vec(cmap, n, v))), len(co.frame))
+    if rank(cell.frame + co.frame[:bad + 1]) != len(cell.frame):
+        return "coorientation vector outside the tangent space"
+    if bad < len(co.frame):
+        return "coorientation vector not in the kernel of the differential"
+    return None
+
+
+@st.composite
+def chart_cell(draw):
+    """A rational lattice hull of dimension 0 to 3 in R^n, n <= 4, mostly of
+    lower dimension and with any coordinates as pivots, times T^s, s <= 2."""
+    return draw(placed_rational_hull()), draw(st.integers(0, 2))
+
+
+def _vector(data, width):
+    return tuple(data.draw(_thirds) for _ in range(width))
+
+
+def _drawn_frame(data, poly, s):
+    """Integer combinations of the default frame, then perhaps one vector
+    replaced by an arbitrary one (mostly outside the tangent space) or by a
+    multiple of another (a dependent frame)."""
+    default = default_frame(poly, s)
+    frame = _times(_int_matrix(data, len(default)), default)
+    how = data.draw(st.sampled_from(("combination", "outside", "dependent")))
+    if frame and how == "outside":
+        k = data.draw(st.integers(0, len(frame) - 1))
+        frame = frame[:k] + (_vector(data, poly.ambient_dim + s),) + frame[k + 1:]
+    elif len(frame) > 1 and how == "dependent":
+        i, k = data.draw(st.permutations(range(len(frame))))[:2]
+        c = data.draw(st.integers(-2, 2))
+        frame = frame[:k] + (tuple(c * x for x in frame[i]),) + frame[k + 1:]
+    return frame
+
+
+@settings(max_examples=200, deadline=None)
+@given(chart_cell(), st.data())
+def test_frame_sign_in_the_chart_matches_the_change_of_basis(cell_data, data):
+    poly, s = cell_data
+    frame = _drawn_frame(data, poly, s)
+    sigma = data.draw(st.sampled_from((1, -1)))
+    want = _parent_frame_sign(poly, s, frame, sigma)
+    if isinstance(want, str):
+        with pytest.raises(GeometryError, match=f"^{want}$"):
+            Cell(poly, s, frame, sigma)
+    else:
+        assert Cell(poly, s, frame, sigma).sign == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(chart_cell(), st.data())
+def test_orientation_factor_in_the_chart_matches_the_change_of_basis(cell_data, data):
+    poly, s = cell_data
+    n = poly.ambient_dim
+    cell1 = Cell(poly, s, None, data.draw(st.sampled_from((1, -1))))
+    how = data.draw(st.sampled_from(("image", "image", "same", "other")))
+    lin = [[0] * n for _ in range(n)] if how == "same" else _int_matrix(data, n)
+    if how == "same":
+        # the zero map: its images lie in every tangent space, dependent
+        poly2 = poly
+    elif how == "image":
+        poly2 = Polytope.from_points(n, [[sum(x * y for x, y in zip(row, v)) for row in lin]
+                                         for v in poly.vertices])
+    else:
+        # the same shape on permuted coordinates: mostly another tangent space
+        perm = data.draw(st.permutations(range(n)))
+        poly2 = Polytope(n, [[v[j] for j in perm] for v in poly.vertices], _trusted=True)
+    s2 = s if data.draw(st.booleans()) else data.draw(st.integers(0, 2))
+    cell2 = Cell(poly2, s2, None, data.draw(st.sampled_from((1, -1))))
+
+    def linear(w):
+        return tuple(sum(x * y for x, y in zip(row, w)) for row in lin)
+
+    assert _orientation_factor(linear, cell1, cell2) == _parent_orientation_factor(
+        linear, cell1, cell2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(chart_cell(), st.data())
+def test_permuted_cell_is_signed_as_the_permuted_frame(cell_data, data):
+    poly, s = cell_data
+    n = poly.ambient_dim
+    cell = Cell(poly, s, None, data.draw(st.sampled_from((1, -1))))
+    cmap = CellMap(euclid(1), [[data.draw(_thirds) for _ in range(n)]], [[0] * s], [0])
+    perm = data.draw(st.permutations(range(n)))
+    got, got_map = permute_cell_coords(cell, cmap, perm)
+    moved = Polytope(n, [tuple(v[j] for j in perm) for v in poly.vertices], _trusted=True)
+    frame = tuple(tuple(v[j] for j in perm) + v[n:] for v in cell.frame)
+    assert got == Cell(moved, s, None, cell.sign * _sign(change_of_basis_det(
+        frame, default_frame(moved, s))))
+    assert got_map.a == (tuple(cmap.a[0][j] for j in perm),)
+
+
+def test_simplex_cell_is_signed_as_its_edge_frame():
+    for k in range(7):
+        e = [tuple(F(int(j == i)) for j in range(k + 1)) for i in range(k + 1)]
+        frame = tuple(tuple(a - b for a, b in zip(e[i + 1], e[0])) for i in range(k))
+        p = standard_simplex(k)
+        assert simplex_cell(k) == Cell(p, 0, None, _parent_frame_sign(p, 0, frame, 1))
+        assert simplex_cell(k).sign == (-1) ** k
+
+
+@settings(max_examples=200, deadline=None)
+@given(hull_cell_and_map(), st.data())
+def test_coorientation_faults_match_the_ambient_recipe(data, more):
+    cell, cmap = data
+    dmat = cmap.differential_on(cell)
+    width = cell.ambient
+    kernel = [tuple(sum(c * x for c, x in zip(k, col)) for col in zip(*cell.frame))
+              for k in (kernel_basis(dmat) if dmat and dmat[0] else ())]
+    if not cmap.target.dim:
+        kernel = list(cell.frame)
+    # kernel vectors, tangent vectors mostly off the kernel, arbitrary vectors
+    pool = kernel + list(cell.frame) + [_vector(more, width) for _ in range(2)]
+    size = max(0, cell.dim - cmap.target.dim) + more.draw(st.sampled_from((0, 0, 0, 1)))
+    picks = more.draw(st.lists(st.integers(0, len(pool) - 1), min_size=size, max_size=size,
+                               unique=True)) if size <= len(pool) else []
+    frame = [pool[i] for i in picks]
+    assume(rank(mat(frame)) == len(frame) if frame else True)
+    co = Coorientation(frame, more.draw(st.sampled_from((1, -1))))
+    want = _parent_coorientation_fault(cell, cmap, co)
+    if want is None:
+        validate_coorientation(cell, cmap, co)
+    else:
+        with pytest.raises(MapError, match=f"^{want}$"):
+            validate_coorientation(cell, cmap, co)
