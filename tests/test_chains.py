@@ -1,5 +1,8 @@
 import hashlib
+import importlib.util
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -553,6 +556,44 @@ def test_coboundary_canonical_keys_golden_digest():
                            for (c, g), co in zip(terms, cos)]).encode())
     assert count == 36
     assert h.hexdigest() == GOLDEN_COBOUNDARY_DIGEST
+
+
+def _benchmark_workloads():
+    """The benchmark's workloads module, loaded from its file once."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            name, Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # dataclasses look their module up here
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+# The boundary, the double boundary and a second read of the boundary of the
+# first 20 dd-zero chains of the benchmark's chain-boundary corpus, in that
+# order: a boundary read twice must not drift in keys, signs, coefficients or
+# term order.
+GOLDEN_DD_ZERO_CORPUS_DIGEST = (
+    "f596da5a301eafb53b403d1a526ddac3e3e55e3f8217fac1ea59ff9000939c47")
+
+
+def test_dd_zero_corpus_boundaries_golden_digest():
+    workloads = _benchmark_workloads()
+    h = hashlib.sha256()
+    count = 0
+    for i in range(20):
+        rng = workloads.item_random("chain-boundary", "dd-zero", i)
+        c = random_chain(rng, ("t", 0), max_ambient=4, ring="Q")
+        first = boundary(c)
+        for ch in (first, boundary(first), boundary(c)):
+            terms = ch.terms()
+            count += len(terms)
+            h.update(repr(terms).encode())
+            h.update(repr([(a, _normal_form(g)[:2], g.cell.frame, g.cell.sign)
+                           for a, g in terms]).encode())
+    assert count == 698
+    assert h.hexdigest() == GOLDEN_DD_ZERO_CORPUS_DIGEST
 
 
 def _fraction_term_key(x):
