@@ -288,9 +288,19 @@ class Generator:
     (see cells), so chains and cochains share one normal form, one boundary
     and one fibre product.  A coorientation passed in is validated and
     converted once; kernel_coorientation(cell, cmap) reads it back.
+
+    The constructor validates; `_derived` does not, and builds only what is
+    valid by construction from a generator already validated and unmarked:
+    its normal form and its facets.  A face restriction of an injective tag
+    is injective and labels exactly the face's faces, a strong submersion
+    restricts to one on every face, and the canonical reparametrization
+    moves A only by combinations of the torus columns.  Marked generators
+    and their covers are always validated.  A normalized generator, the
+    representative a Chain stores, keeps its facet normal forms in
+    `_facets`, filled on first read by `_facet_forms` (see Boundary).
     """
 
-    __slots__ = ("cell", "cmap", "tag", "is_cochain", "quotient")
+    __slots__ = ("cell", "cmap", "tag", "is_cochain", "quotient", "_facets")
 
     def __init__(self, cell: Cell, cmap: CellMap, tag: Tag,
                  coorientation: Optional[Coorientation] = None,
@@ -322,6 +332,20 @@ class Generator:
         self.tag = tag
         self.is_cochain = is_cochain
         self.quotient = quotient
+        self._facets = None
+
+    @classmethod
+    def _derived(cls, cell: Cell, cmap: CellMap, tag: Tag, *,
+                 is_cochain: bool = False) -> "Generator":
+        """An unmarked generator valid by construction, built unchecked."""
+        gen = cls.__new__(cls)
+        gen.cell = cell
+        gen.cmap = cmap
+        gen.tag = tag
+        gen.is_cochain = is_cochain
+        gen.quotient = None
+        gen._facets = None
+        return gen
 
     @staticmethod
     def _validate_marker(faces: Mapping[int, int], tag: Tag, marker: QuotientMarker):
@@ -385,6 +409,7 @@ def _normal_form(gen: Generator):
     """(key, sign, normalized generator), or None when the class is zero.
 
     The key ends in the tag and in True for a cochain, None for a chain.
+    gen is unmarked: callers expand a quotient marker first.
     """
     key, sign, cell, cmapc = canonical_form(gen.cell, gen.cmap)
     # cmapc.m_t is in column Hermite form, its zero columns last, so a free
@@ -393,8 +418,8 @@ def _normal_form(gen: Generator):
     if s and not any(row[s - 1] for row in cmapc.m_t):
         return None
     key += (gen.tag.labels, gen.is_cochain or None)
-    return key, sign, Generator(Cell(cell.polytope, cell.torus_rank), cmapc, gen.tag,
-                                is_cochain=gen.is_cochain)
+    return key, sign, Generator._derived(Cell(cell.polytope, cell.torus_rank), cmapc, gen.tag,
+                                         is_cochain=gen.is_cochain)
 
 
 def _in_term_order(items: Iterable) -> list:
@@ -446,10 +471,14 @@ class Chain:
         if nf is None:
             return
         key, sign, norm = nf
-        new = [sign * coeff, norm]
+        self._add(key, sign * coeff, norm)
+
+    def _add(self, key: tuple, coeff: Fraction, norm: Generator):
+        """Add coeff times the normalized generator norm, of the given key."""
+        new = [coeff, norm]
         entry = self._terms.setdefault(key, new)
         if entry is not new:
-            entry[0] += new[0]
+            entry[0] += coeff
 
     def _prune(self):
         for key in [k for k, (c, _) in self._terms.items() if c == 0]:
@@ -490,10 +519,7 @@ class Chain:
         out = Chain(ring=self.ring)
         out._terms = {k: [c, g] for k, (c, g) in self._terms.items()}
         for key, (c, g) in other._terms.items():
-            new = [c, g]
-            entry = out._terms.setdefault(key, new)
-            if entry is not new:
-                entry[0] += c
+            out._add(key, c, g)
         out._prune()
         return out
 
@@ -537,31 +563,53 @@ def disjoint_union(gens: Sequence[Generator]) -> Chain:
 # ---------------------------------------------------------------------------
 # Boundary
 # ---------------------------------------------------------------------------
+# The boundary of [X, f, G] is [dX, f|dX, G|dX]: generator_boundary is its
+# one definition.  The facets of an unmarked generator are built by
+# Generator._derived, unchecked, since restriction keeps a validated
+# generator valid; a marked generator's expanded facets are validated.
+# A chain stores normalized generators, and each keeps its facet normal
+# forms in its _facets slot, filled on first read by _facet_forms: boundary
+# and ChainComplex read them there, so a generator's facets are restricted,
+# canonicalized and keyed once, and a second boundary of the same chain
+# only accumulates.  The slot lives and dies with its generator.
 
 def generator_boundary(gen: Generator) -> list:
     """Signed facet generators of one generator; marked generators expand."""
-    out = []
     marker = gen.quotient
-    tag = gen.tag
+    tag, coeff, build = gen.tag, Fraction(1), Generator._derived
     if marker is not None:
         pos = marker.positions()
         tag = Tag.of_masks(tag.vertices, [(m, merge_labels(label, pos[m]))
                                           for m, label in tag.labels])
-    coeff = Fraction(1, marker.order) if marker is not None else Fraction(1)
+        coeff, build = Fraction(1, marker.order), Generator
     # cell_boundary follows facets(), and facet_masks is in the same order
-    bcs = cell_boundary(gen.cell)
-    for bc, facet in zip(bcs, gen.cell.polytope._fd.facet_masks):
-        out.append((coeff, Generator(bc.cell, gen.cmap, tag.restrict(facet),
-                                     is_cochain=gen.is_cochain)))
-    return out
+    return [(coeff, build(bc.cell, gen.cmap, tag.restrict(facet), is_cochain=gen.is_cochain))
+            for bc, facet in zip(cell_boundary(gen.cell), gen.cell.polytope._fd.facet_masks)]
+
+
+def _facet_forms(gen: Generator) -> tuple:
+    """(key, sign * factor, normalized facet) of each facet term of
+    generator_boundary(gen) whose class is not zero, built on first read."""
+    if gen._facets is None:
+        forms = []
+        for factor, sub in generator_boundary(gen):
+            nf = _normal_form(sub)
+            if nf is not None:
+                key, sign, norm = nf
+                forms.append((key, sign * factor, norm))
+        gen._facets = tuple(forms)
+    return gen._facets
 
 
 def boundary(c: Chain) -> Chain:
-    """The boundary operator: restrict each generator to its facets."""
+    """The boundary operator: restrict each generator to its facets.
+
+    The terms are read unsorted: the sum is exact, and every term under one
+    key is the same normalized generator."""
     out = Chain(ring=c.ring)
-    for coeff, gen in c.terms():
-        for factor, sub in generator_boundary(gen):
-            out._accumulate(coeff * factor, sub)
+    for coeff, gen in c._terms.values():
+        for key, factor, sub in _facet_forms(gen):
+            out._add(key, coeff * factor, sub)
     out._prune()
     return out
 
@@ -572,11 +620,16 @@ def boundary(c: Chain) -> Chain:
 
 @dataclass
 class CornerTerm:
-    """One flag of the second boundary: a corner reached through two facets."""
+    """One flag of the second boundary: a corner reached through two facets.
 
-    corner: FaceKey
-    first_facet: FaceKey
-    second_facet: FaceKey
+    The three faces are vertex bitmasks over the generator's polytope; the
+    corner is the intersection of the two facets, and its face key is the
+    vertex tuple of the corner cell's polytope.
+    """
+
+    corner: int
+    first_facet: int
+    second_facet: int
     cell: Cell
     tag: Tag
 
@@ -598,11 +651,11 @@ def corner_terms(gen: Generator) -> list[CornerTerm]:
             holders = [i for i, cut in enumerate(cuts) if m2 & ~cut == 0]
             if len(holders) != 2:
                 raise ChainError("corner contained in other than two facets")
-            other = holders[0] if holders[1] == i1 else holders[1]
+            other = facet_masks[holders[0] if holders[1] == i1 else holders[1]]
             out.append(CornerTerm(
-                corner=bc2.face,
-                first_facet=bc1.face,
-                second_facet=bcs1[other].face,
+                corner=m1 & other,
+                first_facet=m1,
+                second_facet=other,
                 cell=bc2.cell,
                 tag=tag1.restrict(m2)))
     return out
@@ -633,16 +686,17 @@ def check_sigma_pairing(terms: Sequence[CornerTerm]) -> PairingReport:
             continue
         partner_key = (t.corner, t.second_facet, t.first_facet)
         j = index.get(partner_key)
+        corner = t.cell.polytope.vertices
         if j is None or j in seen:
             return PairingReport(False, pairs,
-                                 (f"unpaired flag at corner {t.corner}",))
+                                 (f"unpaired flag at corner {corner}",))
         partner = terms[j]
         if t.tag != partner.tag:
             return PairingReport(False, pairs,
-                                 (f"tag mismatch at corner {t.corner}",))
+                                 (f"tag mismatch at corner {corner}",))
         if cell_orientation_equal(t.cell, partner.cell) != -1:
             return PairingReport(False, pairs,
-                                 (f"orientations at corner {t.corner} do not cancel",))
+                                 (f"orientations at corner {corner} do not cancel",))
         seen.add(i)
         seen.add(j)
         pairs += 1
@@ -1075,17 +1129,13 @@ class ChainComplex:
             cols = len(items)
             m = [[Fraction(0)] * cols for _ in range(rows)]
             for col, (_, gen) in enumerate(items):
-                for coeff, sub in generator_boundary(gen):
-                    nf = _normal_form(sub)
-                    if nf is None:
-                        continue
-                    key, sign, _ = nf
+                for key, coeff, _ in _facet_forms(gen):
                     if key not in self._key_index:
                         raise ChainError("generator set is not closed under boundary")
                     g2, row = self._key_index[key]
                     if g2 != grade - 1:
                         raise ChainError("boundary term lands in the wrong grade")
-                    m[row][col] += coeff * sign
+                    m[row][col] += coeff
             self.matrices[grade] = tuple(tuple(r) for r in m)
 
     def betti(self) -> dict:

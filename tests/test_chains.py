@@ -596,6 +596,114 @@ def test_dd_zero_corpus_boundaries_golden_digest():
     assert h.hexdigest() == GOLDEN_DD_ZERO_CORPUS_DIGEST
 
 
+# The facet forms a normalized generator keeps (its _facets slot), and the
+# generators built unchecked from a validated one, against references that
+# use neither: every facet term of generator_boundary normalized afresh, and
+# each derived generator rebuilt by the validating constructor.
+
+def _reference_boundary(c):
+    return Chain([(a * f, s) for a, g in c.terms() for f, s in generator_boundary(g)],
+                 ring=c.ring)
+
+
+def _revalidated(g):
+    """g rebuilt by the validating constructor, which must accept it."""
+    again = Generator(g.cell, g.cmap, g.tag, is_cochain=g.is_cochain)
+    assert _normal_form(again)[:2] == _normal_form(g)[:2]
+    return again
+
+
+def _check_boundary_reads(c):
+    """boundary and boundary∘boundary, read twice, against the references."""
+    first = boundary(c)
+    ref = _reference_boundary(c)
+    ref2 = _reference_boundary(ref)
+    for _ in range(2):
+        d = boundary(c)
+        dd = boundary(d)
+        assert d == ref and repr(d.terms()) == repr(ref.terms())
+        assert dd == ref2 and dd.is_zero
+        assert boundary(first) == ref2
+    # normal forms and unmarked facets are derived, unchecked
+    for ch in (c, first):
+        for _, g in ch.terms():
+            _revalidated(g)
+            if g.quotient is None:
+                for _, sub in generator_boundary(g):
+                    _revalidated(sub)
+    return first
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6))
+def test_boundary_reads_match_the_reference_on_random_chains(seed):
+    c = random_chain(Random(seed), ("t", 0), max_ambient=4, ring="Q")
+    _check_boundary_reads(c)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from((1, 2)))
+def test_boundary_reads_match_the_reference_on_random_cochains(seed, m):
+    c = random_cochain(Random(seed), torus(m), ("c", 0))
+    _check_boundary_reads(c)
+
+
+def _square_faces():
+    sq = box([(-1, 1), (-1, 1)])
+    return sq, {frozenset(tuple(int(x) for x in v) for v in k): k for k in faces_of(sq)}
+
+
+def test_boundary_reads_match_the_reference_on_a_marked_square():
+    """The square over Z/2 acting by a half turn: 1/2 times its cover, whose
+    boundary must also be the marked generator's own."""
+    sq, face = _square_faces()
+    orbits = [(((-1, -1),), ((1, 1),)), (((-1, 1),), ((1, -1),)),
+              (((-1, -1), (-1, 1)), ((1, -1), (1, 1))),
+              (((-1, -1), (1, -1)), ((-1, 1), (1, 1))),
+              (((-1, -1), (-1, 1), (1, -1), (1, 1)),)]
+    orbits = [tuple(face[frozenset(f)] for f in orbit) for orbit in orbits]
+    tag = Tag(sq, {f: (("o", i),) for i, orbit in enumerate(orbits) for f in orbit})
+    marker = QuotientMarker.from_faces(sq, 2, orbits)
+    g = Generator(Cell(sq, 0), constant_map(POINT, 2, 0), tag, quotient=marker)
+    c = chain(g)
+    assert [a for a, _ in c.terms()] == [Fraction(1, 2)]
+    first = _check_boundary_reads(c)
+    assert first == Chain(generator_boundary(g))
+    assert all(a in (Fraction(1, 2), Fraction(-1, 2)) for a, _ in first.terms())
+    assert len(first.terms()) == 4
+
+
+def test_marked_generators_are_still_validated():
+    """Position atoms make the bottom edge's label collide with its vertex's
+    in the cover: the marker is valid, its cover and that facet are not."""
+    sq, face = _square_faces()
+    orbits = [(((-1, -1),), ((1, 1),)), (((-1, 1),), ((1, -1),)),
+              (((-1, -1), (-1, 1)), ((1, -1), (1, 1))),
+              (((-1, -1), (1, -1)),), (((-1, 1), (1, 1)),),
+              (((-1, -1), (-1, 1), (1, -1), (1, 1)),)]
+    labels = [("v",), ("w",), ("lr",), merge_labels(("v",), (("q", 0),)), ("top",), ("sq",)]
+    orbits = [tuple(face[frozenset(f)] for f in orbit) for orbit in orbits]
+    tag = Tag(sq, {f: label for orbit, label in zip(orbits, labels) for f in orbit})
+    marker = QuotientMarker.from_faces(sq, 2, orbits)
+    g = Generator(Cell(sq, 0), constant_map(POINT, 2, 0), tag, quotient=marker)
+    with pytest.raises(TagError, match="injective"):
+        generator_boundary(g)
+    with pytest.raises(TagError, match="injective"):
+        chain(g)
+
+
+def test_chain_complex_matrices_match_the_reference():
+    gens = simplex_face_complex(3) + face_complex(box([(0, 1), (0, 1)]))
+    for _ in range(2):
+        cx = ChainComplex(gens)
+        for grade, items in cx.basis.items():
+            rows = cx.basis.get(grade - 1, [])
+            for col, (_, gen) in enumerate(items):
+                ref = Chain(generator_boundary(gen))
+                assert [cx.matrices[grade][row][col] for row in range(len(rows))] == \
+                    [ref.coefficient(g) for _, g in rows]
+
+
 def _fraction_term_key(x):
     """The label order as first written, with one Fraction per number."""
     if x is None:

@@ -36,6 +36,7 @@ from cornercalc.geometry import (
     corner_type,
     face_key,
     interval,
+    mask_bits,
     octahedron,
     section_polytope,
     section_vertices,
@@ -327,7 +328,10 @@ def test_boundary_of_boundary_face_multiset():
     for bc in cell_boundary(Cell(cube)):
         for bc2 in cell_boundary(bc.cell):
             seen.append((bc.face, bc2.face))
-    flags = [(c.first_facet, c.corner) for c in _flags(cube)]
+    # the flags' faces are vertex bitmasks over the cube's vertices
+    def key(mask):
+        return tuple(cube.vertices[i] for i in mask_bits(mask))
+    flags = [(key(c.first_facet), key(c.corner)) for c in _flags(cube)]
     assert sorted(seen) == sorted(flags)
 
 
@@ -875,8 +879,14 @@ def placed_rational_hull(draw, max_dim=3):
     Most draws are lower-dimensional than R^n."""
     k = draw(st.integers(0, max_dim))
     n = draw(st.integers(max(k, 1), 4))
-    coeffs = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * k), min_size=k + 1,
-                           max_size=k + 3, unique=True))
+    # k + 1 to k + 3 distinct points of {-2..2}^k, as a prefix of a random
+    # permutation of them (Fisher-Yates, one draw per point): no rejection
+    coeffs = list(itertools.product(range(-2, 3), repeat=k))
+    size = min(draw(st.integers(k + 1, k + 3)), len(coeffs))
+    for i in range(size):
+        j = draw(st.integers(i, len(coeffs) - 1))
+        coeffs[i], coeffs[j] = coeffs[j], coeffs[i]
+    coeffs = coeffs[:size]
     extra = [_rational(draw, draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k)))
              for _ in range(n - k)]
     shift = _rational(draw, draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
