@@ -502,101 +502,53 @@ def integer_kernel_basis(m: Sequence[Sequence[int]]) -> IntMat:
 
 
 def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMat]:
-    """(D, U, V) with U M V = D diagonal, d1 | d2 | ..., U, V unimodular."""
+    """(D, U, V) with U M V = D diagonal, d1 | d2 | ..., U, V unimodular.
+
+    Step t moves the least nonzero entry of the block below and right of
+    (t, t) to (t, t) and clears its row and column by floor division.  A
+    remainder left behind, or a block entry the pivot does not divide once its
+    row is added to row t, is a smaller nonzero entry, so the step repeats; it
+    ends with a pivot that divides the whole block.
+    """
     a = _as_int_rows(m)
     nrows = len(a)
     ncols = len(a[0]) if a else 0
     u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
     v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
     def addmul_row(i, j, c):
         a[i] = [x + c * y for x, y in zip(a[i], a[j])]
         u[i] = [x + c * y for x, y in zip(u[i], u[j])]
 
     def addmul_col(i, j, c):
-        for r in a:
-            r[i] += c * r[j]
-        for r in v:
+        for r in a + v:
             r[i] += c * r[j]
 
-    def neg_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(nrows, ncols):
-        # find nonzero pivot in the remaining block
-        piv = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if a[i][j] != 0:
-                    if piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]]):
-                        piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
+    for t in range(min(nrows, ncols)):
         while True:
-            # clear column t
-            done = True
-            for i in range(t + 1, nrows):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    addmul_row(i, t, -q)
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-                        done = False
-            for j in range(t + 1, ncols):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    addmul_col(j, t, -q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        done = False
-            if done:
+            nonzero = [(abs(a[i][j]), i, j) for i in range(t, nrows)
+                       for j in range(t, ncols) if a[i][j] != 0]
+            if not nonzero:
                 break
+            _, i, j = min(nonzero)
+            a[t], a[i] = a[i], a[t]
+            u[t], u[i] = u[i], u[t]
+            for r in a + v:
+                r[t], r[j] = r[j], r[t]
+            p = a[t][t]
+            for i in range(t + 1, nrows):
+                addmul_row(i, t, -(a[i][t] // p))
+            for j in range(t + 1, ncols):
+                addmul_col(j, t, -(a[t][j] // p))
+            if any(a[i][t] != 0 for i in range(t + 1, nrows)) or any(a[t][t + 1:]):
+                continue
+            rest = [i for i in range(t + 1, nrows) if any(x % p for x in a[i][t + 1:])]
+            if not rest:
+                break
+            addmul_row(t, rest[0], 1)
         if a[t][t] < 0:
-            neg_row(t)
-        t += 1
-
-    # enforce divisibility chain
-    changed = True
-    while changed:
-        changed = False
-        for i in range(t - 1):
-            if a[i][i] != 0 and a[i + 1][i + 1] % a[i][i] != 0:
-                # standard trick: add col i+1 to col i, re-clear the 2x2 block
-                addmul_col(i, i + 1, 1)
-                while True:
-                    if a[i + 1][i] == 0:
-                        break
-                    q = a[i + 1][i] // a[i][i] if a[i][i] != 0 else 0
-                    if a[i][i] != 0:
-                        addmul_row(i + 1, i, -q)
-                    if a[i + 1][i] != 0:
-                        swap_rows(i, i + 1)
-                        # re-clear row i
-                        qq = a[i][i + 1] // a[i][i] if a[i][i] != 0 else 0
-                        if a[i][i] != 0 and a[i][i + 1] != 0:
-                            addmul_col(i + 1, i, -qq)
-                if a[i][i + 1] != 0:
-                    q = a[i][i + 1] // a[i][i]
-                    addmul_col(i + 1, i, -q)
-                if a[i][i] < 0:
-                    neg_row(i)
-                if a[i + 1][i + 1] < 0:
-                    neg_row(i + 1)
-                changed = True
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
     d = tuple(tuple(r) for r in a)
     return d, tuple(tuple(r) for r in u), tuple(tuple(r) for r in v)
 

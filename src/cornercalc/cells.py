@@ -898,12 +898,13 @@ def canonical_key(cell: Cell, cmap: CellMap):
 def permute_cell_coords(cell: Cell, cmap: CellMap, perm: Sequence[int]):
     """Relabel polytope coordinates: new coordinate i reads old coordinate perm[i].
 
-    The sign moves by the old dir_basis, permuted, read in the new chart."""
+    The sign moves by the old dir_basis, permuted, read in the new chart.  A
+    coordinate permutation keeps the vertices exact, distinct and extreme."""
     n = cell.polytope.ambient_dim
     if sorted(perm) != list(range(n)):
         raise GeometryError("perm must be a permutation of the coordinates")
     verts = [tuple(v[j] for j in perm) for v in cell.polytope.vertices]
-    poly = Polytope(n, verts, _trusted=True)
+    poly = Polytope._of_sorted(n, tuple(sorted(verts)))
     fd = poly._fd
     moved = [fd.frame_coords([v[j] for j in perm]) for v in cell.polytope.dir_basis]
     new_cell = Cell(poly, cell.torus_rank, sign=cell.sign * det_sign(moved, (), fd.dim))

@@ -115,11 +115,10 @@ def _face_mask(index: dict, key) -> int:
 
 
 def _checked_label(label) -> tuple:
+    """The label as a sorted multiset; an unorderable atom raises TypeError."""
     if not isinstance(label, tuple):
         raise TagError("labels must be tuples of atoms")
-    for a in label:
-        _term_key(a)
-    return label
+    return merge_labels(label)
 
 
 class Tag:

@@ -612,15 +612,14 @@ class Polytope:
     ambient_dim: int
     vertices: tuple[Vec, ...]
 
-    def __init__(self, ambient_dim: int, vertices: Iterable[Iterable], _trusted: bool = False):
+    def __init__(self, ambient_dim: int, vertices: Iterable[Iterable]):
         vs = _checked_points(ambient_dim, vertices, "vertex")
         if len(set(vs)) != len(vs):
             raise GeometryError("duplicate vertices")
-        if not _trusted:
-            extreme = set(_hull_face_data(ambient_dim, vs).vertices)
-            for v in vs:
-                if v not in extreme:
-                    raise GeometryError(f"vertex {v} is not an extreme point")
+        extreme = set(_hull_face_data(ambient_dim, vs).vertices)
+        for v in vs:
+            if v not in extreme:
+                raise GeometryError(f"vertex {v} is not an extreme point")
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "vertices", vs)
 
@@ -864,12 +863,12 @@ def box(bounds: Sequence[tuple]) -> Polytope:
 def standard_simplex(k: int) -> Polytope:
     """Delta_k in R^(k+1): convex hull of the standard basis vectors, built once per k."""
     verts = [[1 if j == i else 0 for j in range(k + 1)] for i in range(k + 1)]
-    return Polytope(k + 1, verts, _trusted=True)
+    return Polytope(k + 1, verts)
 
 
 def octahedron() -> Polytope:
     verts = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
-    return Polytope(3, verts, _trusted=True)
+    return Polytope(3, verts)
 
 
 POINT_POLYTOPE = Polytope.from_points(0, [[]])

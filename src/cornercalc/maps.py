@@ -93,25 +93,15 @@ def check_boundary_of_fibre_product_cells(cell1: Cell, map1: CellMap,
             lhs[key] = bc.cell
 
     rhs = {}
-
-    def add_rhs(fc_list, sgn):
-        for c in fc_list:
-            if not c.orientable:
-                return False
+    terms = [((bc.cell, map1, cell2, map2), 1) for bc in cell_boundary(cell1)]
+    terms += [((cell1, map1, bc.cell, map2), sign2) for bc in cell_boundary(cell2)]
+    for args, sgn in terms:
+        for c in fibre_product_cells(*args):
             key = (c.translate, c.cell.polytope)
-            if key in rhs:
-                return False
+            if not c.orientable or key in rhs:
+                return CheckReport(False, 0, precondition=False,
+                                   details=("boundary term not orientable",))
             rhs[key] = (c.cell, sgn)
-        return True
-
-    for bc in cell_boundary(cell1):
-        if not add_rhs(fibre_product_cells(bc.cell, map1, cell2, map2), 1):
-            return CheckReport(False, 0, precondition=False,
-                               details=("boundary term not orientable",))
-    for bc in cell_boundary(cell2):
-        if not add_rhs(fibre_product_cells(cell1, map1, bc.cell, map2), sign2):
-            return CheckReport(False, 0, precondition=False,
-                               details=("boundary term not orientable",))
 
     if set(lhs) != set(rhs):
         return CheckReport(False, 0, details=("boundary component sets differ",))
@@ -159,16 +149,38 @@ def check_swap_sign_cells(cell1: Cell, map1: CellMap,
     n2 = cell2.polytope.ambient_dim
     perm = list(range(n2, n2 + n1)) + list(range(n2))
     lhs = [(c.cell, c.pmap) for c in fwd]
-    rhs = []
-    for c in bwd:
-        pc, pm = permute_cell_coords(c.cell, c.pmap, perm)
-        rhs.append((pc, pm))
+    rhs = [permute_cell_coords(c.cell, c.pmap, perm) for c in bwd]
     return _compare_signed_families(lhs, rhs, predicted)
 
 
 # ---------------------------------------------------------------------------
 # Associativity and interchange
 # ---------------------------------------------------------------------------
+
+def _nested_products(inner, factor_map, cell: Cell, cmap: CellMap, inner_first: bool,
+                     refusals: tuple[str, str]) -> list | CheckReport:
+    """One side of an iterated fibre product as (cell, stacked map) pairs: each
+    inner component z meets (cell, cmap) over factor_map(z), as the first
+    factor when inner_first, and the maps stack in factor order.  A component
+    not transverse and oriented refuses with refusals[0] (inner) or [1] (outer).
+    """
+    pairs = []
+    for z in inner:
+        if not (z.transverse and z.orientable):
+            return CheckReport(False, 0, precondition=False, details=(refusals[0],))
+        if inner_first:
+            outer = fibre_product_cells(z.cell, factor_map(z), cell, cmap)
+        else:
+            outer = fibre_product_cells(cell, cmap, z.cell, factor_map(z))
+        for w in outer:
+            if not (w.transverse and w.orientable):
+                return CheckReport(False, 0, precondition=False, details=(refusals[1],))
+            if inner_first:
+                pairs.append((w.cell, stack_cell_maps(w.compose_on_first(z.pmap), w.pmap)))
+            else:
+                pairs.append((w.cell, stack_cell_maps(w.pmap, w.compose_on_second(z.pmap))))
+    return pairs
+
 
 def check_associativity_cells(cell1: Cell, map1: CellMap,
                               cell2: Cell, map2a: CellMap, map2b: CellMap,
@@ -180,30 +192,15 @@ def check_associativity_cells(cell1: Cell, map1: CellMap,
     circle charts differ by a unimodular change and a rational shear, which
     the canonical form divides out.
     """
-    lhs = []
-    for z in fibre_product_cells(cell1, map1, cell2, map2a):
-        if not (z.transverse and z.orientable):
-            return CheckReport(False, 0, precondition=False,
-                               details=("inner product not transverse",))
-        g = z.compose_on_second(map2b)
-        for w in fibre_product_cells(z.cell, g, cell3, map3):
-            if not (w.transverse and w.orientable):
-                return CheckReport(False, 0, precondition=False,
-                                   details=("outer product not transverse",))
-            cmp_map = stack_cell_maps(w.compose_on_first(z.pmap), w.pmap)
-            lhs.append((w.cell, cmp_map))
-    rhs = []
-    for z in fibre_product_cells(cell2, map2b, cell3, map3):
-        if not (z.transverse and z.orientable):
-            return CheckReport(False, 0, precondition=False,
-                               details=("inner product not transverse",))
-        g = z.compose_on_first(map2a)
-        for w in fibre_product_cells(cell1, map1, z.cell, g):
-            if not (w.transverse and w.orientable):
-                return CheckReport(False, 0, precondition=False,
-                                   details=("outer product not transverse",))
-            cmp_map = stack_cell_maps(w.pmap, w.compose_on_second(z.pmap))
-            rhs.append((w.cell, cmp_map))
+    refusals = ("inner product not transverse", "outer product not transverse")
+    lhs = _nested_products(fibre_product_cells(cell1, map1, cell2, map2a),
+                           lambda z: z.compose_on_second(map2b), cell3, map3, True, refusals)
+    if isinstance(lhs, CheckReport):
+        return lhs
+    rhs = _nested_products(fibre_product_cells(cell2, map2b, cell3, map3),
+                           lambda z: z.compose_on_first(map2a), cell1, map1, False, refusals)
+    if isinstance(rhs, CheckReport):
+        return rhs
     return _compare_signed_families(lhs, rhs, 1)
 
 
@@ -213,39 +210,26 @@ def check_interchange_cells(cell1: Cell, map1a: CellMap, map1b: CellMap,
     """X1 x_{Y1 x Y2} (X2 x X3) vs (X1 x_{Y1} X2) x_{Y2} X3.
 
     map1a: X1 -> Y1 pairs with map2; map1b: X1 -> Y2 pairs with map3.
-    The right side carries the sign (-1)^(dim Y2 (dim Y1 + dim X2)).
+    The right side carries the sign (-1)^(dim Y2 (dim Y1 + dim X2)).  The
+    left side's inner product is over the point, which its stacked map drops.
     """
     my1 = map2.target.dim
     my2 = map3.target.dim
     predicted = -1 if (my2 * (my1 + cell2.dim)) % 2 else 1
 
     f1 = stack_cell_maps(map1a, map1b)
-    lhs = []
     n2, s2 = cell2.polytope.ambient_dim, cell2.torus_rank
     n3, s3 = cell3.polytope.ambient_dim, cell3.torus_rank
     prods = fibre_product_cells(cell2, constant_map(POINT, n2, s2),
                                 cell3, constant_map(POINT, n3, s3))
-    for p23 in prods:
-        if not (p23.transverse and p23.orientable):
-            return CheckReport(False, 0, precondition=False,
-                               details=("product not orientable",))
-        g23 = stack_cell_maps(p23.compose_on_first(map2),
-                              p23.compose_on_second(map3))
-        for w in fibre_product_cells(cell1, f1, p23.cell, g23):
-            if not (w.transverse and w.orientable):
-                return CheckReport(False, 0, precondition=False,
-                                   details=("left product not transverse",))
-            lhs.append((w.cell, w.pmap))
-    rhs = []
-    for z in fibre_product_cells(cell1, map1a, cell2, map2):
-        if not (z.transverse and z.orientable):
-            return CheckReport(False, 0, precondition=False,
-                               details=("inner product not transverse",))
-        g = z.compose_on_first(map1b)
-        for w in fibre_product_cells(z.cell, g, cell3, map3):
-            if not (w.transverse and w.orientable):
-                return CheckReport(False, 0, precondition=False,
-                                   details=("right product not transverse",))
-            cmp_map = stack_cell_maps(w.compose_on_first(z.pmap), w.pmap)
-            rhs.append((w.cell, cmp_map))
+    lhs = _nested_products(
+        prods, lambda z: stack_cell_maps(z.compose_on_first(map2), z.compose_on_second(map3)),
+        cell1, f1, False, ("product not orientable", "left product not transverse"))
+    if isinstance(lhs, CheckReport):
+        return lhs
+    rhs = _nested_products(fibre_product_cells(cell1, map1a, cell2, map2),
+                           lambda z: z.compose_on_first(map1b), cell3, map3, True,
+                           ("inner product not transverse", "right product not transverse"))
+    if isinstance(rhs, CheckReport):
+        return rhs
     return _compare_signed_families(lhs, rhs, predicted)

@@ -180,17 +180,16 @@ def check_cup_supercommutative(c1: Chain, c2: Chain) -> CheckReport:
 
 def _cup_supercommutative(c1: Chain, c2: Chain, c12: Chain) -> CheckReport:
     """check_cup_supercommutative with c12 = cup(c1, c2) given."""
-    rhs = Chain(ring=c1.ring)
+    swapped = []
     for a1, g1 in c1.terms():
         for a2, g2 in c2.terms():
             sign = _sign(g1.grade * g2.grade)
             n1 = g1.cell.polytope.ambient_dim
             n2 = g2.cell.polytope.ambient_dim
             perm = _block_swap_perm(n2, n1)
-            moved = [(coeff, _permute_generator(g, perm))
-                     for coeff, g in _pair(g2, g1)]
-            rhs = rhs + Chain([(sign * a1 * a2 * coeff, g)
-                               for coeff, g in moved], ring=c1.ring)
+            swapped += [(sign * a1 * a2 * coeff, _permute_generator(g, perm))
+                        for coeff, g in _pair(g2, g1)]
+    rhs = Chain(swapped, ring=c1.ring)
     checked = len(c12.terms())
     if c12 == rhs:
         return CheckReport(True, checked, True)

@@ -1577,7 +1577,7 @@ def test_orientation_factor_in_the_chart_matches_the_change_of_basis(cell_data, 
     else:
         # the same shape on permuted coordinates: mostly another tangent space
         perm = data.draw(st.permutations(range(n)))
-        poly2 = Polytope(n, [[v[j] for j in perm] for v in poly.vertices], _trusted=True)
+        poly2 = Polytope(n, [[v[j] for j in perm] for v in poly.vertices])
     s2 = s if data.draw(st.booleans()) else data.draw(st.integers(0, 2))
     cell2 = Cell(poly2, s2, None, data.draw(st.sampled_from((1, -1))))
 
@@ -1597,7 +1597,7 @@ def test_permuted_cell_is_signed_as_the_permuted_frame(cell_data, data):
     cmap = CellMap(euclid(1), [[data.draw(_thirds) for _ in range(n)]], [[0] * s], [0])
     perm = data.draw(st.permutations(range(n)))
     got, got_map = permute_cell_coords(cell, cmap, perm)
-    moved = Polytope(n, [tuple(v[j] for j in perm) for v in poly.vertices], _trusted=True)
+    moved = Polytope(n, [tuple(v[j] for j in perm) for v in poly.vertices])
     frame = tuple(tuple(v[j] for j in perm) + v[n:] for v in cell.frame)
     assert got == Cell(moved, s, None, cell.sign * _sign(change_of_basis_det(
         frame, default_frame(moved, s))))

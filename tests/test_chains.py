@@ -98,6 +98,22 @@ def test_tag_validation():
         Generator(Cell(iv, 0), constant_map(POINT, 1, 0), partial)
 
 
+def test_label_spellings_are_one_class():
+    """A label is a multiset of atoms: its atoms in another order are the
+    same label, so the two spellings give one generator class."""
+    iv = interval(0, 1)
+    *ends, top = faces_of(iv)
+
+    def spelled(top_label):
+        tag = Tag(iv, {ends[0]: ("p",), ends[1]: ("q",), top: top_label})
+        return Generator(Cell(iv, 0), constant_map(POINT, 1, 0), tag)
+
+    assert spelled(("b", "a")).tag.label_of(top) == ("a", "b")
+    assert (chain(spelled(("b", "a"))) - chain(spelled(("a", "b")))).is_zero
+    with pytest.raises(TypeError):
+        Tag(iv, {top: ("a", object())})
+
+
 def test_non_injective_tag_rejected():
     iv = interval(0, 1)
     keys = faces_of(iv)

@@ -162,12 +162,35 @@ def test_integer_kernel_basis():
 
 def test_smith_matches_sympy_invariant_factors():
     rng = random.Random(15)
-    for _ in range(30):
-        m = _random_int_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
+    edge_cases = [[], [[], []], [[0, 0, 0], [0, 0, 0]], [[4, -6, 10]], [[6], [0], [-9]],
+                  [[2, 0], [0, 3]], [[4, 0], [0, 6]]]
+    # a 9 x 11 draw whose entries grow without bound unless every step
+    # pivots on the least entry of its block
+    edge_cases.append([
+        [5, 6, 0, 5, -8, -1, 4, 0, -4, 8, 6],
+        [5, 0, -6, -6, 0, -9, 2, -6, 7, 0, 2],
+        [0, 6, 2, 2, 0, 5, -1, 4, -8, -2, 0],
+        [5, -1, 0, 0, 0, 6, 0, 0, 0, -4, -4],
+        [0, 0, 0, 3, 1, 5, -9, -4, -1, 3, -2],
+        [5, 1, 0, -3, 0, 0, 8, 0, 7, 1, 0],
+        [0, 6, -4, -1, 0, -7, -9, -4, -5, 0, -8],
+        [1, -1, 4, -8, 0, 1, -1, -9, -5, 0, -6],
+        [-2, 0, 4, 2, 0, -2, 9, 3, 4, 0, 0]])
+    draws = [[[0 if rng.random() < 0.3 else rng.randint(-9, 9) for _ in range(ncols)]
+              for _ in range(nrows)]
+             for nrows, ncols in ((rng.randint(1, 6), rng.randint(1, 6)) for _ in range(300))]
+    for m in edge_cases + draws:
         d, u, v = smith_normal_form(m)
-        # U M V == D
+        ncols = len(m[0]) if m else 0
+        if not ncols:
+            assert d == tuple(() for _ in m) and len(u) == len(m) and v == ()
+            assert invariant_factors(m) == ()
+            continue
+        # U M V == D, D diagonal with a nonnegative diagonal
         umv = matmul_int(matmul_int([list(r) for r in u], m), [list(r) for r in v])
         assert umv == [list(r) for r in d]
+        assert all(x == 0 for i, r in enumerate(d) for j, x in enumerate(r) if i != j)
+        assert all(d[i][i] >= 0 for i in range(min(len(m), ncols)))
         # unimodularity
         assert integer_matrix_inverse(u) is not None
         assert integer_matrix_inverse(v) is not None
@@ -178,6 +201,8 @@ def test_smith_matches_sympy_invariant_factors():
         sym = sympy_snf(sympy.Matrix(m), domain=sympy.ZZ)
         oracle = [abs(sym[i, i]) for i in range(min(sym.shape)) if sym[i, i] != 0]
         assert mine == oracle
+    assert invariant_factors([[2, 0], [0, 3]]) == (1, 6)
+    assert invariant_factors([[4, 0], [0, 6]]) == (2, 12)
 
 
 def test_solve_integer():

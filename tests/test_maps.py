@@ -219,6 +219,24 @@ def test_interchange():
     assert rep.ok
 
 
+def test_nested_products_refuse_non_transverse_components():
+    """Constant maps to the same point of euclid(1) meet non-transversally;
+    each nesting refuses with the detail of the product that failed."""
+    ident = amap(I, euclid(1), [[1]], [0])
+    half = amap(I, euclid(1), [[0]], [F(1, 2)])
+    c = Cell(I)
+    cases = [
+        (check_associativity_cells(c, half, c, half, half, c, half),
+         "inner product not transverse"),
+        (check_associativity_cells(c, ident, c, half, half, c, half),
+         "outer product not transverse"),
+        (check_interchange_cells(c, half, half, c, half, c, half),
+         "left product not transverse"),
+    ]
+    for rep, detail in cases:
+        assert rep == CheckReport(False, 0, precondition=False, details=(detail,))
+
+
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 
 

@@ -1,27 +1,36 @@
-"""The committed equivalence tool, run on one item of a workload."""
+"""The committed equivalence tool, run on the first items of a workload."""
 
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _digest_lines(workload):
+def _digest_lines(workload, items=1):
     return subprocess.run(
         [sys.executable, str(ROOT / "tools" / "outcome_digest.py"),
-         "--workload", workload, "--items", "1"],
+         "--workload", workload, "--items", str(items)],
         capture_output=True, text=True, check=True, timeout=60).stdout.splitlines()
 
 
-def test_outcome_digest_of_one_item():
+@pytest.mark.parametrize("items, expected", [
     # The combined line moved when fibre-product components stopped carrying a
     # coorientation slot, which was None on every one recorded here.
-    assert _digest_lines("fibre-identities") == [
-        "fibre-identities items 0..0: 24 ops, 77 fibre_product_cells results (70 components)",
-        "sha256 214a90eb5d0e95b2f4b81a9c46317b20be599b6cdf0da4aec978075cd9aa71fa",
-        "outcomes sha256 14883f75bcdad41e29ab3760f7a75c66e560f0394399b689b70d65263f51867e",
-    ]
+    (1, ["fibre-identities items 0..0: 24 ops, 77 fibre_product_cells results (70 components)",
+         "sha256 214a90eb5d0e95b2f4b81a9c46317b20be599b6cdf0da4aec978075cd9aa71fa",
+         "outcomes sha256 14883f75bcdad41e29ab3760f7a75c66e560f0394399b689b70d65263f51867e"]),
+    # The full corpus: every check kind, the swap's coordinate permutation and
+    # both nestings of associativity and interchange.
+    (5, ["fibre-identities items 0..4: 120 ops, 415 fibre_product_cells results "
+         "(383 components)",
+         "sha256 134004fd9ba27243ec7baecc2ee1df52d1cd3e341c7e73bc9fa8178af0cf5a72",
+         "outcomes sha256 79fdf5c6bdf50e274fc616760fd926d236d431c1c9aaaeca3089bbc3f9a1204b"]),
+], ids=["item-0", "items-0-4"])
+def test_outcome_digest_of_one_item(items, expected):
+    assert _digest_lines("fibre-identities", items) == expected
 
 
 def test_outcome_digest_of_one_cochain_item():
