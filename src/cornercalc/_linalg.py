@@ -435,59 +435,41 @@ def hermite_column(m: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat]:
     rows = _as_int_rows(m)
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
-    u = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+    # column j of M stacked over column j of U, U = I at the start
+    cols = [[row[j] for row in rows] + [int(i == j) for i in range(ncols)]
+            for j in range(ncols)]
 
-    def colop_swap(j, k):
-        for i in range(nrows):
-            rows[i][j], rows[i][k] = rows[i][k], rows[i][j]
-        for i in range(ncols):
-            u[i][j], u[i][k] = u[i][k], u[i][j]
-
-    def colop_neg(j):
-        for i in range(nrows):
-            rows[i][j] = -rows[i][j]
-        for i in range(ncols):
-            u[i][j] = -u[i][j]
-
-    def colop_addmul(j, k, c):
+    def addmul(j, k, c):
         # col_j += c * col_k
-        for i in range(nrows):
-            rows[i][j] += c * rows[i][k]
-        for i in range(ncols):
-            u[i][j] += c * u[i][k]
+        cols[j] = [x + c * y for x, y in zip(cols[j], cols[k])]
 
     pivot_col = 0
     for r in range(nrows):
-        if pivot_col >= ncols:
-            break
-        if all(rows[r][j] == 0 for j in range(pivot_col, ncols)):
+        nz = [j for j in range(pivot_col, ncols) if cols[j][r]]
+        if not nz:
             continue
         # gcd out the row tail into pivot_col
-        while True:
-            nz = [j for j in range(pivot_col, ncols) if rows[r][j] != 0]
-            if len(nz) == 1:
-                if nz[0] != pivot_col:
-                    colop_swap(pivot_col, nz[0])
-                break
-            jmin = min(nz, key=lambda j: abs(rows[r][j]))
-            if jmin != pivot_col:
-                colop_swap(pivot_col, jmin)
-            p = rows[r][pivot_col]
+        while len(nz) > 1:
+            jmin = min(nz, key=lambda j: abs(cols[j][r]))
+            cols[pivot_col], cols[jmin] = cols[jmin], cols[pivot_col]
+            p = cols[pivot_col][r]
             for j in range(pivot_col + 1, ncols):
-                if rows[r][j] != 0:
-                    colop_addmul(j, pivot_col, -(rows[r][j] // p))
-        if rows[r][pivot_col] < 0:
-            colop_neg(pivot_col)
-        p = rows[r][pivot_col]
+                if cols[j][r]:
+                    addmul(j, pivot_col, -(cols[j][r] // p))
+            nz = [j for j in range(pivot_col, ncols) if cols[j][r]]
+        cols[pivot_col], cols[nz[0]] = cols[nz[0]], cols[pivot_col]
+        if cols[pivot_col][r] < 0:
+            cols[pivot_col] = [-x for x in cols[pivot_col]]
+        p = cols[pivot_col][r]
         for j in range(pivot_col):
-            q = rows[r][j] // p  # floor division reduces into [0, p)
-            if q != 0:
-                colop_addmul(j, pivot_col, -q)
+            q = cols[j][r] // p  # floor division reduces into [0, p)
+            if q:
+                addmul(j, pivot_col, -q)
         pivot_col += 1
 
-    h = tuple(tuple(r) for r in rows)
-    ut = tuple(tuple(r) for r in u)
-    return h, ut
+    h = tuple(tuple(col[i] for col in cols) for i in range(nrows))
+    u = tuple(tuple(col[nrows + i] for col in cols) for i in range(ncols))
+    return h, u
 
 
 def integer_kernel_basis(m: Sequence[Sequence[int]]) -> IntMat:

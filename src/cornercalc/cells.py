@@ -12,7 +12,9 @@ from every face: circle covers and identity cochains need a closed direction.
 
 Fibre products are computed exactly: the torus part by Hermite normal form and
 coset enumeration, the polytope part by slicing the product polytope with the
-resulting affine equations and enumerating basic feasible solutions.
+resulting affine equations.  No LP runs: the slice's vertices are the extreme
+rays of a homogenised cone, found by double description
+(geometry.section_polytope).
 
 Orientation conventions.  A cell's tangent space dir(P) + R^s is fixed by the
 cell, so its orientation is one sign against the default frame; a frame given
@@ -484,41 +486,42 @@ def _slice_polytope(p1: Polytope, p2: Polytope,
     return section_polytope(n1 + n2, eqs, ineqs)
 
 
-def _compose(g: CellMap, offset_n: int, t_lo: int, n: int, s_z: int,
-             t_rows, t_fcoefs, t_consts) -> CellMap:
+def _combine(base, terms) -> tuple:
+    """base plus coef * form for each (coef, form) of terms, zero coefficients
+    skipped: the one step of every affine combination in a fibre product."""
+    out = list(base)
+    for coef, form in terms:
+        if coef:
+            out = [x + coef * y for x, y in zip(out, form)]
+    return tuple(out)
+
+
+def _compose(g: CellMap, offset_n: int, t_lo: int, n: int, s_z: int, t_affine) -> CellMap:
     """g on a factor, composed with the inclusion of a fibre component.
 
     The factor's polytope coordinates start at offset_n among the n of the
-    product, its torus coordinates at t_lo; torus coordinate k is
-    t_rows[k].p + t_fcoefs[k].phi + t_consts[k] on the component, with phi
-    its s_z free torus coordinates.
+    product, its torus coordinates at t_lo; t_affine holds the affine forms
+    of the factors' torus coordinates (FibreComponent), s_z the component's
+    free torus coordinates.
     """
-    a_out, m_out, b_out = [], [], []
-    for i in range(g.target.dim):
-        row = [Fraction(0)] * n
-        for j in range(g.n_cols):
-            row[offset_n + j] = frac(g.a[i][j])
-        fc = [0] * s_z
-        const = g.b[i]
-        for k, coef in enumerate(g.m_t[i], t_lo):
-            if coef:
-                row = [row[j] + coef * t_rows[k][j] for j in range(n)]
-                for l in range(s_z):
-                    fc[l] += coef * t_fcoefs[k][l]
-                const += coef * t_consts[k]
-        a_out.append(tuple(row))
-        m_out.append(tuple(fc))
-        b_out.append(const)
-    return CellMap(g.target, a_out, m_out, b_out)
+    forms = []
+    for arow, mrow, b in zip(g.a, g.m_t, g.b):
+        base = [_ZERO] * (n + s_z) + [b]
+        base[offset_n:offset_n + len(arow)] = arow
+        forms.append(_combine(base, zip(mrow, t_affine[t_lo:])))
+    return CellMap(g.target, [f[:n] for f in forms], [f[n:-1] for f in forms],
+                   [f[-1] for f in forms])
 
 
 @dataclass
 class FibreComponent:
     """One connected piece of a fibre product, with its projection to the target.
 
-    The torus coordinates of the factors are affine in the component's own
-    coordinates; the stored section data lets maps on either factor be composed
-    with the inclusion, which is how iterated fibre products are built.
+    Its own coordinates are p = (p1, p2) and its free torus coordinates phi.
+    t_affine[k] is the factors' torus coordinate k of t = (t1, t2) as one
+    affine form: coefficients on p, then on phi, then the constant.  With it
+    maps on either factor compose with the inclusion, which is how iterated
+    fibre products are built.
     """
 
     cell: Cell
@@ -528,24 +531,20 @@ class FibreComponent:
     orientable: bool
     face_pairs: dict    # face mask -> (face mask in factor 1, in factor 2)
     split: tuple[int, int, int, int] = (0, 0, 0, 0)       # n1, s1, n2, s2
-    t_rows: tuple = ()
-    t_fcoefs: tuple = ()
-    t_consts: tuple = ()
+    t_affine: tuple = ()
 
     def compose_on_first(self, g: CellMap) -> CellMap:
         """g on the first factor, composed with the inclusion of the component."""
         n1, s1, n2, _ = self.split
         if g.target.dim and (g.n_cols != n1 or g.s_cols != s1):
             raise MapError("map shape does not match the first factor")
-        return _compose(g, 0, 0, n1 + n2, self.cell.torus_rank,
-                        self.t_rows, self.t_fcoefs, self.t_consts)
+        return _compose(g, 0, 0, n1 + n2, self.cell.torus_rank, self.t_affine)
 
     def compose_on_second(self, g: CellMap) -> CellMap:
         n1, s1, n2, s2 = self.split
         if g.target.dim and (g.n_cols != n2 or g.s_cols != s2):
             raise MapError("map shape does not match the second factor")
-        return _compose(g, n1, s1, n1 + n2, self.cell.torus_rank,
-                        self.t_rows, self.t_fcoefs, self.t_consts)
+        return _compose(g, n1, s1, n1 + n2, self.cell.torus_rank, self.t_affine)
 
 
 def fibre_product_cells(cell1: Cell, map1: CellMap, cell2: Cell, map2: CellMap
@@ -565,6 +564,11 @@ def fibre_product_cells(cell1: Cell, map1: CellMap, cell2: Cell, map2: CellMap
     A component is transverse when it has the expected dimension and each
     of its faces has the codimension of its factor faces; then D spans the
     target on every face pair (see _build_component).
+
+    The torus part: with H = M U the column Hermite form of M = [M1 | -M2]
+    and t = U (tau, phi), the pivot rows of H solve for tau and the others
+    are equations on p.  Over a torus each row r holds up to an integer, the
+    translate lambda_r, in [0, pivot) or in the row's range on P1 x P2.
     """
     if map1.target != map2.target:
         raise FibreProductError("fibre product needs a common target")
@@ -592,13 +596,11 @@ def fibre_product_cells(cell1: Cell, map1: CellMap, cell2: Cell, map2: CellMap
         # M has no rows, so s is not read off it
         h, pivots = m_rows, ()
         u = tuple(tuple(1 if i == j else 0 for j in range(s)) for i in range(s))
-    rho = len(pivots)
-    s_z = s - rho
+    s_z = s - len(pivots)
     pivot_rows = [pr for pr, _, _ in pivots]
     nonpivot_rows = [r for r in range(m) if r not in pivot_rows]
-    expected_dim = cell1.dim + cell2.dim - m
 
-    pairs = [(v1, v2) for v1 in cell1.polytope.vertices for v2 in cell2.polytope.vertices]
+    corners = [v1 + v2 for v1 in cell1.polytope.vertices for v2 in cell2.polytope.vertices]
 
     if target.is_torus:
         pivot_choices = itertools.product(*[range(d) for _, d, _ in pivots])
@@ -607,95 +609,61 @@ def fibre_product_cells(cell1: Cell, map1: CellMap, cell2: Cell, map2: CellMap
 
     components: list[FibreComponent] = []
     for piv_choice in pivot_choices:
-        # tau_j as affine functions of p, solved row by row from the pivot rows
-        tau_rows: list[Vec] = []
-        tau_consts: list[Fraction] = []
-        lam = [Fraction(0)] * m
-        for (pr, _, _), val in zip(pivots, piv_choice):
-            lam[pr] = Fraction(val)
-        for jj, (pr, d, _) in enumerate(pivots):
-            row = [-frac(a_rows[pr][k]) for k in range(n)]
-            const = c_vec[pr] + lam[pr]
-            for j2 in range(jj):
-                coef = frac(h[pr][j2])
-                if coef:
-                    row = [row[k] - coef * tau_rows[j2][k] for k in range(n)]
-                    const -= coef * tau_consts[j2]
-            tau_rows.append(tuple(x / d for x in row))
-            tau_consts.append(const / d)
+        # tau_j from pivot row pr with translate lambda: d tau_j = c_pr + lambda
+        # - a_pr.p - sum over j2 < j of h[pr][j2] tau_j2, solved row by row
+        tau = []
+        for (pr, d, _), lam in zip(pivots, piv_choice):
+            form = _combine([-x for x in a_rows[pr]] + [_ZERO] * s_z + [c_vec[pr] + lam],
+                            ((-c, f) for c, f in zip(h[pr], tau)))
+            tau.append(tuple(x / d for x in form))
 
-        # residual constraints on p from the non-pivot rows
-        residuals = []
-        for r in nonpivot_rows:
-            row = [frac(a_rows[r][k]) for k in range(n)]
-            const = Fraction(0)
-            for j2 in range(rho):
-                coef = frac(h[r][j2])
-                if coef:
-                    row = [row[k] + coef * tau_rows[j2][k] for k in range(n)]
-                    const += coef * tau_consts[j2]
-            # row.p + const = c_r + lambda_r
-            residuals.append((r, tuple(row), const - c_vec[r]))
+        # residual equations on p from the non-pivot rows: the form
+        # a_r.p + sum_j h[r][j] tau_j - c_r equals lambda_r
+        residuals = [_combine(a_rows[r] + (_ZERO,) * s_z + (-c_vec[r],), zip(h[r], tau))
+                     for r in nonpivot_rows]
 
-        if target.is_torus and residuals:
+        if target.is_torus:
             ranges = []
-            for _, row, shift in residuals:
-                vals = [sum(row[k] * (v1 + v2)[k] for k in range(n)) + shift
-                        for v1, v2 in pairs]
-                lo, hi = min(vals), max(vals)
-                ranges.append(range(math.ceil(lo), math.floor(hi) + 1))
+            for form in residuals:
+                vals = [sum(x * y for x, y in zip(form, v)) + form[-1] for v in corners]
+                ranges.append(range(math.ceil(min(vals)), math.floor(max(vals)) + 1))
             residual_choices = itertools.product(*ranges)
         else:
             residual_choices = [tuple(0 for _ in residuals)]
 
         for res_choice in residual_choices:
-            lam_full = list(lam)
-            equations = []
-            for (r, row, shift), val in zip(residuals, res_choice):
-                lam_full[r] = Fraction(val)
-                equations.append((row, Fraction(val) - shift))
+            equations = [(form[:n], lam - form[-1]) for form, lam in zip(residuals, res_choice)]
             section = _slice_polytope(cell1.polytope, cell2.polytope, equations)
             if section is None:
                 continue
-            comp = _build_component(
-                cell1, map1, cell2, map2, *section, s_z, u, rho,
-                tau_rows, tau_consts, tuple(int(x) for x in lam_full),
-                expected_dim, eps, d_rows)
-            components.append(comp)
+            translate = [0] * m
+            for r, lam in zip(pivot_rows + nonpivot_rows, piv_choice + res_choice):
+                translate[r] = lam
+            components.append(_build_component(
+                cell1, map1, cell2, map2, *section, u, tau, tuple(translate), eps, d_rows))
 
     components.sort(key=lambda fc: (fc.cell.polytope.vertices, fc.translate))
     return components
 
 
-def _build_component(cell1, map1, cell2, map2, poly, tight, s_z, u, rho,
-                     tau_rows, tau_consts, translate, expected_dim,
+def _build_component(cell1, map1, cell2, map2, poly, tight, u, tau, translate,
                      eps, d_rows) -> FibreComponent:
     """The component poly x T^(s_z): its projection, face pairs, flags, and
     the sign eps sign det[X^T; D], D the call's integer rows d_rows and X
-    its default frame in the factors' frame coordinates (p1, t1, p2, t2)."""
+    its default frame in the factors' frame coordinates (p1, t1, p2, t2).
+    tau holds the affine forms of the pivot coordinates of t = U (tau, phi).
+    """
     n1, s1 = cell1.polytope.ambient_dim, cell1.torus_rank
     n2, s2 = cell2.polytope.ambient_dim, cell2.torus_rank
     n = n1 + n2
-    s = s1 + s2
+    s_z = len(u) - len(tau)
 
-    # t = U tau: affine data for each t coordinate
-    t_rows = []
-    t_fcoefs = []
-    t_consts = []
-    for k in range(s):
-        row = [Fraction(0)] * n
-        const = Fraction(0)
-        for j in range(rho):
-            coef = frac(u[k][j])
-            if coef:
-                row = [row[i] + coef * tau_rows[j][i] for i in range(n)]
-                const += coef * tau_consts[j]
-        t_rows.append(tuple(row))
-        t_fcoefs.append(tuple(int(u[k][rho + i]) for i in range(s_z)))
-        t_consts.append(const)
+    # t = U (tau, phi), phi_i the unit form at its own coefficient
+    phi = [_unit(n + s_z + 1, n + i) for i in range(s_z)]
+    t_affine = tuple(_combine((_ZERO,) * (n + s_z + 1), zip(row, tau + phi)) for row in u)
 
     # projection to the target through the first factor
-    pmap = _compose(map1, 0, 0, n, s_z, t_rows, t_fcoefs, t_consts)
+    pmap = _compose(map1, 0, 0, n, s_z, t_affine)
 
     # face pairs and transversality, from the slice's tight factor facets at
     # each vertex: a face's factor faces are the meets of the facets tight at
@@ -706,7 +674,7 @@ def _build_component(cell1, map1, cell2, map2, poly, tight, s_z, u, rho,
     k1 = len(fd1.facet_masks)
     tight = [(z & (1 << k1) - 1, z >> k1) for z in tight]
     face_pairs = {}
-    transverse = (poly.dim + s_z == expected_dim)
+    transverse = (poly.dim + s_z == cell1.dim + cell2.dim - map1.target.dim)
     for g, dim in fd.face_dims().items():
         t1 = t2 = -1
         for i, (b1, b2) in enumerate(tight):
@@ -726,24 +694,20 @@ def _build_component(cell1, map1, cell2, map2, poly, tight, s_z, u, rho,
     # dim F1 + dim F2 + s1 + s2 - m, so D_F spans the target on every face.
 
     # X, the component's default frame in the factors' frame coordinates: a
-    # direction u of the slice is read in the charts of P1 x T^s1 and
-    # P2 x T^s2 and moves t by t_rows . u; the free torus coordinate phi_i
-    # moves t by column i of t_fcoefs.
-    def coords(u_dir, dt):
-        return (fd1.frame_coords([*u_dir[:n1], *dt[:s1]])
-                + fd2.frame_coords([*u_dir[n1:], *dt[s1:]]))
+    # vector v = (p, phi) of the frame moves t by the linear part of t_affine.
+    def coords(v):
+        dt = [sum((x * y for x, y in zip(form, v) if y), _ZERO) for form in t_affine]
+        return (fd1.frame_coords([*v[:n1], *dt[:s1]])
+                + fd2.frame_coords([*v[n1:n], *dt[s1:]]))
 
-    x_rows = [coords(d, [sum((x * y for x, y in zip(row, d) if x), _ZERO) for row in t_rows])
-              for d in poly.dir_basis]
-    x_rows += [coords((0,) * n, [fc[i] for fc in t_fcoefs]) for i in range(s_z)]
+    x_rows = [coords(v) for v in default_frame(poly, s_z)]
     sign = det_sign(x_rows, d_rows, cell1.dim + cell2.dim)
     cell = Cell(poly, s_z, sign=eps * sign) if sign else Cell(poly, s_z)
 
     return FibreComponent(
         cell=cell, pmap=pmap, translate=translate,
         transverse=transverse, orientable=sign != 0, face_pairs=face_pairs,
-        split=(n1, s1, n2, s2),
-        t_rows=tuple(t_rows), t_fcoefs=tuple(t_fcoefs), t_consts=tuple(t_consts))
+        split=(n1, s1, n2, s2), t_affine=t_affine)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,9 @@ class CheckRecord:
 
     A seeded record also counts the instances it sampled (`attempts`) and
     the ones it set aside, as sorted (reason, count) pairs in `rejected`:
-    the class name of a sampling error, or "precondition".
+    the class name of a sampling error, or the first detail of a check whose
+    precondition failed, such as "inner product not transverse"
+    ("precondition" when it gives none).
     """
 
     name: str
@@ -106,7 +108,7 @@ def _seeded_record(name: str, count: int, sample, check) -> CheckRecord:
             rejected[type(err).__name__] += 1
             continue
         if not rep.precondition:
-            rejected["precondition"] += 1
+            rejected[str(rep.details[0]) if rep.details else "precondition"] += 1
             continue
         done += 1
         checked += max(rep.checked, 1)
@@ -125,9 +127,29 @@ def _split(count: int, buckets: int) -> list:
     return [base + (1 if i < extra else 0) for i in range(buckets)]
 
 
-_FIBRE_TARGETS = ((POINT, "over the point"),
-                  (euclid(1), "over the line"),
-                  (torus(1), "over the circle"))
+_FIBRE_TARGETS = ((POINT, "point"), (euclid(1), "line"), (torus(1), "circle"))
+
+
+def _fibre_target_records(seed: int, count: int, title: str, check) -> list:
+    """One seeded record per target of _FIBRE_TARGETS, each checking its share
+    of count on fibre_instance draws from one stream."""
+    rng = Random(seed)
+    return [_seeded_record(f"{title} over the {label}", n,
+                           lambda target=target: fibre_instance(rng, target),
+                           lambda inst: check(*inst))
+            for (target, label), n in zip(_FIBRE_TARGETS, _split(count, len(_FIBRE_TARGETS)))]
+
+
+def _target_pair_records(seed: int, count: int, title: str, instance, check) -> list:
+    """One seeded record per ordered pair of targets with a nonzero share of
+    count, on instance(rng, t1, t2) draws from one stream."""
+    rng = Random(seed)
+    pairs = [(t1, t2, f"{l1} and {l2}")
+             for t1, l1 in _FIBRE_TARGETS for t2, l2 in _FIBRE_TARGETS]
+    return [_seeded_record(f"{title} over {label}", n,
+                           lambda t1=t1, t2=t2: instance(rng, t1, t2),
+                           lambda inst: check(*inst))
+            for (t1, t2, label), n in zip(pairs, _split(count, len(pairs))) if n]
 
 
 # ---------------------------------------------------------------------------
@@ -159,67 +181,28 @@ def suite_dd_zero(seed=0, count=None) -> SuiteResult:
 
 
 def suite_boundary_product(seed=0, count=None) -> SuiteResult:
-    count = 100 if count is None else count
-    rng = Random(seed)
-    records = []
-    for (target, label), n in zip(_FIBRE_TARGETS,
-                                  _split(count, len(_FIBRE_TARGETS))):
-        records.append(_seeded_record(
-            f"boundary of a fibre product {label}", n,
-            lambda target=target: fibre_instance(rng, target),
-            lambda inst: check_boundary_of_fibre_product_cells(*inst)))
-    return _result("boundary-product", records)
+    return _result("boundary-product", _fibre_target_records(
+        seed, 100 if count is None else count, "boundary of a fibre product",
+        check_boundary_of_fibre_product_cells))
 
 
 def suite_swap(seed=0, count=None) -> SuiteResult:
-    count = 50 if count is None else count
-    rng = Random(seed)
-    records = []
-    for (target, label), n in zip(_FIBRE_TARGETS,
-                                  _split(count, len(_FIBRE_TARGETS))):
-        records.append(_seeded_record(
-            f"swapping fibre product factors {label}", n,
-            lambda target=target: fibre_instance(rng, target),
-            lambda inst: check_swap_sign_cells(*inst)))
-    return _result("swap", records)
-
-
-def _target_pairs():
-    return [(t1, t2, f"{l1} and {l2}")
-            for t1, l1 in ((POINT, "point"), (euclid(1), "line"),
-                           (torus(1), "circle"))
-            for t2, l2 in ((POINT, "point"), (euclid(1), "line"),
-                           (torus(1), "circle"))]
+    return _result("swap", _fibre_target_records(
+        seed, 50 if count is None else count, "swapping fibre product factors",
+        check_swap_sign_cells))
 
 
 def suite_associativity(seed=0, count=None) -> SuiteResult:
-    count = 50 if count is None else count
-    rng = Random(seed)
-    pairs = _target_pairs()
-    records = []
-    for (t1, t2, label), n in zip(pairs, _split(count, len(pairs))):
-        if not n:
-            continue
-        records.append(_seeded_record(
-            f"iterated fibre products associate over {label}", n,
-            lambda t1=t1, t2=t2: associativity_instance(rng, t1, t2),
-            lambda inst: check_associativity_cells(*inst)))
-    return _result("associativity", records)
+    return _result("associativity", _target_pair_records(
+        seed, 50 if count is None else count, "iterated fibre products associate",
+        associativity_instance, check_associativity_cells))
 
 
 def suite_interchange(seed=0, count=None) -> SuiteResult:
-    count = 50 if count is None else count
-    rng = Random(seed)
-    pairs = _target_pairs()
-    records = []
-    for (t1, t2, label), n in zip(pairs, _split(count, len(pairs))):
-        if not n:
-            continue
-        records.append(_seeded_record(
-            f"product over a product target interchanges over {label}", n,
-            lambda t1=t1, t2=t2: interchange_instance(rng, t1, t2),
-            lambda inst: check_interchange_cells(*inst)))
-    return _result("interchange", records)
+    return _result("interchange", _target_pair_records(
+        seed, 50 if count is None else count,
+        "product over a product target interchanges",
+        interchange_instance, check_interchange_cells))
 
 
 # ---------------------------------------------------------------------------

@@ -162,8 +162,8 @@ def _embed(z, v):
     carried into the factors' coordinates (p1, t1, p2, t2)."""
     n1, s1, n2, _ = z.split
     n = n1 + n2
-    dt = [sum(r[k] * v[k] for k in range(n)) + sum(c * x for c, x in zip(fc, v[n:]))
-          for r, fc in zip(z.t_rows, z.t_fcoefs)]
+    # t_affine[k]: coefficients on p, then on phi, then the constant
+    dt = [sum(c * x for c, x in zip(form, v)) for form in z.t_affine]
     return tuple(v[:n1]) + tuple(dt[:s1]) + tuple(v[n1:n]) + tuple(dt[s1:])
 
 

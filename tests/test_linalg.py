@@ -127,18 +127,60 @@ def test_lp_feasible_random_cross_check():
         assert lp_feasible(a, b)
 
 
+def _random_unimodular(rng, n):
+    """I_n after random column swaps, negations and additions of a multiple."""
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        j, k = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        op, c = rng.randrange(3), rng.randint(-3, 3)
+        for row in v:
+            if op == 0:
+                row[j], row[k] = row[k], row[j]
+            elif op == 1:
+                row[j] = -row[j]
+            elif j != k:
+                row[j] += c * row[k]
+    return v
+
+
+def _assert_hermite_conventions(h, nrows, ncols):
+    """Pivot rows strictly increase, pivots are positive, entries left of a
+    pivot lie in [0, pivot), and the zero columns come last."""
+    assert len(h) == nrows and all(len(row) == ncols for row in h)
+    last = -1
+    for j in range(ncols):
+        r = next((i for i in range(nrows) if h[i][j]), None)
+        if r is None:
+            assert all(h[i][k] == 0 for i in range(nrows) for k in range(j, ncols))
+            return
+        assert r > last and h[r][j] > 0
+        assert all(0 <= h[r][k] < h[r][j] for k in range(j))
+        last = r
+
+
 def test_hermite_column_properties():
     rng = random.Random(13)
-    for _ in range(40):
-        m = _random_int_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
+    cases = [[], [[], []], [[0, 0, 0], [0, 0, 0]],
+             [[2, 4, 1], [0, 0, 0], [3, -5, 7]]]   # a zero row between pivots
+    cases += [_random_int_matrix(rng, rng.randint(1, 4), rng.randint(1, 4)) for _ in range(40)]
+    cases += [[[0 if rng.random() < 0.3 else rng.randint(-7, 7) for _ in range(ncols)]
+               for _ in range(nrows)]
+              for nrows, ncols in ((rng.randint(1, 5), rng.randint(1, 6)) for _ in range(200))]
+    for m in cases:
+        nrows, ncols = len(m), len(m[0]) if m else 0
         h, u = hermite_column(m)
+        _assert_hermite_conventions(h, nrows, ncols)
+        assert len(u) == ncols and all(len(row) == ncols for row in u)
+        if not ncols:
+            continue
         # H = M U with U unimodular
         assert integer_matrix_inverse(u) is not None
-        prod = matmul_int(m, u)
-        assert prod == [list(r) for r in h]
-        # canonical: re-reducing H is the identity transformation on H
+        assert matmul_int(m, u) == [list(r) for r in h]
+        # canonical: re-reducing H is the identity transformation on H, and
+        # H is the same for every M V, V unimodular
         h2, _ = hermite_column(h)
         assert h2 == h
+        assert hermite_column(matmul_int(m, _random_unimodular(rng, ncols)))[0] == h
 
 
 def matmul_int(a, b):

@@ -65,6 +65,22 @@ def test_seeded_record_counts_an_exhausted_budget():
     assert rec.details == ("only 0 of 2 instances met the precondition within the retry budget",)
 
 
+def test_seeded_record_counts_precondition_misses_by_reason():
+    # a refusal is counted under its first detail, and under "precondition"
+    # when it gives none
+    reasons = {2: ("inner product not transverse", "unread"), 3: ("non-transverse component",),
+               4: ("inner product not transverse",), 5: ()}
+    draws = count(1)
+
+    def check(i):
+        return _Report(precondition=i not in reasons, details=reasons.get(i, ()))
+
+    rec = _seeded_record("reasons", 2, lambda: next(draws), check)
+    assert rec.ok and rec.attempts == 6
+    assert rec.rejected == (("inner product not transverse", 2), ("non-transverse component", 1),
+                            ("precondition", 1))
+
+
 def test_check_record_defaults():
     rec = CheckRecord("plain", True, 3)
     assert rec and (rec.attempts, rec.rejected) == (0, ())

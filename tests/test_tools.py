@@ -33,17 +33,24 @@ def test_outcome_digest_of_one_item(items, expected):
     assert _digest_lines("fibre-identities", items) == expected
 
 
-def test_outcome_digest_of_one_cochain_item():
+@pytest.mark.parametrize("items, expected", [
     # The combined line hashes every component's cell, sign and flags, so it
     # pins the orientation signs of the cups and caps, not only the outcomes.
     # The counts moved from 110 results (138 components) when check_dga came
     # to compute cup(c1, c2) once for its three laws instead of once per law;
     # the outcomes did not.
-    assert _digest_lines("cochain-algebra") == [
-        "cochain-algebra items 0..0: 10 ops, 98 fibre_product_cells results (122 components)",
-        "sha256 d78ebc3669d7069b615f76475223fadb7c100bc5aea9eede9b1a9d5a028a18ed",
-        "outcomes sha256 1dd9881733bafec6d8d0fb5ed9962cc5d78f9341d2dce31262009a5f2599a4eb",
-    ]
+    (1, ["cochain-algebra items 0..0: 10 ops, 98 fibre_product_cells results (122 components)",
+         "sha256 d78ebc3669d7069b615f76475223fadb7c100bc5aea9eede9b1a9d5a028a18ed",
+         "outcomes sha256 1dd9881733bafec6d8d0fb5ed9962cc5d78f9341d2dce31262009a5f2599a4eb"]),
+    # The full corpus, with the products over T2 whose components keep free
+    # torus coordinates.
+    (11, ["cochain-algebra items 0..10: 110 ops, 896 fibre_product_cells results "
+          "(1092 components)",
+          "sha256 9307244ad3fe9690475af1e4dafac9b4c08b18ce61ebede8d9c38b3aa4914728",
+          "outcomes sha256 32b3bf02da900f406346e802cd595c8a2310ebbefa40a98ae4ac8158249fd7ee"]),
+], ids=["item-0", "items-0-10"])
+def test_outcome_digest_of_one_cochain_item(items, expected):
+    assert _digest_lines("cochain-algebra", items) == expected
 
 
 def test_outcome_only_digest_of_one_chain_boundary_item():
