@@ -487,12 +487,12 @@ def _slice_polytope(p1: Polytope, p2: Polytope,
 
 
 def _combine(base, terms) -> tuple:
-    """base plus coef * form for each (coef, form) of terms, zero coefficients
-    skipped: the one step of every affine combination in a fibre product."""
+    """base plus coef * form for each (coef, form) of terms, skipping zeros:
+    the one step of every affine combination in a fibre product."""
     out = list(base)
     for coef, form in terms:
         if coef:
-            out = [x + coef * y for x, y in zip(out, form)]
+            out = [x + coef * y if y else x for x, y in zip(out, form)]
     return tuple(out)
 
 
@@ -506,7 +506,7 @@ def _compose(g: CellMap, offset_n: int, t_lo: int, n: int, s_z: int, t_affine) -
     """
     forms = []
     for arow, mrow, b in zip(g.a, g.m_t, g.b):
-        base = [_ZERO] * (n + s_z) + [b]
+        base = [_ZERO] * n + [0] * s_z + [b]
         base[offset_n:offset_n + len(arow)] = arow
         forms.append(_combine(base, zip(mrow, t_affine[t_lo:])))
     return CellMap(g.target, [f[:n] for f in forms], [f[n:-1] for f in forms],
@@ -519,9 +519,9 @@ class FibreComponent:
 
     Its own coordinates are p = (p1, p2) and its free torus coordinates phi.
     t_affine[k] is the factors' torus coordinate k of t = (t1, t2) as one
-    affine form: coefficients on p, then on phi, then the constant.  With it
-    maps on either factor compose with the inclusion, which is how iterated
-    fibre products are built.
+    affine form: coefficients on p, then integer ones on phi, then the
+    constant.  With it maps on either factor compose with the inclusion,
+    which is how iterated fibre products are built.
     """
 
     cell: Cell
@@ -658,9 +658,9 @@ def _build_component(cell1, map1, cell2, map2, poly, tight, u, tau, translate,
     n = n1 + n2
     s_z = len(u) - len(tau)
 
-    # t = U (tau, phi), phi_i the unit form at its own coefficient
-    phi = [_unit(n + s_z + 1, n + i) for i in range(s_z)]
-    t_affine = tuple(_combine((_ZERO,) * (n + s_z + 1), zip(row, tau + phi)) for row in u)
+    # t = U (tau, phi): the free columns of U are the integer coefficients on phi
+    t_affine = tuple(_combine((_ZERO,) * n + row[len(tau):] + (_ZERO,), zip(row, tau))
+                     for row in u)
 
     # projection to the target through the first factor
     pmap = _compose(map1, 0, 0, n, s_z, t_affine)
@@ -693,14 +693,15 @@ def _build_component(cell1, map1, cell2, map2, poly, tight, u, tau, translate,
     # and s_z = s1 + s2 - rho.  The two checks give dim G + s_z =
     # dim F1 + dim F2 + s1 + s2 - m, so D_F spans the target on every face.
 
-    # X, the component's default frame in the factors' frame coordinates: a
-    # vector v = (p, phi) of the frame moves t by the linear part of t_affine.
-    def coords(v):
-        dt = [sum((x * y for x, y in zip(form, v) if y), _ZERO) for form in t_affine]
-        return (fd1.frame_coords([*v[:n1], *dt[:s1]])
-                + fd2.frame_coords([*v[n1:n], *dt[s1:]]))
+    # X, the default frame in the factors' frame coordinates: a direction d
+    # moves t by the p part of t_affine against d, phi_i by its phi_i column.
+    def coords(d, dt):
+        return (fd1.frame_coords([*d[:n1], *dt[:s1]])
+                + fd2.frame_coords([*d[n1:], *dt[s1:]]))
 
-    x_rows = [coords(v) for v in default_frame(poly, s_z)]
+    x_rows = [coords(d, [sum((x * y for x, y in zip(form, d) if x), _ZERO) for form in t_affine])
+              for d in poly.dir_basis]
+    x_rows += [coords((0,) * n, [form[n + i] for form in t_affine]) for i in range(s_z)]
     sign = det_sign(x_rows, d_rows, cell1.dim + cell2.dim)
     cell = Cell(poly, s_z, sign=eps * sign) if sign else Cell(poly, s_z)
 
