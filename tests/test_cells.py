@@ -1138,6 +1138,7 @@ def _assert_orientations_match_reference(c1, f1, c2, f2):
     for z in fibre_product_cells(c1, f1, c2, f2):
         sign, orientable = _reference_orientation(z, c1, f1, c2, f2)
         assert z.orientable == orientable
+        assert z.orientable or not z.transverse
         if orientable:
             assert z.cell.sign == sign
         flags.add((z.transverse, z.orientable))
@@ -1262,6 +1263,7 @@ def _assert_matches_two_branch_rule(c1, f1, c2, f2):
     seen = set()
     for z in fibre_product_cells(c1, f1, c2, f2):
         assert z.transverse == _per_face_transverse(z, c1, f1, c2, f2)
+        assert z.orientable or not z.transverse
         reference = _two_branch_orientation(z, c1, f1, c2, f2)
         if reference is not None:
             assert (z.cell.sign if z.orientable else 0, z.orientable) == reference

@@ -612,6 +612,34 @@ def test_dd_zero_corpus_boundaries_golden_digest():
     assert h.hexdigest() == GOLDEN_DD_ZERO_CORPUS_DIGEST
 
 
+# The corner flags of every term of the 66 dd-zero chains of the benchmark's
+# chain-boundary corpus, each as (corner, first facet, second facet, corner
+# vertices, corner labels), and the verify_dd_zero report (ok, corners
+# checked) of each chain.  A flag's orientation is left out: the pairing
+# reads only whether partners cancel.
+GOLDEN_DD_ZERO_FLAGS_DIGEST = (
+    "45800649b9a94255407b4e2ca25b0b3419fc58176321cdd0af6de43e5fafd119")
+
+
+def test_dd_zero_corpus_corner_flags_golden_digest():
+    workloads = _benchmark_workloads()
+    h = hashlib.sha256()
+    flags = corners = 0
+    for i in range(66):
+        rng = workloads.item_random("chain-boundary", "dd-zero", i)
+        c = random_chain(rng, ("t", 0), max_ambient=4, ring="Q")
+        for _, g in c.terms():
+            terms = corner_terms(g)
+            flags += len(terms)
+            h.update(repr([(t.corner, t.first_facet, t.second_facet,
+                            t.cell.polytope.vertices, t.tag.labels) for t in terms]).encode())
+        rep = verify_dd_zero(c)
+        corners += rep.corners_checked
+        h.update(repr((rep.ok, rep.corners_checked)).encode())
+    assert (flags, corners) == (2004, 1002)
+    assert h.hexdigest() == GOLDEN_DD_ZERO_FLAGS_DIGEST
+
+
 # The facet forms a normalized generator keeps (its _facets slot), and the
 # generators built unchecked from a validated one, against references that
 # use neither: every facet term of generator_boundary normalized afresh, and

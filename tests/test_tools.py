@@ -53,20 +53,28 @@ def test_outcome_digest_of_one_cochain_item(items, expected):
     assert _digest_lines("cochain-algebra", items) == expected
 
 
-def test_outcome_only_digest_of_one_chain_boundary_item():
-    counts, _, outcomes = _digest_lines("chain-boundary")
-    assert counts == ("chain-boundary items 0..0: 2 ops, "
-                      "0 fibre_product_cells results (0 components)")
-    assert outcomes == (
-        "outcomes sha256 bc13f342d30de3ebe5ea75b52d35104d8d05f162fc0cd2c8fabc7523cf679246")
+@pytest.mark.parametrize("items, counts, outcomes", [
+    (1, "chain-boundary items 0..0: 2 ops, 0 fibre_product_cells results (0 components)",
+     "bc13f342d30de3ebe5ea75b52d35104d8d05f162fc0cd2c8fabc7523cf679246"),
+    # The full corpus: every dd-zero chain and singular-bridge instance.
+    (66, "chain-boundary items 0..65: 132 ops, 0 fibre_product_cells results (0 components)",
+     "2d0b4d351dc38ec277f0cedaf97be13ecc73e625819819dcc9f79f92d02418e9"),
+], ids=["item-0", "items-0-65"])
+def test_outcome_only_digest_of_one_chain_boundary_item(items, counts, outcomes):
+    assert _digest_lines("chain-boundary", items) == [
+        counts, f"sha256 {outcomes}", f"outcomes sha256 {outcomes}"]
 
 
-def test_outcome_only_digest_of_one_homology_bordism_item():
-    counts, _, outcomes = _digest_lines("homology-bordism")
-    assert counts == ("homology-bordism items 0..0: 25 ops, "
-                      "0 fibre_product_cells results (0 components)")
-    assert outcomes == (
-        "outcomes sha256 af7886ba6038bde5315210fefae5567f7014e522f7be62e9ea96688f1c391a80")
+@pytest.mark.parametrize("items, counts, outcomes", [
+    (1, "homology-bordism items 0..0: 25 ops, 0 fibre_product_cells results (0 components)",
+     "af7886ba6038bde5315210fefae5567f7014e522f7be62e9ea96688f1c391a80"),
+    # The full corpus: betti numbers, presentations, loops, strata and controls.
+    (7, "homology-bordism items 0..6: 175 ops, 0 fibre_product_cells results (0 components)",
+     "4e30416dd405b6547c5693408a253148e3d64c3b41af7193447b25c438a304f5"),
+], ids=["item-0", "items-0-6"])
+def test_outcome_only_digest_of_one_homology_bordism_item(items, counts, outcomes):
+    assert _digest_lines("homology-bordism", items) == [
+        counts, f"sha256 {outcomes}", f"outcomes sha256 {outcomes}"]
 
 
 def test_bench_pairs_smoke():
