@@ -28,7 +28,7 @@ from .geometry import (POINT_POLYTOPE, Polytope, affine_isomorphisms, compress_m
                        face_key)
 from .maps import CheckReport
 from .orbifold import (FiniteGroup, GroupAction, VirtualRep, map_is_invariant,
-                       orbifold_stratum)
+                       orbifold_stratum, same_group)
 
 
 class BordismError(ValueError):
@@ -697,10 +697,6 @@ def bordism_cup_cap(a: BordismClass, b: BordismClass,
                     raise BordismError("a pair of components is not "
                                        "transverse; the product is "
                                        "undefined here")
-                if not fc.orientable:
-                    raise BordismError("a product component is not "
-                                       "orientable over the cooriented "
-                                       "factor")
                 index[(i1, i2, k)] = len(comps)
                 comps.append(BordismComponent(fc.cell, fc.pmap,
                                               cooriented=first.cooriented))
@@ -720,10 +716,6 @@ def bordism_cup_cap(a: BordismClass, b: BordismClass,
 # Strata projection
 # ---------------------------------------------------------------------------
 
-def _same_group(g: FiniteGroup, h: FiniteGroup) -> bool:
-    return g is h or (g.elements == h.elements and g.table == h.table)
-
-
 def strata_projection(b: BordismClass, sub: FiniteGroup,
                       rho: VirtualRep) -> BordismClass:
     """Project a class onto the fixed-point stratum of an odd-order symmetry.
@@ -740,7 +732,7 @@ def strata_projection(b: BordismClass, sub: FiniteGroup,
         raise BordismError("even-order symmetry obstructs the orientation "
                            "transfer to the stratum; only odd orders are "
                            "supported")
-    if not _same_group(rho.group, sub):
+    if not same_group(rho.group, sub):
         raise BordismError("label lives over a different group")
     if rho.is_virtual:
         raise BordismError("labels with a negative part do not name honest "
@@ -759,7 +751,7 @@ def strata_projection(b: BordismClass, sub: FiniteGroup,
                 or action.spaces[0].vertices != comp.cell.polytope.vertices:
             raise BordismError(f"component {i}'s model does not act on its "
                                "own polytope")
-        if not _same_group(action.group, sub):
+        if not same_group(action.group, sub):
             raise BordismError(f"component {i}'s model uses a different "
                                "group")
         if not map_is_invariant(action, comp.cmap):

@@ -332,10 +332,11 @@ def is_strong_submersion(cell: Cell, cmap: CellMap) -> bool:
 
     The columns of a face contain those of each of its vertices, and every
     face has a vertex, so the vertices decide it.  A vertex has no direction
-    space: the condition is that the torus columns alone span the target.
+    space: the condition is that the torus columns alone span the target,
+    rank M = m, read as the number of pivots of M's Hermite form (_torus_form).
     """
     m = cmap.target.dim
-    return m == 0 or rank(mat(cmap.m_t)) == m
+    return m == 0 or len(_torus_form(cmap.m_t, cell.torus_rank, cmap.target.is_torus)[3]) == m
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +564,7 @@ def fibre_product_cells(cell1: Cell, map1: CellMap, cell2: Cell, map2: CellMap
 
     A component is transverse when it has the expected dimension and each
     of its faces has the codimension of its factor faces; then D spans the
-    target on every face pair (see _build_component).
+    target on every face pair (see _build_component), so it is orientable.
 
     The torus part: with H = M U the column Hermite form of M = [M1 | -M2]
     and t = U (tau, phi), the pivot rows of H solve for tau and the others
@@ -589,13 +590,8 @@ def fibre_product_cells(cell1: Cell, map1: CellMap, cell2: Cell, map2: CellMap
     m_rows = tuple(tuple(map1.m_t[i]) + tuple(-x for x in map2.m_t[i]) for i in range(m))
     c_vec = tuple(map2.b[i] - map1.b[i] for i in range(m))
 
-    if m > 0:
-        # the reduced lattice is not read here
-        h, u, _, pivots, _ = _torus_form(m_rows, False)
-    else:
-        # M has no rows, so s is not read off it
-        h, pivots = m_rows, ()
-        u = tuple(tuple(1 if i == j else 0 for j in range(s)) for i in range(s))
+    # the reduced lattice is not read here
+    h, u, _, pivots, _ = _torus_form(m_rows, s, False)
     s_z = s - len(pivots)
     pivot_rows = [pr for pr, _, _ in pivots]
     nonpivot_rows = [r for r in range(m) if r not in pivot_rows]
@@ -716,24 +712,23 @@ def _build_component(cell1, map1, cell2, map2, poly, tight, u, tau, translate,
 # ---------------------------------------------------------------------------
 
 def has_free_circle(cell: Cell, cmap: CellMap) -> bool:
-    """True when some torus direction is killed by the map's differential.
+    """True when some torus direction is killed by the map's differential:
+    rank M < s, the rank read as the number of pivots of M's Hermite form
+    (_torus_form), none when the target has no rows.
 
     Such a direction admits an orientation-reversing self-map fixing the map,
     so over a field of characteristic zero the generator cancels to zero.
     """
     s = cell.torus_rank
-    if s == 0:
-        return False
-    if cmap.target.dim == 0:
-        return True
-    cols = [tuple(frac(cmap.m_t[i][j]) for i in range(cmap.target.dim))
-            for j in range(s)]
-    return rank(mat(cols)) < s
+    return len(_torus_form(cmap.m_t, s, cmap.target.is_torus)[3]) < s
 
 
 @lru_cache(maxsize=4096)
-def _torus_form(m_t: IntMat, is_torus: bool):
-    """(H, U, det U, pivots, lattice): the torus part of canonical_cell_map for M_t.
+def _torus_form(m_t: IntMat, s: int, is_torus: bool):
+    """(H, U, det U, pivots, lattice): the torus part M_t of a map from a cell
+    with torus rank s, the one place that reads it.  canonical_cell_map and
+    the fibre product's torus elimination use H and U; the number of pivots
+    is rank M_t (is_strong_submersion, has_free_circle).
 
     H = M_t U is the column Hermite form, U in GL_s(Z) with det U = +-1 (M_t
     itself and U = I_s when it has no rows or no columns).  pivots are
@@ -752,7 +747,6 @@ def _torus_form(m_t: IntMat, is_torus: bool):
             raise AssertionError("hermite transform must be unimodular")
         det_u = int(det_u)
     else:
-        s = len(m_t[0]) if m else 0
         h, uc, det_u = m_t, tuple(tuple(int(i == j) for j in range(s)) for i in range(s)), 1
     pivots = tuple((p, d, tuple(row[t] for row in h)) for p, d, t in _pivots_of(h))
     lattice = None
@@ -807,7 +801,8 @@ def canonical_cell_map(cell: Cell, cmap: CellMap):
     """
     n = cell.polytope.ambient_dim
     m = cmap.target.dim
-    new_mt, _, det_u, pivots, lattice = _torus_form(cmap.m_t, cmap.target.is_torus)
+    new_mt, _, det_u, pivots, lattice = _torus_form(cmap.m_t, cell.torus_rank,
+                                                    cmap.target.is_torus)
     new_a = cmap.a
     new_b = cmap.b
     if m > 0:

@@ -410,12 +410,9 @@ def _normal_form(gen: Generator):
     The key ends in the tag and in True for a cochain, None for a chain.
     gen is unmarked: callers expand a quotient marker first.
     """
-    key, sign, cell, cmapc = canonical_form(gen.cell, gen.cmap)
-    # cmapc.m_t is in column Hermite form, its zero columns last, so a free
-    # circle (has_free_circle) is a zero last column, or no target rows
-    s = cell.torus_rank
-    if s and not any(row[s - 1] for row in cmapc.m_t):
+    if has_free_circle(gen.cell, gen.cmap):
         return None
+    key, sign, cell, cmapc = canonical_form(gen.cell, gen.cmap)
     key += (gen.tag.labels, gen.is_cochain or None)
     return key, sign, Generator._derived(Cell(cell.polytope, cell.torus_rank), cmapc, gen.tag,
                                          is_cochain=gen.is_cochain)
@@ -455,8 +452,15 @@ class Chain:
         self.ring = ring
         self._terms: dict = {}
         for coeff, gen in terms:
-            self._accumulate(frac(coeff), gen)
+            self._accumulate(self._scalar(coeff), gen)
         self._prune()
+
+    def _scalar(self, r) -> Fraction:
+        """A coefficient or scalar as a Fraction; over Z it must be an integer."""
+        r = frac(r)
+        if self.ring == "Z" and r.denominator != 1:
+            raise ChainError(f"coefficient {r} is not an integer")
+        return r
 
     def _accumulate(self, coeff: Fraction, gen: Generator):
         if coeff == 0:
@@ -507,9 +511,9 @@ class Chain:
 
     def scale(self, r) -> "Chain":
         out = Chain(ring=self.ring)
-        for key, (c, g) in self._terms.items():
-            if frac(r) * c != 0:
-                out._terms[key] = [frac(r) * c, g]
+        r = out._scalar(r)
+        if r:
+            out._terms = {key: [r * c, g] for key, (c, g) in self._terms.items()}
         return out
 
     def __add__(self, other: "Chain") -> "Chain":
@@ -567,10 +571,14 @@ def disjoint_union(gens: Sequence[Generator]) -> Chain:
 # Generator._derived, unchecked, since restriction keeps a validated
 # generator valid; a marked generator's expanded facets are validated.
 # A chain stores normalized generators, and each keeps its facet normal
-# forms in its _facets slot, filled on first read by _facet_forms: boundary
-# and ChainComplex read them there, so a generator's facets are restricted,
-# canonicalized and keyed once, and a second boundary of the same chain
-# only accumulates.  The slot lives and dies with its generator.
+# forms in its _facets slot, filled on first read by _facet_forms: boundary,
+# ChainComplex and corner_terms read them there, so a generator's facets are
+# restricted, canonicalized and keyed once, a second boundary of the same
+# chain only accumulates, and the corner pairing of verify_dd_zero walks the
+# facets' own forms, as the double boundary does.  A flag's sign carries the
+# signs det U of the two canonical reparametrizations, the same for every
+# flag of a generator, so the pairing decides as on the raw facets.  The
+# slot lives and dies with its generator.
 
 def generator_boundary(gen: Generator) -> list:
     """Signed facet generators of one generator; marked generators expand."""
@@ -634,19 +642,18 @@ class CornerTerm:
 
 
 def corner_terms(gen: Generator) -> list[CornerTerm]:
-    """All ordered flags (corner, facet entered first, other facet)."""
-    if gen.quotient is not None:
-        _, gen = expand_quotient(gen)
+    """All ordered flags (corner, facet entered first, other facet), read off
+    _facet_forms(gen) and _facet_forms of each facet (see Boundary).  A
+    flag's cell is the normalized corner, oriented by the product of the two
+    form coefficients; a zero class has no forms, so no flags.
+    """
     out = []
-    p = gen.cell.polytope
-    bcs1 = cell_boundary(gen.cell)
-    facet_masks = p._fd.facet_masks
-    for i1, (bc1, m1) in enumerate(zip(bcs1, facet_masks)):
-        tag1 = gen.tag.restrict(m1)
+    facet_masks = gen.cell.polytope._fd.facet_masks
+    # a facet keeps gen's torus part, so every facet has a form or none does
+    for i1, (m1, (_, c1, sub)) in enumerate(zip(facet_masks, _facet_forms(gen))):
         # every facet of P cut down to the facet entered first, over its vertices
         cuts = [compress_mask(m & m1, m1) for m in facet_masks]
-        bcs2 = cell_boundary(bc1.cell)
-        for bc2, m2 in zip(bcs2, bc1.cell.polytope._fd.facet_masks):
+        for m2, (_, c2, corner) in zip(sub.cell.polytope._fd.facet_masks, _facet_forms(sub)):
             holders = [i for i, cut in enumerate(cuts) if m2 & ~cut == 0]
             if len(holders) != 2:
                 raise ChainError("corner contained in other than two facets")
@@ -655,8 +662,8 @@ def corner_terms(gen: Generator) -> list[CornerTerm]:
                 corner=m1 & other,
                 first_facet=m1,
                 second_facet=other,
-                cell=bc2.cell,
-                tag=tag1.restrict(m2)))
+                cell=corner.cell if c1 * c2 > 0 else corner.cell.reversed(),
+                tag=corner.tag))
     return out
 
 

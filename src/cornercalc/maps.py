@@ -77,7 +77,7 @@ def check_boundary_of_fibre_product_cells(cell1: Cell, map1: CellMap,
     orientation, the second family carrying the sign (-1)^(dim X1 + dim Y).
     """
     comps = fibre_product_cells(cell1, map1, cell2, map2)
-    if not all(c.transverse and c.orientable for c in comps):
+    if not all(c.transverse for c in comps):
         return CheckReport(False, 0, precondition=False,
                            details=("non-transverse component",))
     m = map1.target.dim
@@ -130,7 +130,7 @@ def check_swap_sign_cells(cell1: Cell, map1: CellMap,
     surviving circle coordinates are unimodular mixtures of both blocks, and
     the canonical form, which reduces modulo rational shears of the torus
     factor, records the exchange in the frames.  The precondition is that
-    both products are transverse and oriented; neither map need be a
+    both products are transverse, hence oriented; neither map need be a
     submersion.
     """
     m = map1.target.dim
@@ -142,7 +142,7 @@ def check_swap_sign_cells(cell1: Cell, map1: CellMap,
 
     fwd = fibre_product_cells(cell1, map1, cell2, map2)
     bwd = fibre_product_cells(cell2, map2, cell1, map1)
-    if not all(c.transverse and c.orientable for c in fwd + bwd):
+    if not all(c.transverse for c in fwd + bwd):
         return CheckReport(False, 0, precondition=False,
                            details=("non-transverse component",))
     n1 = cell1.polytope.ambient_dim
@@ -162,18 +162,19 @@ def _nested_products(inner, factor_map, cell: Cell, cmap: CellMap, inner_first: 
     """One side of an iterated fibre product as (cell, stacked map) pairs: each
     inner component z meets (cell, cmap) over factor_map(z), as the first
     factor when inner_first, and the maps stack in factor order.  A component
-    not transverse and oriented refuses with refusals[0] (inner) or [1] (outer).
+    not transverse (a transverse one is oriented) refuses with refusals[0]
+    (inner) or [1] (outer).
     """
     pairs = []
     for z in inner:
-        if not (z.transverse and z.orientable):
+        if not z.transverse:
             return CheckReport(False, 0, precondition=False, details=(refusals[0],))
         if inner_first:
             outer = fibre_product_cells(z.cell, factor_map(z), cell, cmap)
         else:
             outer = fibre_product_cells(cell, cmap, z.cell, factor_map(z))
         for w in outer:
-            if not (w.transverse and w.orientable):
+            if not w.transverse:
                 return CheckReport(False, 0, precondition=False, details=(refusals[1],))
             if inner_first:
                 pairs.append((w.cell, stack_cell_maps(w.compose_on_first(z.pmap), w.pmap)))

@@ -132,6 +132,11 @@ class FiniteGroup:
         return tuple(classes)
 
 
+def same_group(g: FiniteGroup, h: FiniteGroup) -> bool:
+    """One group: the same elements and the same multiplication table."""
+    return g is h or (g.elements == h.elements and g.table == h.table)
+
+
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise OrbifoldError("cyclic group order must be positive")
@@ -620,7 +625,7 @@ def orbifold_stratum(action: GroupAction, sub: FiniteGroup,
     """Fixed loci labelled by embeddings of the subgroup, filtered by the
     nontrivial tangent character; the stratum dimension is the space
     dimension minus the class dimension."""
-    if rho.group is not sub and rho.group.elements != sub.elements:
+    if not same_group(rho.group, sub):
         raise OrbifoldError("class is over the wrong group")
     if rho.is_virtual:
         raise OrbifoldError(

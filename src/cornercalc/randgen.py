@@ -159,13 +159,13 @@ def submersive_cell(rng: Random, target: Target,
 
 
 def fibre_instance(rng: Random, target: Target) -> tuple:
-    """Two mapped cells whose fibre product is nonempty, transverse, and
-    orientable."""
+    """Two mapped cells whose fibre product is nonempty and transverse, hence
+    oriented."""
     for _ in range(MAX_TRIES):
         cell1, map1 = submersive_cell(rng, target)
         cell2, map2 = submersive_cell(rng, target)
         comps = fibre_product_cells(cell1, map1, cell2, map2)
-        if comps and all(c.transverse and c.orientable for c in comps):
+        if comps and all(c.transverse for c in comps):
             return cell1, map1, cell2, map2
     raise GenerationError("no transverse overlap in budget")
 

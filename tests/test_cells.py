@@ -24,6 +24,7 @@ from cornercalc.cells import (
     Target,
     _pivots_of,
     _slice_polytope,
+    _torus_form,
     canonical_cell_map,
     canonical_form,
     canonical_key,
@@ -401,6 +402,13 @@ def test_free_circle_detection():
     assert has_free_circle(circle, constant_map(POINT, 0, 1))
     assert not has_free_circle(circle, CellMap(torus(1), [[]], [[1]], [0]))
     assert not has_free_circle(Cell(interval()), constant_map(POINT, 1, 0))
+
+
+def test_torus_form_of_a_matrix_with_no_rows_is_the_identity():
+    # the fibre product over a point reads U = I_s off a matrix with no rows
+    h, u, det_u, pivots, lattice = _torus_form((), 2, False)
+    assert (h, u, det_u, pivots, lattice) == ((), ((1, 0), (0, 1)), 1, (), None)
+    assert _torus_form(((), ()), 0, True)[1:4] == ((), 1, ())
 
 
 def test_canonical_key_unimodular_invariance():

@@ -135,6 +135,18 @@ def test_interval_boundary_signs_and_labels():
         assert t.tag.label_of((v,)) == g.tag.label_of((v,))
 
 
+def test_chain_over_z_refuses_fractions():
+    g = interval_generator()
+    with pytest.raises(ChainError):
+        Chain([(Fraction(1, 2), g)], ring="Z")
+    c = Chain([(2, g)], ring="Z")
+    with pytest.raises(ChainError):
+        c.scale(Fraction(1, 3))
+    assert c.scale(-3).coefficient(g) == -6
+    assert c.scale(0).is_zero
+    assert Chain([(Fraction(1, 2), g)]).scale(Fraction(1, 3)).coefficient(g) == Fraction(1, 6)
+
+
 def test_orientation_reversal_folds_into_coefficient():
     g = interval_generator()
     assert chain(g.reversed()) == chain(g).scale(-1)
@@ -179,6 +191,14 @@ def test_free_circle_generator_is_zero():
     cmap = constant_map(POINT, 1, 1)
     g = Generator(cell, cmap, Tag.from_atoms(pt, {faces_of(pt)[0]: "a"}))
     assert chain(g).is_zero
+
+
+def test_free_circle_generator_has_no_corner_flags():
+    # a zero class has no boundary terms, so no flags to pair either
+    sq = box([(0, 1), (0, 1)])
+    g = Generator(Cell(sq, 1), constant_map(POINT, 2, 1), numbered_tag(sq))
+    assert boundary(chain(g)).is_zero
+    assert corner_terms(g) == []
 
 
 def test_quotient_marker_expands_with_half_coefficient():

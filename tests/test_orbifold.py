@@ -352,6 +352,23 @@ def test_virtual_class_rejected():
         orbifold_stratum(act, Z2, VirtualRep(Z2, negative=((1, -1),)))
 
 
+def test_stratum_refuses_a_class_over_another_table_on_the_same_names():
+    # the Klein four-group written on the element names of cyclic_group(4)
+    names = [f"r{i}" for i in range(4)]
+    klein = FiniteGroup(names, {(a, b): f"r{i ^ j}"
+                                for i, a in enumerate(names) for j, b in enumerate(names)})
+    z4 = cyclic_group(4)
+    rotation = GroupAction(z4, box([(-1, 1), (-1, 1)]), {
+        "r0": ([[1, 0], [0, 1]], [0, 0]),
+        "r1": ([[0, -1], [1, 0]], [0, 0]),
+        "r2": ([[-1, 0], [0, -1]], [0, 0]),
+        "r3": ([[0, 1], [-1, 0]], [0, 0]),
+    })
+    assert orbifold_stratum(rotation, z4, zero_rep(z4)).dim == 2
+    with pytest.raises(OrbifoldError, match="wrong group"):
+        orbifold_stratum(rotation, z4, zero_rep(klein))
+
+
 def test_trivial_subgroup_gives_whole_space():
     act = reflection_action()
     st = orbifold_stratum(act, TRIVIAL_GROUP, zero_rep(TRIVIAL_GROUP))
