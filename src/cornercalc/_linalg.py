@@ -91,6 +91,11 @@ def _scaled(row) -> tuple[list[int], int]:
     return [x.numerator * (scale // x.denominator) for x in row], scale
 
 
+def _scaled_exact(row: Iterable) -> tuple[list[int], int]:
+    """_scaled of the entries read as exact rationals (frac); ints make no Fraction."""
+    return _scaled([x if type(x) is int else frac(x) for x in row])
+
+
 def _primitive(row: list[int]) -> list[int]:
     """The integer row with the gcd of its entries divided out."""
     g = gcd(*row)

@@ -477,14 +477,14 @@ def _slice_polytope(p1: Polytope, p2: Polytope,
     With the slice comes, per vertex, the bitmask of the factor facets tight
     at it: P1's facets in its facets() order, then P2's.
     """
-    n1, n2 = p1.ambient_dim, p2.ambient_dim
-    zero1, zero2 = (Fraction(0),) * n1, (Fraction(0),) * n2
-    eqs = [(tuple(row) + zero2, rhs) for row, rhs in p1.affine_hull_equations()]
-    eqs += [(zero1 + tuple(row), rhs) for row, rhs in p2.affine_hull_equations()]
+    (hull1, facets1), (hull2, facets2) = p1._fd.rows(), p2._fd.rows()
+    zero1, zero2 = [0] * p1.ambient_dim, [0] * p2.ambient_dim
+    eqs = [(row + zero2, rhs) for row, rhs in hull1]
+    eqs += [(zero1 + row, rhs) for row, rhs in hull2]
     eqs += equations
-    ineqs = [(tuple(f) + zero2, c) for f, c, _ in p1.facet_inequalities()]
-    ineqs += [(zero1 + tuple(f), c) for f, c, _ in p2.facet_inequalities()]
-    return section_polytope(n1 + n2, eqs, ineqs)
+    ineqs = [(f + zero2, c) for f, c in facets1]
+    ineqs += [(zero1 + f, c) for f, c in facets2]
+    return section_polytope(p1.ambient_dim + p2.ambient_dim, eqs, ineqs)
 
 
 def _combine(base, terms) -> tuple:

@@ -1113,22 +1113,26 @@ class ChainComplex:
     """A finite generator set closed under the boundary, graded by dimension."""
 
     def __init__(self, gens: Sequence[Generator]):
-        self.basis: dict = {}
-        reps: dict = {}
+        # a normal-form key is hashed once here, where its slot [grade, row]
+        # is made, and once per facet form that reads the slot back
+        index: dict = {}
+        staged: dict = {}
         for g in gens:
             _, gg = expand_quotient(g)
             nf = _normal_form(gg)
             if nf is None:
                 continue
             key, _, norm = nf
-            if key not in reps:
-                reps[key] = norm
-                self.basis.setdefault(norm.grade, []).append((key, norm))
-        for grade in self.basis:
-            self.basis[grade] = _in_term_order(self.basis[grade])
-        self._key_index = {key: (grade, i)
-                           for grade, items in self.basis.items()
-                           for i, (key, _) in enumerate(items)}
+            size = len(index)
+            slot = index.setdefault(key, [norm.grade, 0])
+            if len(index) > size:
+                staged.setdefault(norm.grade, []).append((key, norm, slot))
+        self.basis: dict = {}
+        for grade, items in staged.items():
+            items = _in_term_order(items)
+            for row, (_, _, slot) in enumerate(items):
+                slot[1] = row
+            self.basis[grade] = [(key, norm) for key, norm, _ in items]
         self.matrices: dict = {}
         for grade, items in sorted(self.basis.items()):
             rows = len(self.basis.get(grade - 1, []))
@@ -1136,9 +1140,10 @@ class ChainComplex:
             m = [[Fraction(0)] * cols for _ in range(rows)]
             for col, (_, gen) in enumerate(items):
                 for key, coeff, _ in _facet_forms(gen):
-                    if key not in self._key_index:
+                    slot = index.get(key)
+                    if slot is None:
                         raise ChainError("generator set is not closed under boundary")
-                    g2, row = self._key_index[key]
+                    g2, row = slot
                     if g2 != grade - 1:
                         raise ChainError("boundary term lands in the wrong grade")
                     m[row][col] += coeff

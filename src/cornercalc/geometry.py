@@ -46,9 +46,11 @@ integer rows (a, b) with a . x <= b; membership, tight facets and the check
 of each facet's functional are integer dot products with a point scaled to
 integers.  section_vertices eliminates its equations once into an integer
 kernel basis and an integer base point, and the double description runs on
-integer rows and rays.  Fractions are made once, at the API: vertices,
-facets' outward vectors, facet_inequalities, affine_hull_equations and
-local_matrix, each entry built from an integer numerator and denominator.
+integer rows and rays; it takes integer rows as they stand, and the slices
+in cells and the fixed-locus cuts in orbifold pass it their polytopes'
+rows().  Fractions are made once, at the API: vertices, facets' outward
+vectors, facet_inequalities, affine_hull_equations and local_matrix, each
+entry built from an integer numerator and denominator.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ._linalg import (
@@ -66,6 +69,7 @@ from ._linalg import (
     _eliminate,
     _primitive,
     _scaled,
+    _scaled_exact,
     det_sign,
     frac,
     independent_subset,
@@ -113,7 +117,10 @@ def section_vertices(n: int, equations: Sequence[tuple[Vec, Fraction]],
     """Vertices of the set {x in R^n : e . x = c, f . x <= d}, each with the
     bitmask of the inequalities tight at it.
 
-    Equations, when given, are solved once: x = X0 / D0 + sum y_i K_i over
+    Each row (e, c) or (f, d) is read as one integer row: integer entries
+    as they stand, a row with rational ones times the lcm of its
+    denominators (_scaled_exact), which changes no solution.  Equations,
+    when given, are solved once: x = X0 / D0 + sum y_i K_i over
     a primitive integer kernel basis K (without equations, X0 = 0, D0 = 1
     and K = I), so each inequality becomes an integer row g . y <= h over
     the q coordinates y.  X0, D0 and K come from one Jordan reduction of
@@ -125,7 +132,7 @@ def section_vertices(n: int, equations: Sequence[tuple[Vec, Fraction]],
     D0 sum v_i K_ij) / (D0 t), one Fraction per coordinate.
     """
     if equations:
-        rows = [_scaled(vec(row) + (frac(c),))[0] for row, c in equations]
+        rows = [_scaled_exact([*row, c])[0] for row, c in equations]
         pivots = _eliminate(rows)
         if pivots and pivots[-1] == n:
             return []
@@ -147,7 +154,7 @@ def section_vertices(n: int, equations: Sequence[tuple[Vec, Fraction]],
         basis = [[int(i == j) for j in range(n)] for i in range(n)]
     rows = []
     for f, d in inequalities:
-        *g, h = _scaled(vec(f) + (frac(d),))[0]
+        *g, h = _scaled_exact([*f, d])[0]
         rows.append([d0 * _idot(g, k) for k in basis] + [_idot(g, x0) - h * d0])
     return [(tuple(Fraction(x * t + d0 * sum(a * k[j] for a, k in zip(v, basis)), d0 * t)
                    for j, x in enumerate(x0)), z)
@@ -224,7 +231,7 @@ def section_polytope(n: int, equations: Sequence[tuple[Vec, Fraction]],
 
 
 def _idot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _maximal(masks: set) -> list[int]:

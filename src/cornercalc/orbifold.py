@@ -7,13 +7,16 @@ nontrivial tangent character matches a prescribed class, and the forgetful map
 to the space is checked to have finite fibers.  Invariant generator data
 pushes down to quotient-marked generators consumed by the chain layer.
 
-The arithmetic runs on integers.  Each affine map of an action carries an
-integer view (A, a, m), the map x -> (A x + a) / m, built once per map: the
-vertex tables, the stabilizer of a point and the fixed-locus equations read
-it.  A direction representation reads each element's matrix in the
-component's chart (its direction basis over one denominator, the images
-read at its pivots), and a representation's homomorphism law is checked
-on its matrices over one common denominator.  Fractions are made once, for
+The arithmetic runs on integers.  A group keeps its table as index rows
+too, for the associativity check and the injective morphisms.  Each affine
+map of an action is kept as its integer view (A, a, m), the map
+x -> (A x + a) / m: the vertex tables, the stabilizer of a point and the
+fixed-locus equations read it, and the fixed loci are cut by those
+equations and the polytope's integer rows.  A direction representation
+reads each element's matrix in the component's chart (its direction basis
+over one denominator, the images read at its pivots) and hands it over as
+integers; a representation keeps its matrices over one common denominator,
+and its law and character are read on them.  Fractions are made once, for
 what is handed out.
 """
 
@@ -24,9 +27,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
 
-from ._linalg import Mat, Vec, _scaled, frac, identity, kernel_basis, mat, matvec, solve, vec
+from ._linalg import (Mat, Vec, _scaled, _scaled_exact, frac, identity, kernel_basis, mat, matvec,
+                      solve, vec)
 from .cells import Cell, CellMap, maps_agree
 from .chains import Chain, Generator, QuotientMarker, Tag
 from .geometry import Polytope, _idot, move_mask, section_polytope
@@ -43,46 +48,45 @@ class OrbifoldError(ValueError):
 class FiniteGroup:
     """A finite group presented by its full multiplication table."""
 
-    __slots__ = ("elements", "table", "identity", "_inv")
+    __slots__ = ("elements", "table", "identity", "_inv", "_rows")
 
     def __init__(self, elements: Sequence, table: Mapping):
         elems = tuple(elements)
         if len(set(elems)) != len(elems) or not elems:
             raise OrbifoldError("group elements must be distinct and nonempty")
-        members = set(elems)
+        pos = {x: i for i, x in enumerate(elems)}
         tbl = {}
+        rows = []  # rows[i][j]: the position of elems[i] * elems[j]
         for a in elems:
+            row = []
             for b in elems:
                 if (a, b) not in table:
                     raise OrbifoldError("multiplication table is incomplete")
                 c = table[(a, b)]
-                if c not in members:
+                if c not in pos:
                     raise OrbifoldError("product leaves the element set")
                 tbl[(a, b)] = c
-        ident = None
-        for e in elems:
-            if all(tbl[(e, x)] == x and tbl[(x, e)] == x for x in elems):
-                ident = e
-                break
-        if ident is None:
+                row.append(pos[c])
+            rows.append(row)
+        cols = [list(col) for col in zip(*rows)]
+        same = list(range(len(elems)))
+        e = next((i for i, (row, col) in enumerate(zip(rows, cols)) if row == same == col), None)
+        if e is None:
             raise OrbifoldError("no identity element")
-        for a in elems:
-            for b in elems:
-                for c in elems:
-                    if tbl[(tbl[(a, b)], c)] != tbl[(a, tbl[(b, c)])]:
-                        raise OrbifoldError("multiplication is not associative")
+        # (ab)c = a(bc): row ab is row a read at the entries of row b
+        if any(rows[ra[b]] != [ra[x] for x in rows[b]] for ra in rows for b in same):
+            raise OrbifoldError("multiplication is not associative")
         inv = {}
-        for a in elems:
-            for b in elems:
-                if tbl[(a, b)] == ident and tbl[(b, a)] == ident:
-                    inv[a] = b
-                    break
-            else:
+        for a, row, col in zip(elems, rows, cols):
+            b = next((j for j, (x, y) in enumerate(zip(row, col)) if x == y == e), None)
+            if b is None:
                 raise OrbifoldError(f"element {a!r} has no inverse")
+            inv[a] = elems[b]
         self.elements = elems
         self.table = tbl
-        self.identity = ident
+        self.identity = elems[e]
         self._inv = inv
+        self._rows = rows
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -175,37 +179,30 @@ def symmetric_group(n: int) -> FiniteGroup:
 
 
 def injective_morphisms(sub: FiniteGroup, big: FiniteGroup) -> tuple:
-    """All injective homomorphisms, each as a sorted tuple of (x, image)."""
-    gens = sub.generating_set()
+    """All injective homomorphisms, each as a sorted tuple of (x, image).
+
+    The images of sub's generators fix a candidate lam, walked out from the
+    identity on the index rows as lam(x g) = lam(x) lam(g); it is kept when
+    it is injective and lam(a b) = lam(a) lam(b) for all a, b.
+    """
+    pos = {x: i for i, x in enumerate(sub.elements)}
+    gens = [pos[g] for g in sub.generating_set()]
+    start, image_of_start = pos[sub.identity], big.elements.index(big.identity)
     out = []
-    for images in itertools.product(big.elements, repeat=len(gens)):
-        lam = {sub.identity: big.identity}
-        for gen, img in zip(gens, images):
-            lam[gen] = img
-        ok = True
-        changed = True
-        while changed and ok:
-            changed = False
-            for a in list(lam):
-                for b in list(lam):
-                    c = sub.mul(a, b)
-                    img = big.mul(lam[a], lam[b])
-                    if c in lam:
-                        if lam[c] != img:
-                            ok = False
-                            break
-                    else:
-                        lam[c] = img
-                        changed = True
-                if not ok:
-                    break
-        if not ok or len(lam) != len(sub):
-            continue
-        if len(set(lam.values())) != len(sub):
-            continue
-        if all(big.mul(lam[a], lam[b]) == lam[sub.mul(a, b)]
-               for a in sub.elements for b in sub.elements):
-            out.append(tuple(sorted(lam.items())))
+    for images in itertools.product(range(len(big)), repeat=len(gens)):
+        lam = [None] * len(sub)
+        lam[start] = image_of_start
+        walk = [start]
+        for x in walk:
+            for g, img in zip(gens, images):
+                y = sub._rows[x][g]
+                if lam[y] is None:
+                    lam[y] = big._rows[lam[x]][img]
+                    walk.append(y)
+        if len(set(lam)) == len(sub) and all(
+                big._rows[lam[a]][lam[b]] == lam[c]
+                for a, row in enumerate(sub._rows) for b, c in enumerate(row)):
+            out.append(tuple(sorted(zip(sub.elements, (big.elements[j] for j in lam)))))
     return tuple(out)
 
 
@@ -217,26 +214,36 @@ def conjugate_morphism(lam: tuple, sigma, big: FiniteGroup) -> tuple:
 # Actions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ActionComponentMap:
-    """x -> matrix x + offset, onto component `target`."""
+    """x -> matrix x + offset, onto component `target`.
 
-    target: int
-    matrix: Mat
-    offset: Vec
+    The map is kept as its integer view ints = (A, a, m), the map
+    x -> (A x + a) / m over one denominator m, made once from the entries
+    given: integer entries stand as they are, and rational ones are scaled
+    by the lcm of all denominators.  `matrix` and `offset`, in Fractions,
+    are built on first use.
+    """
+
+    def __init__(self, target: int, matrix: Sequence, offset: Sequence):
+        rows = [list(row) for row in matrix]
+        flat, m = _scaled_exact(itertools.chain(*rows, offset))
+        it = iter(flat)
+        self.target = target
+        self.ints = (tuple(tuple(itertools.islice(it, len(row))) for row in rows), tuple(it), m)
+
+    @cached_property
+    def matrix(self) -> Mat:
+        a, _, m = self.ints
+        return tuple(tuple(Fraction(x, m) for x in row) for row in a)
+
+    @cached_property
+    def offset(self) -> Vec:
+        _, c, m = self.ints
+        return tuple(Fraction(x, m) for x in c)
 
     def apply(self, point: Sequence) -> Vec:
         return tuple(x + y for x, y in
                      zip(matvec(self.matrix, vec(point)), self.offset))
-
-    @cached_property
-    def ints(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]:
-        """(A, a, m): the map is x -> (A x + a) / m, over one denominator m."""
-        cols = len(self.matrix[0]) if self.matrix else 0
-        flat, m = _scaled([x for row in self.matrix for x in row] + list(self.offset))
-        rows = len(self.matrix)
-        return (tuple(tuple(flat[r * cols:(r + 1) * cols]) for r in range(rows)),
-                tuple(flat[rows * cols:]), m)
 
 
 class GroupAction:
@@ -250,9 +257,9 @@ class GroupAction:
     for vertex k of component i, so faces move as vertex bitmasks.  The
     tables are built on integers: each component's vertices over one common
     denominator, each map's matrix and offset over another (the map's
-    integer view ActionComponentMap.ints, built once per map and read again
-    by stabilizer, direction_rep and orbifold_stratum), and an image that
-    falls off the target's vertex lattice is no vertex (_vertex_images).
+    integer view ActionComponentMap.ints, read again by stabilizer,
+    direction_rep and orbifold_stratum), and an image that falls off the
+    target's vertex lattice is no vertex (_vertex_images).
     """
 
     __slots__ = ("group", "spaces", "maps", "tables")
@@ -287,7 +294,7 @@ class GroupAction:
         else:
             m, c = v
             j = 0
-        return ActionComponentMap(int(j), mat(m), vec(c))
+        return ActionComponentMap(int(j), m, c)
 
     def _validate(self) -> None:
         grp = self.group
@@ -301,8 +308,8 @@ class GroupAction:
             perms[g] = []
             for i, e in enumerate(entries):
                 src, dst = self.spaces[i], self.spaces[e.target]
-                if len(e.matrix) != dst.ambient_dim or any(
-                        len(row) != src.ambient_dim for row in e.matrix):
+                if len(e.ints[0]) != dst.ambient_dim or any(
+                        len(row) != src.ambient_dim for row in e.ints[0]):
                     raise OrbifoldError("affine map shape mismatch")
                 image = _vertex_images(e, lattices[i], lattices[e.target][1],
                                        index[e.target])
@@ -310,20 +317,16 @@ class GroupAction:
                     raise OrbifoldError(
                         f"element {g!r} does not permute the vertex set")
                 perms[g].append(image)
-        # b.v is vertex k of component eb.target, so a.(b.v) is entry k of
-        # a's table there; both sides are vertices of component ea.target.
+        # numbered across the components, each element's tables are one
+        # permutation, and a.(b.v) = (ab).v is their composition
+        starts = list(itertools.accumulate((len(sp.vertices) for sp in self.spaces), initial=0))
+        whole = {g: [starts[e.target] + k for e, image in zip(self.maps[g], perms[g])
+                     for k in image] for g in grp.elements}
         for a in grp.elements:
+            pa = whole[a]
             for b in grp.elements:
-                ab = grp.mul(a, b)
-                for i in range(len(self.spaces)):
-                    eb = self.maps[b][i]
-                    ea = self.maps[a][eb.target]
-                    eab = self.maps[ab][i]
-                    if ea.target != eab.target:
-                        raise OrbifoldError("action is not a homomorphism")
-                    pa = perms[a][eb.target]
-                    if tuple(pa[k] for k in perms[b][i]) != perms[ab][i]:
-                        raise OrbifoldError("action is not a homomorphism")
+                if [pa[k] for k in whole[b]] != whole[grp.table[(a, b)]]:
+                    raise OrbifoldError("action is not a homomorphism")
         self.tables = perms
 
     @property
@@ -356,13 +359,13 @@ def _vertex_images(e: ActionComponentMap, src: tuple, dst_den: int, index: dict)
     """
     xs, s = src
     mat_int, offset, m = e.ints
-    shift = [x * s for x in offset]
     q = m * s
+    # the rows of t A, each with its entry of t a s
+    rows = [([dst_den * x for x in row], dst_den * s * c) for row, c in zip(mat_int, offset)]
     out = []
     for x in xs:
-        y = [dst_den * (sum(a * b for a, b in zip(row, x)) + c)
-             for row, c in zip(mat_int, shift)]
-        out.append(None if any(v % q for v in y) else index.get(tuple(v // q for v in y)))
+        y = [divmod(sum(map(mul, row, x), c), q) for row, c in rows]
+        out.append(None if any(r for _, r in y) else index.get(tuple(v for v, _ in y)))
     return tuple(out)
 
 
@@ -395,45 +398,56 @@ def stabilizer(action: GroupAction, point: Sequence, component: int = 0) -> tupl
 class RealRep:
     """A rational matrix representation checked to be a homomorphism.
 
-    The law is checked on integers: with every matrix A_g / D over one
-    common denominator D, A_a A_b = D A_ab for all a, b.
+    Element g acts by matrices[g] / den.  The matrices are kept over one
+    common denominator D, ints[g] / D, integer entries as they stand and
+    rational ones scaled once; the law is checked on them, A_a A_b = D A_ab
+    for all a, b, and `matrices`, in Fractions, is built on first use.
     """
 
-    __slots__ = ("group", "dim", "matrices")
+    __slots__ = ("group", "dim", "ints", "den", "_matrices")
 
-    def __init__(self, group: FiniteGroup, dim: int, matrices: Mapping):
-        mats = {}
+    def __init__(self, group: FiniteGroup, dim: int, matrices: Mapping, den: int = 1):
+        rows = []
         for g in group.elements:
             if g not in matrices:
                 raise OrbifoldError(f"no matrix for element {g!r}")
-            m = mat(matrices[g])
+            m = [list(row) for row in matrices[g]]
             if len(m) != dim or any(len(row) != dim for row in m):
                 raise OrbifoldError("representation matrices must be square")
-            mats[g] = m
-        if mats[group.identity] != identity(dim):
+            rows += m
+        flat, scale = _scaled_exact(itertools.chain(*rows))
+        den *= scale
+        it = iter(flat)
+        ints = {g: [list(itertools.islice(it, dim)) for _ in range(dim)] for g in group.elements}
+        if ints[group.identity] != [[den * (i == j) for j in range(dim)] for i in range(dim)]:
             raise OrbifoldError("identity must act as the identity matrix")
-        den = lcm(*(x.denominator for m in mats.values() for row in m for x in row))
-        ints = {g: [[x.numerator * (den // x.denominator) for x in row] for row in m]
-                for g, m in mats.items()}
         cols = {g: list(zip(*m)) for g, m in ints.items()}
+        times_den = {g: [[den * x for x in row] for row in m] for g, m in ints.items()}
         for a in group.elements:
             for b in group.elements:
-                ab = ints[group.mul(a, b)]
-                if any(_idot(row, col) != den * x
-                       for row, ab_row in zip(ints[a], ab)
-                       for col, x in zip(cols[b], ab_row)):
+                if [[_idot(row, col) for col in cols[b]] for row in ints[a]] \
+                        != times_den[group.table[(a, b)]]:
                     raise OrbifoldError("matrices do not form a homomorphism")
         self.group = group
         self.dim = dim
-        self.matrices = mats
+        self.ints = ints
+        self.den = den
+        self._matrices = None
+
+    @property
+    def matrices(self) -> dict:
+        """Each element's matrix in Fractions."""
+        if self._matrices is None:
+            self._matrices = {g: tuple(tuple(Fraction(x, self.den) for x in row) for row in m)
+                              for g, m in self.ints.items()}
+        return self._matrices
 
     def character(self) -> tuple:
-        return tuple(sum(self.matrices[g][i][i] for i in range(self.dim))
-                     for g in self.group.elements)
+        return tuple(Fraction(sum(m[i][i] for i in range(self.dim)), self.den)
+                     for m in self.ints.values())
 
     def trivial_multiplicity(self) -> Fraction:
-        chi = self.character()
-        return sum(chi, Fraction(0)) / len(self.group)
+        return sum(self.character(), Fraction(0)) / len(self.group)
 
 
 def identity_rep(group: FiniteGroup, dim: int) -> RealRep:
@@ -567,9 +581,8 @@ class Stratum:
 
 def _cut_by_equations(poly: Polytope, equations: Sequence) -> Optional[Polytope]:
     """The polytope cut by affine equations row.x = rhs; None when empty."""
-    eqs = [*equations, *poly.affine_hull_equations()]
-    ineqs = [(nrm, rhs) for nrm, rhs, _ in poly.facet_inequalities()]
-    section = section_polytope(poly.ambient_dim, eqs, ineqs)
+    hull, facets = poly._fd.rows()
+    section = section_polytope(poly.ambient_dim, [*equations, *hull], facets)
     return section[0] if section else None
 
 
@@ -583,24 +596,21 @@ def direction_rep(action: GroupAction, component: int = 0,
     chart, on integers: with dir_basis B / den and an element's matrix
     A / m, the element acts by R / (m den) for R the rows of A B^T at the
     dir_basis pivots, the coordinates of the images.  The images lie in the
-    direction space exactly when B^T R = den A B^T.
+    direction space exactly when B^T R = den A B^T.  The matrices R are
+    handed to RealRep as integers over one denominator, den times the lcm
+    of the m.
     """
-    poly = action.spaces[component]
-    fd = poly._fd
+    fd = action.spaces[component]._fd
     d = fd.dim
-    if d:
-        b, den = fd._dir_ints()
-        b_cols = list(zip(*b))
+    b, den = fd._dir_ints()
+    b_cols = list(zip(*b))
     grp = group or action.group
     lam = elements or {g: g for g in grp.elements}
-    mats = {}
+    cols, scales = {}, {}
     for g in grp.elements:
         entry = action.maps[lam[g]][component]
         if entry.target != component:
             raise OrbifoldError("element moves the component")
-        if not d:
-            mats[g] = ()
-            continue
         mat_int, _, m = entry.ints
         # image_cols[j] = A B^T e_j, r_cols[j] = R e_j
         image_cols = [[_idot(row, v) for row in mat_int] for v in b]
@@ -608,9 +618,10 @@ def direction_rep(action: GroupAction, component: int = 0,
         if any(_idot(bc, r) != den * w_k
                for r, w in zip(r_cols, image_cols) for bc, w_k in zip(b_cols, w)):
             raise OrbifoldError("direction space is not preserved")
-        q = m * den
-        mats[g] = tuple(tuple(Fraction(r[i], q) for r in r_cols) for i in range(d))
-    return RealRep(grp, d, mats)
+        cols[g], scales[g] = r_cols, m
+    q = lcm(*scales.values())
+    return RealRep(grp, d, {g: [[r[i] * (q // scales[g]) for r in c] for i in range(d)]
+                            for g, c in cols.items()}, q * den)
 
 
 def nontrivial_character(rep: RealRep) -> tuple:

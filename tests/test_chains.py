@@ -752,6 +752,18 @@ def test_marked_generators_are_still_validated():
         chain(g)
 
 
+def test_chain_complex_refuses_open_and_misgraded_generator_sets():
+    gens = face_complex(box([(0, 1), (0, 1)]))
+    edges = [g for g in gens if g.cell.polytope.dim == 1]
+    assert len(edges) == 4
+    with pytest.raises(ChainError, match="not closed under boundary"):
+        ChainComplex([g for g in gens if g is not edges[0]])
+    # a cochain's facet terms are one grade up, so cochains are refused
+    cochains = [Generator(g.cell, g.cmap, g.tag, is_cochain=True) for g in gens]
+    with pytest.raises(ChainError, match="wrong grade"):
+        ChainComplex(cochains)
+
+
 def test_chain_complex_matrices_match_the_reference():
     gens = simplex_face_complex(3) + face_complex(box([(0, 1), (0, 1)]))
     for _ in range(2):

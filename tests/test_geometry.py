@@ -463,10 +463,12 @@ def section_system(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(section_system())
-def test_section_vertices_match_brute_force(system):
+@given(section_system(), st.data())
+def test_section_vertices_match_brute_force(system, data):
     """Bounded systems, and without the box rows unbounded ones and ones with a
-    lineality space (no vertex)."""
+    lineality space (no vertex).  The same system given as Fraction rows, or
+    as integer rows each times a positive integer, gives the same vertices
+    and masks in the same order."""
     n, equations, inequalities = system
     found = section_vertices(n, equations, inequalities)
     got = [v for v, _ in found]
@@ -475,6 +477,19 @@ def test_section_vertices_match_brute_force(system):
     for v, tight in found:
         assert tight == sum(1 << i for i, (f, c) in enumerate(inequalities)
                             if sum(a * x for a, x in zip(f, v)) == c)
+
+    def as_fractions(rows):
+        return [(tuple(Fraction(x) for x in f), Fraction(c)) for f, c in rows]
+
+    def as_integers(rows):
+        out = []
+        for f, c in rows:
+            k = data.draw(st.integers(1, 4)) * lcm(*(Fraction(x).denominator for x in (*f, c)))
+            out.append((tuple(int(x * k) for x in f), int(c * k)))
+        return out
+
+    assert section_vertices(n, as_fractions(equations), as_fractions(inequalities)) == found
+    assert section_vertices(n, as_integers(equations), as_integers(inequalities)) == found
 
 
 def _section_points(n, equations, inequalities):

@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cornercalc._linalg import det, identity, mat, matvec, solve
+from cornercalc._linalg import _scaled, det, identity, mat, matvec, solve, vec
 from cornercalc.cells import POINT, Cell, CellMap, euclid, torus
 from cornercalc.chains import Generator, QuotientMarker, Tag, chain
-from cornercalc.geometry import POINT_POLYTOPE, Polytope, box, interval
+from cornercalc.geometry import POINT_POLYTOPE, Polytope, box, interval, section_polytope
 from cornercalc.orbifold import (
     TRIVIAL_GROUP,
     ActionComponentMap,
@@ -131,10 +131,47 @@ def test_symmetric_group_structure():
     assert sizes == [1, 2, 3]
 
 
+def _table(elements, products):
+    """The table of elements whose products read row by row from `products`."""
+    return {(a, b): c for (a, b), c in
+            zip(itertools.product(elements, repeat=2), products.split())}
+
+
 def test_bad_table_rejected():
-    with pytest.raises(OrbifoldError):
+    with pytest.raises(OrbifoldError, match="distinct and nonempty"):
+        FiniteGroup([], {})
+    with pytest.raises(OrbifoldError, match="distinct and nonempty"):
+        FiniteGroup(["a", "a"], _table("aa", "a a a a"))
+    with pytest.raises(OrbifoldError, match="table is incomplete"):
+        FiniteGroup(["e", "a"], _table("ea", "e a a"))
+    with pytest.raises(OrbifoldError, match="leaves the element set"):
+        FiniteGroup(["e", "a"], _table("ea", "e a a b"))
+    # x . y = x: every element is a left identity, none a right one
+    with pytest.raises(OrbifoldError, match="no identity element"):
+        FiniteGroup(["a", "b"], _table("ab", "a a b b"))
+    # e the identity, a . a = a, a . b = b . a = e, b . b = b:
+    # (a . a) . b = e but a . (a . b) = a
+    with pytest.raises(OrbifoldError, match="not associative"):
+        FiniteGroup(["e", "a", "b"], _table("eab", "e a b  a a e  b e b"))
+    # a the identity, b . b = b: associative, but b has no inverse
+    with pytest.raises(OrbifoldError, match="element 'b' has no inverse"):
         FiniteGroup(["a", "b"], {("a", "a"): "a", ("a", "b"): "b",
                                  ("b", "a"): "b", ("b", "b"): "b"})
+
+
+def test_injective_morphisms_match_brute_force():
+    """Every injective map of the elements that respects the tables, and no
+    other, once each."""
+    z6 = product_group(Z2, Z3)
+    for sub in (TRIVIAL_GROUP, Z2, Z3, K4, S3):
+        for big in (Z2, Z3, K4, S3, z6):
+            got = injective_morphisms(sub, big)
+            want = {tuple(sorted(zip(sub.elements, images)))
+                    for images in itertools.permutations(big.elements, len(sub))
+                    if all(big.mul(x, y) == images[sub.elements.index(sub.mul(a, b))]
+                           for a, x in zip(sub.elements, images)
+                           for b, y in zip(sub.elements, images))}
+            assert len(set(got)) == len(got) and set(got) == want
 
 
 def test_injective_morphisms_counts():
@@ -200,6 +237,57 @@ def test_strata_case_actions_construct():
     cases = _strata_cases()
     assert len(cases) == 13
     assert all(isinstance(act, GroupAction) for _, act, _, _ in cases)
+
+
+# The vertex tables of every strata case's action, pinned before the actions
+# were built on their integer views.
+GOLDEN_ACTION_TABLES_DIGEST = (
+    "ac428fa49f984a49f2025043bc1ee432216a52cf7b4f67f606d2e66114b8f559")
+
+
+def test_action_tables_golden_digest():
+    tables = [sorted(act.tables.items()) for _, act, _, _ in _strata_cases()]
+    assert hashlib.sha256(repr(tables).encode()).hexdigest() == GOLDEN_ACTION_TABLES_DIGEST
+
+
+def _fixed_locus_sections(integer_rows):
+    """(case, embedding, component, vertices and tight masks, or None) of
+    every fixed-locus section of the strata cases.  The cut (M - I) x = -c
+    for the maps x -> M x + c of an embedding's images is read in Fractions,
+    with affine_hull_equations and facet_inequalities, or on integers, as
+    (A - m I) x = -a for each map's ints (A, a, m), with the polytope's
+    rows()."""
+    out = []
+    for k, (_, act, sub, _) in enumerate(_strata_cases()):
+        for lam in injective_morphisms(sub, act.group):
+            for ci, poly in enumerate(act.spaces):
+                maps = [act.maps[img][ci] for _, img in lam]
+                if any(e.target != ci for e in maps):
+                    continue
+                if integer_rows:
+                    forms = [e.ints for e in maps]
+                    hull, ineqs = poly._fd.rows()
+                else:
+                    forms = [(e.matrix, e.offset, 1) for e in maps]
+                    hull = poly.affine_hull_equations()
+                    ineqs = [(f, c) for f, c, _ in poly.facet_inequalities()]
+                eqs = [(tuple(x - m * (j == r) for j, x in enumerate(row)), -c)
+                       for a, off, m in forms for r, (row, c) in enumerate(zip(a, off))]
+                section = section_polytope(poly.ambient_dim, eqs + list(hull), ineqs)
+                out.append((k, lam, ci, section and (section[0].vertices, section[1])))
+    return out
+
+
+# The fixed-locus sections, vertices and tight masks, pinned with the Fraction
+# rows before the cuts were read on integer rows.
+GOLDEN_FIXED_LOCUS_DIGEST = (
+    "e44596a0514525c01d53a9fdbe95429fa0987b141da819b2c5a6bc1e77a1a177")
+
+
+def test_fixed_locus_sections_golden_digest():
+    sections = _fixed_locus_sections(integer_rows=True)
+    assert sections == _fixed_locus_sections(integer_rows=False)
+    assert hashlib.sha256(repr(sections).encode()).hexdigest() == GOLDEN_FIXED_LOCUS_DIGEST
 
 
 # Any drift in an action's vertex tables or in a stratum's dimension, pieces,
@@ -297,6 +385,10 @@ def test_rep_validation():
     # without the factor 2, the first would be refused and the second kept.
     swap = RealRep(Z2, 2, {"r0": [[1, 0], [0, 1]], "r1": [[0, HALF], [2, 0]]})
     assert swap.character() == (2, 0)
+    # the same matrices given as integers over the denominator 2
+    halves = RealRep(Z2, 2, {"r0": [[2, 0], [0, 2]], "r1": [[0, 1], [4, 0]]}, den=2)
+    assert repr(halves.matrices) == repr(swap.matrices)
+    assert halves.character() == swap.character()
     with pytest.raises(OrbifoldError, match="do not form a homomorphism"):
         RealRep(Z2, 2, {"r0": [[1, 0], [0, 1]], "r1": [[0, HALF], [1, 0]]})
     # a rotation of order 3 conjugated into entries over 2
@@ -583,10 +675,44 @@ def test_integer_paths_match_fraction_references(case):
         for lam in injective_morphisms(sub, group):
             got = direction_rep(act, 0, elements=dict(lam), group=sub).matrices
             assert got == _reference_direction_rep(act, 0, dict(lam), sub)
+    for g in group.elements:
+        assert [poly.vertices[k] for k in act.tables[g][0]] == \
+            [act.apply(g, v)[1] for v in poly.vertices]
     for p in points + list(poly.vertices) + [poly.barycenter()]:
         assert stabilizer(act, p) == _reference_stabilizer(act, p)
     # the centre is fixed by the whole group
     assert stabilizer(act, points[0]) == group.elements
+
+
+_exact = st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=6))
+
+
+@st.composite
+def affine_entries(draw):
+    """A matrix, an offset and a point, integer or rational entry by entry;
+    the rational draws hold integer ones too."""
+    entries = draw(st.sampled_from([st.integers(-4, 4), _exact]))
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    matrix = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                           min_size=rows, max_size=rows))
+    offset = draw(st.lists(entries, min_size=rows, max_size=rows))
+    return matrix, offset, draw(st.lists(_exact, min_size=cols, max_size=cols))
+
+
+@settings(max_examples=150, deadline=None)
+@given(affine_entries())
+def test_action_map_matches_fraction_reference(case):
+    """ints, matrix, offset and apply against mat, vec and _scaled."""
+    matrix, offset, point = case
+    e = ActionComponentMap(0, matrix, offset)
+    ref_m, ref_c = mat(matrix), vec(offset)
+    flat, m = _scaled([x for row in ref_m for x in row] + list(ref_c))
+    cols = len(matrix[0]) if matrix else 0
+    assert e.ints == (tuple(tuple(flat[r * cols:(r + 1) * cols]) for r in range(len(matrix))),
+                      tuple(flat[len(matrix) * cols:]), m)
+    assert repr((e.matrix, e.offset)) == repr((ref_m, ref_c))
+    assert repr(e.apply(point)) == repr(tuple(
+        x + y for x, y in zip(matvec(ref_m, vec(point)), ref_c)))
 
 
 # ---------------------------------------------------------------------------
@@ -713,6 +839,9 @@ def test_action_refuses_images_off_the_vertex_lattice():
     # x + 1/2 sends 0 and 1 to 1/2 and 3/2, which round down onto 0 and 1
     with pytest.raises(OrbifoldError, match="does not permute the vertex set"):
         GroupAction(Z2, seg(0, 1), {"r0": ([[1]], [0]), "r1": ([[1]], [HALF])})
+    # x / 2 + 1/2 sends 0 to 1/2, off the lattice, and 1 onto itself
+    with pytest.raises(OrbifoldError, match="does not permute the vertex set"):
+        GroupAction(Z2, seg(0, 1), {"r0": ([[1]], [0]), "r1": ([[HALF]], [HALF])})
     with pytest.raises(OrbifoldError, match="does not permute the vertex set"):
         GroupAction(Z2, box([(0, 1)] * 2), {
             "r0": ([[1, 0], [0, 1]], [0, 0]),

@@ -1,5 +1,6 @@
 """The committed equivalence tool, run on the first items of a workload."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -91,3 +92,28 @@ def test_bench_pairs_smoke():
     assert set(rows) >= {"metric", "throughput_ops_s", "latency_p50_ms", "latency_p90_ms",
                          "ok_share", "setup_s", "peak_rss_mb"}
     assert rows["ok_share"][1:3] == ["1", "1"] and rows["ok_share"][-1] == "0/1"
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summary_on_fixed_runs():
+    def runs(*values):
+        return [{"metrics": {"throughput_ops_s": {"value": t}, "latency_p50_ms": {"value": p},
+                             "setup_s": {"value": 0}}} for t, p in values]
+
+    lines = _bench_pairs().summary({
+        "parent": runs((100, 4.0), (110, 4.0), (90, 5.0), (100, 2.0)),
+        "change": runs((125, 3.0), (120, 5.0), (130, 3.0), (99, 3.0))})
+    assert lines[0].split() == ["metric", "parent", "median", "change", "median",
+                                "parent", "q1..q3", "relative", "change", "wins"]
+    rows = {line.split()[0]: line.split()[1:] for line in lines[1:]}
+    # medians 100 -> 122.5; the change is ahead in three pairs of four
+    assert rows["throughput_ops_s"] == ["100", "122.5", "97.5..102.5", "+22.5%", "3/4"]
+    # lower is better, and a tie is not a win
+    assert rows["latency_p50_ms"] == ["4", "3", "3.5..4.25", "-25.0%", "2/4"]
+    assert rows["setup_s"] == ["0", "0", "0..0", "n/a", "0/4"]

@@ -9,10 +9,11 @@ even pairs and the change in odd ones, so a drift of the machine's speed
 does not favour one side.  Only each checkout's `perfbench/run.py` is run,
 and only the JSON line it ends with is read.
 
-For each end-to-end metric it prints both medians, the parent's quartiles
-and the number of pairs in which the change was better: higher is better
-for throughput_ops_s and ok_share, lower for every other metric; a tie is
-not a win.  It exits 1 when a run fails or a run's verdict is not correct.
+For each end-to-end metric it prints both medians, the parent's quartiles,
+the relative change of the medians (change / parent - 1, e.g. +23.8%) and
+the number of pairs in which the change was better: higher is better for
+throughput_ops_s and ok_share, lower for every other metric; a tie is not
+a win.  It exits 1 when a run fails or a run's verdict is not correct.
 """
 
 from __future__ import annotations
@@ -46,19 +47,21 @@ def quartiles(values: list) -> tuple:
 
 
 def summary(runs: dict) -> list[str]:
-    """One line per metric: medians, the parent's quartiles, the change's wins."""
+    """One line per metric: medians, the parent's quartiles, the relative
+    change of the medians and the change's wins."""
     pairs = len(runs["parent"])
     lines = [f"{'metric':<18} {'parent median':>14} {'change median':>14} "
-             f"{'parent q1..q3':>22} {'change wins':>12}"]
+             f"{'parent q1..q3':>22} {'relative':>9} {'change wins':>12}"]
     for name in runs["parent"][0]["metrics"]:
         parent = [r["metrics"][name]["value"] for r in runs["parent"]]
         change = [r["metrics"][name]["value"] for r in runs["change"]]
         sign = 1 if name in HIGHER_IS_BETTER else -1
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         q1, q3 = quartiles(parent)
-        lines.append(f"{name:<18} {statistics.median(parent):>14.6g} "
-                     f"{statistics.median(change):>14.6g} "
-                     f"{f'{q1:.6g}..{q3:.6g}':>22} {f'{wins}/{pairs}':>12}")
+        mp, mc = statistics.median(parent), statistics.median(change)
+        rel = f"{(mc / mp - 1) * 100:+.1f}%" if mp else "n/a"
+        lines.append(f"{name:<18} {mp:>14.6g} {mc:>14.6g} "
+                     f"{f'{q1:.6g}..{q3:.6g}':>22} {rel:>9} {f'{wins}/{pairs}':>12}")
     return lines
 
 
