@@ -220,8 +220,8 @@ class ActionComponentMap:
     The map is kept as its integer view ints = (A, a, m), the map
     x -> (A x + a) / m over one denominator m, made once from the entries
     given: integer entries stand as they are, and rational ones are scaled
-    by the lcm of all denominators.  `matrix` and `offset`, in Fractions,
-    are built on first use.
+    by the lcm of all denominators, so equal maps have equal views.
+    `matrix` and `offset`, in Fractions, are built on first use.
     """
 
     def __init__(self, target: int, matrix: Sequence, offset: Sequence):
@@ -230,6 +230,13 @@ class ActionComponentMap:
         it = iter(flat)
         self.target = target
         self.ints = (tuple(tuple(itertools.islice(it, len(row))) for row in rows), tuple(it), m)
+
+    def __eq__(self, other):
+        return isinstance(other, ActionComponentMap) and \
+            (self.target, self.ints) == (other.target, other.ints)
+
+    def __hash__(self):
+        return hash((self.target, self.ints))
 
     @cached_property
     def matrix(self) -> Mat:

@@ -711,6 +711,8 @@ def test_action_map_matches_fraction_reference(case):
     assert e.ints == (tuple(tuple(flat[r * cols:(r + 1) * cols]) for r in range(len(matrix))),
                       tuple(flat[len(matrix) * cols:]), m)
     assert repr((e.matrix, e.offset)) == repr((ref_m, ref_c))
+    assert e == ActionComponentMap(0, ref_m, ref_c) != ActionComponentMap(1, ref_m, ref_c)
+    assert hash(e) == hash(ActionComponentMap(0, ref_m, ref_c))
     assert repr(e.apply(point)) == repr(tuple(
         x + y for x, y in zip(matvec(ref_m, vec(point)), ref_c)))
 
