@@ -3,11 +3,12 @@
 A generator is an oriented cell with an affine map to the target and an
 injective labelling of its face lattice.  Chains are finite rational
 combinations of generator classes, kept in a normal form where orientation
-reversal folds into the coefficient, quotient markers expand to 1/|group|
-times their cover, and cells carrying a circle direction that neither the
-map nor the polytope constrains are dropped (such a cell has an
-orientation-reversing self-map fixing all data, so its class is 2-torsion
-and dies over the rationals).
+reversal folds into the coefficient and cells carrying a circle direction
+that neither the map nor the polytope constrains are dropped (such a cell
+has an orientation-reversing self-map fixing all data, so its class is
+2-torsion and dies over the rationals).  A finite-group quotient enters a
+chain as 1/|group| times its cover (QuotientMarker.cover), so every
+generator is a plain one.
 
 A face of a cell is a bitmask over its polytope's sorted vertices, from the
 face lattice (geometry) up to tags, quotient orbits and fibre-product face
@@ -249,10 +250,11 @@ def pair_tags(tag1: Tag, tag2: Tag, comp) -> Tag:
 class QuotientMarker:
     """A finite-group quotient presented by its cover.
 
-    The generator holding the marker is the class of cover/group; its tag is
-    constant on each orbit and injective across orbits.  orbits is a partition
-    of the cover's faces, as vertex bitmasks (see Tag); from_faces takes face
-    keys.
+    Over a Q-algebra the quotient of a cell by a group is 1/|group| times
+    its cover; `cover` builds that term from the cell, the map and a tag
+    constant on each orbit and injective across orbits.  orbits is a
+    partition of the cover's faces, as vertex bitmasks (see Tag); from_faces
+    takes face keys.
     """
 
     order: int
@@ -272,10 +274,34 @@ class QuotientMarker:
         return cls(order, tuple(tuple(_face_mask(index, f) for f in orbit)
                                 for orbit in orbits))
 
-    def positions(self) -> dict:
-        """Face mask -> its position atom within a shared orbit (empty if alone)."""
-        return {f: (("q", j),) if len(orbit) > 1 else EMPTY_LABEL
-                for orbit in self.orbits for j, f in enumerate(orbit)}
+    def cover(self, cell: Cell, cmap: CellMap, tag: Tag) -> tuple[Fraction, "Generator"]:
+        """(1/order, the cover): the quotient's term in a chain.
+
+        The marker is checked against the cell's faces and the tag.  A face
+        in a shared orbit gets the orbit label extended by its position atom,
+        which keeps the cover's tag injective; the cover is validated as any
+        generator is.
+        """
+        pos = {}
+        orbit_labels = []
+        for orbit in self.orbits:
+            if self.order % len(orbit) != 0:
+                raise ChainError("orbit size must divide the group order")
+            labels = {tag.label_at(f) for f in orbit}
+            if len(labels) != 1:
+                raise TagError("marker tag must be constant on each orbit")
+            orbit_labels.append(labels.pop())
+            for j, f in enumerate(orbit):
+                if f in pos:
+                    raise ChainError("orbits must be disjoint")
+                pos[f] = (("q", j),) if len(orbit) > 1 else EMPTY_LABEL
+        if pos.keys() != cell.polytope._fd.face_dims().keys():
+            raise ChainError("orbits must cover every face of the cell")
+        if len(set(orbit_labels)) != len(orbit_labels):
+            raise TagError("marker tag must separate orbits")
+        cover_tag = Tag.of_masks(tag.vertices, [(m, merge_labels(label, pos.get(m, EMPTY_LABEL)))
+                                                for m, label in tag.labels])
+        return Fraction(1, self.order), Generator(cell, cmap, cover_tag)
 
 
 class Generator:
@@ -286,24 +312,24 @@ class Generator:
     orientation the dictionary TX = f*(TY) + Ker df gives that coorientation
     (see cells), so chains and cochains share one normal form, one boundary
     and one fibre product.  A coorientation passed in is validated and
-    converted once; kernel_coorientation(cell, cmap) reads it back.
+    converted once; kernel_coorientation(cell, cmap) reads it back.  A
+    quotient enters a chain as its cover (QuotientMarker.cover).
 
     The constructor validates; `_derived` does not, and builds only what is
-    valid by construction from a generator already validated and unmarked:
-    its normal form and its facets.  A face restriction of an injective tag
-    is injective and labels exactly the face's faces, a strong submersion
+    valid by construction from a generator already validated: its normal
+    form and its facets.  A face restriction of an injective tag is
+    injective and labels exactly the face's faces, a strong submersion
     restricts to one on every face, and the canonical reparametrization
-    moves A only by combinations of the torus columns.  Marked generators
-    and their covers are always validated.  A normalized generator, the
-    representative a Chain stores, keeps its facet normal forms in
-    `_facets`, filled on first read by `_facet_forms` (see Boundary).
+    moves A only by combinations of the torus columns.  A normalized
+    generator, the representative a Chain stores, keeps its facet normal
+    forms in `_facets`, filled on first read by `_facet_forms` (see
+    Boundary).
     """
 
-    __slots__ = ("cell", "cmap", "tag", "is_cochain", "quotient", "_facets")
+    __slots__ = ("cell", "cmap", "tag", "is_cochain", "_facets")
 
     def __init__(self, cell: Cell, cmap: CellMap, tag: Tag,
-                 coorientation: Optional[Coorientation] = None,
-                 quotient: Optional[QuotientMarker] = None, *,
+                 coorientation: Optional[Coorientation] = None, *,
                  is_cochain: bool = False):
         m = cmap.target.dim
         if m > 0 and (cmap.n_cols != cell.polytope.ambient_dim
@@ -315,56 +341,30 @@ class Generator:
             raise TagError("tag must label exactly the faces of the cell")
         is_cochain = is_cochain or coorientation is not None
         if is_cochain:
-            if quotient is not None:
-                raise ChainError("cochain generators cannot carry quotient markers")
             if not is_strong_submersion(cell, cmap):
                 raise ChainError("cochain generators need a submersion on every face")
             if coorientation is not None:
                 validate_coorientation(cell, cmap, coorientation)
                 cell = orientation_from_coorientation(cell, cmap, coorientation)
-        if quotient is not None:
-            self._validate_marker(faces, tag, quotient)
-        elif not tag.is_injective():
+        if not tag.is_injective():
             raise TagError("tag labels must be injective")
         self.cell = cell
         self.cmap = cmap
         self.tag = tag
         self.is_cochain = is_cochain
-        self.quotient = quotient
         self._facets = None
 
     @classmethod
     def _derived(cls, cell: Cell, cmap: CellMap, tag: Tag, *,
                  is_cochain: bool = False) -> "Generator":
-        """An unmarked generator valid by construction, built unchecked."""
+        """A generator valid by construction, built unchecked."""
         gen = cls.__new__(cls)
         gen.cell = cell
         gen.cmap = cmap
         gen.tag = tag
         gen.is_cochain = is_cochain
-        gen.quotient = None
         gen._facets = None
         return gen
-
-    @staticmethod
-    def _validate_marker(faces: Mapping[int, int], tag: Tag, marker: QuotientMarker):
-        seen = set()
-        orbit_labels = []
-        for orbit in marker.orbits:
-            if marker.order % len(orbit) != 0:
-                raise ChainError("orbit size must divide the group order")
-            labels = {tag.label_at(f) for f in orbit}
-            if len(labels) != 1:
-                raise TagError("marker tag must be constant on each orbit")
-            orbit_labels.append(labels.pop())
-            for f in orbit:
-                if f in seen:
-                    raise ChainError("orbits must be disjoint")
-                seen.add(f)
-        if seen != faces.keys():
-            raise ChainError("orbits must cover every face of the cell")
-        if len(set(orbit_labels)) != len(orbit_labels):
-            raise TagError("marker tag must separate orbits")
 
     @property
     def grade(self) -> int:
@@ -374,30 +374,13 @@ class Generator:
 
     def reversed(self) -> "Generator":
         return Generator(self.cell.reversed(), self.cmap, self.tag,
-                         quotient=self.quotient, is_cochain=self.is_cochain)
+                         is_cochain=self.is_cochain)
 
     def __repr__(self):
         kind = "cochain" if self.is_cochain else "chain"
         return (f"Generator({kind}, dim {self.cell.dim}, "
                 f"{len(self.cell.polytope.vertices)} vertices, "
                 f"-> {self.cmap.target.kind}({self.cmap.target.dim}))")
-
-
-def expand_quotient(gen: Generator) -> tuple[Fraction, Generator]:
-    """Replace a marked generator by 1/order times its cover.
-
-    Faces in a shared orbit get the orbit label extended by a position atom,
-    keeping the cover tag injective; the position depends only on the face and
-    its orbit, so expansion commutes with boundary restriction.
-    """
-    marker = gen.quotient
-    if marker is None:
-        return Fraction(1), gen
-    pos = marker.positions()
-    cover = Generator(gen.cell, gen.cmap, Tag.of_masks(
-        gen.tag.vertices, [(m, merge_labels(label, pos[m]) if pos[m] else label)
-                           for m, label in gen.tag.labels]))
-    return Fraction(1, marker.order), cover
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +391,6 @@ def _normal_form(gen: Generator):
     """(key, sign, normalized generator), or None when the class is zero.
 
     The key ends in the tag and in True for a cochain, None for a chain.
-    gen is unmarked: callers expand a quotient marker first.
     """
     if has_free_circle(gen.cell, gen.cmap):
         return None
@@ -465,11 +447,6 @@ class Chain:
     def _accumulate(self, coeff: Fraction, gen: Generator):
         if coeff == 0:
             return
-        if gen.quotient is not None:
-            if self.ring != "Q":
-                raise ChainError("quotient markers require a Q-algebra")
-            factor, gen = expand_quotient(gen)
-            coeff *= factor
         nf = _normal_form(gen)
         if nf is None:
             return
@@ -494,13 +471,12 @@ class Chain:
         return [(c, g) for _, g, c in items]
 
     def coefficient(self, gen: Generator) -> Fraction:
-        """Coefficient of the generator's class; 1/|group| folds back out."""
-        factor, gen = expand_quotient(gen)
+        """Coefficient of the generator's class."""
         nf = _normal_form(gen)
         if nf is None:
             return Fraction(0)
         key, sign, _ = nf
-        return sign * self._terms.get(key, (Fraction(0), None))[0] / factor
+        return sign * self._terms.get(key, (Fraction(0), None))[0]
 
     @property
     def is_zero(self) -> bool:
@@ -567,9 +543,9 @@ def disjoint_union(gens: Sequence[Generator]) -> Chain:
 # Boundary
 # ---------------------------------------------------------------------------
 # The boundary of [X, f, G] is [dX, f|dX, G|dX]: generator_boundary is its
-# one definition.  The facets of an unmarked generator are built by
+# one definition.  The facets of a generator are built by
 # Generator._derived, unchecked, since restriction keeps a validated
-# generator valid; a marked generator's expanded facets are validated.
+# generator valid.
 # A chain stores normalized generators, and each keeps its facet normal
 # forms in its _facets slot, filled on first read by _facet_forms: boundary,
 # ChainComplex and corner_terms read them there, so a generator's facets are
@@ -581,16 +557,10 @@ def disjoint_union(gens: Sequence[Generator]) -> Chain:
 # slot lives and dies with its generator.
 
 def generator_boundary(gen: Generator) -> list:
-    """Signed facet generators of one generator; marked generators expand."""
-    marker = gen.quotient
-    tag, coeff, build = gen.tag, Fraction(1), Generator._derived
-    if marker is not None:
-        pos = marker.positions()
-        tag = Tag.of_masks(tag.vertices, [(m, merge_labels(label, pos[m]))
-                                          for m, label in tag.labels])
-        coeff, build = Fraction(1, marker.order), Generator
+    """Signed facet generators of one generator."""
     # cell_boundary follows facets(), and facet_masks is in the same order
-    return [(coeff, build(bc.cell, gen.cmap, tag.restrict(facet), is_cochain=gen.is_cochain))
+    return [(Fraction(1), Generator._derived(bc.cell, gen.cmap, gen.tag.restrict(facet),
+                                             is_cochain=gen.is_cochain))
             for bc, facet in zip(cell_boundary(gen.cell), gen.cell.polytope._fd.facet_masks)]
 
 
@@ -848,7 +818,7 @@ def push_generator(h: TargetMap, gen: Generator) -> Generator:
     b_new = [h.offset[i] + sum(h.matrix[i][k] * gen.cmap.b[k] for k in range(m_old))
              for i in range(h.target.dim)]
     cmap = CellMap(h.target, a_new, mt_new, b_new)
-    return Generator(gen.cell, cmap, gen.tag, quotient=gen.quotient)
+    return Generator(gen.cell, cmap, gen.tag)
 
 
 def pushforward(h: TargetMap, c: Chain) -> Chain:
@@ -893,8 +863,6 @@ def transport_generator(gen: Generator, linear: Sequence[Sequence],
     transport commutes with the maps, so a cochain's orientation still
     stands for the coorientation it did.
     """
-    if gen.quotient is not None:
-        raise ChainError("transport a marked generator after expanding it")
     lin = tuple(tuple(frac(x) for x in row) for row in linear)
     off = tuple(frac(x) for x in offset)
     n_old = gen.cell.polytope.ambient_dim
@@ -1052,8 +1020,6 @@ def cylinder(gen: Generator, alt_tag: Tag) -> Generator:
     The boundary of the prism is the relabelled generator minus the original,
     plus prisms over the generator's own facets.
     """
-    if gen.quotient is not None:
-        raise ChainError("cylinders need unmarked generators")
     if gen.is_cochain:
         raise ChainError("cylinders are chain-level witnesses")
     if (alt_tag.vertices != gen.tag.vertices
@@ -1118,8 +1084,7 @@ class ChainComplex:
         index: dict = {}
         staged: dict = {}
         for g in gens:
-            _, gg = expand_quotient(g)
-            nf = _normal_form(gg)
+            nf = _normal_form(g)
             if nf is None:
                 continue
             key, _, norm = nf

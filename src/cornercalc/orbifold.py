@@ -5,7 +5,8 @@ vertex sets.  Representations split into a fixed part and an invariant
 complement by the averaged projector; strata collect fixed loci whose
 nontrivial tangent character matches a prescribed class, and the forgetful map
 to the space is checked to have finite fibers.  Invariant generator data
-pushes down to quotient-marked generators consumed by the chain layer.
+pushes down to a chain: each component orbit's quotient enters it as
+1/|stabilizer| times its cover.
 
 The arithmetic runs on integers.  A group keeps its table as index rows
 too, for the associativity check and the injective morphisms.  Each affine
@@ -33,7 +34,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from ._linalg import (Mat, Vec, _scaled, _scaled_exact, frac, identity, kernel_basis, mat, matvec,
                       solve, vec)
 from .cells import Cell, CellMap, maps_agree
-from .chains import Chain, Generator, QuotientMarker, Tag
+from .chains import Chain, QuotientMarker, Tag
 from .geometry import Polytope, _idot, move_mask, section_polytope
 
 
@@ -751,12 +752,13 @@ def map_is_invariant(action: GroupAction, cmap: CellMap, component: int = 0) -> 
 
 
 def quotient_pushdown(action: GroupAction, cmaps, tags, ring: str = "Q") -> Chain:
-    """Quotient-marked generator data for an invariant map and tag.
+    """The quotient of invariant generator data, as a chain.
 
-    One generator per component orbit: the orbit representative keeps its
-    map and tag and carries the marker of its component stabilizer acting on
-    the faces.  A free permutation of components therefore collapses the
-    orbit to a single unmarked generator.
+    One term per component orbit: the orbit representative's cell, map and
+    tag, quotiented by its component stabilizer acting on the faces, which
+    enters as 1/|stabilizer| times its cover (QuotientMarker.cover).  A free
+    permutation of components therefore collapses the orbit to a single
+    plain generator.
     """
     if isinstance(cmaps, CellMap):
         cmaps = [cmaps]
@@ -787,14 +789,9 @@ def quotient_pushdown(action: GroupAction, cmaps, tags, ring: str = "Q") -> Chai
         rep_i = orbit[0]
         stab = action.component_stabilizer(rep_i)
         poly = action.spaces[rep_i]
-        cell = Cell(poly, cmaps[rep_i].s_cols)
-        marker = None
-        if len(stab) > 1:
-            orbits = _face_orbits(action, rep_i, stab, [f for f, _ in tags[rep_i].labels])
-            marker = QuotientMarker(len(stab), orbits)
-        terms.append((Fraction(1),
-                      Generator(cell, cmaps[rep_i], tags[rep_i],
-                                quotient=marker)))
+        orbits = _face_orbits(action, rep_i, stab, [f for f, _ in tags[rep_i].labels])
+        terms.append(QuotientMarker(len(stab), orbits).cover(
+            Cell(poly, cmaps[rep_i].s_cols), cmaps[rep_i], tags[rep_i]))
     return Chain(terms, ring=ring)
 
 

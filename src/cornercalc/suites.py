@@ -20,7 +20,7 @@ from .bordism import (BordismClass, BordismError, Pi_Kb_Kh,
                       tag_independence_witness)
 from .cells import (POINT, Cell, CellMap, FibreProductError, euclid, torus)
 from .chains import (Chain, ChainComplex, Generator, QuotientMarker, Tag,
-                     TagError, boundary, chain, check_sigma_pairing,
+                     TagError, boundary, check_sigma_pairing,
                      check_singular_chain_map, corner_terms,
                      generator_boundary, numbered_tag, simplex_face_complex,
                      verify_dd_zero)
@@ -306,9 +306,10 @@ def suite_quotient_half(seed=0, count=None) -> SuiteResult:
     poly = act.spaces[0]
     ends = tuple(sorted(poly.faces()[0]))
     top = poly.faces()[1][0]
+    point = CellMap(POINT, (), (), ())
     tag = Tag(poly, {ends[0]: (("end", 0),), ends[1]: (("end", 0),),
                      top: (("seg", 0),)})
-    pushed = quotient_pushdown(act, CellMap(POINT, (), (), ()), tag)
+    pushed = quotient_pushdown(act, point, tag)
     terms = pushed.terms()
     half = (len(terms) == 1 and terms[0][0] == Fraction(1, 2))
     rec1 = CheckRecord(
@@ -316,20 +317,15 @@ def suite_quotient_half(seed=0, count=None) -> SuiteResult:
         half, len(terms),
         (f"coefficient {terms[0][0]}" if terms else "no terms",))
 
-    marked = Generator(Cell(poly, 0), CellMap(POINT, (), (), ()), tag,
-                       quotient=QuotientMarker.from_faces(poly, 2, (ends, (top,))))
-    via_expansion = boundary(chain(marked))
-    direct = Chain(generator_boundary(marked))
-    coeffs = sorted(c for c, _ in via_expansion.terms())
+    factor, cover = QuotientMarker.from_faces(poly, 2, (ends, (top,))).cover(
+        Cell(poly, 0), point, tag)
+    folded = boundary(pushed)
+    coeffs = sorted(c for c, _ in folded.terms())
     rec2 = CheckRecord(
-        "boundary commutes with expanding the quotient marker",
-        via_expansion == direct, len(via_expansion.terms()),
+        "the folded segment's boundary is one half its cover's",
+        folded == Chain(generator_boundary(cover)).scale(factor), len(folded.terms()),
         (f"boundary coefficients {[str(c) for c in coeffs]}",))
-
-    rec3 = CheckRecord(
-        "the marked generator folds back to unit coefficient",
-        chain(marked).coefficient(marked) == 1, 1)
-    return _result("quotient-half", [rec1, rec2, rec3])
+    return _result("quotient-half", [rec1, rec2])
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from cornercalc.chains import (
     corner_terms,
     cylinder,
     disjoint_union,
-    expand_quotient,
     face_complex,
     generator_boundary,
     identity_target_map,
@@ -201,23 +200,28 @@ def test_free_circle_generator_has_no_corner_flags():
     assert corner_terms(g) == []
 
 
-def test_quotient_marker_expands_with_half_coefficient():
+def _half_interval():
+    """[-1, 1] folded by its reflection: the ends form one orbit."""
     iv = interval(-1, 1)
     keys = faces_of(iv)
     ends = tuple(k for k in keys if len(k) == 1)
     top = next(k for k in keys if len(k) == 2)
     tag = Tag(iv, {ends[0]: ("end",), ends[1]: ("end",), top: ("body",)})
+    return iv, ends, top, tag
+
+
+def test_quotient_marker_expands_with_half_coefficient():
+    iv, ends, top, tag = _half_interval()
     marker = QuotientMarker.from_faces(iv, 2, (ends, (top,)))
-    g = Generator(Cell(iv, 0), constant_map(POINT, 1, 0), tag, quotient=marker)
-    factor, cover = expand_quotient(g)
+    factor, cover = marker.cover(Cell(iv, 0), constant_map(POINT, 1, 0), tag)
     assert factor == Fraction(1, 2)
     assert cover.tag.is_injective()
     assert cover.tag.label_of(top) == ("body",)
     assert cover.tag.label_of(ends[0]) == merge_labels(("end",), (("q", 0),))
-    c = chain(g)
+    c = Chain([(factor, cover)])
     assert len(c.terms()) == 1
     assert c.terms()[0][0] == Fraction(1, 2)
-    assert c.coefficient(g) == 1
+    assert c.coefficient(cover) == Fraction(1, 2)
 
 
 def test_trivial_group_marker_is_identity():
@@ -225,54 +229,46 @@ def test_trivial_group_marker_is_identity():
     keys = faces_of(iv)
     tag = numbered_tag(iv)
     marker = QuotientMarker.from_faces(iv, 1, tuple((k,) for k in keys))
-    g = Generator(Cell(iv, 0), constant_map(POINT, 1, 0), tag, quotient=marker)
     plain = Generator(Cell(iv, 0), constant_map(POINT, 1, 0), tag)
-    assert chain(g) == chain(plain)
+    assert Chain([marker.cover(Cell(iv, 0), constant_map(POINT, 1, 0), tag)]) == chain(plain)
 
 
 def test_quotient_boundary_commutes_with_expansion():
-    iv = interval(-1, 1)
-    keys = faces_of(iv)
-    ends = tuple(k for k in keys if len(k) == 1)
-    top = next(k for k in keys if len(k) == 2)
-    tag = Tag(iv, {ends[0]: ("end",), ends[1]: ("end",), top: ("body",)})
+    iv, ends, top, tag = _half_interval()
     marker = QuotientMarker.from_faces(iv, 2, (ends, (top,)))
-    g = Generator(Cell(iv, 0), constant_map(POINT, 1, 0), tag, quotient=marker)
-    via_expansion = boundary(chain(g))
-    direct = Chain(generator_boundary(g))
-    assert via_expansion == direct
-    coeffs = sorted(c for c, _ in via_expansion.terms())
+    factor, cover = marker.cover(Cell(iv, 0), constant_map(POINT, 1, 0), tag)
+    via_chain = boundary(Chain([(factor, cover)]))
+    direct = Chain(generator_boundary(cover)).scale(factor)
+    assert via_chain == direct
+    coeffs = sorted(c for c, _ in via_chain.terms())
     assert coeffs == [Fraction(-1, 2), Fraction(1, 2)]
 
 
 def test_quotient_needs_rational_coefficients():
-    iv = interval(-1, 1)
-    keys = faces_of(iv)
-    ends = tuple(k for k in keys if len(k) == 1)
-    top = next(k for k in keys if len(k) == 2)
-    tag = Tag(iv, {ends[0]: ("end",), ends[1]: ("end",), top: ("body",)})
+    iv, ends, top, tag = _half_interval()
     marker = QuotientMarker.from_faces(iv, 2, (ends, (top,)))
-    g = Generator(Cell(iv, 0), constant_map(POINT, 1, 0), tag, quotient=marker)
+    term = marker.cover(Cell(iv, 0), constant_map(POINT, 1, 0), tag)
     with pytest.raises(ChainError):
-        Chain([(1, g)], ring="Z")
+        Chain([term], ring="Z")
 
 
 def test_marker_validation():
-    iv = interval(-1, 1)
-    keys = faces_of(iv)
-    ends = tuple(k for k in keys if len(k) == 1)
-    top = next(k for k in keys if len(k) == 2)
+    iv, ends, top, tag = _half_interval()
+    cell, cmap = Cell(iv, 0), constant_map(POINT, 1, 0)
     uneven = Tag(iv, {ends[0]: ("a",), ends[1]: ("b",), top: ("body",)})
-    with pytest.raises(TagError):
-        Generator(Cell(iv, 0), constant_map(POINT, 1, 0), uneven,
-                  quotient=QuotientMarker.from_faces(iv, 2, (ends, (top,))))
-    tag = Tag(iv, {ends[0]: ("end",), ends[1]: ("end",), top: ("body",)})
-    with pytest.raises(ChainError):
-        Generator(Cell(iv, 0), constant_map(POINT, 1, 0), tag,
-                  quotient=QuotientMarker.from_faces(iv, 2, (ends,)))
-    with pytest.raises(ChainError):
-        Generator(Cell(iv, 0), constant_map(POINT, 1, 0), tag,
-                  quotient=QuotientMarker.from_faces(iv, 3, (ends, (top,))))
+    with pytest.raises(TagError, match="constant on each orbit"):
+        QuotientMarker.from_faces(iv, 2, (ends, (top,))).cover(cell, cmap, uneven)
+    with pytest.raises(ChainError, match="cover every face"):
+        QuotientMarker.from_faces(iv, 2, (ends,)).cover(cell, cmap, tag)
+    with pytest.raises(ChainError, match="divide the group order"):
+        QuotientMarker.from_faces(iv, 3, (ends, (top,))).cover(cell, cmap, tag)
+    with pytest.raises(ChainError, match="disjoint"):
+        QuotientMarker.from_faces(iv, 2, (ends, (ends[0],), (top,))).cover(cell, cmap, tag)
+    flat = Tag(iv, {ends[0]: ("end",), ends[1]: ("end",), top: ("end",)})
+    with pytest.raises(TagError, match="separate orbits"):
+        QuotientMarker.from_faces(iv, 2, (ends, (top,))).cover(cell, cmap, flat)
+    with pytest.raises(ChainError, match="positive"):
+        QuotientMarker(0, ())
     with pytest.raises(ChainError):
         QuotientMarker(2, (ends, (top,)))
 
@@ -684,13 +680,12 @@ def _check_boundary_reads(c):
         d = boundary(c)
         assert d == ref and repr(d.terms()) == repr(ref.terms())
         assert boundary(d) == ref2 and ref2.is_zero
-    # normal forms and the facets of unmarked generators are built unchecked
+    # normal forms and facets are built unchecked
     for ch in (c, d):
         for _, g in ch.terms():
             _assert_revalidates(g)
-            if g.quotient is None:
-                for _, sub in generator_boundary(g):
-                    _assert_revalidates(sub)
+            for _, sub in generator_boundary(g):
+                _assert_revalidates(sub)
     return d
 
 
@@ -715,7 +710,7 @@ def _square_faces():
 
 def test_boundary_reads_match_the_reference_on_a_marked_square():
     """The square over Z/2 acting by a half turn: 1/2 times its cover, whose
-    boundary must also be the marked generator's own."""
+    boundary is 1/2 times the cover's facets."""
     sq, face = _square_faces()
     orbits = [(((-1, -1),), ((1, 1),)), (((-1, 1),), ((1, -1),)),
               (((-1, -1), (-1, 1)), ((1, -1), (1, 1))),
@@ -724,18 +719,18 @@ def test_boundary_reads_match_the_reference_on_a_marked_square():
     orbits = [tuple(face[frozenset(f)] for f in orbit) for orbit in orbits]
     tag = Tag(sq, {f: (("o", i),) for i, orbit in enumerate(orbits) for f in orbit})
     marker = QuotientMarker.from_faces(sq, 2, orbits)
-    g = Generator(Cell(sq, 0), constant_map(POINT, 2, 0), tag, quotient=marker)
-    c = chain(g)
+    factor, cover = marker.cover(Cell(sq, 0), constant_map(POINT, 2, 0), tag)
+    c = Chain([(factor, cover)])
     assert [a for a, _ in c.terms()] == [Fraction(1, 2)]
     first = _check_boundary_reads(c)
-    assert first == Chain(generator_boundary(g))
+    assert first == Chain(generator_boundary(cover)).scale(factor)
     assert all(a in (Fraction(1, 2), Fraction(-1, 2)) for a, _ in first.terms())
     assert len(first.terms()) == 4
 
 
 def test_marked_generators_are_still_validated():
     """Position atoms make the bottom edge's label collide with its vertex's
-    in the cover: the marker is valid, its cover and that facet are not."""
+    in the cover: the marker is valid, its cover is not."""
     sq, face = _square_faces()
     orbits = [(((-1, -1),), ((1, 1),)), (((-1, 1),), ((1, -1),)),
               (((-1, -1), (-1, 1)), ((1, -1), (1, 1))),
@@ -745,11 +740,8 @@ def test_marked_generators_are_still_validated():
     orbits = [tuple(face[frozenset(f)] for f in orbit) for orbit in orbits]
     tag = Tag(sq, {f: label for orbit, label in zip(orbits, labels) for f in orbit})
     marker = QuotientMarker.from_faces(sq, 2, orbits)
-    g = Generator(Cell(sq, 0), constant_map(POINT, 2, 0), tag, quotient=marker)
     with pytest.raises(TagError, match="injective"):
-        generator_boundary(g)
-    with pytest.raises(TagError, match="injective"):
-        chain(g)
+        marker.cover(Cell(sq, 0), constant_map(POINT, 2, 0), tag)
 
 
 def test_chain_complex_refuses_open_and_misgraded_generator_sets():

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cornercalc._linalg import _scaled, det, identity, mat, matvec, solve, vec
 from cornercalc.cells import POINT, Cell, CellMap, euclid, torus
-from cornercalc.chains import Generator, QuotientMarker, Tag, chain
+from cornercalc.chains import Chain, Generator, QuotientMarker, Tag, chain
 from cornercalc.geometry import POINT_POLYTOPE, Polytope, box, interval, section_polytope
 from cornercalc.orbifold import (
     TRIVIAL_GROUP,
@@ -745,11 +745,10 @@ def test_pushdown_reflection_is_marked():
     assert len(terms) == 1
     coeff, gen = terms[0]
     assert coeff == Fraction(1, 2)
-    assert gen.quotient is None
     orbits = (tuple(sorted(ends)), (top,))
-    marked = Generator(Cell(poly, 0), point_map(), tag,
-                       quotient=QuotientMarker.from_faces(poly, 2, orbits))
-    assert result.coefficient(marked) == 1
+    marker = QuotientMarker.from_faces(poly, 2, orbits)
+    factor, cover = marker.cover(Cell(poly, 0), point_map(), tag)
+    assert result == Chain([(factor, cover)])
 
 
 def test_pushdown_rejects_asymmetric_tag():
@@ -787,7 +786,6 @@ def test_pushdown_free_swap_is_one_interval():
     assert len(terms) == 1
     coeff, gen = terms[0]
     assert coeff == 1
-    assert gen.quotient is None
     assert gen.cell.polytope.vertices == act.spaces[0].vertices
 
 
