@@ -47,6 +47,7 @@ from .cells import (
     constant_map,
     has_free_circle,
     is_strong_submersion,
+    maps_agree,
     orientation_from_coorientation,
     validate_coorientation,
 )
@@ -729,13 +730,12 @@ def aut_finite(cell: Cell, cmap: CellMap, tag: Tag, *, cap: int = 12) -> AutRepo
         for f in invariant_factors(cmap.m_t):
             torus_part *= int(f)
 
-    # the map must fix the affine map's values and every face label
-    t0 = (0,) * cell.torus_rank
+    # the self-map must commute with the map and fix every face label
     index = _vertex_index(p.vertices)
     labels = dict(tag.labels)
     found = []
     for perm, _ in affine_isomorphisms(p, p):
-        if any(cmap.value(v, t0) != cmap.value(w, t0) for v, w in perm.items()):
+        if not maps_agree(cmap, cmap, list(perm.items())):
             continue
         table = [index[perm[v]] for v in p.vertices]
         if all(labels.get(move_mask(m, table)) == label for m, label in tag.labels):

@@ -317,6 +317,20 @@ def test_aut_symmetry_must_fix_the_map():
     assert rep.order == 1
 
 
+def test_aut_symmetry_must_commute_with_a_torus_map():
+    # x -> 2x into T^1 takes both ends of [0, 1] to 0, but the flip does not
+    # commute with it: 1/8 goes to 1/4 and 7/8 to 3/4
+    iv = interval(0, 1)
+    keys = faces_of(iv)
+    ends = tuple(k for k in keys if len(k) == 1)
+    top = next(k for k in keys if len(k) == 2)
+    tag = Tag(iv, {ends[0]: ("end",), ends[1]: ("end",), top: ("body",)})
+    cmap = CellMap(torus(1), [[2]], [[]], [0])
+    rep = aut_finite(Cell(iv, 0), cmap, tag)
+    assert rep.verdict == "finite"
+    assert rep.order == 1
+
+
 def test_aut_counts_torus_deck_translations():
     pt = Polytope.from_points(1, [[0]])
     cell = Cell(pt, 1)
