@@ -22,7 +22,7 @@ from ._linalg import Mat, Vec, det_sign, identity, invariant_factors, mat, matve
 from .cells import (Cell, CellMap, Coorientation, canonical_cell_map,
                     canonical_form, cell_boundary, fibre_product_cells,
                     identity_map, is_interior_submersion, maps_agree,
-                    orientation_from_coorientation, validate_coorientation)
+                    orientation_from_coorientation)
 from .chains import Chain, Generator, Tag, _insert_coordinate, boundary, cylinder
 from .geometry import (POINT_POLYTOPE, Polytope, affine_isomorphisms, compress_mask,
                        face_key)
@@ -113,7 +113,6 @@ class BordismComponent:
             if cmap.s_cols != cell.torus_rank:
                 raise BordismError("map torus columns do not match the cell")
         if coorientation is not None:
-            validate_coorientation(cell, cmap, coorientation)
             cell = orientation_from_coorientation(cell, cmap, coorientation)
             cooriented = True
         elif cooriented and not is_interior_submersion(cell, cmap):

@@ -407,10 +407,12 @@ def kernel_coorientation(cell: Cell, cmap: CellMap) -> Coorientation:
 def orientation_from_coorientation(cell: Cell, cmap: CellMap, co: Coorientation) -> Cell:
     """Orient the cell by TX = f*(TY) + Ker df, using the target's standard frame.
 
-    The coorientation must be valid (validate_coorientation).  With K its
-    frame in the chart, the cell's sign is co.sign (-1)^(m k) sign det[K^T; df]
-    (module docstring); the determinant is 0 exactly when df is not onto.
+    The coorientation is validated first (validate_coorientation).  With K
+    its frame in the chart, the cell's sign is co.sign (-1)^(m k) sign
+    det[K^T; df] (module docstring); the determinant is 0 exactly when df is
+    not onto.
     """
+    validate_coorientation(cell, cmap, co)
     fd = cell.polytope._fd
     sign = det_sign([fd.frame_coords(v) for v in co.frame],
                     _primitive_rows(cmap.differential_on(cell)), cell.dim)

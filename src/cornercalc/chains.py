@@ -49,7 +49,6 @@ from .cells import (
     is_strong_submersion,
     maps_agree,
     orientation_from_coorientation,
-    validate_coorientation,
 )
 from .geometry import (FaceKey, Polytope, affine_isomorphisms, compress_mask, mask_bits,
                        move_mask, standard_simplex)
@@ -345,7 +344,6 @@ class Generator:
             if not is_strong_submersion(cell, cmap):
                 raise ChainError("cochain generators need a submersion on every face")
             if coorientation is not None:
-                validate_coorientation(cell, cmap, coorientation)
                 cell = orientation_from_coorientation(cell, cmap, coorientation)
         if not tag.is_injective():
             raise TagError("tag labels must be injective")
