@@ -25,7 +25,8 @@ TX = f*(TY) + Ker df, target first (kernel_coorientation one way,
 orientation_from_coorientation the other).  So a cochain generator stores the
 orientation, and the cell's sign is the one orientation carrier of chains and
 cochains alike: isomorphisms commuting with the maps preserve the dictionary,
-so one normal form and one boundary serve both.  A Coorientation is an input
+so one normal form and one boundary serve both (a cochain's facet terms carry
+(-1)^dim Y, see chains).  A Coorientation is an input
 format, validated against the map (the frame as given names the first vector
 at fault).
 

@@ -544,7 +544,10 @@ def disjoint_union(gens: Sequence[Generator]) -> Chain:
 # The boundary of [X, f, G] is [dX, f|dX, G|dX]: generator_boundary is its
 # one definition.  The facets of a generator are built by
 # Generator._derived, unchecked, since restriction keeps a validated
-# generator valid.
+# generator valid.  A cochain restricts in the kernel, Ker df = R n +
+# Ker d(f|dX) with the outward normal n first, while the orientation it
+# stores puts the target frame first (cells), so its facet terms carry
+# (-1)^dim Y against the orientations cell_boundary gives.
 # A chain stores normalized generators, and each keeps its facet normal
 # forms in its _facets slot, filled on first read by _facet_forms: boundary,
 # ChainComplex and corner_terms read them there, so a generator's facets are
@@ -557,8 +560,9 @@ def disjoint_union(gens: Sequence[Generator]) -> Chain:
 
 def generator_boundary(gen: Generator) -> list:
     """Signed facet generators of one generator."""
+    coeff = Fraction(-1 if gen.is_cochain and gen.cmap.target.dim % 2 else 1)
     # cell_boundary follows facets(), and facet_masks is in the same order
-    return [(Fraction(1), Generator._derived(bc.cell, gen.cmap, gen.tag.restrict(facet),
+    return [(coeff, Generator._derived(bc.cell, gen.cmap, gen.tag.restrict(facet),
                                              is_cochain=gen.is_cochain))
             for bc, facet in zip(cell_boundary(gen.cell), gen.cell.polytope._fd.facet_masks)]
 

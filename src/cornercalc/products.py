@@ -8,7 +8,8 @@ coorientation gives by TX = f*(TY) + Ker df, and the cochain operand is a
 submersion, so the component's orientation is that of the cup coorientation
 when the first factor is a cochain, and the cap when it is a chain; the
 result keeps the first factor's kind.  Duality reads a cochain's orientation
-as a chain's.
+as a chain's, so it commutes with the boundaries up to (-1)^dim Y, the sign
+of d on cochains (chains, Boundary).
 """
 
 from __future__ import annotations
@@ -259,14 +260,13 @@ def check_cap_module(c: Chain, d1: Chain, d2: Chain) -> CheckReport:
 def check_cap_leibniz(c: Chain, d: Chain) -> CheckReport:
     """Boundary of a cap: (bd c) cap d plus the sign-weighted c cap (bd d).
 
-    The sign is (-1) to the target dimension minus the chain grade.
+    The sign is (-1) to the chain grade.
     """
-    t = _common_target(c)
     k = homogeneous_degree(c)
-    if t is None or k is None:
+    if k is None:
         return CheckReport(True, 0, True)
     return _law(boundary(cap(c, d)),
-                cap(boundary(c), d) + cap(c, boundary(d)).scale(_sign(t.dim - k)),
+                cap(boundary(c), d) + cap(c, boundary(d)).scale(_sign(k)),
                 "cap Leibniz failed")
 
 
@@ -362,5 +362,9 @@ def duality_KchToKh(delta: Chain, orientation: int = 1) -> Chain:
 
 
 def check_duality_chain_map(delta: Chain) -> CheckReport:
-    return _law(boundary(duality_KchToKh(delta)), duality_KchToKh(boundary(delta)),
+    """The boundary of the dual chain is (-1)^dim Y times the dual of d: d
+    restricts a cochain in the kernel, outward normal first (chains)."""
+    t = _common_target(delta)
+    sign = _sign(t.dim) if t is not None else 1
+    return _law(boundary(duality_KchToKh(delta)), duality_KchToKh(boundary(delta)).scale(sign),
                 "duality is not a chain map")

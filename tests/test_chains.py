@@ -584,8 +584,12 @@ def test_boundary_canonical_keys_golden_digest():
 # random_cochain draws 0-199 on T^1 and T^2 (968 terms of cochains and their
 # boundaries), every term kept its key without the last slot, its canonical
 # Ker df frame, its coefficient times its coorientation's sign, and its order.
+# Re-pinned when d came to restrict a cochain in the kernel, outward normal
+# first, which multiplies every facet term by (-1)^dim Y: over random_cochain
+# draws 0-199 on T^1 and T^2 (384 boundary terms), every term kept its key,
+# its cell and its place, and its coefficient moved by exactly (-1)^dim Y.
 GOLDEN_COBOUNDARY_DIGEST = (
-    "153834361a36106d29b6f8443e4851704cd42978a681403bcaa4831f32d2608b")
+    "b0a8c793ade911d298890a6486f22137ed28560166c58317a3f530e29dfb9f17")
 
 
 def test_coboundary_canonical_keys_golden_digest():

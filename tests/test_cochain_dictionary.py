@@ -147,7 +147,9 @@ def test_cochain_facets_follow_the_restriction_through_the_dictionary(cell_data,
     assert len(terms) == len(expected)
     for (coeff, sub), ((bc, rco), mask) in zip(terms, zip(expected,
                                                           cell.polytope._fd.facet_masks)):
-        assert coeff == 1 and sub.is_cochain
+        # restricted in the kernel, outward normal first: (-1)^dim Y against
+        # the facet orientation of the dictionary orientation
+        assert coeff == (-1) ** cmap.target.dim and sub.is_cochain
         assert sub.cell.polytope == bc.cell.polytope and sub.cmap == cmap
         assert sub.tag == tag.restrict(mask)
         assert (_oriented_kernel(kernel_coorientation(sub.cell, sub.cmap))

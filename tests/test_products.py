@@ -239,17 +239,24 @@ def test_cap_module_axiom():
 
 def test_cap_leibniz_sign():
     t1 = torus(1)
-    # dim Y - k = 1 - 2 is odd here, so the cochain term enters negated
-    gamma = chain(Generator(Cell(interval(0, 1), 1),
-                            CellMap(t1, [[0]], [[1]], [0]),
+    # the chain grade k = 1 is odd here, so the cochain term enters negated
+    gamma = chain(Generator(Cell(interval(0, 1), 0), CellMap(t1, [[1]], [[]], [0]),
                             numbered_tag(interval(0, 1), "g")))
     delta = chain(thick_cochain(t1, "d"))
-    assert homogeneous_degree(gamma) == 2
+    assert homogeneous_degree(gamma) == 1
     assert not boundary(gamma).is_zero
     assert not boundary(delta).is_zero
+    assert not cap(gamma, boundary(delta)).is_zero
     assert check_cap_leibniz(gamma, delta).ok
     wrong = cap(boundary(gamma), delta) + cap(gamma, boundary(delta))
     assert boundary(cap(gamma, delta)) != wrong
+    # at k = 2 the sign is +1
+    square = chain(Generator(Cell(interval(0, 1), 1), CellMap(t1, [[0]], [[1]], [0]),
+                             numbered_tag(interval(0, 1), "s")))
+    assert homogeneous_degree(square) == 2
+    assert check_cap_leibniz(square, delta).ok
+    assert boundary(cap(square, delta)) == (cap(boundary(square), delta)
+                                            + cap(square, boundary(delta)))
 
 
 def test_cap_results_satisfy_dd_zero():
@@ -302,22 +309,14 @@ def test_pullback_along_a_map_from_the_point():
         assert check_pullback_cup(h2, cover, thick).ok
 
 
-PULLBACK_D_SIGN = pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="a cochain's facets take the boundary orientation of its dictionary "
-           "orientation, whose target frame comes first, so d over Y carries "
-           "(-1)^dim Y against the fibre-boundary rule and pullback along Y' -> Y "
-           "commutes with d only up to (-1)^(dim Y - dim Y')")
-
-
 def _target_map_draws(source, count):
     rng = Random(3)
     return [random_target_map(rng, source, torus(1)) for _ in range(count)]
 
 
 @pytest.mark.parametrize("h", [
-    pytest.param(TargetMap(POINT, torus(1), [[]], [0]), marks=PULLBACK_D_SIGN, id="point"),
-    *[pytest.param(h, marks=PULLBACK_D_SIGN, id=f"T2-{i}")
+    pytest.param(TargetMap(POINT, torus(1), [[]], [0]), id="point"),
+    *[pytest.param(h, id=f"T2-{i}")
       for i, h in enumerate(_target_map_draws(torus(2), 6))],
     *[pytest.param(h, id=f"T1-{i}") for i, h in enumerate(_target_map_draws(torus(1), 2))],
     *[pytest.param(h, id=f"T3-{i}") for i, h in enumerate(_target_map_draws(torus(3), 2))],
