@@ -26,9 +26,8 @@ orientation_from_coorientation the other).  So a cochain generator stores the
 orientation, and the cell's sign is the one orientation carrier of chains and
 cochains alike: isomorphisms commuting with the maps preserve the dictionary,
 so one normal form and one boundary serve both (a cochain's facet terms carry
-(-1)^dim Y, see chains).  A Coorientation is an input
-format, validated against the map (the frame as given names the first vector
-at fault).
+(-1)^dim Y, see chains).  A Coorientation is an input format, validated
+against the map (the frame as given names the first vector at fault).
 
 Orientation signs are one determinant on one chart.  dir_basis is in RREF,
 so a tangent vector's frame coordinates are its entries at the pivot
