@@ -32,6 +32,11 @@ def interval_class(a=0, b=1, pairings=()):
     return BordismClass([(cell, point_map())], pairings)
 
 
+def segment(a, b, direction=1):
+    cell = Cell(Polytope.from_points(1, [[a], [b]]), 0, ((F(direction),),), 1)
+    return cell, point_map()
+
+
 def edge_cell(va, vb, sign=1):
     p = Polytope.from_points(2, [va, vb])
     d = (F(vb[0] - va[0]), F(vb[1] - va[1]))
@@ -140,6 +145,27 @@ def test_pairing_of_missing_face():
     report = closed_certificate_check(interval_class(pairings=(pw,)))
     assert not report.ok
     assert any("missing face" in d for d in report.details)
+
+
+def test_certificate_report_lists_every_fault_in_order():
+    shared = PairingWitness.shared
+    b = BordismClass([segment(0, 1), segment(1, 2), segment(2, 3, -1)],
+                     (shared(0, 1, [(1,)]), shared(1, 1, [(2,)]),
+                      shared(1, 2, [(2,)]), shared(2, 2, [(5,)])))
+    report = closed_certificate_check(b)
+    two, three, five = (((F(x),),) for x in (2, 3, 5))
+    assert not report.ok
+    assert report.checked == 9
+    assert report.details == (
+        f"pairing 1 fixes face {(1, two)}",
+        f"pairing 3 fixes face {(2, five)}",
+        f"face {(1, two)} is paired more than once",
+        f"face {(2, five)} is paired more than once",
+        f"pairing names a missing face {(2, five)}",
+        f"boundary face {(0, ((F(0),),))} is unpaired",
+        f"boundary face {(2, three)} is unpaired",
+        "pairing 1: identification does not reverse the induced orientation",
+        "pairing 2: identification does not reverse the induced orientation")
 
 
 def test_map_incompatible_pairing():
@@ -282,6 +308,22 @@ def test_unmatched_boundary_rejected():
                             ((F(1),),), 1), ident)])
     with pytest.raises(BordismError, match="matches no generator"):
         present_group([gen], [w])
+
+
+def test_witness_with_pairings():
+    shared = PairingWitness.shared
+    gens = [pt_class(1), pt_class(-1)]
+    glued = BordismClass([segment(0, 1), segment(1, 2)], (shared(0, 1, [(1,)]),))
+    assert present_group(gens, [glued]).relations == ((1, 1),)
+    faulty = {
+        "reverse": ([segment(0, 1), segment(1, 2, -1)], (shared(0, 1, [(1,)]),)),
+        "fixes": ([segment(0, 1), segment(1, 2)], (shared(0, 0, [(1,)]),)),
+        "paired": ([segment(0, 1), segment(1, 2)],
+                   (shared(0, 1, [(1,)]), shared(0, 1, [(1,)]))),
+    }
+    for needle, (comps, pws) in faulty.items():
+        with pytest.raises(BordismError, match=needle):
+            present_group(gens, [BordismClass(comps, pws)])
 
 
 def test_map_values_steer_matching():
