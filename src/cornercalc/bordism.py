@@ -14,6 +14,7 @@ of odd-order symmetries.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -24,8 +25,7 @@ from .cells import (Cell, CellMap, Coorientation, canonical_cell_map,
                     identity_map, is_interior_submersion, maps_agree,
                     orientation_from_coorientation)
 from .chains import Chain, Generator, Tag, _insert_coordinate, boundary, cylinder
-from .geometry import (POINT_POLYTOPE, Polytope, affine_isomorphisms, compress_mask,
-                       face_key)
+from .geometry import POINT_POLYTOPE, affine_isomorphisms, compress_mask, face_key
 from .maps import CheckReport
 from .orbifold import (FiniteGroup, GroupAction, VirtualRep, map_is_invariant,
                        orbifold_stratum, same_group)
@@ -33,14 +33,6 @@ from .orbifold import (FiniteGroup, GroupAction, VirtualRep, map_is_invariant,
 
 class BordismError(ValueError):
     """Problem with bordism-class data or certificates."""
-
-
-def _facet_mask(p: Polytope, key) -> Optional[int]:
-    """Vertex bitmask of the facet of p with the given key, or None."""
-    for (fkey, _), mask in zip(p.facets(), p._fd.facet_masks):
-        if fkey == key:
-            return mask
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +189,6 @@ class BordismClass:
 # Certificate audit
 # ---------------------------------------------------------------------------
 
-def _boundary_atlas(b: BordismClass) -> dict:
-    atlas = {}
-    for i, comp in enumerate(b.components):
-        for bc in cell_boundary(comp.cell):
-            atlas[(i, bc.face)] = bc
-    return atlas
-
-
 def _orientation_factor(linear, cell1: Cell, cell2: Cell) -> Optional[int]:
     """+1 or -1 as the identification with polytope part `linear`, identical
     on the torus factor, preserves or reverses the orientations; None when it
@@ -222,9 +206,6 @@ def _orientation_factor(linear, cell1: Cell, cell2: Cell) -> Optional[int]:
 def _witness_fault(b: BordismClass, pw: PairingWitness,
                    atlas: dict) -> Optional[str]:
     (i, fkey), (j, gkey) = pw.left, pw.right
-    bi, bj = atlas.get((i, fkey)), atlas.get((j, gkey))
-    if bi is None or bj is None:
-        return "pairing names a missing boundary face"
     ci, cj = b.components[i], b.components[j]
     if ci.cell.torus_rank != cj.cell.torus_rank:
         return "paired components have different torus ranks"
@@ -240,12 +221,56 @@ def _witness_fault(b: BordismClass, pw: PairingWitness,
         return "identification does not carry the face onto its partner"
     if not maps_agree(ci.cmap, cj.cmap, list(zip(fkey, image))):
         return "identification does not commute with the maps"
-    eps = _orientation_factor(pw.linear, bi.cell, bj.cell)
+    eps = _orientation_factor(pw.linear, atlas[pw.left][0].cell,
+                              atlas[pw.right][0].cell)
     if eps is None:
         return "identification does not carry the face plane onto its partner"
     if eps != -1:
         return "identification does not reverse the induced orientation"
     return None
+
+
+def _audit(b: BordismClass) -> tuple:
+    """One pass over a class's pairings.
+
+    Returns the atlas, (component, facet key) -> (induced boundary cell,
+    facet mask); the set of paired sides; the pairing faults (a pairing that
+    fixes a face, a side paired more than once, a side naming no facet); the
+    identification faults (_witness_fault) of the pairings of two facets;
+    and the number of those pairings.
+    """
+    atlas = {}
+    for i, comp in enumerate(b.components):
+        for bc, mask in zip(cell_boundary(comp.cell), comp.cell.polytope._fd.facet_masks):
+            atlas[(i, bc.face)] = (bc, mask)
+    faults = []
+    counts: Counter = Counter()
+    for k, pw in enumerate(b.pairings):
+        if pw.left == pw.right:
+            faults.append(f"pairing {k} fixes face {pw.left}")
+        counts.update((pw.left, pw.right))
+    for side in sorted(counts):
+        if counts[side] > 1:
+            faults.append(f"face {side} is paired more than once")
+        if side not in atlas:
+            faults.append(f"pairing names a missing face {side}")
+    glued = [(k, pw) for k, pw in enumerate(b.pairings)
+             if pw.left in atlas and pw.right in atlas]
+    identification = [f"pairing {k}: {fault}" for k, pw in glued
+                      if (fault := _witness_fault(b, pw, atlas))]
+    return atlas, set(counts), faults, identification, len(glued)
+
+
+def _certificate(b: BordismClass) -> tuple:
+    """closed_certificate_check's report, and the audit's atlas."""
+    atlas, paired, faults, identification, glued = _audit(b)
+    details = faults + [f"boundary face {side} is unpaired"
+                        for side in sorted(atlas) if side not in paired]
+    if b.cooriented and atlas:
+        details.append("cooriented classes must be boundary-free")
+    details += identification
+    return CheckReport(ok=not details, checked=len(atlas) + glued,
+                       details=tuple(details)), atlas
 
 
 def closed_certificate_check(b: BordismClass) -> CheckReport:
@@ -256,52 +281,18 @@ def closed_certificate_check(b: BordismClass) -> CheckReport:
     affine bijection of its two faces commuting with the maps.  Cooriented
     classes are supported only without boundary.
     """
-    details = []
-    atlas = _boundary_atlas(b)
-    counts: dict = {}
-    for k, pw in enumerate(b.pairings):
-        if pw.left == pw.right:
-            details.append(f"pairing {k} fixes face {pw.left}")
-        for side in (pw.left, pw.right):
-            counts[side] = counts.get(side, 0) + 1
-    for side in sorted(counts):
-        if counts[side] > 1:
-            details.append(f"face {side} is paired more than once")
-        if side not in atlas:
-            details.append(f"pairing names a missing face {side}")
-    for side in sorted(atlas):
-        if side not in counts:
-            details.append(f"boundary face {side} is unpaired")
-    if b.cooriented and atlas:
-        details.append("cooriented classes must be boundary-free")
-    checked = len(atlas)
-    for k, pw in enumerate(b.pairings):
-        if pw.left in atlas and pw.right in atlas:
-            checked += 1
-            fault = _witness_fault(b, pw, atlas)
-            if fault:
-                details.append(f"pairing {k}: {fault}")
-    return CheckReport(ok=not details, checked=checked,
-                       details=tuple(details))
+    return _certificate(b)[0]
 
 
-def _corner_fault(b: BordismClass) -> Optional[str]:
+def _corner_fault(b: BordismClass, atlas: dict, paired: set) -> Optional[str]:
     """Free boundaries must be corner-free: any face two levels down sits in
     two facets, and both must be paired or the glued boundary has a corner."""
-    paired = set()
-    for pw in b.pairings:
-        paired.add(pw.left)
-        paired.add(pw.right)
-    for i, comp in enumerate(b.components):
-        p = comp.cell.polytope
-        if p.dim < 2:
-            continue
-        free = [m for (key, _), m in zip(p.facets(), p._fd.facet_masks)
-                if (i, key) not in paired]
-        for g, dim in p._fd.face_dims().items():
-            if dim == p.dim - 2 and any(g & ~m == 0 for m in free):
-                return (f"component {i} has corner faces on its free "
-                        "boundary; witnesses must have corner-free boundary")
+    for side, (_, mask) in atlas.items():
+        fd = b.components[side[0]].cell.polytope._fd
+        if side not in paired and any(dim == fd.dim - 2 and g & ~mask == 0
+                                      for g, dim in fd.face_dims().items()):
+            return (f"component {side[0]} has corner faces on its free "
+                    "boundary; witnesses must have corner-free boundary")
     return None
 
 
@@ -415,26 +406,17 @@ class ModulePresentation:
 def _relation_row(gens, w: BordismClass) -> tuple:
     if not isinstance(w, BordismClass) or w.cooriented:
         raise BordismError("witnesses must be oriented bordism classes")
-    fault = _corner_fault(w)
+    atlas, paired, faults, identification, _ = _audit(w)
+    fault = _corner_fault(w, atlas, paired)
     if fault:
         raise BordismError(fault)
-    atlas = _boundary_atlas(w)
-    paired = set()
-    for k, pw in enumerate(w.pairings):
-        if pw.left == pw.right:
-            raise BordismError(f"witness pairing {k} fixes a face")
-        for side in (pw.left, pw.right):
-            if side in paired:
-                raise BordismError(f"witness face {side} is paired twice")
-            paired.add(side)
-        fault = _witness_fault(w, pw, atlas)
-        if fault:
-            raise BordismError(f"witness pairing {k}: {fault}")
+    if faults or identification:
+        raise BordismError("witness " + (faults + identification)[0])
     row = [0] * len(gens)
     for key in sorted(atlas):
         if key in paired:
             continue
-        bc = atlas[key]
+        bc = atlas[key][0]
         cmap = w.components[key[0]].cmap
         hit = None
         for k, g in enumerate(gens):
@@ -488,8 +470,9 @@ def Pi_bo_Kb(b: BordismClass) -> BordismClass:
     return BordismClass(b.components, b.pairings, kind="kuranishi")
 
 
-def _emission_generators(b: BordismClass, atom) -> list:
-    report = closed_certificate_check(b)
+def _emission_generators(b: BordismClass, *atoms) -> list:
+    """One generator list per labelling atom, the components in order."""
+    report, atlas = _certificate(b)
     if not report:
         raise BordismError("class is not certified closed: "
                            + report.details[0])
@@ -514,36 +497,34 @@ def _emission_generators(b: BordismClass, atom) -> list:
 
     # a shared face has the same sorted vertices in both components, so its
     # faces match by their masks packed at the face's vertices
+    # both sides of a shared pairing are facets with the same sorted
+    # vertices, so their faces match by their masks packed at those vertices
     for pw in b.pairings:
-        (i, fkey), (j, _) = pw.left, pw.right
-        fi = _facet_mask(b.components[i].cell.polytope, fkey)
-        fj = _facet_mask(b.components[j].cell.polytope, fkey)
-        if fj is None:
-            raise BordismError("shared face is not a face of both components")
+        (i, _), (j, _) = pw.left, pw.right
+        fi, fj = atlas[pw.left][1], atlas[pw.right][1]
         inner = {compress_mask(h, fj): h for h in comp_faces[j] if h & ~fj == 0}
         for g in comp_faces[i]:
             if g & ~fi == 0:
-                h = inner.get(compress_mask(g, fi))
-                if h is None:
-                    raise BordismError("shared face is not a face of both "
-                                       "components")
-                ra, rb = find((i, g)), find((j, h))
+                ra, rb = find((i, g)), find((j, inner[compress_mask(g, fi)]))
                 if ra != rb:
                     parent[max(ra, rb)] = min(ra, rb)
 
     roots = sorted({find(nd) for nd in parent})
     label_index = {r: k for k, r in enumerate(roots)}
-    gens = []
-    for i, comp in enumerate(b.components):
-        tag = Tag.of_masks(comp.cell.polytope.vertices,
-                           [(g, ((str(atom), label_index[find((i, g))]),))
-                            for g in comp_faces[i]])
-        if not tag.is_injective():
-            raise BordismError("pairings identify two faces of one "
-                               "component; split the component first")
-        gens.append(Generator(comp.cell, comp.cmap, tag,
-                              is_cochain=comp.cooriented))
-    return gens
+    emissions = []
+    for atom in atoms:
+        gens = []
+        for i, comp in enumerate(b.components):
+            tag = Tag.of_masks(comp.cell.polytope.vertices,
+                               [(g, ((str(atom), label_index[find((i, g))]),))
+                                for g in comp_faces[i]])
+            if not tag.is_injective():
+                raise BordismError("pairings identify two faces of one "
+                                   "component; split the component first")
+            gens.append(Generator(comp.cell, comp.cmap, tag,
+                                  is_cochain=comp.cooriented))
+        emissions.append(gens)
+    return emissions
 
 
 def Pi_Kb_Kh(b: BordismClass, atom="g", ring: str = "Q") -> Chain:
@@ -553,7 +534,7 @@ def Pi_Kb_Kh(b: BordismClass, atom="g", ring: str = "Q") -> Chain:
     their gluing classes, so glued faces share labels and cancel in the
     boundary while free labels stay distinct within each component.
     """
-    return Chain([(Fraction(1), g) for g in _emission_generators(b, atom)],
+    return Chain([(Fraction(1), g) for g in _emission_generators(b, atom)[0]],
                  ring=ring)
 
 
@@ -570,8 +551,7 @@ def tag_independence_witness(b: BordismClass, atom1="g", atom2="h"):
         raise BordismError("the two labelling atoms must differ")
     if b.cooriented:
         raise BordismError("prism witnesses exist for oriented classes")
-    gens1 = _emission_generators(b, atom1)
-    gens2 = _emission_generators(b, atom2)
+    gens1, gens2 = _emission_generators(b, atom1, atom2)
     witness = Chain([(Fraction(1), cylinder(g1, g2.tag)) for g1, g2 in zip(gens1, gens2)],
                     ring="Q")
     wanted = Chain([(Fraction(1), _insert_coordinate(g2, 0, 1)) for g2 in gens2]
@@ -602,8 +582,11 @@ def identity_cobordism(y) -> BordismClass:
     return BordismClass((comp,), ())
 
 
-def _derive_product_pairings(first, second, pieces, index):
+def _derive_product_pairings(first, atlas, second, pieces, index):
+    """The first factor's pairings carried onto the product pieces; atlas is
+    the first factor's."""
     out = []
+    masks = {side: mask for side, (_, mask) in atlas.items()}
 
     def lone_piece(i1, i2):
         ks = [k for (a, b, k) in pieces if a == i1 and b == i2]
@@ -617,46 +600,27 @@ def _derive_product_pairings(first, second, pieces, index):
         fd = fc.cell.polytope._fd
         return [fd.key(g) for g, got in fc.face_pairs.items() if got == pair]
 
-    def extend(pairing_list, on_first):
-        outer = first if on_first else second
-        inner = second if on_first else first
-
-        def order(a, b):
-            return (a, b) if on_first else (b, a)
-
-        for pw in pairing_list:
-            (i, fkey), (j, gkey) = pw.left, pw.right
-            n_i = outer.components[i].cell.polytope.ambient_dim
-            fmask = _facet_mask(outer.components[i].cell.polytope, fkey)
-            gmask = _facet_mask(outer.components[j].cell.polytope, gkey)
-            for i2, comp2 in enumerate(inner.components):
-                n2 = comp2.cell.polytope.ambient_dim
-                top2 = (1 << len(comp2.cell.polytope.vertices)) - 1
-                kl = order(i, i2) + (lone_piece(*order(i, i2)),)
-                kr = order(j, i2) + (lone_piece(*order(j, i2)),)
-                hits_l = located(pieces[kl], order(fmask, top2))
-                hits_r = located(pieces[kr], order(gmask, top2))
-                il, ir = index[kl], index[kr]
-                if not hits_l and not hits_r:
-                    continue
-                if len(hits_l) != 1 or len(hits_r) != 1:
-                    raise BordismError("certificate derivation could not "
-                                       "locate a product face; supply the "
-                                       "pairings explicitly")
-                if on_first:
-                    rows = [tuple(row) + (Fraction(0),) * n2
-                            for row in pw.matrix]
-                    rows += [(Fraction(0),) * n_i + e for e in identity(n2)]
-                    off = tuple(pw.offset) + (Fraction(0),) * n2
-                else:
-                    rows = [e + (Fraction(0),) * n_i for e in identity(n2)]
-                    rows += [(Fraction(0),) * n2 + tuple(row)
-                             for row in pw.matrix]
-                    off = (Fraction(0),) * n2 + tuple(pw.offset)
-                out.append(PairingWitness((il, hits_l[0]), (ir, hits_r[0]),
-                                          tuple(rows), off))
-    extend(first.pairings, True)
-    extend(second.pairings, False)
+    for pw in first.pairings:
+        (i, _), (j, _) = pw.left, pw.right
+        n_i = first.components[i].cell.polytope.ambient_dim
+        for i2, comp2 in enumerate(second.components):
+            n2 = comp2.cell.polytope.ambient_dim
+            top2 = (1 << len(comp2.cell.polytope.vertices)) - 1
+            kl = (i, i2, lone_piece(i, i2))
+            kr = (j, i2, lone_piece(j, i2))
+            hits_l = located(pieces[kl], (masks.get(pw.left), top2))
+            hits_r = located(pieces[kr], (masks.get(pw.right), top2))
+            if not hits_l and not hits_r:
+                continue
+            if len(hits_l) != 1 or len(hits_r) != 1:
+                raise BordismError("certificate derivation could not "
+                                   "locate a product face; supply the "
+                                   "pairings explicitly")
+            rows = [tuple(row) + (Fraction(0),) * n2 for row in pw.matrix]
+            rows += [(Fraction(0),) * n_i + e for e in identity(n2)]
+            off = tuple(pw.offset) + (Fraction(0),) * n2
+            out.append(PairingWitness((index[kl], hits_l[0]), (index[kr], hits_r[0]),
+                                      tuple(rows), off))
     return tuple(out)
 
 
@@ -668,10 +632,11 @@ def bordism_cup_cap(a: BordismClass, b: BordismClass,
     one cooriented factor to an oriented class, with the oriented factor
     placed first.  Each pair of components is one fibre product, the first
     entering with its orientation, so a cooriented product is oriented by the
-    cup coorientation.  Certificates are derived from the factors' certificates
-    when every component pair meets in a single piece; otherwise supply the
-    pairings explicitly.  Derived certificates are re-audited whenever both
-    factors are certified closed.
+    cup coorientation.  Certificates are derived from the first factor's
+    certificate when every component pair meets in a single piece; otherwise
+    supply the pairings explicitly.  The second factor is cooriented, and a
+    certified cooriented class has no facets to pair.  Derived certificates
+    are re-audited whenever both factors are certified closed.
     """
     if not isinstance(a, BordismClass) or not isinstance(b, BordismClass):
         raise BordismError("both factors must be bordism classes")
@@ -700,10 +665,11 @@ def bordism_cup_cap(a: BordismClass, b: BordismClass,
                 comps.append(BordismComponent(fc.cell, fc.pmap,
                                               cooriented=first.cooriented))
                 pieces[(i1, i2, k)] = fc
+    certified, atlas = _certificate(first)
     if pairings is None:
-        pairings = _derive_product_pairings(first, second, pieces, index)
+        pairings = _derive_product_pairings(first, atlas, second, pieces, index)
     result = BordismClass(tuple(comps), tuple(pairings))
-    if closed_certificate_check(first) and closed_certificate_check(second):
+    if certified and closed_certificate_check(second):
         report = closed_certificate_check(result)
         if not report:
             raise BordismError("derived certificate failed; supply the "
