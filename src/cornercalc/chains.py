@@ -50,7 +50,7 @@ from .cells import (
     maps_agree,
     orientation_from_coorientation,
 )
-from .geometry import (FaceKey, Polytope, affine_isomorphisms, compress_mask, mask_bits,
+from .geometry import (FaceKey, Polytope, affine_isomorphisms, mask_bits,
                        move_mask, standard_simplex)
 from .maps import CheckReport
 
@@ -623,16 +623,17 @@ def corner_terms(gen: Generator) -> list[CornerTerm]:
     out = []
     facet_masks = gen.cell.polytope._fd.facet_masks
     # a facet keeps gen's torus part, so every facet has a form or none does
-    for i1, (m1, (_, c1, sub)) in enumerate(zip(facet_masks, _facet_forms(gen))):
-        # every facet of P cut down to the facet entered first, over its vertices
-        cuts = [compress_mask(m & m1, m1) for m in facet_masks]
+    for m1, (_, c1, sub) in zip(facet_masks, _facet_forms(gen)):
+        at = mask_bits(m1)
         for m2, (_, c2, corner) in zip(sub.cell.polytope._fd.facet_masks, _facet_forms(sub)):
-            holders = [i for i, cut in enumerate(cuts) if m2 & ~cut == 0]
+            # the corner's mask over P, and the two facets of P holding it
+            g = move_mask(m2, at)
+            holders = [m for m in facet_masks if g & ~m == 0]
             if len(holders) != 2:
                 raise ChainError("corner contained in other than two facets")
-            other = facet_masks[holders[0] if holders[1] == i1 else holders[1]]
+            other = holders[0] if holders[1] == m1 else holders[1]
             out.append(CornerTerm(
-                corner=m1 & other,
+                corner=g,
                 first_facet=m1,
                 second_facet=other,
                 cell=corner.cell if c1 * c2 > 0 else corner.cell.reversed(),
