@@ -600,13 +600,9 @@ def fibre_product_cells(cell1: Cell, map1: CellMap, cell2: Cell, map2: CellMap
 
     corners = [v1 + v2 for v1 in cell1.polytope.vertices for v2 in cell2.polytope.vertices]
 
-    if target.is_torus:
-        pivot_choices = itertools.product(*[range(d) for _, d, _ in pivots])
-    else:
-        pivot_choices = [tuple(0 for _ in pivots)]
-
+    # off a torus the maps kill the torus factor, so there are no pivots
     components: list[FibreComponent] = []
-    for piv_choice in pivot_choices:
+    for piv_choice in itertools.product(*[range(d) for _, d, _ in pivots]):
         # tau_j from pivot row pr with translate lambda: d tau_j = c_pr + lambda
         # - a_pr.p - sum over j2 < j of h[pr][j2] tau_j2, solved row by row
         tau = []
