@@ -294,6 +294,12 @@ def random_target_map(rng: Random, source: Target,
     raise GenerationError("no full-rank target map in budget")
 
 
+def random_constant_map(rng: Random, target: Target) -> TargetMap:
+    """The map from the point to a random value of the target."""
+    return TargetMap(POINT, target, [() for _ in range(target.dim)],
+                     _fractions(rng, target.dim))
+
+
 # ---------------------------------------------------------------------------
 # Singular chains
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from .cells import (POINT, Cell, CellMap, FibreProductError, euclid, torus)
 from .chains import (Chain, ChainComplex, Generator, QuotientMarker, Tag,
                      TagError, boundary, check_sigma_pairing,
                      check_singular_chain_map, corner_terms,
-                     generator_boundary, numbered_tag, simplex_face_complex,
-                     verify_dd_zero)
+                     TargetMap, generator_boundary, numbered_tag,
+                     simplex_face_complex, verify_dd_zero)
 from .geometry import POINT_POLYTOPE, Polytope, box, interval
 from .maps import (check_associativity_cells,
                    check_boundary_of_fibre_product_cells,
@@ -32,10 +32,12 @@ from .orbifold import (TRIVIAL_GROUP, GroupAction, VirtualRep, cyclic_group,
                        iota_check, orbifold_stratum, product_group,
                        quotient_pushdown, symmetric_group, zero_rep)
 from .products import (ProductError, check_cap_identity, check_cap_leibniz,
-                       check_cap_module, check_dga, projection_formula)
+                       check_cap_module, check_dga, check_pullback_cup,
+                       check_pullback_d, check_pullback_functorial,
+                       projection_formula)
 from .randgen import (GenerationError, associativity_instance, fibre_instance,
                       interchange_instance, random_chain, random_chain_over,
-                      random_cochain, random_cycle_class,
+                      random_cochain, random_constant_map, random_cycle_class,
                       random_singular_terms, random_target_map)
 from .bordism import strata_projection
 
@@ -265,6 +267,41 @@ def suite_cap_module(seed=0, count=None) -> SuiteResult:
         "pushing a cap against a pulled-back cochain projects", count,
         sample_proj, lambda t: projection_formula(*t)))
     return _result("cap-module", records)
+
+
+def _map_into(rng: Random, y) -> TargetMap:
+    """A map into y from the point or from T^k, dim y <= k <= 3."""
+    k = rng.choice([0] + list(range(max(y.dim, 1), 4)))
+    if k == 0:
+        return random_constant_map(rng, y)
+    return random_target_map(rng, torus(k), y)
+
+
+def suite_pullback(seed=0, count=None) -> SuiteResult:
+    count = 50 if count is None else count
+    rng = Random(seed)
+    counter = iter(range(10 ** 9))
+
+    def sample(*names):
+        """(h1, h2, a cochain per name): the target of h1 and the cochains
+        cycle through T^1, T^2 and T^3, and h2 maps into h1's source."""
+        i = next(counter)
+        y = torus(1 + i % 3)
+        h1 = _map_into(rng, y)
+        return (h1, _map_into(rng, h1.source),
+                *(random_cochain(rng, y, (name, i)) for name in names))
+
+    return _result("pullback", [
+        _seeded_record(
+            "pullback commutes with d", count,
+            lambda: sample("a"), lambda t: check_pullback_d(t[0], t[2])),
+        _seeded_record(
+            "the pullback of a cup is the cup of the pullbacks", count,
+            lambda: sample("a", "b"), lambda t: check_pullback_cup(t[0], t[2], t[3])),
+        _seeded_record(
+            "pulling back along a composite pulls back twice", count,
+            lambda: sample("a"), lambda t: check_pullback_functorial(*t)),
+    ])
 
 
 def suite_singular_bridge(seed=0, count=None) -> SuiteResult:
@@ -562,6 +599,7 @@ SUITES = {
     "interchange": suite_interchange,
     "dga": suite_dga,
     "cap-module": suite_cap_module,
+    "pullback": suite_pullback,
     "singular-bridge": suite_singular_bridge,
     "homology": suite_homology,
     "quotient-half": suite_quotient_half,

@@ -24,6 +24,18 @@ def test_suite_passes(name):
     assert result.ok, [r for r in result.records if not r.ok]
 
 
+def test_pullback_suite_at_thirty_draws():
+    # by this count the d record meets pullbacks with a nonzero boundary
+    # where dim Y - dim Y' is odd, so a boundary sign of (-1)^(dim Y - dim Y')
+    # on one side fails it
+    result = run_suite("pullback", seed=0, count=30)
+    assert result.ok, [r for r in result.records if not r.ok]
+    assert [r.name for r in result.records] == [
+        "pullback commutes with d",
+        "the pullback of a cup is the cup of the pullbacks",
+        "pulling back along a composite pulls back twice"]
+
+
 @dataclass
 class _Report:
     ok: bool = True
