@@ -495,8 +495,6 @@ def _emission_generators(b: BordismClass, *atoms) -> list:
             x = parent[x]
         return x
 
-    # a shared face has the same sorted vertices in both components, so its
-    # faces match by their masks packed at the face's vertices
     # both sides of a shared pairing are facets with the same sorted
     # vertices, so their faces match by their masks packed at those vertices
     for pw in b.pairings:

@@ -20,10 +20,10 @@ from .bordism import (BordismClass, BordismError, Pi_Kb_Kh,
                       tag_independence_witness)
 from .cells import (POINT, Cell, CellMap, FibreProductError, euclid, torus)
 from .chains import (Chain, ChainComplex, Generator, QuotientMarker, Tag,
-                     TagError, boundary, check_sigma_pairing,
+                     TagError, TargetMap, boundary, check_sigma_pairing,
                      check_singular_chain_map, corner_terms,
-                     TargetMap, generator_boundary, numbered_tag,
-                     simplex_face_complex, verify_dd_zero)
+                     generator_boundary, numbered_tag, simplex_face_complex,
+                     verify_dd_zero)
 from .geometry import POINT_POLYTOPE, Polytope, box, interval
 from .maps import (check_associativity_cells,
                    check_boundary_of_fibre_product_cells,
