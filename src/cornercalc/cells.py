@@ -12,9 +12,11 @@ from every face: circle covers and identity cochains need a closed direction.
 
 Fibre products are computed exactly: the torus part by Hermite normal form and
 coset enumeration, the polytope part by slicing the product polytope with the
-resulting affine equations.  No LP runs: the slice's vertices are the extreme
-rays of a homogenised cone, found by double description
-(geometry.section_polytope).
+resulting affine equations.  No LP runs.  A slice with no equation is
+P1 x P2 itself, its vertices, facets and faces built from the factors'
+(geometry.product_polytope); only when equations remain are the slice's
+vertices found by double description, as the extreme rays of a homogenised
+cone (geometry.section_polytope).
 
 Orientation conventions.  A cell's tangent space dir(P) + R^s is fixed by the
 cell, so its orientation is one sign against the default frame; a frame given
@@ -78,7 +80,7 @@ from ._linalg import (
     rank,
     vec,
 )
-from .geometry import FaceKey, GeometryError, Polytope, section_polytope
+from .geometry import FaceKey, GeometryError, Polytope, product_polytope, section_polytope
 
 
 class MapError(ValueError):
@@ -477,8 +479,13 @@ def _slice_polytope(p1: Polytope, p2: Polytope,
     """(P1 x P2) cut by affine equations row.p = rhs; None when empty.
 
     With the slice comes, per vertex, the bitmask of the factor facets tight
-    at it: P1's facets in its facets() order, then P2's.
+    at it: P1's facets in its facets() order, then P2's.  With no equation
+    the slice is P1 x P2, built from the factors' face data
+    (geometry.product_polytope); only when equations remain does the double
+    description run (geometry.section_polytope).
     """
+    if not equations:
+        return product_polytope(p1, p2)
     (hull1, facets1), (hull2, facets2) = p1._fd.rows(), p2._fd.rows()
     zero1, zero2 = [0] * p1.ambient_dim, [0] * p2.ambient_dim
     eqs = [(row + zero2, rhs) for row, rhs in hull1]
@@ -598,8 +605,6 @@ def fibre_product_cells(cell1: Cell, map1: CellMap, cell2: Cell, map2: CellMap
     pivot_rows = [pr for pr, _, _ in pivots]
     nonpivot_rows = [r for r in range(m) if r not in pivot_rows]
 
-    corners = [v1 + v2 for v1 in cell1.polytope.vertices for v2 in cell2.polytope.vertices]
-
     # off a torus the maps kill the torus factor, so there are no pivots
     components: list[FibreComponent] = []
     for piv_choice in itertools.product(*[range(d) for _, d, _ in pivots]):
@@ -617,10 +622,14 @@ def fibre_product_cells(cell1: Cell, map1: CellMap, cell2: Cell, map2: CellMap
                      for r in nonpivot_rows]
 
         if target.is_torus:
+            # a form's range over P1 x P2: its p1 part's over V1 plus its p2 part's over V2
             ranges = []
             for form in residuals:
-                vals = [sum(x * y for x, y in zip(form, v)) + form[-1] for v in corners]
-                ranges.append(range(math.ceil(min(vals)), math.floor(max(vals)) + 1))
+                lo = hi = form[-1]
+                for part, poly in ((form[:n1], cell1.polytope), (form[n1:n], cell2.polytope)):
+                    vals = [sum(x * y for x, y in zip(part, v)) for v in poly.vertices]
+                    lo, hi = lo + min(vals), hi + max(vals)
+                ranges.append(range(math.ceil(lo), math.floor(hi) + 1))
             residual_choices = itertools.product(*ranges)
         else:
             residual_choices = [tuple(0 for _ in residuals)]
@@ -671,10 +680,13 @@ def _build_component(cell1, map1, cell2, map2, poly, tight, u, tau, translate,
     transverse = (poly.dim + s_z == cell1.dim + cell2.dim - map1.target.dim)
     for g, dim in fd.face_dims().items():
         t1 = t2 = -1
-        for i, (b1, b2) in enumerate(tight):
-            if g >> i & 1:
-                t1 &= b1
-                t2 &= b2
+        rest = g
+        while rest:
+            low = rest & -rest
+            b1, b2 = tight[low.bit_length() - 1]
+            t1 &= b1
+            t2 &= b2
+            rest ^= low
         f1, f2 = fd1.meet(t1), fd2.meet(t2)
         face_pairs[g] = (f1, f2)
         if poly.dim - dim != p1.dim - dims1[f1] + p2.dim - dims2[f2]:

@@ -26,8 +26,10 @@ polytope produced.  Everything else inherits it from the incidence that
 produced it: a section (a fibre-product slice in cells, a fixed-locus cut in
 orbifold) has as facets the largest proper sets of its vertices tight on one
 row, a face G the largest proper sets G & F over the facets F of its
-polytope (and G's face lattice is its polytope's faces inside G), and the
-hull of a point set the point set's facets restricted to the extreme points.
+polytope (and G's face lattice is its polytope's faces inside G), the
+hull of a point set the point set's facets restricted to the extreme points,
+and a product P1 x P2 (product_polytope) the facets F x P2 and P1 x G, its
+faces being the F1 x F2.
 A facet's outward vector is its functional read in the direction space,
 scaled so that its last nonzero entry is +-1, so any functional tight on the
 facet gives the same vector.
@@ -228,6 +230,56 @@ def section_polytope(n: int, equations: Sequence[tuple[Vec, Fraction]],
         cuts = set(row_of) - {0, (1 << len(tight)) - 1}
         fd.set_facets([(m, vec(inequalities[row_of[m]][0])) for m in _maximal(cuts)])
     return poly, tight
+
+
+def product_polytope(p1: "Polytope", p2: "Polytope") -> tuple["Polytope", list[int]]:
+    """P1 x P2 and the facets of P1, then of P2, tight at each of its vertices:
+    what section_polytope gives on the product's rows, read off the factors'
+    face data with no double description.
+
+    Vertex i1 |V2| + i2 is v1 + v2, so the vertices are sorted, and its tight
+    facets are t1[i1] | t2[i2] << k1.  The facets are F x P2 with row (f, 0)
+    and P1 x G with row (0, g).  The faces are the F1 x F2, of dimension
+    d1 + d2, with mask spread(F1) * F2, spread(F1) the sum of 1 << i |V2|
+    over the set bits i of F1.
+    """
+    fd1, fd2 = p1._fd, p2._fd
+    (_, rows1), (_, rows2) = fd1.rows(), fd2.rows()
+    size2 = len(fd2.vertices)
+    poly = Polytope._of_sorted(p1.ambient_dim + p2.ambient_dim,
+                               tuple(v1 + v2 for v1 in fd1.vertices for v2 in fd2.vertices))
+    tight1, tight2 = _vertex_facets(fd1), _vertex_facets(fd2)
+    k1 = len(rows1)
+    tight = [z1 | z2 << k1 for z1 in tight1 for z2 in tight2]
+
+    def spread(mask):
+        return sum(1 << i * size2 for i in mask_bits(mask))
+
+    fd = poly._fd
+    if fd._facets is None:
+        all1, all2 = spread((1 << len(fd1.vertices)) - 1), (1 << size2) - 1
+        zero1, zero2 = (0,) * p1.ambient_dim, (0,) * p2.ambient_dim
+        fd.set_facets([(spread(mask) * all2, (*f, *zero2))
+                       for mask, (f, _) in zip(fd1.facet_masks, rows1)]
+                      + [(all1 * mask, (*zero1, *g))
+                         for mask, (g, _) in zip(fd2.facet_masks, rows2)])
+    if fd._face_dims is None:
+        # each face with its dimension and its set bits, the order of face_dims
+        faces2 = [(d2, g2, mask_bits(g2)) for g2, d2 in fd2.face_dims().items()]
+        faces = []
+        for g1, d1 in fd1.face_dims().items():
+            bits1, lift = mask_bits(g1), spread(g1)
+            faces += [(d1 + d2, [i * size2 + j for i in bits1 for j in bits2], lift * g2)
+                      for d2, g2, bits2 in faces2]
+        faces.sort()
+        fd._face_dims = {g: k for k, _, g in faces}
+    return poly, tight
+
+
+def _vertex_facets(fd: "_FaceData") -> list[int]:
+    """Per vertex, the bitmask of the facets holding it."""
+    return [sum(1 << j for j, mask in enumerate(fd.facet_masks) if mask >> i & 1)
+            for i in range(len(fd.vertices))]
 
 
 def _idot(a: Sequence[int], b: Sequence[int]) -> int:
@@ -789,8 +841,7 @@ def _hull_face_data(ambient_dim: int, points: tuple[Vec, ...]) -> _FaceData:
     fd = _face_data(ambient_dim, points)
     fd.facets()
     kept = 0
-    for i in range(len(points)):
-        tight = sum(1 << j for j, mask in enumerate(fd.facet_masks) if mask >> i & 1)
+    for i, tight in enumerate(_vertex_facets(fd)):
         if fd.meet(tight) == 1 << i:
             kept |= 1 << i
     if kept == (1 << len(points)) - 1:
