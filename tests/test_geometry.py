@@ -1006,3 +1006,68 @@ def test_faces_inherit_the_lattice_and_chart_of_a_cold_enumeration(p):
         assert fd.hull_directions() == dirs
         assert fd.hull_origin() == origin
         assert fd.hull_chart() == chart
+
+
+# ---------------------------------------------------------------------------
+# Equation-free slices are products, built from the factors' face data
+# ---------------------------------------------------------------------------
+
+def _product_snapshot(poly, tight):
+    fd = poly._fd
+    return (poly.vertices, tight, fd.facet_masks, fd.functionals,
+            list(fd.face_dims().items()))
+
+
+def _assert_product_matches_section(p1, p2):
+    """_slice_polytope(p1, p2, []) against section_polytope on the rows of
+    P1 x P2, each with fresh product face data; the lattice against a cold
+    walk too, order included."""
+    geometry._face_data.cache_clear()
+    got = _product_snapshot(*_slice_polytope(p1, p2, []))
+    geometry._face_data.cache_clear()
+    (hull1, facets1), (hull2, facets2) = p1._fd.rows(), p2._fd.rows()
+    zero1, zero2 = [0] * p1.ambient_dim, [0] * p2.ambient_dim
+    n = p1.ambient_dim + p2.ambient_dim
+    want = _product_snapshot(*section_polytope(
+        n, [(e + zero2, c) for e, c in hull1] + [(zero1 + e, c) for e, c in hull2],
+        [(f + zero2, c) for f, c in facets1] + [(zero1 + f, c) for f, c in facets2]))
+    assert got == want
+    assert got[4] == list(_FaceData(n, got[0]).face_dims().items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(placed_rational_hull(max_dim=2), placed_rational_hull(max_dim=2))
+def test_equation_free_slice_matches_section_polytope(p1, p2):
+    _assert_product_matches_section(p1, p2)
+
+
+@pytest.mark.parametrize("p1, p2", [
+    (POINT_POLYTOPE, POINT_POLYTOPE),
+    (POINT_POLYTOPE, box([(0, 1)] * 2)),
+    (Polytope(2, [[0, 0], [1, 1]]), Polytope(1, [[Fraction(1, 2)]])),    # point in R^1
+    (Polytope(2, [[0, 0], [1, 1]]), Polytope(2, [[0, 1], [2, 0]])),      # two segments in R^2
+    (box([(0, 1)] * 2), Polytope(2, [[0, 0], [2, 0], [0, 1]])),
+])
+def test_equation_free_slice_matches_section_polytope_examples(p1, p2):
+    _assert_product_matches_section(p1, p2)
+
+
+def test_equation_free_slice_runs_no_double_description(monkeypatch):
+    """Square x triangle: with the factors' facets built, the slice, its
+    facets and its face lattice come with no _cone_vertices call; a slice
+    with an equation still runs one."""
+    geometry._face_data.cache_clear()
+    square, triangle = box([(0, 1)] * 2), Polytope.from_points(2, [[0, 0], [2, 0], [0, 1]])
+    for p in (square, triangle):
+        p.facets()
+    calls = []
+    cone_vertices = geometry._cone_vertices
+    monkeypatch.setattr(geometry, "_cone_vertices",
+                        lambda *args: calls.append(args) or cone_vertices(*args))
+    prism, tight = _slice_polytope(square, triangle, [])
+    assert len(prism.vertices) == len(tight) == 12
+    assert len(prism.facets()) == 4 + 3
+    assert len(prism._fd.face_dims()) == 9 * 7
+    assert calls == []
+    assert _slice_polytope(square, triangle, [((1, 0, 0, 0), Fraction(1, 2))]) is not None
+    assert calls
