@@ -519,6 +519,14 @@ class Chain:
         return f"Chain({len(self._terms)} terms over {self.ring})"
 
 
+def _law(lhs: Chain, rhs: Chain, failure: str) -> CheckReport:
+    """An identity lhs == rhs of chains, checked over lhs's terms: how the
+    singular bridge and the laws of products are decided."""
+    if lhs == rhs:
+        return CheckReport(True, len(lhs._terms), True)
+    return CheckReport(False, 0, True, (failure,))
+
+
 def chain(*terms, ring: str = "Q") -> Chain:
     """Build a chain from (coefficient, generator) pairs or bare generators."""
     prepared = []
@@ -1007,10 +1015,7 @@ def check_singular_chain_map(terms: Sequence):
             facet = big.restrict(full & ~(1 << (k - j)))
             small = _insert_coordinate(singular_generator(sx.face(j)), j, 0, facet.labels)
             rhs_terms.append((frac(coeff) * (-1) ** j, small))
-    rhs = Chain(rhs_terms)
-    if lhs == rhs:
-        return CheckReport(True, len(lhs.terms()), True, ())
-    return CheckReport(False, 0, True, ("boundary does not match the bridged boundary",))
+    return _law(lhs, Chain(rhs_terms), "boundary does not match the bridged boundary")
 
 
 # ---------------------------------------------------------------------------

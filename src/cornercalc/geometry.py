@@ -75,7 +75,6 @@ from ._linalg import (
     det_sign,
     frac,
     independent_subset,
-    kernel_basis,
     mat,
     rref,
     solve,
@@ -436,15 +435,15 @@ class _FaceData:
         return self._rows
 
     def hull_equations(self) -> list[tuple[Vec, Fraction]]:
-        """Pairs (e, c) with e . x = c on the vertex set, spanning the hull's equations."""
+        """Pairs (e, c) with e . x = c on the vertex set, spanning the hull's equations:
+        the kernel of the RREF dir_basis, one e per non-pivot coordinate f, 1
+        at f and -dir_basis[k][f] at the k-th pivot."""
         if self.equations is None:
             d, n = self.dir_basis, self.ambient_dim
-            if len(d) == n:
-                eqs = []
-            elif not d:
-                eqs = [tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in range(n)]
-            else:
-                eqs = list(kernel_basis(mat(d)))
+            row_at = dict(zip(self.dir_pivots, range(len(d))))
+            eqs = [tuple(-d[row_at[j]][f] if j in row_at else Fraction(int(j == f))
+                         for j in range(n))
+                   for f in range(n) if f not in row_at]
             v0 = self.vertices[0]
             self.equations = [(e, sum(a * b for a, b in zip(e, v0))) for e in eqs]
         return self.equations

@@ -32,6 +32,7 @@ from .chains import (
     Generator,
     Tag,
     TargetMap,
+    _law,
     boundary,
     pair_tags,
     pushforward,
@@ -162,13 +163,6 @@ def _block_swap_perm(n_first: int, n_second: int) -> list:
     return list(range(n_first, n_first + n_second)) + list(range(n_first))
 
 
-def _law(lhs: Chain, rhs: Chain, failure: str) -> CheckReport:
-    """An identity lhs == rhs, checked over lhs's terms."""
-    if lhs == rhs:
-        return CheckReport(True, len(lhs._terms), True)
-    return CheckReport(False, 0, True, (failure,))
-
-
 # ---------------------------------------------------------------------------
 # DGA checks
 # ---------------------------------------------------------------------------
@@ -190,11 +184,7 @@ def _cup_supercommutative(c1: Chain, c2: Chain, c12: Chain) -> CheckReport:
             perm = _block_swap_perm(n2, n1)
             swapped += [(sign * a1 * a2 * coeff, _permute_generator(g, perm))
                         for coeff, g in _pair(g2, g1)]
-    rhs = Chain(swapped, ring=c1.ring)
-    checked = len(c12._terms)
-    if c12 == rhs:
-        return CheckReport(True, checked, True)
-    return CheckReport(False, checked, True, ("swap comparison failed",))
+    return _law(c12, Chain(swapped, ring=c1.ring), "swap comparison failed")
 
 
 def check_cup_associative(c1: Chain, c2: Chain, c3: Chain) -> CheckReport:

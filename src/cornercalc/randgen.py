@@ -63,34 +63,31 @@ def random_polytope(rng: Random, ambient: int, max_vertices: int = 6,
 
 
 def random_cell(rng: Random, max_ambient: int = 3, max_torus: int = 1,
-                max_vertices: int = 6, spread: int = 2) -> Cell:
+                max_vertices: int = 6) -> Cell:
     n = rng.randint(0, max_ambient)
     s = rng.randint(0, max_torus)
-    p = random_polytope(rng, n, max_vertices, spread)
+    p = random_polytope(rng, n, max_vertices)
     return Cell(p, s, None, rng.choice((1, -1)))
 
 
-def random_map(rng: Random, cell: Cell, target: Target,
-               spread: int = 2) -> CellMap:
+def random_map(rng: Random, cell: Cell, target: Target) -> CellMap:
     """Affine map with a small integer linear part and simple offsets."""
     m = target.dim
     n = cell.polytope.ambient_dim
     s = cell.torus_rank
-    a = [[rng.randint(-spread, spread) for _ in range(n)] for _ in range(m)]
+    a = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
     if target.is_torus:
-        m_t = [[rng.randint(-spread, spread) for _ in range(s)]
-               for _ in range(m)]
+        m_t = [[rng.randint(-2, 2) for _ in range(s)] for _ in range(m)]
     else:
         m_t = [[0] * s for _ in range(m)]
     return CellMap(target, a, m_t, _fractions(rng, m))
 
 
-def _invertible_matrix(rng: Random, m: int, spread: int = 2) -> list:
+def _invertible_matrix(rng: Random, m: int) -> list:
     if m == 0:
         return []
     for _ in range(MAX_TRIES):
-        mm = [[rng.randint(-spread, spread) for _ in range(m)]
-              for _ in range(m)]
+        mm = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(m)]
         if rank(mat(mm)) == m:
             return mm
     raise GenerationError("no invertible matrix in budget")
@@ -103,13 +100,11 @@ def _invertible_matrix(rng: Random, m: int, spread: int = 2) -> list:
 _CHAIN_TARGETS = (POINT, euclid(1), torus(1), torus(2))
 
 
-def random_generator(rng: Random, prefix, max_ambient: int = 4,
-                     max_vertices: int = 10) -> Generator:
+def random_generator(rng: Random, prefix, max_ambient: int = 4) -> Generator:
     """Oriented generator over a small target; dimension skews low."""
     pool = tuple(d for d in (0, 1, 1, 1, 2, 2, 2, 2, 3, 4) if d <= max_ambient)
     n = rng.choice(pool)
-    cap = max_vertices if n < 3 else min(max_vertices, 5)
-    p = random_polytope(rng, n, cap)
+    p = random_polytope(rng, n, 10 if n < 3 else 5)
     cell = Cell(p, rng.randint(0, 1), None, rng.choice((1, -1)))
     target = rng.choice(_CHAIN_TARGETS)
     cmap = random_map(rng, cell, target)
@@ -117,11 +112,10 @@ def random_generator(rng: Random, prefix, max_ambient: int = 4,
 
 
 def random_chain(rng: Random, prefix="t", max_terms: int = 20,
-                 max_ambient: int = 4, max_vertices: int = 10,
-                 ring: str = "Q") -> Chain:
+                 max_ambient: int = 4, ring: str = "Q") -> Chain:
     terms = []
     for i in range(rng.randint(1, max_terms)):
-        gen = random_generator(rng, (prefix, i), max_ambient, max_vertices)
+        gen = random_generator(rng, (prefix, i), max_ambient)
         terms.append((_coefficient(rng, ring), gen))
     return Chain(terms, ring=ring)
 
@@ -130,25 +124,23 @@ def random_chain(rng: Random, prefix="t", max_terms: int = 20,
 # Fibre product instances
 # ---------------------------------------------------------------------------
 
-def submersive_cell(rng: Random, target: Target,
-                    max_poly_dim: int = 2) -> tuple:
+def submersive_cell(rng: Random, target: Target) -> tuple:
     """A cell and map restricting to a submersion on the cell's interior.
 
     Over a torus the map winds a dedicated circle factor; over a line the
     polytope is full-dimensional so any nonzero row is interior-submersive.
     """
     if target.dim == 0:
-        cell = random_cell(rng, max_ambient=max_poly_dim, max_torus=1,
-                           max_vertices=5)
+        cell = random_cell(rng, max_ambient=2, max_torus=1, max_vertices=5)
         return cell, CellMap(POINT, (), (), ())
     if target.is_torus:
-        n = rng.randint(0, max_poly_dim)
+        n = rng.randint(0, 2)
         p = random_polytope(rng, n, 5)
         cell = Cell(p, 1, None, rng.choice((1, -1)))
         a = [[rng.randint(-2, 2) for _ in range(n)]]
         m_t = [[rng.choice((1, -1, 2))]]
         return cell, CellMap(target, a, m_t, _fractions(rng, 1))
-    n = rng.randint(1, max_poly_dim)
+    n = rng.randint(1, 2)
     p = random_polytope(rng, n, 5, min_dim=n)
     cell = Cell(p, 0, None, rng.choice((1, -1)))
     for _ in range(MAX_TRIES):
@@ -224,12 +216,11 @@ def interchange_instance(rng: Random, target1: Target,
 # Cochains and chains over a fixed torus target
 # ---------------------------------------------------------------------------
 
-def random_cover_cochain(rng: Random, y: Target, prefix,
-                         max_terms: int = 2) -> Chain:
+def random_cover_cochain(rng: Random, y: Target, prefix) -> Chain:
     """Grade-zero cochain: finite covers of the torus with invertible
     winding."""
     terms = []
-    for i in range(rng.randint(1, max_terms)):
+    for i in range(rng.randint(1, 2)):
         m_t = _invertible_matrix(rng, y.dim)
         cmap = CellMap(y, [() for _ in range(y.dim)], m_t,
                        _fractions(rng, y.dim))
@@ -240,11 +231,10 @@ def random_cover_cochain(rng: Random, y: Target, prefix,
     return Chain(terms)
 
 
-def random_thick_cochain(rng: Random, y: Target, prefix, poly_dim: int = 1,
-                         max_terms: int = 2) -> Chain:
+def random_thick_cochain(rng: Random, y: Target, prefix, poly_dim: int = 1) -> Chain:
     """Negative-grade cochain: a polytope crossed with the full torus."""
     terms = []
-    for i in range(rng.randint(1, max_terms)):
+    for i in range(rng.randint(1, 2)):
         p = random_polytope(rng, poly_dim, 4, min_dim=poly_dim)
         cell = Cell(p, y.dim)
         a = [[rng.randint(-1, 1) for _ in range(poly_dim)]
@@ -267,12 +257,11 @@ def random_cochain(rng: Random, y: Target, prefix) -> Chain:
                                 poly_dim=rng.choice((1, 1, 2)))
 
 
-def random_chain_over(rng: Random, y: Target, prefix,
-                      max_terms: int = 2) -> Chain:
+def random_chain_over(rng: Random, y: Target, prefix) -> Chain:
     """Homogeneous oriented chain over the torus target."""
     d = rng.choice((0, 0, 1))
     terms = []
-    for i in range(rng.randint(1, max_terms)):
+    for i in range(rng.randint(1, 2)):
         p = random_polytope(rng, d, 4, min_dim=d)
         cell = Cell(p, y.dim, None, rng.choice((1, -1)))
         a = [[rng.randint(-1, 1) for _ in range(d)] for _ in range(y.dim)]
@@ -307,13 +296,12 @@ def random_constant_map(rng: Random, target: Target) -> TargetMap:
 _SINGULAR_TARGETS = (euclid(1), euclid(2), torus(1))
 
 
-def random_singular_terms(rng: Random, max_degree: int = 3,
-                          max_terms: int = 3) -> list:
+def random_singular_terms(rng: Random) -> list:
     """Affine simplices into a shared target, as coefficiented term lists."""
     target = rng.choice(_SINGULAR_TARGETS)
     terms = []
-    for _ in range(rng.randint(1, max_terms)):
-        k = rng.randint(0, max_degree)
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randint(0, 3)
         matrix = [[rng.randint(-2, 2) for _ in range(k + 1)]
                   for _ in range(target.dim)]
         sx = SingularSimplex(k, target, matrix, _fractions(rng, target.dim))
@@ -345,9 +333,7 @@ def cycle_class(points: Sequence) -> BordismClass:
     return BordismClass(comps, tuple(pairings))
 
 
-def random_cycle_class(rng: Random, max_edges: int = 6,
-                       spread: int = 3) -> BordismClass:
-    k = rng.randint(3, max_edges)
-    grid = [(x, y) for x in range(-spread, spread + 1)
-            for y in range(-spread, spread + 1)]
+def random_cycle_class(rng: Random) -> BordismClass:
+    k = rng.randint(3, 6)
+    grid = [(x, y) for x in range(-3, 4) for y in range(-3, 4)]
     return cycle_class(rng.sample(grid, k))

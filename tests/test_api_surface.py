@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 import tomllib
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -101,3 +102,55 @@ def test_src_imports_are_used():
     assert modules
     unused = {path.name: _unused_imports(path.read_text()) for path in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def _is_private(node) -> bool:
+    return (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.endswith("__"))
+
+
+def _names(node: ast.AST) -> Counter:
+    return Counter(sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name))
+
+
+def _attributes(node: ast.AST) -> Counter:
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
+def test_src_private_definitions_are_referenced():
+    """Every private function, class and method of the package is used in it.
+
+    A module-level one is read by name in its module (which does not also
+    import that name), imported from its module, or read as module.name; a
+    method is read as an attribute.  Reads in a definition's own body do
+    not count.
+    """
+    modules = {path.stem: ast.parse(path.read_text())
+               for path in sorted((ROOT / "src" / "cornercalc").glob("*.py"))}
+    imports, attributes, qualified = Counter(), Counter(), Counter()
+    for stem, tree in modules.items():
+        attributes.update(_attributes(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                imports.update((stem, node.module, a.name) for a in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                qualified[node.value.id, node.attr] += 1
+    unused, checked = [], 0
+    for stem, tree in modules.items():
+        local = _names(tree)
+        imported_here = {name for into, _, name in imports if into == stem}
+        for node in (n for n in tree.body if _is_private(n)):
+            checked += 1
+            read_here = (node.name not in imported_here
+                         and local[node.name] > _names(node)[node.name])
+            elsewhere = (any(src == stem and name == node.name for _, src, name in imports)
+                         or qualified[stem, node.name])
+            if not (read_here or elsewhere):
+                unused.append(f"{stem}.{node.name}")
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            for node in (n for n in cls.body if _is_private(n)):
+                checked += 1
+                if attributes[node.name] == _attributes(node)[node.name]:
+                    unused.append(f"{stem}.{cls.name}.{node.name}")
+    assert checked
+    assert unused == []

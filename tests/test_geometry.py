@@ -945,6 +945,25 @@ def test_hull_origin_is_the_hull_point_with_free_coordinates_zero(p):
         fd.hull_directions()
 
 
+def _kernel_equations(fd):
+    """The hull's equations by elimination: a kernel basis of dir_basis, or
+    the unit vectors for a point."""
+    n, d = fd.ambient_dim, fd.dir_basis
+    if not d:
+        return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    return list(kernel_basis(mat(d)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(placed_rational_hull(), flat_cloud().map(lambda c: Polytope.from_points(*c))))
+def test_hull_equations_are_the_kernel_of_dir_basis(p):
+    """hull_equations, read off the rref dir_basis, against a kernel_basis
+    elimination of it (the unit vectors for a point), entry for entry."""
+    fd = _FaceData(p.ambient_dim, p.vertices)
+    v0 = p.vertices[0]
+    assert repr(fd.hull_equations()) == repr([(e, dot(e, v0)) for e in _kernel_equations(fd)])
+
+
 # ---------------------------------------------------------------------------
 # Faces reuse their parent's data: against cold face data and two eliminations
 # ---------------------------------------------------------------------------
@@ -954,13 +973,8 @@ def _two_elimination_chart(fd):
     the hull's equations are a kernel basis of dir_basis, the free
     coordinates are the non-pivots of their rref, and w_c is e_c minus
     column c of the rref at the pivots."""
-    n, d = fd.ambient_dim, fd.dir_basis
-    if len(d) == n:
-        eqs = []
-    elif not d:
-        eqs = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
-    else:
-        eqs = list(kernel_basis(mat(d)))
+    n = fd.ambient_dim
+    eqs = _kernel_equations(fd)
     red, piv = rref(mat(eqs)) if eqs else ((), ())
     dirs = [(c, ((c, Fraction(1)),) + tuple((p, -row[c]) for row, p in zip(red, piv) if row[c]))
             for c in range(n) if c not in piv]

@@ -1,11 +1,13 @@
 """Mapped cells with s = 0: submersions, fibre products, and the four sign identities."""
 
+import dataclasses
 from fractions import Fraction as F
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cornercalc import maps
 from cornercalc.cells import (
     POINT,
     Cell,
@@ -27,7 +29,7 @@ from cornercalc.maps import (
     check_interchange_cells,
     check_swap_sign_cells,
 )
-from cornercalc.randgen import associativity_instance, interchange_instance
+from cornercalc.randgen import associativity_instance, fibre_instance, interchange_instance
 from cornercalc.suites import run_suite
 
 I = interval()
@@ -135,6 +137,31 @@ def test_boundary_precondition_fails_on_degenerate_overlap():
         Cell(I), amap(I, euclid(1), [[1]], [0]),
         Cell(I), amap(I, euclid(1), [[1]], [0]))
     assert not rep.precondition
+
+
+def test_boundary_check_compares_the_maps(monkeypatch):
+    """Boundary-of-factor products whose projections are shifted by 1/3 have
+    the right cells and signs but the wrong maps, and the check sees it.
+    Over the circle a torus reparametrization could absorb the shift."""
+    instance = fibre_instance(Random(7), euclid(1))
+    rep = check_boundary_of_fibre_product_cells(*instance)
+    assert rep.ok and rep.checked > 0
+
+    calls = []
+
+    def shifted(*args):
+        comps = fibre_product_cells(*args)
+        calls.append(args)
+        if len(calls) == 1:
+            return comps
+        return [dataclasses.replace(c, pmap=CellMap(c.pmap.target, c.pmap.a, c.pmap.m_t,
+                                                    [x + F(1, 3) for x in c.pmap.b]))
+                for c in comps]
+
+    monkeypatch.setattr(maps, "fibre_product_cells", shifted)
+    rep = check_boundary_of_fibre_product_cells(*instance)
+    assert len(calls) > 1
+    assert (rep.ok, rep.precondition, rep.details) == (False, True, ("component sets differ",))
 
 
 def test_swap_sign():
