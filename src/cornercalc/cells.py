@@ -860,11 +860,6 @@ def canonical_form(cell: Cell, cmap: CellMap):
     return key, ccell.sign, ccell, cmap2
 
 
-def canonical_key(cell: Cell, cmap: CellMap):
-    """Hashable identity of (cell, map) up to cell isomorphism, orientation aside."""
-    return canonical_form(cell, cmap)[0]
-
-
 def permute_cell_coords(cell: Cell, cmap: CellMap, perm: Sequence[int]):
     """Relabel polytope coordinates: new coordinate i reads old coordinate perm[i].
 

@@ -193,13 +193,25 @@ class Tag:
     def restrict(self, face_mask: int) -> "Tag":
         """The induced labelling on the faces of one face (a facet, say).
 
-        Packing is monotone on the subsets of face_mask: the pairs stay sorted.
+        Each mask inside the face is packed by walking its own set bits
+        through a table of the face's vertex positions.  Packing is monotone
+        on the subsets of face_mask: the pairs stay sorted.
         """
         at = mask_bits(face_mask)
+        place = {1 << i: 1 << k for k, i in enumerate(at)}
+        outside = ~face_mask
+        labels = []
+        for m, label in self.labels:
+            if not m & outside:
+                packed = 0
+                while m:
+                    low = m & -m
+                    packed |= place[low]
+                    m ^= low
+                labels.append((packed, label))
         tag = Tag.__new__(Tag)
         tag.vertices = tuple(self.vertices[i] for i in at)
-        tag.labels = tuple((sum(1 << k for k, i in enumerate(at) if m >> i & 1), label)
-                           for m, label in self.labels if not m & ~face_mask)
+        tag.labels = tuple(labels)
         tag._order = None
         return tag
 
@@ -1143,7 +1155,7 @@ def face_complex(p: Polytope, with_top: bool = True) -> list:
     big = numbered_tag(p, "dx", p.dim)
     top = (1 << len(p.vertices)) - 1
     cmap = constant_map(POINT, p.ambient_dim, 0)
-    return [Generator(Cell(p.face_from_mask(g), 0), cmap, big.restrict(g))
+    return [Generator(Cell(fd.face(g), 0), cmap, big.restrict(g))
             for g in fd.face_dims() if with_top or g != top]
 
 

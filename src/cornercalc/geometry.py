@@ -317,6 +317,11 @@ class _FaceData:
     polytope it is read in).  Only a vertex set that no known polytope
     produced walks its lattice from the facet masks (face_dims).
 
+    Two slots keep what this face data has already built: the polytope of
+    each face handed out, by vertex bitmask (_faces, filled by face), and,
+    for a point set, the face data of its hull (_hull, filled by
+    _hull_face_data).  A second request returns the same object.
+
     The boundary data is lazy too: each facet's polytope and the sign of
     its frame, outward vector first, read in the chart (facet_cells), the
     directions of the affine hull on its free coordinates
@@ -353,6 +358,8 @@ class _FaceData:
         self.inequalities: Optional[list] = None
         self.equations: Optional[list] = None
         self._facet_cells: Optional[list] = None
+        self._faces: dict[int, Polytope] = {}
+        self._hull: Optional[_FaceData] = None
         self._hull_directions: Optional[list] = None
         self._hull_origin: Optional[tuple] = None
         self._hull_chart: Optional[tuple] = None
@@ -586,15 +593,19 @@ class _FaceData:
 
         Its vertices are ours at the set bits, already sorted and distinct.
         Its faces are ours inside it, in our order: by dimension, then by
-        vertex tuple, which is the same tuple read in the face.
+        vertex tuple, which is the same tuple read in the face.  The face is
+        built once and kept (_faces).
         """
-        face = Polytope._of_sorted(self.ambient_dim, self.key(mask))
-        sub = face._fd
-        if sub._facets is None:
-            sub.inherit_face(self, mask)
-        if sub._face_dims is None:
-            sub._face_dims = {compress_mask(g, mask): k for g, k in self.face_dims().items()
-                              if not g & ~mask}
+        face = self._faces.get(mask)
+        if face is None:
+            face = Polytope._of_sorted(self.ambient_dim, self.key(mask))
+            sub = face._fd
+            if sub._facets is None:
+                sub.inherit_face(self, mask)
+            if sub._face_dims is None:
+                sub._face_dims = {compress_mask(g, mask): k
+                                  for g, k in self.face_dims().items() if not g & ~mask}
+            self._faces[mask] = face
         return face
 
     def facet_cells(self) -> list[tuple["Polytope", int]]:
@@ -674,12 +685,14 @@ class Polytope:
         vs = _checked_points(ambient_dim, vertices, "vertex")
         if len(set(vs)) != len(vs):
             raise GeometryError("duplicate vertices")
-        extreme = set(_hull_face_data(ambient_dim, vs).vertices)
+        fd = _hull_face_data(ambient_dim, vs)
+        extreme = set(fd.vertices)
         for v in vs:
             if v not in extreme:
                 raise GeometryError(f"vertex {v} is not an extreme point")
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "vertices", vs)
+        object.__setattr__(self, "_face", fd)
 
     @classmethod
     def _of_sorted(cls, ambient_dim: int, vertices: tuple[Vec, ...]) -> "Polytope":
@@ -835,21 +848,24 @@ def _hull_face_data(ambient_dim: int, points: tuple[Vec, ...]) -> _FaceData:
     vertex's minimal face is itself, and any other point's minimal face has
     dimension at least one and holds at least two of the points.  The hull
     has the same affine hull and facets, with the masks restricted to the
-    extreme points.
+    extreme points.  The hull is found once per point set's face data and
+    kept there (_hull).
     """
     fd = _face_data(ambient_dim, points)
-    fd.facets()
-    kept = 0
-    for i, tight in enumerate(_vertex_facets(fd)):
-        if fd.meet(tight) == 1 << i:
-            kept |= 1 << i
-    if kept == (1 << len(points)) - 1:
-        return fd
-    hull = _face_data(ambient_dim, fd.key(kept))
-    if hull._facets is None:
-        hull.set_facets([(compress_mask(mask, kept), f)
-                         for mask, f in zip(fd.facet_masks, fd.functionals)])
-    return hull
+    if fd._hull is None:
+        fd.facets()
+        kept = 0
+        for i, tight in enumerate(_vertex_facets(fd)):
+            if fd.meet(tight) == 1 << i:
+                kept |= 1 << i
+        hull = fd
+        if kept != (1 << len(points)) - 1:
+            hull = _face_data(ambient_dim, fd.key(kept))
+            if hull._facets is None:
+                hull.set_facets([(compress_mask(mask, kept), f)
+                                 for mask, f in zip(fd.facet_masks, fd.functionals)])
+        fd._hull = hull
+    return fd._hull
 
 
 def corner_type(p: Polytope, key: FaceKey) -> str:
@@ -921,11 +937,6 @@ def standard_simplex(k: int) -> Polytope:
     """Delta_k in R^(k+1): convex hull of the standard basis vectors, built once per k."""
     verts = [[1 if j == i else 0 for j in range(k + 1)] for i in range(k + 1)]
     return Polytope(k + 1, verts)
-
-
-def octahedron() -> Polytope:
-    verts = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
-    return Polytope(3, verts)
 
 
 POINT_POLYTOPE = Polytope.from_points(0, [[]])

@@ -17,8 +17,8 @@ equations and the polytope's integer rows.  A direction representation
 reads each element's matrix in the component's chart (its direction basis
 over one denominator, the images read at its pivots) and hands it over as
 integers; a representation keeps its matrices over one common denominator,
-and its law and character are read on them.  Fractions are made once, for
-what is handed out.
+and its law and character are read on them.  A virtual class keeps integer
+characters as integers.  Fractions are made once, for what is handed out.
 """
 
 from __future__ import annotations
@@ -372,8 +372,13 @@ def _vertex_images(e: ActionComponentMap, src: tuple, dst_den: int, index: dict)
     rows = [([dst_den * x for x in row], dst_den * s * c) for row, c in zip(mat_int, offset)]
     out = []
     for x in xs:
-        y = [divmod(sum(map(mul, row, x), c), q) for row, c in rows]
-        out.append(None if any(r for _, r in y) else index.get(tuple(v for v, _ in y)))
+        y = [sum(map(mul, row, x), c) for row, c in rows]
+        if q != 1:
+            if any(v % q for v in y):
+                out.append(None)
+                continue
+            y = [v // q for v in y]
+        out.append(index.get(tuple(y)))
     return tuple(out)
 
 
@@ -521,12 +526,12 @@ class VirtualRep:
 
     def __init__(self, group: FiniteGroup, positive: Iterable = (),
                  negative: Iterable = ()):
-        pos = tuple(tuple(frac(x) for x in chi) for chi in positive)
-        neg = tuple(tuple(frac(x) for x in chi) for chi in negative)
+        pos, neg = (tuple(tuple(x if type(x) is int else frac(x) for x in chi) for chi in part)
+                    for part in (positive, negative))
         for chi in pos + neg:
             if len(chi) != len(group.elements):
                 raise OrbifoldError("character length must match the group")
-            if sum(chi, Fraction(0)) != 0:
+            if sum(chi) != 0:
                 raise OrbifoldError("summands must have no fixed part")
         self.group = group
         self.positive = pos
@@ -541,15 +546,14 @@ class VirtualRep:
     @property
     def dim(self) -> int:
         idx = self.group.elements.index(self.group.identity)
-        total = sum((chi[idx] for chi in self.positive), Fraction(0)) \
-            - sum((chi[idx] for chi in self.negative), Fraction(0))
-        if total.denominator != 1:
+        total = sum(chi[idx] for chi in self.positive) - sum(chi[idx] for chi in self.negative)
+        if total != int(total):
             raise OrbifoldError("virtual dimension must be an integer")
         return int(total)
 
     def net_character(self) -> tuple:
         n = len(self.group.elements)
-        out = [Fraction(0)] * n
+        out = [0] * n
         for chi in self.positive:
             out = [a + b for a, b in zip(out, chi)]
         for chi in self.negative:

@@ -49,6 +49,22 @@ def test_benchmark_imports_resolve():
         _resolve(module, name)
 
 
+def test_benchmark_runs_every_strata_case():
+    """The benchmark fixes its number of strata kinds; a case added to the
+    suite's table must be added there too, or it goes unbenchmarked."""
+    from cornercalc.suites import _strata_cases
+
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    assert len(_strata_cases()) == workloads._STRATA_CASES
+
+
 _TRACED_SMOKE = """
 import json, sys
 sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/perfbench"]

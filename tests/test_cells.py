@@ -27,7 +27,6 @@ from cornercalc.cells import (
     _torus_form,
     canonical_cell_map,
     canonical_form,
-    canonical_key,
     cell_boundary,
     cell_orientation_equal,
     constant_map,
@@ -409,6 +408,11 @@ def test_torus_form_of_a_matrix_with_no_rows_is_the_identity():
     h, u, det_u, pivots, lattice = _torus_form((), 2, False)
     assert (h, u, det_u, pivots, lattice) == ((), ((1, 0), (0, 1)), 1, (), None)
     assert _torus_form(((), ()), 0, True)[1:4] == ((), 1, ())
+
+
+def canonical_key(cell, cmap):
+    """Hashable identity of (cell, map) up to cell isomorphism, orientation aside."""
+    return canonical_form(cell, cmap)[0]
 
 
 def test_canonical_key_unimodular_invariance():

@@ -56,12 +56,12 @@ from cornercalc.chains import (
     transport_generator,
     verify_dd_zero,
 )
-from cornercalc.geometry import (Polytope, box, interval, move_mask, octahedron,
+from cornercalc.geometry import (Polytope, box, compress_mask, interval, mask_bits, move_mask,
                                  standard_simplex)
 from cornercalc.products import cap, cup
 from cornercalc.randgen import (cycle_class, random_chain, random_chain_over, random_cochain,
                                 random_cycle_class, random_generator, random_singular_terms)
-from test_geometry import embedded_lattice_hull
+from test_geometry import embedded_lattice_hull, octahedron
 
 
 def faces_of(p):
@@ -857,6 +857,35 @@ def test_tag_restrict_matches_face_key_reference(data):
     moved = Polytope(n, [[x + 1 for x in v] for v in p.vertices])
     with pytest.raises(TagError):
         Generator(Cell(moved, 0), cmap, tag)
+
+
+@st.composite
+def tag_and_nested_masks(draw):
+    """A tag with labels on arbitrary vertex sets, a mask F over its vertices
+    and a mask G over F's vertices."""
+    size = draw(st.integers(0, 7))
+    masks = draw(st.sets(st.integers(1, (1 << size) - 1), max_size=20)) if size else set()
+    tag = Tag.of_masks(tuple(range(size)), [(m, (("L", m),)) for m in masks])
+    face = draw(st.integers(0, (1 << size) - 1))
+    inner = draw(st.integers(0, (1 << face.bit_count()) - 1))
+    return tag, face, inner
+
+
+@settings(max_examples=200, deadline=None)
+@given(tag_and_nested_masks())
+def test_restrict_composes_and_packs_like_compress_mask(data):
+    """Restricting to F, then to G inside F, is restricting once to the
+    composed mask: G's bits at F's set bits.  Each label is packed as
+    compress_mask packs it, in the same order."""
+    tag, face, inner = data
+    sub = tag.restrict(face)
+    assert sub.labels == tuple((compress_mask(m, face), label)
+                               for m, label in tag.labels if not m & ~face)
+    assert sub.vertices == tuple(tag.vertices[i] for i in mask_bits(face))
+    composed = sum(1 << i for k, i in enumerate(mask_bits(face)) if inner >> k & 1)
+    twice = sub.restrict(inner)
+    once = tag.restrict(composed)
+    assert twice == once and twice.labels == once.labels
 
 
 # ---------------------------------------------------------------------------

@@ -37,12 +37,16 @@ from cornercalc.geometry import (
     face_key,
     interval,
     mask_bits,
-    octahedron,
     section_polytope,
     section_vertices,
     standard_simplex,
 )
 from cornercalc.orbifold import _cut_by_equations
+
+
+def octahedron():
+    verts = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
+    return Polytope(3, verts)
 
 
 def _flags(p, frame=None, sign=1):
@@ -1085,3 +1089,52 @@ def test_equation_free_slice_runs_no_double_description(monkeypatch):
     assert calls == []
     assert _slice_polytope(square, triangle, [((1, 0, 0, 0), Fraction(1, 2))]) is not None
     assert calls
+
+
+# ---------------------------------------------------------------------------
+# Face data keeps the faces and the hulls it built
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(placed_rational_hull(max_dim=4))
+def test_face_slot_returns_the_face_built_cold(p):
+    """face(mask) builds each face once; the kept face equals one built from
+    a fresh face data of its vertex tuple, and face_from_mask still refuses
+    a vertex set that is no face."""
+    fd = p._fd
+    faces = fd.face_dims()
+    for g in faces:
+        face = fd.face(g)
+        assert fd.face(g) is face
+        assert p.face_from_mask(g) is face
+        cold = _FaceData(p.ambient_dim, fd.key(g))
+        assert face.vertices == cold.vertices
+        assert face.facets() == cold.facets()
+        assert list(face._fd.face_dims().items()) == list(cold.face_dims().items())
+        assert ([(fp.vertices, sign) for fp, sign in face._fd.facet_cells()]
+                == [(fp.vertices, sign) for fp, sign in cold.facet_cells()])
+    for mask in range(1 << len(p.vertices)):
+        if mask not in faces:
+            with pytest.raises(GeometryError, match="not a face"):
+                p.face_from_mask(mask)
+
+
+def test_from_points_keeps_the_hull_of_a_point_set(monkeypatch):
+    """A second from_points on a point set with interior points returns the
+    first call's hull, with no double description and no extremality walk."""
+    geometry._face_data.cache_clear()
+    pts = [[0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 2], [1, 1, 0], [1, 0, 0],
+           [Fraction(1, 2)] * 3]
+    first = Polytope.from_points(3, pts)
+    snapshot = (first.vertices, first.facets(), list(first._fd.face_dims().items()))
+    assert len(first.vertices) == 4
+    calls = []
+    cone_vertices, vertex_facets = geometry._cone_vertices, geometry._vertex_facets
+    monkeypatch.setattr(geometry, "_cone_vertices",
+                        lambda *args: calls.append(args) or cone_vertices(*args))
+    monkeypatch.setattr(geometry, "_vertex_facets",
+                        lambda *args: calls.append(args) or vertex_facets(*args))
+    second = Polytope.from_points(3, pts[::-1])
+    assert (second.vertices, second.facets(), list(second._fd.face_dims().items())) == snapshot
+    assert second._fd is first._fd
+    assert calls == []

@@ -422,6 +422,28 @@ def test_virtual_rep_from_nontrivial():
     assert rho.net_character() == (2, 0, 0, -1, -1, 0)
 
 
+def test_virtual_rep_keeps_integer_characters():
+    """Integer characters stay integers and decide every stratum as the same
+    characters in Fractions do."""
+    for _, act, sub, rho in _strata_cases():
+        assert all(type(x) is int for chi in rho.positive for x in chi)
+        as_fractions = VirtualRep(sub, [[Fraction(x) for x in chi] for chi in rho.positive])
+        assert as_fractions.dim == rho.dim
+        assert as_fractions.net_character() == rho.net_character()
+        want, got = orbifold_stratum(act, sub, as_fractions), orbifold_stratum(act, sub, rho)
+        assert (got.dim, got.pieces) == (want.dim, want.pieces)
+    both = VirtualRep(Z3, ((2, -1, -1),), ((Fraction(4, 2), -1, Fraction(-1)),))
+    assert both.dim == 0 and both.net_character() == (0, 0, 0)
+    for chi in ((1, 0), (2, -1, 0), (1, 1, 1)):
+        group = Z2 if len(chi) == 2 else Z3
+        with pytest.raises(OrbifoldError, match="summands must have no fixed part"):
+            VirtualRep(group, (chi,))
+        with pytest.raises(OrbifoldError, match="summands must have no fixed part"):
+            VirtualRep(group, negative=(chi,))
+    with pytest.raises(OrbifoldError, match="virtual dimension must be an integer"):
+        VirtualRep(Z2, ((Fraction(1, 2), Fraction(-1, 2)),)).dim
+
+
 # ---------------------------------------------------------------------------
 # strata
 # ---------------------------------------------------------------------------
