@@ -1,4 +1,5 @@
-"""Names other code relies on: console scripts, the benchmark's traced and imported names."""
+"""Names other code relies on: console scripts, the benchmark's traced and imported names
+and the number of strata cases it runs."""
 
 import ast
 import importlib
@@ -9,6 +10,8 @@ import sys
 import tomllib
 from collections import Counter
 from pathlib import Path
+
+from cornercalc.suites import _strata_cases
 
 ROOT = Path(__file__).resolve().parents[1]
 
