@@ -219,6 +219,14 @@ def cell_orientation_equal(a: Cell, b: Cell) -> int:
     return a.sign * b.sign
 
 
+def _integer(x) -> int:
+    """A torus-column entry as an int: an integer rational, never a float (frac)."""
+    x = frac(x)
+    if x.denominator != 1:
+        raise MapError("torus columns need integer entries")
+    return x.numerator
+
+
 @dataclass(frozen=True)
 class CellMap:
     """Affine map (p, t) -> A p + M t + b into a target; M integral."""
@@ -229,7 +237,8 @@ class CellMap:
     b: Vec           # length m
 
     def __init__(self, target: Target, a: Iterable[Iterable], m_t: Iterable[Iterable], b: Iterable):
-        self._set(target, mat(a), tuple(tuple(int(x) for x in row) for row in m_t), vec(b))
+        self._set(target, mat(a), tuple(tuple(x if type(x) is int else _integer(x) for x in row)
+                                        for row in m_t), vec(b))
 
     @classmethod
     def _exact(cls, target: Target, a: Mat, m_t: IntMat, b: Vec) -> "CellMap":
@@ -795,14 +804,16 @@ def canonical_cell_map(cell: Cell, cmap: CellMap):
     modulo the image of the integer lattice.  Both moves commute with the
     map, so they preserve the orientation dictionary and serve cochains too.
 
-    The offset is reduce(b + A p0), p0 the hull origin (the point of aff(P)
-    whose free coordinates are 0).  It equals reduce(A v0 + b) less the new
-    linear part at v0: v0 - p0 = sum_c v0_c w_c over the hull directions,
-    reduce is a linear projection along the torus columns, and it fixes
-    each reduced column.  The arithmetic is exact, so the identity holds
-    entry for entry.  Each row of A is read as integers over its
-    denominators' lcm against the hull's integer chart (hull_chart), so an
-    entry of the new A or b is made as one Fraction.  The Hermite form, its
+    The hull's chart (hull_chart, one integer reduction of its directions)
+    gives the direction w_c of aff(P) at each free coordinate c and the
+    hull origin p0, the point of aff(P) whose free coordinates are 0, all as
+    integers over one denominator den.  The offset is reduce(b + A p0).  It
+    equals reduce(A v0 + b) less the new linear part at v0: v0 - p0 =
+    sum_c v0_c w_c, reduce is a linear projection along the torus columns,
+    and it fixes each reduced column.  The arithmetic is exact, so the
+    identity holds entry for entry.  Each row of A is read as integers over
+    its denominators' lcm, scale, so an entry of the new A or b is made as
+    one Fraction over scale * den, and den cancels.  The Hermite form, its
     sign, the pivots and the reduced lattice depend on M alone (and on
     whether the target is a torus): they are computed once per integral
     matrix (_torus_form).  The new entries are exact by construction, so

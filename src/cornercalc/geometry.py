@@ -323,11 +323,10 @@ class _FaceData:
     _hull_face_data).  A second request returns the same object.
 
     The boundary data is lazy too: each facet's polytope and the sign of
-    its frame, outward vector first, read in the chart (facet_cells), the
-    directions of the affine hull on its free coordinates
-    (hull_directions, one reduction of dir_basis from the right), the
-    point of the hull whose free coordinates are all 0 (hull_origin), and
-    both over one common denominator (hull_chart).
+    its frame, outward vector first, read in the chart (facet_cells), and
+    the affine hull on its free coordinates (hull_chart): its directions
+    and the point whose free coordinates are all 0, as integers over one
+    denominator, from one integer reduction of dir_basis from the right.
     """
 
     def __init__(self, ambient_dim: int, vertices: tuple[Vec, ...]):
@@ -360,8 +359,6 @@ class _FaceData:
         self._facet_cells: Optional[list] = None
         self._faces: dict[int, Polytope] = {}
         self._hull: Optional[_FaceData] = None
-        self._hull_directions: Optional[list] = None
-        self._hull_origin: Optional[tuple] = None
         self._hull_chart: Optional[tuple] = None
 
     def key(self, mask: int) -> FaceKey:
@@ -455,61 +452,37 @@ class _FaceData:
             self.equations = [(e, sum(a * b for a, b in zip(e, v0))) for e in eqs]
         return self.equations
 
-    def hull_directions(self) -> list[tuple[int, tuple[tuple[int, Fraction], ...]]]:
-        """(c, w_c) for each free coordinate c of the rref of the hull's equations.
-
-        w_c is the direction of the affine hull with free coordinates e_c,
-        as sparse (index, coefficient) pairs, c first and then the nonzero
-        entries at the pivots of the equations in increasing order.  The free
-        coordinates are the right-most pivots of the direction space, and
-        the w_c are the rows of dir_basis reduced from the right: one
-        reduction, with no equations built.  A full-dimensional vertex set
-        has w_c = e_c for every c, a point none.
-        """
-        if self._hull_directions is None:
-            n, d = self.ambient_dim, self.dir_basis
-            if len(d) == n:
-                dirs = [(c, ((c, Fraction(1)),)) for c in range(n)]
-            elif not d:
-                dirs = []
-            else:
-                red, piv = rref(tuple(row[::-1] for row in d))
-                dirs = [(n - 1 - p, ((n - 1 - p, Fraction(1)),)
-                         + tuple((j, x) for j, x in enumerate(reversed(row))
-                                 if x and j != n - 1 - p))
-                        for row, p in zip(reversed(red), reversed(piv))]
-            self._hull_directions = dirs
-        return self._hull_directions
-
-    def hull_origin(self) -> tuple[tuple[int, Fraction], ...]:
-        """The point p0 = v0 - sum_c v0_c w_c of the affine hull, w_c from hull_directions.
-
-        Its free coordinates are all 0, so it is kept sparse, as the
-        (index, value) pairs of its nonzero coordinates, all pivots of the
-        hull's equations: empty for a full-dimensional vertex set, the
-        vertex itself for a point.
-        """
-        if self._hull_origin is None:
-            v0 = self.vertices[0]
-            p0 = list(v0)
-            for c, w in self.hull_directions():
-                if v0[c]:
-                    for j, x in w:
-                        p0[j] -= v0[c] * x
-            self._hull_origin = tuple((j, x) for j, x in enumerate(p0) if x)
-        return self._hull_origin
-
     def hull_chart(self) -> tuple[int, tuple[tuple[int, tuple[tuple[int, int], ...]], ...],
                                   tuple[tuple[int, int], ...]]:
-        """(den, directions, origin): hull_directions() and hull_origin() times
-        their denominators' lcm den, as sparse (index, integer) pairs."""
+        """(den, directions, origin): the affine hull on its free coordinates, over den.
+
+        One Jordan reduction of the integer dir_basis rows read right to left
+        leaves a row q_c w_c for each free coordinate c (a right-most pivot
+        of the direction space), w_c the direction of the hull whose free
+        coordinates are e_c.  The origin is the point p0 = v0 - sum_c v0_c
+        w_c, whose free coordinates are all 0.  Over den = s lcm(|q_c|), s
+        the vertices' common denominator (lattice), both are integers, kept
+        as sparse (index, integer) pairs: w_c with c first and then its other
+        nonzero entries in increasing order, p0 by its nonzero entries.
+        """
         if self._hull_chart is None:
-            dirs, origin = self.hull_directions(), self.hull_origin()
-            den = lcm(*(x.denominator for _, w in dirs for _, x in w),
-                      *(x.denominator for _, x in origin))
-            self._hull_chart = (den, tuple((c, tuple((j, int(x * den)) for j, x in w))
-                                           for c, w in dirs),
-                                tuple((j, int(x * den)) for j, x in origin))
+            n = self.ambient_dim
+            rows = [row[::-1] for row in self._dir_ints()[0]]
+            pivots = _eliminate(rows)
+            q = lcm(*(abs(row[p]) for row, p in zip(rows, pivots)))
+            xs, s = self.lattice()
+            x0 = xs[0]
+            origin = [q * x for x in x0]
+            dirs = []
+            for row, p in zip(reversed(rows), reversed(pivots)):
+                c = n - 1 - p
+                w = [x * (q // row[p]) for x in reversed(row)]
+                for j, x in enumerate(w):
+                    origin[j] -= x0[c] * x
+                dirs.append((c, ((c, q * s),) + tuple((j, x * s) for j, x in enumerate(w)
+                                                      if x and j != c)))
+            self._hull_chart = (q * s, tuple(dirs),
+                                tuple((j, x) for j, x in enumerate(origin) if x))
         return self._hull_chart
 
     # -- affine-hull coordinates --------------------------------------------

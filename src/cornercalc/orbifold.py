@@ -744,15 +744,17 @@ def map_is_invariant(action: GroupAction, cmap: CellMap, component: int = 0) -> 
     """Whether one map descends to the quotient of its component orbit.
 
     Every group element carrying the component somewhere must transport the
-    map back to itself, so the whole orbit is probed with the same map.
+    map back to itself, so the whole orbit is probed with the same map, on
+    each vertex and its image read from the vertex tables.
     """
-    for g in action.group.elements:
-        for i in action.component_orbit(component):
-            entry = action.maps[g][i]
-            pairs = [(v, entry.apply(v)) for v in action.spaces[i].vertices]
-            if not maps_agree(cmap, cmap, pairs):
-                return False
-    return True
+    return all(maps_agree(cmap, cmap, _vertex_pairs(action, g, i))
+               for g in action.group.elements for i in action.component_orbit(component))
+
+
+def _vertex_pairs(action: GroupAction, g, i: int) -> list:
+    """(v, g.v) for each vertex v of component i, g.v from action.tables."""
+    image = action.spaces[action.maps[g][i].target].vertices
+    return [(v, image[k]) for v, k in zip(action.spaces[i].vertices, action.tables[g][i])]
 
 
 def quotient_pushdown(action: GroupAction, cmaps, tags, ring: str = "Q") -> Chain:
@@ -773,11 +775,9 @@ def quotient_pushdown(action: GroupAction, cmaps, tags, ring: str = "Q") -> Chai
     if len(cmaps) != len(action.spaces) or len(tags) != len(action.spaces):
         raise OrbifoldError("one map and one tag per component are required")
     for g in action.group.elements:
-        for i, poly in enumerate(action.spaces):
-            entry = action.maps[g][i]
-            j = entry.target
-            pairs = [(v, entry.apply(v)) for v in poly.vertices]
-            if not maps_agree(cmaps[i], cmaps[j], pairs):
+        for i in range(len(action.spaces)):
+            j = action.maps[g][i].target
+            if not maps_agree(cmaps[i], cmaps[j], _vertex_pairs(action, g, i)):
                 raise OrbifoldError("map is not invariant under the action")
             table = action.tables[g][i]
             for f, label in tags[i].labels:

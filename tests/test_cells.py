@@ -93,6 +93,20 @@ def test_cell_map_shape_validation():
     CellMap(torus(1), [[]], [[1]], [0])  # the point-source form
 
 
+def test_cell_map_torus_columns_are_integers():
+    # an int, an integral Fraction and an integral string are kept as ints
+    cmap = CellMap(torus(2), [[], []], [[2, F(-3)], ["4", True]], [0, 0])
+    assert cmap.m_t == ((2, -3), (4, 1)) and all(type(x) is int for row in cmap.m_t for x in row)
+    # a non-integer rational is refused, not truncated
+    for x in (F(1, 2), F(-7, 3), "5/2"):
+        with pytest.raises(MapError, match="^torus columns need integer entries$"):
+            CellMap(torus(1), [[]], [[x]], [0])
+    # a float is refused as inexact, even when it is integral
+    for x in (1.7, 2.0):
+        with pytest.raises(TypeError, match="^expected exact rational, got float"):
+            CellMap(torus(1), [[]], [[x]], [0])
+
+
 def test_submersion_flavours():
     sq = box([(0, 1), (0, 1)])
     px = CellMap(euclid(1), [[1, 0]], [[]], [0])
@@ -998,8 +1012,9 @@ def _per_call_canonical_cell_map(cell, cmap):
     if m > 0 and n > 0:
         v0 = cell.polytope.vertices[0]
         val0 = [new_b[i] + sum(new_a[i][c] * v0[c] for c in range(n)) for i in range(m)]
-        cols = {c: reduce([sum(row[j] * x for j, x in w) for row in new_a])
-                for c, w in cell.polytope._fd.hull_directions()}
+        den, dirs, _ = cell.polytope._fd.hull_chart()
+        cols = {c: reduce([sum(row[j] * F(x, den) for j, x in w) for row in new_a])
+                for c, w in dirs}
         new_a = [tuple(cols[c][i] if c in cols else F(0) for c in range(n)) for i in range(m)]
         new_b = [val0[i] - sum(new_a[i][c] * v0[c] for c in range(n)) for i in range(m)]
     if m > 0:

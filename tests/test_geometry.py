@@ -920,33 +920,41 @@ def placed_rational_hull(draw, max_dim=3):
 @settings(max_examples=100, deadline=None)
 @given(placed_rational_hull())
 def test_hull_origin_is_the_hull_point_with_free_coordinates_zero(p):
-    """hull_origin and hull_chart against hull_equations and hull_directions."""
+    """The chart's origin and directions against hull_equations and the
+    vertices: den v = origin + sum_c v_c w_c on integers for every vertex,
+    with the origin 0 at every free coordinate and w_c equal to den at c and
+    0 at the other free coordinates."""
     fd = p._fd
-    origin = fd.hull_origin()
+    den, dirs, origin = fd.hull_chart()
+    assert den >= 1 and all(type(x) is int and x != 0 for _, x in origin)
     assert [j for j, _ in origin] == sorted({j for j, _ in origin})
-    assert all(x != 0 for _, x in origin)
-    p0 = [Fraction(0)] * p.ambient_dim
+    free = [c for c, _ in dirs]
+    assert free == sorted(set(free))
+    assert all(w[0] == (c, den) and all(j not in free and type(x) is int and x != 0
+                                        for j, x in w[1:])
+               and [j for j, _ in w[1:]] == sorted({j for j, _ in w[1:]})
+               for c, w in dirs)
+    p0 = [0] * p.ambient_dim
     for j, x in origin:
         p0[j] = x
-    assert all(dot(e, p0) == c for e, c in fd.hull_equations())
-    assert all(p0[c] == 0 for c, _ in fd.hull_directions())
-    # every vertex is the origin plus its free coordinates along the directions
-    for v in p.vertices:
-        point = list(p0)
-        for c, w in fd.hull_directions():
-            for j, x in w:
-                point[j] += v[c] * x
-        assert tuple(point) == v
+    assert all(p0[c] == 0 for c in free)
+    assert all(dot(e, p0) == c * den for e, c in fd.hull_equations())
+    # every vertex is the origin plus its free coordinates along the
+    # directions, all times den; over the lattice's denominator s, den / s
+    # is an integer and so is each sum
+    xs, s = fd.lattice()
+    assert den % s == 0
+    for x in xs:
+        point = [den // s * xj for xj in x]
+        for c, w in dirs:
+            for j, y in w:
+                assert x[c] * y % s == 0
+                point[j] -= x[c] * y // s
+        assert point == p0
     if p.dim == p.ambient_dim:
-        assert origin == ()
+        assert origin == () and free == list(range(p.ambient_dim))
     if p.dim == 0:
-        assert tuple(p0) == p.vertices[0]
-    # the integer chart is the same data over one denominator
-    den, dirs, ints = fd.hull_chart()
-    assert den >= 1 and all(type(x) is int for _, x in ints)
-    assert tuple((j, Fraction(x, den)) for j, x in ints) == origin
-    assert [(c, tuple((j, Fraction(x, den)) for j, x in w)) for c, w in dirs] == \
-        fd.hull_directions()
+        assert dirs == () and [Fraction(x, den) for x in p0] == list(p.vertices[0])
 
 
 def _kernel_equations(fd):
@@ -973,10 +981,11 @@ def test_hull_equations_are_the_kernel_of_dir_basis(p):
 # ---------------------------------------------------------------------------
 
 def _two_elimination_chart(fd):
-    """(hull_directions, hull_origin, hull_chart) by the reference formula:
-    the hull's equations are a kernel basis of dir_basis, the free
-    coordinates are the non-pivots of their rref, and w_c is e_c minus
-    column c of the rref at the pivots."""
+    """(directions, origin) of the hull by the reference formula, in
+    Fractions: the hull's equations are a kernel basis of dir_basis, the
+    free coordinates are the non-pivots of their rref, w_c is e_c minus
+    column c of the rref at the pivots, and the origin is v0 - sum_c v0_c
+    w_c, by its nonzero entries."""
     n = fd.ambient_dim
     eqs = _kernel_equations(fd)
     red, piv = rref(mat(eqs)) if eqs else ((), ())
@@ -987,11 +996,33 @@ def _two_elimination_chart(fd):
         x0 = fd.vertices[0][c]
         for j, x in w:
             p0[j] -= x0 * x
-    origin = tuple((j, x) for j, x in enumerate(p0) if x)
-    den = lcm(*(x.denominator for _, w in dirs for _, x in w), *(x.denominator for _, x in origin))
-    chart = (den, tuple((c, tuple((j, int(x * den)) for j, x in w)) for c, w in dirs),
-             tuple((j, int(x * den)) for j, x in origin))
-    return dirs, origin, chart
+    return dirs, tuple((j, x) for j, x in enumerate(p0) if x)
+
+
+def _chart_values(fd):
+    """hull_chart() read as Fractions x / den, in the reference's shape."""
+    den, dirs, origin = fd.hull_chart()
+    return ([(c, tuple((j, Fraction(x, den)) for j, x in w)) for c, w in dirs],
+            tuple((j, Fraction(x, den)) for j, x in origin))
+
+
+@pytest.mark.parametrize("points, chart", [
+    # a point: no direction, and the origin is the point itself
+    ([(Fraction(1, 2), 0, Fraction(-2, 3))], (6, (), ((0, 3), (2, -4)))),
+    # a full-dimensional box: w_c = e_c and the origin is 0
+    (list(itertools.product((0, Fraction(1, 2)), (0, Fraction(1, 3)))),
+     (6, ((0, ((0, 6),)), (1, ((1, 6),))), ())),
+    # a segment in R^3 along (2, 3, 4), free at coordinate 2 with pivot 4,
+    # whose vertices have denominator 30: w_2 = (1/2, 3/4, 1) and the origin
+    # (2/5, 11/60, 0), over 30 * 4
+    ([(Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)),
+      (Fraction(5, 2), Fraction(10, 3), Fraction(21, 5))],
+     (120, ((2, ((2, 120), (0, 60), (1, 90))),), ((0, 48), (1, 22)))),
+], ids=["point", "box", "rational-segment"])
+def test_hull_chart_of_a_point_a_box_and_a_rational_segment(points, chart):
+    p = Polytope.from_points(len(points[0]), points)
+    assert p._fd.hull_chart() == chart
+    assert _chart_values(p._fd) == _two_elimination_chart(p._fd)
 
 
 def _faces_reached(poly):
@@ -1010,8 +1041,9 @@ def _faces_reached(poly):
 @given(placed_rational_hull(max_dim=4))
 def test_faces_inherit_the_lattice_and_chart_of_a_cold_enumeration(p):
     """A face built by face() takes its lattice from its parent's and its
-    chart from one reduction: both must equal what face data built from
-    scratch, outside the cache, and the two-elimination chart give."""
+    chart from one reduction: the lattice must equal what face data built
+    from scratch, outside the cache, gives, and the chart, by value, what
+    the two-elimination reference gives."""
     geometry._face_data.cache_clear()
     p = Polytope.from_points(p.ambient_dim, p.vertices)
     for face in _faces_reached(p):
@@ -1020,10 +1052,7 @@ def test_faces_inherit_the_lattice_and_chart_of_a_cold_enumeration(p):
         assert list(fd.face_dims().items()) == list(cold.face_dims().items())
         assert list(fd.faces_by_dim().items()) == list(cold.faces_by_dim().items())
         assert fd.facets() == cold.facets() and fd.facet_masks == cold.facet_masks
-        dirs, origin, chart = _two_elimination_chart(cold)
-        assert fd.hull_directions() == dirs
-        assert fd.hull_origin() == origin
-        assert fd.hull_chart() == chart
+        assert _chart_values(fd) == _two_elimination_chart(cold)
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,8 @@ def test_bench_pairs_smoke():
     assert set(rows) >= {"metric", "throughput_ops_s", "latency_p50_ms", "latency_p90_ms",
                          "ok_share", "setup_s", "peak_rss_mb"}
     assert rows["ok_share"][1:3] == ["1", "1"] and rows["ok_share"][-1] == "0/1"
+    count = _bench_pairs().source_lines(ROOT)
+    assert lines[-1] == f"source lines (src/cornercalc/*.py): parent {count}  change {count}"
 
 
 def _bench_pairs():
@@ -117,3 +119,19 @@ def test_bench_pairs_summary_on_fixed_runs():
     # lower is better, and a tie is not a win
     assert rows["latency_p50_ms"] == ["4", "3", "3.5..4.25", "-25.0%", "2/4"]
     assert rows["setup_s"] == ["0", "0", "0..0", "n/a", "0/4"]
+
+
+def test_bench_pairs_source_lines_on_two_trees(tmp_path):
+    # the newlines of src/cornercalc/*.py, as `cat src/cornercalc/*.py | wc -l`
+    # counts them: a last line without a newline is not counted, and neither
+    # is a file of another suffix or one in a subdirectory
+    trees = {"parent": {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3", "notes.txt": "1\n2\n"},
+             "change": {"a.py": "x = 1\n", "c.py": "\n\n\n", "sub/d.py": "w = 4\n"}}
+    for name, files in trees.items():
+        for rel, text in files.items():
+            path = tmp_path / name / "src" / "cornercalc" / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+    source_lines = _bench_pairs().source_lines
+    assert source_lines(tmp_path / "parent") == 2
+    assert source_lines(tmp_path / "change") == 4

@@ -13,7 +13,9 @@ For each end-to-end metric it prints both medians, the parent's quartiles,
 the relative change of the medians (change / parent - 1, e.g. +23.8%) and
 the number of pairs in which the change was better: higher is better for
 throughput_ops_s and ok_share, lower for every other metric; a tie is not
-a win.  It exits 1 when a run fails or a run's verdict is not correct.
+a win.  Then it prints each checkout's source line count, the newlines
+in its src/cornercalc/*.py (what `cat src/cornercalc/*.py | wc -l` gives).
+It exits 1 when a run fails or a run's verdict is not correct.
 """
 
 from __future__ import annotations
@@ -65,6 +67,12 @@ def summary(runs: dict) -> list[str]:
     return lines
 
 
+def source_lines(checkout: Path) -> int:
+    """The newlines in a checkout's src/cornercalc/*.py."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src" / "cornercalc").glob("*.py"))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path)
@@ -95,6 +103,8 @@ def main(argv=None) -> int:
           f"--seconds {args.seconds:g}")
     for line in summary(runs):
         print(line)
+    print("source lines (src/cornercalc/*.py): " + "  ".join(
+        f"{side} {source_lines(path)}" for side, path in sides.items()))
     if not correct:
         print("a run's verdict was not correct")
     return 0 if correct else 1
