@@ -3,8 +3,10 @@
 A cell P x T^s is the geometric atom for chains and cochains. The polytope part
 carries the faces and the boundary; the torus factor is closed, so a cell with a
 point polytope part has empty boundary. Maps into a target send (p, t) to
-A p + M t + b, with M integral so the map descends to the torus factor; over a
-torus target values are read modulo Z^m.
+A p + M t + b, with M integral so the map descends to the torus factor.  Over
+a torus target values are read modulo Z^m by one reduction, Target.wrap
+(CellMap.value, TargetMap.value, maps_agree); a map of targets composes with
+a cell map by one product, TargetMap.after (chains), shared by push and pull.
 
 s = 0 recovers plain oriented polytopes. The torus factor exists because no
 compact polytope admits a submersion onto a positive-dimensional flat target
@@ -117,6 +119,12 @@ class Target:
     @property
     def compact(self) -> bool:
         return self.kind in ("point", "torus")
+
+    def wrap(self, v: Vec) -> Vec:
+        """v with each coordinate taken modulo 1 on a torus; v itself otherwise."""
+        if self.kind != "torus":
+            return v
+        return tuple(x - x.numerator // x.denominator for x in v)
 
     def product(self, other: "Target") -> "Target":
         if self.kind == "point":
@@ -270,15 +278,9 @@ class CellMap:
         return len(self.m_t[0]) if self.m_t else 0
 
     def value(self, p: Vec, t: Vec = ()) -> Vec:
-        out = []
-        for i in range(self.target.dim):
-            v = sum((self.a[i][j] * p[j] for j in range(len(p))), Fraction(0))
-            v += sum(self.m_t[i][j] * frac(t[j]) for j in range(len(t)))
-            v += self.b[i]
-            if self.target.is_torus:
-                v = v - (v.numerator // v.denominator)
-            out.append(v)
-        return tuple(out)
+        return self.target.wrap(tuple(sum((a * x for a, x in zip(arow, p)), _ZERO)
+                                      + sum(c * frac(x) for c, x in zip(trow, t)) + b
+                                      for arow, trow, b in zip(self.a, self.m_t, self.b)))
 
     def differential_on(self, cell: Cell) -> Mat:
         """Matrix of the differential on cell.frame, shape m x (dim cell).
@@ -310,22 +312,14 @@ def maps_agree(f: CellMap, g: CellMap, point_pairs) -> bool:
 
     The torus columns must coincide.  The difference of affine maps is affine,
     so agreement on a hull needs all matched differences equal and that
-    constant zero, or integral when the target is a torus.
+    constant to wrap to zero (Target.wrap).
     """
     if f.target != g.target or f.m_t != g.m_t:
         return False
-    m = f.target.dim
-    if m == 0:
-        return True
-    diffs = [tuple(sum(f.a[r][c] * v[c] for c in range(len(v))) + f.b[r]
-                   - sum(g.a[r][c] * w[c] for c in range(len(w))) - g.b[r]
-                   for r in range(m))
+    diffs = [tuple(sum(x * y for x, y in zip(fa, v)) + fb - sum(x * y for x, y in zip(ga, w))
+                   - gb for fa, fb, ga, gb in zip(f.a, f.b, g.a, g.b))
              for v, w in point_pairs]
-    if any(d != diffs[0] for d in diffs):
-        return False
-    if f.target.is_torus:
-        return all(x.denominator == 1 for x in diffs[0])
-    return all(x == 0 for x in diffs[0])
+    return all(d == diffs[0] for d in diffs) and not any(f.target.wrap(diffs[0]))
 
 
 # ---------------------------------------------------------------------------

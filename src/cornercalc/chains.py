@@ -770,9 +770,30 @@ def aut_finite(cell: Cell, cmap: CellMap, tag: Tag, *, cap: int = 12) -> AutRepo
 # Pushforward along target maps
 # ---------------------------------------------------------------------------
 
+def _affine_entries(target: Target, matrix, offset, cols: int) -> tuple:
+    """An affine map's matrix and offset in Fractions: target.dim rows, cols columns."""
+    mm = tuple(tuple(frac(x) for x in row) for row in matrix)
+    bb = tuple(frac(x) for x in offset)
+    if len(mm) != target.dim or len(bb) != target.dim:
+        raise ChainError("affine map rows must match the target dimension")
+    if any(len(row) != cols for row in mm):
+        raise ChainError(f"affine map rows need {cols} columns")
+    return mm, bb
+
+
+def _after(matrix, offset, a, b, cols: int) -> tuple:
+    """(H A, H b + c): y -> H y + c (matrix, offset) after x -> A x + b, A of cols columns."""
+    inner = range(len(b))
+    return ([[sum(row[k] * a[k][j] for k in inner) for j in range(cols)] for row in matrix],
+            [c + sum(row[k] * b[k] for k in inner) for row, c in zip(matrix, offset)])
+
+
 @dataclass(frozen=True)
 class TargetMap:
-    """Affine map between targets; torus sources need an integer matrix."""
+    """Affine map y -> H y + c between targets; torus sources need an integer H.
+
+    Values are wrapped by Target.wrap.  Push, pull and compose share one
+    composition (_after): push and pull compose cell maps with it (after)."""
 
     source: Target
     target: Target
@@ -780,13 +801,7 @@ class TargetMap:
     offset: tuple
 
     def __init__(self, source: Target, target: Target, matrix, offset):
-        mm = tuple(tuple(frac(x) for x in row) for row in matrix)
-        bb = tuple(frac(x) for x in offset)
-        if len(mm) != target.dim or len(bb) != target.dim:
-            raise ChainError("target map rows must match the target dimension")
-        for row in mm:
-            if len(row) != source.dim:
-                raise ChainError("target map columns must match the source dimension")
+        mm, bb = _affine_entries(target, matrix, offset, source.dim)
         if source.is_torus:
             if target.is_torus:
                 if any(x.denominator != 1 for row in mm for x in row):
@@ -799,25 +814,22 @@ class TargetMap:
         object.__setattr__(self, "offset", bb)
 
     def value(self, y: Sequence) -> Vec:
-        out = [self.offset[i] + sum(self.matrix[i][j] * frac(y[j])
-                                    for j in range(self.source.dim))
-               for i in range(self.target.dim)]
-        if self.target.is_torus:
-            out = [x - (x.numerator // x.denominator) for x in out]
-        return tuple(out)
+        return self.target.wrap(tuple(c + sum(x * frac(z) for x, z in zip(row, y))
+                                      for row, c in zip(self.matrix, self.offset)))
+
+    def after(self, f: CellMap, n: int, s: int) -> CellMap:
+        """self after f, for f on a cell of ambient dimension n and torus rank
+        s: (H A, H M, H b + c).  CellMap checks that H M is integral."""
+        am, bb = _after(self.matrix, self.offset,
+                        [arow + trow for arow, trow in zip(f.a, f.m_t)], f.b, n + s)
+        return CellMap(self.target, [row[:n] for row in am], [row[n:] for row in am], bb)
 
     def compose(self, other: "TargetMap") -> "TargetMap":
         """self after other."""
         if other.target != self.source:
             raise ChainError("composition needs matching targets")
-        mm = [[sum(self.matrix[i][k] * other.matrix[k][j]
-                   for k in range(self.source.dim))
-               for j in range(other.source.dim)]
-              for i in range(self.target.dim)]
-        bb = [self.offset[i] + sum(self.matrix[i][k] * other.offset[k]
-                                   for k in range(self.source.dim))
-              for i in range(self.target.dim)]
-        return TargetMap(other.source, self.target, mm, bb)
+        return TargetMap(other.source, self.target, *_after(
+            self.matrix, self.offset, other.matrix, other.offset, other.source.dim))
 
 
 def identity_target_map(t: Target) -> TargetMap:
@@ -829,19 +841,8 @@ def push_generator(h: TargetMap, gen: Generator) -> Generator:
         raise ChainError("pushforward acts on chains; cochains pull back")
     if gen.cmap.target != h.source:
         raise ChainError("generator target does not match the map source")
-    m_old = h.source.dim
-    n = gen.cell.polytope.ambient_dim
-    s = gen.cell.torus_rank
-    a_new = [[sum(h.matrix[i][k] * gen.cmap.a[k][j] for k in range(m_old))
-              for j in range(n)]
-             for i in range(h.target.dim)]
-    mt_new = [[sum(int(h.matrix[i][k]) * int(gen.cmap.m_t[k][j]) for k in range(m_old))
-               for j in range(s)]
-              for i in range(h.target.dim)]
-    b_new = [h.offset[i] + sum(h.matrix[i][k] * gen.cmap.b[k] for k in range(m_old))
-             for i in range(h.target.dim)]
-    cmap = CellMap(h.target, a_new, mt_new, b_new)
-    return Generator(gen.cell, cmap, gen.tag)
+    return Generator(gen.cell, h.after(gen.cmap, gen.cell.polytope.ambient_dim,
+                                       gen.cell.torus_rank), gen.tag)
 
 
 def pushforward(h: TargetMap, c: Chain) -> Chain:
@@ -964,13 +965,7 @@ class SingularSimplex:
     offset: tuple
 
     def __init__(self, degree: int, target: Target, matrix, offset):
-        mm = tuple(tuple(frac(x) for x in row) for row in matrix)
-        bb = tuple(frac(x) for x in offset)
-        if len(mm) != target.dim or len(bb) != target.dim:
-            raise ChainError("singular simplex rows must match the target dimension")
-        for row in mm:
-            if len(row) != degree + 1:
-                raise ChainError("singular simplex columns must be degree + 1")
+        mm, bb = _affine_entries(target, matrix, offset, degree + 1)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", mm)
@@ -1011,7 +1006,7 @@ def check_singular_chain_map(terms: Sequence):
     """Boundary commutes with the singular bridge, each facet in the big chart.
 
     The boundary of a bridged k-simplex lives on the facets x_j = 0 of the
-    big simplex.  Small term j, the bridged sx.face(j), is put there by
+    big simplex.  Term j of singular_boundary (sx.face(j)) is put there by
     inserting x_j = 0 and labelled by the big tag restricted to facet j: the
     vertices sort as e_k < ... < e_0, so that facet drops vertex k - j and
     its masks are the small simplex's.  The two chains must agree exactly.
@@ -1020,13 +1015,10 @@ def check_singular_chain_map(terms: Sequence):
     rhs_terms = []
     for coeff, sx in terms:
         k = sx.degree
-        if k == 0:
-            continue
         big, full = standard_simplex_tag(k), (1 << (k + 1)) - 1
-        for j in range(k + 1):
+        for j, (c, face) in enumerate(singular_boundary([(coeff, sx)])):
             facet = big.restrict(full & ~(1 << (k - j)))
-            small = _insert_coordinate(singular_generator(sx.face(j)), j, 0, facet.labels)
-            rhs_terms.append((frac(coeff) * (-1) ** j, small))
+            rhs_terms.append((c, _insert_coordinate(singular_generator(face), j, 0, facet.labels)))
     return _law(lhs, Chain(rhs_terms), "boundary does not match the bridged boundary")
 
 

@@ -26,12 +26,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
 
-from ._linalg import (Mat, Vec, _scaled, _scaled_exact, frac, identity, kernel_basis, mat, matvec,
+from ._linalg import (Vec, _scaled, _scaled_exact, frac, identity, kernel_basis, mat, matvec,
                       solve, vec)
 from .cells import Cell, CellMap, maps_agree
 from .chains import Chain, QuotientMarker, Tag
@@ -221,8 +220,11 @@ class ActionComponentMap:
     The map is kept as its integer view ints = (A, a, m), the map
     x -> (A x + a) / m over one denominator m, made once from the entries
     given: integer entries stand as they are, and rational ones are scaled
-    by the lcm of all denominators, so equal maps have equal views.
-    `matrix` and `offset`, in Fractions, are built on first use.
+    by the lcm of all denominators, so equal maps have equal views.  Only
+    ints is read (vertex tables, stabilizers, direction representations,
+    fixed-locus cuts), and elements compose on the vertex tables.  G acting
+    on a torus target T^m would act by TargetMaps: composed by
+    TargetMap.compose, their values wrapped by Target.wrap.
     """
 
     def __init__(self, target: int, matrix: Sequence, offset: Sequence):
@@ -238,20 +240,6 @@ class ActionComponentMap:
 
     def __hash__(self):
         return hash((self.target, self.ints))
-
-    @cached_property
-    def matrix(self) -> Mat:
-        a, _, m = self.ints
-        return tuple(tuple(Fraction(x, m) for x in row) for row in a)
-
-    @cached_property
-    def offset(self) -> Vec:
-        _, c, m = self.ints
-        return tuple(Fraction(x, m) for x in c)
-
-    def apply(self, point: Sequence) -> Vec:
-        return tuple(x + y for x, y in
-                     zip(matvec(self.matrix, vec(point)), self.offset))
 
 
 class GroupAction:
@@ -342,10 +330,6 @@ class GroupAction:
         if len(self.spaces) != 1:
             raise OrbifoldError("action has several components")
         return self.spaces[0]
-
-    def apply(self, g, point: Sequence, component: int = 0):
-        e = self.maps[g][component]
-        return e.target, e.apply(point)
 
     def component_orbit(self, i: int) -> tuple:
         return tuple(sorted({self.maps[g][i].target

@@ -20,7 +20,6 @@ from typing import Sequence
 from ._linalg import mat, rank
 from .cells import (
     Cell,
-    CellMap,
     Coorientation,
     Target,
     fibre_product_cells,
@@ -292,20 +291,15 @@ def pullback(h: TargetMap, delta: Chain) -> Chain:
     if t is None:
         return Chain(ring=delta.ring)
     unit = identity_generator(h.source)
-    cell_h = Cell(POINT_POLYTOPE, h.source.dim)
-    map_h = CellMap(h.target,
-                    [() for _ in range(h.target.dim)],
-                    [[int(x) for x in row] for row in h.matrix],
-                    h.offset)
-    id_map = identity_map(h.source)
+    map_h = h.after(unit.cmap, 0, h.source.dim)
     terms = []
     for coeff, g in delta.terms():
-        comps = fibre_product_cells(cell_h, map_h, g.cell, g.cmap)
+        comps = fibre_product_cells(unit.cell, map_h, g.cell, g.cmap)
         for comp in comps:
             if not comp.transverse:
                 raise ProductError("pullback hit a non-transverse component")
             tag = pair_tags(unit.tag, g.tag, comp)
-            terms.append((coeff, Generator(comp.cell, comp.compose_on_first(id_map), tag,
+            terms.append((coeff, Generator(comp.cell, comp.compose_on_first(unit.cmap), tag,
                                            is_cochain=True)))
     return Chain(terms, ring=delta.ring)
 

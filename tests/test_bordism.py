@@ -179,6 +179,105 @@ def test_map_incompatible_pairing():
     assert any("commute" in d for d in report.details)
 
 
+def _two_squares(matrix, offset):
+    """[0, 1]^2 and [2, 3] x [0, 1], the edge x = 1 of the first paired with
+    the edge x = 2 of the second by x -> matrix x + offset."""
+    squares = [Cell(Polytope.from_points(2, [(a, 0), (a + 1, 0), (a, 1), (a + 1, 1)]))
+               for a in (0, 2)]
+    pw = PairingWitness((0, [(1, 0), (1, 1)]), (1, [(2, 0), (2, 1)]), matrix, offset)
+    return BordismClass([(c, point_map()) for c in squares], (pw,))
+
+
+def _different_torus_ranks():
+    square = Cell(Polytope.from_points(2, [(0, 0), (1, 0), (0, 1), (1, 1)]))
+    cylinder = Cell(Polytope.from_points(1, [[0], [1]]), 1)
+    pw = PairingWitness((0, [(0, 0), (0, 1)]), (1, [(0,)]), [[1, 0]], [0])
+    return BordismClass([(square, point_map()), (cylinder, point_map())], (pw,))
+
+
+def _different_ambients():
+    pw = PairingWitness((0, [(1,)]), (1, [(2,)]), [[1], [0]], [1, 0])
+    return BordismClass([segment(0, 1), segment(2, 3)], (pw,))
+
+
+def _face_plane_not_carried():
+    # The 4-simplex's facet {0, e1, e2, e3} goes onto the cube's square facet
+    # z = 0 vertex for vertex, so its three directions cannot land in the
+    # square's plane independently.  Facets of equal dimension never do this,
+    # and the constructor keeps the grades equal, so the cube takes the second
+    # simplex's place after it (the audit does not trust the class it is given).
+    simplex = Cell(Polytope.from_points(4, [(0, 0, 0, 0)] + [
+        tuple(int(i == j) for j in range(4)) for i in range(4)]))
+    cube = Cell(Polytope.from_points(3, [(x, y, z) for x in (0, 1) for y in (0, 1)
+                                         for z in (0, 1)]))
+    pw = PairingWitness((0, [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]),
+                        (1, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]),
+                        [[1, 0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 0]], [0, 0, 0])
+    b = BordismClass([(simplex, point_map())] * 2, (pw,))
+    b.components = (b.components[0], BordismComponent(cube, point_map()))
+    return b
+
+
+def _cooriented_segment():
+    cell = Cell(Polytope.from_points(1, [[0], [1]]), 1)
+    cmap = CellMap(torus(1), [[0]], [[1]], [0])
+    return BordismClass([BordismComponent(cell, cmap, cooriented=True)])
+
+
+@pytest.mark.parametrize("build, detail", [
+    (_different_torus_ranks, "pairing 0: paired components have different torus ranks"),
+    (_different_ambients, "pairing 0: identification has the wrong shape"),
+    (lambda: _two_squares([[0, 0], [0, 0]], [2, 0]),
+     "pairing 0: identification is not injective on the face"),
+    (lambda: _two_squares([[1, 0], [0, 1]], [0, 0]),
+     "pairing 0: identification does not carry the face onto its partner"),
+    (_face_plane_not_carried,
+     "pairing 0: identification does not carry the face plane onto its partner"),
+    (_cooriented_segment, "cooriented classes must be boundary-free"),
+], ids=["torus-ranks", "shape", "not-injective", "not-onto", "face-plane", "cooriented"])
+def test_certificate_reports_each_identification_fault(build, detail):
+    report = closed_certificate_check(build())
+    assert not report.ok
+    assert detail in report.details
+
+
+def _oriented_circle():
+    return (Cell(Polytope.from_points(0, [[]]), 1), CellMap(torus(1), [()], [[1]], [0]))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: pt_class(kind="smooth"), "kind must be 'classical' or 'kuranishi'"),
+    (lambda: BordismClass([segment(0, 1)], [((0, [(0,)]), (0, [(1,)]), [[1]], [1])]),
+     "pairings must be PairingWitness values"),
+    (lambda: BordismClass([_oriented_circle(), circle_cover(1).components[0]]),
+     "mixing oriented and cooriented components"),
+    (lambda: BordismClass(circle_cover(2).components, kind="classical"),
+     "classical classes are oriented"),
+    (lambda: BordismClass([(Cell(Polytope.from_points(0, [[]])), point_map()),
+                           (Cell(Polytope.from_points(0, [[]])),
+                            CellMap(euclid(1), [()], [()], [0]))]),
+     "components map to different targets"),
+], ids=["kind", "pairing-type", "mixed", "classical-cooriented", "targets"])
+def test_class_refusals(build, message):
+    with pytest.raises(BordismError, match=f"^{message}$"):
+        build()
+
+
+def test_class_match_of_cooriented_classes():
+    assert class_match(circle_cover(2), circle_cover(2))
+    assert not class_match(circle_cover(2), circle_cover(3))
+    assert not class_match(circle_cover(1), BordismClass([_oriented_circle()]))
+
+
+def test_cap_takes_the_oriented_factor_first():
+    tri = hollow_triangle()
+    one = identity_cobordism(POINT)
+    res = bordism_cup_cap(one, tri)
+    assert not res.cooriented
+    assert res == bordism_cup_cap(tri, one)
+    assert class_match(res, tri)
+
+
 def test_mixed_grades_rejected():
     p = Polytope.from_points(1, [[0], [1]])
     with pytest.raises(BordismError, match="grade"):

@@ -78,6 +78,34 @@ def test_outcome_only_digest_of_one_homology_bordism_item(items, counts, outcome
         counts, f"sha256 {outcomes}", f"outcomes sha256 {outcomes}"]
 
 
+# Loads the tool with its digest stubbed out, then runs its command line once
+# per workload named and once with --items 2.
+_DEFAULT_ITEMS = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("outcome_digest", sys.argv[1])
+tool = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tool)
+tool.outcome_digest = lambda workload, items: (items, {"results": 0, "components": 0}, "", "")
+for workload in sys.argv[2:]:
+    tool.main(["--workload", workload])
+tool.main(["--workload", sys.argv[2], "--items", "2"])
+"""
+
+
+def test_outcome_digest_defaults_to_the_corpus_size():
+    # without --items the tool digests the benchmark's whole corpus, the
+    # items count of perfbench/run.py, which the digest tests above pin
+    sizes = {"chain-boundary": 66, "fibre-identities": 5, "cochain-algebra": 11,
+             "homology-bordism": 7}
+    out = subprocess.run(
+        [sys.executable, "-c", _DEFAULT_ITEMS, str(ROOT / "tools" / "outcome_digest.py"),
+         *sizes], capture_output=True, text=True, check=True, timeout=60).stdout
+    heads = [line for line in out.splitlines() if " items 0.." in line]
+    assert heads == [f"{w} items 0..{n - 1}: {n} ops, 0 fibre_product_cells results "
+                     "(0 components)" for w, n in sizes.items()] + [
+        "chain-boundary items 0..1: 2 ops, 0 fibre_product_cells results (0 components)"]
+
+
 def test_bench_pairs_smoke():
     # one short pair of the same checkout on both sides: every end-to-end
     # metric gets a line, and the run is correct

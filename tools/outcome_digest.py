@@ -3,7 +3,9 @@
     python3 tools/outcome_digest.py --workload fibre-identities --items 7
 
 runs items 0..N-1 of every check kind of the workload, as defined in
-`perfbench/workloads.py` (imported, not changed), without deadlines: for each
+`perfbench/workloads.py` (imported, not changed), without deadlines; N is the
+workload's corpus size (`items` in `perfbench/run.py`'s `WORKLOADS`) unless
+`--items` gives it.  For each
 item in turn, each kind samples its instance from the item's random stream
 and decides it.  It prints the number of operations, the number of
 `fibre_product_cells` results the operations produced (and their components),
@@ -34,6 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import cornercalc.cells as cells  # noqa: E402
+import run  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -89,10 +92,12 @@ def outcome_digest(workload: str, items: int) -> tuple[int, dict, str, str]:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
-    ap.add_argument("--items", type=int, default=1)
+    ap.add_argument("--items", type=int,
+                    help="items per check kind (default: the workload's corpus size)")
     args = ap.parse_args(argv)
-    ops, tally, digest, outcomes = outcome_digest(args.workload, args.items)
-    print(f"{args.workload} items 0..{args.items - 1}: {ops} ops, "
+    items = run.WORKLOADS[args.workload]["items"] if args.items is None else args.items
+    ops, tally, digest, outcomes = outcome_digest(args.workload, items)
+    print(f"{args.workload} items 0..{items - 1}: {ops} ops, "
           f"{tally['results']} fibre_product_cells results "
           f"({tally['components']} components)")
     print(f"sha256 {digest}")
