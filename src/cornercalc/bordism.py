@@ -127,10 +127,13 @@ class BordismComponent:
         return key + (self.cooriented,), sign
 
 
+@dataclass(frozen=True, init=False, eq=False)
 class BordismClass:
-    """Union of mapped cells with a boundary-gluing certificate."""
+    """Union of mapped cells with a boundary-gluing certificate; a frozen value."""
 
-    __slots__ = ("components", "pairings", "kind")
+    components: tuple
+    pairings: tuple
+    kind: str
 
     def __init__(self, components, pairings=(), kind: str = "kuranishi"):
         if kind not in ("classical", "kuranishi"):
@@ -153,9 +156,9 @@ class BordismClass:
             raise BordismError("components map to different targets")
         if len({c.grade for c in comps}) > 1:
             raise BordismError("components have different grades")
-        self.components = comps
-        self.pairings = pws
-        self.kind = kind
+        object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "pairings", pws)
+        object.__setattr__(self, "kind", kind)
 
     @property
     def cooriented(self) -> bool:
@@ -221,10 +224,9 @@ def _witness_fault(b: BordismClass, pw: PairingWitness,
         return "identification does not carry the face onto its partner"
     if not maps_agree(ci.cmap, cj.cmap, list(zip(fkey, image))):
         return "identification does not commute with the maps"
+    # +-1: equal ranks, equal facet dimensions, vertices onto the partner's
     eps = _orientation_factor(pw.linear, atlas[pw.left][0].cell,
                               atlas[pw.right][0].cell)
-    if eps is None:
-        return "identification does not carry the face plane onto its partner"
     if eps != -1:
         return "identification does not reverse the induced orientation"
     return None

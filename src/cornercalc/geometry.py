@@ -50,9 +50,9 @@ integers.  section_vertices eliminates its equations once into an integer
 kernel basis and an integer base point, and the double description runs on
 integer rows and rays; it takes integer rows as they stand, and the slices
 in cells and the fixed-locus cuts in orbifold pass it their polytopes'
-rows().  Fractions are made once, at the API: vertices, facets' outward
-vectors, facet_inequalities, affine_hull_equations and local_matrix, each
-entry built from an integer numerator and denominator.
+rows().  Fractions are made at the API, each entry from an integer
+numerator and denominator: vertices and outward vectors once, and the
+Fraction H-representation and the face keys each time they are asked for.
 """
 
 from __future__ import annotations
@@ -305,9 +305,10 @@ class _FaceData:
     an integer view, built lazily: the vertices over one common denominator
     (lattice), the local-coordinate matrix over one denominator
     (local_ints), and the hull's equations and the facets as primitive
-    integer rows (rows).  Fractions are made once, for what is handed out.
-    local_ints serves the H-representation alone (rows, the cold facets,
-    local_matrix); tangent vectors are read in the chart (frame_coords).
+    integer rows (rows).  Fraction views and face keys are built from these
+    when asked for, and not kept.  local_ints serves the H-representation
+    alone (rows, the cold facets, local_matrix); tangent vectors are read in
+    the chart (frame_coords).
 
     A face handed out by face(mask) reuses what its parent computed: its
     vertices are the parent's at the set bits, already sorted; its facets
@@ -345,17 +346,12 @@ class _FaceData:
         self.dim = len(self.dir_basis)
         self._lattice: Optional[tuple] = None
         self._local_ints: Optional[tuple] = None
-        self._local = None
         self._facets: Optional[list] = None
         self.facet_masks: list[int] = []
         self.functionals: list[Vec] = []
-        self._local_functionals: list[list[int]] = []
         self._rows: Optional[tuple] = None
         self._row_scales: list[tuple[int, int]] = []
-        self._faces_by_dim: Optional[dict] = None
         self._face_dims: Optional[dict] = None
-        self.inequalities: Optional[list] = None
-        self.equations: Optional[list] = None
         self._facet_cells: Optional[list] = None
         self._faces: dict[int, Polytope] = {}
         self._hull: Optional[_FaceData] = None
@@ -414,18 +410,19 @@ class _FaceData:
         on the vertex set for each facet, with equality exactly on its
         vertices (GeometryError "facet functional mismatch" otherwise).  A
         facet's row is the positive multiple of its ambient functional
-        L^T u / |u_last| (u its functional in local coordinates, set_facets);
-        _row_scales keeps (g, h) with that functional a g / h and its bound
-        b g / h.
+        L^T u / |u_last|, u = B f its functional f read in local coordinates
+        (B the integer dir_basis, as in set_facets); _row_scales keeps (g, h)
+        with that functional a g / h and its bound b g / h.
         """
         if self._rows is None:
             self.facets()
             equations = [(a, b) for *a, b in
                          (_primitive(_scaled(e + (c,))[0]) for e, c in self.hull_equations())]
-            xs, den = self.lattice()
-            lint, m = self.local_ints()
+            (xs, den), (lint, m), (d, _) = self.lattice(), self.local_ints(), self._dir_ints()
             facets, scales = [], []
-            for u, mask in zip(self._local_functionals, self.facet_masks):
+            for f, mask in zip(self.functionals, self.facet_masks):
+                f_int = _scaled(f)[0]
+                u = [_idot(row, f_int) for row in d]
                 w = [sum(c * row[j] for c, row in zip(u, lint)) for j in range(self.ambient_dim)]
                 values = [_idot(w, x) for x in xs]
                 top = max(values)
@@ -441,16 +438,13 @@ class _FaceData:
     def hull_equations(self) -> list[tuple[Vec, Fraction]]:
         """Pairs (e, c) with e . x = c on the vertex set, spanning the hull's equations:
         the kernel of the RREF dir_basis, one e per non-pivot coordinate f, 1
-        at f and -dir_basis[k][f] at the k-th pivot."""
-        if self.equations is None:
-            d, n = self.dir_basis, self.ambient_dim
-            row_at = dict(zip(self.dir_pivots, range(len(d))))
-            eqs = [tuple(-d[row_at[j]][f] if j in row_at else Fraction(int(j == f))
-                         for j in range(n))
-                   for f in range(n) if f not in row_at]
-            v0 = self.vertices[0]
-            self.equations = [(e, sum(a * b for a, b in zip(e, v0))) for e in eqs]
-        return self.equations
+        at f and -dir_basis[k][f] at the k-th pivot.  Built on each call."""
+        d, n = self.dir_basis, self.ambient_dim
+        row_at = dict(zip(self.dir_pivots, range(len(d))))
+        eqs = [tuple(-d[row_at[j]][f] if j in row_at else Fraction(int(j == f))
+                     for j in range(n))
+               for f in range(n) if f not in row_at]
+        return [(e, sum(map(mul, e, self.vertices[0]))) for e in eqs]
 
     def hull_chart(self) -> tuple[int, tuple[tuple[int, tuple[tuple[int, int], ...]], ...],
                                   tuple[tuple[int, int], ...]]:
@@ -488,11 +482,9 @@ class _FaceData:
     # -- affine-hull coordinates --------------------------------------------
 
     def local_matrix(self) -> Mat:
-        """Matrix L with L(w) = coordinates of w in dir_basis, for w in the span."""
-        if self._local is None:
-            lint, m = self.local_ints()
-            self._local = tuple(tuple(Fraction(x, m) for x in row) for row in lint)
-        return self._local
+        """L with L(w) = coordinates of w in dir_basis, w in the span; built on each call."""
+        lint, m = self.local_ints()
+        return tuple(tuple(Fraction(x, m) for x in row) for row in lint)
 
     # -- the chart of tangent vectors -----------------------------------------
 
@@ -543,8 +535,7 @@ class _FaceData:
         coordinates over dir_basis D; the outward vector is u scaled so that
         its last nonzero entry is +-1, pulled back through D.  Every
         functional tight on the facet gives the same vector, and so does any
-        positive multiple of D and f: both are taken as integers, and u is
-        kept for rows().
+        positive multiple of D and f: both are taken as integers.
         """
         d, den = self._dir_ints()
         out = []
@@ -554,11 +545,10 @@ class _FaceData:
             scale = abs(next(x for x in reversed(u) if x)) * den
             amb = tuple(Fraction(sum(x * row[j] for x, row in zip(u, d)), scale)
                         for j in range(self.ambient_dim))
-            out.append((self.key(mask), amb, mask, f, u))
+            out.append((self.key(mask), amb, mask, f))
         out.sort(key=lambda entry: mask_bits(entry[2]))
         self.facet_masks = [entry[2] for entry in out]
         self.functionals = [entry[3] for entry in out]
-        self._local_functionals = [entry[4] for entry in out]
         self._facets = [(key, amb) for key, amb, *_ in out]
 
     def face(self, mask: int) -> "Polytope":
@@ -611,13 +601,11 @@ class _FaceData:
 
     def faces_by_dim(self) -> dict[int, list[FaceKey]]:
         """All nonempty faces, the polytope itself included, grouped by dimension,
-        each dimension's keys in increasing order."""
-        if self._faces_by_dim is None:
-            by_dim: dict[int, list[FaceKey]] = {}
-            for g, k in self.face_dims().items():
-                by_dim.setdefault(k, []).append(self.key(g))
-            self._faces_by_dim = by_dim
-        return self._faces_by_dim
+        each dimension's keys in increasing order; built from face_dims on each call."""
+        by_dim: dict[int, list[FaceKey]] = {}
+        for g, k in self.face_dims().items():
+            by_dim.setdefault(k, []).append(self.key(g))
+        return by_dim
 
     def face_dims(self) -> dict[int, int]:
         """Vertex bitmask -> dimension of every nonempty face, by dimension, then key.
@@ -787,15 +775,12 @@ class Polytope:
 
         f is the facet's outward vector read back through the local
         coordinates, so it lies in the direction space; f and c are made
-        from the facet's integer row, one Fraction per entry.
+        from the facet's integer row, one Fraction per entry, on each call.
         """
         fd = self._fd
-        if fd.inequalities is None:
-            _, rows = fd.rows()
-            fd.inequalities = [(tuple(Fraction(x * g, h) for x in a), Fraction(b * g, h), key)
-                               for (a, b), (g, h), (key, _)
-                               in zip(rows, fd._row_scales, fd.facets())]
-        return fd.inequalities
+        _, rows = fd.rows()
+        return [(tuple(Fraction(x * g, h) for x in a), Fraction(b * g, h), key)
+                for (a, b), (g, h), (key, _) in zip(rows, fd._row_scales, fd.facets())]
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(keys) for d, keys in self.faces().items())

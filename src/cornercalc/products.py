@@ -196,8 +196,6 @@ def _cup_associative(c1: Chain, c2: Chain, c3: Chain, c12: Chain) -> CheckReport
 
 
 def check_cup_leibniz(c1: Chain, c2: Chain) -> CheckReport:
-    if homogeneous_degree(c1) is None:
-        return CheckReport(True, 0, True)
     return _cup_leibniz(c1, c2, cup(c1, c2))
 
 

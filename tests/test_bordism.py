@@ -200,24 +200,6 @@ def _different_ambients():
     return BordismClass([segment(0, 1), segment(2, 3)], (pw,))
 
 
-def _face_plane_not_carried():
-    # The 4-simplex's facet {0, e1, e2, e3} goes onto the cube's square facet
-    # z = 0 vertex for vertex, so its three directions cannot land in the
-    # square's plane independently.  Facets of equal dimension never do this,
-    # and the constructor keeps the grades equal, so the cube takes the second
-    # simplex's place after it (the audit does not trust the class it is given).
-    simplex = Cell(Polytope.from_points(4, [(0, 0, 0, 0)] + [
-        tuple(int(i == j) for j in range(4)) for i in range(4)]))
-    cube = Cell(Polytope.from_points(3, [(x, y, z) for x in (0, 1) for y in (0, 1)
-                                         for z in (0, 1)]))
-    pw = PairingWitness((0, [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]),
-                        (1, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]),
-                        [[1, 0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 0]], [0, 0, 0])
-    b = BordismClass([(simplex, point_map())] * 2, (pw,))
-    b.components = (b.components[0], BordismComponent(cube, point_map()))
-    return b
-
-
 def _cooriented_segment():
     cell = Cell(Polytope.from_points(1, [[0], [1]]), 1)
     cmap = CellMap(torus(1), [[0]], [[1]], [0])
@@ -231,14 +213,26 @@ def _cooriented_segment():
      "pairing 0: identification is not injective on the face"),
     (lambda: _two_squares([[1, 0], [0, 1]], [0, 0]),
      "pairing 0: identification does not carry the face onto its partner"),
-    (_face_plane_not_carried,
-     "pairing 0: identification does not carry the face plane onto its partner"),
     (_cooriented_segment, "cooriented classes must be boundary-free"),
-], ids=["torus-ranks", "shape", "not-injective", "not-onto", "face-plane", "cooriented"])
+], ids=["torus-ranks", "shape", "not-injective", "not-onto", "cooriented"])
 def test_certificate_reports_each_identification_fault(build, detail):
     report = closed_certificate_check(build())
     assert not report.ok
     assert detail in report.details
+
+
+@pytest.mark.parametrize("field", ["components", "pairings", "kind"])
+def test_bordism_class_fields_cannot_be_assigned(field):
+    """A class is a value: every assignment after construction raises, as
+    for BordismComponent and PairingWitness, and its hash stays put."""
+    b = BordismClass([segment(0, 1), segment(1, 2)],
+                     (PairingWitness.shared(0, 1, [(1,)]),))
+    before = hash(b)
+    with pytest.raises(AttributeError):
+        setattr(b, field, getattr(BordismClass([segment(0, 1)], kind="classical"), field))
+    assert hash(b) == before
+    assert b == BordismClass([segment(0, 1), segment(1, 2)],
+                             (PairingWitness.shared(0, 1, [(1,)]),))
 
 
 def _oriented_circle():

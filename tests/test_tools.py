@@ -163,3 +163,50 @@ def test_bench_pairs_source_lines_on_two_trees(tmp_path):
     source_lines = _bench_pairs().source_lines
     assert source_lines(tmp_path / "parent") == 2
     assert source_lines(tmp_path / "change") == 4
+
+
+def _line_trace():
+    spec = importlib.util.spec_from_file_location("line_trace", ROOT / "tools" / "line_trace.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_SYNTHETIC = '''\
+def sign(x):
+    if x > 0:
+        return 1
+    if x < 0:
+        return -1
+    return 0
+
+
+class Box:
+    def __init__(self, value):
+        self.value = value
+
+    def doubled(self):
+        return [
+            2 * self.value,
+        ]
+'''
+
+
+def test_line_trace_on_a_synthetic_module(tmp_path):
+    # the lines the run never reaches: the branches for x < 0 and x == 0 and
+    # the body of doubled, whose list spans two lines; headers are executed
+    # by their enclosing code and count as run
+    path = tmp_path / "synthetic.py"
+    path.write_text(_SYNTHETIC)
+    tool = _line_trace()
+    assert tool.executable_lines(path) == {1, 2, 3, 4, 5, 6, 9, 10, 11, 13, 14, 15}
+    spec = importlib.util.spec_from_file_location("synthetic", path)
+
+    def run():
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert module.sign(3) == 1
+        module.Box(2)
+
+    assert tool.never_run([path], run) == {str(path.resolve()): [4, 5, 6, 14, 15]}
+    assert tool._ranges([4, 5, 6, 14, 15, 17]) == "4-6, 14-15, 17"
