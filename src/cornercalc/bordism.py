@@ -24,7 +24,7 @@ from .cells import (Cell, CellMap, Coorientation, canonical_cell_map,
                     canonical_form, cell_boundary, fibre_product_cells,
                     identity_map, is_interior_submersion, maps_agree,
                     orientation_from_coorientation)
-from .chains import Chain, Generator, Tag, _insert_coordinate, boundary, cylinder
+from .chains import Chain, Generator, Tag, _prism_ends, boundary, cylinder
 from .geometry import POINT_POLYTOPE, affine_isomorphisms, compress_mask, face_key
 from .maps import CheckReport
 from .orbifold import (FiniteGroup, GroupAction, VirtualRep, map_is_invariant,
@@ -99,11 +99,8 @@ class BordismComponent:
     def __init__(self, cell: Cell, cmap: CellMap,
                  coorientation: Optional[Coorientation] = None,
                  model: Optional[GroupAction] = None, *, cooriented: bool = False):
-        if cmap.target.dim:
-            if cmap.n_cols != cell.polytope.ambient_dim:
-                raise BordismError("map columns do not match the ambient space")
-            if cmap.s_cols != cell.torus_rank:
-                raise BordismError("map torus columns do not match the cell")
+        if not cmap.fits(cell.polytope.ambient_dim, cell.torus_rank):
+            raise BordismError("map shape does not match the cell")
         if coorientation is not None:
             cell = orientation_from_coorientation(cell, cmap, coorientation)
             cooriented = True
@@ -511,6 +508,8 @@ def _emission_generators(b: BordismClass, *atoms) -> list:
 
     roots = sorted({find(nd) for nd in parent})
     label_index = {r: k for k, r in enumerate(roots)}
+    # shared pairings join only faces with equal vertex tuples, which two
+    # faces of one component never have, so each tag is injective
     emissions = []
     for atom in atoms:
         gens = []
@@ -518,9 +517,6 @@ def _emission_generators(b: BordismClass, *atoms) -> list:
             tag = Tag.of_masks(comp.cell.polytope.vertices,
                                [(g, ((str(atom), label_index[find((i, g))]),))
                                 for g in comp_faces[i]])
-            if not tag.is_injective():
-                raise BordismError("pairings identify two faces of one "
-                                   "component; split the component first")
             gens.append(Generator(comp.cell, comp.cmap, tag,
                                   is_cochain=comp.cooriented))
         emissions.append(gens)
@@ -542,10 +538,9 @@ def tag_independence_witness(b: BordismClass, atom1="g", atom2="h"):
     """Prism chain connecting the emissions for two labelling atoms.
 
     The witness is the union of prisms over the components.  Its boundary
-    is the second emission at height one minus the first at height zero,
-    each lifted by inserting the height coordinate (_insert_coordinate),
-    while the prism sides cancel in pairs along the gluing.  The report also
-    records that both emissions are cycles.
+    is the second emission at height one minus the first at height zero
+    (_prism_ends), while the prism sides cancel in pairs along the gluing.
+    The report also records that both emissions are cycles.
     """
     if str(atom1) == str(atom2):
         raise BordismError("the two labelling atoms must differ")
@@ -554,11 +549,8 @@ def tag_independence_witness(b: BordismClass, atom1="g", atom2="h"):
     gens1, gens2 = _emission_generators(b, atom1, atom2)
     witness = Chain([(Fraction(1), cylinder(g1, g2.tag)) for g1, g2 in zip(gens1, gens2)],
                     ring="Q")
-    wanted = Chain([(Fraction(1), _insert_coordinate(g2, 0, 1)) for g2 in gens2]
-                   + [(Fraction(-1), _insert_coordinate(g1, 0, 0)) for g1 in gens1],
-                   ring="Q")
     details = []
-    if boundary(witness) != wanted:
+    if boundary(witness) != _prism_ends([(g1, g2.tag) for g1, g2 in zip(gens1, gens2)]):
         details.append("prism boundary does not reduce to the two emissions")
     for name, gens in (("first", gens1), ("second", gens2)):
         cyc = Chain([(Fraction(1), g) for g in gens], ring="Q")
@@ -592,8 +584,7 @@ def _derive_product_pairings(first, atlas, second, pieces, index):
         ks = [k for (a, b, k) in pieces if a == i1 and b == i2]
         if len(ks) != 1:
             raise BordismError("certificate derivation needs a single "
-                               "product piece per component pair; supply "
-                               "the pairings explicitly")
+                               "product piece per component pair")
         return ks[0]
 
     def located(fc, pair):
@@ -608,14 +599,13 @@ def _derive_product_pairings(first, atlas, second, pieces, index):
             top2 = (1 << len(comp2.cell.polytope.vertices)) - 1
             kl = (i, i2, lone_piece(i, i2))
             kr = (j, i2, lone_piece(j, i2))
+            # a product face paired with (F, the whole of P2) is the piece's
+            # cut by F x P2, so a side has at most one, and the identification
+            # carries one side's fibre onto the other's: both hit or neither
             hits_l = located(pieces[kl], (masks.get(pw.left), top2))
             hits_r = located(pieces[kr], (masks.get(pw.right), top2))
             if not hits_l and not hits_r:
                 continue
-            if len(hits_l) != 1 or len(hits_r) != 1:
-                raise BordismError("certificate derivation could not "
-                                   "locate a product face; supply the "
-                                   "pairings explicitly")
             rows = [tuple(row) + (Fraction(0),) * n2 for row in pw.matrix]
             rows += [(Fraction(0),) * n_i + e for e in identity(n2)]
             off = tuple(pw.offset) + (Fraction(0),) * n2
@@ -624,19 +614,18 @@ def _derive_product_pairings(first, atlas, second, pieces, index):
     return tuple(out)
 
 
-def bordism_cup_cap(a: BordismClass, b: BordismClass,
-                    pairings=None) -> BordismClass:
+def bordism_cup_cap(a: BordismClass, b: BordismClass) -> BordismClass:
     """Fibre-product pairing of two classes over one target.
 
     Two cooriented factors multiply to a cooriented class; one oriented and
     one cooriented factor to an oriented class, with the oriented factor
     placed first.  Each pair of components is one fibre product, the first
     entering with its orientation, so a cooriented product is oriented by the
-    cup coorientation.  Certificates are derived from the first factor's
-    certificate when every component pair meets in a single piece; otherwise
-    supply the pairings explicitly.  The second factor is cooriented, and a
-    certified cooriented class has no facets to pair.  Derived certificates
-    are re-audited whenever both factors are certified closed.
+    cup coorientation.  The certificate is derived from the first factor's,
+    which needs every component pair to meet in a single piece; the second
+    factor is cooriented, and a certified cooriented class has no facets to
+    pair.  A derived certificate is re-audited whenever both factors are
+    certified closed.
     """
     if not isinstance(a, BordismClass) or not isinstance(b, BordismClass):
         raise BordismError("both factors must be bordism classes")
@@ -666,14 +655,12 @@ def bordism_cup_cap(a: BordismClass, b: BordismClass,
                                               cooriented=first.cooriented))
                 pieces[(i1, i2, k)] = fc
     certified, atlas = _certificate(first)
-    if pairings is None:
-        pairings = _derive_product_pairings(first, atlas, second, pieces, index)
-    result = BordismClass(tuple(comps), tuple(pairings))
+    result = BordismClass(tuple(comps), _derive_product_pairings(first, atlas, second,
+                                                                 pieces, index))
     if certified and closed_certificate_check(second):
         report = closed_certificate_check(result)
         if not report:
-            raise BordismError("derived certificate failed; supply the "
-                               "pairings explicitly: " + report.details[0])
+            raise BordismError("derived certificate failed: " + report.details[0])
     return result
 
 
@@ -719,7 +706,7 @@ def strata_projection(b: BordismClass, sub: FiniteGroup,
         if not same_group(action.group, sub):
             raise BordismError(f"component {i}'s model uses a different "
                                "group")
-        if not map_is_invariant(action, comp.cmap):
+        if not map_is_invariant(action, [comp.cmap]):
             raise BordismError(f"component {i}'s map is not invariant under "
                                "the model")
         stratum = orbifold_stratum(action, sub, rho)

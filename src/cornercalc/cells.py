@@ -277,6 +277,12 @@ class CellMap:
     def s_cols(self) -> int:
         return len(self.m_t[0]) if self.m_t else 0
 
+    def fits(self, n: int, s: int) -> bool:
+        """Whether the map is one on a cell of ambient dimension n and torus
+        rank s: a map into the point fits any cell, and any other map needs n
+        polytope columns and s torus columns."""
+        return not self.target.dim or (self.n_cols == n and self.s_cols == s)
+
     def value(self, p: Vec, t: Vec = ()) -> Vec:
         return self.target.wrap(tuple(sum((a * x for a, x in zip(arow, p)), _ZERO)
                                       + sum(c * frac(x) for c, x in zip(trow, t)) + b
@@ -549,13 +555,13 @@ class FibreComponent:
     def compose_on_first(self, g: CellMap) -> CellMap:
         """g on the first factor, composed with the inclusion of the component."""
         n1, s1, n2, _ = self.split
-        if g.target.dim and (g.n_cols != n1 or g.s_cols != s1):
+        if not g.fits(n1, s1):
             raise MapError("map shape does not match the first factor")
         return _compose(g, 0, 0, n1 + n2, self.cell.torus_rank, self.t_affine)
 
     def compose_on_second(self, g: CellMap) -> CellMap:
         n1, s1, n2, s2 = self.split
-        if g.target.dim and (g.n_cols != n2 or g.s_cols != s2):
+        if not g.fits(n2, s2):
             raise MapError("map shape does not match the second factor")
         return _compose(g, n1, s1, n1 + n2, self.cell.torus_rank, self.t_affine)
 
@@ -589,8 +595,7 @@ def fibre_product_cells(cell1: Cell, map1: CellMap, cell2: Cell, map2: CellMap
     m = target.dim
     n1, s1 = cell1.polytope.ambient_dim, cell1.torus_rank
     n2, s2 = cell2.polytope.ambient_dim, cell2.torus_rank
-    if m > 0 and (map1.n_cols != n1 or map1.s_cols != s1
-                  or map2.n_cols != n2 or map2.s_cols != s2):
+    if not (map1.fits(n1, s1) and map2.fits(n2, s2)):
         raise MapError("map shapes do not match the cells")
     eps = cell1.sign * cell2.sign * (-1) ** (m * cell2.dim)
     d_rows = _primitive_rows([r1 + tuple(-x for x in r2) for r1, r2 in

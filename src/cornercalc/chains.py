@@ -29,11 +29,9 @@ from typing import Iterable, Mapping, Optional, Sequence
 from ._linalg import (
     Vec,
     frac,
-    identity,
     invariant_factors,
-    mat,
     rank,
-    solve,
+    solve_columns,
 )
 from .cells import (
     POINT,
@@ -340,9 +338,7 @@ class Generator:
     def __init__(self, cell: Cell, cmap: CellMap, tag: Tag,
                  coorientation: Optional[Coorientation] = None, *,
                  is_cochain: bool = False):
-        m = cmap.target.dim
-        if m > 0 and (cmap.n_cols != cell.polytope.ambient_dim
-                      or cmap.s_cols != cell.torus_rank):
+        if not cmap.fits(cell.polytope.ambient_dim, cell.torus_rank):
             raise ChainError("map shape does not match the cell")
         faces = cell.polytope._fd.face_dims()
         if (len(tag.labels) != len(faces) or any(g not in faces for g, _ in tag.labels)
@@ -691,6 +687,9 @@ def check_sigma_pairing(terms: Sequence[CornerTerm]) -> PairingReport:
         if t.tag != partner.tag:
             return PairingReport(False, pairs,
                                  (f"tag mismatch at corner {corner}",))
+        if (t.cell.polytope != partner.cell.polytope
+                or t.cell.torus_rank != partner.cell.torus_rank):
+            return PairingReport(False, pairs, (f"corner cells differ at corner {corner}",))
         if cell_orientation_equal(t.cell, partner.cell) != -1:
             return PairingReport(False, pairs,
                                  (f"orientations at corner {corner} do not cancel",))
@@ -787,10 +786,13 @@ def _after(matrix, offset, a, b, cols: int) -> tuple:
 
 @dataclass(frozen=True)
 class TargetMap:
-    """Affine map y -> H y + c between targets; torus sources need an integer H.
+    """Affine map y -> H y + c between targets.
 
-    Values are wrapped by Target.wrap.  Push, pull and compose share one
-    composition (_after): push and pull compose cell maps with it (after)."""
+    On a torus source H is the torus part of a cell map on the point times
+    T^k, so CellMap's torus-column rules hold: H is integral, and zero into
+    a euclidean target.  Values are wrapped by Target.wrap.  Push, pull and
+    compose share one composition (_after): push and pull compose cell maps
+    with it (after)."""
 
     source: Target
     target: Target
@@ -800,11 +802,7 @@ class TargetMap:
     def __init__(self, source: Target, target: Target, matrix, offset):
         mm, bb = _affine_entries(target, matrix, offset, source.dim)
         if source.is_torus:
-            if target.is_torus:
-                if any(x.denominator != 1 for row in mm for x in row):
-                    raise ChainError("torus-to-torus maps need integer matrices")
-            elif any(x != 0 for row in mm for x in row):
-                raise ChainError("a torus only maps to a euclidean space by a constant")
+            CellMap(target, [()] * target.dim, mm, bb)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", mm)
@@ -827,10 +825,6 @@ class TargetMap:
             raise ChainError("composition needs matching targets")
         return TargetMap(other.source, self.target, *_after(
             self.matrix, self.offset, other.matrix, other.offset, other.source.dim))
-
-
-def identity_target_map(t: Target) -> TargetMap:
-    return TargetMap(t, t, identity(t.dim), [0] * t.dim)
 
 
 def push_generator(h: TargetMap, gen: Generator) -> Generator:
@@ -878,52 +872,41 @@ def transport_generator(gen: Generator, linear: Sequence[Sequence],
                         offset: Sequence) -> Generator:
     """Push a generator through an affine map injective on its polytope's hull.
 
-    Vertices, the orientation and labels move along; the affine map to the
-    target is re-solved in the new chart, which is possible and unique up to
-    the hull exactly when the transport is injective on the hull.  The
-    transport commutes with the maps, so a cochain's orientation still
-    stands for the coorientation it did.
+    Injectivity is decided once, before anything is built: the pushed
+    directions of the hull must keep its dimension.  An injective affine
+    map keeps the vertices distinct and extreme, so vertices, the
+    orientation and labels move along, and the affine map to the target is
+    re-solved in the new chart, one solve for all its rows, consistent and
+    unique up to the hull.  The transport commutes with the maps, so a
+    cochain's orientation still stands for the coorientation it did.
     """
     lin = tuple(tuple(frac(x) for x in row) for row in linear)
     off = tuple(frac(x) for x in offset)
     n_old = gen.cell.polytope.ambient_dim
     n_new = len(lin)
 
-    def phi(v):
-        return tuple(off[i] + sum(lin[i][j] * frac(v[j]) for j in range(n_old))
-                     for i in range(n_new))
+    def push(d):
+        return tuple(sum(lin[i][j] * d[j] for j in range(n_old)) for i in range(n_new))
 
+    dirs = gen.cell.polytope.dir_basis
+    pushed = [push(d) for d in dirs]
+    if rank(pushed) != len(dirs):
+        raise ChainError("transport map is not injective on the hull")
     old_verts = gen.cell.polytope.vertices
-    new_verts = [phi(v) for v in old_verts]
-    if len(set(new_verts)) != len(new_verts):
-        raise ChainError("transport map is not injective on the vertices")
+    new_verts = [tuple(o + x for o, x in zip(off, push(v))) for v in old_verts]
     poly = Polytope.from_points(n_new, [list(v) for v in new_verts])
     index = _vertex_index(poly.vertices)
-    table = [index.get(nv) for nv in new_verts]
-    if len(poly.vertices) != len(new_verts) or None in table:
-        raise ChainError("transport map does not preserve the vertex set")
+    table = [index[nv] for nv in new_verts]
 
-    frame = tuple(tuple(sum(lin[i][j] * w[j] for j in range(n_old)) for i in range(n_new))
-                  + w[n_old:] for w in gen.cell.frame)
+    frame = tuple(push(w) + w[n_old:] for w in gen.cell.frame)
     cell = Cell(poly, gen.cell.torus_rank, frame, gen.cell.sign)
 
-    # re-solve the affine part on the new chart
-    base, new_base = old_verts[0], new_verts[0]
-    dirs = [tuple(frac(a) - frac(b) for a, b in zip(v, base)) for v in old_verts[1:]]
-    pushed = [tuple(sum(lin[i][j] * d[j] for j in range(n_old)) for i in range(n_new))
-              for d in dirs]
+    # re-solve the affine part on the new chart: row i of the new A agrees
+    # with row i of A on each pushed direction
     m = gen.cmap.target.dim
-    a_new = []
-    for i in range(m):
-        if dirs:
-            rhs = tuple(sum(gen.cmap.a[i][j] * d[j] for j in range(n_old))
-                        for d in dirs)
-            row = solve(mat(pushed), rhs)
-            if row is None:
-                raise ChainError("transport map is not injective on the hull")
-        else:
-            row = (Fraction(0),) * n_new
-        a_new.append(tuple(row))
+    rhs = [tuple(sum(x * y for x, y in zip(row, d)) for d in dirs) for row in gen.cmap.a]
+    a_new = solve_columns(pushed, rhs) if dirs else [(Fraction(0),) * n_new] * m
+    base, new_base = old_verts[0], new_verts[0]
     b_new = [sum(gen.cmap.a[i][j] * frac(base[j]) for j in range(n_old))
              + gen.cmap.b[i]
              - sum(a_new[i][j] * new_base[j] for j in range(n_new))
@@ -1027,15 +1010,15 @@ def cylinder(gen: Generator, alt_tag: Tag) -> Generator:
     """A prism witnessing that two labellings give the same class up to boundary.
 
     The boundary of the prism is the relabelled generator minus the original,
-    plus prisms over the generator's own facets.
+    plus prisms over the generator's own facets.  The prism's tag carries
+    alt_tag's labels on its top faces, so Generator refuses a collision in
+    alt_tag, or between the two tags' atoms, as any other.
     """
     if gen.is_cochain:
         raise ChainError("cylinders are chain-level witnesses")
     if (alt_tag.vertices != gen.tag.vertices
             or [m for m, _ in alt_tag.labels] != [m for m, _ in gen.tag.labels]):
         raise TagError("alternative tag must label the same faces")
-    if not alt_tag.is_injective():
-        raise TagError("alternative tag must be injective")
     p = gen.cell.polytope
     # the lifted vertices are the prism's, sorted: vertex k is vertex k of P
     # at height 0 and vertex k - N at height 1; its dir_basis, e_0 over P's
@@ -1059,22 +1042,24 @@ def cylinder(gen: Generator, alt_tag: Tag) -> Generator:
             label = merge_labels(gen.tag.label_at(low | high),
                                  alt_tag.label_at(low | high), (("cyl",),))
         pairs.append((g, label))
-    tag = Tag.of_masks(prism.vertices, pairs)
-    if not tag.is_injective():
-        raise TagError("cylinder labels collide; the two tags must use disjoint atoms")
-    return Generator(cell, cmap, tag)
+    return Generator(cell, cmap, Tag.of_masks(prism.vertices, pairs))
+
+
+def _prism_ends(pairs: Sequence[tuple[Generator, Tag]]) -> Chain:
+    """The ends of the prisms over (gen, alt_tag) pairs: each generator
+    relabelled by alt_tag at height 1, minus itself at height 0, each lifted
+    by _insert_coordinate."""
+    return Chain([(Fraction(1), _insert_coordinate(gen, 0, 1, alt.labels)) for gen, alt in pairs]
+                 + [(Fraction(-1), _insert_coordinate(gen, 0, 0)) for gen, _ in pairs])
 
 
 def check_cylinder_witness(gen: Generator, alt_tag: Tag):
     """The prism boundary equals new-minus-old plus terms over the facets:
-    its ends, the terms at one height, are the relabelled generator lifted to
-    height 1 minus the original lifted to height 0 (_insert_coordinate)."""
+    its ends, the terms at one height, are _prism_ends."""
     b = boundary(chain(cylinder(gen, alt_tag)))
     ends = Chain([(coeff, term) for coeff, term in b.terms()
                   if len({v[0] for v in term.cell.polytope.vertices}) == 1])
-    want = chain((1, _insert_coordinate(gen, 0, 1, alt_tag.labels)),
-                 (-1, _insert_coordinate(gen, 0, 0)))
-    if ends == want:
+    if ends == _prism_ends([(gen, alt_tag)]):
         sides = len(b.terms()) - len(ends.terms())
         return CheckReport(True, len(b.terms()), True, (f"{sides} side terms",))
     return CheckReport(False, 0, True, ("prism ends do not give the tag difference",))

@@ -724,15 +724,15 @@ def iota_check(stratum: Stratum, probes: Optional[Sequence] = None) -> IotaRepor
 # Quotient pushdown
 # ---------------------------------------------------------------------------
 
-def map_is_invariant(action: GroupAction, cmap: CellMap, component: int = 0) -> bool:
-    """Whether one map descends to the quotient of its component orbit.
+def map_is_invariant(action: GroupAction, cmaps: Sequence[CellMap]) -> bool:
+    """Whether maps, one per component, descend to the quotient.
 
-    Every group element carrying the component somewhere must transport the
-    map back to itself, so the whole orbit is probed with the same map, on
-    each vertex and its image read from the vertex tables.
+    Every group element must carry component i's map onto the map of the
+    component it moves i to, probed on each vertex and its image read from
+    the vertex tables.
     """
-    return all(maps_agree(cmap, cmap, _vertex_pairs(action, g, i))
-               for g in action.group.elements for i in action.component_orbit(component))
+    return all(maps_agree(cmaps[i], cmaps[action.maps[g][i].target], _vertex_pairs(action, g, i))
+               for g in action.group.elements for i in range(len(action.spaces)))
 
 
 def _vertex_pairs(action: GroupAction, g, i: int) -> list:
@@ -758,11 +758,11 @@ def quotient_pushdown(action: GroupAction, cmaps, tags, ring: str = "Q") -> Chai
     tags = list(tags)
     if len(cmaps) != len(action.spaces) or len(tags) != len(action.spaces):
         raise OrbifoldError("one map and one tag per component are required")
+    if not map_is_invariant(action, cmaps):
+        raise OrbifoldError("map is not invariant under the action")
     for g in action.group.elements:
         for i in range(len(action.spaces)):
             j = action.maps[g][i].target
-            if not maps_agree(cmaps[i], cmaps[j], _vertex_pairs(action, g, i)):
-                raise OrbifoldError("map is not invariant under the action")
             table = action.tables[g][i]
             for f, label in tags[i].labels:
                 if label != tags[j].label_at(move_mask(f, table)):

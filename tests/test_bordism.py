@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import cornercalc.bordism as bordism
 from cornercalc.bordism import (BordismClass, BordismComponent, BordismError,
                                 ModulePresentation, PairingWitness, Pi_Kb_Kh,
                                 Pi_bo_Kb, bordism_cup_cap, class_match,
@@ -272,6 +273,13 @@ def test_cap_takes_the_oriented_factor_first():
     assert class_match(res, tri)
 
 
+def test_class_repr_names_its_shape():
+    assert repr(hollow_triangle()) == \
+        "BordismClass(3 oriented components, 3 pairings, kind='kuranishi')"
+    assert repr(circle_cover(2)) == \
+        "BordismClass(1 cooriented components, 0 pairings, kind='kuranishi')"
+
+
 def test_mixed_grades_rejected():
     p = Polytope.from_points(1, [[0], [1]])
     with pytest.raises(BordismError, match="grade"):
@@ -323,6 +331,26 @@ def test_match_torus_period():
     assert oriented_match(cell, m1, cell, m3) is None
 
 
+P0 = Polytope.from_points(0, [[]])
+UNIT = Polytope.from_points(1, [[0], [1]])
+
+
+@pytest.mark.parametrize("first, second", [
+    ((Cell(UNIT), CellMap(euclid(1), [[1]], [[]], [0])),
+     (Cell(UNIT), CellMap(torus(1), [[1]], [[]], [0]))),
+    ((Cell(P0, 1), CellMap(torus(1), [()], [[1]], [0])),
+     (Cell(UNIT), CellMap(torus(1), [[1]], [[]], [0]))),
+    ((Cell(UNIT), point_map()),
+     (Cell(Polytope.from_points(2, [(0, 0), (1, 0), (0, 1)])), point_map())),
+    ((Cell(P0, 1), CellMap(torus(1), [()], [[1]], [0])),
+     (Cell(P0, 1), CellMap(torus(1), [()], [[2]], [0]))),
+], ids=["target", "torus-rank", "dimension", "torus-columns"])
+def test_match_refuses_other_shapes(first, second):
+    # no identification is searched for: the canonical forms already differ
+    assert oriented_match(*first, *second) is None
+    assert oriented_match(*second, *first) is None
+
+
 def test_match_point_across_ambients():
     inner = Cell(Polytope.from_points(1, [[1]]), 0, None, -1)
     outer = Cell(Polytope.from_points(0, [[]]), 0, None, 1)
@@ -338,6 +366,16 @@ def test_class_match_translated_triangle():
     flipped = BordismClass([(edge_cell((3, 0), (4, 0), sign=-1),
                              point_map())])
     assert not class_match(hollow_triangle(), flipped)
+
+
+def test_class_match_backtracks_past_a_failed_first_choice():
+    # the first positive point takes the positive one, the second positive
+    # point then finds only the negative one, and the search undoes the
+    # first choice; matching is an equivalence, so no other choice succeeds
+    two = BordismClass([pt_class(1).components[0], pt_class(1).components[0]])
+    mixed = BordismClass([pt_class(1).components[0], pt_class(-1).components[0]])
+    assert not class_match(two, mixed)
+    assert class_match(two, BordismClass(list(reversed(two.components))))
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +583,23 @@ def test_products_golden_digest():
             h.update(repr(terms).encode())
     assert count == 76
     assert h.hexdigest() == GOLDEN_PRODUCT_DIGEST
+
+
+def test_product_with_an_empty_factor_is_empty():
+    for a, b in ((BordismClass(()), circle_cover(2)), (hollow_triangle(), BordismClass(()))):
+        res = bordism_cup_cap(a, b)
+        assert res.components == () and res.pairings == ()
+
+
+def test_derived_certificate_is_re_audited(monkeypatch):
+    # a closed first factor against a closed cooriented one has every product
+    # facet over a paired facet of the first, so only a corrupted derivation
+    # reaches the refusal: here one carried pairing is lost
+    real = bordism._derive_product_pairings
+    monkeypatch.setattr(bordism, "_derive_product_pairings",
+                        lambda *args: real(*args)[1:])
+    with pytest.raises(BordismError, match="^derived certificate failed: "):
+        bordism_cup_cap(hollow_triangle(), identity_cobordism(POINT))
 
 
 def test_two_oriented_factors_rejected():

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from cornercalc.bordism import tag_independence_witness
+from cornercalc._linalg import identity
 from cornercalc.cells import (
     POINT,
     Cell,
     CellMap,
+    MapError,
     constant_map,
     euclid,
     kernel_coorientation,
@@ -44,7 +46,6 @@ from cornercalc.chains import (
     disjoint_union,
     face_complex,
     generator_boundary,
-    identity_target_map,
     merge_labels,
     numbered_tag,
     pushforward,
@@ -75,6 +76,10 @@ def numbered_tag(p, prefix="f"):
 def interval_generator(a=0, b=1, prefix="f"):
     iv = interval(a, b)
     return Generator(Cell(iv, 0), constant_map(POINT, 1, 0), numbered_tag(iv, prefix))
+
+
+def identity_target_map(t):
+    return TargetMap(t, t, identity(t.dim), [0] * t.dim)
 
 
 def test_label_merge_is_a_commutative_monoid():
@@ -355,9 +360,9 @@ def test_aut_gives_up_over_the_vertex_cap():
 
 
 def test_target_map_validation():
-    with pytest.raises(ChainError):
+    with pytest.raises(MapError):
         TargetMap(torus(1), torus(1), [[Fraction(1, 2)]], [0])
-    with pytest.raises(ChainError):
+    with pytest.raises(MapError):
         TargetMap(torus(1), euclid(1), [[1]], [0])
     h = TargetMap(torus(1), euclid(1), [[0]], [Fraction(1, 3)])
     assert h.value((Fraction(1, 2),)) == (Fraction(1, 3),)
@@ -467,6 +472,15 @@ def test_transport_round_trip():
     back = transport_generator(moved, [[1, 0]], [0])
     assert chain(back) == chain(g)
     assert boundary(chain(back)) == boundary(chain(g))
+
+
+def test_transport_refuses_a_map_that_collapses_the_hull():
+    # the vertices stay distinct and extreme, a unit square in the plane,
+    # but the tetrahedron's hull loses a dimension
+    tet = Polytope.from_points(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1)])
+    g = Generator(Cell(tet), constant_map(POINT, 3, 0), numbered_tag(tet))
+    with pytest.raises(ChainError, match="^transport map is not injective on the hull$"):
+        transport_generator(g, [[1, 0, 0], [0, 1, 0]], [0, 0])
 
 
 def test_cylinder_witness_for_relabelling():

@@ -18,7 +18,7 @@ import cornercalc.bordism as bordism
 import cornercalc.chains as chains
 import cornercalc.products as products
 from cornercalc.bordism import tag_independence_witness
-from cornercalc.cells import euclid, torus
+from cornercalc.cells import Cell, euclid, torus
 from cornercalc.chains import (
     Chain,
     SingularSimplex,
@@ -26,7 +26,6 @@ from cornercalc.chains import (
     chain,
     check_cylinder_witness,
     check_singular_chain_map,
-    identity_target_map,
     verify_dd_zero,
 )
 from cornercalc.products import (
@@ -46,7 +45,7 @@ from cornercalc.products import (
 )
 from cornercalc.suites import run_suite
 from test_bordism import hollow_triangle
-from test_chains import interval_generator, numbered_tag
+from test_chains import identity_target_map, interval_generator, numbered_tag
 from test_products import cover_cochain, square_chain, thick_cochain
 
 T1, T2 = torus(1), torus(2)
@@ -272,7 +271,9 @@ def _square():
     (lambda out, gen: out + out[:1], "duplicate flag"),
     (lambda out, gen: out[1:], "unpaired flag at corner"),
     (lambda out, gen: [replace(out[0], tag=out[-1].tag)] + out[1:], "tag mismatch at corner"),
-], ids=["duplicate", "unpaired", "tag-mismatch"])
+    (lambda out, gen: [replace(out[0], cell=Cell(out[0].cell.polytope, out[0].cell.torus_rank + 1))]
+     + out[1:], "corner cells differ at corner"),
+], ids=["duplicate", "unpaired", "tag-mismatch", "corner-cells"])
 def test_sigma_pairing_controls(monkeypatch, change, detail):
     assert verify_dd_zero(_square()).ok
     _corrupt(monkeypatch, chains, "corner_terms", change=change)

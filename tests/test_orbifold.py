@@ -807,6 +807,25 @@ def test_pushdown_rejects_noninvariant_map():
         quotient_pushdown(act, cmap_t, tag)
 
 
+def test_pushdown_reports_a_map_fault_before_a_tag_fault():
+    # Z3 turns three segments round; the tags differ from the first step on,
+    # the maps only from the second component to the third, and invariance
+    # of the maps is decided before the tags are read
+    comps = (seg(0, 1), seg(3, 4), seg(6, 7))
+    act = GroupAction(Z3, comps, {
+        "r0": [(0, [[1]], [0]), (1, [[1]], [0]), (2, [[1]], [0])],
+        "r1": [(1, [[1]], [3]), (2, [[1]], [3]), (0, [[1]], [-6])],
+        "r2": [(2, [[1]], [6]), (0, [[1]], [-3]), (1, [[1]], [-3])],
+    })
+    cmaps = [CellMap(euclid(1), [[1]], [[]], [b]) for b in (0, -3, -5)]
+    tags = [full_tag(c, prefix) for c, prefix in zip(comps, "abc")]
+    with pytest.raises(OrbifoldError, match="^map is not invariant under the action$"):
+        quotient_pushdown(act, cmaps, tags)
+    cmaps[2] = CellMap(euclid(1), [[1]], [[]], [-6])
+    with pytest.raises(OrbifoldError, match="^tag is not invariant under the action$"):
+        quotient_pushdown(act, cmaps, tags)
+
+
 def test_pushdown_free_swap_is_one_interval():
     act = swap_action()
     tags = []

@@ -23,7 +23,6 @@ from cornercalc.chains import (
     TargetMap,
     boundary,
     chain,
-    identity_target_map,
     pushforward,
     verify_dd_zero,
 )
@@ -53,6 +52,7 @@ from cornercalc.products import (
 )
 from cornercalc.randgen import (random_chain_over, random_cochain, random_target_map,
                                 random_thick_cochain)
+from test_chains import identity_target_map
 
 P0 = Polytope.from_points(0, [[]])
 

@@ -105,16 +105,16 @@ CHAINS = [
     (lambda: Chain(ring="R"), ChainError, "ring must be 'Q' or 'Z'"),
     (lambda: Chain(ring="Q") + Chain(ring="Z"), ChainError, "cannot mix coefficient rings"),
     (lambda: transport_generator(_segment_generator(), [[0]], [0]), ChainError,
-     "transport map is not injective on the vertices"),
+     "transport map is not injective on the hull"),
     (lambda: transport_generator(_triangle_generator(), [[1, 2]], [0]), ChainError,
-     "transport map does not preserve the vertex set"),
+     "transport map is not injective on the hull"),
     (lambda: cylinder(thick_cochain(torus(1), "a"), numbered_tag(interval(0, 1), "g")),
      ChainError, "cylinders are chain-level witnesses"),
     (lambda: cylinder(_segment_generator(), numbered_tag(interval(0, 2), "g")), TagError,
      "alternative tag must label the same faces"),
     (lambda: cylinder(_segment_generator(), Tag(interval(0, 1), {
         k: ("g",) for d in interval(0, 1).faces().values() for k in d})),
-     TagError, "alternative tag must be injective"),
+     TagError, "tag labels must be injective"),
 ]
 
 
@@ -248,9 +248,9 @@ TRIVIAL_Z3 = GroupAction(Z3, interval(0, 1), {g: ([[1]], [0]) for g in Z3.elemen
 
 BORDISM = [
     (lambda: BordismComponent(SEGMENT, CellMap(euclid(1), [[1, 0]], [[]], [0])),
-     BordismError, "map columns do not match the ambient space"),
+     BordismError, "map shape does not match the cell"),
     (lambda: BordismComponent(SEGMENT, CellMap(torus(1), [[1]], [[1]], [0])),
-     BordismError, "map torus columns do not match the cell"),
+     BordismError, "map shape does not match the cell"),
     (lambda: ModulePresentation((), (), ring="R"), BordismError, "ring must be 'Z' or 'Q'"),
     (lambda: present_group([pt_class(1), pt_class(-1)], [circle_cover(1)]), BordismError,
      "witnesses must be oriented bordism classes"),
@@ -265,8 +265,7 @@ BORDISM = [
     (lambda: identity_cobordism(euclid(1)), BordismError,
      "no compact identity class over a euclidean target"),
     (lambda: bordism_cup_cap(_circle_class(), circle_cover(2)), BordismError,
-     "certificate derivation needs a single product piece per component pair; "
-     "supply the pairings explicitly"),
+     "certificate derivation needs a single product piece per component pair"),
     (lambda: bordism_cup_cap("x", pt_class(1)), BordismError,
      "both factors must be bordism classes"),
     (_touching_pair, BordismError,

@@ -210,3 +210,38 @@ def test_line_trace_on_a_synthetic_module(tmp_path):
 
     assert tool.never_run([path], run) == {str(path.resolve()): [4, 5, 6, 14, 15]}
     assert tool._ranges([4, 5, 6, 14, 15, 17]) == "4-6, 14-15, 17"
+
+
+_RAISING = '''
+
+def checked(x):
+    if x < 0:
+        raise ValueError(
+            "negative")
+    if x == 0:
+        raise ZeroDivisionError("zero")
+    return x
+'''
+
+
+def test_line_trace_lists_the_raises_never_run(tmp_path):
+    # the synthetic module with two raises after it: the run takes the
+    # second, so only the first, which spans two lines, is listed, by its
+    # first line
+    path = tmp_path / "synthetic.py"
+    path.write_text(_SYNTHETIC + _RAISING)
+    tool = _line_trace()
+    assert tool.raise_statements(path) == {21: "raise ValueError(",
+                                           24: 'raise ZeroDivisionError("zero")'}
+    spec = importlib.util.spec_from_file_location("synthetic", path)
+
+    def run():
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        module.sign(3)
+        with pytest.raises(ZeroDivisionError):
+            module.checked(0)
+
+    missed = tool.never_run([path], run)
+    assert tool.raise_report("run", missed) == [
+        "run: 1 of 2 raise statements never ran", "synthetic.py:21: raise ValueError("]

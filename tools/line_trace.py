@@ -3,6 +3,7 @@
     python3 tools/line_trace.py tests     # tier-1 (pytest on tests/)
     python3 tools/line_trace.py bench     # the four benchmark corpora
     python3 tools/line_trace.py --both    # the lines neither run reaches
+    python3 tools/line_trace.py --both --raises   # only the raise statements
 
 runs tier-1 in process, or every check kind of every workload in
 `perfbench/workloads.py` (imported, not changed) for the workload's corpus
@@ -12,12 +13,15 @@ other under the same tracer.  It prints, per module, the executable lines
 that never ran: the line numbers that the module's code objects give in
 `co_lines()`, without the header line of each function or class body, which
 its enclosing code executes.  The first line gives the number of executable
-lines and of lines never run over all modules.
+lines and of lines never run over all modules.  With `--raises` it prints
+only the `raise` statements, found from each module's AST, that never ran:
+one line each, the module, the line number and the statement's first line.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import sys
 import types
 from pathlib import Path
@@ -67,6 +71,24 @@ def never_run(files: Iterable[Path], run: Callable[[], object]) -> dict[str, lis
     return {str(f): sorted(executable_lines(f) - hits[str(f)]) for f in files}
 
 
+def raise_statements(path: Path) -> dict[int, str]:
+    """Line number -> first source line of each raise statement of a source file."""
+    source = path.read_text()
+    lines = source.splitlines()
+    return {node.lineno: lines[node.lineno - 1].strip()
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Raise)}
+
+
+def raise_report(label: str, missed: dict[str, list[int]]) -> list[str]:
+    """The raise statements among never_run's lines: a count, then one line
+    each, as file name:line number: first source line."""
+    raises = {path: raise_statements(Path(path)) for path in missed}
+    never = [f"{Path(path).name}:{line}: {raises[path][line]}"
+             for path, lines in missed.items() for line in lines if line in raises[path]]
+    total = sum(map(len, raises.values()))
+    return [f"{label}: {len(never)} of {total} raise statements never ran"] + never
+
+
 def _run_tests() -> None:
     import pytest
     pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
@@ -103,6 +125,8 @@ def main(argv=None) -> int:
                     help="what to run under the tracer")
     ap.add_argument("--both", action="store_true",
                     help="run tier-1 and the corpora; list the lines neither reaches")
+    ap.add_argument("--raises", action="store_true",
+                    help="list only the raise statements that never ran")
     args = ap.parse_args(argv)
     if (args.run is None) != args.both:
         ap.error("give one of tests, bench or --both")
@@ -111,8 +135,11 @@ def main(argv=None) -> int:
         [{"tests": _run_tests, "bench": _run_bench}[args.run]]
     files = sorted(PACKAGE.glob("*.py"))
     missed = never_run(files, lambda: [r() for r in runners])
-    total = sum(len(executable_lines(f)) for f in files)
     label = "tests and bench" if args.both else args.run
+    if args.raises:
+        print("\n".join(raise_report(label, missed)))
+        return 0
+    total = sum(len(executable_lines(f)) for f in files)
     print(f"{label}: {sum(map(len, missed.values()))} of {total} executable lines never ran")
     for path, lines in missed.items():
         if lines:
