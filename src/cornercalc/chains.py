@@ -67,9 +67,19 @@ class ChainError(ValueError):
 # A label is a sorted tuple of atoms; an atom is an int, a string, or a tuple
 # of atoms.  Tags built from single atoms use one-element labels; label
 # pairing (products) concatenates and re-sorts, so the empty label is a unit.
+# A tag keys its labels' atoms once, on first pairing, and a product tag
+# carries the keys of its merged labels, as do the restrictions of a tag
+# that has them: an iterated product sorts by keys it already holds.
 
 def _term_key(x):
     """Total order on ints, Fractions, strings, None and nested tuples."""
+    t = type(x)
+    if t is tuple:
+        return (3, tuple(map(_term_key, x)))
+    if t is str:
+        return (2, x)
+    if t is int:
+        return (1, x)
     if x is None:
         return (0,)
     if isinstance(x, bool):
@@ -127,12 +137,15 @@ class Tag:
     `labels` holds one (mask, label) pair per face, sorted by mask, and
     `vertices` is the polytope's vertex tuple, read only to convert face
     keys at the public edge; `order`, the labels' `_term_key`, is built at
-    most once per tag.  Restricting to a face F keeps the faces inside
-    F and packs their bits at F's vertices (geometry.compress_mask), which is
-    exact: a face's sorted vertices are a subsequence of its polytope's.
+    most once per tag, and so is `atom_keys`, each label's atoms'
+    `_term_key` in `labels` order, which pair_tags reads and a product tag
+    carries.  Restricting to a face F keeps the faces inside F and packs
+    their bits at F's vertices (geometry.compress_mask), which is exact: a
+    face's sorted vertices are a subsequence of its polytope's; it carries
+    the kept faces' keys when the tag has them and builds none.
     """
 
-    __slots__ = ("vertices", "labels", "_order")
+    __slots__ = ("vertices", "labels", "_order", "_keys")
 
     def __init__(self, polytope: Polytope, labels: Mapping[FaceKey, tuple]):
         index = _vertex_index(polytope.vertices)
@@ -157,6 +170,7 @@ class Tag:
         self.vertices = vertices
         self.labels = tuple(pairs)
         self._order = None
+        self._keys = None
 
     @property
     def face_keys(self) -> tuple:
@@ -180,6 +194,13 @@ class Tag:
         if self._order is None:
             self._order = _term_key(self.labels)
         return self._order
+
+    @property
+    def atom_keys(self) -> tuple:
+        """Each label's atoms' `_term_key`, in `labels` order."""
+        if self._keys is None:
+            self._keys = tuple(tuple(map(_term_key, label)) for _, label in self.labels)
+        return self._keys
 
     def mapping(self) -> dict:
         return {self._key(m): label for m, label in self.labels}
@@ -207,10 +228,19 @@ class Tag:
                     packed |= place[low]
                     m ^= low
                 labels.append((packed, label))
-        tag = Tag.__new__(Tag)
-        tag.vertices = tuple(self.vertices[i] for i in at)
-        tag.labels = tuple(labels)
+        keys = self._keys
+        if keys is not None:
+            keys = tuple([k for (m, _), k in zip(self.labels, keys) if not m & outside])
+        return Tag._built(tuple(self.vertices[i] for i in at), tuple(labels), keys)
+
+    @classmethod
+    def _built(cls, vertices: tuple, labels: tuple, keys) -> "Tag":
+        """A tag from labels sorted by mask and their atom keys or None, unchecked."""
+        tag = cls.__new__(cls)
+        tag.vertices = vertices
+        tag.labels = labels
         tag._order = None
+        tag._keys = keys
         return tag
 
     def moved(self, vertices: tuple, table: Sequence[int]) -> "Tag":
@@ -243,10 +273,28 @@ def pair_tags(tag1: Tag, tag2: Tag, comp) -> Tag:
     product cell to the matched pair of operand face masks.  Merging is a
     sorted concatenation, so the pairing is symmetric and associative after
     canonicalization, the empty label a unit; injectivity is the generator's check.
+    Each merge is merge_labels(l1, l2), a stable sort of l1 + l2 by the
+    operands' atom keys alone, and the product tag carries the merged keys.
     """
-    return Tag.of_masks(comp.cell.polytope.vertices,
-                        [(g, merge_labels(tag1.label_at(f1), tag2.label_at(f2)))
-                         for g, (f1, f2) in comp.face_pairs.items()])
+    side1, side2 = ({m: (label, keys) for (m, label), keys in zip(tag.labels, tag.atom_keys)}
+                    for tag in (tag1, tag2))
+    pairs = comp.face_pairs
+    labels, carried = [], []
+    for g in sorted(pairs):
+        f1, f2 = pairs[g]
+        try:
+            (l1, k1), (l2, k2) = side1[f1], side2[f2]
+        except KeyError:
+            raise TagError(f"face pair {(f1, f2)} not labelled") from None
+        label, keys = l1 + l2, k1 + k2
+        # a concatenation already in order is its own stable sort
+        if any(b < a for a, b in zip(keys, keys[1:])):
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            label = tuple([label[i] for i in order])
+            keys = tuple([keys[i] for i in order])
+        labels.append((g, label))
+        carried.append(keys)
+    return Tag._built(comp.cell.polytope.vertices, tuple(labels), tuple(carried))
 
 
 # ---------------------------------------------------------------------------

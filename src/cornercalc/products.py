@@ -44,20 +44,23 @@ class ProductError(ValueError):
     pass
 
 
+# The kind, target and grade checks read the stored terms unsorted, as
+# chains.boundary does: each decides on the set of generators alone.
+
 def _require_cochain(c: Chain, what: str) -> None:
-    for _, g in c.terms():
+    for _, g in c._terms.values():
         if not g.is_cochain:
             raise ProductError(f"{what} needs cochain generators")
 
 
 def _require_chain(c: Chain, what: str) -> None:
-    for _, g in c.terms():
+    for _, g in c._terms.values():
         if g.is_cochain:
             raise ProductError(f"{what} needs oriented chain generators")
 
 
 def _common_target(c: Chain) -> Target | None:
-    targets = {g.cmap.target for _, g in c.terms()}
+    targets = {g.cmap.target for _, g in c._terms.values()}
     if len(targets) > 1:
         raise ProductError("generators share no common target")
     return targets.pop() if targets else None
@@ -95,8 +98,9 @@ def _product(c1: Chain, c2: Chain, what: str) -> Chain:
     if c1.ring != c2.ring:
         raise ProductError(f"{what} factors use different coefficient rings")
     terms = []
+    terms2 = c2.terms()
     for a1, g1 in c1.terms():
-        for a2, g2 in c2.terms():
+        for a2, g2 in terms2:
             for factor, g in _pair(g1, g2):
                 terms.append((a1 * a2 * factor, g))
     return Chain(terms, ring=c1.ring)
@@ -139,7 +143,7 @@ def identity_cochain(y: Target, ring: str = "Q") -> Chain:
 # ---------------------------------------------------------------------------
 
 def homogeneous_degree(c: Chain) -> int | None:
-    degrees = {g.grade for _, g in c.terms()}
+    degrees = c.grades()
     if len(degrees) > 1:
         raise ProductError("chain is not homogeneous")
     return degrees.pop() if degrees else None
@@ -175,8 +179,9 @@ def check_cup_supercommutative(c1: Chain, c2: Chain) -> CheckReport:
 def _cup_supercommutative(c1: Chain, c2: Chain, c12: Chain) -> CheckReport:
     """check_cup_supercommutative with c12 = cup(c1, c2) given."""
     swapped = []
+    terms2 = c2.terms()
     for a1, g1 in c1.terms():
-        for a2, g2 in c2.terms():
+        for a2, g2 in terms2:
             sign = _sign(g1.grade * g2.grade)
             n1 = g1.cell.polytope.ambient_dim
             n2 = g2.cell.polytope.ambient_dim

@@ -602,6 +602,23 @@ def test_derived_certificate_is_re_audited(monkeypatch):
         bordism_cup_cap(hollow_triangle(), identity_cobordism(POINT))
 
 
+def test_derivation_skips_a_pairing_of_faces_no_piece_meets():
+    # a cooriented second factor's torus part maps onto the target, so every
+    # facet F of the first factor meets each piece in the face over
+    # (F, the whole second polytope); only a pairing that names no facet,
+    # here the two whole edges, meets no piece, and the derivation skips it
+    tri = hollow_triangle()
+    eye = [[1, 0], [0, 1]]
+    edges = PairingWitness((0, [(0, 0), (1, 0)]), (1, [(1, 0), (0, 1)]), eye, [0, 0])
+    first = BordismClass(tri.components, tri.pairings + (edges,))
+    assert "pairing names a missing face" in closed_certificate_check(first).details[0]
+    one = identity_cobordism(POINT)
+    res = bordism_cup_cap(first, one)
+    assert closed_certificate_check(res).ok
+    assert res.pairings == bordism_cup_cap(tri, one).pairings
+    assert len(res.pairings) == len(tri.pairings)
+
+
 def test_two_oriented_factors_rejected():
     with pytest.raises(BordismError, match="cooriented"):
         bordism_cup_cap(pt_class(1), pt_class(1))

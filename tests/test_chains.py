@@ -1,6 +1,8 @@
 import hashlib
 import importlib.util
 import sys
+from collections import namedtuple
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -17,6 +19,7 @@ from cornercalc.cells import (
     MapError,
     constant_map,
     euclid,
+    fibre_product_cells,
     kernel_coorientation,
     torus,
 )
@@ -48,6 +51,7 @@ from cornercalc.chains import (
     generator_boundary,
     merge_labels,
     numbered_tag,
+    pair_tags,
     pushforward,
     simplex_face_complex,
     singular_boundary,
@@ -813,12 +817,29 @@ def _fraction_term_key(x):
     return (3, tuple(_fraction_term_key(e) for e in x))
 
 
+class _Word(str):
+    """A str subclass, which _term_key orders as a str."""
+
+    def __repr__(self):
+        return f"_Word({str.__repr__(self)})"
+
+
+class _Level(IntEnum):
+    LOW = -1
+    ONE = 1
+    HIGH = 3
+
+
+_Pair = namedtuple("_Pair", "first second")
+
+# subclasses of str, int and tuple miss _term_key's exact-type branches
 _atoms = st.one_of(
     st.none(), st.booleans(), st.integers(min_value=-4, max_value=4),
     st.fractions(min_value=-4, max_value=4, max_denominator=4),
-    st.sampled_from(["", "a", "b", "q", "t"]))
-_labels = st.recursive(_atoms, lambda inner: st.lists(inner, max_size=3).map(tuple),
-                       max_leaves=12)
+    st.sampled_from(["", "a", "b", "q", "t"]),
+    st.sampled_from([_Word("a"), _Word("z"), *_Level]))
+_labels = st.recursive(_atoms, lambda inner: st.one_of(
+    st.lists(inner, max_size=3).map(tuple), st.builds(_Pair, inner, inner)), max_leaves=12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -826,6 +847,47 @@ _labels = st.recursive(_atoms, lambda inner: st.lists(inner, max_size=3).map(tup
 def test_term_key_orders_like_fraction_key(xs):
     order = sorted(range(len(xs)), key=lambda i: _term_key(xs[i]))
     assert order == sorted(range(len(xs)), key=lambda i: _fraction_term_key(xs[i]))
+
+
+def _rebuilt_keys(tag):
+    return tuple(tuple(_term_key(a) for a in label) for _, label in tag.labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([interval(), box([(0, 1), (0, 1)]), standard_simplex(2)]), st.data())
+def test_pair_tags_merges_by_carried_keys_like_merge_labels(p2, data):
+    # faces labelled by tuples of atoms from the term-order strategy, left
+    # unsorted: the keyed merge is a stable sort of l1 + l2 on the key alone,
+    # as merge_labels is, whatever order the operands come in; repr tells
+    # equal atoms of different types apart
+    p1 = interval()
+    label = st.lists(_labels, max_size=3).map(tuple)
+
+    def drawn_tag(p):
+        return Tag.of_masks(p.vertices, [(m, data.draw(label)) for m in p._fd.face_dims()])
+
+    def product(tag1, poly1, tag2, poly2):
+        comp, = fibre_product_cells(Cell(poly1, 0), constant_map(POINT, poly1.ambient_dim, 0),
+                                    Cell(poly2, 0), constant_map(POINT, poly2.ambient_dim, 0))
+        tag = pair_tags(tag1, tag2, comp)
+        for g, (f1, f2) in comp.face_pairs.items():
+            assert repr(tag.label_at(g)) == repr(merge_labels(tag1.label_at(f1),
+                                                              tag2.label_at(f2)))
+        assert tag._keys == _rebuilt_keys(tag)
+        return tag, comp.cell.polytope
+
+    tag1, tag2 = drawn_tag(p1), drawn_tag(p2)
+    tag12, p12 = product(tag1, p1, tag2, p2)
+    for facet in p12._fd.facet_masks:
+        sub = tag12.restrict(facet)
+        assert sub._keys == _rebuilt_keys(sub)
+    # an iterated product merges by the keys its first operand carries
+    product(tag12, p12, drawn_tag(p1), p1)
+    # a tag that was never paired restricts without keys
+    fresh = drawn_tag(p2)
+    assert fresh.restrict(p2._fd.facet_masks[0])._keys is None
+    with pytest.raises(TagError, match="not labelled"):
+        product(Tag.of_masks(p1.vertices, []), p1, fresh, p2)
 
 
 # ---------------------------------------------------------------------------

@@ -136,17 +136,40 @@ def test_bench_pairs_summary_on_fixed_runs():
         return [{"metrics": {"throughput_ops_s": {"value": t}, "latency_p50_ms": {"value": p},
                              "setup_s": {"value": 0}}} for t, p in values]
 
+    bounds = {"throughput_ops_s": 0.24, "latency_p50_ms": 0.24, "setup_s": 0.25}
     lines = _bench_pairs().summary({
         "parent": runs((100, 4.0), (110, 4.0), (90, 5.0), (100, 2.0)),
-        "change": runs((125, 3.0), (120, 5.0), (130, 3.0), (99, 3.0))})
+        "change": runs((125, 3.0), (120, 5.0), (130, 3.0), (99, 3.0))}, bounds)
     assert lines[0].split() == ["metric", "parent", "median", "change", "median",
-                                "parent", "q1..q3", "relative", "change", "wins"]
+                                "parent", "q1..q3", "relative", "verdict", "change", "wins"]
     rows = {line.split()[0]: line.split()[1:] for line in lines[1:]}
-    # medians 100 -> 122.5; the change is ahead in three pairs of four
-    assert rows["throughput_ops_s"] == ["100", "122.5", "97.5..102.5", "+22.5%", "3/4"]
+    # medians 100 -> 122.5; the change is ahead in three pairs of four, too
+    # few for a claim
+    assert rows["throughput_ops_s"] == ["100", "122.5", "97.5..102.5", "+22.5%", "-", "3/4"]
     # lower is better, and a tie is not a win
-    assert rows["latency_p50_ms"] == ["4", "3", "3.5..4.25", "-25.0%", "2/4"]
-    assert rows["setup_s"] == ["0", "0", "0..0", "n/a", "0/4"]
+    assert rows["latency_p50_ms"] == ["4", "3", "3.5..4.25", "-25.0%", "-", "2/4"]
+    assert rows["setup_s"] == ["0", "0", "0..0", "n/a", "-", "0/4"]
+
+    def ten(metric, parent, change):
+        return {side: [{"metrics": {metric: {"value": v}}} for v in values]
+                for side, values in (("parent", parent), ("change", change))}
+
+    def row(metric, parent, change):
+        lines = _bench_pairs().summary(ten(metric, parent, change), bounds)
+        return lines[1].split()[1:]
+
+    spread = [98, 99, 100, 101, 102, 100, 99, 101, 100, 100]
+    # nine wins of ten and a median gain of 10 past the parent's q3 - q1 of 1.5
+    assert row("throughput_ops_s", spread, [110] * 9 + [95])[-2:] == ["claim", "9/10"]
+    # eight wins of ten are not a claim, however large the gain
+    assert row("throughput_ops_s", spread, [110] * 8 + [95] * 2)[-2:] == ["-", "8/10"]
+    # a gain inside the parent's quartiles is not a claim, even with ten wins
+    assert row("throughput_ops_s", spread, [s + 1 for s in spread])[-2:] == ["-", "10/10"]
+    # 30% slower against a bound of 24% is worse; 20% against 25% is not
+    assert row("latency_p50_ms", [4.0] * 10, [5.2] * 10)[-2:] == ["WORSE", "0/10"]
+    assert row("setup_s", [1.0] * 10, [1.2] * 10)[-2:] == ["-", "0/10"]
+    # a metric without a bound is never worse
+    assert row("peak_rss_mb", [10.0] * 10, [20.0] * 10)[-2:] == ["-", "0/10"]
 
 
 def test_bench_pairs_source_lines_on_two_trees(tmp_path):

@@ -13,8 +13,13 @@ For each end-to-end metric it prints both medians, the parent's quartiles,
 the relative change of the medians (change / parent - 1, e.g. +23.8%) and
 the number of pairs in which the change was better: higher is better for
 throughput_ops_s and ok_share, lower for every other metric; a tie is not
-a win.  Then it prints each checkout's source line count, the newlines
-in its src/cornercalc/*.py (what `cat src/cornercalc/*.py | wc -l` gives).
+a win.  Its verdict column reads `claim` when the change wins at least nine
+tenths of the pairs and its median is better than the parent's by more than
+the parent's q3 - q1, `WORSE` when its median is worse than the parent's by
+more than the metric's relative `bound` in the parent checkout's
+BENCHMARK.json, and `-` otherwise.  Then it prints each checkout's source
+line count, the newlines in its src/cornercalc/*.py (what
+`cat src/cornercalc/*.py | wc -l` gives).
 It exits 1 when a run fails or a run's verdict is not correct.
 """
 
@@ -48,12 +53,13 @@ def quartiles(values: list) -> tuple:
     return q1, q3
 
 
-def summary(runs: dict) -> list[str]:
+def summary(runs: dict, bounds: dict) -> list[str]:
     """One line per metric: medians, the parent's quartiles, the relative
-    change of the medians and the change's wins."""
+    change of the medians, the verdict and the change's wins; bounds maps a
+    metric to its relative bound."""
     pairs = len(runs["parent"])
     lines = [f"{'metric':<18} {'parent median':>14} {'change median':>14} "
-             f"{'parent q1..q3':>22} {'relative':>9} {'change wins':>12}"]
+             f"{'parent q1..q3':>22} {'relative':>9} {'verdict':>8} {'change wins':>12}"]
     for name in runs["parent"][0]["metrics"]:
         parent = [r["metrics"][name]["value"] for r in runs["parent"]]
         change = [r["metrics"][name]["value"] for r in runs["change"]]
@@ -62,8 +68,15 @@ def summary(runs: dict) -> list[str]:
         q1, q3 = quartiles(parent)
         mp, mc = statistics.median(parent), statistics.median(change)
         rel = f"{(mc / mp - 1) * 100:+.1f}%" if mp else "n/a"
+        gain = sign * (mc - mp)
+        if wins * 10 >= 9 * pairs and gain > q3 - q1:
+            mark = "claim"
+        elif name in bounds and gain < -bounds[name] * abs(mp):
+            mark = "WORSE"
+        else:
+            mark = "-"
         lines.append(f"{name:<18} {mp:>14.6g} {mc:>14.6g} "
-                     f"{f'{q1:.6g}..{q3:.6g}':>22} {rel:>9} {f'{wins}/{pairs}':>12}")
+                     f"{f'{q1:.6g}..{q3:.6g}':>22} {rel:>9} {mark:>8} {f'{wins}/{pairs}':>12}")
     return lines
 
 
@@ -101,7 +114,9 @@ def main(argv=None) -> int:
         print(f"pair {i + 1} seed {seed}: throughput_ops_s {values}", flush=True)
     print(f"{args.workload}: {args.pairs} pairs from seed {args.seed0}, "
           f"--seconds {args.seconds:g}")
-    for line in summary(runs):
+    spec = json.loads((sides["parent"] / "BENCHMARK.json").read_text())
+    bounds = {metric["name"]: metric["bound"] for metric in spec["end_to_end"]}
+    for line in summary(runs, bounds):
         print(line)
     print("source lines (src/cornercalc/*.py): " + "  ".join(
         f"{side} {source_lines(path)}" for side, path in sides.items()))
