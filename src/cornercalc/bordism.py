@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import Optional
 
 from ._linalg import Mat, Vec, det_sign, identity, invariant_factors, mat, matvec, rank, vec
-from .cells import (Cell, CellMap, Coorientation, canonical_cell_map,
-                    canonical_form, cell_boundary, fibre_product_cells,
+from .cells import (Cell, CellMap, Coorientation, boundary_cells,
+                    canonical_cell_map, canonical_form, fibre_product_cells,
                     identity_map, is_interior_submersion, maps_agree,
                     orientation_from_coorientation)
 from .chains import Chain, Generator, Tag, _prism_ends, boundary, cylinder
@@ -222,8 +222,7 @@ def _witness_fault(b: BordismClass, pw: PairingWitness,
     if not maps_agree(ci.cmap, cj.cmap, list(zip(fkey, image))):
         return "identification does not commute with the maps"
     # +-1: equal ranks, equal facet dimensions, vertices onto the partner's
-    eps = _orientation_factor(pw.linear, atlas[pw.left][0].cell,
-                              atlas[pw.right][0].cell)
+    eps = _orientation_factor(pw.linear, atlas[pw.left][0], atlas[pw.right][0])
     if eps != -1:
         return "identification does not reverse the induced orientation"
     return None
@@ -240,8 +239,10 @@ def _audit(b: BordismClass) -> tuple:
     """
     atlas = {}
     for i, comp in enumerate(b.components):
-        for bc, mask in zip(cell_boundary(comp.cell), comp.cell.polytope._fd.facet_masks):
-            atlas[(i, bc.face)] = (bc, mask)
+        cells = boundary_cells(comp.cell)
+        fd = comp.cell.polytope._fd
+        for cell, mask in zip(cells, fd.facet_masks):
+            atlas[(i, fd.key(mask))] = (cell, mask)
     faults = []
     counts: Counter = Counter()
     for k, pw in enumerate(b.pairings):
@@ -415,12 +416,12 @@ def _relation_row(gens, w: BordismClass) -> tuple:
     for key in sorted(atlas):
         if key in paired:
             continue
-        bc = atlas[key][0]
+        cell = atlas[key][0]
         cmap = w.components[key[0]].cmap
         hit = None
         for k, g in enumerate(gens):
             gc = g.components[0]
-            eps = oriented_match(bc.cell, cmap, gc.cell, gc.cmap)
+            eps = oriented_match(cell, cmap, gc.cell, gc.cmap)
             if eps == 1:
                 hit = (k, 1)
                 break
@@ -591,7 +592,7 @@ def _derive_product_pairings(first, atlas, second, pieces, index):
         fd = fc.cell.polytope._fd
         return [fd.key(g) for g, got in fc.face_pairs.items() if got == pair]
 
-    for pw in first.pairings:
+    for k, pw in enumerate(first.pairings):
         (i, _), (j, _) = pw.left, pw.right
         n_i = first.components[i].cell.polytope.ambient_dim
         for i2, comp2 in enumerate(second.components):
@@ -601,11 +602,15 @@ def _derive_product_pairings(first, atlas, second, pieces, index):
             kr = (j, i2, lone_piece(j, i2))
             # a product face paired with (F, the whole of P2) is the piece's
             # cut by F x P2, so a side has at most one, and the identification
-            # carries one side's fibre onto the other's: both hit or neither
+            # carries one side's fibre onto the other's: both hit or neither,
+            # unless the pairing names one facet and one face that is no facet
             hits_l = located(pieces[kl], (masks.get(pw.left), top2))
             hits_r = located(pieces[kr], (masks.get(pw.right), top2))
             if not hits_l and not hits_r:
                 continue
+            if not hits_l or not hits_r:
+                raise BordismError(f"pairing {k} pairs a facet with a face that is no "
+                                   "facet; no certificate can be derived from it")
             rows = [tuple(row) + (Fraction(0),) * n2 for row in pw.matrix]
             rows += [(Fraction(0),) * n_i + e for e in identity(n2)]
             off = tuple(pw.offset) + (Fraction(0),) * n2

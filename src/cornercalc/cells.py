@@ -447,17 +447,25 @@ class CellBoundaryComponent:
 def cell_boundary(cell: Cell) -> list[CellBoundaryComponent]:
     """One component per facet of the polytope part; torus factors are closed.
 
+    The components are boundary_cells(cell) with each facet's key and
+    outward vector.
+    """
+    zero = (Fraction(0),) * cell.torus_rank
+    return [CellBoundaryComponent(face=key, cell=bc, outward=tuple(outward) + zero)
+            for (key, outward), bc in zip(cell.polytope.facets(), boundary_cells(cell))]
+
+
+def boundary_cells(cell: Cell) -> list[Cell]:
+    """The cell over each facet of the polytope part, induced orientation, in
+    facets() order.
+
     A facet's sign, outward normal first, is read from the polytope's face
     data.  It does not depend on the torus rank: both frames end in the same
     identity block on R^s, so the change of basis between them is block
     diagonal with an identity block.
     """
-    p = cell.polytope
     s = cell.torus_rank
-    zero = (Fraction(0),) * s
-    return [CellBoundaryComponent(face=key, cell=Cell(fp, s, sign=sign * cell.sign),
-                                  outward=tuple(outward) + zero)
-            for (key, outward), (fp, sign) in zip(p.facets(), p._fd.facet_cells())]
+    return [Cell(fp, s, sign=sign * cell.sign) for fp, sign in cell.polytope._fd.facet_cells()]
 
 
 # ---------------------------------------------------------------------------

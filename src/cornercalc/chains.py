@@ -39,8 +39,8 @@ from .cells import (
     CellMap,
     Coorientation,
     Target,
+    boundary_cells,
     canonical_form,
-    cell_boundary,
     cell_orientation_equal,
     constant_map,
     has_free_circle,
@@ -603,12 +603,15 @@ def disjoint_union(gens: Sequence[Generator]) -> Chain:
 # Boundary
 # ---------------------------------------------------------------------------
 # The boundary of [X, f, G] is [dX, f|dX, G|dX]: generator_boundary is its
-# one definition.  The facets of a generator are built by
-# Generator._derived, unchecked, since restriction keeps a validated
-# generator valid.  A cochain restricts in the kernel, Ker df = R n +
-# Ker d(f|dX) with the outward normal n first, while the orientation it
-# stores puts the target frame first (cells), so its facet terms carry
-# (-1)^dim Y against the orientations cell_boundary gives.
+# one definition.  It reads each facet's cell and sign off the polytope's
+# face data (facet_cells, through boundary_cells) and its mask
+# (facet_masks), so no facet key or outward vector is built.  The facets
+# of a generator are built by Generator._derived, unchecked, since
+# restriction keeps a validated generator valid.  A cochain restricts in
+# the kernel, Ker df = R n + Ker d(f|dX) with the outward normal n first,
+# while the orientation it stores puts the target frame first (cells), so
+# its facet terms carry (-1)^dim Y against the orientations boundary_cells
+# gives.
 # A chain stores normalized generators, and each keeps its facet normal
 # forms in its _facets slot, filled on first read by _facet_forms: boundary,
 # ChainComplex and corner_terms read them there, so a generator's facets are
@@ -622,10 +625,11 @@ def disjoint_union(gens: Sequence[Generator]) -> Chain:
 def generator_boundary(gen: Generator) -> list:
     """Signed facet generators of one generator."""
     coeff = Fraction(-1 if gen.is_cochain and gen.cmap.target.dim % 2 else 1)
-    # cell_boundary follows facets(), and facet_masks is in the same order
-    return [(coeff, Generator._derived(bc.cell, gen.cmap, gen.tag.restrict(facet),
-                                             is_cochain=gen.is_cochain))
-            for bc, facet in zip(cell_boundary(gen.cell), gen.cell.polytope._fd.facet_masks)]
+    # boundary_cells follows facets(), and facet_masks is in the same order
+    cells = boundary_cells(gen.cell)
+    return [(coeff, Generator._derived(cell, gen.cmap, gen.tag.restrict(facet),
+                                       is_cochain=gen.is_cochain))
+            for cell, facet in zip(cells, gen.cell.polytope._fd.facet_masks)]
 
 
 def _facet_forms(gen: Generator) -> tuple:
@@ -682,11 +686,14 @@ def corner_terms(gen: Generator) -> list[CornerTerm]:
     form coefficients; a zero class has no forms, so no flags.
     """
     out = []
+    # each facet_masks is read after _facet_forms has enumerated its facets
+    forms = _facet_forms(gen)
     facet_masks = gen.cell.polytope._fd.facet_masks
     # a facet keeps gen's torus part, so every facet has a form or none does
-    for m1, (_, c1, sub) in zip(facet_masks, _facet_forms(gen)):
+    for m1, (_, c1, sub) in zip(facet_masks, forms):
         at = mask_bits(m1)
-        for m2, (_, c2, corner) in zip(sub.cell.polytope._fd.facet_masks, _facet_forms(sub)):
+        sub_forms = _facet_forms(sub)
+        for m2, (_, c2, corner) in zip(sub.cell.polytope._fd.facet_masks, sub_forms):
             # the corner's mask over P, and the two facets of P holding it
             g = move_mask(m2, at)
             holders = [m for m in facet_masks if g & ~m == 0]

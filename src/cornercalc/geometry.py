@@ -43,16 +43,20 @@ H-representation, the affine hull's equations and the facet inequalities,
 tested exactly.
 
 The arithmetic inside is on integers.  Each vertex set keeps its vertices
-over one common denominator, and its hull equations and facets as primitive
-integer rows (a, b) with a . x <= b; membership, tight facets and the check
-of each facet's functional are integer dot products with a point scaled to
-integers.  section_vertices eliminates its equations once into an integer
-kernel basis and an integer base point, and the double description runs on
+over one common denominator and its direction space as an integer RREF
+basis over one denominator, both built at construction, and its hull
+equations and facets as primitive integer rows (a, b) with a . x <= b;
+membership, tight facets, the facets' orientation signs and the check of
+each facet's functional are integer dot products and determinants.
+section_vertices eliminates its equations once into an integer kernel
+basis and an integer base point, and the double description runs on
 integer rows and rays; it takes integer rows as they stand, and the slices
 in cells and the fixed-locus cuts in orbifold pass it their polytopes'
 rows().  Fractions are made at the API, each entry from an integer
-numerator and denominator: vertices and outward vectors once, and the
-Fraction H-representation and the face keys each time they are asked for.
+numerator and denominator, and only when asked for: the vertices once, the
+Fraction dir_basis and the facets' keys and outward vectors once on first
+request (a boundary reads neither), and the Fraction H-representation and
+the face keys each time they are asked for.
 """
 
 from __future__ import annotations
@@ -69,6 +73,7 @@ from ._linalg import (
     Mat,
     Vec,
     _eliminate,
+    _fraction_row,
     _primitive,
     _scaled,
     _scaled_exact,
@@ -76,7 +81,6 @@ from ._linalg import (
     frac,
     independent_subset,
     mat,
-    rref,
     solve,
     vadd,
     vec,
@@ -299,16 +303,21 @@ def _face_data(ambient_dim: int, vertices: tuple[Vec, ...]):
 class _FaceData:
     """The vertex-facet incidence of one vertex set, and everything built on it.
 
-    Facets are kept as int bitmasks over `vertices` beside `_facets`, each
-    with a functional largest on it; faces, minimal faces and the
-    H-representation are computed from them once.  The arithmetic runs on
-    an integer view, built lazily: the vertices over one common denominator
-    (lattice), the local-coordinate matrix over one denominator
-    (local_ints), and the hull's equations and the facets as primitive
-    integer rows (rows).  Fraction views and face keys are built from these
-    when asked for, and not kept.  local_ints serves the H-representation
-    alone (rows, the cold facets, local_matrix); tangent vectors are read in
-    the chart (frame_coords).
+    Facets are kept as int bitmasks over `vertices` (facets(), the one
+    entry that enumerates them; `_facets` is None until it has run or
+    set_facets has given them), each with a functional largest on it;
+    faces, minimal faces and the H-representation are computed from them
+    once.  The arithmetic runs on an integer view.  Construction builds the
+    vertices over one common denominator (lattice) and the direction space's
+    RREF basis as integer rows over one denominator (_dir_ints), by one
+    Jordan reduction of the primitive difference rows; the local-coordinate
+    matrix over one denominator (local_ints) and the hull's equations and
+    the facets as primitive integer rows (rows) are built when first asked
+    for.  The Fraction views are built from these when asked for: dir_basis
+    and the facets' face keys and outward vectors (keyed_facets) once, on
+    first request, and the others on each request.  local_ints serves the
+    H-representation alone (rows, the cold facets, local_matrix); tangent
+    vectors are read in the chart (frame_coords).
 
     A face handed out by face(mask) reuses what its parent computed: its
     vertices are the parent's at the set bits, already sorted; its facets
@@ -324,7 +333,8 @@ class _FaceData:
     _hull_face_data).  A second request returns the same object.
 
     The boundary data is lazy too: each facet's polytope and the sign of
-    its frame, outward vector first, read in the chart (facet_cells), and
+    its frame, outward vector first, read in the chart on integer rows
+    (facet_cells), with no key or outward vector built, and
     the affine hull on its free coordinates (hull_chart): its directions
     and the point whose free coordinates are all 0, as integers over one
     denominator, from one integer reduction of dir_basis from the right.
@@ -333,21 +343,23 @@ class _FaceData:
     def __init__(self, ambient_dim: int, vertices: tuple[Vec, ...]):
         self.ambient_dim = ambient_dim
         self.vertices = vertices
-        v0 = vertices[0]
-        diffs = [vsub(v, v0) for v in vertices[1:]]
-        if diffs:
-            red, pivots = rref(diffs)
-            self.dir_basis: Mat = tuple(red[i] for i in range(len(pivots)))
-        else:
-            self.dir_basis, pivots = (), ()
+        s = lcm(*(x.denominator for v in vertices for x in v))
+        xs = [tuple(x.numerator * (s // x.denominator) for x in v) for v in vertices]
+        self._lattice = (xs, s)
+        # one Jordan reduction of the primitive rows X_k - X_0: pivot row k is
+        # p_k times row k of the RREF, so B = RREF times den = lcm |p_k|
+        rows = [_primitive([a - b for a, b in zip(x, xs[0])]) for x in xs[1:]]
+        pivots = _eliminate(rows)
+        den = lcm(*(row[p] for row, p in zip(rows, pivots)))
+        self._dir = ([[x * (den // row[p]) for x in row] for row, p in zip(rows, pivots)], den)
+        self._dir_basis: Optional[Mat] = None
         # dir_basis is in RREF: coordinate i of a direction is its entry at
         # the i-th pivot column
-        self.dir_pivots: tuple[int, ...] = pivots
-        self.dim = len(self.dir_basis)
-        self._lattice: Optional[tuple] = None
+        self.dir_pivots: tuple[int, ...] = tuple(pivots)
+        self.dim = len(pivots)
         self._local_ints: Optional[tuple] = None
-        self._facets: Optional[list] = None
-        self.facet_masks: list[int] = []
+        self._facets: Optional[list[int]] = None
+        self._keyed: Optional[list] = None
         self.functionals: list[Vec] = []
         self._rows: Optional[tuple] = None
         self._row_scales: list[tuple[int, int]] = []
@@ -373,18 +385,35 @@ class _FaceData:
     # -- the integer view ------------------------------------------------------
 
     def lattice(self) -> tuple[list[tuple[int, ...]], int]:
-        """(X, den): the vertices are X[k] / den, X[k] integer tuples."""
-        if self._lattice is None:
-            den = lcm(*(x.denominator for v in self.vertices for x in v))
-            self._lattice = ([tuple(x.numerator * (den // x.denominator) for x in v)
-                              for v in self.vertices], den)
+        """(X, den): the vertices are X[k] / den, X[k] integer tuples; built
+        at construction."""
         return self._lattice
 
     def _dir_ints(self) -> tuple[list[list[int]], int]:
-        """(B, den): dir_basis is B / den, B an integer matrix."""
-        den = lcm(*(x.denominator for row in self.dir_basis for x in row))
-        return [[x.numerator * (den // x.denominator) for x in row]
-                for row in self.dir_basis], den
+        """(B, den): dir_basis is B / den, B an integer matrix, den the lcm of
+        dir_basis's denominators; built at construction."""
+        return self._dir
+
+    @property
+    def dir_basis(self) -> Mat:
+        """The RREF basis of the direction space, B / den as Fractions, built
+        on first read and kept."""
+        if self._dir_basis is None:
+            b, den = self._dir_ints()
+            self._dir_basis = tuple(_fraction_row(row, den) for row in b)
+        return self._dir_basis
+
+    @property
+    def facet_masks(self) -> Optional[list[int]]:
+        """The facets as vertex bitmasks, in facets() order: the list facets()
+        returns, None before it runs."""
+        return self._facets
+
+    def _local_functionals(self) -> list[list[int]]:
+        """Each facet's functional f read in local coordinates, u = B f with f
+        scaled to integers, in facets() order."""
+        b = self._dir_ints()[0]
+        return [[_idot(row, f) for row in b] for f in (_scaled(f)[0] for f in self.functionals)]
 
     def local_ints(self) -> tuple[list[list[int]], int]:
         """(L, m): L / m takes w in the direction space to its coordinates in dir_basis.
@@ -418,11 +447,9 @@ class _FaceData:
             self.facets()
             equations = [(a, b) for *a, b in
                          (_primitive(_scaled(e + (c,))[0]) for e, c in self.hull_equations())]
-            (xs, den), (lint, m), (d, _) = self.lattice(), self.local_ints(), self._dir_ints()
+            (xs, den), (lint, m) = self.lattice(), self.local_ints()
             facets, scales = [], []
-            for f, mask in zip(self.functionals, self.facet_masks):
-                f_int = _scaled(f)[0]
-                u = [_idot(row, f_int) for row in d]
+            for u, mask in zip(self._local_functionals(), self.facet_masks):
                 w = [sum(c * row[j] for c, row in zip(u, lint)) for j in range(self.ambient_dim)]
                 values = [_idot(w, x) for x in xs]
                 top = max(values)
@@ -502,8 +529,8 @@ class _FaceData:
 
     # -- facets --------------------------------------------------------------
 
-    def facets(self) -> list[tuple[FaceKey, Vec]]:
-        """(face_key, outward vector in the direction space) for every facet.
+    def facets(self) -> list[int]:
+        """The facets' vertex bitmasks, the one entry that enumerates them.
 
         Unless inherited (set_facets), the facets are enumerated cold: with
         r_i = N p_i - sum p over the N vertices in local coordinates, they
@@ -529,7 +556,15 @@ class _FaceData:
         return self._facets
 
     def set_facets(self, entries: Iterable[tuple[int, Vec]]) -> None:
-        """Take the facets from (vertex bitmask, functional) pairs.
+        """Take the facets from (vertex bitmask, functional) pairs, ordered by
+        their vertices; their keys and outward vectors wait for keyed_facets."""
+        out = sorted(entries, key=lambda entry: mask_bits(entry[0]))
+        self.functionals = [f for _, f in out]
+        self._facets = [mask for mask, _ in out]
+
+    def keyed_facets(self) -> list[tuple[FaceKey, Vec]]:
+        """(face_key, outward vector in the direction space) for every facet,
+        in facets() order, built on first request and kept.
 
         A functional f, largest on its facet, reads u = D f in the local
         coordinates over dir_basis D; the outward vector is u scaled so that
@@ -537,19 +572,17 @@ class _FaceData:
         functional tight on the facet gives the same vector, and so does any
         positive multiple of D and f: both are taken as integers.
         """
-        d, den = self._dir_ints()
-        out = []
-        for mask, f in entries:
-            f_int = _scaled(f)[0]
-            u = [_idot(row, f_int) for row in d]
-            scale = abs(next(x for x in reversed(u) if x)) * den
-            amb = tuple(Fraction(sum(x * row[j] for x, row in zip(u, d)), scale)
-                        for j in range(self.ambient_dim))
-            out.append((self.key(mask), amb, mask, f))
-        out.sort(key=lambda entry: mask_bits(entry[2]))
-        self.facet_masks = [entry[2] for entry in out]
-        self.functionals = [entry[3] for entry in out]
-        self._facets = [(key, amb) for key, amb, *_ in out]
+        if self._keyed is None:
+            masks = self.facets()
+            d, den = self._dir_ints()
+            keyed = []
+            for mask, u in zip(masks, self._local_functionals()):
+                scale = abs(next(x for x in reversed(u) if x)) * den
+                keyed.append((self.key(mask),
+                              tuple(Fraction(sum(x * row[j] for x, row in zip(u, d)), scale)
+                                    for j in range(self.ambient_dim))))
+            self._keyed = keyed
+        return self._keyed
 
     def face(self, mask: int) -> "Polytope":
         """The face with this vertex bitmask, its facets and lattice inherited from ours.
@@ -576,14 +609,16 @@ class _FaceData:
 
         The sign is det_sign of (outward vector, facet's dir_basis) read in
         the chart, untested: the facet's orientation, outward normal first,
-        against this vertex set's.
+        against this vertex set's.  It is taken on integer rows, u = B f
+        (_local_functionals) and the facet's B at our pivots, positive
+        multiples of those two.
         """
         if self._facet_cells is None:
             cells = []
-            for (_, outward), mask in zip(self.facets(), self.facet_masks):
+            for mask, u in zip(self.facets(), self._local_functionals()):
                 face = self.face(mask)
-                frame = [self.frame_coords(v) for v in (outward,) + face.dir_basis]
-                cells.append((face, det_sign(frame, (), self.dim)))
+                rows = [u] + [[row[p] for p in self.dir_pivots] for row in face._fd._dir_ints()[0]]
+                cells.append((face, det_sign((), rows, self.dim)))
             self._facet_cells = cells
         return self._facet_cells
 
@@ -697,7 +732,8 @@ class Polytope:
     # -- faces ---------------------------------------------------------------
 
     def facets(self) -> list[tuple[FaceKey, Vec]]:
-        return self._fd.facets()
+        """(face_key, outward vector in the direction space) for every facet."""
+        return self._fd.keyed_facets()
 
     def faces(self) -> dict[int, list[FaceKey]]:
         return self._fd.faces_by_dim()
@@ -779,8 +815,8 @@ class Polytope:
         """
         fd = self._fd
         _, rows = fd.rows()
-        return [(tuple(Fraction(x * g, h) for x in a), Fraction(b * g, h), key)
-                for (a, b), (g, h), (key, _) in zip(rows, fd._row_scales, fd.facets())]
+        return [(tuple(Fraction(x * g, h) for x in a), Fraction(b * g, h), fd.key(mask))
+                for (a, b), (g, h), mask in zip(rows, fd._row_scales, fd.facet_masks)]
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(keys) for d, keys in self.faces().items())

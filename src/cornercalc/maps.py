@@ -19,8 +19,8 @@ from .cells import (
     POINT,
     Cell,
     CellMap,
+    boundary_cells,
     canonical_form,
-    cell_boundary,
     constant_map,
     fibre_product_cells,
     permute_cell_coords,
@@ -83,10 +83,10 @@ def check_boundary_of_fibre_product_cells(cell1: Cell, map1: CellMap,
     if not all(c.transverse for c in comps):
         return CheckReport(False, 0, precondition=False,
                            details=("non-transverse component",))
-    lhs = [(bc.cell, comp.pmap) for comp in comps for bc in cell_boundary(comp.cell)]
+    lhs = [(bc, comp.pmap) for comp in comps for bc in boundary_cells(comp.cell)]
     sign2 = -1 if (cell1.dim + map1.target.dim) % 2 else 1
-    terms = [((bc.cell, map1, cell2, map2), 1) for bc in cell_boundary(cell1)]
-    terms += [((cell1, map1, bc.cell, map2), sign2) for bc in cell_boundary(cell2)]
+    terms = [((bc, map1, cell2, map2), 1) for bc in boundary_cells(cell1)]
+    terms += [((cell1, map1, bc, map2), sign2) for bc in boundary_cells(cell2)]
     rhs = []
     for args, sgn in terms:
         for c in fibre_product_cells(*args):

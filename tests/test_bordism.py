@@ -619,6 +619,19 @@ def test_derivation_skips_a_pairing_of_faces_no_piece_meets():
     assert len(res.pairings) == len(tri.pairings)
 
 
+def test_derivation_refuses_a_pairing_of_a_facet_with_no_facet():
+    # the vertex (0, 0) is a facet of edge 0, the whole edge 1 is no facet of
+    # edge 1: one side meets a piece, the other none
+    tri = hollow_triangle()
+    eye = [[1, 0], [0, 1]]
+    odd = PairingWitness((0, [(0, 0)]), (1, [(1, 0), (0, 1)]), eye, [0, 0])
+    first = BordismClass(tri.components, tri.pairings + (odd,))
+    assert any("pairing names a missing face" in d
+               for d in closed_certificate_check(first).details)
+    with pytest.raises(BordismError, match="pairing 3 pairs a facet with a face that is no facet"):
+        bordism_cup_cap(first, identity_cobordism(POINT))
+
+
 def test_two_oriented_factors_rejected():
     with pytest.raises(BordismError, match="cooriented"):
         bordism_cup_cap(pt_class(1), pt_class(1))

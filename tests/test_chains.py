@@ -692,6 +692,25 @@ def test_dd_zero_corpus_corner_flags_golden_digest():
     assert h.hexdigest() == GOLDEN_DD_ZERO_FLAGS_DIGEST
 
 
+def test_dd_zero_builds_no_keyed_facet_view(monkeypatch):
+    """The boundary reads each facet's cell and mask off the face data: no
+    facet's face key or outward vector (_FaceData.keyed_facets) is built."""
+    from cornercalc import geometry
+    keyed = []
+    build = geometry._FaceData.keyed_facets
+    monkeypatch.setattr(geometry._FaceData, "keyed_facets",
+                        lambda fd: keyed.append(fd.vertices) or build(fd))
+    gens = []
+    for seed in range(8):
+        c = random_chain(Random(7_000_003 + seed), ("t", 0), max_ambient=4, ring="Q")
+        assert verify_dd_zero(c).ok
+        gens += [g for _, g in c.terms()]
+    assert gens and keyed == []
+    # the view is built when a facet key or outward vector is asked for
+    gens[0].cell.polytope.facets()
+    assert keyed == [gens[0].cell.polytope.vertices]
+
+
 # The facet forms a normalized generator keeps (its _facets slot), and the
 # generators built unchecked from a validated one, against references that
 # use neither: every facet term of generator_boundary normalized afresh, and

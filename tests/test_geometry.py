@@ -12,7 +12,7 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import ConvexHull
 
-from cornercalc._linalg import (_primitive_rows, dot, frac, kernel_basis, lp_feasible, mat,
+from cornercalc._linalg import (_primitive_rows, det, dot, frac, kernel_basis, lp_feasible, mat,
                                matvec, rank, rref, solve, vec)
 from cornercalc.bordism import oriented_match
 from cornercalc.cells import (
@@ -632,7 +632,7 @@ def test_sections_are_hulls_of_their_vertices(data):
 def _assert_matches_cold(poly):
     """The polytope's facets and facet masks equal a fresh cold enumeration's."""
     cold = _FaceData(poly.ambient_dim, poly.vertices)
-    assert poly.facets() == cold.facets()
+    assert poly.facets() == cold.keyed_facets()
     assert poly._fd.facet_masks == cold.facet_masks
 
 
@@ -646,7 +646,7 @@ def test_inherited_faces_match_cold_enumeration(data):
         inherited = _FaceData(p.ambient_dim, p._fd.key(g))
         inherited.inherit_face(p._fd, g)
         cold = _FaceData(p.ambient_dim, p._fd.key(g))
-        assert inherited.facets() == cold.facets()
+        assert inherited.keyed_facets() == cold.keyed_facets()
         assert inherited.facet_masks == cold.facet_masks
         _assert_matches_cold(p.face_from_mask(g))
 
@@ -1051,7 +1051,7 @@ def test_faces_inherit_the_lattice_and_chart_of_a_cold_enumeration(p):
         cold = _FaceData(face.ambient_dim, face.vertices)
         assert list(fd.face_dims().items()) == list(cold.face_dims().items())
         assert list(fd.faces_by_dim().items()) == list(cold.faces_by_dim().items())
-        assert fd.facets() == cold.facets() and fd.facet_masks == cold.facet_masks
+        assert fd.keyed_facets() == cold.keyed_facets() and fd.facet_masks == cold.facet_masks
         assert _chart_values(fd) == _two_elimination_chart(cold)
 
 
@@ -1138,7 +1138,7 @@ def test_face_slot_returns_the_face_built_cold(p):
         assert p.face_from_mask(g) is face
         cold = _FaceData(p.ambient_dim, fd.key(g))
         assert face.vertices == cold.vertices
-        assert face.facets() == cold.facets()
+        assert face.facets() == cold.keyed_facets()
         assert list(face._fd.face_dims().items()) == list(cold.face_dims().items())
         assert ([(fp.vertices, sign) for fp, sign in face._fd.facet_cells()]
                 == [(fp.vertices, sign) for fp, sign in cold.facet_cells()])
@@ -1167,3 +1167,90 @@ def test_from_points_keeps_the_hull_of_a_point_set(monkeypatch):
     assert (second.vertices, second.facets(), list(second._fd.face_dims().items())) == snapshot
     assert second._fd is first._fd
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# The integer face data against Fraction reference formulas
+# ---------------------------------------------------------------------------
+
+@st.composite
+def point_set_with_interior_points(draw):
+    """(n, points): rational points (c, B c) + s in R^n (n = 0..5) over k + 1
+    to k + 3 distinct c in {-2..2}^k (k = 0..min(n, 3)), coordinates permuted,
+    with up to two midpoints of drawn points, which are not extreme; flat
+    whenever k < n."""
+    n = draw(st.integers(0, 5))
+    k = draw(st.integers(0, min(n, 3)))
+    coeffs = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * k),
+                           min_size=k + 1, max_size=k + 3, unique=True))
+    extra = [_rational(draw, draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k)))
+             for _ in range(n - k)]
+    shift = _rational(draw, draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+    perm = draw(st.permutations(range(n)))
+    pts = []
+    for c in coeffs:
+        full = [x + t for x, t in zip(list(c) + [dot(row, c) for row in extra], shift)]
+        pts.append([full[j] for j in perm])
+    for i, j in draw(st.lists(st.tuples(st.integers(0, len(pts) - 1),
+                                        st.integers(0, len(pts) - 1)), max_size=2)):
+        pts.append([(frac(x) + frac(y)) / 2 for x, y in zip(pts[i], pts[j])])
+    return n, pts
+
+
+def _reference_directions(vertices):
+    """(dir_basis, dir_pivots, (B, den)) from rref of the Fraction differences
+    v - v0, with den the lcm of the basis's denominators and B = den D."""
+    diffs = [tuple(x - y for x, y in zip(v, vertices[0])) for v in vertices[1:]]
+    red, pivots = rref(diffs) if diffs else ((), ())
+    basis = tuple(red[:len(pivots)])
+    den = lcm(*(x.denominator for row in basis for x in row))
+    return basis, tuple(pivots), ([[x.numerator * (den // x.denominator) for x in row]
+                                   for row in basis], den)
+
+
+def _reference_keyed_facets(fd, basis):
+    """(key, outward vector) per facet: the functional read in the basis,
+    u = D f, scaled so that its last nonzero entry is +-1, pulled back
+    through D, all in Fractions."""
+    out = []
+    for mask, f in zip(fd.facet_masks, fd.functionals):
+        u = [dot(row, vec(f)) for row in basis]
+        last = abs(next(x for x in reversed(u) if x))
+        out.append((tuple(fd.vertices[i] for i in mask_bits(mask)),
+                    tuple(sum(x * row[j] for x, row in zip(u, basis)) / last
+                          for j in range(fd.ambient_dim))))
+    return out
+
+
+def _assert_integer_view_matches_fractions(fd):
+    basis, pivots, ints = _reference_directions(fd.vertices)
+    assert fd.dir_basis == basis and fd.dir_pivots == pivots and fd.dim == len(basis)
+    assert all(type(x) is Fraction for row in fd.dir_basis for x in row)
+    assert fd._dir_ints() == ints
+    fd.facets()
+    assert fd.keyed_facets() == _reference_keyed_facets(fd, basis)
+    return basis, pivots
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_set_with_interior_points())
+def test_integer_face_data_matches_fraction_formulas(data):
+    """The face data of a point set (interior points included), of its hull
+    and of every face inherited from the hull, each built on the integer
+    view: dir_basis, dir_pivots and _dir_ints against rref of the Fraction
+    differences, facets() keys and outward vectors against the functionals
+    read in Fractions, and each facet_cells() sign against the determinant
+    of the Fraction frame (outward vector, facet's dir_basis) in the chart."""
+    n, pts = data
+    geometry._face_data.cache_clear()
+    p = Polytope.from_points(n, pts)
+    _assert_integer_view_matches_fractions(
+        geometry._face_data(n, tuple(dict.fromkeys(face_key(pts)))))
+    for q in _faces_reached(p):
+        basis, pivots = _assert_integer_view_matches_fractions(q._fd)
+        assert q.facets() == _reference_keyed_facets(q._fd, basis)
+        for (key, outward), (fp, sign) in zip(q.facets(), q._fd.facet_cells()):
+            assert fp.vertices == key
+            frame = [[v[j] for j in pivots] for v in (outward,) + _reference_directions(key)[0]]
+            d = det(frame)
+            assert sign == (d > 0) - (d < 0) != 0

@@ -78,6 +78,13 @@ def test_outcome_only_digest_of_one_homology_bordism_item(items, counts, outcome
         counts, f"sha256 {outcomes}", f"outcomes sha256 {outcomes}"]
 
 
+def test_outcome_digest_of_all_workloads_in_one_run():
+    # --workload all prints each workload's three lines, in perfbench/run.py's
+    # order, as the workload's own run prints them
+    order = ["chain-boundary", "fibre-identities", "cochain-algebra", "homology-bordism"]
+    assert _digest_lines("all") == [line for w in order for line in _digest_lines(w)]
+
+
 # Loads the tool with its digest stubbed out, then runs its command line once
 # per workload named and once with --items 2.
 _DEFAULT_ITEMS = """

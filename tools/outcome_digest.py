@@ -5,7 +5,8 @@
 runs items 0..N-1 of every check kind of the workload, as defined in
 `perfbench/workloads.py` (imported, not changed), without deadlines; N is the
 workload's corpus size (`items` in `perfbench/run.py`'s `WORKLOADS`) unless
-`--items` gives it.  For each
+`--items` gives it.  `--workload all` digests the four workloads in turn
+in one process, each as its own run would.  For each
 item in turn, each kind samples its instance from the item's random stream
 and decides it.  It prints the number of operations, the number of
 `fibre_product_cells` results the operations produced (and their components),
@@ -48,12 +49,18 @@ def _component_repr(comp) -> str:
                  poly.facet_inequalities()))
 
 
-def _record_fibre_products(h, tally: dict) -> None:
-    """Rebind `fibre_product_cells` in every cornercalc module to a recorder."""
+# The digest and tally that the recorder feeds: the workload being digested.
+_sink: dict = {}
+
+
+def _record_fibre_products() -> None:
+    """Rebind `fibre_product_cells` in every cornercalc module to a recorder
+    that feeds `_sink`."""
     orig = cells.fibre_product_cells
 
     def recorded(*args, **kwargs):
         result = orig(*args, **kwargs)
+        h, tally = _sink["hash"], _sink["tally"]
         tally["results"] += 1
         tally["components"] += len(result)
         for comp in result:
@@ -72,7 +79,9 @@ def outcome_digest(workload: str, items: int) -> tuple[int, dict, str, str]:
     digests) of items 0..items-1."""
     h, outcomes = hashlib.sha256(), hashlib.sha256()
     tally = {"results": 0, "components": 0}
-    _record_fibre_products(h, tally)
+    if not _sink:
+        _record_fibre_products()
+    _sink.update(hash=h, tally=tally)
     kinds = workloads.WORKLOADS[workload]()
     ops = 0
     for item in range(items):
@@ -91,17 +100,21 @@ def outcome_digest(workload: str, items: int) -> tuple[int, dict, str, str]:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
+    ap.add_argument("--workload", required=True,
+                    choices=sorted(workloads.WORKLOADS) + ["all"],
+                    help="a workload, or all four in turn in one process")
     ap.add_argument("--items", type=int,
                     help="items per check kind (default: the workload's corpus size)")
     args = ap.parse_args(argv)
-    items = run.WORKLOADS[args.workload]["items"] if args.items is None else args.items
-    ops, tally, digest, outcomes = outcome_digest(args.workload, items)
-    print(f"{args.workload} items 0..{items - 1}: {ops} ops, "
-          f"{tally['results']} fibre_product_cells results "
-          f"({tally['components']} components)")
-    print(f"sha256 {digest}")
-    print(f"outcomes sha256 {outcomes}")
+    names = list(run.WORKLOADS) if args.workload == "all" else [args.workload]
+    for name in names:
+        items = run.WORKLOADS[name]["items"] if args.items is None else args.items
+        ops, tally, digest, outcomes = outcome_digest(name, items)
+        print(f"{name} items 0..{items - 1}: {ops} ops, "
+              f"{tally['results']} fibre_product_cells results "
+              f"({tally['components']} components)")
+        print(f"sha256 {digest}")
+        print(f"outcomes sha256 {outcomes}")
     return 0
 
 
