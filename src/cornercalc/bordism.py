@@ -524,15 +524,14 @@ def _emission_generators(b: BordismClass, *atoms) -> list:
     return emissions
 
 
-def Pi_Kb_Kh(b: BordismClass, atom="g", ring: str = "Q") -> Chain:
+def Pi_Kb_Kh(b: BordismClass, atom="g") -> Chain:
     """Chain representative of a certified-closed class.
 
     One generator per component with coefficient one; faces are labelled by
     their gluing classes, so glued faces share labels and cancel in the
     boundary while free labels stay distinct within each component.
     """
-    return Chain([(Fraction(1), g) for g in _emission_generators(b, atom)[0]],
-                 ring=ring)
+    return Chain([(Fraction(1), g) for g in _emission_generators(b, atom)[0]])
 
 
 def tag_independence_witness(b: BordismClass, atom1="g", atom2="h"):
@@ -548,13 +547,12 @@ def tag_independence_witness(b: BordismClass, atom1="g", atom2="h"):
     if b.cooriented:
         raise BordismError("prism witnesses exist for oriented classes")
     gens1, gens2 = _emission_generators(b, atom1, atom2)
-    witness = Chain([(Fraction(1), cylinder(g1, g2.tag)) for g1, g2 in zip(gens1, gens2)],
-                    ring="Q")
+    witness = Chain([(Fraction(1), cylinder(g1, g2.tag)) for g1, g2 in zip(gens1, gens2)])
     details = []
     if boundary(witness) != _prism_ends([(g1, g2.tag) for g1, g2 in zip(gens1, gens2)]):
         details.append("prism boundary does not reduce to the two emissions")
     for name, gens in (("first", gens1), ("second", gens2)):
-        cyc = Chain([(Fraction(1), g) for g in gens], ring="Q")
+        cyc = Chain([(Fraction(1), g) for g in gens])
         if not boundary(cyc).is_zero:
             details.append(f"{name} emission is not a cycle")
     return witness, CheckReport(ok=not details, checked=3,

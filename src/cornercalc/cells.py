@@ -107,6 +107,8 @@ class Target:
     def __post_init__(self):
         if self.kind not in ("point", "euclid", "torus"):
             raise MapError(f"unknown target kind {self.kind!r}")
+        if type(self.dim) is not int:
+            raise MapError(f"target dimension must be an int, not {self.dim!r}")
         if self.kind == "point" and self.dim != 0:
             raise MapError("point target has dimension 0")
         if self.kind != "point" and self.dim < 1:

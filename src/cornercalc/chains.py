@@ -2,11 +2,13 @@
 
 A generator is an oriented cell with an affine map to the target and an
 injective labelling of its face lattice.  Chains are finite rational
-combinations of generator classes, kept in a normal form where orientation
-reversal folds into the coefficient and cells carrying a circle direction
-that neither the map nor the polytope constrains are dropped (such a cell
-has an orientation-reversing self-map fixing all data, so its class is
-2-torsion and dies over the rationals).  A finite-group quotient enters a
+combinations of generator classes.  Q is the only coefficient field: a
+quotient's weight 1/|G| needs it, and the paper defines KC_* and KH_* over
+Q-algebras.  Chains are kept in a normal form where orientation reversal
+folds into the coefficient and cells carrying a circle direction that
+neither the map nor the polytope constrains are dropped (such a cell has an
+orientation-reversing self-map fixing all data, so its class is 2-torsion
+and dies over the rationals).  A finite-group quotient enters a
 chain as 1/|group| times its cover (QuotientMarker.cover), so every
 generator is a plain one.
 
@@ -476,25 +478,21 @@ def _in_term_order(items: Iterable) -> list:
 
 
 class Chain:
-    """Finite rational combination of generator classes, kept canonical."""
+    """Finite rational combination of generator classes, kept canonical.
 
-    __slots__ = ("ring", "_terms")
+    Coefficients are Fractions: a quotient enters with weight 1/|G|, and the
+    paper takes KC_* and KH_* over Q-algebras.  ring accepts "Q" alone.
+    """
+
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Iterable = (), ring: str = "Q"):
-        if ring not in ("Q", "Z"):
-            raise ChainError("ring must be 'Q' or 'Z'")
-        self.ring = ring
+        if ring != "Q":
+            raise ChainError(f"chains are over Q; ring must be 'Q', not {ring!r}")
         self._terms: dict = {}
         for coeff, gen in terms:
-            self._accumulate(self._scalar(coeff), gen)
+            self._accumulate(frac(coeff), gen)
         self._prune()
-
-    def _scalar(self, r) -> Fraction:
-        """A coefficient or scalar as a Fraction; over Z it must be an integer."""
-        r = frac(r)
-        if self.ring == "Z" and r.denominator != 1:
-            raise ChainError(f"coefficient {r} is not an integer")
-        return r
 
     def _accumulate(self, coeff: Fraction, gen: Generator):
         if coeff == 0:
@@ -538,16 +536,14 @@ class Chain:
         return {g.grade for _, g in self._terms.values()}
 
     def scale(self, r) -> "Chain":
-        out = Chain(ring=self.ring)
-        r = out._scalar(r)
+        out = Chain()
+        r = frac(r)
         if r:
             out._terms = {key: [r * c, g] for key, (c, g) in self._terms.items()}
         return out
 
     def __add__(self, other: "Chain") -> "Chain":
-        if self.ring != other.ring:
-            raise ChainError("cannot mix coefficient rings")
-        out = Chain(ring=self.ring)
+        out = Chain()
         out._terms = {k: [c, g] for k, (c, g) in self._terms.items()}
         for key, (c, g) in other._terms.items():
             out._add(key, c, g)
@@ -561,7 +557,7 @@ class Chain:
         return self.scale(-1)
 
     def __eq__(self, other):
-        return (isinstance(other, Chain) and self.ring == other.ring
+        return (isinstance(other, Chain)
                 and {k: c for k, (c, _) in self._terms.items()}
                 == {k: c for k, (c, _) in other._terms.items()})
 
@@ -569,7 +565,7 @@ class Chain:
         raise TypeError("chains are mutable-by-construction; not hashable")
 
     def __repr__(self):
-        return f"Chain({len(self._terms)} terms over {self.ring})"
+        return f"Chain({len(self._terms)} terms over Q)"
 
 
 def _law(lhs: Chain, rhs: Chain, failure: str) -> CheckReport:
@@ -580,7 +576,7 @@ def _law(lhs: Chain, rhs: Chain, failure: str) -> CheckReport:
     return CheckReport(False, 0, True, (failure,))
 
 
-def chain(*terms, ring: str = "Q") -> Chain:
+def chain(*terms) -> Chain:
     """Build a chain from (coefficient, generator) pairs or bare generators."""
     prepared = []
     for t in terms:
@@ -588,7 +584,7 @@ def chain(*terms, ring: str = "Q") -> Chain:
             prepared.append((Fraction(1), t))
         else:
             prepared.append(t)
-    return Chain(prepared, ring=ring)
+    return Chain(prepared)
 
 
 def disjoint_union(gens: Sequence[Generator]) -> Chain:
@@ -651,7 +647,7 @@ def boundary(c: Chain) -> Chain:
 
     The terms are read unsorted: the sum is exact, and every term under one
     key is the same normalized generator."""
-    out = Chain(ring=c.ring)
+    out = Chain()
     for coeff, gen in c._terms.values():
         for key, factor, sub in _facet_forms(gen):
             out._add(key, coeff * factor, sub)
@@ -892,8 +888,7 @@ def push_generator(h: TargetMap, gen: Generator) -> Generator:
 
 
 def pushforward(h: TargetMap, c: Chain) -> Chain:
-    return Chain([(coeff, push_generator(h, gen)) for coeff, gen in c.terms()],
-                 ring=c.ring)
+    return Chain([(coeff, push_generator(h, gen)) for coeff, gen in c.terms()])
 
 
 # ---------------------------------------------------------------------------

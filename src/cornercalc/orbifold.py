@@ -741,7 +741,7 @@ def _vertex_pairs(action: GroupAction, g, i: int) -> list:
     return [(v, image[k]) for v, k in zip(action.spaces[i].vertices, action.tables[g][i])]
 
 
-def quotient_pushdown(action: GroupAction, cmaps, tags, ring: str = "Q") -> Chain:
+def quotient_pushdown(action: GroupAction, cmaps, tags) -> Chain:
     """The quotient of invariant generator data, as a chain.
 
     One term per component orbit: the orbit representative's cell, map and
@@ -780,7 +780,7 @@ def quotient_pushdown(action: GroupAction, cmaps, tags, ring: str = "Q") -> Chai
         orbits = _face_orbits(action, rep_i, stab, [f for f, _ in tags[rep_i].labels])
         terms.append(QuotientMarker(len(stab), orbits).cover(
             Cell(poly, cmaps[rep_i].s_cols), cmaps[rep_i], tags[rep_i]))
-    return Chain(terms, ring=ring)
+    return Chain(terms)
 
 
 def _face_orbits(action: GroupAction, component: int, stab: Sequence,

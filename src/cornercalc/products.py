@@ -91,19 +91,17 @@ def _pair(g1: Generator, g2: Generator) -> list:
 
 
 def _product(c1: Chain, c2: Chain, what: str) -> Chain:
-    """The bilinear extension of _pair, after the target and ring checks."""
+    """The bilinear extension of _pair, after the target check."""
     t1, t2 = _common_target(c1), _common_target(c2)
     if t1 is not None and t2 is not None and t1 != t2:
         raise ProductError(f"{what} factors live over different targets")
-    if c1.ring != c2.ring:
-        raise ProductError(f"{what} factors use different coefficient rings")
     terms = []
     terms2 = c2.terms()
     for a1, g1 in c1.terms():
         for a2, g2 in terms2:
             for factor, g in _pair(g1, g2):
                 terms.append((a1 * a2 * factor, g))
-    return Chain(terms, ring=c1.ring)
+    return Chain(terms)
 
 
 def cup(c1: Chain, c2: Chain) -> Chain:
@@ -133,9 +131,9 @@ def identity_generator(y: Target) -> Generator:
                      coorientation=Coorientation((), 1))
 
 
-def identity_cochain(y: Target, ring: str = "Q") -> Chain:
+def identity_cochain(y: Target) -> Chain:
     """The cup/cap unit; its differential vanishes (the cell has no facets)."""
-    return Chain([(Fraction(1), identity_generator(y))], ring=ring)
+    return Chain([(Fraction(1), identity_generator(y))])
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +186,7 @@ def _cup_supercommutative(c1: Chain, c2: Chain, c12: Chain) -> CheckReport:
             perm = _block_swap_perm(n2, n1)
             swapped += [(sign * a1 * a2 * coeff, _permute_generator(g, perm))
                         for coeff, g in _pair(g2, g1)]
-    return _law(c12, Chain(swapped, ring=c1.ring), "swap comparison failed")
+    return _law(c12, Chain(swapped), "swap comparison failed")
 
 
 def check_cup_associative(c1: Chain, c2: Chain, c3: Chain) -> CheckReport:
@@ -218,7 +216,7 @@ def check_cup_identity(c: Chain) -> CheckReport:
     t = _common_target(c)
     if t is None:
         return CheckReport(True, 0, True)
-    e = identity_cochain(t, ring=c.ring)
+    e = identity_cochain(t)
     left = _law(cup(e, c), c, "identity law failed")
     return _law(cup(c, e), c, "identity law failed") if left.ok else left
 
@@ -266,7 +264,7 @@ def check_cap_identity(c: Chain) -> CheckReport:
     t = _common_target(c)
     if t is None:
         return CheckReport(True, 0, True)
-    return _law(cap(c, identity_cochain(t, ring=c.ring)), c, "cap identity law failed")
+    return _law(cap(c, identity_cochain(t)), c, "cap identity law failed")
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +287,10 @@ def pullback(h: TargetMap, delta: Chain) -> Chain:
             raise ProductError("pullback needs a proper map; an affine map "
                                "from a euclidean target must be injective")
         if t is None:
-            return Chain(ring=delta.ring)
+            return Chain()
         raise ProductError("no compact identity model over a euclidean target")
     if t is None:
-        return Chain(ring=delta.ring)
+        return Chain()
     unit = identity_generator(h.source)
     map_h = h.after(unit.cmap, 0, h.source.dim)
     terms = []
@@ -304,7 +302,7 @@ def pullback(h: TargetMap, delta: Chain) -> Chain:
             tag = pair_tags(unit.tag, g.tag, comp)
             terms.append((coeff, Generator(comp.cell, comp.compose_on_first(unit.cmap), tag,
                                            is_cochain=True)))
-    return Chain(terms, ring=delta.ring)
+    return Chain(terms)
 
 
 def check_pullback_functorial(h1: TargetMap, h2: TargetMap,
@@ -345,7 +343,7 @@ def duality_KchToKh(delta: Chain, orientation: int = 1) -> Chain:
         raise ProductError("orientation must be +1 or -1")
     _require_cochain(delta, "duality")
     return Chain([(coeff * orientation, Generator(g.cell, g.cmap, g.tag))
-                  for coeff, g in delta.terms()], ring=delta.ring)
+                  for coeff, g in delta.terms()])
 
 
 def check_duality_chain_map(delta: Chain) -> CheckReport:

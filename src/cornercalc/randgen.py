@@ -34,10 +34,8 @@ def _fractions(rng: Random, count: int) -> list:
             for _ in range(count)]
 
 
-def _coefficient(rng: Random, ring: str = "Q") -> Fraction:
+def _coefficient(rng: Random) -> Fraction:
     num = rng.choice((1, -1)) * rng.randint(1, 3)
-    if ring == "Z":
-        return Fraction(num)
     return Fraction(num, rng.choice((1, 1, 2)))
 
 
@@ -113,10 +111,12 @@ def random_generator(rng: Random, prefix, max_ambient: int = 4) -> Generator:
 
 def random_chain(rng: Random, prefix="t", max_terms: int = 20,
                  max_ambient: int = 4, ring: str = "Q") -> Chain:
+    """Up to max_terms random generators with rational coefficients; ring is
+    handed to Chain, which accepts "Q" alone."""
     terms = []
     for i in range(rng.randint(1, max_terms)):
         gen = random_generator(rng, (prefix, i), max_ambient)
-        terms.append((_coefficient(rng, ring), gen))
+        terms.append((_coefficient(rng), gen))
     return Chain(terms, ring=ring)
 
 

@@ -161,8 +161,7 @@ def _target_pair_records(seed: int, count: int, title: str, instance, check) -> 
 def suite_dd_zero(seed=0, count=None) -> SuiteResult:
     count = 100 if count is None else count
     rng = Random(seed)
-    chains = [random_chain(rng, ("t", i), max_ambient=4, ring="Q")
-              for i in range(count)]
+    chains = [random_chain(rng, ("t", i), max_ambient=4) for i in range(count)]
     bad = [i for i, c in enumerate(chains)
            if not boundary(boundary(c)).is_zero]
     rec1 = CheckRecord(

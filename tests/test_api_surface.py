@@ -72,7 +72,8 @@ _TRACED_SMOKE = """
 import json, sys
 sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/perfbench"]
 from fractions import Fraction
-from cornercalc import cells, geometry, orbifold
+from random import Random
+from cornercalc import cells, chains, geometry, orbifold, randgen
 import spans
 
 tracer = spans.Tracer(budget=10**6)
@@ -85,22 +86,26 @@ z2 = orbifold.cyclic_group(2)
 act = orbifold.GroupAction(z2, geometry.interval(-1, 1), {"r0": ([[1]], [0]), "r1": ([[-1]], [0])})
 sign = tuple(-1 if g == "r1" else 1 for g in z2.elements)
 orbifold.orbifold_stratum(act, z2, orbifold.VirtualRep(z2, (sign,)))
+chains.boundary(randgen.random_chain(Random(0), ("t", 0), max_ambient=2, ring="Q"))
 tracer.commit()
 print(json.dumps([tracer.counts["geometry.facets.cold_calls"],
-                  tracer.calls["cells.slice_polytope"], tracer.calls["orbifold.cut_by_equations"]]))
+                  tracer.calls["cells.slice_polytope"], tracer.calls["orbifold.cut_by_equations"],
+                  tracer.counts["chains.chain_init.terms_in"]]))
 """
 
 
 def test_traced_benchmark_hooks_see_work():
-    """The benchmark's tracer counts cold facet runs, slices and cuts.
+    """The benchmark's tracer counts cold facet runs, slices, cuts and the
+    terms going into chains; its Chain.__init__ wrapper passes ring by
+    position, so this pins that signature.
 
     Run in a subprocess: `Tracer.install` rebinds library names for good.
     """
     proc = subprocess.run([sys.executable, "-c", _TRACED_SMOKE, str(ROOT)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    cold_facets, slices, cuts = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert cold_facets > 0 and slices > 0 and cuts > 0
+    cold_facets, slices, cuts, terms_in = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert cold_facets > 0 and slices > 0 and cuts > 0 and terms_in > 0
 
 
 def _unused_imports(source: str) -> list[str]:

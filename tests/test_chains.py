@@ -143,13 +143,10 @@ def test_interval_boundary_signs_and_labels():
         assert t.tag.label_of((v,)) == g.tag.label_of((v,))
 
 
-def test_chain_over_z_refuses_fractions():
+def test_chain_scales_by_rationals():
     g = interval_generator()
-    with pytest.raises(ChainError):
-        Chain([(Fraction(1, 2), g)], ring="Z")
-    c = Chain([(2, g)], ring="Z")
-    with pytest.raises(ChainError):
-        c.scale(Fraction(1, 3))
+    c = Chain([(2, g)])
+    assert c.scale(Fraction(1, 3)).coefficient(g) == Fraction(2, 3)
     assert c.scale(-3).coefficient(g) == -6
     assert c.scale(0).is_zero
     assert Chain([(Fraction(1, 2), g)]).scale(Fraction(1, 3)).coefficient(g) == Fraction(1, 6)
@@ -253,12 +250,19 @@ def test_quotient_boundary_commutes_with_expansion():
     assert coeffs == [Fraction(-1, 2), Fraction(1, 2)]
 
 
-def test_quotient_needs_rational_coefficients():
+def test_ring_keyword_accepts_q_alone():
+    # Chain and random_chain keep a ring keyword at the public edge; any value
+    # but "Q" is refused, whatever the terms
     iv, ends, top, tag = _half_interval()
     marker = QuotientMarker.from_faces(iv, 2, (ends, (top,)))
     term = marker.cover(Cell(iv, 0), constant_map(POINT, 1, 0), tag)
-    with pytest.raises(ChainError):
-        Chain([term], ring="Z")
+    assert Chain([term], ring="Q") == Chain([term])
+    for ring in ("Z", "R", None):
+        message = f"^chains are over Q; ring must be 'Q', not {ring!r}$"
+        with pytest.raises(ChainError, match=message):
+            Chain([term], ring=ring)
+    with pytest.raises(ChainError, match="^chains are over Q; ring must be 'Q', not 'Z'$"):
+        random_chain(Random(0), ("t", 0), max_ambient=2, ring="Z")
 
 
 def test_marker_validation():
@@ -539,6 +543,20 @@ def test_empty_complex():
     assert ChainComplex([]).betti() == {}
 
 
+def test_chain_complex_skips_a_zero_class():
+    # a point times a free circle over the point target is 2-torsion, so it
+    # adds no basis element and leaves the homology of the simplex alone
+    pt = Polytope.from_points(1, [[0]])
+    free = Generator(Cell(pt, 1), constant_map(POINT, 1, 1),
+                     Tag.from_atoms(pt, {faces_of(pt)[0]: "free"}))
+    plain = ChainComplex(simplex_face_complex(2))
+    cx = ChainComplex(simplex_face_complex(2) + [free])
+    assert cx.betti() == plain.betti() == {0: 1, 1: 0, 2: 0}
+    assert cx.matrices == plain.matrices
+    assert ({d: [key for key, _ in b] for d, b in cx.basis.items()}
+            == {d: [key for key, _ in b] for d, b in plain.basis.items()})
+
+
 @st.composite
 def labelled_polytope_generators(draw):
     dim = draw(st.integers(min_value=1, max_value=3))
@@ -582,7 +600,7 @@ def test_boundary_canonical_keys_golden_digest():
     h = hashlib.sha256()
     count = 0
     for i in range(20):
-        ch = boundary(random_chain(Random(i), ("t", 0), max_ambient=4, ring="Q"))
+        ch = boundary(random_chain(Random(i), ("t", 0), max_ambient=4))
         terms = ch.terms()
         count += len(terms)
         h.update(repr(terms).encode())
@@ -652,7 +670,7 @@ def test_dd_zero_corpus_boundaries_golden_digest():
     count = 0
     for i in range(20):
         rng = workloads.item_random("chain-boundary", "dd-zero", i)
-        c = random_chain(rng, ("t", 0), max_ambient=4, ring="Q")
+        c = random_chain(rng, ("t", 0), max_ambient=4)
         first = boundary(c)
         for ch in (first, boundary(first), boundary(c)):
             terms = ch.terms()
@@ -679,7 +697,7 @@ def test_dd_zero_corpus_corner_flags_golden_digest():
     flags = corners = 0
     for i in range(66):
         rng = workloads.item_random("chain-boundary", "dd-zero", i)
-        c = random_chain(rng, ("t", 0), max_ambient=4, ring="Q")
+        c = random_chain(rng, ("t", 0), max_ambient=4)
         for _, g in c.terms():
             terms = corner_terms(g)
             flags += len(terms)
@@ -702,7 +720,7 @@ def test_dd_zero_builds_no_keyed_facet_view(monkeypatch):
                         lambda fd: keyed.append(fd.vertices) or build(fd))
     gens = []
     for seed in range(8):
-        c = random_chain(Random(7_000_003 + seed), ("t", 0), max_ambient=4, ring="Q")
+        c = random_chain(Random(7_000_003 + seed), ("t", 0), max_ambient=4)
         assert verify_dd_zero(c).ok
         gens += [g for _, g in c.terms()]
     assert gens and keyed == []
@@ -717,8 +735,7 @@ def test_dd_zero_builds_no_keyed_facet_view(monkeypatch):
 # each derived generator rebuilt by the validating constructor.
 
 def _reference_boundary(c):
-    return Chain([(a * f, s) for a, g in c.terms() for f, s in generator_boundary(g)],
-                 ring=c.ring)
+    return Chain([(a * f, s) for a, g in c.terms() for f, s in generator_boundary(g)])
 
 
 def _assert_revalidates(g):
@@ -747,7 +764,7 @@ def _check_boundary_reads(c):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**6))
 def test_boundary_reads_match_the_reference_on_random_chains(seed):
-    c = random_chain(Random(seed), ("t", 0), max_ambient=4, ring="Q")
+    c = random_chain(Random(seed), ("t", 0), max_ambient=4)
     _check_boundary_reads(c)
 
 

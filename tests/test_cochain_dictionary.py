@@ -118,7 +118,7 @@ def _reference_cup(c1, c2):
                 terms.append((a1 * a2, Generator(oriented, comp.pmap,
                                                  pair_tags(g1.tag, g2.tag, comp),
                                                  is_cochain=True)))
-    return Chain(terms, ring=c1.ring)
+    return Chain(terms)
 
 
 @settings(max_examples=100, deadline=None)

@@ -55,7 +55,7 @@ def _dropped(out, *args):
     """A Chain or a list of terms without its first term."""
     if isinstance(out, Chain):
         assert not out.is_zero, "the corrupted result must have a term to drop"
-        return Chain(out.terms()[1:], ring=out.ring)
+        return Chain(out.terms()[1:])
     assert out, "the corrupted result must have a term to drop"
     return out[1:]
 

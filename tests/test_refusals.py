@@ -57,6 +57,10 @@ CELLS = [
     (lambda: Target("circle", 1), MapError, "unknown target kind 'circle'"),
     (lambda: Target("point", 1), MapError, "point target has dimension 0"),
     (lambda: Target("torus", 0), MapError, "euclid/torus target needs positive dimension"),
+    (lambda: torus(1.5), MapError, "target dimension must be an int, not 1.5"),
+    (lambda: Target("point", 0.0), MapError, "target dimension must be an int, not 0.0"),
+    (lambda: euclid(True), MapError, "target dimension must be an int, not True"),
+    (lambda: Target("torus", "2"), MapError, "target dimension must be an int, not '2'"),
     (lambda: Cell(interval(0, 1), -1), GeometryError, "negative torus rank"),
     (lambda: Cell(interval(0, 1), 0, sign=2), GeometryError, "sign must be +1 or -1"),
     (lambda: cell_orientation_equal(SEGMENT, Cell(interval(0, 2))), GeometryError,
@@ -102,8 +106,7 @@ CHAINS = [
     (lambda: Generator(SEGMENT, CellMap(euclid(1), [[1, 0]], [[]], [0]),
                        numbered_tag(interval(0, 1), "f")),
      ChainError, "map shape does not match the cell"),
-    (lambda: Chain(ring="R"), ChainError, "ring must be 'Q' or 'Z'"),
-    (lambda: Chain(ring="Q") + Chain(ring="Z"), ChainError, "cannot mix coefficient rings"),
+    (lambda: Chain(ring="Z"), ChainError, "chains are over Q; ring must be 'Q', not 'Z'"),
     (lambda: transport_generator(_segment_generator(), [[0]], [0]), ChainError,
      "transport map is not injective on the hull"),
     (lambda: transport_generator(_triangle_generator(), [[1, 2]], [0]), ChainError,

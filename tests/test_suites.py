@@ -1,12 +1,16 @@
 """Every identity-check suite at a small count, as the library's own runner reports it,
 and the attempts and rejections a seeded record counts."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import count
 
 import pytest
 
+from cornercalc import suites
 from cornercalc.cells import FibreProductError, MapError
+from cornercalc.chains import Chain, PairingReport
+from cornercalc.maps import CheckReport
+from cornercalc.orbifold import IotaReport
 from cornercalc.randgen import GenerationError
 from cornercalc.suites import _ATTEMPT_BUDGET, SUITES, CheckRecord, _seeded_record, run_suite
 
@@ -97,3 +101,64 @@ def test_check_record_defaults():
     rec = CheckRecord("plain", True, 3)
     assert rec and (rec.attempts, rec.rejected) == (0, ())
     assert not CheckRecord("failed", False, 1, ("why",))
+
+
+# Negative controls of the suites' own failure reports: a check patched in
+# the suites' namespace to fail must turn its record false, with the detail.
+
+def _failing(result, name):
+    (rec,) = [r for r in result.records if r.name == name]
+    assert not rec.ok and not result.ok
+    return rec.details
+
+
+def test_dd_zero_suite_reports_an_unpaired_corner(monkeypatch):
+    monkeypatch.setattr(suites, "verify_dd_zero",
+                        lambda c: PairingReport(False, 0, ("corner fault",)))
+    details = _failing(run_suite("dd-zero", seed=0, count=2),
+                       "every corner pairs with its facet swap at opposite orientation")
+    assert details == ("chain 0: corner fault", "chain 1: corner fault")
+
+
+def test_strata_suite_reports_a_wrong_dimension(monkeypatch):
+    stratum = suites.orbifold_stratum
+    monkeypatch.setattr(suites, "orbifold_stratum",
+                        lambda act, sub, rho: replace(stratum(act, sub, rho), dim=-1))
+    result = run_suite("strata")
+    assert result.records and not any(r.ok for r in result.records)
+    assert all(r.details[0].startswith("expected dimension ") for r in result.records)
+    assert result.records[0].details[:2] == ("expected dimension 0", "dimension -1 = 1 - 1")
+
+
+def test_strata_suite_reports_an_iota_fault(monkeypatch):
+    iota = suites.iota_check
+    monkeypatch.setattr(suites, "iota_check",
+                        lambda st: IotaReport(False, iota(st).fibers, ("fiber fault",)))
+    result = run_suite("strata")
+    assert result.records and not any(r.ok for r in result.records)
+    assert all(r.details[-1] == "fiber fault" for r in result.records)
+    assert result.records[0].details[0] == "dimension 0 = 1 - 1"
+
+
+def test_bordism_suite_reports_a_lost_certificate(monkeypatch):
+    monkeypatch.setattr(suites, "closed_certificate_check",
+                        lambda b: CheckReport(False, 0, True, ("open",)))
+    details = _failing(run_suite("bordism", seed=0, count=2), "certified loops emit cycles")
+    assert details == ("loop 0 lost its closure certificate",
+                       "loop 1 lost its closure certificate")
+
+
+def test_bordism_suite_reports_a_non_cycle(monkeypatch):
+    emit = suites.Pi_Kb_Kh
+    monkeypatch.setattr(suites, "Pi_Kb_Kh", lambda b: Chain(emit(b).terms()[1:]))
+    details = _failing(run_suite("bordism", seed=0, count=2), "certified loops emit cycles")
+    assert details == ("loop 0 emitted a non-cycle", "loop 1 emitted a non-cycle")
+
+
+def test_bordism_suite_reports_a_prism_fault(monkeypatch):
+    witness = suites.tag_independence_witness
+    monkeypatch.setattr(suites, "tag_independence_witness",
+                        lambda b: (witness(b)[0], CheckReport(False, 3, True, ("prism fault",))))
+    details = _failing(run_suite("bordism", seed=0, count=2),
+                       "relabelled emissions differ by an explicit prism boundary")
+    assert details == ("loop 0: prism fault", "loop 1: prism fault")

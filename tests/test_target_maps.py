@@ -72,7 +72,7 @@ def _reference_pullback(h, delta):
             assert comp.transverse
             terms.append((coeff, Generator(comp.cell, comp.compose_on_first(id_map),
                                            pair_tags(unit.tag, g.tag, comp), is_cochain=True)))
-    return Chain(terms, ring=delta.ring)
+    return Chain(terms)
 
 
 def _same(x, y):
