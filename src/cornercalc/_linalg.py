@@ -8,6 +8,10 @@ elimination (`_bareiss`), and a result is turned back into Fractions once, at
 the end.  No floats anywhere: orientation signs, face incidences and lattice
 kernels are decided by exact pivoting, and a single rounding error would
 corrupt downstream sign bookkeeping.
+
+Every Jordan reduction is `_rref_over`, the RREF over one denominator d,
+read as a column at the pivot coordinates (`_column`) or as d times the
+kernel basis (`_kernel_ints`); the integer face data in geometry reads them too.
 """
 
 from __future__ import annotations
@@ -142,6 +146,35 @@ def _eliminate(rows: list[list[int]], jordan: bool = True) -> list[int]:
     return pivots
 
 
+def _rref_over(rows: Iterable[list[int]]) -> tuple[list[list[int]], list[int], int]:
+    """(R, pivots, d): the nonzero rows of the RREF of integer rows, times d.
+
+    One Jordan reduction (_eliminate) leaves pivot row k as p_k times row k
+    of the RREF; d = lcm |p_k| (1 with no pivot).  The rows given are kept.
+    """
+    rows = list(rows)
+    pivots = _eliminate(rows)
+    d = lcm(*(rows[k][p] for k, p in enumerate(pivots)))
+    return [[x * (d // rows[k][p]) for x in rows[k]] for k, p in enumerate(pivots)], pivots, d
+
+
+def _column(r: Sequence[Sequence[int]], pivots: Sequence[int], j: int, n: int) -> list[int]:
+    """Column j of R at the pivot coordinates of R^n: d times the solution
+    with free coordinates 0 when column j is a right-hand side."""
+    x = [0] * n
+    for row, p in zip(r, pivots):
+        x[p] = row[j]
+    return x
+
+
+def _kernel_ints(r: Sequence[Sequence[int]], pivots: Sequence[int], d: int,
+                 n: int) -> list[list[int]]:
+    """d times the kernel basis of R over its first n columns: one vector per
+    free column f, d at f and -R[k][f] at the k-th pivot."""
+    return [[d if i == f else -x for i, x in enumerate(_column(r, pivots, f, n))]
+            for f in range(n) if f not in pivots]
+
+
 def _fraction_row(row: list[int], d: int) -> Vec:
     return tuple(Fraction(x, d) if x else _ZERO for x in row)
 
@@ -172,11 +205,9 @@ def _bareiss(rows: list[list[int]]) -> int:
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices."""
-    rows = _primitive_rows(m)
-    pivots = _eliminate(rows)
-    ncols = len(rows[0]) if rows else 0
-    red = [_fraction_row(rows[k], rows[k][p]) for k, p in enumerate(pivots)]
-    red += [(_ZERO,) * ncols] * (len(rows) - len(pivots))
+    r, pivots, d = _rref_over(_primitive_rows(m))
+    ncols = len(m[0]) if m else 0
+    red = [_fraction_row(row, d) for row in r] + [(_ZERO,) * ncols] * (len(m) - len(pivots))
     return tuple(red), tuple(pivots)
 
 
@@ -188,21 +219,8 @@ def kernel_basis(m: Mat) -> tuple[Vec, ...]:
     """Basis of {x : m x = 0} in column space, via RREF back-substitution."""
     if not m:
         return ()
-    ncols = len(m[0])
-    rows = _primitive_rows(m)
-    pivots = _eliminate(rows)
-    pivset = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivset:
-            continue
-        v = [_ZERO] * ncols
-        v[f] = Fraction(1)
-        for row, p in zip(rows, pivots):
-            if row[f]:
-                v[p] = Fraction(-row[f], row[p])
-        basis.append(tuple(v))
-    return tuple(basis)
+    r, pivots, d = _rref_over(_primitive_rows(m))
+    return tuple(_fraction_row(v, d) for v in _kernel_ints(r, pivots, d, len(m[0])))
 
 
 def solve_columns(m: Mat, rhs: Sequence[Vec]) -> Optional[list[Vec]]:
@@ -218,19 +236,12 @@ def solve_columns(m: Mat, rhs: Sequence[Vec]) -> Optional[list[Vec]]:
     if not m:
         return [()] * len(rhs)
     ncols = len(m[0])
-    rows = _primitive_rows([tuple(row) + tuple(b[i] for b in rhs)
-                            for i, row in enumerate(m)])
-    pivots = _eliminate(rows)
+    r, pivots, d = _rref_over(_primitive_rows([tuple(row) + tuple(b[i] for b in rhs)
+                                               for i, row in enumerate(m)]))
     if pivots and pivots[-1] >= ncols:
         return None
-    out = []
-    for j in range(ncols, ncols + len(rhs)):
-        x = [_ZERO] * ncols
-        for row, p in zip(rows, pivots):
-            if row[j]:
-                x[p] = Fraction(row[j], row[p])
-        out.append(tuple(x))
-    return out
+    return [_fraction_row(_column(r, pivots, j, ncols), d)
+            for j in range(ncols, ncols + len(rhs))]
 
 
 def solve(m: Mat, b: Vec) -> Optional[Vec]:
@@ -305,17 +316,14 @@ def change_of_basis_det(frame_a: Sequence[Vec], frame_b: Sequence[Vec]) -> Fract
     if len(a[0]) != len(b[0]):
         raise ValueError("frames live in spaces of different dimension")
     k = len(b)
-    rows = _primitive_rows(tuple(bj + aj for bj, aj in zip(transpose(b), transpose(a))))
-    pivots = _eliminate(rows)
+    r, pivots, d = _rref_over(_primitive_rows(tuple(bj + aj for bj, aj in
+                                                    zip(transpose(b), transpose(a)))))
     if pivots and pivots[-1] >= k:
         raise SpanError("frames do not span the same space")
     if len(pivots) < k:
         return Fraction(0)
-    # Row j of C^T is rows[j][k:] / rows[j][j].
-    denom = 1
-    for j in range(k):
-        denom *= rows[j][j]
-    return Fraction(_bareiss([row[k:] for row in rows[:k]]), denom)
+    # Row j of C^T is r[j][k:] / d.
+    return Fraction(_bareiss([row[k:] for row in r]), d ** k)
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +342,11 @@ def canonical_frame(frame: Sequence[Vec]) -> tuple[tuple[Vec, ...], int]:
     if not frame:
         return (), 1
     ints = _primitive_rows(mat(frame))
-    rows = [list(r) for r in ints]
-    pivots = _eliminate(rows)
+    r, pivots, d = _rref_over(ints)
     if len(pivots) != len(frame):
         raise ValueError("frame is linearly dependent")
-    basis = tuple(_fraction_row(row, row[p]) for row, p in zip(rows, pivots))
-    d = _bareiss([[r[p] for p in pivots] for r in ints])
-    return basis, (1 if d > 0 else -1)
+    c = _bareiss([[row[p] for p in pivots] for row in ints])
+    return tuple(_fraction_row(row, d) for row in r), (1 if c > 0 else -1)
 
 
 # ---------------------------------------------------------------------------
@@ -577,10 +583,11 @@ def solve_integer(m: Sequence[Sequence[int]], c: Sequence[int]) -> Optional[IntV
 def integer_matrix_inverse(m: Sequence[Sequence[int]]) -> Optional[IntMat]:
     """Inverse of a unimodular integer matrix, or None if not unimodular.
 
-    One reduction of [M | I].  M is invertible iff the pivots are the first n
-    columns.  Pivot row i is then primitive and proportional to
-    (e_i | row i of M^-1), so the inverse is integral, which for integral M
-    means det M = +-1, exactly when every pivot is +-1.
+    One reduction of [M | I] over d (_rref_over).  M is invertible iff the
+    pivots are the first n columns.  Pivot row i of the reduction is then
+    primitive and proportional to (e_i | row i of M^-1), so the inverse is
+    integral, which for integral M means det M = +-1, exactly when every
+    pivot entry is +-1, that is d = 1.
     """
     rows = _as_int_rows(m)
     n = len(rows)
@@ -588,9 +595,8 @@ def integer_matrix_inverse(m: Sequence[Sequence[int]]) -> Optional[IntMat]:
         return ()
     if any(len(r) != n for r in rows):
         return None
-    aug = [r + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
-    if _eliminate(aug) != list(range(n)):
+    r, pivots, d = _rref_over(row + [1 if i == j else 0 for j in range(n)]
+                              for i, row in enumerate(rows))
+    if pivots != list(range(n)) or d != 1:
         return None
-    if any(abs(aug[i][i]) != 1 for i in range(n)):
-        return None
-    return tuple(tuple(aug[i][i] * x for x in aug[i][n:]) for i in range(n))
+    return tuple(tuple(row[n:]) for row in r)

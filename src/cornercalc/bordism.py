@@ -55,10 +55,11 @@ class PairingWitness:
     offset: Vec
 
     def __post_init__(self):
-        li, lf = self.left
-        ri, rf = self.right
-        object.__setattr__(self, "left", (int(li), face_key(lf)))
-        object.__setattr__(self, "right", (int(ri), face_key(rf)))
+        for side in ("left", "right"):
+            i, face = getattr(self, side)
+            if type(i) is not int:
+                raise BordismError(f"component index must be an int, not {i!r}")
+            object.__setattr__(self, side, (i, face_key(face)))
         object.__setattr__(self, "matrix", mat(self.matrix))
         object.__setattr__(self, "offset", vec(self.offset))
 

@@ -73,6 +73,7 @@ from ._linalg import (
     Mat,
     Vec,
     _primitive_rows,
+    _scaled,
     det,
     det_sign,
     frac,
@@ -183,9 +184,11 @@ class Cell:
 
     def __init__(self, polytope: Polytope, torus_rank: int = 0,
                  frame: Iterable[Iterable] = None, sign: int = 1):
+        if type(torus_rank) is not int:
+            raise GeometryError(f"torus rank must be an int, not {torus_rank!r}")
         if torus_rank < 0:
             raise GeometryError("negative torus rank")
-        if sign not in (1, -1):
+        if type(sign) is not int or sign not in (1, -1):
             raise GeometryError("sign must be +1 or -1")
         if frame is not None:
             fr = mat(frame)
@@ -365,7 +368,7 @@ class Coorientation:
 
     def __init__(self, frame: Iterable[Iterable], sign: int = 1):
         fr = mat(frame)
-        if sign not in (1, -1):
+        if type(sign) is not int or sign not in (1, -1):
             raise MapError("sign must be +1 or -1")
         if rank(fr) != len(fr):
             raise MapError("coorientation frame is linearly dependent")
@@ -821,7 +824,7 @@ def canonical_cell_map(cell: Cell, cmap: CellMap):
     sum_c v0_c w_c, reduce is a linear projection along the torus columns,
     and it fixes each reduced column.  The arithmetic is exact, so the
     identity holds entry for entry.  Each row of A is read as integers over
-    its denominators' lcm, scale, so an entry of the new A or b is made as
+    its denominators' lcm, scale (_scaled), so an entry of the new A or b is made as
     one Fraction over scale * den, and den cancels.  The Hermite form, its
     sign, the pivots and the reduced lattice depend on M alone (and on
     whether the target is a torus): they are computed once per integral
@@ -837,10 +840,7 @@ def canonical_cell_map(cell: Cell, cmap: CellMap):
     new_b = cmap.b
     if m > 0:
         den, dirs, origin = cell.polytope._fd.hull_chart()
-        rows = []
-        for row in cmap.a:
-            scale = math.lcm(*(x.denominator for x in row))
-            rows.append(([x.numerator * (scale // x.denominator) for x in row], scale * den))
+        rows = [(ints, scale * den) for ints, scale in map(_scaled, cmap.a)]
         if n > 0:
             # The direction w_c of aff(P) with free coordinates e_c: its value
             # under the map, reduced, is column c of the new linear part.

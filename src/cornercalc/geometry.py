@@ -47,7 +47,11 @@ over one common denominator and its direction space as an integer RREF
 basis over one denominator, both built at construction, and its hull
 equations and facets as primitive integer rows (a, b) with a . x <= b;
 membership, tight facets, the facets' orientation signs and the check of
-each facet's functional are integer dot products and determinants.
+each facet's functional are integer dot products and determinants.  Every
+Jordan reduction is _linalg._rref_over, and a direction is read in one
+internal chart, its entries at dir_pivots: the orientation signs, the cold
+facet enumeration and rows() read it, and the orthogonal chart (local_ints)
+serves only the public Fraction views local_matrix and facet_inequalities.
 section_vertices eliminates its equations once into an integer kernel
 basis and an integer base point, and the double description runs on
 integer rows and rays; it takes integer rows as they stand, and the slices
@@ -65,16 +69,19 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ._linalg import (
     Mat,
     Vec,
+    _column,
     _eliminate,
     _fraction_row,
+    _kernel_ints,
     _primitive,
+    _rref_over,
     _scaled,
     _scaled_exact,
     det_sign,
@@ -82,6 +89,7 @@ from ._linalg import (
     independent_subset,
     mat,
     solve,
+    solve_columns,
     vadd,
     vec,
     vsub,
@@ -124,39 +132,24 @@ def section_vertices(n: int, equations: Sequence[tuple[Vec, Fraction]],
 
     Each row (e, c) or (f, d) is read as one integer row: integer entries
     as they stand, a row with rational ones times the lcm of its
-    denominators (_scaled_exact), which changes no solution.  Equations,
-    when given, are solved once: x = X0 / D0 + sum y_i K_i over
-    a primitive integer kernel basis K (without equations, X0 = 0, D0 = 1
-    and K = I), so each inequality becomes an integer row g . y <= h over
-    the q coordinates y.  X0, D0 and K come from one Jordan reduction of
-    the integer rows [E | c], with no solution when a pivot lies in the c
-    column: X0 / D0 is the solution with free coordinates 0, and K has one
-    vector per free column.  The vertices are the extreme rays with t > 0
-    of the homogenised cone {(y, t) : g . y - h t <= 0, t >= 0}
-    (_cone_vertices), and the ray (v, t) is the point with x_j = (X0_j t +
-    D0 sum v_i K_ij) / (D0 t), one Fraction per coordinate.
+    denominators (_scaled_exact), which changes no solution.  The equations
+    are solved once: x = X0 / D0 + sum y_i K_i over a primitive integer
+    kernel basis K, so each inequality becomes an integer row g . y <= h
+    over the q coordinates y.  X0, D0 and K come from one reduction of the
+    integer rows [E | c] over D0 (_rref_over), with no solution when a
+    pivot lies in the c column: X0 / D0 is the solution with free
+    coordinates 0 (_column), and K has one vector per free column
+    (_kernel_ints).  With no equations there is no pivot: X0 = 0, D0 = 1
+    and K = I.  The vertices are the extreme rays with t > 0 of the
+    homogenised cone {(y, t) : g . y - h t <= 0, t >= 0} (_cone_vertices),
+    and the ray (v, t) is the point with x_j = (X0_j t + D0 sum v_i K_ij) /
+    (D0 t), one Fraction per coordinate.
     """
-    if equations:
-        rows = [_scaled_exact([*row, c])[0] for row, c in equations]
-        pivots = _eliminate(rows)
-        if pivots and pivots[-1] == n:
-            return []
-        d0 = lcm(*(row[p] for row, p in zip(rows, pivots)))
-        rows = [[x * (d0 // row[p]) for x in row] for row, p in zip(rows, pivots)]
-
-        def column(j):
-            """Column j of the RREF times d0, read at the pivot coordinates."""
-            x = [0] * n
-            for row, p in zip(rows, pivots):
-                x[p] = row[j]
-            return x
-
-        x0 = column(n)
-        basis = [_primitive([d0 * (i == f) - x for i, x in enumerate(column(f))])
-                 for f in range(n) if f not in pivots]
-    else:
-        x0, d0 = [0] * n, 1
-        basis = [[int(i == j) for j in range(n)] for i in range(n)]
+    r, pivots, d0 = _rref_over(_scaled_exact([*row, c])[0] for row, c in equations)
+    if pivots and pivots[-1] == n:
+        return []
+    x0 = _column(r, pivots, n, n)
+    basis = [_primitive(k) for k in _kernel_ints(r, pivots, d0, n)]
     rows = []
     for f, d in inequalities:
         *g, h = _scaled_exact([*f, d])[0]
@@ -183,13 +176,12 @@ def _cone_vertices(q: int, rows: Sequence[list[int]]) -> list[tuple[list[int], i
     start = _eliminate([list(col) for col in zip(*cone)], jordan=False)
     if len(start) < q + 1:
         return []
-    # Jordan reduction of [A | I] leaves row k as p_k (e_k | row k of A^{-1}).
-    aug = [cone[i] + [int(j == k) for j in range(q + 1)] for k, i in enumerate(start)]
-    _eliminate(aug)
-    scale = lcm(*(row[k] for k, row in enumerate(aug)))
+    # the reduction of [A | I] over d is d (I | A^{-1})
+    inv, _, _ = _rref_over(cone[i] + [int(j == k) for j in range(q + 1)]
+                           for k, i in enumerate(start))
     initial = sum(1 << i for i in start)
-    rays = [(_primitive([-row[q + 1 + j] * (scale // row[k]) for k, row in enumerate(aug)]),
-             initial ^ (1 << i)) for j, i in enumerate(start)]
+    rays = [(_primitive([-row[q + 1 + j] for row in inv]), initial ^ (1 << i))
+            for j, i in enumerate(start)]
     for i, row in enumerate(cone):
         bit = 1 << i
         if initial & bit:
@@ -315,9 +307,10 @@ class _FaceData:
     the facets as primitive integer rows (rows) are built when first asked
     for.  The Fraction views are built from these when asked for: dir_basis
     and the facets' face keys and outward vectors (keyed_facets) once, on
-    first request, and the others on each request.  local_ints serves the
-    H-representation alone (rows, the cold facets, local_matrix); tangent
-    vectors are read in the chart (frame_coords).
+    first request, and the others on each request.  Directions are read in
+    one chart, their entries at dir_pivots (frame_coords, _from_chart): the
+    orientation signs, the cold facets and rows() read it; local_ints
+    serves only local_matrix and Polytope.facet_inequalities.
 
     A face handed out by face(mask) reuses what its parent computed: its
     vertices are the parent's at the set bits, already sorted; its facets
@@ -346,12 +339,10 @@ class _FaceData:
         s = lcm(*(x.denominator for v in vertices for x in v))
         xs = [tuple(x.numerator * (s // x.denominator) for x in v) for v in vertices]
         self._lattice = (xs, s)
-        # one Jordan reduction of the primitive rows X_k - X_0: pivot row k is
-        # p_k times row k of the RREF, so B = RREF times den = lcm |p_k|
-        rows = [_primitive([a - b for a, b in zip(x, xs[0])]) for x in xs[1:]]
-        pivots = _eliminate(rows)
-        den = lcm(*(row[p] for row, p in zip(rows, pivots)))
-        self._dir = ([[x * (den // row[p]) for x in row] for row, p in zip(rows, pivots)], den)
+        # B = RREF times den, by one reduction of the primitive rows X_k - X_0
+        b, pivots, den = _rref_over(_primitive([a - b for a, b in zip(x, xs[0])])
+                                    for x in xs[1:])
+        self._dir = (b, den)
         self._dir_basis: Optional[Mat] = None
         # dir_basis is in RREF: coordinate i of a direction is its entry at
         # the i-th pivot column
@@ -362,7 +353,6 @@ class _FaceData:
         self._keyed: Optional[list] = None
         self.functionals: list[Vec] = []
         self._rows: Optional[tuple] = None
-        self._row_scales: list[tuple[int, int]] = []
         self._face_dims: Optional[dict] = None
         self._facet_cells: Optional[list] = None
         self._faces: dict[int, Polytope] = {}
@@ -419,17 +409,14 @@ class _FaceData:
         """(L, m): L / m takes w in the direction space to its coordinates in dir_basis.
 
         L / m = (D D^T)^{-1} D for D = dir_basis = B / den, that is den
-        (B B^T)^{-1} B; a Jordan reduction of [B B^T | B] leaves row k as
-        p_k (e_k | row k of (B B^T)^{-1} B).
+        (B B^T)^{-1} B; the reduction of [B B^T | B] over m is
+        m (I | (B B^T)^{-1} B).  This orthogonal chart serves the public
+        Fraction views alone (local_matrix, Polytope.facet_inequalities).
         """
         if self._local_ints is None:
             b, den = self._dir_ints()
-            q = len(b)
-            aug = [[_idot(r1, r2) for r2 in b] + r1 for r1 in b]
-            _eliminate(aug)
-            m = lcm(*(row[k] for k, row in enumerate(aug)))
-            self._local_ints = ([[x * den * (m // row[k]) for x in row[q:]]
-                                 for k, row in enumerate(aug)], m)
+            r, _, m = _rref_over([_idot(r1, r2) for r2 in b] + r1 for r1 in b)
+            self._local_ints = ([[x * den for x in row[len(b):]] for row in r], m)
         return self._local_ints
 
     def rows(self) -> tuple[list[tuple[list[int], int]], list[tuple[list[int], int]]]:
@@ -437,67 +424,61 @@ class _FaceData:
 
         a . x = b holds on the affine hull for each equation, and a . x <= b
         on the vertex set for each facet, with equality exactly on its
-        vertices (GeometryError "facet functional mismatch" otherwise).  A
-        facet's row is the positive multiple of its ambient functional
-        L^T u / |u_last|, u = B f its functional f read in local coordinates
-        (B the integer dir_basis, as in set_facets); _row_scales keeps (g, h)
-        with that functional a g / h and its bound b g / h.
+        vertices (GeometryError "facet functional mismatch" otherwise).  The
+        equations are the kernel of the integer dir_basis (_kernel_ints), and
+        a facet's row reads u = B f, its functional f in the chart
+        (_local_functionals), at dir_pivots (_from_chart).
         """
         if self._rows is None:
             self.facets()
-            equations = [(a, b) for *a, b in
-                         (_primitive(_scaled(e + (c,))[0]) for e, c in self.hull_equations())]
-            (xs, den), (lint, m) = self.lattice(), self.local_ints()
-            facets, scales = [], []
+            (xs, s), (b, den) = self.lattice(), self._dir_ints()
+            equations = [(a, c) for *a, c in
+                         (_primitive([s * x for x in k] + [_idot(k, xs[0])])
+                          for k in _kernel_ints(b, self.dir_pivots, den, self.ambient_dim))]
+            facets = []
             for u, mask in zip(self._local_functionals(), self.facet_masks):
-                w = [sum(c * row[j] for c, row in zip(u, lint)) for j in range(self.ambient_dim)]
+                w = self._from_chart(u)
                 values = [_idot(w, x) for x in xs]
                 top = max(values)
                 if sum(1 << k for k, value in enumerate(values) if value == top) != mask:
                     raise GeometryError("facet functional mismatch")
-                g = gcd(*(x * den for x in w), top)
-                facets.append(([x * den // g for x in w], top // g))
-                scales.append((g, den * m * abs(next(x for x in reversed(u) if x))))
-            self._row_scales = scales
+                *a, c = _primitive([s * x for x in w] + [top])
+                facets.append((a, c))
             self._rows = (equations, facets)
         return self._rows
 
     def hull_equations(self) -> list[tuple[Vec, Fraction]]:
         """Pairs (e, c) with e . x = c on the vertex set, spanning the hull's equations:
-        the kernel of the RREF dir_basis, one e per non-pivot coordinate f, 1
-        at f and -dir_basis[k][f] at the k-th pivot.  Built on each call."""
-        d, n = self.dir_basis, self.ambient_dim
-        row_at = dict(zip(self.dir_pivots, range(len(d))))
-        eqs = [tuple(-d[row_at[j]][f] if j in row_at else Fraction(int(j == f))
-                     for j in range(n))
-               for f in range(n) if f not in row_at]
-        return [(e, sum(map(mul, e, self.vertices[0]))) for e in eqs]
+        the kernel of the RREF dir_basis (_kernel_ints), one e per non-pivot
+        coordinate.  Built on each call."""
+        b, den = self._dir_ints()
+        return [(e, sum(map(mul, e, self.vertices[0])))
+                for e in (_fraction_row(k, den) for k in
+                          _kernel_ints(b, self.dir_pivots, den, self.ambient_dim))]
 
     def hull_chart(self) -> tuple[int, tuple[tuple[int, tuple[tuple[int, int], ...]], ...],
                                   tuple[tuple[int, int], ...]]:
         """(den, directions, origin): the affine hull on its free coordinates, over den.
 
-        One Jordan reduction of the integer dir_basis rows read right to left
-        leaves a row q_c w_c for each free coordinate c (a right-most pivot
-        of the direction space), w_c the direction of the hull whose free
-        coordinates are e_c.  The origin is the point p0 = v0 - sum_c v0_c
-        w_c, whose free coordinates are all 0.  Over den = s lcm(|q_c|), s
+        One reduction over q (_rref_over) of the integer dir_basis rows read
+        right to left leaves a row q w_c for each free coordinate c (a
+        right-most pivot of the direction space), w_c the direction of the
+        hull whose free coordinates are e_c.  The origin is the point p0 = v0
+        - sum_c v0_c w_c, whose free coordinates are all 0.  Over den = s q, s
         the vertices' common denominator (lattice), both are integers, kept
         as sparse (index, integer) pairs: w_c with c first and then its other
         nonzero entries in increasing order, p0 by its nonzero entries.
         """
         if self._hull_chart is None:
             n = self.ambient_dim
-            rows = [row[::-1] for row in self._dir_ints()[0]]
-            pivots = _eliminate(rows)
-            q = lcm(*(abs(row[p]) for row, p in zip(rows, pivots)))
+            rows, pivots, q = _rref_over(row[::-1] for row in self._dir_ints()[0])
             xs, s = self.lattice()
             x0 = xs[0]
             origin = [q * x for x in x0]
             dirs = []
             for row, p in zip(reversed(rows), reversed(pivots)):
                 c = n - 1 - p
-                w = [x * (q // row[p]) for x in reversed(row)]
+                w = row[::-1]
                 for j, x in enumerate(w):
                     origin[j] -= x0[c] * x
                 dirs.append((c, ((c, q * s),) + tuple((j, x * s) for j, x in enumerate(w)
@@ -520,6 +501,13 @@ class _FaceData:
         entries at dir_pivots, then its torus entries as they stand."""
         return [v[p] for p in self.dir_pivots] + list(v[self.ambient_dim:])
 
+    def _from_chart(self, y: Sequence[int]) -> list[int]:
+        """The functional y at dir_pivots, 0 elsewhere: y read in the chart."""
+        f = [0] * self.ambient_dim
+        for c, p in zip(y, self.dir_pivots):
+            f[p] = c
+        return f
+
     def is_tangent(self, v: Sequence) -> bool:
         """Whether a vector of R^(n+s) lies in dir(P) + R^s: the dir_basis
         rows weighted by its entries at dir_pivots give back its first n."""
@@ -533,25 +521,22 @@ class _FaceData:
         """The facets' vertex bitmasks, the one entry that enumerates them.
 
         Unless inherited (set_facets), the facets are enumerated cold: with
-        r_i = N p_i - sum p over the N vertices in local coordinates, they
-        are the vertices a of the polar {a : a . r_i <= 1}, each tight on its
-        facet's vertices, and a read back through the local coordinates is
-        the facet's functional.  The r_i are taken times a positive integer,
-        which scales the polar and leaves the functionals' directions as
-        they are.
+        r_i = N p_i - sum p over the N vertices read in the chart (their
+        entries at dir_pivots), they are the vertices a of the polar
+        {a : a . r_i <= 1}, each tight on its facet's vertices, and a read
+        back from the chart (_from_chart) is the facet's functional.  The
+        r_i are taken times a positive integer, which scales the polar and
+        leaves the functionals' directions as they are.
         """
         if self._facets is None:
             entries = []
             if self.dim > 0:
-                lint, _ = self.local_ints()
                 xs, _ = self.lattice()
                 total = [sum(col) for col in zip(*xs)]
                 n = len(xs)
-                rows = [[sum(l * (n * x - t) for l, x, t in zip(row, v, total))
-                         for row in lint] + [-1] for v in xs]
-                for y, _, mask in _cone_vertices(self.dim, rows):
-                    entries.append((mask, tuple(sum(c * row[j] for c, row in zip(y, lint))
-                                                for j in range(self.ambient_dim))))
+                rows = [[n * v[p] - total[p] for p in self.dir_pivots] + [-1] for v in xs]
+                entries = [(mask, tuple(self._from_chart(y)))
+                           for y, _, mask in _cone_vertices(self.dim, rows)]
             self.set_facets(entries)
         return self._facets
 
@@ -810,13 +795,20 @@ class Polytope:
         """Triples (f, c, key): f . x <= c on the polytope, equality exactly on the facet.
 
         f is the facet's outward vector read back through the local
-        coordinates, so it lies in the direction space; f and c are made
-        from the facet's integer row, one Fraction per entry, on each call.
+        coordinates (local_ints), so it lies in the direction space: L^T u /
+        (m |u_last|) for u = B f the facet's functional in the chart.  It
+        is built on integers and made into Fractions on each call.
         """
         fd = self._fd
-        _, rows = fd.rows()
-        return [(tuple(Fraction(x * g, h) for x in a), Fraction(b * g, h), fd.key(mask))
-                for (a, b), (g, h), mask in zip(rows, fd._row_scales, fd.facet_masks)]
+        masks = fd.facets()
+        (xs, s), (lint, m) = fd.lattice(), fd.local_ints()
+        out = []
+        for u, mask in zip(fd._local_functionals(), masks):
+            w = [sum(c * row[j] for c, row in zip(u, lint)) for j in range(self.ambient_dim)]
+            h = m * abs(next(x for x in reversed(u) if x))
+            out.append((tuple(Fraction(x, h) for x in w),
+                        Fraction(max(_idot(w, x) for x in xs), s * h), fd.key(mask)))
+        return out
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(keys) for d, keys in self.faces().items())
@@ -888,7 +880,7 @@ def affine_isomorphisms(p1: Polytope, p2: Polytope) -> Iterator[tuple[dict, Call
     diffs = [vsub(w, v0) for w in verts1[1:]]
     basis = [diffs[i] for i in independent_subset(diffs)]
     cols = mat(tuple(tuple(bv[r] for bv in basis) for r in range(p1.ambient_dim)))
-    lams = [solve(cols, vsub(v, v0)) for v in verts1]
+    lams = solve_columns(cols, [vsub(v, v0) for v in verts1])
     vset2 = set(verts2)
     for images in itertools.permutations(verts2, len(basis) + 1):
         image, linear = _affine_extension(cols, lams, images, p2.ambient_dim)

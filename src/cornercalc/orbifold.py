@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from ._linalg import (Vec, _scaled, _scaled_exact, frac, identity, kernel_basis, mat, matvec,
@@ -214,8 +215,9 @@ def conjugate_morphism(lam: tuple, sigma, big: FiniteGroup) -> tuple:
 # Actions
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, init=False)
 class ActionComponentMap:
-    """x -> matrix x + offset, onto component `target`.
+    """x -> matrix x + offset, onto component `target`; a frozen value.
 
     The map is kept as its integer view ints = (A, a, m), the map
     x -> (A x + a) / m over one denominator m, made once from the entries
@@ -227,21 +229,19 @@ class ActionComponentMap:
     TargetMap.compose, their values wrapped by Target.wrap.
     """
 
+    target: int
+    ints: tuple
+
     def __init__(self, target: int, matrix: Sequence, offset: Sequence):
         rows = [list(row) for row in matrix]
         flat, m = _scaled_exact(itertools.chain(*rows, offset))
         it = iter(flat)
-        self.target = target
-        self.ints = (tuple(tuple(itertools.islice(it, len(row))) for row in rows), tuple(it), m)
-
-    def __eq__(self, other):
-        return isinstance(other, ActionComponentMap) and \
-            (self.target, self.ints) == (other.target, other.ints)
-
-    def __hash__(self):
-        return hash((self.target, self.ints))
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "ints", (tuple(tuple(itertools.islice(it, len(row)))
+                                                for row in rows), tuple(it), m))
 
 
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class GroupAction:
     """A finite group acting affinely on a disjoint union of polytopes.
 
@@ -255,10 +255,14 @@ class GroupAction:
     denominator, each map's matrix and offset over another (the map's
     integer view ActionComponentMap.ints, read again by stabilizer,
     direction_rep and orbifold_stratum), and an image that falls off the
-    target's vertex lattice is no vertex (_vertex_images).
+    target's vertex lattice is no vertex (_vertex_images).  An action is a
+    frozen value: maps and tables are read-only mappings.
     """
 
-    __slots__ = ("group", "spaces", "maps", "tables")
+    group: FiniteGroup
+    spaces: tuple
+    maps: Mapping
+    tables: Mapping
 
     def __init__(self, group: FiniteGroup, space, rep: Mapping):
         if isinstance(space, Polytope):
@@ -276,23 +280,20 @@ class GroupAction:
             if len(entries) != len(spaces):
                 raise OrbifoldError("one affine map per component is required")
             maps[g] = entries
-        self.group = group
-        self.spaces = spaces
-        self.maps = maps
-        self._validate()
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "spaces", spaces)
+        object.__setattr__(self, "maps", MappingProxyType(maps))
+        object.__setattr__(self, "tables", MappingProxyType(self._validate()))
 
     @staticmethod
     def _entry(v) -> ActionComponentMap:
-        if isinstance(v, ActionComponentMap):
-            return v
-        if len(v) == 3:
-            j, m, c = v
-        else:
-            m, c = v
-            j = 0
-        return ActionComponentMap(int(j), m, c)
+        j, m, c = v if len(v) == 3 else (0, *v)
+        if type(j) is not int:
+            raise OrbifoldError(f"component index must be an int, not {j!r}")
+        return ActionComponentMap(j, m, c)
 
-    def _validate(self) -> None:
+    def _validate(self) -> dict:
+        """The vertex tables, once the maps are checked."""
         grp = self.group
         lattices = [sp._fd.lattice() for sp in self.spaces]
         index = [{x: k for k, x in enumerate(xs)} for xs, _ in lattices]
@@ -323,7 +324,7 @@ class GroupAction:
             for b in grp.elements:
                 if [pa[k] for k in whole[b]] != whole[grp.table[(a, b)]]:
                     raise OrbifoldError("action is not a homomorphism")
-        self.tables = perms
+        return perms
 
     @property
     def single(self) -> Polytope:
@@ -591,15 +592,14 @@ def direction_rep(action: GroupAction, component: int = 0,
     the smaller group through its images.  It is read in the component's
     chart, on integers: with dir_basis B / den and an element's matrix
     A / m, the element acts by R / (m den) for R the rows of A B^T at the
-    dir_basis pivots, the coordinates of the images.  The images lie in the
-    direction space exactly when B^T R = den A B^T.  The matrices R are
-    handed to RealRep as integers over one denominator, den times the lcm
-    of the m.
+    dir_basis pivots, the coordinates of the images: an element of a
+    validated action permutes the component's vertices, so its linear part
+    keeps the direction space.  The matrices R are handed to RealRep as
+    integers over one denominator, den times the lcm of the m.
     """
     fd = action.spaces[component]._fd
     d = fd.dim
     b, den = fd._dir_ints()
-    b_cols = list(zip(*b))
     grp = group or action.group
     lam = elements or {g: g for g in grp.elements}
     cols, scales = {}, {}
@@ -608,13 +608,9 @@ def direction_rep(action: GroupAction, component: int = 0,
         if entry.target != component:
             raise OrbifoldError("element moves the component")
         mat_int, _, m = entry.ints
-        # image_cols[j] = A B^T e_j, r_cols[j] = R e_j
-        image_cols = [[_idot(row, v) for row in mat_int] for v in b]
-        r_cols = [fd.frame_coords(w) for w in image_cols]
-        if any(_idot(bc, r) != den * w_k
-               for r, w in zip(r_cols, image_cols) for bc, w_k in zip(b_cols, w)):
-            raise OrbifoldError("direction space is not preserved")
-        cols[g], scales[g] = r_cols, m
+        # column j of R: A B^T e_j read at the pivots
+        cols[g] = [fd.frame_coords([_idot(row, v) for row in mat_int]) for v in b]
+        scales[g] = m
     q = lcm(*scales.values())
     return RealRep(grp, d, {g: [[r[i] * (q // scales[g]) for r in c] for i in range(d)]
                             for g, c in cols.items()}, q * den)

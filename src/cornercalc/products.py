@@ -339,7 +339,7 @@ def duality_KchToKh(delta: Chain, orientation: int = 1) -> Chain:
     the target's orientation compose to; reversing the target's orientation
     negates the result.
     """
-    if orientation not in (1, -1):
+    if type(orientation) is not int or orientation not in (1, -1):
         raise ProductError("orientation must be +1 or -1")
     _require_cochain(delta, "duality")
     return Chain([(coeff * orientation, Generator(g.cell, g.cmap, g.tag))

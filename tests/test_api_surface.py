@@ -178,3 +178,34 @@ def test_src_private_definitions_are_referenced():
                     unused.append(f"{stem}.{cls.name}.{node.name}")
     assert checked
     assert unused == []
+
+
+
+def _callers(spelling: str, keep=lambda call: True) -> set[str]:
+    """The innermost functions of the package holding a call, kept by `keep`,
+    of a name or an attribute of that spelling."""
+    found = set()
+    for path in sorted((ROOT / "src" / "cornercalc").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        # breadth first, so an inner function claims its nodes last
+        for func in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+            owner.update((id(node), func.name) for node in ast.walk(func))
+        found.update(owner[id(node)] for node in ast.walk(tree)
+                     if isinstance(node, ast.Call) and keep(node)
+                     and spelling in (getattr(node.func, "id", None),
+                                      getattr(node.func, "attr", None)))
+    return found
+
+
+def _jordan(call: ast.Call) -> bool:
+    return not any(k.arg == "jordan" and isinstance(k.value, ast.Constant)
+                   and k.value.value is False for k in call.keywords)
+
+
+def test_one_reduction_and_one_internal_chart():
+    """Every Jordan reduction is _linalg._rref_over, and the orthogonal chart
+    local_ints serves only the public Fraction views: a second copy of the
+    reduction or a new reader of that chart fails here."""
+    assert _callers("_eliminate", _jordan) == {"_rref_over"}
+    assert _callers("local_ints") == {"local_matrix", "facet_inequalities"}

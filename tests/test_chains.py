@@ -65,7 +65,8 @@ from cornercalc.geometry import (Polytope, box, compress_mask, interval, mask_bi
                                  standard_simplex)
 from cornercalc.products import cap, cup
 from cornercalc.randgen import (cycle_class, random_chain, random_chain_over, random_cochain,
-                                random_cycle_class, random_generator, random_singular_terms)
+                                random_cover_cochain, random_cycle_class, random_generator,
+                                random_singular_terms)
 from test_geometry import embedded_lattice_hull, octahedron
 
 
@@ -99,6 +100,8 @@ def test_tag_validation():
     keys = faces_of(iv)
     tag = Tag.from_atoms(iv, {k: i for i, k in enumerate(keys)})
     assert tag.label_of(keys[0]) == (0,)
+    same = Tag.from_atoms(iv, {k: i for i, k in enumerate(keys)})
+    assert same == tag and hash(same) == hash(tag) and repr(tag) == "Tag(3 faces)"
     with pytest.raises(TagError):
         tag.label_of(((Fraction(7),),))
     partial = Tag(iv, {keys[0]: ("a",)})
@@ -150,6 +153,11 @@ def test_chain_scales_by_rationals():
     assert c.scale(-3).coefficient(g) == -6
     assert c.scale(0).is_zero
     assert Chain([(Fraction(1, 2), g)]).scale(Fraction(1, 3)).coefficient(g) == Fraction(1, 6)
+    assert (-c).coefficient(g) == -2 and Chain([(0, g)]).is_zero
+    assert [type(x) for x, _ in c.terms()] == [Fraction]
+    assert repr(c) == "Chain(1 terms over Q)"
+    with pytest.raises(TypeError, match="not hashable"):
+        hash(c)
 
 
 def test_orientation_reversal_folds_into_coefficient():
@@ -186,7 +194,7 @@ def test_sigma_pairing_reports_corrupted_corner():
                         second_facet=bad[0].second_facet,
                         cell=bad[0].cell.reversed(), tag=bad[0].tag)
     rep = check_sigma_pairing(bad)
-    assert not rep.ok
+    assert not rep.ok and not rep
     assert any("do not cancel" in d for d in rep.details)
 
 
@@ -196,6 +204,9 @@ def test_free_circle_generator_is_zero():
     cmap = constant_map(POINT, 1, 1)
     g = Generator(cell, cmap, Tag.from_atoms(pt, {faces_of(pt)[0]: "a"}))
     assert chain(g).is_zero
+    assert chain(interval_generator()).coefficient(g) == 0
+    rep = aut_finite(cell, cmap, g.tag)
+    assert rep.verdict == "infinite" and rep.order is None
 
 
 def test_free_circle_generator_has_no_corner_flags():
@@ -585,6 +596,13 @@ def test_random_generators_have_square_zero_boundary(g):
     rep = verify_dd_zero(chain(g))
     assert rep.ok
     assert boundary(boundary(chain(g))).is_zero
+
+
+def test_random_chains_over_the_point():
+    """Over the point the winding matrix has no rows."""
+    for make in (random_cover_cochain, random_chain_over):
+        c = make(Random(0), POINT, "p")
+        assert not c.is_zero and all(g.cmap.target == POINT for _, g in c.terms())
 
 
 # Any drift in canonical keys, orientation signs, coefficients or term order

@@ -32,6 +32,7 @@ from cornercalc.geometry import (
     GeometryError,
     Polytope,
     _FaceData,
+    affine_isomorphisms,
     box,
     corner_type,
     face_key,
@@ -206,6 +207,7 @@ def test_corner_types():
     assert corner_type(oc, ekey) == "corner"           # edges lie in exactly 2 facets
     cube = box([(0, 1)] * 3)
     assert corner_type(cube, face_key([[0, 0, 0]])) == "corner"
+    assert corner_type(cube, cube.vertices) == "corner"  # the top face, in no facet
 
 
 def test_minimal_face_containing():
@@ -407,6 +409,8 @@ def test_affine_isomorphisms_match_brute_force(data):
     rep = aut_finite(Cell(p), const_p, tag)
     assert rep.verdict == "finite"
     assert len(rep.vertex_maps) == len(_affine_permutation_dets(p, p))
+    # no bijection onto a vertex set of another size
+    assert list(affine_isomorphisms(p, Polytope.from_points(d, [[0] * d]))) == []
 
 
 # ---------------------------------------------------------------------------
@@ -1254,3 +1258,32 @@ def test_integer_face_data_matches_fraction_formulas(data):
             frame = [[v[j] for j in pivots] for v in (outward,) + _reference_directions(key)[0]]
             d = det(frame)
             assert sign == (d > 0) - (d < 0) != 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(point_set_with_interior_points())
+def test_internal_chart_and_public_inequalities_agree(data):
+    """rows() reads each facet at dir_pivots, facet_inequalities() through
+    local_ints: on the hull and every face reached from it, each facet's
+    integer row and its inequality hold on every vertex and are tight on
+    the facet's vertices alone, and the inequality's vector is tangent."""
+    n, pts = data
+    for q in _faces_reached(Polytope.from_points(n, pts)):
+        fd = q._fd
+        xs, s = fd.lattice()
+        _, rows = fd.rows()
+        assert len(rows) == len(q.facet_inequalities()) == len(fd.facet_masks)
+        for (a, b), (f, c, key), mask in zip(rows, q.facet_inequalities(), fd.facet_masks):
+            values = [sum(x * y for x, y in zip(a, v)) - b * s for v in xs]
+            assert max(values) == 0 and sum(1 << k for k, x in enumerate(values) if x == 0) == mask
+            assert all(dot(f, v) <= c for v in q.vertices)
+            assert sum(1 << k for k, v in enumerate(q.vertices) if dot(f, v) == c) == mask
+            assert key == fd.key(mask) and fd.is_tangent(f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_section_system())
+def test_section_vertices_take_no_equation_as_the_zero_equation(system):
+    n, _, inequalities = system
+    assert section_vertices(n, [], inequalities) == \
+        section_vertices(n, [((0,) * n, 0)], inequalities)

@@ -14,6 +14,7 @@ from cornercalc._linalg import (
     det,
     hermite_column,
     identity,
+    in_span,
     independent_subset,
     integer_kernel_basis,
     integer_matrix_inverse,
@@ -114,6 +115,8 @@ def test_lp_feasible_on_known_instances():
     assert lp_feasible(mat([[1, -1], [1, 1]]), vec([0, 2]))
     # x = 1, x = 2 inconsistent
     assert not lp_feasible(mat([[1], [1]]), vec([1, 2]))
+    # no constraint at all
+    assert lp_feasible((), ())
 
 
 def test_lp_feasible_random_cross_check():
@@ -200,6 +203,7 @@ def test_integer_kernel_basis():
             assert all(sum(m[i][j] * v[j] for j in range(len(v))) == 0 for i in range(len(m)))
         expected = len(m[0]) - rank(mat(m))
         assert len(kb) == expected
+    assert integer_kernel_basis([[], []]) == ()
 
 
 def test_smith_matches_sympy_invariant_factors():
@@ -258,6 +262,16 @@ def test_solve_integer():
         assert [sum(m[i][j] * got[j] for j in range(len(got))) for i in range(len(m))] == c
     # unsolvable instance: 2x = 1
     assert solve_integer([[2]], [1]) is None
+    # no rows; a zero diagonal entry of the Smith form, solvable or not
+    assert solve_integer([], []) == ()
+    assert solve_integer([[1], [2]], [1, 2]) == (1,)
+    assert solve_integer([[0, 0]], [1]) is None
+
+
+def test_empty_matrices_and_spans():
+    assert transpose(()) == () and kernel_basis(()) == ()
+    assert in_span((), vec([0, 0])) and not in_span((), vec([1, 0]))
+    assert in_span([vec([1, 1])], vec([2, 2])) and not in_span([vec([1, 1])], vec([1, 0]))
 
 
 # ---------------------------------------------------------------------------

@@ -362,6 +362,13 @@ def test_stabilizer_square_origin():
     assert stabilizer(act, [0, 1]) == ("r0|r0", "r1|r0")
 
 
+def test_swapped_components_fix_no_point():
+    # r1 swaps the two segments: it fixes no point and cuts no stratum
+    act = swap_action()
+    assert stabilizer(act, [HALF], 0) == ("r0",)
+    assert orbifold_stratum(act, Z2, zero_rep(Z2)).pieces == ()
+
+
 # ---------------------------------------------------------------------------
 # representations
 # ---------------------------------------------------------------------------
@@ -434,6 +441,10 @@ def test_virtual_rep_from_nontrivial():
     rho = VirtualRep.from_nontrivial(nontriv)
     assert rho.dim == 2
     assert rho.net_character() == (2, 0, 0, -1, -1, 0)
+    # a trivial rep splits off a zero-dimensional complement
+    triv, zero = split_rep(RealRep(S3, 1, {g: [[1]] for g in S3.elements}))
+    assert (triv.dim, zero.dim) == (1, 0) and fixed_subspace(zero) == ()
+    assert VirtualRep.from_nontrivial(zero).dim == 0
 
 
 def test_virtual_rep_keeps_integer_characters():
@@ -594,16 +605,18 @@ def test_direction_rep_character():
 def test_direction_rep_checks():
     with pytest.raises(OrbifoldError, match="element moves the component"):
         direction_rep(swap_action(), 0)
-    # A segment on the diagonal of the plane; r1's map, swapped in after the
-    # action was validated, shears the diagonal off itself.
+    # A segment on the diagonal of the plane.  A validated action is frozen:
+    # no map that shears the diagonal off itself can be swapped in after it.
     act = GroupAction(Z2, Polytope(2, [[0, 0], [1, 1]]), {
         "r0": ([[1, 0], [0, 1]], [0, 0]),
         "r1": ([[0, 1], [1, 0]], [0, 0]),
     })
     assert direction_rep(act).character() == (1, 1)
-    act.maps["r1"] = (ActionComponentMap(0, mat([[1, 1], [0, 1]]), (Fraction(0),) * 2),)
-    with pytest.raises(OrbifoldError, match="direction space is not preserved"):
-        direction_rep(act)
+    with pytest.raises(TypeError):
+        act.maps["r1"] = (ActionComponentMap(0, mat([[1, 1], [0, 1]]), (Fraction(0),) * 2),)
+    with pytest.raises(AttributeError):
+        act.tables = {}
+    assert direction_rep(act).character() == (1, 1)
 
 
 # ---------------------------------------------------------------------------

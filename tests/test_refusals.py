@@ -22,7 +22,7 @@ from cornercalc.geometry import GeometryError, Polytope, interval
 from cornercalc.orbifold import (GroupAction, OrbifoldError, RealRep, VirtualRep,
                                  cyclic_group, orbifold_stratum, quotient_pushdown,
                                  symmetric_group, zero_rep)
-from cornercalc.products import ProductError, check_cup_identity, pullback
+from cornercalc.products import ProductError, check_cup_identity, duality_KchToKh, pullback
 from cornercalc.randgen import GenerationError
 from cornercalc.suites import SUITES, SuiteError, run_suite
 from test_bordism import circle_cover, hexagon_action, point_map, pt_class
@@ -81,6 +81,11 @@ CELLS = [
      MapError, "map shapes do not match the cells"),
     (lambda: permute_cell_coords(SEGMENT, LINE_MAP, [0, 0]), GeometryError,
      "perm must be a permutation of the coordinates"),
+    # signs are the int +-1 and ranks are ints: no float or bool slips through
+    (lambda: Cell(interval(0, 1), 0, sign=1.0), GeometryError, "sign must be +1 or -1"),
+    (lambda: Cell(interval(0, 1), 1.5), GeometryError, "torus rank must be an int, not 1.5"),
+    (lambda: Cell(interval(0, 1), True), GeometryError, "torus rank must be an int, not True"),
+    (lambda: Coorientation((), 1.0), MapError, "sign must be +1 or -1"),
 ]
 
 
@@ -139,6 +144,7 @@ PRODUCTS = [
     (lambda: pullback(TargetMap(euclid(1), torus(1), [[1]], [0]),
                       chain(cover_cochain([[1]], "a"))),
      ProductError, "no compact identity model over a euclidean target"),
+    (lambda: duality_KchToKh(Chain(), 1.0), ProductError, "orientation must be +1 or -1"),
 ]
 
 
@@ -215,6 +221,8 @@ ORBIFOLD = [
     (_two_dimensions, OrbifoldError, "components must share a dimension"),
     (lambda: quotient_pushdown(GroupAction(Z2, SEG, FLIP), [point_map()], []), OrbifoldError,
      "one map and one tag per component are required"),
+    (lambda: GroupAction(Z2, [SEG, SEG], {g: ((0.9, m, c), (1, m, c)) for g, (m, c) in FLIP.items()}),
+     OrbifoldError, "component index must be an int, not 0.9"),
 ]
 
 
@@ -290,6 +298,8 @@ BORDISM = [
     (lambda: strata_projection(_modelled(SEGMENT, TRIVIAL_Z3), Z3, zero_rep(Z3)),
      BordismError, "only point strata are projected here; higher-dimensional pieces "
                    "need their own orientation transport"),
+    (lambda: PairingWitness((1.7, [(0,)]), (0, [(0,)]), [[1]], [0]), BordismError,
+     "component index must be an int, not 1.7"),
 ]
 
 

@@ -25,7 +25,7 @@ MIXED_KIND = pytest.mark.xfail(
     else name for name in SUITES])
 def test_suite_passes(name):
     result = run_suite(name, seed=0, count=6)
-    assert result.ok, [r for r in result.records if not r.ok]
+    assert result, [r for r in result.records if not r.ok]
 
 
 def test_pullback_suite_at_thirty_draws():
