@@ -83,7 +83,8 @@ from ._linalg import (
     rank,
     vec,
 )
-from .geometry import FaceKey, GeometryError, Polytope, product_polytope, section_polytope
+from .geometry import (FaceKey, GeometryError, Polytope, VertexTuple, product_polytope,
+                       section_polytope)
 
 
 class MapError(ValueError):
@@ -889,7 +890,7 @@ def permute_cell_coords(cell: Cell, cmap: CellMap, perm: Sequence[int]):
     if sorted(perm) != list(range(n)):
         raise GeometryError("perm must be a permutation of the coordinates")
     verts = [tuple(v[j] for j in perm) for v in cell.polytope.vertices]
-    poly = Polytope._of_sorted(n, tuple(sorted(verts)))
+    poly = Polytope._of_sorted(n, VertexTuple(sorted(verts)))
     fd = poly._fd
     moved = [fd.frame_coords([v[j] for j in perm]) for v in cell.polytope.dir_basis]
     new_cell = Cell(poly, cell.torus_rank, sign=cell.sign * det_sign(moved, (), fd.dim))

@@ -50,7 +50,7 @@ from .cells import (
     maps_agree,
     orientation_from_coorientation,
 )
-from .geometry import (FaceKey, Polytope, affine_isomorphisms, mask_bits,
+from .geometry import (FaceKey, Polytope, VertexTuple, affine_isomorphisms, mask_bits,
                        move_mask, standard_simplex)
 from .maps import CheckReport
 
@@ -374,16 +374,22 @@ class Generator:
 
     The constructor validates; `_derived` does not, and builds only what is
     valid by construction from a generator already validated: its normal
-    form and its facets.  A face restriction of an injective tag is
+    form and its faces.  A face restriction of an injective tag is
     injective and labels exactly the face's faces, a strong submersion
     restricts to one on every face, and the canonical reparametrization
-    moves A only by combinations of the torus columns.  A normalized
-    generator, the representative a Chain stores, keeps its facet normal
-    forms in `_facets`, filled on first read by `_facet_forms` (see
-    Boundary).
+    moves A only by combinations of the torus columns.
+
+    A normalized generator, the representative a Chain stores, keeps its
+    normal-form key in `_key` (None for a raw generator) and is its own
+    normal form.  It is either the root of its faces or a face that a root
+    handed out (see Boundary).  A root keeps the form of each face reached
+    so far, by vertex mask, in `_faces`; a face records (root, vertex mask
+    over the root's polytope) in `_root`, None for a root.  Every
+    generator keeps its facet forms in `_facets`, filled on first read by
+    `_facet_forms`.
     """
 
-    __slots__ = ("cell", "cmap", "tag", "is_cochain", "_facets")
+    __slots__ = ("cell", "cmap", "tag", "is_cochain", "_key", "_root", "_faces", "_facets")
 
     def __init__(self, cell: Cell, cmap: CellMap, tag: Tag,
                  coorientation: Optional[Coorientation] = None, *,
@@ -406,7 +412,7 @@ class Generator:
         self.cmap = cmap
         self.tag = tag
         self.is_cochain = is_cochain
-        self._facets = None
+        self._key = self._root = self._faces = self._facets = None
 
     @classmethod
     def _derived(cls, cell: Cell, cmap: CellMap, tag: Tag, *,
@@ -417,7 +423,7 @@ class Generator:
         gen.cmap = cmap
         gen.tag = tag
         gen.is_cochain = is_cochain
-        gen._facets = None
+        gen._key = gen._root = gen._faces = gen._facets = None
         return gen
 
     @property
@@ -444,14 +450,19 @@ class Generator:
 def _normal_form(gen: Generator):
     """(key, sign, normalized generator), or None when the class is zero.
 
-    The key ends in the tag and in True for a cochain, None for a chain.
+    The key ends in the tag and in True for a cochain, None for a chain.  A
+    normalized generator is its own normal form, of the key it keeps.
     """
+    if gen._key is not None:
+        return gen._key, 1, gen
     if has_free_circle(gen.cell, gen.cmap):
         return None
     key, sign, cell, cmapc = canonical_form(gen.cell, gen.cmap)
     key += (gen.tag.labels, gen.is_cochain or None)
-    return key, sign, Generator._derived(Cell(cell.polytope, cell.torus_rank), cmapc, gen.tag,
-                                         is_cochain=gen.is_cochain)
+    norm = Generator._derived(cell if cell.sign == 1 else Cell(cell.polytope, cell.torus_rank),
+                              cmapc, gen.tag, is_cochain=gen.is_cochain)
+    norm._key = key
+    return key, sign, norm
 
 
 def _in_term_order(items: Iterable) -> list:
@@ -599,24 +610,31 @@ def disjoint_union(gens: Sequence[Generator]) -> Chain:
 # Boundary
 # ---------------------------------------------------------------------------
 # The boundary of [X, f, G] is [dX, f|dX, G|dX]: generator_boundary is its
-# one definition.  It reads each facet's cell and sign off the polytope's
-# face data (facet_cells, through boundary_cells) and its mask
-# (facet_masks), so no facet key or outward vector is built.  The facets
-# of a generator are built by Generator._derived, unchecked, since
-# restriction keeps a validated generator valid.  A cochain restricts in
-# the kernel, Ker df = R n + Ker d(f|dX) with the outward normal n first,
-# while the orientation it stores puts the target frame first (cells), so
-# its facet terms carry (-1)^dim Y against the orientations boundary_cells
+# one definition, and the reference the rest of this section agrees with.
+# It reads each facet's cell and sign off the polytope's face data
+# (facet_cells, through boundary_cells) and its mask (facet_masks), so no
+# facet key or outward vector is built.  A cochain restricts in the
+# kernel, Ker df = R n + Ker d(f|dX) with the outward normal n first, while
+# the orientation it stores puts the target frame first (cells), so its
+# facet terms carry (-1)^dim Y against the orientations boundary_cells
 # gives.
-# A chain stores normalized generators, and each keeps its facet normal
-# forms in its _facets slot, filled on first read by _facet_forms: boundary,
-# ChainComplex and corner_terms read them there, so a generator's facets are
-# restricted, canonicalized and keyed once, a second boundary of the same
-# chain only accumulates, and the corner pairing of verify_dd_zero walks the
-# facets' own forms, as the double boundary does.  A flag's sign carries the
-# signs det U of the two canonical reparametrizations, the same for every
-# flag of a generator, so the pairing decides as on the raw facets.  The
-# slot lives and dies with its generator.
+# A chain stores normalized generators, and a normalized generator is the
+# root of its faces: _face_form keeps, by vertex mask, the form (key, sign,
+# normalized generator) of each face cell with sign +1 under the root's map
+# and the root's tag restricted to it, built by Generator._derived,
+# unchecked, since restriction keeps a validated generator valid.  Every
+# face a root hands out records (root, mask) and reads its own facets at
+# the root, so a face is restricted, canonicalized and keyed once per root,
+# however many facets reach it; its canonical map does not depend on the
+# face it was reached through, since the reparametrizations fix every
+# face.  A face F handed out stands for s_F times the root's face, so a
+# facet G of F, of sign e in F, enters with e s_F s_G; at a normalized root,
+# whose torus part is already in Hermite form, every s is 1.  A raw
+# generator reads its facets at its normal form, times that form's sign.
+# Each generator keeps its facet forms in its _facets slot (_facet_forms):
+# boundary, ChainComplex and corner_terms read them there, and the corner
+# pairing of verify_dd_zero walks the facets' own forms, as the double
+# boundary does.  The forms live and die with their root.
 
 def generator_boundary(gen: Generator) -> list:
     """Signed facet generators of one generator."""
@@ -628,16 +646,46 @@ def generator_boundary(gen: Generator) -> list:
             for cell, facet in zip(cells, gen.cell.polytope._fd.facet_masks)]
 
 
+_UNITS = {1: Fraction(1), -1: Fraction(-1)}
+
+
+def _face_form(root: Generator, mask: int) -> tuple:
+    """(key, sign, normalized face) of the face of a root with this vertex
+    mask, built on first request and kept by the root."""
+    faces = root._faces
+    if faces is None:
+        faces = root._faces = {}
+    form = faces.get(mask)
+    if form is None:
+        # the root has no free circle, so no face of it has one
+        cell = root.cell
+        form = faces[mask] = _normal_form(Generator._derived(
+            Cell(cell.polytope._fd.face(mask), cell.torus_rank), root.cmap,
+            root.tag.restrict(mask), is_cochain=root.is_cochain))
+        form[2]._root = (root, mask)
+    return form
+
+
 def _facet_forms(gen: Generator) -> tuple:
     """(key, sign * factor, normalized facet) of each facet term of
-    generator_boundary(gen) whose class is not zero, built on first read."""
+    generator_boundary(gen) whose class is not zero, built on first read
+    from the faces of gen's root."""
     if gen._facets is None:
-        forms = []
-        for factor, sub in generator_boundary(gen):
-            nf = _normal_form(sub)
-            if nf is not None:
-                key, sign, norm = nf
-                forms.append((key, sign * factor, norm))
+        if gen._key is None:
+            nf = _normal_form(gen)
+            forms = () if nf is None else [(key, nf[1] * c, sub)
+                                           for key, c, sub in _facet_forms(nf[2])]
+        else:
+            root, mask = gen._root or (gen, None)
+            at = None if mask is None else mask_bits(mask)
+            factor = -1 if gen.is_cochain and gen.cmap.target.dim % 2 else 1
+            factor *= gen.cell.sign * (1 if mask is None else _face_form(root, mask)[1])
+            fd = gen.cell.polytope._fd
+            forms = []
+            # facet_cells enumerates the facets before facet_masks is read
+            for (_, sign), m in zip(fd.facet_cells(), fd.facet_masks):
+                key, s, sub = _face_form(root, m if at is None else move_mask(m, at))
+                forms.append((key, _UNITS[factor * sign * s], sub))
         gen._facets = tuple(forms)
     return gen._facets
 
@@ -909,7 +957,7 @@ def _insert_coordinate(gen: Generator, j: int, value, labels=None) -> Generator:
     """gen on the hyperplane x_j = value of R^(n+1), labelled by labels (face
     mask, label) pairs when given, else by gen's own."""
     c = frac(value)
-    verts = tuple(v[:j] + (c,) + v[j:] for v in gen.cell.polytope.vertices)
+    verts = VertexTuple(v[:j] + (c,) + v[j:] for v in gen.cell.polytope.vertices)
     poly = Polytope._of_sorted(gen.cell.polytope.ambient_dim + 1, verts)
     cmap = CellMap._exact(gen.cmap.target,
                           tuple(row[:j] + (Fraction(0),) + row[j:] for row in gen.cmap.a),
@@ -1073,7 +1121,7 @@ def cylinder(gen: Generator, alt_tag: Tag) -> Generator:
     # the lifted vertices are the prism's, sorted: vertex k is vertex k of P
     # at height 0 and vertex k - N at height 1; its dir_basis, e_0 over P's
     # with a zero in front, is in RREF, so the cell keeps gen's sign
-    prism = Polytope._of_sorted(p.ambient_dim + 1, tuple(
+    prism = Polytope._of_sorted(p.ambient_dim + 1, VertexTuple(
         (Fraction(h),) + v for h in (0, 1) for v in p.vertices))
     cell = Cell(prism, gen.cell.torus_rank, sign=gen.cell.sign)
     cmap = CellMap._exact(gen.cmap.target,
@@ -1120,7 +1168,13 @@ def check_cylinder_witness(gen: Generator, alt_tag: Tag):
 # ---------------------------------------------------------------------------
 
 class ChainComplex:
-    """A finite generator set closed under the boundary, graded by dimension."""
+    """A finite generator set closed under the boundary, graded by dimension.
+
+    Each column of a boundary matrix is read off a normalized generator's
+    facet forms (_facet_forms), and the generators of one face_complex share
+    one root, so each face is normalized once.  betti ranks each boundary
+    matrix once.
+    """
 
     def __init__(self, gens: Sequence[Generator]):
         # a normal-form key is hashed once here, where its slot [grade, row]
@@ -1159,28 +1213,26 @@ class ChainComplex:
             self.matrices[grade] = tuple(tuple(r) for r in m)
 
     def betti(self) -> dict:
-        out = {}
-        for grade, items in sorted(self.basis.items()):
-            r_out = rank(self.matrices.get(grade, ()))
-            r_in = rank(self.matrices.get(grade + 1, ()))
-            out[grade] = len(items) - r_out - r_in
-        return out
+        ranks = {grade: rank(m) for grade, m in self.matrices.items()}
+        return {grade: len(items) - ranks.get(grade, 0) - ranks.get(grade + 1, 0)
+                for grade, items in sorted(self.basis.items())}
 
 
 def face_complex(p: Polytope, with_top: bool = True) -> list:
     """Every face of P as a point-target generator; P itself only with_top.
 
     One numbered tag over P's faces is restricted to each face, so a face
-    and its facets agree on labels and the boundaries close up.  Its
-    homology is that of a point with the top cell, else of the sphere
-    bounding P.
+    and its facets agree on labels and the boundaries close up.  The
+    generators are one root's face forms (see Boundary): P's normalized
+    generator and the faces it hands out, each normalized once, and their
+    facets are read there.  Its homology is that of a point with the top
+    cell, else of the sphere bounding P.
     """
-    fd = p._fd
-    big = numbered_tag(p, "dx", p.dim)
     top = (1 << len(p.vertices)) - 1
-    cmap = constant_map(POINT, p.ambient_dim, 0)
-    return [Generator(Cell(fd.face(g), 0), cmap, big.restrict(g))
-            for g in fd.face_dims() if with_top or g != top]
+    _, _, root = _normal_form(Generator(Cell(p, 0), constant_map(POINT, p.ambient_dim, 0),
+                                        numbered_tag(p, "dx", p.dim)))
+    return [root if g == top else _face_form(root, g)[2]
+            for g in p._fd.face_dims() if with_top or g != top]
 
 
 def simplex_face_complex(k: int) -> list:

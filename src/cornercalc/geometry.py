@@ -2,7 +2,8 @@
 
 A polytope is stored by its vertex set (the extreme points, verified at
 construction). Faces are identified by their sorted vertex tuples, so face keys
-are stable across sub-polytope constructions and canonicalization. Facets come
+are stable across sub-polytope constructions and canonicalization; each is a
+VertexTuple, which hashes its Fractions once. Facets come
 with outward vectors in the direction space of the affine hull; the
 H-representation, minimal faces, corner types and the affine isomorphisms
 between vertex sets are built on them. Orientations, boundaries and the corner
@@ -102,8 +103,22 @@ class GeometryError(ValueError):
     """Raised for malformed polytopes, frames, or face queries."""
 
 
+class VertexTuple(tuple):
+    """A tuple of vertices that hashes once and otherwise acts as the plain
+    tuple: the _face_data cache and the normal-form keys of chains hash
+    every vertex tuple that face data makes on each lookup."""
+
+    _hash = None
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = self._hash = tuple.__hash__(self)
+        return h
+
+
 def face_key(vertices: Iterable[Iterable]) -> FaceKey:
-    return tuple(sorted(vec(v) for v in vertices))
+    return VertexTuple(sorted(vec(v) for v in vertices))
 
 
 # A face is a bitmask over its polytope's sorted vertices.  A face G of a
@@ -215,7 +230,7 @@ def section_polytope(n: int, equations: Sequence[tuple[Vec, Fraction]],
     if not found:
         return None
     # the vertices are exact and distinct, and now sorted
-    poly = Polytope._of_sorted(n, tuple(v for v, _ in found))
+    poly = Polytope._of_sorted(n, VertexTuple(v for v, _ in found))
     tight = [z for _, z in found]
     fd = poly._fd
     if fd._facets is None:
@@ -242,7 +257,7 @@ def product_polytope(p1: "Polytope", p2: "Polytope") -> tuple["Polytope", list[i
     (_, rows1), (_, rows2) = fd1.rows(), fd2.rows()
     size2 = len(fd2.vertices)
     poly = Polytope._of_sorted(p1.ambient_dim + p2.ambient_dim,
-                               tuple(v1 + v2 for v1 in fd1.vertices for v2 in fd2.vertices))
+                               VertexTuple(v1 + v2 for v1 in fd1.vertices for v2 in fd2.vertices))
     tight1, tight2 = _vertex_facets(fd1), _vertex_facets(fd2)
     k1 = len(rows1)
     tight = [z1 | z2 << k1 for z1 in tight1 for z2 in tight2]
@@ -361,7 +376,7 @@ class _FaceData:
 
     def key(self, mask: int) -> FaceKey:
         """The face key of a bitmask over the vertices."""
-        return tuple(self.vertices[i] for i in mask_bits(mask))
+        return VertexTuple(self.vertices[i] for i in mask_bits(mask))
 
     def meet(self, facet_bits: int) -> int:
         """Vertex bitmask of the intersection of the facets in facet_bits."""
@@ -663,20 +678,22 @@ class Polytope:
     vertices: tuple[Vec, ...]
 
     def __init__(self, ambient_dim: int, vertices: Iterable[Iterable]):
-        vs = _checked_points(ambient_dim, vertices, "vertex")
-        if len(set(vs)) != len(vs):
+        pts = _checked_points(ambient_dim, vertices, "vertex")
+        # sorted, so a repeated vertex follows its first copy
+        if any(a == b for a, b in zip(pts, pts[1:])):
             raise GeometryError("duplicate vertices")
+        vs = VertexTuple(pts)
         fd = _hull_face_data(ambient_dim, vs)
-        extreme = set(fd.vertices)
-        for v in vs:
-            if v not in extreme:
-                raise GeometryError(f"vertex {v} is not an extreme point")
+        if len(fd.vertices) != len(vs):
+            extreme = set(fd.vertices)
+            v = next(v for v in vs if v not in extreme)
+            raise GeometryError(f"vertex {v} is not an extreme point")
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "_face", fd)
 
     @classmethod
-    def _of_sorted(cls, ambient_dim: int, vertices: tuple[Vec, ...]) -> "Polytope":
+    def _of_sorted(cls, ambient_dim: int, vertices: VertexTuple) -> "Polytope":
         """The polytope on vertices already sorted, distinct, extreme and exact."""
         poly = object.__new__(cls)
         object.__setattr__(poly, "ambient_dim", ambient_dim)
@@ -686,7 +703,9 @@ class Polytope:
     @staticmethod
     def from_points(ambient_dim: int, points: Iterable[Iterable]) -> "Polytope":
         pts = _checked_points(ambient_dim, points, "point")
-        fd = _hull_face_data(ambient_dim, tuple(dict.fromkeys(pts)))
+        # sorted, so a repeated point follows its first copy
+        fd = _hull_face_data(ambient_dim, VertexTuple(
+            p for k, p in enumerate(pts) if not k or p != pts[k - 1]))
         poly = Polytope._of_sorted(ambient_dim, fd.vertices)
         object.__setattr__(poly, "_face", fd)
         return poly
@@ -814,9 +833,9 @@ class Polytope:
         return sum((-1) ** d * len(keys) for d, keys in self.faces().items())
 
 
-def _checked_points(ambient_dim: int, points: Iterable[Iterable], what: str) -> tuple[Vec, ...]:
+def _checked_points(ambient_dim: int, points: Iterable[Iterable], what: str) -> list[Vec]:
     """The points sorted, checked to be nonempty and of length ambient_dim."""
-    pts = face_key(points)
+    pts = sorted(vec(v) for v in points)
     if not pts:
         raise GeometryError(f"polytope needs at least one {what}")
     if any(len(p) != ambient_dim for p in pts):

@@ -256,7 +256,7 @@ class GroupAction:
     integer view ActionComponentMap.ints, read again by stabilizer,
     direction_rep and orbifold_stratum), and an image that falls off the
     target's vertex lattice is no vertex (_vertex_images).  An action is a
-    frozen value: maps and tables are read-only mappings.
+    frozen value: maps and tables are read-only mappings of tuples.
     """
 
     group: FiniteGroup
@@ -302,7 +302,7 @@ class GroupAction:
             targets = [e.target for e in entries]
             if sorted(targets) != list(range(len(self.spaces))):
                 raise OrbifoldError("components must be permuted")
-            perms[g] = []
+            images = []
             for i, e in enumerate(entries):
                 src, dst = self.spaces[i], self.spaces[e.target]
                 if len(e.ints[0]) != dst.ambient_dim or any(
@@ -313,7 +313,8 @@ class GroupAction:
                 if set(image) != set(range(len(dst.vertices))):
                     raise OrbifoldError(
                         f"element {g!r} does not permute the vertex set")
-                perms[g].append(image)
+                images.append(image)
+            perms[g] = tuple(images)
         # numbered across the components, each element's tables are one
         # permutation, and a.(b.v) = (ab).v is their composition
         starts = list(itertools.accumulate((len(sp.vertices) for sp in self.spaces), initial=0))

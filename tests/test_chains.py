@@ -10,13 +10,15 @@ from random import Random
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from cornercalc import chains
 from cornercalc.bordism import tag_independence_witness
-from cornercalc._linalg import identity
+from cornercalc._linalg import identity, rank
 from cornercalc.cells import (
     POINT,
     Cell,
     CellMap,
     MapError,
+    _torus_form,
     constant_map,
     euclid,
     fibre_product_cells,
@@ -34,6 +36,7 @@ from cornercalc.chains import (
     Tag,
     TagError,
     TargetMap,
+    _facet_forms,
     _insert_coordinate,
     _normal_form,
     _term_key,
@@ -66,7 +69,7 @@ from cornercalc.geometry import (Polytope, box, compress_mask, interval, mask_bi
 from cornercalc.products import cap, cup
 from cornercalc.randgen import (cycle_class, random_chain, random_chain_over, random_cochain,
                                 random_cover_cochain, random_cycle_class, random_generator,
-                                random_singular_terms)
+                                random_polytope, random_singular_terms)
 from test_geometry import embedded_lattice_hull, octahedron
 
 
@@ -856,6 +859,134 @@ def test_chain_complex_matrices_match_the_reference():
                 ref = Chain(generator_boundary(gen))
                 assert [cx.matrices[grade][row][col] for row in range(len(rows))] == \
                     [ref.coefficient(g) for _, g in rows]
+
+
+# Faces read at their root (_facet_forms, corner_terms, face_complex)
+# against the reference path: generator_boundary, then _normal_form of
+# every facet afresh, level by level.
+
+def _reference_forms(gen):
+    """(key, coefficient, normalized facet) of each nonzero facet term, each
+    facet normalized afresh."""
+    out = []
+    for factor, sub in generator_boundary(gen):
+        nf = _normal_form(sub)
+        if nf is not None:
+            out.append((nf[0], nf[1] * factor, nf[2]))
+    return out
+
+
+def _form_view(forms):
+    return [(key, coeff, sub.cell, sub.cmap, sub.tag.labels, sub.is_cochain)
+            for key, coeff, sub in forms]
+
+
+def _reference_flags(gen):
+    """(corner, first facet, corner cell, corner labels) of every flag, each
+    level normalized afresh, as corner_terms reads them."""
+    masks = gen.cell.polytope._fd.facet_masks
+    flags = []
+    for m1, (_, c1, sub) in zip(masks, _reference_forms(gen)):
+        for m2, (_, c2, corner) in zip(sub.cell.polytope._fd.facet_masks, _reference_forms(sub)):
+            cell = corner.cell if c1 * c2 > 0 else corner.cell.reversed()
+            flags.append((move_mask(m2, mask_bits(m1)), m1, cell, corner.tag.labels))
+    return flags
+
+
+def _check_faces_against_the_reference(gen):
+    ours, ref = _facet_forms(gen), _reference_forms(gen)
+    assert _form_view(ours) == _form_view(ref)
+    for (_, _, sub), (_, _, ref_sub) in zip(ours, ref):
+        # a face handed out by a root is its own normal form
+        assert _normal_form(sub) == (sub._key, 1, sub)
+        assert _form_view(_facet_forms(sub)) == _form_view(_reference_forms(ref_sub))
+    assert [(t.corner, t.first_facet, t.cell, t.tag.labels)
+            for t in corner_terms(gen)] == _reference_flags(gen)
+
+
+def _oracle_cochain(rng, y):
+    """A cochain generator over the point or a torus: over a torus, a
+    polytope times the full torus with an invertible torus part, so every
+    face submerses."""
+    d = rng.randint(0, 2)
+    p = random_polytope(rng, d, 5, min_dim=d)
+    sign = rng.choice((1, -1))
+    if not y.dim:
+        s = rng.randint(0, 1)
+        return Generator(Cell(p, s, sign=sign), constant_map(POINT, d, s), numbered_tag(p, "o"),
+                         is_cochain=True)
+    while True:
+        m_t = [[rng.randint(-2, 2) for _ in range(y.dim)] for _ in range(y.dim)]
+        if rank(m_t) == y.dim:
+            break
+    cmap = CellMap(y, [[rng.randint(-1, 1) for _ in range(d)] for _ in range(y.dim)], m_t,
+                   [Fraction(rng.randint(0, 5), 3) for _ in range(y.dim)])
+    return Generator(Cell(p, y.dim, sign=sign), cmap, numbered_tag(p, "o"), is_cochain=True)
+
+
+def test_corner_flags_of_a_raw_generator_whose_torus_form_reverses():
+    """The triangle times T^1 into T^1 with M = [[-1]]: its torus form has
+    det U = -1, so the generator's normal form reverses it, while the forms
+    of its normalized facets do not reverse theirs.  Reading every face's
+    sign at the root would flip all six flags, and verify_dd_zero, which
+    reads only whether partners cancel, would still pass."""
+    p = Polytope(2, [[0, 0], [2, 0], [0, 1]])
+    cmap = CellMap(torus(1), [[1, 1]], [[-1]], [Fraction(1, 3)])
+    assert _torus_form(cmap.m_t, 1, True)[2] == -1
+    gen = Generator(Cell(p, 1), cmap, numbered_tag(p, "s"))
+    flags = corner_terms(gen)
+    assert len(flags) == 6
+    _check_faces_against_the_reference(gen)
+    _check_faces_against_the_reference(_normal_form(gen)[2])
+    assert verify_dd_zero(chain(gen)).ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(("chain", "point", "T1", "T2")),
+       st.booleans())
+def test_faces_read_at_the_root_match_the_reference(seed, kind, normalized):
+    """Chain generators over the point, R^1, T^1 and T^2 (random_generator
+    draws the target), and cochain generators over the point, T^1 and T^2
+    (no cell with a vertex submerses onto R^1), raw and normalized."""
+    rng = Random(seed)
+    if kind == "chain":
+        gen = random_generator(rng, "o", max_ambient=3)
+    else:
+        gen = _oracle_cochain(rng, {"point": POINT, "T1": torus(1), "T2": torus(2)}[kind])
+    if normalized:
+        nf = _normal_form(gen)
+        assume(nf is not None)
+        gen = nf[2]
+    _check_faces_against_the_reference(gen)
+
+
+def test_betti_ranks_each_boundary_matrix_once(monkeypatch):
+    ranked = []
+    monkeypatch.setattr(chains, "rank", lambda m: ranked.append(m) or rank(m))
+    cx = ChainComplex(simplex_face_complex(3))
+    assert cx.betti() == {0: 1, 1: 0, 2: 0, 3: 0}
+    assert len(ranked) == len(cx.matrices) == 4
+    assert sorted(map(id, ranked)) == sorted(map(id, cx.matrices.values()))
+
+
+@pytest.mark.parametrize("p", [standard_simplex(k) for k in range(5)]
+                         + [box([(0, 1), (0, 2), (-1, 1)]),
+                            random_polytope(Random(11), 3, 7, min_dim=3)],
+                         ids=[f"simplex_{k}" for k in range(5)] + ["box", "random_hull"])
+def test_face_complex_generators_match_the_faces_built_alone(p):
+    """Each face_complex generator, a face one root hands out, has the key,
+    sign, cell and tag of the face's generator built on its own."""
+    fd = p._fd
+    big = chains.numbered_tag(p, "dx", p.dim)
+    cmap = constant_map(POINT, p.ambient_dim, 0)
+    gens = face_complex(p)
+    assert len(gens) == len(fd.face_dims())
+    for gen, g in zip(gens, fd.face_dims()):
+        ref = Generator(Cell(fd.face(g), 0), cmap, big.restrict(g))
+        key, sign, norm = _normal_form(ref)
+        assert _normal_form(gen)[:2] == (key, sign)
+        assert gen.cell == ref.cell == norm.cell and gen.tag == ref.tag
+        assert gen.cmap == norm.cmap
 
 
 def _fraction_term_key(x):

@@ -31,6 +31,7 @@ from cornercalc.geometry import (
     POINT_POLYTOPE,
     GeometryError,
     Polytope,
+    VertexTuple,
     _FaceData,
     affine_isomorphisms,
     box,
@@ -38,6 +39,7 @@ from cornercalc.geometry import (
     face_key,
     interval,
     mask_bits,
+    product_polytope,
     section_polytope,
     section_vertices,
     standard_simplex,
@@ -87,6 +89,45 @@ def test_from_points_drops_non_extreme():
     p = Polytope.from_points(2, [[0, 0], [1, 0], [0, 1], [1, 1], ["1/2", "1/2"]])
     assert len(p.vertices) == 4
     assert p.dim == 2
+
+
+def test_from_points_drops_repeated_points():
+    """Repeated points, in any order, give the hull of the distinct ones."""
+    pts = [[1, 0], [0, 0], ["1/2", "1/2"], [0, 1], [1, 0], [0, 0], [1, 1], [1, 1]]
+    p = Polytope.from_points(2, pts)
+    assert p == Polytope.from_points(2, [[0, 0], [1, 0], [0, 1], [1, 1]])
+    assert Polytope.from_points(1, [[2], [2], [2]]).vertices == ((Fraction(2),),)
+    with pytest.raises(GeometryError, match="duplicate vertices"):
+        Polytope(2, [[0, 0], [1, 0], [0, 0]])
+    with pytest.raises(GeometryError, match=r"vertex \(Fraction\(1, 2\), Fraction\(1, 2\)\) "
+                       "is not an extreme point"):
+        Polytope(2, [[0, 0], [1, 0], [0, 1], [1, 1], ["1/2", "1/2"]])
+
+
+def test_vertex_tuple_acts_as_the_plain_tuple():
+    plain = ((Fraction(1, 2), Fraction(0)), (Fraction(1), Fraction(-3)))
+    vt = VertexTuple(plain)
+    assert hash(vt) == hash(plain) == hash(vt)
+    assert vt == plain and plain == vt and not vt != plain
+    assert vt != plain[:1] and VertexTuple(plain[:1]) < vt
+    assert repr(vt) == repr(plain) and str(vt) == str(plain)
+    other = ((Fraction(0),), (Fraction(2),))
+    assert sorted([vt, VertexTuple(other)]) == sorted([plain, other]) == [other, plain]
+    assert {plain: 1}[vt] == 1 and {vt: 1}[plain] == 1
+    assert len(vt) == 2 and vt[1] == plain[1] and list(vt) == list(plain)
+
+
+def test_face_data_makes_vertex_tuples():
+    """Every vertex tuple that face data makes hashes once."""
+    sq = box([(0, 1), (0, 1)])
+    fd = sq._fd
+    tuples = [face_key([[1, 0], [0, 0]]), fd.key(0b0110), sq.vertices,
+              Polytope.from_points(2, [[0, 0], [1, 0], [0, 1], [0, 0]]).vertices,
+              section_polytope(2, [((1, 1), 1)], [((-1, 0), 0), ((0, -1), 0)])[0].vertices,
+              product_polytope(sq, interval())[0].vertices,
+              sq.face_from_mask(0b0011).vertices]
+    assert all(type(t) is VertexTuple for t in tuples)
+    assert tuples[0] == ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)))
 
 
 def test_octahedron_face_counts():

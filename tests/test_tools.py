@@ -179,6 +179,16 @@ def test_bench_pairs_summary_on_fixed_runs():
     assert row("peak_rss_mb", [10.0] * 10, [20.0] * 10)[-2:] == ["-", "0/10"]
 
 
+def test_bench_pairs_workload_expansion():
+    # "all" is every workload of the spec, in its order; any other name is itself
+    spec = {"workloads": [{"name": "b", "why": ""}, {"name": "a", "why": ""},
+                          {"name": "c", "why": ""}]}
+    workloads = _bench_pairs().workloads
+    assert workloads("all", spec) == ["b", "a", "c"]
+    assert workloads("a", spec) == ["a"]
+    assert workloads("all", {"workloads": []}) == []
+
+
 def test_bench_pairs_source_lines_on_two_trees(tmp_path):
     # the newlines of src/cornercalc/*.py, as `cat src/cornercalc/*.py | wc -l`
     # counts them: a last line without a newline is not counted, and neither

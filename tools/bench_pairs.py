@@ -3,6 +3,10 @@
     python3 tools/bench_pairs.py PARENT CHANGE --workload chain-boundary \
         --pairs 10 --seed0 301 [--seconds 15]
 
+`--workload all` runs every workload of the parent checkout's
+BENCHMARK.json in turn, in its order, each with the same pairs and seeds,
+and prints one table per workload.
+
 Pair i runs `perfbench/run.py --workload W --seed S+i --seconds X --trace 0`
 once in each checkout, each in its own interpreter; the parent goes first in
 even pairs and the change in odd ones, so a drift of the machine's speed
@@ -20,7 +24,8 @@ more than the metric's relative `bound` in the parent checkout's
 BENCHMARK.json, and `-` otherwise.  Then it prints each checkout's source
 line count, the newlines in its src/cornercalc/*.py (what
 `cat src/cornercalc/*.py | wc -l` gives).
-It exits 1 when a run fails or a run's verdict is not correct.
+It exits 1 when a run fails or a run's verdict is not correct; with
+`--workload all` the other workloads still run.
 """
 
 from __future__ import annotations
@@ -86,6 +91,40 @@ def source_lines(checkout: Path) -> int:
                for path in (checkout / "src" / "cornercalc").glob("*.py"))
 
 
+def workloads(name: str, spec: dict) -> list[str]:
+    """The workloads a --workload value names: all of the spec's, in its
+    order, for "all", else the one named."""
+    return [w["name"] for w in spec["workloads"]] if name == "all" else [name]
+
+
+def run_pairs(sides: dict, workload: str, args, bounds: dict) -> bool:
+    """Run one workload's pairs and print its table; False when a run fails
+    or a run's verdict is not correct."""
+    runs = {"parent": [], "change": []}
+    correct = True
+    for i in range(args.pairs):
+        seed = args.seed0 + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            try:
+                result = run_once(sides[side], workload, seed, args.seconds)
+            except RuntimeError as err:
+                print(f"run failed: {err}", file=sys.stderr)
+                return False
+            correct = correct and result["correct"]
+            runs[side].append(result)
+        values = "  ".join(f"{side} {runs[side][-1]['metrics']['throughput_ops_s']['value']:.4g}"
+                           for side in order)
+        print(f"pair {i + 1} seed {seed}: throughput_ops_s {values}", flush=True)
+    print(f"{workload}: {args.pairs} pairs from seed {args.seed0}, "
+          f"--seconds {args.seconds:g}")
+    for line in summary(runs, bounds):
+        print(line)
+    if not correct:
+        print("a run's verdict was not correct")
+    return correct
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path)
@@ -96,33 +135,14 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=15.0)
     args = ap.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    runs = {"parent": [], "change": []}
-    correct = True
-    for i in range(args.pairs):
-        seed = args.seed0 + i
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            try:
-                result = run_once(sides[side], args.workload, seed, args.seconds)
-            except RuntimeError as err:
-                print(f"run failed: {err}", file=sys.stderr)
-                return 1
-            correct = correct and result["correct"]
-            runs[side].append(result)
-        values = "  ".join(f"{side} {runs[side][-1]['metrics']['throughput_ops_s']['value']:.4g}"
-                           for side in order)
-        print(f"pair {i + 1} seed {seed}: throughput_ops_s {values}", flush=True)
-    print(f"{args.workload}: {args.pairs} pairs from seed {args.seed0}, "
-          f"--seconds {args.seconds:g}")
     spec = json.loads((sides["parent"] / "BENCHMARK.json").read_text())
     bounds = {metric["name"]: metric["bound"] for metric in spec["end_to_end"]}
-    for line in summary(runs, bounds):
-        print(line)
+    ok = True
+    for workload in workloads(args.workload, spec):
+        ok = run_pairs(sides, workload, args, bounds) and ok
     print("source lines (src/cornercalc/*.py): " + "  ".join(
         f"{side} {source_lines(path)}" for side, path in sides.items()))
-    if not correct:
-        print("a run's verdict was not correct")
-    return 0 if correct else 1
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
