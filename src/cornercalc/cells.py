@@ -15,10 +15,10 @@ from every face: circle covers and identity cochains need a closed direction.
 Fibre products are computed exactly: the torus part by Hermite normal form and
 coset enumeration, the polytope part by slicing the product polytope with the
 resulting affine equations.  No LP runs.  A slice with no equation is
-P1 x P2 itself, its vertices, facets and faces built from the factors'
-(geometry.product_polytope); only when equations remain are the slice's
-vertices found by double description, as the extreme rays of a homogenised
-cone (geometry.section_polytope).
+P1 x P2 itself, its vertices, facets, faces and face pairs built from the
+factors' (geometry.product_polytope); only when equations remain are the
+slice's vertices found by double description, as the extreme rays of a
+homogenised cone (geometry.section_polytope).
 
 Orientation conventions.  A cell's tangent space dir(P) + R^s is fixed by the
 cell, so its orientation is one sign against the default frame; a frame given
@@ -66,7 +66,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence
 
 from ._linalg import (
     IntMat,
@@ -498,14 +499,20 @@ def _pivots_of(h: Mat) -> list[tuple[int, int, int]]:
 
 def _slice_polytope(p1: Polytope, p2: Polytope,
                     equations: Sequence[tuple[Vec, Fraction]]
-                    ) -> Optional[tuple[Polytope, list[int]]]:
-    """(P1 x P2) cut by affine equations row.p = rhs; None when empty.
+                    ) -> Optional[tuple[Polytope, dict[int, tuple[int, int]]]]:
+    """(P1 x P2) cut by affine equations row.p = rhs, and its face pairs;
+    None when empty.
 
-    With the slice comes, per vertex, the bitmask of the factor facets tight
-    at it: P1's facets in its facets() order, then P2's.  With no equation
-    the slice is P1 x P2, built from the factors' face data
-    (geometry.product_polytope); only when equations remain does the double
-    description run (geometry.section_polytope).
+    The face pairs map each face of the slice, a vertex bitmask, to the
+    masks of the minimal faces of P1 and of P2 holding its vertices, in
+    face_dims order.  Each kind of slice has one rule.  With no equation the
+    slice is P1 x P2, built from the factors' face data, and the pair of a
+    face F1 x F2 is (F1, F2), read off the product's lattice
+    (geometry.product_polytope).  When equations remain, the double
+    description runs (geometry.section_polytope) and gives, per vertex, the
+    bitmask of the factor facets tight there, P1's facets in its facets()
+    order, then P2's; a face's pair is the meets of the facets tight at all
+    of its vertices.
     """
     if not equations:
         return product_polytope(p1, p2)
@@ -516,7 +523,22 @@ def _slice_polytope(p1: Polytope, p2: Polytope,
     eqs += equations
     ineqs = [(f + zero2, c) for f, c in facets1]
     ineqs += [(zero1 + f, c) for f, c in facets2]
-    return section_polytope(p1.ambient_dim + p2.ambient_dim, eqs, ineqs)
+    section = section_polytope(p1.ambient_dim + p2.ambient_dim, eqs, ineqs)
+    if section is None:
+        return None
+    poly, tight = section
+    fd1, fd2 = p1._fd, p2._fd
+    k1 = len(facets1)
+    pairs = {}
+    for g in poly._fd.face_dims():
+        t = -1
+        rest = g
+        while rest:
+            low = rest & -rest
+            t &= tight[low.bit_length() - 1]
+            rest ^= low
+        pairs[g] = (fd1.meet(t & (1 << k1) - 1), fd2.meet(t >> k1))
+    return poly, pairs
 
 
 def _combine(base, terms) -> tuple:
@@ -546,7 +568,7 @@ def _compose(g: CellMap, offset_n: int, t_lo: int, n: int, s_z: int, t_affine) -
                    [f[-1] for f in forms])
 
 
-@dataclass
+@dataclass(frozen=True)
 class FibreComponent:
     """One connected piece of a fibre product, with its projection to the target.
 
@@ -555,6 +577,10 @@ class FibreComponent:
     affine form: coefficients on p, then integer ones on phi, then the
     constant.  With it maps on either factor compose with the inclusion,
     which is how iterated fibre products are built.
+
+    A component is a frozen value: one is shared by every product generator
+    built from its pair of operands (products), so its fields cannot be
+    rebound and face_pairs is a read-only copy of the mapping given.
     """
 
     cell: Cell
@@ -562,9 +588,12 @@ class FibreComponent:
     translate: tuple[int, ...]
     transverse: bool
     orientable: bool
-    face_pairs: dict    # face mask -> (face mask in factor 1, in factor 2)
+    face_pairs: Mapping[int, tuple[int, int]]   # face mask -> (mask in factor 1, in factor 2)
     split: tuple[int, int, int, int] = (0, 0, 0, 0)       # n1, s1, n2, s2
     t_affine: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "face_pairs", MappingProxyType(dict(self.face_pairs)))
 
     def compose_on_first(self, g: CellMap) -> CellMap:
         """g on the first factor, composed with the inclusion of the component."""
@@ -671,12 +700,13 @@ def fibre_product_cells(cell1: Cell, map1: CellMap, cell2: Cell, map2: CellMap
     return components
 
 
-def _build_component(cell1, map1, cell2, map2, poly, tight, u, tau, translate,
+def _build_component(cell1, map1, cell2, map2, poly, face_pairs, u, tau, translate,
                      eps, d_rows) -> FibreComponent:
-    """The component poly x T^(s_z): its projection, face pairs, flags, and
-    the sign eps sign det[X^T; D], D the call's integer rows d_rows and X
-    its default frame in the factors' frame coordinates (p1, t1, p2, t2).
-    tau holds the affine forms of the pivot coordinates of t = U (tau, phi).
+    """The component poly x T^(s_z), with the face pairs of its slice
+    (_slice_polytope): its projection, flags, and the sign eps sign
+    det[X^T; D], D the call's integer rows d_rows and X its default frame in
+    the factors' frame coordinates (p1, t1, p2, t2).  tau holds the affine
+    forms of the pivot coordinates of t = U (tau, phi).
     """
     n1, s1 = cell1.polytope.ambient_dim, cell1.torus_rank
     n2, s2 = cell2.polytope.ambient_dim, cell2.torus_rank
@@ -690,29 +720,13 @@ def _build_component(cell1, map1, cell2, map2, poly, tight, u, tau, translate,
     # projection to the target through the first factor
     pmap = _compose(map1, 0, 0, n, s_z, t_affine)
 
-    # face pairs and transversality, from the slice's tight factor facets at
-    # each vertex: a face's factor faces are the meets of the facets tight at
-    # all of its vertices
+    # transversality: each face has the codimension of its factor faces
     p1, p2 = cell1.polytope, cell2.polytope
     fd, fd1, fd2 = poly._fd, p1._fd, p2._fd
-    dims1, dims2 = fd1.face_dims(), fd2.face_dims()
-    k1 = len(fd1.facet_masks)
-    tight = [(z & (1 << k1) - 1, z >> k1) for z in tight]
-    face_pairs = {}
-    transverse = (poly.dim + s_z == cell1.dim + cell2.dim - map1.target.dim)
-    for g, dim in fd.face_dims().items():
-        t1 = t2 = -1
-        rest = g
-        while rest:
-            low = rest & -rest
-            b1, b2 = tight[low.bit_length() - 1]
-            t1 &= b1
-            t2 &= b2
-            rest ^= low
-        f1, f2 = fd1.meet(t1), fd2.meet(t2)
-        face_pairs[g] = (f1, f2)
-        if poly.dim - dim != p1.dim - dims1[f1] + p2.dim - dims2[f2]:
-            transverse = False
+    dims, dims1, dims2 = fd.face_dims(), fd1.face_dims(), fd2.face_dims()
+    transverse = (poly.dim + s_z == cell1.dim + cell2.dim - map1.target.dim
+                  and all(poly.dim - dims[g] == p1.dim - dims1[f1] + p2.dim - dims2[f2]
+                          for g, (f1, f2) in face_pairs.items()))
     # These checks decide the span condition too.  The face pair (F1, F2) of
     # a face G is minimal, so G is the slice of F1 x F2 through its relative
     # interior, and dim G + s_z = dim F1 + dim F2 + s1 + s2 - rank D_F, D_F

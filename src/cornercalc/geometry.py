@@ -37,8 +37,9 @@ facet gives the same vector.
 
 A point of the polytope has one tight-facet mask, a bitmask over the facets;
 the minimal face holding some points is the meet of the facets tight on all
-of them, so fibre-product face pairs (cells) are read off the kernel's tight
-rows at each slice vertex.  No LP is solved.  A point is extreme when the
+of them, so the face pairs of a cut fibre-product slice (cells) are read off
+the kernel's tight rows at each slice vertex, and those of a product
+F1 x F2 are (F1, F2).  No LP is solved.  A point is extreme when the
 facets tight at it meet in that point alone.  Membership is the
 H-representation, the affine hull's equations and the facet inequalities,
 tested exactly.
@@ -242,48 +243,44 @@ def section_polytope(n: int, equations: Sequence[tuple[Vec, Fraction]],
     return poly, tight
 
 
-def product_polytope(p1: "Polytope", p2: "Polytope") -> tuple["Polytope", list[int]]:
-    """P1 x P2 and the facets of P1, then of P2, tight at each of its vertices:
-    what section_polytope gives on the product's rows, read off the factors'
+def product_polytope(p1: "Polytope", p2: "Polytope"
+                     ) -> tuple["Polytope", dict[int, tuple[int, int]]]:
+    """P1 x P2 and its face pairs, each face's vertex bitmask -> the masks
+    (F1, F2) of its factor faces, in face_dims order: read off the factors'
     face data with no double description.
 
-    Vertex i1 |V2| + i2 is v1 + v2, so the vertices are sorted, and its tight
-    facets are t1[i1] | t2[i2] << k1.  The facets are F x P2 with row (f, 0)
-    and P1 x G with row (0, g).  The faces are the F1 x F2, of dimension
-    d1 + d2, with mask spread(F1) * F2, spread(F1) the sum of 1 << i |V2|
-    over the set bits i of F1.
+    Vertex i1 |V2| + i2 is v1 + v2, so the vertices are sorted.  The facets
+    are F x P2 with row (f, 0) and P1 x G with row (0, g).  The faces are the
+    F1 x F2, of dimension d1 + d2, with mask spread(F1) * F2, spread(F1) the
+    sum of 1 << i |V2| over the set bits i of F1; the face pair of F1 x F2 is
+    (F1, F2), the minimal factor faces holding its vertices.
     """
     fd1, fd2 = p1._fd, p2._fd
-    (_, rows1), (_, rows2) = fd1.rows(), fd2.rows()
     size2 = len(fd2.vertices)
     poly = Polytope._of_sorted(p1.ambient_dim + p2.ambient_dim,
                                VertexTuple(v1 + v2 for v1 in fd1.vertices for v2 in fd2.vertices))
-    tight1, tight2 = _vertex_facets(fd1), _vertex_facets(fd2)
-    k1 = len(rows1)
-    tight = [z1 | z2 << k1 for z1 in tight1 for z2 in tight2]
 
     def spread(mask):
         return sum(1 << i * size2 for i in mask_bits(mask))
 
     fd = poly._fd
     if fd._facets is None:
+        (_, rows1), (_, rows2) = fd1.rows(), fd2.rows()
         all1, all2 = spread((1 << len(fd1.vertices)) - 1), (1 << size2) - 1
         zero1, zero2 = (0,) * p1.ambient_dim, (0,) * p2.ambient_dim
         fd.set_facets([(spread(mask) * all2, (*f, *zero2))
                        for mask, (f, _) in zip(fd1.facet_masks, rows1)]
                       + [(all1 * mask, (*zero1, *g))
                          for mask, (g, _) in zip(fd2.facet_masks, rows2)])
+    dims1, dims2 = fd1.face_dims(), fd2.face_dims()
+    lifts = [(spread(g1), g1) for g1 in dims1]
+    pairs = {lift * g2: (g1, g2) for lift, g1 in lifts for g2 in dims2}
     if fd._face_dims is None:
         # each face with its dimension and its set bits, the order of face_dims
-        faces2 = [(d2, g2, mask_bits(g2)) for g2, d2 in fd2.face_dims().items()]
-        faces = []
-        for g1, d1 in fd1.face_dims().items():
-            bits1, lift = mask_bits(g1), spread(g1)
-            faces += [(d1 + d2, [i * size2 + j for i in bits1 for j in bits2], lift * g2)
-                      for d2, g2, bits2 in faces2]
-        faces.sort()
+        faces = sorted((dims1[g1] + dims2[g2], mask_bits(g), g)
+                       for g, (g1, g2) in pairs.items())
         fd._face_dims = {g: k for k, _, g in faces}
-    return poly, tight
+    return poly, {g: pairs[g] for g in fd.face_dims()}
 
 
 def _vertex_facets(fd: "_FaceData") -> list[int]:

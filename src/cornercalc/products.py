@@ -10,6 +10,16 @@ when the first factor is a cochain, and the cap when it is a chain; the
 result keeps the first factor's kind.  Duality reads a cochain's orientation
 as a chain's, so it commutes with the boundaries up to (-1)^dim Y, the sign
 of d on cochains (chains, Boundary).
+
+Each law check builds each fibre product once.  It makes one product table,
+a dict that lives as long as the check and that every cup and cap of the
+check reads and fills (check_dga shares one across its four laws).  The
+table is keyed by the two normalized operands' canonical cell and map, the
+first seven slots of their normal-form keys, which is all that
+fibre_product_cells reads; each product generator is then built from the
+shared components with its own pair of tags.  Public cup and cap make a
+fresh table per call, so a pair repeated inside one product, one cell and
+map under two tags, is built once there too.  No table outlives its check.
 """
 
 from __future__ import annotations
@@ -70,15 +80,20 @@ def _common_target(c: Chain) -> Target | None:
 # Cup and cap
 # ---------------------------------------------------------------------------
 
-def _pair(g1: Generator, g2: Generator) -> list:
+def _pair(g1: Generator, g2: Generator, table: dict) -> list:
     """g1 cup g2 or g1 cap g2, by g1's kind; g2 is a cochain.
 
     f2 is a submersion, so the fibre product's rule orients each component
     by g1's frame (lifts of TY, then Ker df1) lifted through f2, followed by
     Ker df2 as g2's orientation gives it: the cup coorientation
-    (Ker df1, Ker df2) when g1 is a cochain.
+    (Ker df1, Ker df2) when g1 is a cochain.  g1 and g2 are normalized
+    generators, and the components are the table's for their canonical cells
+    and maps, built on the first request.
     """
-    comps = fibre_product_cells(g1.cell, g1.cmap, g2.cell, g2.cmap)
+    key = (g1._key[:7], g2._key[:7])
+    comps = table.get(key)
+    if comps is None:
+        comps = table[key] = fibre_product_cells(g1.cell, g1.cmap, g2.cell, g2.cmap)
     out = []
     for comp in comps:
         if not comp.transverse:
@@ -90,32 +105,46 @@ def _pair(g1: Generator, g2: Generator) -> list:
     return out
 
 
-def _product(c1: Chain, c2: Chain, what: str) -> Chain:
-    """The bilinear extension of _pair, after the target check."""
+def _product(c1: Chain, c2: Chain, what: str, table: dict) -> Chain:
+    """The bilinear extension of _pair, after the target check.
+
+    The operands' stored terms are read unsorted, as chains.boundary reads
+    them: the sum is exact and the result a canonical Chain.
+    """
     t1, t2 = _common_target(c1), _common_target(c2)
     if t1 is not None and t2 is not None and t1 != t2:
         raise ProductError(f"{what} factors live over different targets")
     terms = []
-    terms2 = c2.terms()
-    for a1, g1 in c1.terms():
+    terms2 = c2._terms.values()
+    for a1, g1 in c1._terms.values():
         for a2, g2 in terms2:
-            for factor, g in _pair(g1, g2):
+            for factor, g in _pair(g1, g2, table):
                 terms.append((a1 * a2 * factor, g))
     return Chain(terms)
 
 
-def cup(c1: Chain, c2: Chain) -> Chain:
-    """Product of cochains over a shared target; bilinear and canonical."""
+def _cup(c1: Chain, c2: Chain, table: dict) -> Chain:
+    """cup with the given product table."""
     _require_cochain(c1, "cup")
     _require_cochain(c2, "cup")
-    return _product(c1, c2, "cup")
+    return _product(c1, c2, "cup", table)
+
+
+def _cap(c: Chain, delta: Chain, table: dict) -> Chain:
+    """cap with the given product table."""
+    _require_chain(c, "cap")
+    _require_cochain(delta, "cap")
+    return _product(c, delta, "cap", table)
+
+
+def cup(c1: Chain, c2: Chain) -> Chain:
+    """Product of cochains over a shared target; bilinear and canonical."""
+    return _cup(c1, c2, {})
 
 
 def cap(c: Chain, delta: Chain) -> Chain:
     """Chain-by-cochain product; the result is an oriented chain."""
-    _require_chain(c, "cap")
-    _require_cochain(delta, "cap")
-    return _product(c, delta, "cap")
+    return _cap(c, delta, {})
 
 
 # ---------------------------------------------------------------------------
@@ -168,70 +197,84 @@ def _block_swap_perm(n_first: int, n_second: int) -> list:
 # DGA checks
 # ---------------------------------------------------------------------------
 
+# Each check below makes one product table; its private twin takes the
+# table, and cup(c1, c2) when it shares it.
+
 def check_cup_supercommutative(c1: Chain, c2: Chain) -> CheckReport:
     """cup(c1, c2) equals the sign-weighted swap, transported by the
     coordinate-exchange witness per generator pair."""
-    return _cup_supercommutative(c1, c2, cup(c1, c2))
+    table: dict = {}
+    return _cup_supercommutative(c1, c2, _cup(c1, c2, table), table)
 
 
-def _cup_supercommutative(c1: Chain, c2: Chain, c12: Chain) -> CheckReport:
+def _cup_supercommutative(c1: Chain, c2: Chain, c12: Chain, table: dict) -> CheckReport:
     """check_cup_supercommutative with c12 = cup(c1, c2) given."""
     swapped = []
-    terms2 = c2.terms()
-    for a1, g1 in c1.terms():
+    terms2 = c2._terms.values()
+    for a1, g1 in c1._terms.values():
         for a2, g2 in terms2:
             sign = _sign(g1.grade * g2.grade)
             n1 = g1.cell.polytope.ambient_dim
             n2 = g2.cell.polytope.ambient_dim
             perm = _block_swap_perm(n2, n1)
             swapped += [(sign * a1 * a2 * coeff, _permute_generator(g, perm))
-                        for coeff, g in _pair(g2, g1)]
+                        for coeff, g in _pair(g2, g1, table)]
     return _law(c12, Chain(swapped), "swap comparison failed")
 
 
 def check_cup_associative(c1: Chain, c2: Chain, c3: Chain) -> CheckReport:
-    return _cup_associative(c1, c2, c3, cup(c1, c2))
+    table: dict = {}
+    return _cup_associative(c1, c2, c3, _cup(c1, c2, table), table)
 
 
-def _cup_associative(c1: Chain, c2: Chain, c3: Chain, c12: Chain) -> CheckReport:
+def _cup_associative(c1: Chain, c2: Chain, c3: Chain, c12: Chain,
+                     table: dict) -> CheckReport:
     """check_cup_associative with c12 = cup(c1, c2) given."""
-    return _law(cup(c12, c3), cup(c1, cup(c2, c3)), "associativity failed")
+    return _law(_cup(c12, c3, table), _cup(c1, _cup(c2, c3, table), table),
+                "associativity failed")
 
 
 def check_cup_leibniz(c1: Chain, c2: Chain) -> CheckReport:
-    return _cup_leibniz(c1, c2, cup(c1, c2))
+    table: dict = {}
+    return _cup_leibniz(c1, c2, _cup(c1, c2, table), table)
 
 
-def _cup_leibniz(c1: Chain, c2: Chain, c12: Chain) -> CheckReport:
+def _cup_leibniz(c1: Chain, c2: Chain, c12: Chain, table: dict) -> CheckReport:
     """check_cup_leibniz with c12 = cup(c1, c2) given."""
     k = homogeneous_degree(c1)
     if k is None:
         return CheckReport(True, 0, True)
     return _law(boundary(c12),
-                cup(boundary(c1), c2) + cup(c1, boundary(c2)).scale(_sign(k)),
+                _cup(boundary(c1), c2, table) + _cup(c1, boundary(c2), table).scale(_sign(k)),
                 "cochain Leibniz failed")
 
 
 def check_cup_identity(c: Chain) -> CheckReport:
+    return _cup_identity(c, {})
+
+
+def _cup_identity(c: Chain, table: dict) -> CheckReport:
     t = _common_target(c)
     if t is None:
         return CheckReport(True, 0, True)
     e = identity_cochain(t)
-    left = _law(cup(e, c), c, "identity law failed")
-    return _law(cup(c, e), c, "identity law failed") if left.ok else left
+    left = _law(_cup(e, c, table), c, "identity law failed")
+    return _law(_cup(c, e, table), c, "identity law failed") if left.ok else left
 
 
 def check_dga(c1: Chain, c2: Chain, c3: Chain) -> CheckReport:
     """Supercommutativity, Leibniz, associativity, and the unit laws.
 
-    cup(c1, c2) is computed once and shared by the first three.
+    The four laws share one product table, and cup(c1, c2) is computed once
+    and shared by the first three.
     """
-    c12 = cup(c1, c2)
+    table: dict = {}
+    c12 = _cup(c1, c2, table)
     reports = {
-        "supercommutativity": _cup_supercommutative(c1, c2, c12),
-        "leibniz": _cup_leibniz(c1, c2, c12),
-        "associativity": _cup_associative(c1, c2, c3, c12),
-        "identity": check_cup_identity(c1),
+        "supercommutativity": _cup_supercommutative(c1, c2, c12, table),
+        "leibniz": _cup_leibniz(c1, c2, c12, table),
+        "associativity": _cup_associative(c1, c2, c3, c12, table),
+        "identity": _cup_identity(c1, table),
     }
     bad = tuple(name for name, rep in reports.items() if not rep.ok)
     checked = sum(rep.checked for rep in reports.values())
@@ -244,7 +287,9 @@ def check_dga(c1: Chain, c2: Chain, c3: Chain) -> CheckReport:
 
 def check_cap_module(c: Chain, d1: Chain, d2: Chain) -> CheckReport:
     """(c cap d1) cap d2 equals c cap (d1 cup d2)."""
-    return _law(cap(cap(c, d1), d2), cap(c, cup(d1, d2)), "cap module axiom failed")
+    table: dict = {}
+    return _law(_cap(_cap(c, d1, table), d2, table), _cap(c, _cup(d1, d2, table), table),
+                "cap module axiom failed")
 
 
 def check_cap_leibniz(c: Chain, d: Chain) -> CheckReport:
@@ -255,8 +300,9 @@ def check_cap_leibniz(c: Chain, d: Chain) -> CheckReport:
     k = homogeneous_degree(c)
     if k is None:
         return CheckReport(True, 0, True)
-    return _law(boundary(cap(c, d)),
-                cap(boundary(c), d) + cap(c, boundary(d)).scale(_sign(k)),
+    table: dict = {}
+    return _law(boundary(_cap(c, d, table)),
+                _cap(boundary(c), d, table) + _cap(c, boundary(d), table).scale(_sign(k)),
                 "cap Leibniz failed")
 
 
@@ -324,8 +370,9 @@ def check_pullback_d(h: TargetMap, delta: Chain) -> CheckReport:
 
 def projection_formula(alpha: Chain, beta: Chain, h: TargetMap) -> CheckReport:
     """Push alpha cap (pulled-back beta) forward equals pushing then capping."""
-    return _law(pushforward(h, cap(alpha, pullback(h, beta))),
-                cap(pushforward(h, alpha), beta), "projection formula failed")
+    table: dict = {}
+    return _law(pushforward(h, _cap(alpha, pullback(h, beta), table)),
+                _cap(pushforward(h, alpha), beta, table), "projection formula failed")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Cell layer: targets, oriented cells with torus factors, coorientations, fibre products."""
 
+import dataclasses
 import hashlib
 import importlib
 import itertools
@@ -50,6 +51,7 @@ from cornercalc.geometry import (POINT_POLYTOPE, GeometryError, Polytope, box, i
 from cornercalc.maps import check_boundary_of_fibre_product_cells, check_swap_sign_cells
 from cornercalc.randgen import (associativity_instance, fibre_instance, random_cell,
                                 random_map, random_polytope, submersive_cell)
+from reference import product_section, tight_face_pairs
 from test_geometry import embedded_lattice_hull, placed_rational_hull
 
 
@@ -461,7 +463,7 @@ def test_permute_round_trip():
 
 def test_slice_polytope():
     square, unit = box([(0, 1)] * 2), interval()
-    hexagon, tight = _slice_polytope(square, unit, [((1, 1, 1), F(3, 2))])
+    hexagon, pairs = _slice_polytope(square, unit, [((1, 1, 1), F(3, 2))])
     assert hexagon.dim == 2
     assert set(hexagon.vertices) == set(itertools.permutations((0, F(1, 2), 1)))
     assert _slice_polytope(square, unit, [((1, 1, 1), 4)]) is None
@@ -470,11 +472,15 @@ def test_slice_polytope():
             == Polytope(3, [[0, 0, 0], [1, 1, 1]]))
     assert (_slice_polytope(POINT_POLYTOPE, unit, [((1,), F(1, 2))])[0]
             == Polytope(1, [[F(1, 2)]]))
-    assert _slice_polytope(POINT_POLYTOPE, POINT_POLYTOPE, []) == (POINT_POLYTOPE, [0])
-    # the kernel's tight rows are the factors' tight facets at each vertex
+    assert _slice_polytope(POINT_POLYTOPE, POINT_POLYTOPE, []) == (POINT_POLYTOPE, {1: (1, 1)})
+    # the kernel's tight rows are the factors' tight facets at each vertex,
+    # and the face pairs are read off them
+    section, tight = product_section(square, unit, [((1, 1, 1), F(3, 2))])
+    assert section == hexagon
     k1 = len(square.facets())
     assert tight == [square.tight_facets(v[:2]) | unit.tight_facets(v[2:]) << k1
                      for v in hexagon.vertices]
+    assert list(pairs.items()) == list(tight_face_pairs(hexagon, tight, square, unit).items())
 
 
 def test_cell_frame_errors():
@@ -577,6 +583,27 @@ def test_face_pairs_match_per_face_definition():
             assert comp.transverse == transverse
             seen.add(transverse)
     assert seen == {True, False}
+
+
+def test_fibre_component_is_frozen():
+    """A component is shared by every product generator built from its pair,
+    so it refuses attribute and face-pair assignment."""
+    comp = fibre_product_cells(*fibre_instance(Random("frozen-component"), torus(1)))[0]
+    g, pair = next(iter(comp.face_pairs.items()))
+    for field in ("cell", "pmap", "translate", "transverse", "orientable", "face_pairs",
+                  "split", "t_affine"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(comp, field, getattr(comp, field))
+    with pytest.raises(TypeError):
+        comp.face_pairs[g] = pair
+    with pytest.raises(TypeError):
+        del comp.face_pairs[g]
+    assert comp.face_pairs[g] == pair
+    # a mapping handed in is copied, so changing it later moves nothing
+    given = dict(comp.face_pairs)
+    copy = dataclasses.replace(comp, face_pairs=given)
+    given.clear()
+    assert copy.face_pairs == comp.face_pairs
 
 
 # Any drift in a fibre product's cell, map, translate, flags, face pairs or

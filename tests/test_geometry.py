@@ -44,7 +44,7 @@ from cornercalc.geometry import (
     section_vertices,
     standard_simplex,
 )
-from reference import cut_by_equations
+from reference import cut_by_equations, product_section, tight_face_pairs
 
 
 def octahedron():
@@ -700,15 +700,19 @@ def test_inherited_faces_match_cold_enumeration(data):
 @given(lattice_section())
 def test_inherited_sections_match_cold_enumeration(data):
     """Slices and cuts take their facets from the kernel's tight rows; the
-    rows tight at a slice vertex are the factors' tight facets there."""
+    rows tight at a slice vertex are the factors' tight facets there, and
+    the slice's face pairs are the tight-mask walk's."""
     p1, p2, equations = data
     n1 = p1.ambient_dim
     geometry._face_data.cache_clear()
-    poly, tight = _slice_polytope(p1, p2, equations)
+    poly, pairs = _slice_polytope(p1, p2, equations)
     _assert_matches_cold(poly)
+    section, tight = product_section(p1, p2, equations)
+    assert section == poly
     k1 = len(p1.facets())
     assert tight == [p1.tight_facets(v[:n1]) | p2.tight_facets(v[n1:]) << k1
                      for v in poly.vertices]
+    assert list(pairs.items()) == list(tight_face_pairs(poly, tight, p1, p2).items())
     geometry._face_data.cache_clear()
     cut = cut_by_equations(p1, [(row[:n1], rhs) for row, rhs in equations
                                 if not any(row[n1:])])
@@ -1104,26 +1108,24 @@ def test_faces_inherit_the_lattice_and_chart_of_a_cold_enumeration(p):
 # Equation-free slices are products, built from the factors' face data
 # ---------------------------------------------------------------------------
 
-def _product_snapshot(poly, tight):
+def _product_snapshot(poly, pairs):
     fd = poly._fd
-    return (poly.vertices, tight, fd.facet_masks, fd.functionals,
+    return (poly.vertices, list(pairs.items()), fd.facet_masks, fd.functionals,
             list(fd.face_dims().items()))
 
 
 def _assert_product_matches_section(p1, p2):
     """_slice_polytope(p1, p2, []) against section_polytope on the rows of
-    P1 x P2, each with fresh product face data; the lattice against a cold
-    walk too, order included."""
+    P1 x P2, each with fresh product face data: the face pairs read off the
+    product's lattice against the tight-mask walk, and the lattice against
+    a cold walk too, order included."""
     geometry._face_data.cache_clear()
     got = _product_snapshot(*_slice_polytope(p1, p2, []))
     geometry._face_data.cache_clear()
-    (hull1, facets1), (hull2, facets2) = p1._fd.rows(), p2._fd.rows()
-    zero1, zero2 = [0] * p1.ambient_dim, [0] * p2.ambient_dim
-    n = p1.ambient_dim + p2.ambient_dim
-    want = _product_snapshot(*section_polytope(
-        n, [(e + zero2, c) for e, c in hull1] + [(zero1 + e, c) for e, c in hull2],
-        [(f + zero2, c) for f, c in facets1] + [(zero1 + f, c) for f, c in facets2]))
+    poly, tight = product_section(p1, p2, [])
+    want = _product_snapshot(poly, tight_face_pairs(poly, tight, p1, p2))
     assert got == want
+    n = p1.ambient_dim + p2.ambient_dim
     assert got[4] == list(_FaceData(n, got[0]).face_dims().items())
 
 
@@ -1156,10 +1158,11 @@ def test_equation_free_slice_runs_no_double_description(monkeypatch):
     cone_vertices = geometry._cone_vertices
     monkeypatch.setattr(geometry, "_cone_vertices",
                         lambda *args: calls.append(args) or cone_vertices(*args))
-    prism, tight = _slice_polytope(square, triangle, [])
-    assert len(prism.vertices) == len(tight) == 12
+    prism, pairs = _slice_polytope(square, triangle, [])
+    assert len(prism.vertices) == 12
     assert len(prism.facets()) == 4 + 3
     assert len(prism._fd.face_dims()) == 9 * 7
+    assert list(pairs) == list(prism._fd.face_dims())
     assert calls == []
     assert _slice_polytope(square, triangle, [((1, 0, 0, 0), Fraction(1, 2))]) is not None
     assert calls

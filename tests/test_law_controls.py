@@ -4,7 +4,8 @@ operations it is decided by is corrupted.
 Each test rebinds one operation (cup, cap, boundary, pullback, ...) in the
 module that decides the law, so that some of its results change, most by
 losing their first term, and asserts ok=False with the law's own failure
-string.  A chains._law that always passed would fail every control of a law
+string.  The laws of products take their cups through _cup, with the law
+check's product table, so the cup controls rebind _cup.  A chains._law that always passed would fail every control of a law
 decided through it; the prism, emission, corner-pairing and d^2 checks
 compare on their own.
 """
@@ -104,13 +105,13 @@ def _fail(report, detail):
 def _swap_pair(monkeypatch, a, b):
     """_pair(b, a), which only the supercommutativity side computes."""
     ga, gb = _only(a), _only(b)
-    _corrupt(monkeypatch, products, "_pair", when=lambda g1, g2: g1 is gb and g2 is ga)
+    _corrupt(monkeypatch, products, "_pair", when=lambda g1, g2, table: g1 is gb and g2 is ga)
 
 
 def _third_factor_cup(monkeypatch, a, b, c):
     """The first cup(x, c), the left side of associativity: only the
     associativity sides multiply by c."""
-    _corrupt(monkeypatch, products, "cup", calls={1}, when=lambda x, y: y is c)
+    _corrupt(monkeypatch, products, "_cup", calls={1}, when=lambda x, y, table: y is c)
 
 
 def _first_boundary(monkeypatch, a, b, c):
@@ -156,7 +157,7 @@ def test_cup_leibniz_control(monkeypatch):
 def test_cup_identity_control(monkeypatch, side):
     a, _, _ = _cochains()
     # cup(e, a) first, then cup(a, e)
-    _corrupt(monkeypatch, products, "cup", calls={side})
+    _corrupt(monkeypatch, products, "_cup", calls={side})
     _fail(check_cup_identity(a), "identity law failed")
 
 
@@ -168,7 +169,7 @@ def test_cap_module_control(monkeypatch):
     alpha = chain(square_chain(T1, "s"))
     d1 = chain(thick_cochain(T1, "a"))
     d2 = chain(cover_cochain([[2]], "b"))
-    _corrupt(monkeypatch, products, "cup")
+    _corrupt(monkeypatch, products, "_cup")
     _fail(check_cap_module(alpha, d1, d2), "cap module axiom failed")
 
 

@@ -1,10 +1,15 @@
 """Cup, cap, identity, pullback, and duality over point and torus targets."""
 
 import hashlib
+from collections import Counter
 from fractions import Fraction
 from random import Random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import cornercalc.products as products
 
 from cornercalc.cells import (
     Cell,
@@ -52,6 +57,7 @@ from cornercalc.products import (
 )
 from cornercalc.randgen import (random_chain_over, random_cochain, random_target_map,
                                 random_thick_cochain)
+from reference import product_by_pairs, product_pair
 from test_chains import identity_target_map
 
 P0 = Polytope.from_points(0, [[]])
@@ -432,3 +438,94 @@ def test_cup_and_cap_components_golden_digest():
                                        comp.orientable)).encode())
     assert count == 97
     assert h.hexdigest() == GOLDEN_CUP_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# One product table per law check
+# ---------------------------------------------------------------------------
+
+def _retagged(c, prefix):
+    """c plus each of its generators again under a fresh tag, with a
+    different coefficient: every cell and map of c twice, under two tags."""
+    again = [(2 * a, Generator(g.cell, g.cmap, numbered_tag(g.cell.polytope, prefix),
+                               is_cochain=g.is_cochain))
+             for a, g in c.terms()]
+    return c + Chain(again)
+
+
+def _table_free(g1, g2, table):
+    return product_pair(g1, g2)
+
+
+_LAWS = (
+    ("dga", lambda x, a, b, c, h, q: check_dga(a, b, c)),
+    ("supercommutativity", lambda x, a, b, c, h, q: check_cup_supercommutative(a, b)),
+    ("associativity", lambda x, a, b, c, h, q: check_cup_associative(a, b, c)),
+    ("cup-leibniz", lambda x, a, b, c, h, q: check_cup_leibniz(a, b)),
+    ("cup-identity", lambda x, a, b, c, h, q: check_cup_identity(a)),
+    ("cap-module", lambda x, a, b, c, h, q: check_cap_module(x, a, b)),
+    ("cap-leibniz", lambda x, a, b, c, h, q: check_cap_leibniz(x, a)),
+    ("cap-identity", lambda x, a, b, c, h, q: check_cap_identity(x)),
+    ("projection", lambda x, a, b, c, h, q: projection_formula(x, q, h)),
+)
+
+
+def _algebra_operands(seed, y, repeat):
+    """A chain, three cochains, a map to the circle and a cochain over it,
+    drawn by the suites' samplers; with repeat, the chain and the first
+    cochain hold each of their cells and maps under two tags."""
+    rng = Random(seed)
+    x = random_chain_over(rng, y, ("x", 0))
+    a, b, c = (random_cochain(rng, y, (name, 0)) for name in "abc")
+    h = random_target_map(rng, y, torus(1))
+    q = random_cochain(rng, torus(1), ("q", 0))
+    if repeat:
+        x, a = _retagged(x, "x2"), _retagged(a, "a2")
+    return x, a, b, c, h, q
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from([torus(1), torus(2)]), st.booleans())
+def test_products_and_laws_match_the_table_free_reference(seed, y, repeat):
+    """cup, cap and every law check with their product tables equal the
+    products built pair by pair, each pair from its own fibre product."""
+    operands = _algebra_operands(seed, y, repeat)
+    x, a, b, _, _, _ = operands
+    assert cup(a, b) == product_by_pairs(a, b)
+    assert cap(x, a) == product_by_pairs(x, a)
+    for name, law in _LAWS:
+        got = law(*operands)
+        with mock.patch.object(products, "_pair", _table_free):
+            want = law(*operands)
+        assert got == want, name
+
+
+def _counted_fibre_products():
+    """A fibre_product_cells that counts its calls per pair of operands."""
+    counts = Counter()
+    real = products.fibre_product_cells
+
+    def counted(cell1, map1, cell2, map2):
+        counts[cell1, map1, cell2, map2] += 1
+        return real(cell1, map1, cell2, map2)
+    return counts, counted
+
+
+@pytest.mark.parametrize("name, y", [
+    ("dga", torus(1)), ("dga", torus(2)), ("cap-module", torus(1)), ("cap-module", torus(2)),
+], ids=["dga-T1", "dga-T2", "cap-module-T1", "cap-module-T2"])
+def test_law_checks_build_each_fibre_product_once(monkeypatch, name, y):
+    """check_dga and check_cap_module compute each distinct pair's fibre
+    product once, though they ask for some pairs more than once."""
+    law = dict(_LAWS)[name]
+    operands = _algebra_operands(7, y, repeat=True)
+    pairs = Counter()
+    real_pair = products._pair
+    counts, counted = _counted_fibre_products()
+    monkeypatch.setattr(products, "fibre_product_cells", counted)
+    monkeypatch.setattr(products, "_pair",
+                        lambda g1, g2, table: pairs.update([(g1._key[:7], g2._key[:7])])
+                        or real_pair(g1, g2, table))
+    assert law(*operands).ok
+    assert counts and set(counts.values()) == {1}
+    assert len(counts) == len(pairs) < sum(pairs.values())

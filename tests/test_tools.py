@@ -1,5 +1,6 @@
 """The committed equivalence tool, run on the first items of a workload."""
 
+import hashlib
 import importlib.util
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+EMPTY = hashlib.sha256(b"").hexdigest()
 
 
 def _digest_lines(workload, items=1):
@@ -22,13 +24,15 @@ def _digest_lines(workload, items=1):
     # coorientation slot, which was None on every one recorded here.
     (1, ["fibre-identities items 0..0: 24 ops, 77 fibre_product_cells results (70 components)",
          "sha256 214a90eb5d0e95b2f4b81a9c46317b20be599b6cdf0da4aec978075cd9aa71fa",
-         "outcomes sha256 14883f75bcdad41e29ab3760f7a75c66e560f0394399b689b70d65263f51867e"]),
+         "outcomes sha256 14883f75bcdad41e29ab3760f7a75c66e560f0394399b689b70d65263f51867e",
+         "distinct sha256 a0a7980562e55fb637523df9861a2368e137da4363bd005918d4a63f2160e50c"]),
     # The full corpus: every check kind, the swap's coordinate permutation and
     # both nestings of associativity and interchange.
     (5, ["fibre-identities items 0..4: 120 ops, 415 fibre_product_cells results "
          "(383 components)",
          "sha256 134004fd9ba27243ec7baecc2ee1df52d1cd3e341c7e73bc9fa8178af0cf5a72",
-         "outcomes sha256 79fdf5c6bdf50e274fc616760fd926d236d431c1c9aaaeca3089bbc3f9a1204b"]),
+         "outcomes sha256 79fdf5c6bdf50e274fc616760fd926d236d431c1c9aaaeca3089bbc3f9a1204b",
+         "distinct sha256 3f42041e5479f1ce9ffd647781d8a667ab674c085c48daff94b7d5b80cbdfd66"]),
 ], ids=["item-0", "items-0-4"])
 def test_outcome_digest_of_one_item(items, expected):
     assert _digest_lines("fibre-identities", items) == expected
@@ -39,16 +43,22 @@ def test_outcome_digest_of_one_item(items, expected):
     # pins the orientation signs of the cups and caps, not only the outcomes.
     # The counts moved from 110 results (138 components) when check_dga came
     # to compute cup(c1, c2) once for its three laws instead of once per law;
-    # the outcomes did not.
-    (1, ["cochain-algebra items 0..0: 10 ops, 98 fibre_product_cells results (122 components)",
-         "sha256 d78ebc3669d7069b615f76475223fadb7c100bc5aea9eede9b1a9d5a028a18ed",
-         "outcomes sha256 1dd9881733bafec6d8d0fb5ed9962cc5d78f9341d2dce31262009a5f2599a4eb"]),
+    # the outcomes did not.  They moved again, from 98 results (122
+    # components) here and 896 (1092) on the full corpus, when each law
+    # check came to build each fibre product once, from one product table;
+    # the combined line moved with them, as it hashes every product built,
+    # and the outcomes and distinct lines did not.
+    (1, ["cochain-algebra items 0..0: 10 ops, 64 fibre_product_cells results (75 components)",
+         "sha256 c9e49b9f33b85240f73651ede83326927cbf69345256e9c44ae4f289e507298d",
+         "outcomes sha256 1dd9881733bafec6d8d0fb5ed9962cc5d78f9341d2dce31262009a5f2599a4eb",
+         "distinct sha256 f7b67e16d65c53e3913404c8cde2af0182801ecb8fd74e570e558985b84c8cf1"]),
     # The full corpus, with the products over T2 whose components keep free
     # torus coordinates.
-    (11, ["cochain-algebra items 0..10: 110 ops, 896 fibre_product_cells results "
-          "(1092 components)",
-          "sha256 9307244ad3fe9690475af1e4dafac9b4c08b18ce61ebede8d9c38b3aa4914728",
-          "outcomes sha256 32b3bf02da900f406346e802cd595c8a2310ebbefa40a98ae4ac8158249fd7ee"]),
+    (11, ["cochain-algebra items 0..10: 110 ops, 598 fibre_product_cells results "
+          "(691 components)",
+          "sha256 4456fe0f2c15c9d5fdcf49012b6bdd2f54e0f65371c9ad0bf5bbaba9af8c8798",
+          "outcomes sha256 32b3bf02da900f406346e802cd595c8a2310ebbefa40a98ae4ac8158249fd7ee",
+          "distinct sha256 26ebd6fa713ccd15b32e86329f8e4ad8304fe41c79ab1c9b819bed1915435ffa"]),
 ], ids=["item-0", "items-0-10"])
 def test_outcome_digest_of_one_cochain_item(items, expected):
     assert _digest_lines("cochain-algebra", items) == expected
@@ -62,8 +72,9 @@ def test_outcome_digest_of_one_cochain_item(items, expected):
      "2d0b4d351dc38ec277f0cedaf97be13ecc73e625819819dcc9f79f92d02418e9"),
 ], ids=["item-0", "items-0-65"])
 def test_outcome_only_digest_of_one_chain_boundary_item(items, counts, outcomes):
+    # no fibre product: the distinct line hashes the empty set
     assert _digest_lines("chain-boundary", items) == [
-        counts, f"sha256 {outcomes}", f"outcomes sha256 {outcomes}"]
+        counts, f"sha256 {outcomes}", f"outcomes sha256 {outcomes}", f"distinct sha256 {EMPTY}"]
 
 
 @pytest.mark.parametrize("items, counts, outcomes", [
@@ -75,11 +86,11 @@ def test_outcome_only_digest_of_one_chain_boundary_item(items, counts, outcomes)
 ], ids=["item-0", "items-0-6"])
 def test_outcome_only_digest_of_one_homology_bordism_item(items, counts, outcomes):
     assert _digest_lines("homology-bordism", items) == [
-        counts, f"sha256 {outcomes}", f"outcomes sha256 {outcomes}"]
+        counts, f"sha256 {outcomes}", f"outcomes sha256 {outcomes}", f"distinct sha256 {EMPTY}"]
 
 
 def test_outcome_digest_of_all_workloads_in_one_run():
-    # --workload all prints each workload's three lines, in perfbench/run.py's
+    # --workload all prints each workload's four lines, in perfbench/run.py's
     # order, as the workload's own run prints them
     order = ["chain-boundary", "fibre-identities", "cochain-algebra", "homology-bordism"]
     assert _digest_lines("all") == [line for w in order for line in _digest_lines(w)]
@@ -92,7 +103,8 @@ import importlib.util, sys
 spec = importlib.util.spec_from_file_location("outcome_digest", sys.argv[1])
 tool = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tool)
-tool.outcome_digest = lambda workload, items: (items, {"results": 0, "components": 0}, "", "")
+tool.outcome_digest = lambda workload, items: (items, {"results": 0, "components": 0},
+                                                "", "", "")
 for workload in sys.argv[2:]:
     tool.main(["--workload", workload])
 tool.main(["--workload", sys.argv[2], "--items", "2"])

@@ -18,12 +18,16 @@ one SHA-256 over
   transversality and orientability flags, sorted face pairs, `facets()` and
   `facet_inequalities()`;
 
-and a second SHA-256 over the operation outcomes alone.  Two trees give the
-same first digest when they decide every operation alike and build the same
-fibre products, and the same second digest when they decide every operation
-alike, whatever fibre products they build on the way.  To compare a change
-with its parent, run the script in each checkout; it imports the `src/` and
-`perfbench/` next to it.
+a second SHA-256 over the operation outcomes alone, and a third, the
+`distinct` one, over the sorted set of distinct fibre-product records, each
+the operands (two cells and two maps) and the components built from them.
+Two trees give the same first digest when they decide every operation alike
+and build the same fibre products in the same order, the same second digest
+when they decide every operation alike, whatever fibre products they build
+on the way, and the same third digest when they build the same fibre
+products, however often each is built.  To compare a change with its parent,
+run the script in each checkout; it imports the `src/` and `perfbench/` next
+to it.
 """
 
 from __future__ import annotations
@@ -49,7 +53,8 @@ def _component_repr(comp) -> str:
                  poly.facet_inequalities()))
 
 
-# The digest and tally that the recorder feeds: the workload being digested.
+# The digest, tally and distinct records that the recorder feeds: the
+# workload being digested.
 _sink: dict = {}
 
 
@@ -58,13 +63,15 @@ def _record_fibre_products() -> None:
     that feeds `_sink`."""
     orig = cells.fibre_product_cells
 
-    def recorded(*args, **kwargs):
-        result = orig(*args, **kwargs)
+    def recorded(cell1, map1, cell2, map2):
+        result = orig(cell1, map1, cell2, map2)
         h, tally = _sink["hash"], _sink["tally"]
         tally["results"] += 1
         tally["components"] += len(result)
-        for comp in result:
-            h.update(_component_repr(comp).encode())
+        comps = [_component_repr(comp) for comp in result]
+        for rep in comps:
+            h.update(rep.encode())
+        _sink["distinct"].add(repr((cell1, map1, cell2, map2)) + " -> " + "".join(comps))
         return result
 
     for name, module in list(sys.modules.items()):
@@ -74,14 +81,15 @@ def _record_fibre_products() -> None:
                     setattr(module, key, recorded)
 
 
-def outcome_digest(workload: str, items: int) -> tuple[int, dict, str, str]:
-    """(operations, fibre-product tally, combined and outcome-only SHA-256 hex
-    digests) of items 0..items-1."""
+def outcome_digest(workload: str, items: int) -> tuple[int, dict, str, str, str]:
+    """(operations, fibre-product tally, combined, outcome-only and distinct
+    SHA-256 hex digests) of items 0..items-1."""
     h, outcomes = hashlib.sha256(), hashlib.sha256()
     tally = {"results": 0, "components": 0}
+    distinct: set = set()
     if not _sink:
         _record_fibre_products()
-    _sink.update(hash=h, tally=tally)
+    _sink.update(hash=h, tally=tally, distinct=distinct)
     kinds = workloads.WORKLOADS[workload]()
     ops = 0
     for item in range(items):
@@ -95,7 +103,8 @@ def outcome_digest(workload: str, items: int) -> tuple[int, dict, str, str]:
             line = f"{kind.name}|{item}|{outcome}\n".encode()
             h.update(line)
             outcomes.update(line)
-    return ops, tally, h.hexdigest(), outcomes.hexdigest()
+    records = hashlib.sha256("".join(f"{r}\n" for r in sorted(distinct)).encode())
+    return ops, tally, h.hexdigest(), outcomes.hexdigest(), records.hexdigest()
 
 
 def main(argv=None) -> int:
@@ -109,12 +118,13 @@ def main(argv=None) -> int:
     names = list(run.WORKLOADS) if args.workload == "all" else [args.workload]
     for name in names:
         items = run.WORKLOADS[name]["items"] if args.items is None else args.items
-        ops, tally, digest, outcomes = outcome_digest(name, items)
+        ops, tally, digest, outcomes, distinct = outcome_digest(name, items)
         print(f"{name} items 0..{items - 1}: {ops} ops, "
               f"{tally['results']} fibre_product_cells results "
               f"({tally['components']} components)")
         print(f"sha256 {digest}")
         print(f"outcomes sha256 {outcomes}")
+        print(f"distinct sha256 {distinct}")
     return 0
 
 
