@@ -26,6 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from ._linalg import (
@@ -632,9 +633,11 @@ def disjoint_union(gens: Sequence[Generator]) -> Chain:
 # whose torus part is already in Hermite form, every s is 1.  A raw
 # generator reads its facets at its normal form, times that form's sign.
 # Each generator keeps its facet forms in its _facets slot (_facet_forms):
-# boundary, ChainComplex and corner_terms read them there, and the corner
-# pairing of verify_dd_zero walks the facets' own forms, as the double
-# boundary does.  The forms live and die with their root.
+# boundary and corner_terms read them there, and the corner pairing of
+# verify_dd_zero walks the facets' own forms, as the double boundary does.
+# A form's coefficient is a unit, so ChainComplex reads each generator's
+# forms once as one sparse integer column of its boundary matrix (see
+# Complexes and homology).  The forms live and die with their root.
 
 def generator_boundary(gen: Generator) -> list:
     """Signed facet generators of one generator."""
@@ -1168,40 +1171,45 @@ def check_cylinder_witness(gen: Generator, alt_tag: Tag):
 # ---------------------------------------------------------------------------
 
 class ChainComplex:
-    """A finite generator set closed under the boundary, graded by dimension.
+    """A finite generator set closed under the boundary, graded by dimension,
+    with one exact elimination per grade.
 
-    Each column of a boundary matrix is read off a normalized generator's
-    facet forms (_facet_forms), and the generators of one face_complex share
-    one root, so each face is normalized once.  betti ranks each boundary
-    matrix once.
+    The constructor indexes the generators' distinct classes per grade in
+    the order first seen, and reads each class's boundary off its facet
+    forms (_facet_forms) as a sparse integer column: a dict from row, the
+    facet's place one grade down, to a nonzero int.  The generators of one
+    face_complex share one root, so each face is normalized once.  A set
+    not closed under the boundary, a facet term in another grade than the
+    one below and a coefficient that is not an integer are refused.
+
+    Each grade's columns are eliminated once, when first needed
+    (_pivot_columns), and the pivots are kept: their number is the rank of
+    the boundary matrix, which betti reads, and is_boundary reduces a
+    chain's column against the pivots of the grade above.  Both answer over
+    Q.  `basis` (each grade's classes in the term order) and `matrices`
+    (the boundary matrices on that basis, tuples of Fraction rows) are
+    views, built when first read; nothing in the complex reads them.
     """
 
     def __init__(self, gens: Sequence[Generator]):
-        # a normal-form key is hashed once here, where its slot [grade, row]
-        # is made, and once per facet form that reads the slot back
         index: dict = {}
-        staged: dict = {}
+        classes: dict = {}
         for g in gens:
             nf = _normal_form(g)
             if nf is None:
                 continue
             key, _, norm = nf
-            size = len(index)
-            slot = index.setdefault(key, [norm.grade, 0])
-            if len(index) > size:
-                staged.setdefault(norm.grade, []).append((key, norm, slot))
-        self.basis: dict = {}
-        for grade, items in staged.items():
-            items = _in_term_order(items)
-            for row, (_, _, slot) in enumerate(items):
-                slot[1] = row
-            self.basis[grade] = [(key, norm) for key, norm, _ in items]
-        self.matrices: dict = {}
-        for grade, items in sorted(self.basis.items()):
-            rows = len(self.basis.get(grade - 1, []))
-            cols = len(items)
-            m = [[Fraction(0)] * cols for _ in range(rows)]
-            for col, (_, gen) in enumerate(items):
+            if key not in index:
+                items = classes.setdefault(norm.grade, [])
+                index[key] = (norm.grade, len(items))
+                items.append((key, norm))
+        # a tag is injective, so the facets of one generator carry distinct
+        # labels, are distinct classes and fill distinct rows
+        columns: dict = {}
+        for grade, items in classes.items():
+            out = columns[grade] = []
+            for _, gen in items:
+                col: dict = {}
                 for key, coeff, _ in _facet_forms(gen):
                     slot = index.get(key)
                     if slot is None:
@@ -1209,13 +1217,121 @@ class ChainComplex:
                     g2, row = slot
                     if g2 != grade - 1:
                         raise ChainError("boundary term lands in the wrong grade")
-                    m[row][col] += coeff
-            self.matrices[grade] = tuple(tuple(r) for r in m)
+                    if coeff.denominator != 1:
+                        raise ChainError(f"boundary coefficient {coeff} is not an integer")
+                    col[row] = coeff.numerator
+                out.append(col)
+        self._index = index
+        self._classes = classes
+        self._columns = columns
+        self._pivots: dict = {}
+        self._basis = self._matrices = None
+
+    def _pivots_of(self, grade: int) -> dict:
+        """The pivots of the grade's boundary columns, eliminated once."""
+        pivots = self._pivots.get(grade)
+        if pivots is None:
+            pivots = self._pivots[grade] = _pivot_columns(self._columns.get(grade, ()))
+        return pivots
 
     def betti(self) -> dict:
-        ranks = {grade: rank(m) for grade, m in self.matrices.items()}
-        return {grade: len(items) - ranks.get(grade, 0) - ranks.get(grade + 1, 0)
-                for grade, items in sorted(self.basis.items())}
+        ranks = {grade: len(self._pivots_of(grade)) for grade in self._columns}
+        return {grade: len(cols) - ranks[grade] - ranks.get(grade + 1, 0)
+                for grade, cols in sorted(self._columns.items())}
+
+    def is_boundary(self, c: Chain) -> bool:
+        """Whether the chain is the boundary of a chain of the complex, over Q.
+
+        Its terms must be classes of the complex, all of one grade.  Its
+        column, cleared of denominators, is reduced against the pivots of
+        the grade above; it is a boundary exactly when nothing is left.
+        The zero chain is a boundary."""
+        col, grades = {}, set()
+        for key, (coeff, _) in c._terms.items():
+            slot = self._index.get(key)
+            if slot is None:
+                raise ChainError("chain has a term outside the complex")
+            grades.add(slot[0])
+            col[slot[1]] = coeff
+        if len(grades) > 1:
+            raise ChainError(f"chain mixes grades {sorted(grades)}")
+        if not col:
+            return True
+        scale = lcm(*(x.denominator for x in col.values()))
+        col = {r: x.numerator * (scale // x.denominator) for r, x in col.items()}
+        return not _reduced(col, self._pivots_of(grades.pop() + 1))
+
+    @property
+    def basis(self) -> dict:
+        """Each grade's (key, normalized generator) pairs in the term order."""
+        if self._basis is None:
+            self._basis = {grade: _in_term_order(items) for grade, items in self._classes.items()}
+        return self._basis
+
+    @property
+    def matrices(self) -> dict:
+        """Each grade's boundary matrix on `basis`, rows one grade down, as
+        tuples of Fraction rows."""
+        if self._matrices is None:
+            basis, index = self.basis, self._index
+            self._matrices = {}
+            for grade, items in sorted(basis.items()):
+                # a row's place first seen, to its place in the term order
+                rows = {index[key][1]: i for i, (key, _) in enumerate(basis.get(grade - 1, ()))}
+                m = [[Fraction(0)] * len(items) for _ in rows]
+                for col, (key, _) in enumerate(items):
+                    for row, x in self._columns[grade][index[key][1]].items():
+                        m[rows[row]][col] = Fraction(x)
+                self._matrices[grade] = tuple(tuple(r) for r in m)
+        return self._matrices
+
+
+def _reduced(col: dict, pivots: dict) -> dict:
+    """A copy of the integer column reduced against the pivots until it is
+    zero or its last row is no pivot's.
+
+    The step is fraction-free: with w the pivot at v's last row p, v <- a v
+    - b w for a = w[p] / g and b = v[p] / g, g their gcd, then v is divided
+    by the gcd of its entries.  Each step clears row p and changes v by a
+    multiple of w and a nonzero scale, so v stays in the span of the column
+    and the pivots over Q."""
+    v = dict(col)
+    while v:
+        p = max(v)
+        w = pivots.get(p)
+        if w is None:
+            break
+        a, b = w[p], v[p]
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        if a != 1:
+            for r in v:
+                v[r] *= a
+        for r, y in w.items():
+            x = v.get(r, 0) - b * y
+            if x:
+                v[r] = x
+            else:
+                del v[r]
+        g = gcd(*v.values())
+        if g > 1:
+            for r in v:
+                v[r] //= g
+    return v
+
+
+def _pivot_columns(columns: Iterable[dict]) -> dict:
+    """{last row: reduced column} of a fraction-free elimination of integer
+    columns: each column is reduced against the pivots before it (_reduced),
+    and what is left, if anything, becomes the pivot at its last row.  The
+    pivots have distinct last rows and span the columns over Q, so their
+    number is the rank."""
+    pivots: dict = {}
+    for col in columns:
+        v = _reduced(col, pivots)
+        if v:
+            pivots[max(v)] = v
+    return pivots
 
 
 def face_complex(p: Polytope, with_top: bool = True) -> list:

@@ -730,7 +730,10 @@ def iota_check(stratum: Stratum, probes: Optional[Sequence] = None) -> IotaRepor
 
     Classes over a point identify embeddings conjugate under the point's
     stabilizer; every fiber must be finite with cardinality at most the
-    number of injective embeddings.
+    number of injective embeddings.  A piece is its embedding's fixed locus
+    in its component (_cut_by_equations), so it holds a probe of that
+    component exactly when the probe's stabilizer holds every image of the
+    embedding: the stabilizer, one per probe, decides every piece.
     """
     action = stratum.action
     big = action.group
@@ -749,9 +752,10 @@ def iota_check(stratum: Stratum, probes: Optional[Sequence] = None) -> IotaRepor
     fibers = []
     details = []
     for ci, p in probes:
-        lams = [piece.morphism for piece in stratum.pieces
-                if piece.component == ci and piece.polytope.contains(p)]
         stab = stabilizer(action, p, ci)
+        fixing = set(stab)
+        lams = [piece.morphism for piece in stratum.pieces
+                if piece.component == ci and all(img in fixing for _, img in piece.morphism)]
         classes = set()
         for lam in lams:
             rep = min(conjugate_morphism(lam, s, big) for s in stab)

@@ -7,6 +7,8 @@ from typing import Optional, Sequence
 from cornercalc.cells import fibre_product_cells
 from cornercalc.chains import Chain, Generator, pair_tags
 from cornercalc.geometry import Polytope, section_polytope
+from cornercalc.orbifold import (FiberCount, IotaReport, Stratum, conjugate_morphism,
+                                 stabilizer)
 from cornercalc.products import ProductError
 
 
@@ -67,3 +69,19 @@ def product_by_pairs(c1: Chain, c2: Chain) -> Chain:
     of the operands' terms, in the term order."""
     return Chain([(a1 * a2 * factor, g) for a1, g1 in c1.terms() for a2, g2 in c2.terms()
                   for factor, g in product_pair(g1, g2)])
+
+
+def iota_by_containment(stratum: Stratum, probes: Sequence) -> IotaReport:
+    """iota_check on the given (component, point) probes, deciding which
+    pieces hold a probe by Polytope.contains on each piece."""
+    big = stratum.action.group
+    fibers, details = [], []
+    for ci, p in probes:
+        lams = [piece.morphism for piece in stratum.pieces
+                if piece.component == ci and piece.polytope.contains(p)]
+        stab = stabilizer(stratum.action, p, ci)
+        count = len({min(conjugate_morphism(lam, s, big) for s in stab) for lam in lams})
+        fibers.append(FiberCount(ci, p, count))
+        if count > stratum.embeddings:
+            details.append(f"fiber at {p} exceeds the embedding count")
+    return IotaReport(not details, tuple(fibers), tuple(details))

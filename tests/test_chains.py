@@ -961,12 +961,101 @@ def test_faces_read_at_the_root_match_the_reference(seed, kind, normalized):
 
 
 def test_betti_ranks_each_boundary_matrix_once(monkeypatch):
+    """One elimination per grade, of that grade's own columns, kept for
+    is_boundary; betti makes no dense rank call."""
     ranked = []
-    monkeypatch.setattr(chains, "rank", lambda m: ranked.append(m) or rank(m))
+    eliminate = chains._pivot_columns
+    monkeypatch.setattr(chains, "_pivot_columns", lambda cols: ranked.append(cols) or eliminate(cols))
+    monkeypatch.setattr(chains, "rank", lambda m: pytest.fail("betti made a dense rank call"))
     cx = ChainComplex(simplex_face_complex(3))
     assert cx.betti() == {0: 1, 1: 0, 2: 0, 3: 0}
     assert len(ranked) == len(cx.matrices) == 4
-    assert sorted(map(id, ranked)) == sorted(map(id, cx.matrices.values()))
+    assert sorted(map(id, ranked)) == sorted(map(id, cx._columns.values()))
+    assert cx.is_boundary(boundary(chain(simplex_face_complex(3)[-1])))
+    assert cx.betti() == {0: 1, 1: 0, 2: 0, 3: 0}
+    assert len(ranked) == 4
+
+
+# The elimination (_pivot_columns, _reduced) against the dense rank on random
+# integer matrices; tests/conftest.py checks every elimination tier-1 runs,
+# so every complex it builds, against the same rank.
+
+@st.composite
+def integer_columns(draw):
+    """0-8 rows and 0-8 columns of entries -3..3, with zero columns and
+    repeats of earlier columns among them."""
+    rows = draw(st.integers(0, 8))
+    cols = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["drawn", "zero", "repeat"]))
+        if kind == "zero" or (kind == "repeat" and not cols):
+            cols.append([0] * rows)
+        elif kind == "repeat":
+            cols.append(list(draw(st.sampled_from(cols))))
+        else:
+            cols.append(draw(st.lists(st.integers(-3, 3), min_size=rows, max_size=rows)))
+    return rows, cols
+
+
+def _sparse(col):
+    return {r: x for r, x in enumerate(col) if x}
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_columns(), st.lists(st.integers(-3, 3), min_size=8, max_size=8))
+def test_elimination_rank_is_the_dense_rank(case, extra):
+    rows, cols = case
+    pivots = chains._pivot_columns([_sparse(c) for c in cols])
+    dense = [[c[r] for c in cols] for r in range(rows)]
+    assert len(pivots) == rank(dense)
+    assert all(max(v) == p for p, v in pivots.items())
+    # a column is in the span exactly when it reduces to zero: when adding
+    # it keeps the rank
+    for v in cols + [extra[:rows]]:
+        in_span = rank([row + [x] for row, x in zip(dense, v)]) == rank(dense)
+        assert (not chains._reduced(_sparse(v), pivots)) == in_span
+
+
+def test_is_boundary_on_face_complexes():
+    for p in (box([(0, 1), (0, 1)]), standard_simplex(3)):
+        gens = face_complex(p)
+        top, rest = gens[-1], gens[:-1]
+        verts = [g for g in gens if g.cell.dim == 0]
+        full, sphere = ChainComplex(gens), ChainComplex(rest)
+        fundamental = boundary(chain(top))
+        assert not fundamental.is_zero and boundary(fundamental).is_zero
+        assert full.is_boundary(fundamental)
+        assert not sphere.is_boundary(fundamental)
+        for cx in (full, sphere):
+            assert cx.is_boundary(chain(verts[0]) - chain(verts[1]))
+            assert cx.is_boundary(chain((Fraction(1, 2), verts[2]), (Fraction(-1, 2), verts[0])))
+            assert not cx.is_boundary(chain(verts[0]))
+            assert not cx.is_boundary(chain((Fraction(2, 3), verts[1]), (Fraction(1, 3), verts[0])))
+            assert cx.is_boundary(Chain())
+            edge = next(g for g in gens if g.cell.dim == 1)
+            assert cx.is_boundary(boundary(chain(edge)))
+            assert not cx.is_boundary(chain(edge))
+
+
+def test_is_boundary_refuses_outside_terms_and_mixed_grades():
+    gens = face_complex(box([(0, 1), (0, 1)]))
+    cx = ChainComplex(gens)
+    vertex = next(g for g in gens if g.cell.dim == 0)
+    edge = next(g for g in gens if g.cell.dim == 1)
+    with pytest.raises(ChainError, match="outside the complex"):
+        cx.is_boundary(chain(interval_generator(0, 2)))
+    with pytest.raises(ChainError, match="outside the complex"):
+        cx.is_boundary(chain(vertex, interval_generator(0, 2)))
+    with pytest.raises(ChainError, match="mixes grades"):
+        cx.is_boundary(chain(vertex, edge))
+
+
+def test_chain_complex_refuses_a_non_integer_coefficient(monkeypatch):
+    forms = chains._facet_forms
+    monkeypatch.setattr(chains, "_facet_forms",
+                        lambda g: [(key, c / 2, sub) for key, c, sub in forms(g)])
+    with pytest.raises(ChainError, match="not an integer"):
+        ChainComplex(simplex_face_complex(1))
 
 
 @pytest.mark.parametrize("p", [standard_simplex(k) for k in range(5)]
@@ -1206,10 +1295,9 @@ def test_face_complex_negative_controls():
     flipped = gens[:edge] + [gens[edge].reversed()] + gens[edge + 1:]
     assert _nonzero(ChainComplex(flipped).betti()) == {0: 1, 1: 1}
     cx = ChainComplex(gens)
-    d1 = [list(row) for row in cx.matrices[1]]
-    row = next(r for r in range(len(d1)) if d1[r][0])
-    d1[row][0] = -d1[row][0]
-    cx.matrices[1] = tuple(tuple(r) for r in d1)
+    column = cx._columns[1][0]
+    row = next(iter(column))
+    column[row] = -column[row]
     assert _nonzero(cx.betti()) != {0: 1, 1: 1}
     with pytest.raises(ChainError):
         ChainComplex(face_complex(sq)[:edge] + face_complex(sq)[edge + 1:])

@@ -38,7 +38,7 @@ from cornercalc.orbifold import (
     zero_rep,
 )
 from cornercalc.suites import _strata_cases
-from reference import cut_by_equations
+from reference import cut_by_equations, iota_by_containment
 
 
 def perm_matrix(p):
@@ -890,6 +890,51 @@ def test_rational_and_multi_component_loci_and_characters_match_references():
     # the trivial subgroup keeps all 12 components, Z2 the 5 it reflects in
     # place, and Z3, turning three segments round, none
     assert checked == 17
+
+
+def _check_iota_against_containment(st, extra=()) -> int:
+    """iota_check against the containment reference, fiber for fiber, on its
+    default probes and on extra (component, point) probes; the number of
+    fibers compared."""
+    report = iota_check(st)
+    assert report == iota_by_containment(st, [(f.component, f.point) for f in report.fibers])
+    if extra:
+        assert iota_check(st, extra) == iota_by_containment(st, [(c, vec(p)) for c, p in extra])
+    return len(report.fibers) + len(extra)
+
+
+def test_iota_fibers_match_the_containment_reference():
+    checked = 0
+    for _, act, sub, rho in _strata_cases():
+        st = orbifold_stratum(act, sub, rho)
+        # every vertex and the barycenter of every component, in or off the pieces
+        extra = [(ci, p) for ci, sp in enumerate(act.spaces)
+                 for p in list(sp.vertices) + [sp.barycenter()]]
+        checked += _check_iota_against_containment(st, extra)
+    assert checked > 100
+
+
+@settings(max_examples=40, deadline=None)
+@given(conjugated_box_action())
+def test_iota_fibers_match_the_containment_reference_on_carried_boxes(case):
+    act, group, points = case
+    extra = [(0, p) for p in points + list(act.single.vertices)]
+    for order in range(1, len(group) + 1):
+        if len(group) % order:
+            continue
+        sub = cyclic_group(order)
+        chis = {_tangent_character(act, 0, dict(lam), sub) for lam in injective_morphisms(sub, group)}
+        for chi in chis:
+            st = orbifold_stratum(act, sub, VirtualRep(sub, (chi,)))
+            assert st.pieces
+            _check_iota_against_containment(st, extra)
+
+
+def test_iota_probe_outside_its_component_is_refused():
+    act = reflection_action()
+    st = orbifold_stratum(act, Z2, sign_rep(Z2, "r1"))
+    with pytest.raises(OrbifoldError, match="outside the component"):
+        iota_check(st, probes=[(0, [2])])
 
 
 @settings(max_examples=40, deadline=None)

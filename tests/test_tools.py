@@ -162,6 +162,21 @@ def test_kind_times_of_one_item():
     assert abs(sum(float(row[2].rstrip("%")) for row in rows.values()) - 100) < 0.5
 
 
+@pytest.mark.parametrize("m, faces, classes, betti", [
+    (1, 9, 6, "{0: 1, 1: 1}"),
+    (2, 126, 54, "{0: 1, 1: 2, 2: 1}"),
+])
+def test_complex_scale_on_small_tori(m, faces, classes, betti):
+    # the Freudenthal complexes of T^1 and T^2 at grid 3; T^3 (702 classes)
+    # is left to the tool
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "complex_scale.py"), str(m)],
+                         capture_output=True, text=True, check=True, timeout=120).stdout
+    head, betti_line, times = out.splitlines()
+    assert head == f"T^{m}, grid 3: {faces} raw faces, {classes} classes"
+    assert betti_line == f"betti {betti}"
+    assert times.startswith("build ") and times.endswith(" s")
+
+
 def _bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
     module = importlib.util.module_from_spec(spec)
