@@ -74,7 +74,6 @@ from ._linalg import (
     Mat,
     Vec,
     _primitive_rows,
-    _scaled,
     det,
     det_sign,
     frac,
@@ -242,14 +241,32 @@ def _integer(x) -> int:
     return x.numerator
 
 
-@dataclass(frozen=True)
-class CellMap:
-    """Affine map (p, t) -> A p + M t + b into a target; M integral."""
+_set_slot = object.__setattr__
 
-    target: Target
-    a: Mat           # m x n over Q
-    m_t: IntMat      # m x s over Z
-    b: Vec           # length m
+
+def _fill(cmap: "CellMap", target: Target, m_t: IntMat, a, b, ints):
+    _set_slot(cmap, "target", target)
+    _set_slot(cmap, "m_t", m_t)
+    _set_slot(cmap, "_a", a)
+    _set_slot(cmap, "_b", b)
+    _set_slot(cmap, "_ints", ints)
+
+
+class CellMap:
+    """Affine map (p, t) -> A p + M t + b into a target; M integral.
+
+    A and b are exact in one of two forms, and each form is read from the
+    other when first asked.  A map built from its entries keeps them as
+    Fraction tuples, `a` and `b`.  A canonical map (canonical_cell_map)
+    keeps them as integers over one denominator, `_ints` = (den, den A,
+    den b) with den > 0 and the gcd of den and every entry 1; that form is
+    unique, and the normal-form keys of chains hold it.  Its `a` and `b`
+    are a view (_view), built on first read.  Equality, hashing and the
+    repr are those of the values, whichever form a map was built with.  A
+    map is immutable.
+    """
+
+    __slots__ = ("target", "m_t", "_a", "_b", "_ints")
 
     def __init__(self, target: Target, a: Iterable[Iterable], m_t: Iterable[Iterable], b: Iterable):
         self._set(target, mat(a), tuple(tuple(x if type(x) is int else _integer(x) for x in row)
@@ -262,6 +279,14 @@ class CellMap:
         cmap._set(target, a, m_t, b)
         return cmap
 
+    @classmethod
+    def _canonical(cls, target: Target, den: int, a: IntMat, m_t: IntMat, b: tuple) -> "CellMap":
+        """The map of integer form (den, a, b), reduced as `_ints` is and
+        valid by construction (canonical_cell_map): nothing is checked."""
+        cmap = object.__new__(cls)
+        _fill(cmap, target, m_t, None, None, (den, a, b))
+        return cmap
+
     def _set(self, target: Target, aa: Mat, mt: IntMat, bb: Vec):
         m = target.dim
         if len(aa) != m or len(bb) != m or len(mt) != m:
@@ -271,14 +296,64 @@ class CellMap:
         if target.kind in ("point", "euclid"):
             if any(any(x != 0 for x in row) for row in mt):
                 raise MapError("maps to euclid/point must kill the torus factor")
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "a", aa)
-        object.__setattr__(self, "m_t", mt)
-        object.__setattr__(self, "b", bb)
+        _fill(self, target, mt, aa, bb, None)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: a CellMap is immutable")
+
+    __delattr__ = __setattr__
+
+    @property
+    def a(self) -> Mat:
+        """A over Q, m x n."""
+        if self._a is None:
+            self._view()
+        return self._a
+
+    @property
+    def b(self) -> Vec:
+        """b over Q, length m."""
+        if self._b is None:
+            self._view()
+        return self._b
+
+    def _view(self):
+        """Build `a` and `b` from the integer form."""
+        den, ia, ib = self._ints
+        _set_slot(self, "_a", tuple(tuple(Fraction(x, den) for x in row) for row in ia))
+        _set_slot(self, "_b", tuple(Fraction(x, den) for x in ib))
+
+    def _int_form(self) -> tuple:
+        """(den, den A, den b): A and b over their least common denominator."""
+        if self._ints is None:
+            rows = (*self._a, self._b)
+            den = math.lcm(*(x.denominator for row in rows for x in row))
+            ints = [tuple(x.numerator * (den // x.denominator) for x in row) for row in rows]
+            _set_slot(self, "_ints", (den, tuple(ints[:-1]), ints[-1]))
+        return self._ints
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.target != other.target or self.m_t != other.m_t:
+            return False
+        if self._a is not None and other._a is not None:
+            return self._a == other._a and self._b == other._b
+        return self._int_form() == other._int_form()
+
+    def __hash__(self):
+        return hash((self.target, self.m_t, self._int_form()))
+
+    def __repr__(self):
+        return f"CellMap(target={self.target!r}, a={self.a!r}, m_t={self.m_t!r}, b={self.b!r})"
+
+    def __reduce__(self):
+        return CellMap, (self.target, self.a, self.m_t, self.b)
 
     @property
     def n_cols(self) -> int:
-        return len(self.a[0]) if self.a else 0
+        rows = self._a if self._a is not None else self._ints[1]
+        return len(rows[0]) if rows else 0
 
     @property
     def s_cols(self) -> int:
@@ -724,8 +799,9 @@ def _build_component(cell1, map1, cell2, map2, poly, face_pairs, u, tau, transla
     p1, p2 = cell1.polytope, cell2.polytope
     fd, fd1, fd2 = poly._fd, p1._fd, p2._fd
     dims, dims1, dims2 = fd.face_dims(), fd1.face_dims(), fd2.face_dims()
-    transverse = (poly.dim + s_z == cell1.dim + cell2.dim - map1.target.dim
-                  and all(poly.dim - dims[g] == p1.dim - dims1[f1] + p2.dim - dims2[f2]
+    dim, dim1, dim2 = poly.dim, p1.dim, p2.dim
+    transverse = (dim + s_z == cell1.dim + cell2.dim - map1.target.dim
+                  and all(dim - dims[g] == dim1 - dims1[f1] + dim2 - dims2[f2]
                           for g, (f1, f2) in face_pairs.items()))
     # These checks decide the span condition too.  The face pair (F1, F2) of
     # a face G is minimal, so G is the slice of F1 x F2 through its relative
@@ -782,8 +858,9 @@ def _torus_form(m_t: IntMat, s: int, is_torus: bool):
     unless the target is a torus with rows outside the pivot rows; then it is
     (npiv, denom, hb): those rows, and the Hermite form hb of denom times the
     reduced unit vectors read on them, square and lower triangular, which
-    spans the reduced image of Z^m there.  The unimodularity and echelon
-    checks run here, once per matrix.
+    spans the reduced image of Z^m there; denom is the least common
+    denominator of those entries.  The unimodularity and echelon checks run
+    here, once per matrix.
     """
     m = len(m_t)
     if m and m_t[0]:
@@ -801,21 +878,22 @@ def _torus_form(m_t: IntMat, s: int, is_torus: bool):
     if is_torus and npiv:
         # the reduced translates Z^m hold the unit vectors of the
         # non-pivot rows, so their Hermite form is square on those rows
-        gens = [_reduce(pivots, _unit(m, k)) for k in range(m)]
-        denom = math.lcm(*(g[j].denominator for g in gens for j in npiv))
-        hb, _ = hermite_column([[int(g[j] * denom) for g in gens] for j in npiv])
-        lattice = (npiv, denom, hb)
+        gens, scale = _reduce(pivots, [[int(i == k) for i in range(m)] for k in range(m)], 1)
+        g = math.gcd(scale, *(x[j] for x in gens for j in npiv))
+        hb, _ = hermite_column([[x[j] // g for x in gens] for j in npiv])
+        lattice = (npiv, scale // g, hb)
     return h, uc, det_u, pivots, lattice
 
 
-def _reduce(pivots, x) -> list:
-    """x modulo the torus columns, zero at their pivot rows."""
-    x = list(x)
+def _reduce(pivots, vecs: list, scale: int) -> tuple[list, int]:
+    """Integer vectors over a common positive scale, reduced modulo the torus
+    columns (zero at their pivot rows), and their new scale: a pivot of
+    value d takes x to d x - x_p col, and the scale to d times the scale."""
     for p, d, col in pivots:
-        q = x[p] / d
-        if q:
-            x = [xi - q * ci for xi, ci in zip(x, col)]
-    return x
+        vecs = [[d * xi - x[p] * ci for xi, ci in zip(x, col)] if x[p]
+                else x if d == 1 else [d * xi for xi in x] for x in vecs]
+        scale *= d
+    return vecs, scale
 
 
 def canonical_cell_map(cell: Cell, cmap: CellMap):
@@ -837,62 +915,82 @@ def canonical_cell_map(cell: Cell, cmap: CellMap):
     integers over one denominator den.  The offset is reduce(b + A p0).  It
     equals reduce(A v0 + b) less the new linear part at v0: v0 - p0 =
     sum_c v0_c w_c, reduce is a linear projection along the torus columns,
-    and it fixes each reduced column.  The arithmetic is exact, so the
-    identity holds entry for entry.  Each row of A is read as integers over
-    its denominators' lcm, scale (_scaled), so an entry of the new A or b is made as
-    one Fraction over scale * den, and den cancels.  The Hermite form, its
-    sign, the pivots and the reduced lattice depend on M alone (and on
-    whether the target is a torus): they are computed once per integral
-    matrix (_torus_form).  The new entries are exact by construction, so
-    the map is built by CellMap._exact: the row counts and the torus
-    columns are checked, and nothing is converted again.
+    and it fixes each reduced column.
+
+    All of it is integer arithmetic over one common scale.  A and b are
+    read in their integer form over their denominator (CellMap._int_form),
+    so each A w_c and b + A p0 is an integer vector over that times den;
+    the reduction modulo the torus columns is an integer elimination that
+    multiplies the scale by each pivot (_reduce); the lattice step is floor
+    division, and its denominator multiplies the scale once more.  The
+    gcd of the scale and every entry is divided out at the end, which gives
+    the map's unique integer form, kept by CellMap._canonical: its Fraction
+    entries are a view built only when read.  The Hermite form, its sign,
+    the pivots and the reduced lattice depend on M alone (and on whether the
+    target is a torus): they are computed once per integral matrix
+    (_torus_form).
     """
     n = cell.polytope.ambient_dim
     m = cmap.target.dim
     new_mt, _, det_u, pivots, lattice = _torus_form(cmap.m_t, cell.torus_rank,
                                                     cmap.target.is_torus)
-    new_a = cmap.a
-    new_b = cmap.b
-    if m > 0:
-        den, dirs, origin = cell.polytope._fd.hull_chart()
-        rows = [(ints, scale * den) for ints, scale in map(_scaled, cmap.a)]
-        if n > 0:
-            # The direction w_c of aff(P) with free coordinates e_c: its value
-            # under the map, reduced, is column c of the new linear part.
-            cols = {c: _reduce(pivots, [Fraction(sum(r[j] * x for j, x in w), d)
-                                        for r, d in rows])
-                    for c, w in dirs}
-            new_a = tuple(tuple(cols[c][i] if c in cols else _ZERO for c in range(n))
-                          for i in range(m))
-        new_b = _reduce(pivots, [
-            Fraction(bi.numerator * d + bi.denominator * sum(r[j] * x for j, x in origin),
-                     bi.denominator * d)
-            for (r, d), bi in zip(rows, cmap.b)])
-        if lattice is not None:
-            npiv, denom, hb = lattice
-            x = [new_b[j] * denom for j in npiv]
-            for i in range(len(npiv)):
-                q = math.floor(x[i] / hb[i][i])
-                if q:
-                    for k in range(i, len(npiv)):
-                        x[k] -= q * hb[k][i]
-            for idx, j in enumerate(npiv):
-                new_b[j] = x[idx] / denom
+    ccell = Cell(cell.polytope, cell.torus_rank, sign=cell.sign * det_u)
+    if not m:
+        return ccell, CellMap._canonical(cmap.target, 1, (), (), ())
+    den, dirs, origin = cell.polytope._fd.hull_chart()
+    scale, ia, ib = cmap._int_form()
+    # column c of the new linear part is A w_c, reduced; the offset b + A p0
+    vecs = [[sum(row[j] * x for j, x in w) for row in ia] for _, w in dirs]
+    vecs.append([bi * den + sum(row[j] * x for j, x in origin) for row, bi in zip(ia, ib)])
+    vecs, scale = _reduce(pivots, vecs, scale * den)
+    off = vecs.pop()
+    if lattice is not None:
+        # the offset's rows off the pivots, times denom, into the lattice's box
+        npiv, denom, hb = lattice
+        x = [off[j] * denom for j in npiv]
+        for i in range(len(npiv)):
+            q = x[i] // (scale * hb[i][i])
+            if q:
+                for k in range(i, len(npiv)):
+                    x[k] -= q * hb[k][i] * scale
+        if denom != 1:
+            off = [xi * denom for xi in off]
+            vecs = [[xi * denom for xi in v] for v in vecs]
+            scale *= denom
+        for j, xj in zip(npiv, x):
+            off[j] = xj
+    g = math.gcd(scale, *off, *(x for v in vecs for x in v))
+    if g != 1:
+        scale, off, vecs = scale // g, [x // g for x in off], [[x // g for x in v] for v in vecs]
+    cols = [(0,) * m] * n
+    for (c, _), v in zip(dirs, vecs):
+        cols[c] = v
+    return ccell, CellMap._canonical(cmap.target, scale, tuple(zip(*cols)) if n else ((),) * m,
+                                     new_mt, tuple(off))
 
-    return (Cell(cell.polytope, cell.torus_rank, sign=cell.sign * det_u),
-            CellMap._exact(cmap.target, new_a, new_mt, tuple(new_b)))
+
+def _canonical_form(cell: Cell, cmap: CellMap):
+    """(key, sign, cell, map) of canonical_form with the map's slots as its
+    integer form: (den, den A) and den b (CellMap._int_form).  The form is
+    unique, so two pairs share this key exactly when they share
+    canonical_form's.  The normal-form keys of chains and the comparisons
+    of fibre-product families read it."""
+    ccell, cmap2 = canonical_cell_map(cell, cmap)
+    den, ia, ib = cmap2._ints
+    key = ((cmap2.target.kind, cmap2.target.dim), ccell.polytope.ambient_dim,
+           ccell.polytope.vertices, ccell.torus_rank, (den, ia), cmap2.m_t, ib)
+    return key, ccell.sign, ccell, cmap2
 
 
 def canonical_form(cell: Cell, cmap: CellMap):
     """(key, sign, cell, map) of the canonical representative.
 
     The key is the hashable identity of (cell, map) up to cell isomorphism,
-    orientation aside; the sign is the canonical cell's.
+    orientation aside; the sign is the canonical cell's.  Its map slots are
+    the Fraction entries A, M and b.
     """
-    ccell, cmap2 = canonical_cell_map(cell, cmap)
-    key = ((cmap2.target.kind, cmap2.target.dim), ccell.polytope.ambient_dim,
-           ccell.polytope.vertices, ccell.torus_rank, cmap2.a, cmap2.m_t, cmap2.b)
-    return key, ccell.sign, ccell, cmap2
+    key, sign, ccell, cmap2 = _canonical_form(cell, cmap)
+    return key[:4] + (cmap2.a, key[5], cmap2.b), sign, ccell, cmap2
 
 
 def permute_cell_coords(cell: Cell, cmap: CellMap, perm: Sequence[int]):

@@ -42,8 +42,8 @@ from .cells import (
     CellMap,
     Coorientation,
     Target,
+    _canonical_form,
     boundary_cells,
-    canonical_form,
     cell_orientation_equal,
     constant_map,
     has_free_circle,
@@ -458,7 +458,7 @@ def _normal_form(gen: Generator):
         return gen._key, 1, gen
     if has_free_circle(gen.cell, gen.cmap):
         return None
-    key, sign, cell, cmapc = canonical_form(gen.cell, gen.cmap)
+    key, sign, cell, cmapc = _canonical_form(gen.cell, gen.cmap)
     key += (gen.tag.labels, gen.is_cochain or None)
     norm = Generator._derived(cell if cell.sign == 1 else Cell(cell.polytope, cell.torus_rank),
                               cmapc, gen.tag, is_cochain=gen.is_cochain)
@@ -468,21 +468,35 @@ def _normal_form(gen: Generator):
 
 def _in_term_order(items: Iterable) -> list:
     """Items (key, generator, ...) of normal-form terms, sorted in the term
-    order: that of _term_key(key).
+    order: that of _term_key of the key with its map slots read as the
+    Fractions they stand for.
 
-    The key is ((kind, dim), ambient, vertices, torus_rank, a, m_t, b,
-    labels, flag).  Its first seven slots hold only str, int and Fraction,
-    one type per position, which compare natively as _term_key does; the
+    The key is ((kind, dim), ambient, vertices, torus_rank, (den, den A),
+    m_t, den b, labels, flag).  With L the lcm of the items' den, the map
+    slots times L/den are L A and L b, integers that compare as A and b
+    do; the other slots of the first seven hold only str, int and
+    Fraction, one type per position, which compare natively as _term_key
+    does.  The
     labels' part is the generator's tag order, and a chain's flag (None)
     comes before a cochain's (True).  The order is lexicographic, so the
-    items are sorted on key[:7] first, and the tag order, built
-    recursively, is read only within a run of equal key[:7]: one cell and
+    items are sorted on that head first, and the tag order, built
+    recursively, is read only within a run of equal heads: one cell and
     map under several tags, or a chain and a cochain.
     """
-    items = sorted(items, key=lambda item: item[0][:7])
+    items = list(items)
+    common = lcm(*(item[0][4][0] for item in items))
+
+    def head(key):
+        (den, a), b = key[4], key[6]
+        if den != common:
+            f = common // den
+            a, b = tuple(tuple(x * f for x in row) for row in a), tuple(x * f for x in b)
+        return key[:4] + (a, key[5], b)
+
     out = []
-    for _, run in itertools.groupby(items, key=lambda item: item[0][:7]):
-        run = list(run)
+    heads = sorted(((head(item[0]), item) for item in items), key=lambda hi: hi[0])
+    for _, run in itertools.groupby(heads, key=lambda hi: hi[0]):
+        run = [item for _, item in run]
         if len(run) > 1:
             run.sort(key=lambda item: (item[1].tag.order, item[0][8] is not None))
         out += run

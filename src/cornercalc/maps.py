@@ -19,8 +19,8 @@ from .cells import (
     POINT,
     Cell,
     CellMap,
+    _canonical_form,
     boundary_cells,
-    canonical_form,
     constant_map,
     fibre_product_cells,
     permute_cell_coords,
@@ -51,10 +51,10 @@ def stack_cell_maps(f: CellMap, g: CellMap) -> CellMap:
 def _compare_signed_families(lhs, rhs, predicted: int) -> CheckReport:
     """Both families as multisets of (canonical key, sign), the right-hand
     signs multiplied by the predicted sign; the multisets must be equal."""
-    left = Counter(canonical_form(cell, cmap)[:2] for cell, cmap in lhs)
+    left = Counter(_canonical_form(cell, cmap)[:2] for cell, cmap in lhs)
     right = Counter()
     for cell, cmap in rhs:
-        key, sgn = canonical_form(cell, cmap)[:2]
+        key, sgn = _canonical_form(cell, cmap)[:2]
         right[key, predicted * sgn] += 1
     if left == right:
         return CheckReport(True, sum(left.values()))

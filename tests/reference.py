@@ -1,10 +1,12 @@
 """Reference constructions that the library no longer runs, kept for the
 tests that check the library's own paths against them."""
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from cornercalc.cells import fibre_product_cells
+from cornercalc._linalg import _scaled, det, hermite_column
+from cornercalc.cells import _pivots_of, fibre_product_cells
 from cornercalc.chains import Chain, Generator, pair_tags
 from cornercalc.geometry import Polytope, section_polytope
 from cornercalc.orbifold import (FiberCount, IotaReport, Stratum, conjugate_morphism,
@@ -85,3 +87,65 @@ def iota_by_containment(stratum: Stratum, probes: Sequence) -> IotaReport:
         if count > stratum.embeddings:
             details.append(f"fiber at {p} exceeds the embedding count")
     return IotaReport(not details, tuple(fibers), tuple(details))
+
+
+def fraction_key(key: tuple) -> tuple:
+    """A normal-form key with its map slots, (den, den A) and den b, read as
+    the Fraction tuples A and b they stand for: the key of
+    fraction_canonical_form, followed by the key's other slots."""
+    (den, a), b = key[4], key[6]
+    return (key[:4] + (tuple(tuple(Fraction(x, den) for x in row) for row in a), key[5],
+                       tuple(Fraction(x, den) for x in b)) + key[7:])
+
+
+def fraction_canonical_form(cell, cmap) -> tuple:
+    """(key, sign) of the canonical form on Fraction entries: the column
+    Hermite form of M and its sign, the linear part read on the hull's
+    free coordinates and the offset b + A p0, each entry one Fraction
+    over its row's scale times the chart's denominator, reduced modulo
+    the torus columns one Fraction step per pivot, then the offset's
+    rows off the pivots floored into the reduced lattice's box."""
+    n, s, m = cell.polytope.ambient_dim, cell.torus_rank, cmap.target.dim
+    m_t, det_u = cmap.m_t, 1
+    if m and m_t[0]:
+        m_t, uc = hermite_column(m_t)
+        det_u = int(det(uc))
+    pivots = [(p, d, tuple(row[t] for row in m_t)) for p, d, t in _pivots_of(m_t)]
+
+    def reduce(x):
+        x = list(x)
+        for p, d, col in pivots:
+            q = x[p] / d
+            if q:
+                x = [xi - q * ci for xi, ci in zip(x, col)]
+        return x
+
+    new_a, new_b = cmap.a, cmap.b
+    if m > 0:
+        den, dirs, origin = cell.polytope._fd.hull_chart()
+        rows = [(ints, scale * den) for ints, scale in map(_scaled, cmap.a)]
+        if n > 0:
+            cols = {c: reduce([Fraction(sum(r[j] * x for j, x in w), d) for r, d in rows])
+                    for c, w in dirs}
+            new_a = tuple(tuple(cols[c][i] if c in cols else Fraction(0) for c in range(n))
+                          for i in range(m))
+        new_b = reduce([
+            Fraction(bi.numerator * d + bi.denominator * sum(r[j] * x for j, x in origin),
+                     bi.denominator * d)
+            for (r, d), bi in zip(rows, cmap.b)])
+        npiv = [k for k in range(m) if k not in {p for p, _, _ in pivots}]
+        if cmap.target.is_torus and npiv:
+            gens = [reduce(Fraction(int(i == k)) for i in range(m)) for k in range(m)]
+            denom = math.lcm(*(g[j].denominator for g in gens for j in npiv))
+            hb, _ = hermite_column([[int(g[j] * denom) for g in gens] for j in npiv])
+            x = [new_b[j] * denom for j in npiv]
+            for i in range(len(npiv)):
+                q = math.floor(x[i] / hb[i][i])
+                if q:
+                    for k in range(i, len(npiv)):
+                        x[k] -= q * hb[k][i]
+            for idx, j in enumerate(npiv):
+                new_b[j] = x[idx] / denom
+        new_b = tuple(new_b)
+    key = ((cmap.target.kind, m), n, cell.polytope.vertices, s, new_a, m_t, new_b)
+    return key, cell.sign * det_u

@@ -1,16 +1,18 @@
 """Cell layer: targets, oriented cells with torus factors, coorientations, fibre products."""
 
+import copy
 import dataclasses
 import hashlib
 import importlib
 import itertools
 import math
+import pickle
 from collections import Counter
 from fractions import Fraction as F
 from random import Random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import Phase, assume, find, given, settings, strategies as st
 
 from cornercalc._linalg import (SpanError, canonical_frame, change_of_basis_det, det,
                                 hermite_column, integer_matrix_inverse, kernel_basis,
@@ -23,6 +25,7 @@ from cornercalc.cells import (
     FibreProductError,
     MapError,
     Target,
+    _canonical_form,
     _pivots_of,
     _slice_polytope,
     _torus_form,
@@ -51,7 +54,7 @@ from cornercalc.geometry import (POINT_POLYTOPE, GeometryError, Polytope, box, i
 from cornercalc.maps import check_boundary_of_fibre_product_cells, check_swap_sign_cells
 from cornercalc.randgen import (associativity_instance, fibre_instance, random_cell,
                                 random_map, random_polytope, submersive_cell)
-from reference import product_section, tight_face_pairs
+from reference import fraction_canonical_form, fraction_key, product_section, tight_face_pairs
 from test_geometry import embedded_lattice_hull, placed_rational_hull
 
 
@@ -1109,6 +1112,106 @@ def test_canonical_cell_map_matches_parent_formula(data):
     assert has_free_circle(cell, cmap) == has_free_circle(got_cell, got_map) == free
     gen = Generator(cell, cmap, numbered_tag(cell.polytope))
     assert (_normal_form(gen) is None) == free
+
+
+# ---------------------------------------------------------------------------
+# The integer key against the parent's Fraction key: canonical_cell_map keeps
+# the map over one denominator, and the normal-form keys hold that form.
+# reference.fraction_canonical_form is the parent's formula on Fractions.
+# ---------------------------------------------------------------------------
+
+_UNIMODULAR = {1: (((-1,),),), 2: (((1, 1), (0, 1)), ((0, 1), (1, 0)), ((1, 0), (-2, -1)))}
+
+
+@st.composite
+def related_cell_maps(draw):
+    """Two (cell, map) pairs: a hull_cell_and_map draw and a second pair that
+    is the same, a reparametrization of it (a unimodular change of the torus
+    coordinates, a rational shear along the torus columns, an integer shift
+    of a torus offset), a small change of one entry of A or b, or a draw of
+    its own."""
+    cell, cmap = draw(hull_cell_and_map())
+    n, s, m = cell.polytope.ambient_dim, cell.torus_rank, cmap.target.dim
+    a, m_t, b = [list(row) for row in cmap.a], [list(row) for row in cmap.m_t], list(cmap.b)
+    move = draw(st.sampled_from(("same", "torus basis", "shear", "shift", "nudge", "other")))
+    if move == "other":
+        return (cell, cmap), draw(hull_cell_and_map())
+    if move == "torus basis" and s and m:
+        u = draw(st.sampled_from(_UNIMODULAR[s]))
+        m_t = [[sum(row[k] * u[k][j] for k in range(s)) for j in range(s)] for row in m_t]
+    elif move == "shear" and s and m:
+        lam = [[draw(_thirds) for _ in range(n)] for _ in range(s)]
+        v0 = cell.polytope.vertices[0]
+        ml = [[sum(m_t[i][t] * lam[t][c] for t in range(s)) for c in range(n)] for i in range(m)]
+        a = [[a[i][c] - ml[i][c] for c in range(n)] for i in range(m)]
+        b = [b[i] + sum(ml[i][c] * v0[c] for c in range(n)) for i in range(m)]
+    elif move == "shift" and cmap.target.is_torus:
+        b = [x + draw(st.integers(-2, 2)) for x in b]
+    elif move == "nudge" and m:
+        i = draw(st.integers(0, m - 1))
+        delta = draw(st.sampled_from((F(1, 2), F(-1, 3), F(1))))
+        j = draw(st.integers(0, n))
+        if j < n:
+            a[i][j] += delta
+        else:
+            b[i] += delta
+    return (cell, cmap), (Cell(cell.polytope, s, None, draw(st.sampled_from((1, -1)))),
+                          CellMap(cmap.target, a, m_t, b))
+
+
+@settings(max_examples=400, deadline=None)
+@given(related_cell_maps())
+def test_integer_keys_match_the_parent_fraction_keys(pairs):
+    """Two pairs share an integer key exactly when they share the parent's
+    Fraction key, with the parent's sign; the integer form is reduced, and
+    the public canonical_form is the parent's key and sign."""
+    forms = [_canonical_form(cell, cmap) for cell, cmap in pairs]
+    refs = [fraction_canonical_form(cell, cmap) for cell, cmap in pairs]
+    for (key, sign, _, cmap2), ref, (cell, cmap) in zip(forms, refs, pairs):
+        den, ia, ib = cmap2._ints
+        assert den > 0 and math.gcd(den, *ib, *(x for row in ia for x in row)) == 1
+        assert (fraction_key(key), sign) == ref
+        assert canonical_form(cell, cmap)[:2] == ref
+    assert (forms[0][0] == forms[1][0]) == (refs[0][0] == refs[1][0])
+
+
+def test_cell_map_forms_compare_as_values():
+    """A map built from entries and the canonical map of the same values, kept
+    as integers over one denominator, are equal, hash alike and print alike,
+    and comparing or hashing builds no Fraction view; a map is immutable, and
+    a copy or a pickle gives the value back."""
+    cell = Cell(box([(0, 1), (0, 1)]), 1)
+    cmap = CellMap(torus(2), [[F(1, 2), 0], [F(1, 3), 1]], [[0], [0]], [F(5, 6), F(1, 4)])
+    _, canon = canonical_cell_map(cell, cmap)
+    assert canon._ints == (12, ((6, 0), (4, 12)), (10, 3)) and canon._a is None
+    assert canon == cmap and cmap == canon and hash(canon) == hash(cmap)
+    assert canon != CellMap(torus(2), cmap.a, cmap.m_t, [F(5, 6), F(1, 3)])
+    assert canon._a is None
+    assert repr(canon) == repr(cmap) and canon.a == cmap.a and canon.b == cmap.b
+    with pytest.raises(AttributeError):
+        canon.b = cmap.b
+    with pytest.raises(AttributeError):
+        del cmap.a
+    for again in (copy.deepcopy(canon), pickle.loads(pickle.dumps(canon))):
+        assert again == canon and repr(again) == repr(canon)
+
+
+def test_key_oracle_draws_reach_the_lattice_and_shared_keys():
+    """The oracle's draws include a torus map with 0 < rank M < m, whose
+    offset is floored into the reduced lattice (_torus_form's lattice), and
+    two different maps that share a key."""
+    def lattice(pairs):
+        cell, cmap = pairs[0]
+        _, _, _, pivots, lat = _torus_form(cmap.m_t, cell.torus_rank, cmap.target.is_torus)
+        return lat is not None and 0 < len(pivots) < cmap.target.dim
+
+    def shared(pairs):
+        (c1, m1), (c2, m2) = pairs
+        return m1 != m2 and _canonical_form(c1, m1)[0] == _canonical_form(c2, m2)[0]
+
+    opts = settings(database=None, max_examples=2000, phases=(Phase.generate,))
+    for condition in (lattice, shared):
+        find(related_cell_maps(), condition, settings=opts)
 
 
 def _fraction_differential_vec(cmap, n, v):

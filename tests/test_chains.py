@@ -70,6 +70,7 @@ from cornercalc.products import cap, cup
 from cornercalc.randgen import (cycle_class, random_chain, random_chain_over, random_cochain,
                                 random_cover_cochain, random_cycle_class, random_generator,
                                 random_polytope, random_singular_terms)
+from reference import fraction_key
 from test_geometry import embedded_lattice_hull, octahedron
 
 
@@ -608,6 +609,14 @@ def test_random_chains_over_the_point():
         assert not c.is_zero and all(g.cmap.target == POINT for _, g in c.terms())
 
 
+def _fraction_form(g):
+    """(key, sign) of the generator's normal form, the key's map slots read as
+    the Fraction tuples they stand for (reference.fraction_key): what the
+    golden digests below hash."""
+    key, sign, _ = _normal_form(g)
+    return fraction_key(key), sign
+
+
 # Any drift in canonical keys, orientation signs, coefficients or term order
 # of these boundaries changes it.  Re-pinned when tags moved from face keys to
 # vertex bitmasks, which changes the keys' representation only: over 10,000
@@ -625,7 +634,7 @@ def test_boundary_canonical_keys_golden_digest():
         terms = ch.terms()
         count += len(terms)
         h.update(repr(terms).encode())
-        h.update(repr([(c, _normal_form(g)[:2], g.cell.frame, g.cell.sign)
+        h.update(repr([(c, _fraction_form(g), g.cell.frame, g.cell.sign)
                        for c, g in terms]).encode())
     assert count == 408
     assert h.hexdigest() == GOLDEN_BOUNDARY_DIGEST
@@ -659,7 +668,7 @@ def test_coboundary_canonical_keys_golden_digest():
             count += len(terms)
             h.update(repr(terms).encode())
             cos = [kernel_coorientation(g.cell, g.cmap) for _, g in terms]
-            h.update(repr([(c, _normal_form(g)[:2], co.frame, co.sign)
+            h.update(repr([(c, _fraction_form(g), co.frame, co.sign)
                            for (c, g), co in zip(terms, cos)]).encode())
     assert count == 36
     assert h.hexdigest() == GOLDEN_COBOUNDARY_DIGEST
@@ -697,7 +706,7 @@ def test_dd_zero_corpus_boundaries_golden_digest():
             terms = ch.terms()
             count += len(terms)
             h.update(repr(terms).encode())
-            h.update(repr([(a, _normal_form(g)[:2], g.cell.frame, g.cell.sign)
+            h.update(repr([(a, _fraction_form(g), g.cell.frame, g.cell.sign)
                            for a, g in terms]).encode())
     assert count == 698
     assert h.hexdigest() == GOLDEN_DD_ZERO_CORPUS_DIGEST
@@ -859,6 +868,29 @@ def test_chain_complex_matrices_match_the_reference():
                 ref = Chain(generator_boundary(gen))
                 assert [cx.matrices[grade][row][col] for row in range(len(rows))] == \
                     [ref.coefficient(g) for _, g in rows]
+
+
+# A canonical map keeps A and b as integers over one denominator, and its
+# Fraction entries are a view built on first read (CellMap._view): the
+# boundary, the double boundary and the corner pairing read faces at their
+# root through the integer form and the integer keys alone.
+
+def test_faces_read_at_their_root_build_no_fraction_view(monkeypatch):
+    workloads = _benchmark_workloads()
+    chains_ = [random_chain(Random(i), ("t", 0), max_ambient=4) for i in range(20)]
+    chains_ += [random_chain(workloads.item_random("chain-boundary", "dd-zero", i), ("t", 0),
+                             max_ambient=4) for i in range(20)]
+    views = []
+    build = CellMap._view
+    monkeypatch.setattr(CellMap, "_view", lambda cmap: views.append(cmap) or build(cmap))
+    for c in chains_:
+        assert boundary(boundary(c)).is_zero
+        assert verify_dd_zero(c).ok
+    assert views == []
+    # the count is live: reading a canonical map's entries builds its view once
+    _, gen = boundary(chains_[0]).terms()[0]
+    assert gen.cmap.a == gen.cmap.a and gen.cmap.b is gen.cmap.b
+    assert views == [gen.cmap]
 
 
 # Faces read at their root (_facet_forms, corner_terms, face_complex)
@@ -1363,8 +1395,9 @@ def test_complex_basis_order_matches_term_key():
 
 def _term_order(key, gen):
     """The term order as one sort key: the first seven slots of the normal-form
-    key, then the tag's order, then the cochain flag (a chain's None first)."""
-    return key[:7] + (gen.tag.order, key[8] is not None)
+    key, its map slots read as Fractions (reference.fraction_key), then the
+    tag's order, then the cochain flag (a chain's None first)."""
+    return fraction_key(key)[:7] + (gen.tag.order, key[8] is not None)
 
 
 def _ties(keys):
@@ -1411,7 +1444,7 @@ def test_terms_and_basis_sort_by_the_full_term_order():
 
 
 def _chain_rows(ch):
-    return [(c, _normal_form(g)[:2]) for c, g in ch.terms()]
+    return [(c, _fraction_form(g)) for c, g in ch.terms()]
 
 
 def _height_ends(ch):

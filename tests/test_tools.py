@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -171,10 +172,23 @@ def test_complex_scale_on_small_tori(m, faces, classes, betti):
     # is left to the tool
     out = subprocess.run([sys.executable, str(ROOT / "tools" / "complex_scale.py"), str(m)],
                          capture_output=True, text=True, check=True, timeout=120).stdout
-    head, betti_line, times = out.splitlines()
+    head, betti_line, times, scaled = out.splitlines()
     assert head == f"T^{m}, grid 3: {faces} raw faces, {classes} classes"
     assert betti_line == f"betti {betti}"
     assert times.startswith("build ") and times.endswith(" s")
+    # the same three times at the benchmark's reference speed: each raw time
+    # times reference / probe, up to the rounding of both printed times
+    names = ("build", "ChainComplex", "betti")
+    number = r"(\d+\.\d\d)"
+    raw = re.fullmatch(", ".join(f"{name} {number} s" for name in names), times)
+    ref = re.fullmatch(rf"at reference speed \(probe {number} ms, reference {number} ms\): "
+                       + ", ".join(f"{name} {number} s" for name in names), scaled)
+    assert raw and ref
+    probe, reference = float(ref[1]), float(ref[2])
+    assert probe > 0 and reference > 0
+    factor = reference / probe
+    for t, t_ref in zip(map(float, raw.groups()), map(float, ref.groups()[2:])):
+        assert abs(t_ref - t * factor) <= 0.005 * (1 + factor) + 0.01 * t * factor
 
 
 def _bench_pairs():

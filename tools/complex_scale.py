@@ -21,25 +21,31 @@ go to `ChainComplex`.
 
 It prints the raw faces, the classes, the Betti numbers (those of T^M are
 the binomial coefficients) and the wall times of the build, of
-`ChainComplex` and of `betti`, on this machine.
+`ChainComplex` and of `betti`, on this machine.  A last line gives the same
+times at the benchmark's reference speed: each times PROBE_REFERENCE_S over
+the median of `speed_probe` (both from `perfbench/worker.py`, imported, not
+changed) taken five times before the build and five times after `betti`,
+so that runs on a machine whose load varies can be compared.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import statistics
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from cornercalc.cells import Cell, CellMap, torus  # noqa: E402
 from cornercalc.chains import (ChainComplex, Generator, Tag, _face_form,  # noqa: E402
                                _normal_form)
 from cornercalc.geometry import Polytope, mask_bits  # noqa: E402
+from worker import PROBE_REFERENCE_S, speed_probe  # noqa: E402
 
 
 def freudenthal_faces(m: int, n: int) -> list:
@@ -81,6 +87,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.m < 1 or args.grid < 3:
         ap.error("needs M >= 1 and a grid of at least 3")
+    probes = [speed_probe() for _ in range(5)]
     start = time.perf_counter()
     gens = freudenthal_faces(args.m, args.grid)
     built = time.perf_counter()
@@ -88,11 +95,17 @@ def main(argv=None) -> int:
     indexed = time.perf_counter()
     betti = cx.betti()
     ranked = time.perf_counter()
+    probes += [speed_probe() for _ in range(5)]
+    probe = statistics.median(probes)
     classes = sum(len(items) for items in cx.basis.values())
+    times = {"build": built - start, "ChainComplex": indexed - built, "betti": ranked - indexed}
     print(f"T^{args.m}, grid {args.grid}: {len(gens)} raw faces, {classes} classes")
     print(f"betti {betti}")
-    print(f"build {built - start:.2f} s, ChainComplex {indexed - built:.2f} s, "
-          f"betti {ranked - indexed:.2f} s")
+    print(", ".join(f"{name} {t:.2f} s" for name, t in times.items()))
+    print(f"at reference speed (probe {probe * 1000:.2f} ms, reference "
+          f"{PROBE_REFERENCE_S * 1000:.2f} ms): "
+          + ", ".join(f"{name} {t * PROBE_REFERENCE_S / probe:.2f} s"
+                      for name, t in times.items()))
     return 0
 
 
