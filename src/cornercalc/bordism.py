@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from ._linalg import Mat, Vec, det_sign, identity, invariant_factors, mat, matvec, rank, vec
-from .cells import (Cell, CellMap, Coorientation, boundary_cells,
+from .cells import (Cell, CellMap, Coorientation, _canonical_form, boundary_cells,
                     canonical_cell_map, canonical_form, fibre_product_cells,
                     identity_map, is_interior_submersion, maps_agree,
                     orientation_from_coorientation)
@@ -124,6 +124,13 @@ class BordismComponent:
         key, sign, _, _ = canonical_form(self.cell, self.cmap)
         return key + (self.cooriented,), sign
 
+    def _term(self) -> tuple:
+        """canonical_term with the map slots in their integer form
+        (cells._canonical_form): equal exactly when canonical_term is, and
+        built with no Fraction view of the map."""
+        key, sign, _, _ = _canonical_form(self.cell, self.cmap)
+        return key + (self.cooriented,), sign
+
 
 @dataclass(frozen=True, init=False, eq=False)
 class BordismClass:
@@ -173,12 +180,18 @@ class BordismClass:
     def canonical_terms(self) -> tuple:
         return tuple(sorted(c.canonical_term() for c in self.components))
 
+    def _terms(self) -> tuple:
+        """The components' integer terms, sorted: equal exactly when
+        canonical_terms are, which is what equality, hashing and
+        class_match read."""
+        return tuple(sorted(c._term() for c in self.components))
+
     def __eq__(self, other):
         return (isinstance(other, BordismClass) and self.kind == other.kind
-                and self.canonical_terms() == other.canonical_terms())
+                and self._terms() == other._terms())
 
     def __hash__(self):
-        return hash((self.kind, self.canonical_terms()))
+        return hash((self.kind, self._terms()))
 
     def __repr__(self):
         flavour = "cooriented" if self.cooriented else "oriented"
@@ -334,7 +347,7 @@ def class_match(a: BordismClass, b: BordismClass) -> bool:
             or len(a.components) != len(b.components):
         return False
     if a.cooriented:
-        return a.canonical_terms() == b.canonical_terms()
+        return a._terms() == b._terms()
     used = [False] * len(b.components)
 
     def place(k):

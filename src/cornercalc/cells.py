@@ -337,8 +337,6 @@ class CellMap:
             return NotImplemented
         if self.target != other.target or self.m_t != other.m_t:
             return False
-        if self._a is not None and other._a is not None:
-            return self._a == other._a and self._b == other._b
         return self._int_form() == other._int_form()
 
     def __hash__(self):

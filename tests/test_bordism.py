@@ -585,6 +585,38 @@ def test_products_golden_digest():
     assert h.hexdigest() == GOLDEN_PRODUCT_DIGEST
 
 
+def test_classes_compare_and_hash_on_integer_terms(monkeypatch):
+    """Equality, hashing and class_match read the components' integer terms
+    (BordismClass._terms): they agree with canonical_terms, and they build
+    no Fraction view of a canonical map."""
+    def mapped(slope, offset):
+        return (Cell(Polytope.from_points(1, [[0], [1]]), 0, ((F(1),),), 1),
+                CellMap(torus(1), [[slope]], [[]], [offset]))
+
+    half, third, quarter = F(1, 2), F(1, 3), F(1, 4)
+    oriented = [BordismClass([mapped(half, third)]), BordismClass([mapped(half, third + 1)]),
+                BordismClass([mapped(half, quarter)]), BordismClass([mapped(third, third)]),
+                BordismClass([mapped(half, third), mapped(third, quarter)]),
+                BordismClass([mapped(third, quarter), mapped(half, third)])]
+    corpus = product_corpus()
+    classes = oriented + corpus + [bordism_cup_cap(a, b) for a in corpus[:3] for b in corpus]
+    terms = [c.canonical_terms() for c in classes]
+    monkeypatch.setattr(CellMap, "_view", lambda self: pytest.fail("built a Fraction view"))
+    assert oriented[0] == oriented[1] and oriented[4] == oriented[5]
+    assert oriented[0] != oriented[2] and oriented[0] != oriented[3]
+    shared = 0
+    for i, (c, tc) in enumerate(zip(classes, terms)):
+        for j, (d, td) in enumerate(zip(classes, terms)):
+            same = c.kind == d.kind and tc == td
+            assert (c == d) == same
+            if same:
+                assert hash(c) == hash(d)
+                shared += i != j
+            if c.cooriented and d.cooriented:
+                assert class_match(c, d) == (tc == td)
+    assert shared > 2
+
+
 def test_product_with_an_empty_factor_is_empty():
     for a, b in ((BordismClass(()), circle_cover(2)), (hollow_triangle(), BordismClass(()))):
         res = bordism_cup_cap(a, b)
